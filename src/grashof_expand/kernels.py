@@ -1,37 +1,23 @@
-"""Hot numeric kernels for the spectral advection term.
+"""Hot numeric kernels for the spectral advection term, in plain numpy.
 
 The exact Fourier convolution of (u.grad)v is the innermost loop of the whole
-package (residual evaluations, Newton linearizations, property suites). It is
-implemented twice:
+package (residual evaluations, property suites), and the dense Newton
+linearization is the innermost step of every steady solve. Each has one
+implementation here; ``steady._linearized_matrix_fields`` assembles the same
+linearization field by field and is the slow reference the tests compare
+against. Time the README sweep, which spends most of its time here, with
 
-* a numba ``@njit`` kernel (default), and
-* a pure-numpy fallback, selected by setting the environment variable
-  ``GRASHOF_EXPAND_NUMBA=0`` before import.
+    python3 perfbench/run.py --workload sweep-n8 --seed 1 --seconds 15 --trace 0
 
-Both produce bit-comparable dense coefficient grids; ``benchmarks/bench_kernels.py``
-times them against each other. An FFT-based path (zero-padded, therefore exact,
-no aliasing) is provided as an optional fast alternative for dense fields.
+and pass ``--trace 1`` for the time spent in each kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("GRASHOF_EXPAND_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _ENV_FLAG not in ("0", "false", "no", "off")
 
-try:
-    if _WANT_NUMBA:
-        from numba import njit
-    else:
-        njit = None
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-
-def advect_convolve_numpy(ku, cu, kv, cv, nout):
+def advect_convolve(ku, cu, kv, cv, nout):
     """Exact convolution of (u.grad)v on a dense coefficient grid.
 
     Args:
@@ -46,9 +32,9 @@ def advect_convolve_numpy(ku, cu, kv, cv, nout):
     """
     size = 2 * nout + 1
     grid = np.zeros((size, size, 2), dtype=np.complex128)
-    if len(ku) == 0 or len(kv) == 0:
-        return grid
     qdot = kv.astype(np.float64)  # (Mv, 2)
+    # One u mode at a time: vectorizing over all (p, q) pairs would hold
+    # Mu*Mv temporaries, megabytes at N = 8.
     for p in range(len(ku)):
         kx = ku[p, 0] + kv[:, 0]
         ky = ku[p, 1] + kv[:, 1]
@@ -60,165 +46,34 @@ def advect_convolve_numpy(ku, cu, kv, cv, nout):
     return grid
 
 
-if njit is not None:
+def assemble_linearized(kv, cv, reps, sigmas, replut, alpha, nrad):
+    """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
-    @njit(cache=True)
-    def _advect_convolve_jit(ku, cu, kv, cv, nout):  # pragma: no cover - jit
-        size = 2 * nout + 1
-        grid = np.zeros((size, size, 2), dtype=np.complex128)
-        for p in range(ku.shape[0]):
-            for q in range(kv.shape[0]):
-                kx = ku[p, 0] + kv[q, 0]
-                ky = ku[p, 1] + kv[q, 1]
-                if kx < -nout or kx > nout or ky < -nout or ky > nout:
-                    continue
-                dot = 1j * (cu[p, 0] * kv[q, 0] + cu[p, 1] * kv[q, 1])
-                grid[kx + nout, ky + nout, 0] += dot * cv[q, 0]
-                grid[kx + nout, ky + nout, 1] += dot * cv[q, 1]
-        return grid
-
-    def advect_convolve_numba(ku, cu, kv, cv, nout):
-        return _advect_convolve_jit(ku, cu, kv, cv, np.int64(nout))
-
-else:
-    advect_convolve_numba = None
-
-
-def using_numba():
-    return advect_convolve_numba is not None
-
-
-if using_numba():
-    advect_convolve = advect_convolve_numba
-else:
-    advect_convolve = advect_convolve_numpy
-
-
-def advect_fft(ku, cu, kv, cv, nout):
-    """FFT evaluation of the same convolution, zero-padded so it is exact.
-
-    The physical grid has G >= 4*max_radius+1 points per direction, which makes
-    the circular convolution agree with the linear one for all retained modes
-    (no aliasing, hence the orthogonality identities survive to roundoff).
+    ``kv, cv`` is v packed; ``reps, sigmas, replut`` are the degree-of-freedom
+    maps of ``steady._dof_maps(nrad)``. Column r (m + r) is the image of the
+    field with amplitude 1 (i) on representative r; rows r and m + r hold the
+    real and imaginary parts of the image's amplitude on representative r.
     """
-    if len(ku) == 0 or len(kv) == 0:
-        return np.zeros((2 * nout + 1, 2 * nout + 1, 2), dtype=np.complex128)
-    nu = int(max(np.max(np.abs(ku)), 1))
-    nv = int(max(np.max(np.abs(kv)), 1))
-    g = 2 * (nu + nv) + 2 + (nu + nv) % 2  # even, >= 2*(nu+nv)+2 > 4*max(nu,nv)
-    g = max(g, 2 * nout + 2)
-
-    def to_grid(kk, cc):
-        hat = np.zeros((g, g, 2), dtype=np.complex128)
-        hat[kk[:, 0] % g, kk[:, 1] % g] = cc
-        return hat
-
-    uhat = to_grid(ku, cu)
-    vhat = to_grid(kv, cv)
-    freqs = np.fft.fftfreq(g, d=1.0 / g)
-    u_phys = np.fft.ifft2(uhat, axes=(0, 1)) * g * g
-    dvdx = np.fft.ifft2(1j * freqs[:, None, None] * vhat, axes=(0, 1)) * g * g
-    dvdy = np.fft.ifft2(1j * freqs[None, :, None] * vhat, axes=(0, 1)) * g * g
-    w_phys = u_phys[..., :1] * dvdx + u_phys[..., 1:] * dvdy
-    what = np.fft.fft2(w_phys, axes=(0, 1)) / (g * g)
-
-    size = 2 * nout + 1
-    out = np.zeros((size, size, 2), dtype=np.complex128)
-    idx = np.arange(-nout, nout + 1)
-    out[:, :] = what[np.ix_(idx % g, idx % g)]
-    return out
-
-
-def _assemble_linearized_py(kv, cv, reps, sigmas, replut, alpha, nrad):
     m = reps.shape[0]
     out = np.zeros((2 * m, 2 * m))
-    units = (1.0 + 0.0j, 1.0j)
+    kvf = kv.astype(np.float64)
     for r in range(m):
-        krx, kry = reps[r, 0], reps[r, 1]
-        lam = float(krx * krx + kry * kry)
-        for part in (0, 1):
-            col = part * m + r
-            u = units[part]
-            amps = np.zeros(m, dtype=np.complex128)
-            amps[r] += lam * u
-            zmodes = (
-                (krx, kry, sigmas[r].astype(np.complex128) * u),
-                (-krx, -kry, sigmas[r].astype(np.complex128) * np.conj(u)),
-            )
-            for qx, qy, cz in zmodes:
-                for pidx in range(kv.shape[0]):
-                    # B(v, z): i (v_p . q) z_q placed at p + q
-                    kx = kv[pidx, 0] + qx
-                    ky = kv[pidx, 1] + qy
-                    if -nrad <= kx <= nrad and -nrad <= ky <= nrad:
-                        row = replut[kx + nrad, ky + nrad]
-                        if row >= 0:
-                            dot = 1j * (cv[pidx, 0] * qx + cv[pidx, 1] * qy)
-                            amps[row] += alpha * dot * (
-                                sigmas[row, 0] * cz[0] + sigmas[row, 1] * cz[1]
-                            )
-                    # B(z, v): i (z_p . q) v_q placed at p + q (same k by symmetry of sum)
-                    if -nrad <= kx <= nrad and -nrad <= ky <= nrad:
-                        row = replut[kx + nrad, ky + nrad]
-                        if row >= 0:
-                            dot = 1j * (cz[0] * kv[pidx, 0] + cz[1] * kv[pidx, 1])
-                            amps[row] += alpha * dot * (
-                                sigmas[row, 0] * cv[pidx, 0] + sigmas[row, 1] * cv[pidx, 1]
-                            )
-            out[:m, col] = amps.real
-            out[m:, col] = amps.imag
+        kr, sr = reps[r], sigmas[r]
+        halves = []  # images of sigma_r e^{+i k_r.x} and of sigma_r e^{-i k_r.x}
+        for q in (kr, -kr):
+            k = kv + q
+            p = np.flatnonzero(np.all(np.abs(k) <= nrad, axis=1))
+            rows = replut[k[p, 0] + nrad, k[p, 1] + nrad]
+            p, rows = p[rows >= 0], rows[rows >= 0]
+            srow = sigmas[rows]
+            # B(v, z) + B(z, v) at p + q; distinct p land on distinct rows.
+            h = np.zeros(m, dtype=np.complex128)
+            h[rows] = 1j * ((cv[p] @ q) * (srow @ sr)
+                            + (kvf[p] @ sr) * np.sum(srow * cv[p], axis=1))
+            halves.append(alpha * h)
+        s, d = halves[0] + halves[1], halves[0] - halves[1]
+        out[:m, r], out[m:, r] = s.real, s.imag
+        out[:m, m + r], out[m:, m + r] = -d.imag, d.real
+        out[r, r] += kr @ kr
+        out[m + r, m + r] += kr @ kr
     return out
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _assemble_linearized_jit(kv, cv, reps, sigmas, replut, alpha, nrad):  # pragma: no cover
-        m = reps.shape[0]
-        out = np.zeros((2 * m, 2 * m))
-        for r in range(m):
-            krx, kry = reps[r, 0], reps[r, 1]
-            lam = float(krx * krx + kry * kry)
-            for part in range(2):
-                col = part * m + r
-                u = 1.0 + 0.0j if part == 0 else 1.0j
-                amps = np.zeros(m, dtype=np.complex128)
-                amps[r] += lam * u
-                for zi in range(2):
-                    if zi == 0:
-                        qx, qy = krx, kry
-                        cz0 = sigmas[r, 0] * u
-                        cz1 = sigmas[r, 1] * u
-                    else:
-                        qx, qy = -krx, -kry
-                        cz0 = sigmas[r, 0] * np.conj(u)
-                        cz1 = sigmas[r, 1] * np.conj(u)
-                    for pidx in range(kv.shape[0]):
-                        kx = kv[pidx, 0] + qx
-                        ky = kv[pidx, 1] + qy
-                        if kx < -nrad or kx > nrad or ky < -nrad or ky > nrad:
-                            continue
-                        row = replut[kx + nrad, ky + nrad]
-                        if row < 0:
-                            continue
-                        dot_vz = 1j * (cv[pidx, 0] * qx + cv[pidx, 1] * qy)
-                        amps[row] += alpha * dot_vz * (
-                            sigmas[row, 0] * cz0 + sigmas[row, 1] * cz1
-                        )
-                        dot_zv = 1j * (cz0 * kv[pidx, 0] + cz1 * kv[pidx, 1])
-                        amps[row] += alpha * dot_zv * (
-                            sigmas[row, 0] * cv[pidx, 0] + sigmas[row, 1] * cv[pidx, 1]
-                        )
-                for row in range(m):
-                    out[row, col] = amps[row].real
-                    out[m + row, col] = amps[row].imag
-        return out
-
-    def assemble_linearized(kv, cv, reps, sigmas, replut, alpha, nrad):
-        return _assemble_linearized_jit(kv, cv, reps, sigmas, replut,
-                                        np.float64(alpha), np.int64(nrad))
-
-else:
-    assemble_linearized = _assemble_linearized_py
-
-assemble_linearized_numpy = _assemble_linearized_py

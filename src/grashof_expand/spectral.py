@@ -234,35 +234,27 @@ def _field_from_grid(grid, nout, trunc):
     return SpectralField(trunc, out, check=False)
 
 
-def bilinear_b(u, v, retruncate=None, method="auto"):
+def bilinear_b(u, v, retruncate=None):
     """B(u, v) = P((u.grad)v) by exact Fourier convolution.
 
     The exact output truncation is u.trunc + v.trunc (no aliasing); pass
     ``retruncate`` for the solver's Galerkin closure to a smaller radius.
-    ``method`` selects the kernel: "auto" (env-selected pairwise kernel) or
-    "fft" (zero-padded FFT path; agrees with the exact convolution to roundoff).
     """
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
     ku, cu = u.packed()
     kv, cv = v.packed()
-    if method == "fft":
-        grid = kernels.advect_fft(ku, cu, kv, cv, nout)
-    else:
-        grid = kernels.advect_convolve(ku, cu, kv, cv, nout)
+    grid = kernels.advect_convolve(ku, cu, kv, cv, nout)
     return _field_from_grid(grid, nout, nout)
 
 
-def bilinear_bs(u, v, retruncate=None, method="auto"):
+def bilinear_bs(u, v, retruncate=None):
     """Symmetrized advection B_s(u, v) = B(u, v) + B(v, u)."""
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
     ku, cu = u.packed()
     kv, cv = v.packed()
-    if method == "fft":
-        grid = kernels.advect_fft(ku, cu, kv, cv, nout) + kernels.advect_fft(kv, cv, ku, cu, nout)
-    else:
-        grid = kernels.advect_convolve(ku, cu, kv, cv, nout) + kernels.advect_convolve(
-            kv, cv, ku, cu, nout
-        )
+    grid = kernels.advect_convolve(ku, cu, kv, cv, nout) + kernels.advect_convolve(
+        kv, cv, ku, cu, nout
+    )
     return _field_from_grid(grid, nout, nout)
 
 

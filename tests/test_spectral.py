@@ -245,16 +245,6 @@ def test_bilinear_bs_cross_term_quadrature_anchor(ex45_cfg):
     assert abs(got[1] - proj[1]) <= 1e-12 * scale
 
 
-def test_fft_path_agrees_with_exact_convolution():
-    rng = np.random.default_rng(11)
-    for trunc in (4, 8, 16):
-        u = sp.random_divfree(trunc, rng)
-        v = sp.random_divfree(trunc, rng)
-        exact = sp.bilinear_b(u, v)
-        fast = sp.bilinear_b(u, v, method="fft")
-        assert sp.norm_ds(exact - fast, 0) <= 1e-12 * sp.norm_ds(exact, 0)
-
-
 # ---------------------------------------------------------------------------
 # Eigenfunctions
 # ---------------------------------------------------------------------------
