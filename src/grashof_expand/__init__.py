@@ -15,6 +15,7 @@ from .expansion import (
     extract_strict,
     load_expansion,
     refine_unitary,
+    remainder_ratios,
     restructure,
     save_expansion,
     uniqueness_check,

@@ -246,23 +246,9 @@ def cmd_report(args):
     forms, alphas = ex.load_expansion(args.expansion)
     name = "unitary" if "unitary" in forms else sorted(forms)[0]
     e = forms[name]
+    ratios = ex.remainder_ratios(e, data)
     classification = fieldio.read_json(args.classification) if args.classification else None
     os.makedirs(args.out, exist_ok=True)
-
-    win = ex._Window(data)
-    keys = win.keys
-    index = {k: i for i, k in enumerate(keys)}
-
-    def flat_of(fieldobj):
-        row = np.zeros(2 * win.nk, dtype=np.complex128)
-        for k, c in fieldobj.modes.items():
-            i = index[k]
-            row[2 * i], row[2 * i + 1] = c[0], c[1]
-        return row
-
-    vflat = flat_of(e.limit)
-    dirs = [flat_of(t.direction) for t in e.terms]
-    gammas = [t.gammas for t in e.terms]
 
     header = ["n", "alpha", "residual_H", "bound_check"]
     header += [f"Gamma_{k + 1}" for k in range(len(e.terms))]
@@ -271,15 +257,7 @@ def cmd_report(args):
     for i, entry in enumerate(man["entries"]):
         row = [str(entry["n"]), _fmt(entry["alpha"]), _fmt(entry["residual_H"]),
                _fmt(entry["bound_check"])]
-        row += [_fmt(gammas[k][i]) for k in range(len(e.terms))]
-        partial = vflat.copy()
-        prev = 1.0
-        for k in range(len(e.terms)):
-            sk = e.space_exponent(k + 1)
-            ratio = win.norm1(win.flat[i] - partial, sk) / prev
-            row.append(_fmt(ratio))
-            partial = partial + gammas[k][i] * dirs[k]
-            prev = gammas[k][i]
+        row += [_fmt(t.gammas[i]) for t in e.terms] + [_fmt(r[i]) for r in ratios]
         lines.append(",".join(row))
     fieldio.atomic_write_text(os.path.join(args.out, "series.csv"), "\n".join(lines) + "\n")
 

@@ -22,10 +22,13 @@ partial sums; verification re-checks every expansion axiom on the raw window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate, islice
 
 import numpy as np
 
+from . import fieldio
 from . import spectral as sp
 from .seqlimit import EstimatorConfig, estimate_limit
 
@@ -176,25 +179,41 @@ class ExpansionResult:
 
 
 class _Window:
-    """Window of fields flattened onto a shared sorted mode list."""
+    """Fields flattened onto their shared sorted mode list, one row per field.
 
-    def __init__(self, data):
-        self.keys = sp.union_modes(data.fields)
-        rows = sp.coeff_rows(data.fields, self.keys)
-        m, nk, _ = rows.shape
-        self.m = m
-        self.nk = nk
-        self.flat = rows.reshape(m, 2 * nk)
-        self.alphas = np.array(data.alphas)
-        self.xs = 1.0 / self.alphas
-        self.trunc = max(f.trunc for f in data.fields)
+    A row holds the coefficient 2-vector of each listed mode in turn:
+    ``row[2 * i], row[2 * i + 1] = c(k_i)``. ``row_of`` is the one map from a
+    field to a row, used by extraction, verification and the expansion files.
+    """
+
+    def __init__(self, fields):
+        fields = list(fields)
+        self.keys = sorted(set().union(*(f.modes for f in fields)))
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.nk = len(self.keys)
+        self.m = len(fields)
+        self.flat = self.rows(fields)
+        self.trunc = max(f.trunc for f in fields)
         self._wcache = {}
+
+    def row_of(self, field):
+        """Coefficients of ``field`` on the window's mode list, as one flat row."""
+        row = np.zeros((self.nk, 2), dtype=np.complex128)
+        for k, c in field.modes.items():
+            i = self.index.get(k)
+            if i is None:
+                raise ValueError("expansion carries modes outside the data window")
+            row[i] = c
+        return row.reshape(2 * self.nk)
+
+    def rows(self, fields):
+        return np.array([self.row_of(f) for f in fields]).reshape(len(fields), 2 * self.nk)
 
     def weights(self, s):
         s = float(s)
         if s not in self._wcache:
-            w = sp.mode_weights(self.keys, s)
-            self._wcache[s] = np.repeat(w, 2)
+            lam = np.array([kx * kx + ky * ky for kx, ky in self.keys], dtype=np.float64)
+            self._wcache[s] = np.repeat(lam ** (2.0 * s), 2)
         return self._wcache[s]
 
     def norms(self, flat_rows, s):
@@ -211,7 +230,11 @@ class _Window:
         return TWO_PI**2 * np.real(np.sum(w * rows * np.conj(row), axis=1))
 
     def to_field(self, row):
-        return sp.field_from_row(self.keys, row.reshape(self.nk, 2), self.trunc)
+        """Inverse of ``row_of``: the field whose nonzero modes are those of ``row``."""
+        coeffs = row.reshape(self.nk, 2)
+        live = np.flatnonzero((coeffs[:, 0] != 0) | (coeffs[:, 1] != 0))
+        modes = {self.keys[i]: c for i, c in zip(live, coeffs[live])}
+        return sp.SpectralField(self.trunc, modes, check=False)
 
 
 def _check_convergent(win, s0, tols):
@@ -249,13 +272,14 @@ def extract_strict(data, scale, tols=None):
     tols = tols or ToleranceSet()
     if len(data) < 6:
         raise ValueError("extraction window must contain at least 6 samples")
-    win = _Window(data)
+    win = _Window(data.fields)
+    xs = 1.0 / np.array(data.alphas)
     t = tols.tail_for(win.m)
     cfg = EstimatorConfig(tail=t, snap_rel=tols.snap)
     s0 = scale.exponent(0)
     _check_convergent(win, s0, tols)
 
-    vhat, vmethod = estimate_limit(win.flat, win.xs, cfg)
+    vhat, vmethod = estimate_limit(win.flat, xs, cfg)
     log = [f"limit estimator: {vmethod}"]
     scale0 = float(np.max(win.norms(win.flat, s0)))
     floor_abs = tols.floor * max(scale0, 1e-300)
@@ -280,7 +304,7 @@ def extract_strict(data, scale, tols=None):
             if gammas[-1] > tols.stagnation * np.max(gammas[:t]):
                 raise StagnationError("Gamma_{1,n} does not decay over the window")
         witnesses = resid / gammas[:, None]
-        what, wmethod = estimate_limit(witnesses, win.xs, cfg)
+        what, wmethod = estimate_limit(witnesses, xs, cfg)
         sk = scale.exponent(k)
         conv = win.norms(witnesses - what, sk)
         terms.append(
@@ -332,17 +356,12 @@ def refine_unitary(strict, data, space=0.5, tols=None):
     construction; they converge to the direction but are not unit vectors.
     """
     tols = tols or strict.tols
-    win = _Window(data)
+    win = _Window(data.fields)
+    xs = 1.0 / np.array(data.alphas)
     t = tols.tail_for(win.m)
     cfg = EstimatorConfig(tail=t, snap_rel=tols.snap)
     s = float(space)
-
-    keys = win.keys
-    index = {k: i for i, k in enumerate(keys)}
-    vhat = np.zeros(2 * win.nk, dtype=np.complex128)
-    for k, c in strict.limit.modes.items():
-        i = index[k]
-        vhat[2 * i], vhat[2 * i + 1] = c[0], c[1]
+    vhat = win.row_of(strict.limit)
 
     scale0 = float(np.max(win.norms(win.flat, s)))
     floor_abs = tols.floor * max(scale0, 1e-300)
@@ -365,7 +384,7 @@ def refine_unitary(strict, data, space=0.5, tols=None):
             reason = f"exact reconstruction at level {k - 1}"
             break
         unit = resid / norms[:, None]
-        dhat, wmethod = estimate_limit(unit, win.xs, cfg)
+        dhat, wmethod = estimate_limit(unit, xs, cfg)
         dnorm = win.norm1(dhat, s)
         if dnorm <= tols.zero:
             # Zero witness limit: the tail is degenerate in this space.
@@ -562,42 +581,54 @@ def _tail_decreasing(values, t, slack=1e-12):
     return bool(np.all(diffs <= slack * max(np.max(np.abs(v)), 1e-300))), worst
 
 
+def _partial_sums(e, win):
+    """Rows of v + sum_{j<k} Gamma_{j,n} w_j on the window, for k = 0..depth, in turn.
+
+    The expansion is checked against the window here; the sums are made lazily.
+    """
+    start = np.repeat(win.row_of(e.limit)[None, :], win.m, axis=0)
+    dirs = [win.row_of(term.direction) for term in e.terms]
+    if any(len(term.gammas) != win.m for term in e.terms):
+        raise ValueError(f"expansion window length differs from the {win.m}-sample data window")
+    steps = (term.gammas[:, None] * d[None, :] for term, d in zip(e.terms, dirs))
+    return accumulate(steps, initial=start)
+
+
+def _remainder_ratios(e, win):
+    prev = [np.ones(win.m)] + [term.gammas for term in e.terms]
+    ratios = [win.norms(win.flat - p, e.space_exponent(k + 1)) / prev[k]
+              for k, p in zip(range(e.depth), _partial_sums(e, win))]
+    return np.array(ratios).reshape(e.depth, win.m)
+
+
+def remainder_ratios(e, data):
+    """(depth x M) remainder ratios of ``e`` on the window of ``data``.
+
+    Row k-1 holds ||v_n - v - sum_{j<k} Gamma_{j,n} w_j|| / Gamma_{k-1,n}
+    (Gamma_0 = 1) in the level-k space.
+
+    Raises:
+      ValueError: the expansion carries modes outside the data window.
+    """
+    win = _Window(data.fields)
+    return _remainder_ratios(e, win)
+
+
 def verify_expansion(e, data, recon_tol=1e-12):
     """Per-axiom verification report of an expansion against its raw window."""
-    win = _Window(data)
+    win = _Window(data.fields)
     t = e.tols.tail_for(win.m)
     checks = []
-    keys = win.keys
-    index = {k: i for i, k in enumerate(keys)}
-
-    def flat_of(fieldobj):
-        row = np.zeros(2 * win.nk, dtype=np.complex128)
-        for k, c in fieldobj.modes.items():
-            if k not in index:
-                raise ValueError("expansion carries modes outside the data window")
-            i = index[k]
-            row[2 * i], row[2 * i + 1] = c[0], c[1]
-        return row
-
     s0 = e.scale.exponent(0)
-    vflat = flat_of(e.limit)
-    dirs = [flat_of(term.direction) for term in e.terms]
-    wits = [[flat_of(w) for w in term.witnesses] for term in e.terms]
+    wits = [win.rows(term.witnesses) for term in e.terms]
+    dirs = [win.row_of(term.direction) for term in e.terms]
     gammas = [term.gammas for term in e.terms]
     scale0 = float(np.max(win.norms(win.flat, s0)))
 
     # Reconstruction identity at every recorded level.
-    worst = 0.0
-    for k in range(len(e.terms)):
-        partial = np.repeat(vflat[None, :], win.m, axis=0)
-        for j in range(k):
-            partial = partial + gammas[j][:, None] * dirs[j][None, :]
-        for n in range(win.m):
-            recon = partial[n] + gammas[k][n] * wits[k][n]
-            worst = max(worst, win.norm1(recon - win.flat[n], s0) / scale0)
-    if not e.terms:
-        for n in range(win.m):
-            worst = max(worst, win.norm1(vflat - win.flat[n], s0) / scale0)
+    sums = _partial_sums(e, win)
+    recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
+    worst = max(float(np.max(win.norms(r - win.flat, s0))) for r in recons) / scale0
     checks.append(CheckResult("reconstruction", worst <= recon_tol, worst))
 
     if e.terms:
@@ -612,9 +643,8 @@ def verify_expansion(e, data, recon_tol=1e-12):
             ok = ok and r[-1] < r[0]
             checks.append(CheckResult(f"ratio-decay-k{k + 1}", ok, float(r[-1])))
 
-        for k, term in enumerate(e.terms):
-            sk = e.space_exponent(k + 1)
-            conv = np.array([win.norm1(wits[k][n] - dirs[k], sk) for n in range(win.m)])
+        for k in range(len(e.terms)):
+            conv = win.norms(wits[k] - dirs[k], e.space_exponent(k + 1))
             ok, _ = _tail_decreasing(conv, t, slack=1e-9)
             stabilized = bool(np.all(conv[-(t + 1):] <= e.tols.finite))
             checks.append(
@@ -627,11 +657,8 @@ def verify_expansion(e, data, recon_tol=1e-12):
             )
 
         if e.form == "strict":
-            worst = 0.0
-            for k in range(len(e.terms)):
-                skm1 = e.scale.exponent(k)
-                for n in range(win.m):
-                    worst = max(worst, abs(win.norm1(wits[k][n], skm1) - 1.0))
+            worst = max(float(np.max(np.abs(win.norms(wits[k], e.scale.exponent(k)) - 1.0)))
+                        for k in range(len(e.terms)))
             checks.append(CheckResult("unit-witnesses", worst <= 1e-13, worst))
         else:
             worst = 0.0
@@ -649,15 +676,7 @@ def verify_expansion(e, data, recon_tol=1e-12):
         worst = 0.0
         worstnote = ""
         ok = True
-        for k in range(1, len(e.terms) + 1):
-            partial = np.repeat(vflat[None, :], win.m, axis=0)
-            for j in range(k - 1):
-                partial = partial + gammas[j][:, None] * dirs[j][None, :]
-            sk = e.space_exponent(k)
-            prev = gammas[k - 2] if k >= 2 else np.ones(win.m)
-            ratio = np.array(
-                [win.norm1(win.flat[n] - partial[n], sk) / prev[n] for n in range(win.m)]
-            )
+        for k, ratio in enumerate(_remainder_ratios(e, win), start=1):
             if np.any(ratio[-(half - 1):] <= 1e-13 * np.max(ratio)):
                 continue
             dec, bad = _tail_decreasing(ratio, half - 1)
@@ -678,17 +697,12 @@ def verify_expansion(e, data, recon_tol=1e-12):
             CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst)
         )
         # Degenerate remainders: ||R_{N,n}|| / Gamma_{m+1,n} = ||w_n^{(m+1)}|| -> 0.
-        partial = np.repeat(vflat[None, :], win.m, axis=0)
-        for j in range(n0):
-            partial = partial + gammas[j][:, None] * dirs[j][None, :]
+        partial = next(islice(_partial_sums(e, win), n0, None))
         ok = True
         worst = 0.0
         for mlev in range(n0, len(e.terms)):
             smp1 = e.space_exponent(mlev + 1)
-            ratio = [
-                win.norm1(win.flat[n] - partial[n], smp1) / gammas[mlev][n]
-                for n in range(win.m)
-            ]
+            ratio = win.norms(win.flat - partial, smp1) / gammas[mlev]
             dec, _ = _tail_decreasing(ratio, t, slack=1e-9)
             ok = ok and dec
             worst = max(worst, float(ratio[-1]))
@@ -759,16 +773,52 @@ def uniqueness_check(e1, e2, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
+SCHEMA = "grashof-expand/expansion-v2"
+
+
+def _save_term(path, term):
+    """One term as a matrix: direction then witnesses, on their representative modes."""
+    fields = [term.direction] + list(term.witnesses)
+    win = _Window(fields)
+    rep = [i for i, (kx, ky) in enumerate(win.keys) if kx > 0 or (kx == 0 and ky > 0)]
+    coeffs = win.flat.reshape(win.m, win.nk, 2)[:, rep]
+    fieldio.write_json(path, {
+        "modes": [win.keys[i] for i in rep],
+        "truncations": [f.trunc for f in fields],
+        "rows": coeffs.view(np.float64).reshape(win.m, -1).tolist(),
+    })
+
+
+def _load_term(path):
+    """(direction, witnesses) of one term file; every field is validated."""
+    doc = fieldio.read_json(path)
+    try:
+        reps = [(int(kx), int(ky)) for kx, ky in doc["modes"]]
+        truncs = [int(t) for t in doc["truncations"]]
+        if not truncs:
+            raise ValueError("no direction row")
+        rows = np.array(doc["rows"], dtype=np.float64).reshape(len(truncs), len(reps), 4)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise fieldio.FieldFormatError(f"{path}: malformed expansion term file ({exc})") from exc
+    fields = []
+    for trunc, coeffs in zip(truncs, rows.view(np.complex128)):
+        modes = {}
+        for (kx, ky), c in zip(reps, coeffs):
+            modes[(kx, ky)] = c
+            modes[(-kx, -ky)] = np.conj(c)
+        fields.append(sp.SpectralField(trunc, modes))
+    return fields[0], fields[1:]
+
+
 def save_expansion(path, forms, alphas):
-    """Write expansion forms to ``path`` (JSON) plus field files alongside.
+    """Write expansion forms to ``path`` (JSON) plus their fields alongside.
 
     ``forms`` maps a form name ("strict", "unitary", ...) to an
-    ExpansionResult; every referenced field is stored next to the JSON file.
+    ExpansionResult. Next to ``path`` go ``<form>_limit.json`` (a field file)
+    and, per term k, ``<form>_term<k>.json``: the representative mode list,
+    one truncation per field and one coefficient row per field, the
+    direction first, then the witnesses.
     """
-    import os
-
-    from . import fieldio
-
     outdir = os.path.dirname(os.path.abspath(path))
     doc_forms = {}
     for name, e in forms.items():
@@ -776,21 +826,13 @@ def save_expansion(path, forms, alphas):
         fieldio.write_field(os.path.join(outdir, limit_file), e.limit)
         terms = []
         for k, term in enumerate(e.terms, start=1):
-            dir_file = f"{name}_w{k}.json"
-            fieldio.write_field(os.path.join(outdir, dir_file), term.direction)
-            wit_files = []
-            for n, w in enumerate(term.witnesses, start=1):
-                wf = f"{name}_wit{k}_{n:04d}.json"
-                fieldio.write_field(os.path.join(outdir, wf), w)
-                wit_files.append(wf)
-            terms.append(
-                {
-                    "gammas": [float(g) for g in term.gammas],
-                    "direction": dir_file,
-                    "witnesses": wit_files,
-                    "estimator": term.estimator,
-                }
-            )
+            term_file = f"{name}_term{k}.json"
+            _save_term(os.path.join(outdir, term_file), term)
+            terms.append({
+                "gammas": [float(g) for g in term.gammas],
+                "file": term_file,
+                "estimator": term.estimator,
+            })
         doc_forms[name] = {
             "kind": e.kind,
             "form": e.form,
@@ -799,61 +841,57 @@ def save_expansion(path, forms, alphas):
             "degenerate_N": e.degenerate_n,
             "depth_reason": e.depth_reason,
             "limit_estimator": e.limit_estimator,
-            "tolerances": {
-                "floor": e.tols.floor, "limit": e.tols.limit, "finite": e.tols.finite,
-                "zero": e.tols.zero, "snap": e.tols.snap, "cauchy": e.tols.cauchy,
-                "stagnation": e.tols.stagnation, "tail": e.tols.tail, "kmax": e.tols.kmax,
-            },
+            "tolerances": asdict(e.tols),
             "limit": limit_file,
             "terms": terms,
             "decision_log": list(e.decision_log),
         }
     fieldio.write_json(path, {
-        "schema": "grashof-expand/expansion-v1",
+        "schema": SCHEMA,
         "alphas": [float(a) for a in alphas],
         "forms": doc_forms,
     })
 
 
+def _load_form(base, rec):
+    terms = []
+    for t in rec["terms"]:
+        direction, witnesses = _load_term(os.path.join(base, t["file"]))
+        terms.append(ExpansionTerm(np.array(t["gammas"], dtype=float), direction, witnesses,
+                                   t["estimator"]))
+    tol = rec["tolerances"]
+    return ExpansionResult(
+        limit=fieldio.read_field(os.path.join(base, rec["limit"])),
+        terms=terms,
+        kind=rec["kind"],
+        form=rec["form"],
+        scale=NestedScale(tuple(rec["scale"]["exponents"]), rec["scale"]["regime"]),
+        space=rec["space"],
+        degenerate_n=rec["degenerate_N"],
+        depth_reason=rec["depth_reason"],
+        limit_estimator=rec["limit_estimator"],
+        tols=ToleranceSet(**{k: tol[k] for k in asdict(ToleranceSet())}),
+        decision_log=list(rec.get("decision_log", [])),
+    )
+
+
 def load_expansion(path):
-    """Read an expansion file; returns (forms dict, alphas array)."""
-    import os
+    """Read an expansion file; returns (forms dict, alphas array).
 
-    import numpy as _np
-
-    from . import fieldio
-
+    Raises:
+      fieldio.FieldFormatError: the file is not of schema ``SCHEMA`` (files
+        of an earlier schema must be re-extracted) or lacks a required key.
+    """
     doc = fieldio.read_json(path)
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != SCHEMA:
+        raise fieldio.FieldFormatError(
+            f"{path}: not an expansion file of schema {SCHEMA} (found schema {found!r})")
     base = os.path.dirname(os.path.abspath(path))
-    forms = {}
-    for name, rec in doc["forms"].items():
-        tol = rec["tolerances"]
-        tols = ToleranceSet(
-            floor=tol["floor"], limit=tol["limit"], finite=tol["finite"],
-            zero=tol["zero"], snap=tol["snap"], cauchy=tol["cauchy"],
-            stagnation=tol["stagnation"], tail=int(tol["tail"]), kmax=int(tol["kmax"]),
-        )
-        terms = []
-        for t in rec["terms"]:
-            terms.append(
-                ExpansionTerm(
-                    gammas=_np.array(t["gammas"], dtype=float),
-                    direction=fieldio.read_field(os.path.join(base, t["direction"])),
-                    witnesses=[fieldio.read_field(os.path.join(base, w)) for w in t["witnesses"]],
-                    estimator=t["estimator"],
-                )
-            )
-        forms[name] = ExpansionResult(
-            limit=fieldio.read_field(os.path.join(base, rec["limit"])),
-            terms=terms,
-            kind=rec["kind"],
-            form=rec["form"],
-            scale=NestedScale(tuple(rec["scale"]["exponents"]), rec["scale"]["regime"]),
-            space=rec["space"],
-            degenerate_n=rec["degenerate_N"],
-            depth_reason=rec["depth_reason"],
-            limit_estimator=rec["limit_estimator"],
-            tols=tols,
-            decision_log=list(rec.get("decision_log", [])),
-        )
-    return forms, _np.array(doc["alphas"], dtype=float)
+    try:
+        forms = {name: _load_form(base, rec) for name, rec in doc["forms"].items()}
+        alphas = np.array(doc["alphas"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise fieldio.FieldFormatError(
+            f"{path}: malformed expansion file (missing or bad {exc})") from exc
+    return forms, alphas

@@ -334,56 +334,3 @@ def random_divfree(trunc, rng, decay=1.0):
         raw[k] = c
         raw[(-k[0], -k[1])] = np.conj(c)
     return leray_project(raw, trunc)
-
-
-# ---------------------------------------------------------------------------
-# Coefficient-matrix helpers shared by the expansion engine
-# ---------------------------------------------------------------------------
-
-
-def union_modes(fields):
-    """Sorted union of the mode sets of ``fields``."""
-    keys = set()
-    for f in fields:
-        keys.update(f.modes)
-    return sorted(keys)
-
-
-def coeff_rows(fields, keys):
-    """Stack coefficients on a shared sorted mode list: (len(fields), len(keys), 2)."""
-    mat = np.zeros((len(fields), len(keys), 2), dtype=np.complex128)
-    index = {k: i for i, k in enumerate(keys)}
-    for r, f in enumerate(fields):
-        for k, c in f.modes.items():
-            mat[r, index[k]] = c
-    return mat
-
-
-def mode_weights(keys, s):
-    """|k|^{4s} weights for D(A^s) norms on a shared mode list."""
-    lam = np.array([k[0] ** 2 + k[1] ** 2 for k in keys], dtype=np.float64)
-    return lam ** (2.0 * float(s))
-
-
-def row_norm(row, weights):
-    """D(A^s) norm of one coefficient row under precomputed weights."""
-    return TWO_PI * float(np.sqrt(np.sum(weights * np.sum(np.abs(row) ** 2, axis=1))))
-
-
-def row_inner(row_u, row_v, weights):
-    """Real D(A^s) inner product of two coefficient rows."""
-    return (
-        TWO_PI
-        * TWO_PI
-        * float(np.sum(weights * np.real(np.sum(row_u * np.conj(row_v), axis=1))))
-    )
-
-
-def field_from_row(keys, row, trunc=None):
-    modes = {}
-    for k, c in zip(keys, row):
-        if c[0] != 0 or c[1] != 0:
-            modes[k] = np.array(c, dtype=np.complex128)
-    if trunc is None:
-        trunc = max((max(abs(k[0]), abs(k[1])) for k in modes), default=1)
-    return SpectralField(trunc, modes, check=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grashof_expand import cli
+from grashof_expand import expansion as ex
 from grashof_expand import fieldio
 
 
@@ -151,3 +152,57 @@ def test_extract_constant_manifest_gives_trivial(tmp_path, capsys):
                 "--out", str(tmp_path / "c.json")]) == 0
     doc = fieldio.read_json(tmp_path / "c.json")
     assert doc["branch"] == "4.4(ii)"
+
+
+@pytest.fixture(scope="module")
+def pipeline314(tmp_path_factory):
+    """fixtures example314 --count 6 -> extract constant:0, depth 3."""
+    root = tmp_path_factory.mktemp("pipeline314")
+    assert run(["fixtures", "example314", "--count", "6", "--truncation", "64",
+                "--out", str(root / "fx")]) == 0
+    assert run(["extract", "--manifest", str(root / "fx" / "manifest.json"),
+                "--scale", "constant:0", "--depth", "3", "--out", str(root / "exp")]) == 0
+    return root
+
+
+def _expected_file_count(expansion_path):
+    forms, _ = ex.load_expansion(str(expansion_path))
+    return 1 + sum(1 + e.depth for e in forms.values())
+
+
+def test_extract_writes_one_file_per_term(pipeline, pipeline314):
+    for root, count in ((pipeline, 18), (pipeline314, 13)):
+        names = os.listdir(root / "exp")
+        assert len(names) == count == _expected_file_count(root / "exp" / "expansion.json")
+
+
+def test_extract_byte_identical_reruns(pipeline, tmp_path):
+    out = tmp_path / "exp2"
+    assert run(["extract", "--manifest", str(pipeline / "fx" / "manifest.json"),
+                "--scale", "default-2dp", "--depth", "6", "--out", str(out)]) == 0
+    names = sorted(os.listdir(pipeline / "exp"))
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert (pipeline / "exp" / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage", ["verify", "classify", "report"])
+def test_non_expansion_file_exit_2(pipeline, tmp_path, capsys, stage):
+    man = str(pipeline / "fx" / "manifest.json")
+    args = [stage, "--expansion", man, "--manifest", man, "--out", str(tmp_path / "o")]
+    if stage == "verify":
+        args = args[:-2]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "found schema None" in err
+
+
+def test_report_on_foreign_window_exit_1(pipeline, pipeline314, tmp_path, capsys):
+    man = str(pipeline / "fx" / "manifest.json")
+    exf = str(pipeline314 / "exp" / "expansion.json")
+    message = "expansion carries modes outside the data window"
+    assert run(["verify", "--expansion", exf, "--manifest", man]) == 1
+    assert message in capsys.readouterr().err
+    assert run(["report", "--manifest", man, "--expansion", exf,
+                "--out", str(tmp_path / "rep")]) == 1
+    assert message in capsys.readouterr().err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from grashof_expand import expansion as ex
+from grashof_expand import fieldio
 from grashof_expand import fixtures as fx
 from grashof_expand import spectral as sp
 from grashof_expand.seqlimit import EstimatorConfig, estimate_limit
@@ -385,3 +386,85 @@ def test_uniqueness_reports_restructured_difference(ex314_window):
     assert not rep.match          # different structure (term removed)
     assert not rep.depth_equal
     _assert_partial_sums_match(withzero, out)  # but same reconstruction
+
+
+# ---------------------------------------------------------------------------
+# remainder_ratios and expansion files
+# ---------------------------------------------------------------------------
+
+
+def test_remainder_ratios_match_field_arithmetic(ex45_data, ex45_extraction):
+    _, unitary = ex45_extraction
+    ratios = ex.remainder_ratios(unitary, ex45_data)
+    assert ratios.shape == (unitary.depth, len(ex45_data))
+    for n, v_n in enumerate(ex45_data.fields):
+        rem, prev = v_n - unitary.limit, 1.0
+        for k, term in enumerate(unitary.terms):
+            expect = sp.norm_ds(rem, unitary.space_exponent(k + 1)) / prev
+            assert ratios[k, n] == pytest.approx(expect, rel=1e-10, abs=1e-300)
+            rem, prev = rem - term.gammas[n] * term.direction, term.gammas[n]
+
+
+def _assert_fields_equal(a, b):
+    assert a.trunc == b.trunc
+    assert set(a.modes) == set(b.modes)
+    for k in a.modes:
+        assert np.array_equal(a.modes[k], b.modes[k])
+
+
+@pytest.mark.parametrize("which", ["ex314-unitary", "ex314-degenerate", "ex45-extraction"])
+def test_save_load_round_trip_is_exact(which, ex45_data, ex45_extraction, tmp_path):
+    if which == "ex314-unitary":
+        forms = {"unitary": fx.example314_unitary_expansion(depth=4)}
+        alphas = [float(np.exp(n)) for n in range(1, 7)]
+    elif which == "ex314-degenerate":
+        forms = {"degenerate": fx.example314_degenerate_expansion(depth=3)}
+        alphas = [float(np.exp(n)) for n in range(1, 7)]
+    else:
+        strict, unitary = ex45_extraction
+        forms = {"strict": strict, "restructured": ex.restructure(strict), "unitary": unitary}
+        alphas = ex45_data.alphas
+    path = tmp_path / "expansion.json"
+    ex.save_expansion(str(path), forms, alphas)
+    loaded, loaded_alphas = ex.load_expansion(str(path))
+    assert np.array_equal(loaded_alphas, np.array(alphas))
+    assert list(loaded) == list(forms)
+    for name, e in forms.items():
+        got = loaded[name]
+        for attr in ("kind", "form", "scale", "space", "degenerate_n", "depth_reason",
+                     "limit_estimator", "tols", "decision_log"):
+            assert getattr(got, attr) == getattr(e, attr), attr
+        _assert_fields_equal(got.limit, e.limit)
+        assert got.depth == e.depth
+        for t_got, t in zip(got.terms, e.terms):
+            assert t_got.gammas.tobytes() == np.asarray(t.gammas, dtype=float).tobytes()
+            assert t_got.estimator == t.estimator
+            _assert_fields_equal(t_got.direction, t.direction)
+            assert len(t_got.witnesses) == len(t.witnesses)
+            for w_got, w in zip(t_got.witnesses, t.witnesses):
+                _assert_fields_equal(w_got, w)
+    if which == "ex314-unitary":
+        truncs = {w.trunc for t in forms["unitary"].terms for w in [t.direction] + t.witnesses}
+        assert len(truncs) > 1  # per-field truncations survive the shared term matrix
+
+
+def test_load_rejects_other_schemas(tmp_path):
+    old = tmp_path / "v1.json"
+    fieldio.write_json(str(old), {"schema": "grashof-expand/expansion-v1", "alphas": [1.0],
+                                  "forms": {}})
+    with pytest.raises(fieldio.FieldFormatError, match="expansion-v1"):
+        ex.load_expansion(str(old))
+    missing = tmp_path / "v2.json"
+    fieldio.write_json(str(missing), {"schema": ex.SCHEMA, "alphas": [1.0],
+                                      "forms": {"unitary": {"kind": "trivial"}}})
+    with pytest.raises(fieldio.FieldFormatError, match="v2.json"):
+        ex.load_expansion(str(missing))
+
+
+def test_verify_rejects_window_of_other_length(ex45_data, ex45_extraction):
+    _, unitary = ex45_extraction
+    short = ex.SequenceData(ex45_data.fields[:12], ex45_data.alphas[:12])
+    with pytest.raises(ValueError, match="window length"):
+        ex.verify_expansion(unitary, short)
+    with pytest.raises(ValueError, match="window length"):
+        ex.remainder_ratios(unitary, short)
