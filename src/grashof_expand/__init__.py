@@ -51,6 +51,7 @@ from .spectral import (
     bilinear_b,
     bilinear_bs,
     eigenfunction,
+    eigenfunctions,
     eigenvalue,
     inner_ds,
     inner_h,

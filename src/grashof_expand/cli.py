@@ -162,19 +162,24 @@ def cmd_sweep(args):
     return 0
 
 
+def _limit_force(man):
+    """The manifest's g_limit, else its last per-n force, else None."""
+    if "g_limit" in man:
+        return fieldio.read_field(man["g_limit"])
+    if man["entries"] and "force" in man["entries"][-1]:
+        return fieldio.read_field(man["entries"][-1]["force"])
+    return None
+
+
 def _load_sequence(manifest_path):
     man = fieldio.read_manifest(manifest_path)
     fields = [fieldio.read_field(e["field"]) for e in man["entries"]]
     alphas = [e["alpha"] for e in man["entries"]]
-    data = ex.SequenceData(tuple(fields), tuple(alphas))
-    g_limit = fieldio.read_field(man["g_limit"]) if "g_limit" in man else None
-    if g_limit is None and man["entries"] and "force" in man["entries"][-1]:
-        g_limit = fieldio.read_field(man["entries"][-1]["force"])
-    return data, man, g_limit
+    return ex.SequenceData(tuple(fields), tuple(alphas)), man
 
 
 def cmd_extract(args):
-    data, _, _ = _load_sequence(args.manifest)
+    data, _ = _load_sequence(args.manifest)
     tols = ex.ToleranceSet(kmax=args.depth, tail=args.tail)
     scale = _parse_scale(args.scale, args.depth)
     strict = ex.extract_strict(data, scale, tols)
@@ -194,7 +199,7 @@ def cmd_extract(args):
 
 def cmd_verify(args):
     forms, _ = ex.load_expansion(args.expansion)
-    data, _, _ = _load_sequence(args.manifest)
+    data, _ = _load_sequence(args.manifest)
     names = [args.form] if args.form else sorted(forms)
     if any(n not in forms for n in names):
         raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
@@ -210,7 +215,7 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     forms, alphas = ex.load_expansion(args.expansion)
-    data, _, g_limit = _load_sequence(args.manifest)
+    g_limit = _limit_force(fieldio.read_manifest(args.manifest))
     if g_limit is None:
         raise UsageError("manifest carries no g_limit or per-n forces to classify against")
     name = args.form or ("unitary" if "unitary" in forms else sorted(forms)[0])
@@ -242,7 +247,7 @@ def cmd_classify(args):
 def cmd_report(args):
     if not os.path.exists(args.manifest):
         raise UsageError(f"manifest not found: {args.manifest}")
-    data, man, _ = _load_sequence(args.manifest)
+    data, man = _load_sequence(args.manifest)
     forms, alphas = ex.load_expansion(args.expansion)
     name = "unitary" if "unitary" in forms else sorted(forms)[0]
     e = forms[name]

@@ -182,59 +182,60 @@ class _Window:
     """Fields flattened onto their shared sorted mode list, one row per field.
 
     A row holds the coefficient 2-vector of each listed mode in turn:
-    ``row[2 * i], row[2 * i + 1] = c(k_i)``. ``row_of`` is the one map from a
-    field to a row, used by extraction, verification and the expansion files.
+    ``row[2 * i], row[2 * i + 1] = c(k_i)``. ``rows`` is the one map from fields
+    to rows, used by extraction, verification and the expansion files.
     """
 
     def __init__(self, fields):
         fields = list(fields)
-        self.keys = sorted(set().union(*(f.modes for f in fields)))
-        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.keys = sp.key_union([f.keys for f in fields])[0]
         self.nk = len(self.keys)
         self.m = len(fields)
         self.flat = self.rows(fields)
         self.trunc = max(f.trunc for f in fields)
         self._wcache = {}
 
-    def row_of(self, field):
-        """Coefficients of ``field`` on the window's mode list, as one flat row."""
-        row = np.zeros((self.nk, 2), dtype=np.complex128)
-        for k, c in field.modes.items():
-            i = self.index.get(k)
-            if i is None:
-                raise ValueError("expansion carries modes outside the data window")
-            row[i] = c
-        return row.reshape(2 * self.nk)
-
     def rows(self, fields):
-        return np.array([self.row_of(f) for f in fields]).reshape(len(fields), 2 * self.nk)
+        """Coefficients of each field on the window's mode list, one flat row per field."""
+        keys, slots = sp.key_union([self.keys] + [f.keys for f in fields])
+        if len(keys) > self.nk:
+            raise ValueError("expansion carries modes outside the data window")
+        out = np.zeros((len(fields), self.nk, 2), dtype=np.complex128)
+        for row, f, slot in zip(out, fields, slots[1:]):
+            row[slot] = f.coeffs
+        return out.reshape(len(fields), 2 * self.nk)
 
     def weights(self, s):
         s = float(s)
         if s not in self._wcache:
-            lam = np.array([kx * kx + ky * ky for kx, ky in self.keys], dtype=np.float64)
+            lam = np.sum(self.keys * self.keys, axis=1).astype(np.float64)
             self._wcache[s] = np.repeat(lam ** (2.0 * s), 2)
         return self._wcache[s]
 
     def norms(self, flat_rows, s):
+        """D(A^s) norm of each row (of the one row, for a 1-D ``flat_rows``)."""
         w = self.weights(s)
-        return TWO_PI * np.sqrt(np.sum(w * np.abs(flat_rows) ** 2, axis=1))
-
-    def norm1(self, row, s):
-        w = self.weights(s)
-        return TWO_PI * float(np.sqrt(np.sum(w * np.abs(row) ** 2)))
+        return TWO_PI * np.sqrt(np.sum(w * np.abs(flat_rows) ** 2, axis=-1))
 
     def inner(self, rows, row, s):
         """Real D(A^s) inner products of each row of ``rows`` with ``row``."""
         w = self.weights(s)
         return TWO_PI**2 * np.real(np.sum(w * rows * np.conj(row), axis=1))
 
+    def divfree(self, rows):
+        """Leray projection of rows, mode by mode: window estimates, and residuals
+        divided by small gammas, drift off k.c = 0 beyond the loader's tolerance."""
+        shape = rows.shape[:-1] + (self.nk, 2)
+        return sp.divfree(self.keys, rows.reshape(shape)).reshape(rows.shape)
+
     def to_field(self, row):
-        """Inverse of ``row_of``: the field whose nonzero modes are those of ``row``."""
-        coeffs = row.reshape(self.nk, 2)
-        live = np.flatnonzero((coeffs[:, 0] != 0) | (coeffs[:, 1] != 0))
-        modes = {self.keys[i]: c for i, c in zip(live, coeffs[live])}
-        return sp.SpectralField(self.trunc, modes, check=False)
+        """Inverse of ``rows``: the field whose nonzero modes are those of ``row``."""
+        return sp.SpectralField.from_arrays(self.trunc, self.keys, row.reshape(self.nk, 2))
+
+    def term(self, gammas, direction, witnesses, estimator):
+        """ExpansionTerm of a direction row and one witness row per sample."""
+        return ExpansionTerm(gammas, self.to_field(direction),
+                             [self.to_field(w) for w in witnesses], estimator)
 
 
 def _check_convergent(win, s0, tols):
@@ -280,6 +281,7 @@ def extract_strict(data, scale, tols=None):
     _check_convergent(win, s0, tols)
 
     vhat, vmethod = estimate_limit(win.flat, xs, cfg)
+    vhat = win.divfree(vhat)
     log = [f"limit estimator: {vmethod}"]
     scale0 = float(np.max(win.norms(win.flat, s0)))
     floor_abs = tols.floor * max(scale0, 1e-300)
@@ -303,18 +305,12 @@ def extract_strict(data, scale, tols=None):
         if k == 1:
             if gammas[-1] > tols.stagnation * np.max(gammas[:t]):
                 raise StagnationError("Gamma_{1,n} does not decay over the window")
-        witnesses = resid / gammas[:, None]
+        witnesses = win.divfree(resid / gammas[:, None])
         what, wmethod = estimate_limit(witnesses, xs, cfg)
+        what = win.divfree(what)
         sk = scale.exponent(k)
         conv = win.norms(witnesses - what, sk)
-        terms.append(
-            ExpansionTerm(
-                gammas=gammas,
-                direction=win.to_field(what),
-                witnesses=[win.to_field(witnesses[n]) for n in range(win.m)],
-                estimator=wmethod,
-            )
-        )
+        terms.append(win.term(gammas, what, witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
         if np.all(conv[-t:] < tols.finite):
             kind = "finite-unitary"
@@ -327,17 +323,10 @@ def extract_strict(data, scale, tols=None):
             reason = f"ratio stagnation after level {k}"
             break
     return ExpansionResult(
-        limit=win.to_field(vhat),
-        terms=terms,
-        kind="trivial" if (kind == "trivial" or not terms) else kind,
-        form="strict",
-        scale=scale,
-        space=None,
-        degenerate_n=None,
-        depth_reason=reason,
-        limit_estimator=vmethod,
-        tols=tols,
-        decision_log=log,
+        limit=win.to_field(vhat), terms=terms,
+        kind="trivial" if (kind == "trivial" or not terms) else kind, form="strict",
+        scale=scale, space=None, degenerate_n=None, depth_reason=reason,
+        limit_estimator=vmethod, tols=tols, decision_log=log,
     )
 
 
@@ -361,7 +350,7 @@ def refine_unitary(strict, data, space=0.5, tols=None):
     t = tols.tail_for(win.m)
     cfg = EstimatorConfig(tail=t, snap_rel=tols.snap)
     s = float(space)
-    vhat = win.row_of(strict.limit)
+    vhat = win.rows([strict.limit])[0]
 
     scale0 = float(np.max(win.norms(win.flat, s)))
     floor_abs = tols.floor * max(scale0, 1e-300)
@@ -383,21 +372,15 @@ def refine_unitary(strict, data, space=0.5, tols=None):
         if np.min(norms) <= 0.0:
             reason = f"exact reconstruction at level {k - 1}"
             break
-        unit = resid / norms[:, None]
+        unit = win.divfree(resid / norms[:, None])
         dhat, wmethod = estimate_limit(unit, xs, cfg)
-        dnorm = win.norm1(dhat, s)
+        dhat = win.divfree(dhat)
+        dnorm = float(win.norms(dhat, s))
         if dnorm <= tols.zero:
             # Zero witness limit: the tail is degenerate in this space.
             degenerate_n = k - 1
             kind = "degenerate"
-            terms.append(
-                ExpansionTerm(
-                    gammas=norms,
-                    direction=win.to_field(np.zeros_like(dhat)),
-                    witnesses=[win.to_field(unit[n]) for n in range(win.m)],
-                    estimator=wmethod,
-                )
-            )
+            terms.append(win.term(norms, np.zeros_like(dhat), unit, wmethod))
             reason = f"zero direction at level {k}"
             break
         dhat = dhat / dnorm
@@ -408,15 +391,8 @@ def refine_unitary(strict, data, space=0.5, tols=None):
         if np.min(projs) <= 0.0:
             reason = f"non-positive projection at level {k}"
             break
-        witnesses = resid / projs[:, None]
-        terms.append(
-            ExpansionTerm(
-                gammas=projs,
-                direction=win.to_field(dhat),
-                witnesses=[win.to_field(witnesses[n]) for n in range(win.m)],
-                estimator=wmethod,
-            )
-        )
+        witnesses = win.divfree(resid / projs[:, None])
+        terms.append(win.term(projs, dhat, witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
         conv = win.norms(witnesses - dhat, s)
         if np.all(conv[-t:] < tols.finite):
@@ -429,17 +405,10 @@ def refine_unitary(strict, data, space=0.5, tols=None):
             reason = f"ratio stagnation after level {k}"
             break
     return ExpansionResult(
-        limit=strict.limit,
-        terms=terms,
-        kind="trivial" if not terms else kind,
-        form="unitary",
-        scale=constant_scale(s, tols.kmax),
-        space=s,
-        degenerate_n=degenerate_n,
-        depth_reason=reason,
-        limit_estimator=strict.limit_estimator,
-        tols=tols,
-        decision_log=log,
+        limit=strict.limit, terms=terms, kind="trivial" if not terms else kind,
+        form="unitary", scale=constant_scale(s, tols.kmax), space=s,
+        degenerate_n=degenerate_n, depth_reason=reason,
+        limit_estimator=strict.limit_estimator, tols=tols, decision_log=log,
     )
 
 
@@ -470,14 +439,8 @@ def restructure(e, tols=None):
             ExpansionTerm(t.gammas.copy(), sp.zero_field(t.direction.trunc), list(t.witnesses), t.estimator)
             for t in e.terms
         ]
-        return replace(
-            e,
-            terms=terms,
-            kind="degenerate",
-            form="unitary",
-            degenerate_n=0,
-            decision_log=e.decision_log + ["restructure: all directions zero"],
-        )
+        return replace(e, terms=terms, kind="degenerate", form="unitary", degenerate_n=0,
+                       decision_log=e.decision_log + ["restructure: all directions zero"])
 
     last_nonzero = max(k for k, z in enumerate(zero) if not z)
     removed = [k for k in range(last_nonzero) if zero[k]]
@@ -511,14 +474,8 @@ def restructure(e, tols=None):
         if abs(nu - 1.0) <= 1e-13:
             new_terms.append(ExpansionTerm(t.gammas.copy(), t.direction, witnesses, t.estimator))
         else:
-            new_terms.append(
-                ExpansionTerm(
-                    t.gammas * nu,
-                    (1.0 / nu) * t.direction,
-                    [(1.0 / nu) * w for w in witnesses],
-                    t.estimator,
-                )
-            )
+            new_terms.append(ExpansionTerm(t.gammas * nu, (1.0 / nu) * t.direction,
+                                           [(1.0 / nu) * w for w in witnesses], t.estimator))
 
     trailing = len(kept) > n_nonzero
     if trailing:
@@ -529,15 +486,9 @@ def restructure(e, tols=None):
         kind = "finite-unitary" if e.kind in ("finite-unitary", "trivial") else "infinite-unitary"
 
     new_scale = NestedScale(tuple(new_exponents), e.scale.regime) if len(new_exponents) >= 2 else e.scale
-    return replace(
-        e,
-        terms=new_terms,
-        kind=kind,
-        form="unitary",
-        scale=new_scale,
-        degenerate_n=degenerate_n,
-        decision_log=e.decision_log + [f"restructure: removed {len(removed)} zero term(s)"],
-    )
+    log = e.decision_log + [f"restructure: removed {len(removed)} zero term(s)"]
+    return replace(e, terms=new_terms, kind=kind, form="unitary", scale=new_scale,
+                   degenerate_n=degenerate_n, decision_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +537,11 @@ def _partial_sums(e, win):
 
     The expansion is checked against the window here; the sums are made lazily.
     """
-    start = np.repeat(win.row_of(e.limit)[None, :], win.m, axis=0)
-    dirs = [win.row_of(term.direction) for term in e.terms]
+    start, *dirs = win.rows([e.limit] + [term.direction for term in e.terms])
     if any(len(term.gammas) != win.m for term in e.terms):
         raise ValueError(f"expansion window length differs from the {win.m}-sample data window")
     steps = (term.gammas[:, None] * d[None, :] for term, d in zip(e.terms, dirs))
-    return accumulate(steps, initial=start)
+    return accumulate(steps, initial=np.repeat(start[None, :], win.m, axis=0))
 
 
 def _remainder_ratios(e, win):
@@ -621,9 +571,14 @@ def verify_expansion(e, data, recon_tol=1e-12):
     checks = []
     s0 = e.scale.exponent(0)
     wits = [win.rows(term.witnesses) for term in e.terms]
-    dirs = [win.row_of(term.direction) for term in e.terms]
+    dirs = win.rows([term.direction for term in e.terms])
     gammas = [term.gammas for term in e.terms]
     scale0 = float(np.max(win.norms(win.flat, s0)))
+
+    def unit_error(levels):
+        """Largest | |w_k| - 1 | over the given direction levels (0 for none)."""
+        return max([0.0] + [abs(float(win.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
+                            for k in levels])
 
     # Reconstruction identity at every recorded level.
     sums = _partial_sums(e, win)
@@ -661,12 +616,8 @@ def verify_expansion(e, data, recon_tol=1e-12):
                         for k in range(len(e.terms)))
             checks.append(CheckResult("unit-witnesses", worst <= 1e-13, worst))
         else:
-            worst = 0.0
-            for k in range(len(e.terms)):
-                if e.degenerate_n is not None and k >= e.degenerate_n:
-                    continue
-                nu = win.norm1(dirs[k], e.space_exponent(k + 1))
-                worst = max(worst, abs(nu - 1.0))
+            worst = unit_error(k for k in range(len(e.terms))
+                               if e.degenerate_n is None or k < e.degenerate_n)
             checks.append(CheckResult("unit-directions", worst <= 1e-12, worst))
 
         # Remainder-ratio profile over the last half of the window.
@@ -688,10 +639,7 @@ def verify_expansion(e, data, recon_tol=1e-12):
 
     if e.kind == "degenerate" and e.terms:
         n0 = e.degenerate_n or 0
-        worst = 0.0
-        for k in range(n0):
-            nu = win.norm1(dirs[k], e.space_exponent(k + 1))
-            worst = max(worst, abs(nu - 1.0))
+        worst = unit_error(range(n0))
         tail_ok = all(np.all(dirs[k] == 0) for k in range(n0, len(e.terms)))
         checks.append(
             CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst)
@@ -780,33 +728,37 @@ def _save_term(path, term):
     """One term as a matrix: direction then witnesses, on their representative modes."""
     fields = [term.direction] + list(term.witnesses)
     win = _Window(fields)
-    rep = [i for i, (kx, ky) in enumerate(win.keys) if kx > 0 or (kx == 0 and ky > 0)]
-    coeffs = win.flat.reshape(win.m, win.nk, 2)[:, rep]
+    half = sp.rep_half(win.nk)
+    coeffs = win.flat.reshape(win.m, win.nk, 2)[:, half]
     fieldio.write_json(path, {
-        "modes": [win.keys[i] for i in rep],
+        "modes": win.keys[half].tolist(),
         "truncations": [f.trunc for f in fields],
         "rows": coeffs.view(np.float64).reshape(win.m, -1).tolist(),
     })
 
 
 def _load_term(path):
-    """(direction, witnesses) of one term file; every field is validated."""
+    """(direction, witnesses) of one term file, validated as one batch; a
+    MalformedFieldError names the file, the row (direction or witness n) and the mode."""
     doc = fieldio.read_json(path)
     try:
-        reps = [(int(kx), int(ky)) for kx, ky in doc["modes"]]
+        reps = np.array(doc["modes"], dtype=np.int64).reshape(-1, 2)
         truncs = [int(t) for t in doc["truncations"]]
         if not truncs:
             raise ValueError("no direction row")
         rows = np.array(doc["rows"], dtype=np.float64).reshape(len(truncs), len(reps), 4)
     except (KeyError, TypeError, ValueError) as exc:
         raise fieldio.FieldFormatError(f"{path}: malformed expansion term file ({exc})") from exc
-    fields = []
-    for trunc, coeffs in zip(truncs, rows.view(np.complex128)):
-        modes = {}
-        for (kx, ky), c in zip(reps, coeffs):
-            modes[(kx, ky)] = c
-            modes[(-kx, -ky)] = np.conj(c)
-        fields.append(sp.SpectralField(trunc, modes))
+    try:
+        keys, coeffs = sp.conj_closure(reps, rows.view(np.complex128))
+    except sp.MalformedFieldError as exc:
+        raise sp.MalformedFieldError(f"{path}: {exc}") from exc
+    bad = sp.first_violation(keys, coeffs, truncs)
+    if bad is not None:
+        row, message = bad
+        where = "direction" if row == 0 else f"witness n={row}"
+        raise sp.MalformedFieldError(f"{path}: {where}: {message}")
+    fields = [sp.SpectralField.from_arrays(t, keys, c) for t, c in zip(truncs, coeffs)]
     return fields[0], fields[1:]
 
 
@@ -861,14 +813,10 @@ def _load_form(base, rec):
                                    t["estimator"]))
     tol = rec["tolerances"]
     return ExpansionResult(
-        limit=fieldio.read_field(os.path.join(base, rec["limit"])),
-        terms=terms,
-        kind=rec["kind"],
-        form=rec["form"],
+        limit=fieldio.read_field(os.path.join(base, rec["limit"])), terms=terms,
+        kind=rec["kind"], form=rec["form"],
         scale=NestedScale(tuple(rec["scale"]["exponents"]), rec["scale"]["regime"]),
-        space=rec["space"],
-        degenerate_n=rec["degenerate_N"],
-        depth_reason=rec["depth_reason"],
+        space=rec["space"], degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
         limit_estimator=rec["limit_estimator"],
         tols=ToleranceSet(**{k: tol[k] for k in asdict(ToleranceSet())}),
         decision_log=list(rec.get("decision_log", [])),

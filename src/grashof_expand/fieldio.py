@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .spectral import SpectralField
+from . import spectral as sp
 
 
 class FieldFormatError(ValueError):
@@ -82,45 +82,30 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 
 
-def _is_representative(k):
-    return k[0] > 0 or (k[0] == 0 and k[1] > 0)
-
-
 def write_field(path, field):
     """Store one representative of each conjugate pair, sorted by wavevector."""
-    reps = sorted(k for k in field.modes if _is_representative(k))
-    records = []
-    for k in reps:
-        c = field.modes[k]
-        records.append(
-            {
-                "k": [int(k[0]), int(k[1])],
-                "c": [
-                    [float(np.real(c[0])), float(np.imag(c[0]))],
-                    [float(np.real(c[1])), float(np.imag(c[1]))],
-                ],
-            }
-        )
+    half = sp.rep_half(len(field.keys))
+    keys = field.keys[half].tolist()
+    coeffs = field.coeffs[half].view(np.float64).reshape(-1, 2, 2).tolist()
+    records = [{"k": k, "c": c} for k, c in zip(keys, coeffs)]
     doc = {"truncation": int(field.trunc), "conjugate_closure": True, "modes": records}
     write_json(path, doc)
 
 
 def read_field(path):
+    """Read a field file (FieldFormatError) and validate it (MalformedFieldError)."""
     doc = read_json(path)
     try:
         trunc = int(doc["truncation"])
         if not doc.get("conjugate_closure", False):
             raise FieldFormatError(f"{path}: conjugate_closure flag missing or false")
-        modes = {}
-        for rec in doc["modes"]:
-            kx, ky = int(rec["k"][0]), int(rec["k"][1])
-            (re1, im1), (re2, im2) = rec["c"]
-            c = np.array([re1 + 1j * im1, re2 + 1j * im2])
-            modes[(kx, ky)] = c
-            modes[(-kx, -ky)] = np.conj(c)
+        recs = doc["modes"]
+        reps = np.array([rec["k"] for rec in recs], dtype=np.int64).reshape(len(recs), 2)
+        parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldFormatError(f"{path}: malformed field file ({exc})") from exc
-    return SpectralField(trunc, modes)
+    coeffs = parts[..., 0] + 1j * parts[..., 1]
+    return sp.SpectralField.from_arrays(trunc, *sp.conj_closure(reps, coeffs), check=True)
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def example314(n, truncation=64):
     if truncation < 16:
         raise ValueError("need at least 16 eigenmodes")
     coeffs = [np.exp(-n * n - k * n) for k in range(1, truncation + 1)]
-    v_n = sp.lin_comb(coeffs, [sp.eigenfunction(k) for k in range(1, truncation + 1)])
+    v_n = sp.lin_comb(coeffs, sp.eigenfunctions(truncation))
     return Example314Data(n=n, truncation=truncation, v_n=v_n, abs_v=float(example314_abs_v(n, truncation)))
 
 
@@ -237,7 +237,7 @@ def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6, t
     """The hand-built unitary expansion: Gamma_{k,n} = e^{-kn-n^2}, w_k = phi_k."""
     n_values = list(n_values)
     tols = tols or ToleranceSet()
-    phis = [sp.eigenfunction(k) for k in range(1, truncation + 1)]
+    phis = sp.eigenfunctions(truncation)
     terms = []
     for k in range(1, depth + 1):
         gammas = np.array([np.exp(-k * n - n * n) for n in n_values])
@@ -247,16 +247,9 @@ def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6, t
             witnesses.append(sp.lin_comb(coef, phis[k - 1 : truncation]))
         terms.append(ExpansionTerm(gammas=gammas, direction=phis[k - 1], witnesses=witnesses, estimator="analytic"))
     return ExpansionResult(
-        limit=sp.zero_field(phis[0].trunc),
-        terms=terms,
-        kind="infinite-unitary",
-        form="unitary",
-        scale=constant_scale(0.0, depth),
-        space=0.0,
-        degenerate_n=None,
-        depth_reason="analytic fixture",
-        limit_estimator="analytic",
-        tols=tols,
+        limit=sp.zero_field(phis[0].trunc), terms=terms, kind="infinite-unitary",
+        form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=None,
+        depth_reason="analytic fixture", limit_estimator="analytic", tols=tols,
         decision_log=["example314 unitary fixture"],
     )
 
@@ -270,24 +263,11 @@ def example314_degenerate_expansion(n_values=range(1, 7), truncation=64, depth=6
     for k in range(1, depth + 1):
         gammas = np.array([np.exp(-k * n) for n in n_values])
         witnesses = [np.exp(n * k) * recs[i].v_n for i, n in enumerate(n_values)]
-        terms.append(
-            ExpansionTerm(
-                gammas=gammas,
-                direction=sp.zero_field(recs[0].v_n.trunc),
-                witnesses=witnesses,
-                estimator="analytic",
-            )
-        )
+        terms.append(ExpansionTerm(gammas=gammas, direction=sp.zero_field(recs[0].v_n.trunc),
+                                   witnesses=witnesses, estimator="analytic"))
     return ExpansionResult(
-        limit=sp.zero_field(recs[0].v_n.trunc),
-        terms=terms,
-        kind="degenerate",
-        form="unitary",
-        scale=constant_scale(0.0, depth),
-        space=0.0,
-        degenerate_n=0,
-        depth_reason="analytic fixture",
-        limit_estimator="analytic",
-        tols=tols,
+        limit=sp.zero_field(recs[0].v_n.trunc), terms=terms, kind="degenerate",
+        form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=0,
+        depth_reason="analytic fixture", limit_estimator="analytic", tols=tols,
         decision_log=["example314 degenerate fixture"],
     )

@@ -1,11 +1,18 @@
 """Spectral representation of divergence-free 2D periodic velocity fields.
 
-Fields live on the torus [0, 2pi]^2 and are stored as sparse maps from integer
-wavevectors k = (kx, ky) to complex coefficient 2-vectors of e^{i k.x}. The
+Fields live on the torus [0, 2pi]^2 and are stored as two arrays: the integer
+wavevectors k = (kx, ky) of the nonzero Fourier modes, sorted lexicographically,
+and the complex coefficient 2-vectors of e^{i k.x}, one row per wavevector. The
 zero mode is excluded (zero spatial average), coefficients satisfy the reality
 condition c(-k) = conj(c(k)), and k . c(k) = 0 (divergence-free). On this
 domain the Stokes operator is diagonal with eigenvalues |k|^2, so the first
-eigenvalue is exactly 1 and fractional powers are plain mode-wise scalings.
+eigenvalue is exactly 1 and fractional powers are plain row scalings.
+
+A sorted key set closed under negation satisfies keys[::-1] == -keys, and its
+conjugate representatives (kx > 0, or kx = 0 and ky > 0) are the upper half
+keys[M // 2:] (``rep_half``); ``conj_closure`` rebuilds a field from that half.
+Key sets are merged on the dense square grid of the largest |k|, whose
+row-major order is the lexicographic order (``key_union``), so nothing is sorted.
 
 Norm convention (Parseval on [0, 2pi]^2):  |u|_{L^2}^2 = (2pi)^2 sum_k |c(k)|^2,
 and the D(A^s) norm is |A^s u| with A^s scaling mode k by |k|^{2s}.
@@ -13,6 +20,7 @@ and the D(A^s) norm is |A^s u| with A^s scaling mode k by |k|^{2s}.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
@@ -28,11 +36,84 @@ class MalformedFieldError(ValueError):
     """Raised when raw coefficient data violates a structural invariant."""
 
 
-def _as_coeff(value):
-    c = np.asarray(value, dtype=np.complex128)
-    if c.shape != (2,):
-        raise MalformedFieldError(f"coefficient must be a complex 2-vector, got shape {c.shape}")
-    return c
+def key_union(key_sets):
+    """Sorted union of (M_i, 2) key arrays, and the rows each array occupies in it."""
+    every = np.concatenate([np.zeros((0, 2), dtype=np.int64), *key_sets])
+    r = int(np.max(np.abs(every), initial=0))
+    side = 2 * r + 1
+    cells = (every[:, 0] + r) * side + (every[:, 1] + r)
+    seen = np.zeros(side * side, dtype=bool)
+    seen[cells] = True
+    slot = np.cumsum(seen)[cells] - 1
+    keys = np.stack(np.divmod(np.flatnonzero(seen), side), axis=1) - r
+    ends = list(accumulate(len(k) for k in key_sets))
+    return keys, [slot[end - len(k):end] for end, k in zip(ends, key_sets)]
+
+
+def gather(keys, rows, query):
+    """Entries of ``rows`` (..., M, 2) on ``keys`` at each ``query`` key; zero where absent."""
+    union, (mine, theirs) = key_union([keys, query])
+    full = np.zeros(rows.shape[:-2] + (len(union), 2), dtype=rows.dtype)
+    full[..., mine, :] = rows
+    return full[..., theirs, :]
+
+
+def rep_half(n):
+    """The representatives of a sorted key set of size ``n`` closed under negation."""
+    return slice(n // 2, None)
+
+
+def conj_closure(reps, coeffs):
+    """Sorted keys closed under negation, and coefficients (..., 2M, 2), from
+    increasing representatives ``reps`` (M, 2) and their coefficients (..., M, 2)."""
+    # Each step from the previous key (from (0, 0) for the first) must be a
+    # representative: kx > 0, or kx = 0 and ky > 0.
+    step = np.diff(reps, axis=0, prepend=np.zeros((1, 2), dtype=reps.dtype))
+    bad = (step[:, 0] < 0) | ((step[:, 0] == 0) & (step[:, 1] <= 0))
+    if bad.any():
+        k = tuple(reps[np.argmax(bad)].tolist())
+        raise MalformedFieldError(f"mode {k} is not a conjugate representative in increasing order")
+    keys = np.concatenate([-reps[::-1], reps])
+    return keys, np.concatenate([np.conj(coeffs[..., ::-1, :]), coeffs], axis=-2)
+
+
+def first_violation(keys, rows, truncs):
+    """(row, message) of the first violation in ``rows`` (R, M, 2) on the sorted
+    ``keys``, zero entries counting as absent, or None. Checks run in turn (zero
+    mode, truncation ``truncs[row]``, reality, divergence); each names its first
+    failing row at the largest failing key: the representative of a failing pair."""
+    live = np.any(rows != 0, axis=2)
+    amp = np.max(np.abs(rows), axis=(1, 2), initial=0.0)
+    tol = REALITY_TOL * np.maximum(amp, 1e-300)[:, None]
+    radius = np.max(np.abs(keys), axis=1, initial=0)
+    closed = np.array_equal(keys[::-1], -keys)
+    mirror = rows[..., ::-1, :] if closed else gather(keys, rows, -keys)
+    checks = (
+        (radius == 0, "zero-average constraint: mode (0,0) not allowed"),
+        (radius > np.asarray(truncs)[:, None], "mode {k} outside truncation radius {t}"),
+        (~np.any(mirror != 0, axis=2) | (np.max(np.abs(mirror - np.conj(rows)), axis=2) > tol),
+         "reality condition violated at mode {k}"),
+        (np.abs(keys[:, 0] * rows[..., 0] + keys[:, 1] * rows[..., 1]) > tol * radius,
+         "divergence-free condition violated at mode {k}"),
+    )
+    for bad, message in checks:
+        hit = live & bad
+        if hit.any():
+            r = int(np.argmax(hit.any(axis=1)))
+            i = np.flatnonzero(hit[r])[-1]
+            return r, message.format(k=tuple(keys[i].tolist()), t=truncs[r])
+    return None
+
+
+def _arrays(mapping):
+    """Sorted (keys, coeffs) arrays of a mapping (kx, ky) -> coefficient 2-vector."""
+    pairs = sorted(((int(k[0]), int(k[1])), v) for k, v in mapping.items())
+    keys = np.array([k for k, _ in pairs], dtype=np.int64).reshape(-1, 2)
+    try:
+        coeffs = np.array([v for _, v in pairs], dtype=np.complex128).reshape(len(pairs), 2)
+    except ValueError as exc:
+        raise MalformedFieldError(f"coefficients must be complex 2-vectors ({exc})") from exc
+    return keys, coeffs
 
 
 class SpectralField:
@@ -40,61 +121,54 @@ class SpectralField:
 
     Attributes:
       trunc: truncation radius N; every stored k satisfies max(|kx|,|ky|) <= N.
-      modes: read-only mapping (kx, ky) -> complex coefficient 2-vector.
+      keys: int64 (M, 2) wavevectors, strictly increasing in (kx, ky) order,
+        never (0, 0); closed under negation, so keys[::-1] == -keys.
+      coeffs: complex128 (M, 2) coefficient 2-vectors, row i for keys[i]; no
+        row is zero.
+
+    Both arrays are read-only. ``SpectralField(trunc, mapping)`` builds a field
+    from a mapping (kx, ky) -> 2-vector; ``modes`` gives that mapping back.
     """
 
-    __slots__ = ("trunc", "modes", "_packed")
+    __slots__ = ("trunc", "keys", "coeffs")
 
-    def __init__(self, trunc, modes, check=True):
-        cleaned = {}
-        for k, v in modes.items():
-            kx, ky = int(k[0]), int(k[1])
-            c = _as_coeff(v)
-            if c[0] == 0 and c[1] == 0:
-                continue
-            cleaned[(kx, ky)] = c
+    def __init__(self, trunc, mapping, check=True):
+        self._assign(trunc, *_arrays(mapping), check)
+
+    @classmethod
+    def from_arrays(cls, trunc, keys, coeffs, check=False):
+        """Field on sorted, duplicate-free ``keys``; zero rows are dropped."""
+        field = cls.__new__(cls)
+        field._assign(trunc, keys, coeffs, check)
+        return field
+
+    def _assign(self, trunc, keys, coeffs, check):
+        live = (coeffs[:, 0] != 0) | (coeffs[:, 1] != 0)
+        if not live.all():
+            keys, coeffs = keys[live], coeffs[live]
         self.trunc = int(trunc)
-        self.modes = MappingProxyType(cleaned)
-        self._packed = None
-        if check:
-            self._validate()
+        self.keys, self.coeffs = keys.view(), coeffs.view()
+        self.keys.flags.writeable = False
+        self.coeffs.flags.writeable = False
+        bad = first_violation(keys, coeffs[None], [self.trunc]) if check else None
+        if bad is not None:
+            raise MalformedFieldError(bad[1])
 
-    def _validate(self):
-        scale = self.amplitude()
-        tol = REALITY_TOL * max(scale, 1e-300)
-        for k, c in self.modes.items():
-            if k == (0, 0):
-                raise MalformedFieldError("zero-average constraint: mode (0,0) not allowed")
-            if max(abs(k[0]), abs(k[1])) > self.trunc:
-                raise MalformedFieldError(f"mode {k} outside truncation radius {self.trunc}")
-            cc = self.modes.get((-k[0], -k[1]))
-            if cc is None or np.max(np.abs(cc - np.conj(c))) > tol:
-                raise MalformedFieldError(f"reality condition violated at mode {k}")
-            if abs(k[0] * c[0] + k[1] * c[1]) > tol * max(abs(k[0]), abs(k[1])):
-                raise MalformedFieldError(f"divergence-free condition violated at mode {k}")
+    @property
+    def modes(self):
+        """Read-only mapping (kx, ky) -> coefficient 2-vector, built on each access."""
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.coeffs)))
 
     def packed(self):
-        """Deterministically ordered (wavevectors, coefficients) arrays."""
-        if self._packed is None:
-            keys = sorted(self.modes)
-            if keys:
-                karr = np.array(keys, dtype=np.int64)
-                carr = np.array([self.modes[k] for k in keys], dtype=np.complex128)
-            else:
-                karr = np.zeros((0, 2), dtype=np.int64)
-                carr = np.zeros((0, 2), dtype=np.complex128)
-            self._packed = (karr, carr)
-        return self._packed
+        """The (wavevectors, coefficients) arrays."""
+        return self.keys, self.coeffs
 
     def amplitude(self):
         """Largest coefficient magnitude (0.0 for the zero field)."""
-        if not self.modes:
-            return 0.0
-        _, c = self.packed()
-        return float(np.max(np.abs(c)))
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
 
     def is_zero(self):
-        return not self.modes
+        return len(self.keys) == 0
 
     # Linear combinations preserve all invariants; checks are skipped.
     def __add__(self, other):
@@ -109,7 +183,7 @@ class SpectralField:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"SpectralField(trunc={self.trunc}, nmodes={len(self.modes)})"
+        return f"SpectralField(trunc={self.trunc}, nmodes={len(self.keys)})"
 
 
 def zero_field(trunc=1):
@@ -118,16 +192,45 @@ def zero_field(trunc=1):
 
 def lin_comb(coeffs, fields):
     """Real-linear combination sum_i coeffs[i] * fields[i]."""
-    acc = {}
-    trunc = 1
-    for a, f in zip(coeffs, fields):
-        trunc = max(trunc, f.trunc)
-        for k, c in f.modes.items():
-            if k in acc:
-                acc[k] = acc[k] + a * c
-            else:
-                acc[k] = a * c
-    return SpectralField(trunc, acc, check=False)
+    pairs = list(zip(coeffs, fields))
+    trunc = max([1] + [f.trunc for _, f in pairs])
+    keys = pairs[0][1].keys if pairs else np.zeros((0, 2), dtype=np.int64)
+    if all(np.array_equal(f.keys, keys) for _, f in pairs):
+        slots = [slice(None)] * len(pairs)
+    else:
+        keys, slots = key_union([f.keys for _, f in pairs])
+    # -0.0 is the additive identity, so each sum starts exactly at its first term.
+    acc = np.full((len(keys), 2), complex(-0.0, -0.0))
+    for (a, f), slot in zip(pairs, slots):
+        acc[slot] += a * f.coeffs
+    return SpectralField.from_arrays(trunc, keys, acc)
+
+
+def _leray(keys, coeffs, trunc=None):
+    """leray_project on sorted (keys, coeffs) arrays."""
+    if trunc is None:
+        trunc = int(np.max(np.abs(keys), initial=1))
+    scale = float(np.max(np.abs(coeffs), initial=0.0))
+    live = np.any(keys != 0, axis=1)
+    keys, coeffs = keys[live], coeffs[live]
+    mismatch = np.max(np.abs(gather(keys, coeffs, -keys) - np.conj(coeffs)), axis=1, initial=0.0)
+    bad = mismatch > REALITY_TOL * max(scale, 1e-300)
+    if bad.any():
+        k = tuple(keys[np.argmax(bad)].tolist())
+        raise MalformedFieldError(f"reality condition violated at mode {k}")
+    return SpectralField.from_arrays(trunc, keys, divfree(keys, coeffs))
+
+
+def divfree(keys, rows):
+    """(I - k k^T / |k|^2) c(k) for each row of ``rows`` (..., M, 2) on ``keys``.
+
+    Modes with k . c exactly 0 are returned as they are, signed zeros included.
+    """
+    k = keys.astype(np.float64)
+    # One dot per mode (a stacked matmul), the arithmetic of k @ c(k).
+    kc = np.matmul(k[:, None, :], rows[..., None])[..., 0, 0]
+    proj = rows - (kc / np.sum(k * k, axis=1))[..., None] * k
+    return np.where((kc != 0)[..., None], proj, rows)
 
 
 def leray_project(raw, trunc=None):
@@ -139,28 +242,11 @@ def leray_project(raw, trunc=None):
     Raises:
       MalformedFieldError: reality condition violated beyond 1e-13 relative.
     """
-    items = {}
-    scale = 0.0
-    for k, v in raw.items():
-        kx, ky = int(k[0]), int(k[1])
-        c = _as_coeff(v)
-        items[(kx, ky)] = c
-        scale = max(scale, float(np.max(np.abs(c))))
-    items.pop((0, 0), None)
-    tol = REALITY_TOL * max(scale, 1e-300)
-    out = {}
-    for k, c in items.items():
-        cc = items.get((-k[0], -k[1]))
-        if cc is None:
-            cc = np.zeros(2, dtype=np.complex128)
-        if np.max(np.abs(cc - np.conj(c))) > tol:
-            raise MalformedFieldError(f"reality condition violated at mode {k}")
-        kvec = np.array(k, dtype=np.float64)
-        proj = c - (kvec @ c) / (kvec @ kvec) * kvec
-        out[k] = proj
-    if trunc is None:
-        trunc = max((max(abs(k[0]), abs(k[1])) for k in out), default=1)
-    return SpectralField(trunc, out, check=False)
+    return _leray(*_arrays(raw), trunc)
+
+
+def _eigenvalues(keys):
+    return np.sum(keys * keys, axis=1).astype(np.float64)
 
 
 def apply_fractional(u, s):
@@ -168,22 +254,15 @@ def apply_fractional(u, s):
     s = float(s)
     if s == 0.0:
         return u
-    out = {}
-    for k, c in u.modes.items():
-        lam = float(k[0] * k[0] + k[1] * k[1])
-        out[k] = lam**s * c
-    return SpectralField(u.trunc, out, check=False)
+    scaled = (_eigenvalues(u.keys) ** s)[:, None] * u.coeffs
+    return SpectralField.from_arrays(u.trunc, u.keys, scaled)
 
 
 def coefficient_energy(u, s=0.0):
     """sum_k |k|^{4s} |c(k)|^2 in deterministic (sorted-mode) order."""
-    karr, carr = u.packed()
-    if len(karr) == 0:
-        return 0.0
-    sq = np.sum(np.abs(carr) ** 2, axis=1)
+    sq = np.sum(np.abs(u.coeffs) ** 2, axis=1)
     if s != 0.0:
-        lam = (karr[:, 0] ** 2 + karr[:, 1] ** 2).astype(np.float64)
-        sq = lam ** (2.0 * s) * sq
+        sq = _eigenvalues(u.keys) ** (2.0 * s) * sq
     return float(np.sum(sq))
 
 
@@ -194,12 +273,11 @@ def norm_ds(u, s):
 
 def inner_ds(u, v, s=0.0):
     """Real inner product of D(A^s): (2pi)^2 Re sum |k|^{4s} c_u(k) . conj(c_v(k))."""
-    total = 0.0
-    for k in sorted(u.modes.keys() & v.modes.keys()):
-        lam = float(k[0] * k[0] + k[1] * k[1])
-        w = lam ** (2.0 * s) if s != 0.0 else 1.0
-        total += w * float(np.real(np.vdot(v.modes[k], u.modes[k])))
-    return TWO_PI * TWO_PI * total
+    terms = np.real(np.sum(u.coeffs * np.conj(gather(v.keys, v.coeffs, u.keys)), axis=1))
+    if s != 0.0:
+        terms = _eigenvalues(u.keys) ** (2.0 * s) * terms
+    # Start from +0.0, as a running sum does, so no sum of zeros comes out -0.0.
+    return TWO_PI * TWO_PI * float(np.sum(terms, initial=0.0))
 
 
 def inner_h(u, v):
@@ -211,12 +289,12 @@ def project_trunc(u, n):
     """Galerkin projection: drop modes with max(|kx|,|ky|) > n."""
     n = int(n)
     if u.trunc <= n:
-        return SpectralField(n, dict(u.modes), check=False)
-    kept = {k: c for k, c in u.modes.items() if max(abs(k[0]), abs(k[1])) <= n}
-    return SpectralField(n, kept, check=False)
+        return SpectralField.from_arrays(n, u.keys, u.coeffs)
+    keep = np.max(np.abs(u.keys), axis=1, initial=0) <= n
+    return SpectralField.from_arrays(n, u.keys[keep], u.coeffs[keep])
 
 
-def _field_from_grid(grid, nout, trunc):
+def _field_from_grid(grid, nout):
     """Leray-project a dense coefficient grid and collect nonzero modes."""
     ks = np.arange(-nout, nout + 1)
     kx = ks[:, None].astype(np.float64)
@@ -228,10 +306,9 @@ def _field_from_grid(grid, nout, trunc):
     p1 = grid[..., 1] - dot * ky
     live = (p0 != 0) | (p1 != 0)
     live[nout, nout] = False
-    out = {}
-    for i, j in np.argwhere(live):
-        out[(int(i) - nout, int(j) - nout)] = np.array([p0[i, j], p1[i, j]])
-    return SpectralField(trunc, out, check=False)
+    # Row-major grid order is the lexicographic key order.
+    keys = np.argwhere(live) - nout
+    return SpectralField.from_arrays(nout, keys, np.stack([p0[live], p1[live]], axis=1))
 
 
 def bilinear_b(u, v, retruncate=None):
@@ -241,21 +318,15 @@ def bilinear_b(u, v, retruncate=None):
     ``retruncate`` for the solver's Galerkin closure to a smaller radius.
     """
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
-    ku, cu = u.packed()
-    kv, cv = v.packed()
-    grid = kernels.advect_convolve(ku, cu, kv, cv, nout)
-    return _field_from_grid(grid, nout, nout)
+    return _field_from_grid(kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout), nout)
 
 
 def bilinear_bs(u, v, retruncate=None):
     """Symmetrized advection B_s(u, v) = B(u, v) + B(v, u)."""
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
-    ku, cu = u.packed()
-    kv, cv = v.packed()
-    grid = kernels.advect_convolve(ku, cu, kv, cv, nout) + kernels.advect_convolve(
-        kv, cv, ku, cu, nout
-    )
-    return _field_from_grid(grid, nout, nout)
+    grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    grid += kernels.advect_convolve(v.keys, v.coeffs, u.keys, u.coeffs, nout)
+    return _field_from_grid(grid, nout)
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +335,17 @@ def bilinear_bs(u, v, retruncate=None):
 
 
 def sigma(k):
-    """Unit divergence-free polarization direction of mode k."""
-    kx, ky = k
-    norm = np.sqrt(float(kx * kx + ky * ky))
-    return np.array([-ky / norm, kx / norm])
+    """Unit divergence-free polarization direction of mode k (or of each row of k)."""
+    k = np.asarray(k)
+    norm = np.sqrt(np.sum(k * k, axis=-1).astype(np.float64))
+    return np.stack([-k[..., 1] / norm, k[..., 0] / norm], axis=-1)
 
 
 def representative_modes(radius):
     """Conjugate-pair representatives (kx > 0, or kx = 0 and ky > 0) by (|k|^2, kx, ky)."""
-    reps = []
-    for kx in range(0, radius + 1):
-        ky_lo = 1 if kx == 0 else -radius
-        for ky in range(ky_lo, radius + 1):
-            if kx == 0 and ky <= 0:
-                continue
-            if kx > 0 or ky > 0:
-                reps.append((kx, ky))
-    reps.sort(key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
-    return reps
+    reps = [(kx, ky) for kx in range(radius + 1) for ky in range(-radius, radius + 1)
+            if kx > 0 or ky > 0]
+    return sorted(reps, key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
 
 
 def eigen_basis(count):
@@ -290,35 +354,36 @@ def eigen_basis(count):
     Eigenvalues |k|^2 are nondecreasing; ties are broken lexicographically on
     the representative (kx, ky), then cos before sin polarization.
     """
-    out = []
     radius = 1
     while True:
-        reps = representative_modes(radius)
         # Representatives with |k|^2 <= radius^2 are complete at this radius.
-        safe = [k for k in reps if k[0] ** 2 + k[1] ** 2 <= radius * radius]
+        safe = [k for k in representative_modes(radius) if k[0] ** 2 + k[1] ** 2 <= radius * radius]
         if 2 * len(safe) >= count:
-            for k in safe:
-                lam = float(k[0] ** 2 + k[1] ** 2)
-                out.append((lam, k, "cos"))
-                out.append((lam, k, "sin"))
-                if len(out) >= count:
-                    return out[:count]
+            return [(float(k[0] ** 2 + k[1] ** 2), k, pol) for k in safe
+                    for pol in ("cos", "sin")][:count]
         radius += 1
+
+
+def _eigenfield(k, pol):
+    """Unit-norm real eigenfunction on the pair +-k with polarization ``pol``."""
+    amp = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
+    c = sigma(k).astype(np.complex128)
+    c = amp * c if pol == "cos" else (amp / 1j) * c
+    keys, coeffs = conj_closure(np.array([k], dtype=np.int64), c[None])
+    return SpectralField.from_arrays(max(abs(k[0]), abs(k[1])), keys, coeffs)
 
 
 def eigenfunction(j):
     """j-th eigenfunction (1-based) of the Stokes operator; unit H norm, real."""
     if j < 1:
         raise ValueError("eigen index must be >= 1")
-    lam, k, pol = eigen_basis(j)[j - 1]
-    s = sigma(k)
-    amp = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
-    if pol == "cos":
-        c = amp * s.astype(np.complex128)
-    else:
-        c = (amp / 1j) * s.astype(np.complex128)
-    modes = {k: c, (-k[0], -k[1]): np.conj(c)}
-    return SpectralField(max(abs(k[0]), abs(k[1])), modes, check=False)
+    _, k, pol = eigen_basis(j)[j - 1]
+    return _eigenfield(k, pol)
+
+
+def eigenfunctions(count):
+    """eigenfunction(1), ..., eigenfunction(count) from one eigen_basis pass."""
+    return [_eigenfield(k, pol) for _, k, pol in eigen_basis(count)]
 
 
 def eigenvalue(j):
@@ -327,10 +392,11 @@ def eigenvalue(j):
 
 def random_divfree(trunc, rng, decay=1.0):
     """Random divergence-free field with ~|k|^{-2*decay} coefficient falloff."""
-    raw = {}
-    for k in representative_modes(trunc):
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        c = c / (1.0 + float(k[0] ** 2 + k[1] ** 2)) ** decay
-        raw[k] = c
-        raw[(-k[0], -k[1])] = np.conj(c)
-    return leray_project(raw, trunc)
+    reps = np.array(representative_modes(trunc), dtype=np.int64).reshape(-1, 2)
+    # Per representative, in (|k|^2, kx, ky) order: two real parts, two imaginary.
+    z = rng.standard_normal((len(reps), 2, 2))
+    c = (z[:, 0] + 1j * z[:, 1]) / ((1.0 + _eigenvalues(reps)) ** decay)[:, None]
+    keys, (slot,) = key_union([reps])
+    lex = np.empty_like(c)
+    lex[slot] = c
+    return _leray(*conj_closure(keys, lex), trunc)

@@ -43,9 +43,7 @@ class SteadyProblem:
             raise ValueError("forcing g must be nonzero")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.trunc < self.g.trunc or any(
-            max(abs(k[0]), abs(k[1])) > self.trunc for k in self.g.modes
-        ):
+        if self.trunc < self.g.trunc or np.max(np.abs(self.g.keys), initial=0) > self.trunc:
             raise ValueError("truncation radius must cover the forcing modes")
 
 
@@ -77,53 +75,45 @@ def manufactured_force(v, alpha):
 
 
 def _dof_maps(n):
-    reps = sp.representative_modes(n)
-    sigmas = np.array([sp.sigma(k) for k in reps])
-    reparr = np.array(reps, dtype=np.int64)
+    """Representatives in (|k|^2, kx, ky) order, their polarizations and the
+    (2n+1, 2n+1) lookup table from a wavevector to its representative index."""
+    reps = np.array(sp.representative_modes(n), dtype=np.int64)
     replut = -np.ones((2 * n + 1, 2 * n + 1), dtype=np.int64)
-    for i, k in enumerate(reps):
-        replut[k[0] + n, k[1] + n] = i
-    return reps, sigmas, reparr, replut
+    replut[reps[:, 0] + n, reps[:, 1] + n] = np.arange(len(reps))
+    return reps, sp.sigma(reps), replut
 
 
 def _field_to_vec(v, reps, sigmas):
-    amps = np.zeros(len(reps), dtype=np.complex128)
-    for i, k in enumerate(reps):
-        c = v.modes.get(k)
-        if c is not None:
-            amps[i] = sigmas[i, 0] * c[0] + sigmas[i, 1] * c[1]
+    c = sp.gather(v.keys, v.coeffs, reps)
+    amps = sigmas[:, 0] * c[:, 0] + sigmas[:, 1] * c[:, 1]
     return np.concatenate([amps.real, amps.imag])
 
 
 def _vec_to_field(x, reps, sigmas, n):
     m = len(reps)
     amps = x[:m] + 1j * x[m:]
-    modes = {}
-    for i, k in enumerate(reps):
-        c = amps[i] * sigmas[i]
-        if c[0] != 0 or c[1] != 0:
-            modes[k] = c
-            modes[(-k[0], -k[1])] = np.conj(c)
-    return sp.SpectralField(n, modes, check=False)
+    keys, (slot,) = sp.key_union([reps])
+    coeffs = np.empty((m, 2), dtype=np.complex128)
+    coeffs[slot] = amps[:, None] * sigmas
+    return sp.SpectralField.from_arrays(n, *sp.conj_closure(keys, coeffs))
 
 
 def _linearized_matrix(v, p, maps):
     """Dense real matrix of z -> P_N(A z + alpha (B(v,z) + B(z,v)))."""
-    reps, sigmas, reparr, replut = maps
-    kv, cv = v.packed()
-    return kernels.assemble_linearized(kv, cv, reparr, sigmas, replut, p.alpha, p.trunc)
+    reps, sigmas, replut = maps
+    return kernels.assemble_linearized(v.keys, v.coeffs, reps, sigmas, replut, p.alpha, p.trunc)
 
 
 def _linearized_matrix_fields(v, p, maps):
     """Field-by-field column assembly; the dual route for testing the kernel."""
-    reps, sigmas, _, _ = maps
+    reps, sigmas, _ = maps
     m = len(reps)
     cols = np.zeros((2 * m, 2 * m))
-    for i, k in enumerate(reps):
+    for i, (kx, ky) in enumerate(reps.tolist()):
         for part in (0, 1):
             c = sigmas[i].astype(np.complex128) * (1.0 if part == 0 else 1j)
             z = sp.SpectralField(
-                p.trunc, {k: c, (-k[0], -k[1]): np.conj(c)}, check=False
+                p.trunc, {(kx, ky): c, (-kx, -ky): np.conj(c)}, check=False
             )
             az = sp.apply_fractional(z, 1.0)
             bz = sp.bilinear_bs(v, z, retruncate=p.trunc)
@@ -146,7 +136,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50, max_halvings=20):
     gnorm = sp.norm_ds(p.g, 0)
     tol = tol if tol is not None else 1e-12 * max(1.0, gnorm)
     maps = _dof_maps(p.trunc)
-    reps, sigmas = maps[0], maps[1]
+    reps, sigmas, _ = maps
     v = initial if initial is not None else sp.zero_field(p.trunc)
     x = _field_to_vec(sp.project_trunc(v, p.trunc), reps, sigmas)
 

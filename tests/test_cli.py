@@ -1,6 +1,7 @@
 """CLI pipeline tests: subcommands, exit codes, deterministic artifacts."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -206,3 +207,34 @@ def test_report_on_foreign_window_exit_1(pipeline, pipeline314, tmp_path, capsys
     assert run(["report", "--manifest", man, "--expansion", exf,
                 "--out", str(tmp_path / "rep")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_classify_reads_no_window_files(tmp_path):
+    fxdir = str(tmp_path / "fx")
+    out = str(tmp_path / "exp")
+    assert run(["fixtures", "example45", "--c2", "1", "--count", "20", "--out", fxdir]) == 0
+    assert run(["extract", "--manifest", f"{fxdir}/manifest.json",
+                "--scale", "default-2dp", "--depth", "6", "--out", out]) == 0
+    for name in os.listdir(fxdir):
+        if name.startswith("v_"):
+            os.remove(os.path.join(fxdir, name))
+    cls = str(tmp_path / "class.json")
+    assert run(["classify", "--expansion", f"{out}/expansion.json",
+                "--manifest", f"{fxdir}/manifest.json", "--out", cls]) == 0
+    assert fieldio.read_json(cls)["branch"] == "4.4(iii)(a)"
+
+
+def test_corrupt_term_row_is_named(pipeline, tmp_path, capsys):
+    out = tmp_path / "exp"
+    shutil.copytree(pipeline / "exp", out)
+    path = out / "unitary_term1.json"
+    doc = fieldio.read_json(path)
+    kx, ky = doc["modes"][0]
+    # Witness n=3 (row 3): push mode 0 off k.c = 0 through the component that k sees.
+    doc["rows"][3][2 if ky != 0 else 0] += 1.0
+    fieldio.write_json(path, doc)
+    assert run(["verify", "--expansion", str(out / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert f"witness n=3: divergence-free condition violated at mode ({kx}, {ky})" in err

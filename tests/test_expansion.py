@@ -468,3 +468,28 @@ def test_verify_rejects_window_of_other_length(ex45_data, ex45_extraction):
         ex.verify_expansion(unitary, short)
     with pytest.raises(ValueError, match="window length"):
         ex.remainder_ratios(unitary, short)
+
+
+def test_dense_window_round_trips_through_save_load(tmp_path):
+    # Random divergence-free window on 4 fields at N=12: estimates of its limit,
+    # directions and deep witnesses drift off k.c = 0 unless projected back.
+    rng = np.random.default_rng(0)
+    base = [sp.random_divfree(12, rng) for _ in range(4)]
+    alphas = [n + 1.0 for n in range(20)]
+    data = ex.SequenceData(
+        tuple(sp.lin_comb([1, 1 / a, a**-2, a**-3], base) for a in alphas), tuple(alphas))
+    strict = ex.extract_strict(data, ex.default_scale_2dp(6))
+    forms = {"strict": strict, "unitary": ex.refine_unitary(strict, data)}
+    path = tmp_path / "e.json"
+    ex.save_expansion(str(path), forms, alphas)
+    loaded, _ = ex.load_expansion(str(path))
+    for name, e in forms.items():
+        got = loaded[name]
+        pairs = [(got.limit, e.limit)]
+        for t_got, t in zip(got.terms, e.terms):
+            pairs += [(t_got.direction, t.direction), *zip(t_got.witnesses, t.witnesses)]
+        for a, b in pairs:
+            assert a.trunc == b.trunc
+            assert np.array_equal(a.keys, b.keys) and np.array_equal(a.coeffs, b.coeffs)
+        recon = ex.verify_expansion(got, data).checks[0]
+        assert recon.axiom == "reconstruction" and recon.passed, (name, recon.worst)

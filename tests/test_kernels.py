@@ -44,7 +44,7 @@ def test_jacobian_kernel_memory_is_one_matrix():
     rng = np.random.default_rng(4)
     v = sp.random_divfree(8, rng)
     kv, cv = v.packed()
-    _, sigmas, reparr, replut = st._dof_maps(8)
+    reparr, sigmas, replut = st._dof_maps(8)
     tracemalloc.start()
     try:
         out = kernels.assemble_linearized(kv, cv, reparr, sigmas, replut, 5.0, 8)
@@ -61,7 +61,7 @@ def test_jacobian_matches_finite_differences():
     p = st.SteadyProblem(g=g, alpha=3.0, trunc=3)
     v = sp.random_divfree(3, rng)
     maps = st._dof_maps(3)
-    reps, sigmas = maps[0], maps[1]
+    reps, sigmas, _ = maps
     x0 = st._field_to_vec(v, reps, sigmas)
 
     def fvec(x):

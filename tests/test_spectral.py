@@ -295,3 +295,51 @@ def test_field_rejects_divergence_violation():
     with pytest.raises(sp.MalformedFieldError):
         sp.SpectralField(2, {(1, 0): np.array([1.0 + 0j, 0.0j]),
                              (-1, 0): np.array([1.0 + 0j, 0.0j])}, check=True)
+
+
+def test_eigenfunctions_bit_equal_to_eigenfunction():
+    for j, phi in enumerate(sp.eigenfunctions(256), start=1):
+        ref = sp.eigenfunction(j)
+        assert phi.trunc == ref.trunc
+        assert phi.keys.tobytes() == ref.keys.tobytes()
+        assert phi.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def _assert_sorted_closed(f):
+    k = f.keys
+    assert k.dtype == np.int64 and k.shape == (len(k), 2)
+    assert f.coeffs.dtype == np.complex128 and f.coeffs.shape == k.shape
+    step = np.diff(k, axis=0)
+    assert np.all((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0)))  # strictly sorted
+    assert np.array_equal(k[::-1], -k)
+    assert not np.any(np.all(k == 0, axis=1))
+    assert not np.any(np.all(f.coeffs == 0, axis=1))
+
+
+def test_field_ops_return_sorted_closed_keys(tmp_path):
+    from grashof_expand import expansion as ex
+    from grashof_expand import fieldio
+
+    rng = np.random.default_rng(13)
+    u = sp.random_divfree(5, rng)
+    v = sp.random_divfree(3, rng)
+    w = sp.leray_project(dict(u.modes), trunc=u.trunc)
+    fieldio.write_field(tmp_path / "u.json", u)
+    win = ex._Window([u, v, sp.eigenfunction(7)])
+    outputs = [
+        u, v, w,
+        sp.lin_comb([0.5, -2.0, 1.0], [u, v, u]),
+        u - u,
+        sp.apply_fractional(v, -0.5),
+        sp.project_trunc(u, 2),
+        sp.bilinear_b(u, v),
+        sp.bilinear_bs(u, v, retruncate=4),
+        sp.bilinear_b(shear_field(), shear_field()),
+        sp.eigenfunction(5),
+        *sp.eigenfunctions(12),
+        fieldio.read_field(tmp_path / "u.json"),
+        win.to_field(win.flat[1]),
+        win.to_field(win.flat[0] - win.flat[2]),
+    ]
+    for out in outputs:
+        _assert_sorted_closed(out)
