@@ -302,8 +302,6 @@ def build_parser():
         description="Steady-state sweeps and intrinsic asymptotic expansion extraction "
                     "for the rescaled 2D periodic Navier-Stokes equations.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for randomized test corpora")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixtures", help="emit analytic fixture fields and manifests")

@@ -33,6 +33,7 @@ from . import spectral as sp
 from .seqlimit import EstimatorConfig, estimate_limit
 
 TWO_PI = sp.TWO_PI
+RECON_TOL = 1e-12  # verify: reconstruction error relative to the window's Z_0 scale
 
 
 class NotConvergentError(RuntimeError):
@@ -118,7 +119,6 @@ class ToleranceSet:
     """Extraction tolerances; defaults match the shipped acceptance suite."""
 
     floor: float = 1e-9       # relative Gamma floor vs the window Z_0 scale
-    limit: float = 1e-8       # legacy Cauchy-tail gate, kept in decision records
     finite: float = 1e-10     # witness stabilization threshold (finite kind)
     zero: float = 1e-10       # zero-direction threshold, relative
     snap: float = 1e-12       # estimator component zero-snap
@@ -564,7 +564,7 @@ def remainder_ratios(e, data):
     return _remainder_ratios(e, win)
 
 
-def verify_expansion(e, data, recon_tol=1e-12):
+def verify_expansion(e, data):
     """Per-axiom verification report of an expansion against its raw window."""
     win = _Window(data.fields)
     t = e.tols.tail_for(win.m)
@@ -584,7 +584,7 @@ def verify_expansion(e, data, recon_tol=1e-12):
     sums = _partial_sums(e, win)
     recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
     worst = max(float(np.max(win.norms(r - win.flat, s0))) for r in recons) / scale0
-    checks.append(CheckResult("reconstruction", worst <= recon_tol, worst))
+    checks.append(CheckResult("reconstruction", worst <= RECON_TOL, worst))
 
     if e.terms:
         g1 = gammas[0]

@@ -105,7 +105,10 @@ def read_field(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldFormatError(f"{path}: malformed field file ({exc})") from exc
     coeffs = parts[..., 0] + 1j * parts[..., 1]
-    return sp.SpectralField.from_arrays(trunc, *sp.conj_closure(reps, coeffs), check=True)
+    try:
+        return sp.SpectralField.from_arrays(trunc, *sp.conj_closure(reps, coeffs), check=True)
+    except sp.MalformedFieldError as exc:
+        raise sp.MalformedFieldError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

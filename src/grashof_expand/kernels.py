@@ -46,13 +46,14 @@ def advect_convolve(ku, cu, kv, cv, nout):
     return grid
 
 
-def assemble_linearized(kv, cv, reps, sigmas, replut, alpha, nrad):
+def assemble_linearized(kv, cv, reps, sigmas, alpha, nrad):
     """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
-    ``kv, cv`` is v packed; ``reps, sigmas, replut`` are the degree-of-freedom
-    maps of ``steady._dof_maps(nrad)``. Column r (m + r) is the image of the
-    field with amplitude 1 (i) on representative r; rows r and m + r hold the
-    real and imaginary parts of the image's amplitude on representative r.
+    ``kv, cv`` is v packed; ``reps, sigmas`` are ``steady._dof_maps(nrad)``,
+    every representative of radius N = nrad in key order: (kx, ky) is number
+    r = kx (2N+1) + ky - 1, and r < 0 for any other key. Column r (m + r) is the
+    image of the field with amplitude 1 (i) on representative r; rows r and
+    m + r hold the real and imaginary parts of its amplitude on representative r.
     """
     m = reps.shape[0]
     out = np.zeros((2 * m, 2 * m))
@@ -63,7 +64,7 @@ def assemble_linearized(kv, cv, reps, sigmas, replut, alpha, nrad):
         for q in (kr, -kr):
             k = kv + q
             p = np.flatnonzero(np.all(np.abs(k) <= nrad, axis=1))
-            rows = replut[k[p, 0] + nrad, k[p, 1] + nrad]
+            rows = k[p, 0] * (2 * nrad + 1) + k[p, 1] - 1
             p, rows = p[rows >= 0], rows[rows >= 0]
             srow = sigmas[rows]
             # B(v, z) + B(z, v) at p + q; distinct p land on distinct rows.

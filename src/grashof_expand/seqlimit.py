@@ -28,18 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+GEOMETRIC_GATE = 0.6   # increment ratio at or below which decay counts as geometric
+FREEFALL_FRAC = 0.1    # free-fall snap: the estimate sits this far below the last sample
+MAX_SHANKS_ORDER = 3   # deepest Shanks transform e_k
+LS_DEGREE = 8          # highest degree of the least-squares polynomial
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     tail: int
     snap_rel: float = 1e-12
-    geometric_gate: float = 0.6
-    freefall_frac: float = 0.1
-    max_shanks_order: int = 3
-    ls_degree: int = 8
 
 
-def shanks_limit(values, max_order=3):
+def shanks_limit(values, max_order=MAX_SHANKS_ORDER):
     """Wynn epsilon extrapolation of a (P, d) sample matrix; returns (d,).
 
     Computes the Shanks transforms e_k up to k = min((P-1)//2, max_order) and
@@ -88,8 +89,8 @@ def _snap_zero(limit, values, cfg, window):
     with np.errstate(invalid="ignore", divide="ignore"):
         falling = np.all(sub[1:] < sub[:-1], axis=0)
         last_ratio = np.where(sub[-2] > 0, sub[-1] / np.where(sub[-2] > 0, sub[-2], 1.0), np.inf)
-    freefall = falling & (last_ratio <= cfg.geometric_gate) & (
-        np.abs(limit) <= cfg.freefall_frac * sub[-1]
+    freefall = falling & (last_ratio <= GEOMETRIC_GATE) & (
+        np.abs(limit) <= FREEFALL_FRAC * sub[-1]
     )
     limit[snap | freefall] = 0.0
     return limit
@@ -128,11 +129,11 @@ def estimate_limit(values, xs, cfg):
     pair = live[:-1] & live[1:]
     ratios = dn[1:][pair] / dn[:-1][pair]
     tail_ratios = ratios[-min(len(ratios), 4):] if len(ratios) else np.array([1.0])
-    if len(tail_ratios) and np.max(tail_ratios) <= cfg.geometric_gate:
-        limit = shanks_limit(values[-window:], cfg.max_shanks_order)
+    if len(tail_ratios) and np.max(tail_ratios) <= GEOMETRIC_GATE:
+        limit = shanks_limit(values[-window:])
         method = "shanks"
     elif xs is not None:
-        degree = min(cfg.ls_degree, m - 2)
+        degree = min(LS_DEGREE, m - 2)
         limit = _ls_poly_limit(xs, values, degree)
         method = "ls-poly"
     else:

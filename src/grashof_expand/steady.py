@@ -1,11 +1,13 @@
 """Galerkin steady-state solver for A v + alpha B(v, v) = g with continuation.
 
 The truncated system is solved by damped Newton iteration on the real
-divergence-free degrees of freedom (one complex amplitude per conjugate-pair
-representative). Linearizations are assembled densely column by column and
-factored directly, which is exact and cheap at desk truncations (N <= 16).
-A sweep over increasing alpha warm-starts each solve from the previous
-solution and records the 2D enstrophy bound |Av| <= |g| per step.
+divergence-free degrees of freedom: one complex amplitude per conjugate-pair
+representative, in the key order of the fields, so an iterate is the upper
+half of a field's rows (``_dof_maps``). Linearizations are assembled densely
+column by column and factored directly, which is exact and cheap at desk
+truncations (N <= 16). A sweep over increasing alpha warm-starts each solve
+from the previous solution and records the 2D enstrophy bound |Av| <= |g| per
+step.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 from . import kernels
 from . import spectral as sp
+
+MAX_HALVINGS = 20  # step halvings in one Newton line search before it stalls
 
 
 class ContinuationError(RuntimeError):
@@ -75,12 +79,12 @@ def manufactured_force(v, alpha):
 
 
 def _dof_maps(n):
-    """Representatives in (|k|^2, kx, ky) order, their polarizations and the
-    (2n+1, 2n+1) lookup table from a wavevector to its representative index."""
-    reps = np.array(sp.representative_modes(n), dtype=np.int64)
-    replut = -np.ones((2 * n + 1, 2 * n + 1), dtype=np.int64)
-    replut[reps[:, 0] + n, reps[:, 1] + n] = np.arange(len(reps))
-    return reps, sp.sigma(reps), replut
+    """Representatives of every mode of radius n in key order, the upper half
+    of the (2n+1) x (2n+1) key grid, and their polarizations."""
+    side = 2 * n + 1
+    cells = np.arange(side * side // 2 + 1, side * side)
+    reps = np.stack(np.divmod(cells, side), axis=1) - n
+    return reps, sp.sigma(reps)
 
 
 def _field_to_vec(v, reps, sigmas):
@@ -92,21 +96,12 @@ def _field_to_vec(v, reps, sigmas):
 def _vec_to_field(x, reps, sigmas, n):
     m = len(reps)
     amps = x[:m] + 1j * x[m:]
-    keys, (slot,) = sp.key_union([reps])
-    coeffs = np.empty((m, 2), dtype=np.complex128)
-    coeffs[slot] = amps[:, None] * sigmas
-    return sp.SpectralField.from_arrays(n, *sp.conj_closure(keys, coeffs))
-
-
-def _linearized_matrix(v, p, maps):
-    """Dense real matrix of z -> P_N(A z + alpha (B(v,z) + B(z,v)))."""
-    reps, sigmas, replut = maps
-    return kernels.assemble_linearized(v.keys, v.coeffs, reps, sigmas, replut, p.alpha, p.trunc)
+    return sp.SpectralField.from_arrays(n, *sp.conj_closure(reps, amps[:, None] * sigmas))
 
 
 def _linearized_matrix_fields(v, p, maps):
     """Field-by-field column assembly; the dual route for testing the kernel."""
-    reps, sigmas, _ = maps
+    reps, sigmas = maps
     m = len(reps)
     cols = np.zeros((2 * m, 2 * m))
     for i, (kx, ky) in enumerate(reps.tolist()):
@@ -122,7 +117,7 @@ def _linearized_matrix_fields(v, p, maps):
     return cols
 
 
-def solve_steady(p, initial=None, tol=None, max_iters=50, max_halvings=20):
+def solve_steady(p, initial=None, tol=None, max_iters=50):
     """Damped Newton iteration for the steady problem.
 
     Deterministic: identical inputs give bit-identical reports. After the
@@ -135,8 +130,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50, max_halvings=20):
     """
     gnorm = sp.norm_ds(p.g, 0)
     tol = tol if tol is not None else 1e-12 * max(1.0, gnorm)
-    maps = _dof_maps(p.trunc)
-    reps, sigmas, _ = maps
+    reps, sigmas = _dof_maps(p.trunc)
     v = initial if initial is not None else sp.zero_field(p.trunc)
     x = _field_to_vec(sp.project_trunc(v, p.trunc), reps, sigmas)
 
@@ -153,7 +147,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50, max_halvings=20):
             if polish_left == 0 or rnorm == 0.0:
                 break
             polish_left -= 1
-        jac = _linearized_matrix(vfld, p, maps)
+        jac = kernels.assemble_linearized(vfld.keys, vfld.coeffs, reps, sigmas, p.alpha, p.trunc)
         try:
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
@@ -165,7 +159,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50, max_halvings=20):
                 residual_history=history,
             )
         damp = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             xt = x - damp * step
             ft, vt = res_vec(xt)
             rt = sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(ft))

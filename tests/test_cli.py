@@ -120,11 +120,6 @@ def test_domain_error_exit_1(tmp_path):
     assert code == 1
 
 
-def test_seed_flag_accepted(tmp_path):
-    assert run(["--seed", "7", "fixtures", "example45", "--count", "6",
-                "--out", str(tmp_path / "s")]) == 0
-
-
 def test_threads_env_cap(monkeypatch):
     monkeypatch.setenv("GRASHOF_EXPAND_THREADS", "2")
     assert cli.worker_count() == 2
@@ -238,3 +233,17 @@ def test_corrupt_term_row_is_named(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(path) in err
     assert f"witness n=3: divergence-free condition violated at mode ({kx}, {ky})" in err
+
+
+def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
+    fxdir = tmp_path / "fx"
+    shutil.copytree(pipeline / "fx", fxdir)
+    path = fxdir / "v_0007.json"
+    doc = fieldio.read_json(path)
+    rec = next(r for r in doc["modes"] if r["k"] == [0, 1])
+    rec["c"][1][0] += 1.0  # k.c = c[1] for k = (0, 1)
+    fieldio.write_json(path, doc)
+    assert run(["extract", "--manifest", str(fxdir / "manifest.json"),
+                "--out", str(tmp_path / "exp")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: divergence-free condition violated at mode (0, 1)" in err

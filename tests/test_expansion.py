@@ -461,6 +461,17 @@ def test_load_rejects_other_schemas(tmp_path):
         ex.load_expansion(str(missing))
 
 
+def test_load_ignores_retired_tolerance_keys(tmp_path, ex45_data, ex45_extraction):
+    # Earlier files also record the unused tolerance "limit"; they still load.
+    _, unitary = ex45_extraction
+    path = str(tmp_path / "expansion.json")
+    ex.save_expansion(path, {"unitary": unitary}, ex45_data.alphas)
+    doc = fieldio.read_json(path)
+    doc["forms"]["unitary"]["tolerances"]["limit"] = 1e-8
+    fieldio.write_json(path, doc)
+    assert ex.load_expansion(path)[0]["unitary"].tols == unitary.tols
+
+
 def test_verify_rejects_window_of_other_length(ex45_data, ex45_extraction):
     _, unitary = ex45_extraction
     short = ex.SequenceData(ex45_data.fields[:12], ex45_data.alphas[:12])

@@ -29,9 +29,9 @@ def test_jacobian_kernel_matches_field_assembly(case):
     g = sp.random_divfree(min(n, 3), rng, decay=1.5)
     p = st.SteadyProblem(g=(1.0 / sp.norm_ds(g, 0)) * g, alpha=alpha, trunc=n)
     v = make_v(rng)
-    maps = st._dof_maps(n)
-    a = st._linearized_matrix(v, p, maps)
-    b = st._linearized_matrix_fields(v, p, maps)
+    reps, sigmas = st._dof_maps(n)
+    a = kernels.assemble_linearized(v.keys, v.coeffs, reps, sigmas, p.alpha, p.trunc)
+    b = st._linearized_matrix_fields(v, p, (reps, sigmas))
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
@@ -44,10 +44,10 @@ def test_jacobian_kernel_memory_is_one_matrix():
     rng = np.random.default_rng(4)
     v = sp.random_divfree(8, rng)
     kv, cv = v.packed()
-    reparr, sigmas, replut = st._dof_maps(8)
+    reparr, sigmas = st._dof_maps(8)
     tracemalloc.start()
     try:
-        out = kernels.assemble_linearized(kv, cv, reparr, sigmas, replut, 5.0, 8)
+        out = kernels.assemble_linearized(kv, cv, reparr, sigmas, 5.0, 8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -60,15 +60,14 @@ def test_jacobian_matches_finite_differences():
     g = (1.0 / sp.norm_ds(g, 0)) * g
     p = st.SteadyProblem(g=g, alpha=3.0, trunc=3)
     v = sp.random_divfree(3, rng)
-    maps = st._dof_maps(3)
-    reps, sigmas, _ = maps
+    reps, sigmas = st._dof_maps(3)
     x0 = st._field_to_vec(v, reps, sigmas)
 
     def fvec(x):
         fld = st._vec_to_field(x, reps, sigmas, 3)
         return st._field_to_vec(st.residual(fld, p), reps, sigmas)
 
-    jac = st._linearized_matrix(v, p, maps)
+    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, sigmas, p.alpha, p.trunc)
     f0 = fvec(x0)
     h = 1e-7
     for i in range(0, len(x0), 7):

@@ -91,6 +91,17 @@ def test_solve_deterministic_bit_identical(ex45_cfg):
     assert np.array_equal(k1, k2) and np.array_equal(c1, c2)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_dof_order_is_the_field_key_order(n):
+    v = sp.random_divfree(n, np.random.default_rng(n))
+    reps, sigmas = st._dof_maps(n)
+    assert len(v.keys) == (2 * n + 1) ** 2 - 1  # every mode of radius n
+    assert np.array_equal(reps, v.keys[sp.rep_half(len(v.keys))])
+    w = st._vec_to_field(st._field_to_vec(v, reps, sigmas), reps, sigmas, n)
+    assert np.array_equal(w.keys, v.keys)
+    assert np.max(np.abs(w.coeffs - v.coeffs)) <= 1e-15 * v.amplitude()
+
+
 def test_solve_nonconvergence_reported():
     g = sp.leray_project(dict(shear_field().modes))
     p = st.SteadyProblem(g=g, alpha=50.0, trunc=3)
