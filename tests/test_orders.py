@@ -251,6 +251,171 @@ def test_classify_blocked_on_undecided():
 
 
 # ---------------------------------------------------------------------------
+# classify: every leaf of the branch tree on synthetic expansions
+# ---------------------------------------------------------------------------
+
+
+def _unit(w):
+    return (1.0 / sp.norm_ds(w, 0.5)) * w
+
+
+def _route(name):
+    """(limit v, force g, directions) selecting the generic, v = 0 or v = A^{-1} g route."""
+    import conftest
+
+    if name == "stokes":
+        v = conftest.x_wave(2, 0.5)
+        return v, sp.apply_fractional(v, 1.0), (_unit(conftest.x_wave(4)),
+                                                _unit(conftest.x_wave(3)))
+    raw1 = {(0, 1): np.array([1 / 2j, 0]), (0, -1): np.array([-1 / 2j, 0]),
+            (2, 0): np.array([0, 1 / 2j]), (-2, 0): np.array([0, -1 / 2j])}
+    dirs = (_unit(sp.leray_project(raw1)), _unit(conftest.x_wave(3)))
+    if name == "zero":
+        return sp.zero_field(), (1.3**2) * sp.bilinear_b(dirs[0], dirs[0]), dirs
+    return conftest.shear_field(), sp.eigenfunction(5), dirs
+
+
+def _powers(*terms, base=3.0):
+    """alpha_n = base^n (n = 1..10) and Gamma_k = c_k alpha^-p_k for each (c_k, p_k)."""
+    alphas = base ** np.arange(1.0, 11.0)
+    return alphas, [c * alphas**-p for c, p in terms]
+
+
+def _chi_s2(p2, c2=1.0):
+    """alpha Gamma_1^2 rises to a constant y whose last-three mean rounds above y,
+    so chi = 1 - alpha Gamma_1^2 / mu_star is positive at every sample (S2)."""
+    alphas, (g2,) = _powers((c2, p2), base=4.0)
+    g1 = 1.1548 * 2.0 ** -np.arange(1.0, 11.0)
+    g1[:7] *= 1.0 - 1e-3
+    return alphas, [g1, g2]
+
+
+def _no_w2(route):
+    return f"{route} but no second direction extracted (this regime implies w2 exists)"
+
+
+_MU_STAR = ["mu_star", "mu_star_dispersion"]
+_RES_V0 = ["B(v,v)=0", "mu_star*B(w1,w1)=g"]
+_RES_STOKES = ["B(v,v)=0", "Bs(v,w1)=0"]
+_DEGENERATE_46 = "branch (ii)(1) concludes a degenerate expansion; kind is infinite-unitary"
+_DEGENERATE_47 = "branch 4.7(i) concludes a degenerate expansion; kind is infinite-unitary"
+
+# id, route, (alphas, gammas), kind,
+#   branch, constant names, residual ids, identity ids, chi tag, warnings
+# ("branch equation <id> residual" stands for that warning with its value cut).
+_LEAVES = [
+    ("4.4(ii)", "generic", _powers(), "trivial",
+     "4.4(ii)", [], ["B(v,v)=0", "Av=g"], [], None,
+     ["branch equation Av=g residual"]),
+    ("4.4(iii)(a)-sim", "generic", _powers((SQRT2PI, 1.0)), "infinite-unitary",
+     "4.4(iii)(a)", ["mu", "mu_dispersion"], ["B(v,v)=0", "Av+mu*Bs(v,w1)=g"], [], None,
+     ["branch equation Av+mu*Bs(v,w1)=g residual"]),
+    ("4.4(iii)(a)-prec", "generic", _powers((1.0, 1.5)), "infinite-unitary",
+     "4.4(iii)(a)", ["mu", "mu_dispersion"], ["B(v,v)=0", "Av+mu*Bs(v,w1)=g"], [], None,
+     ["branch equation Av+mu*Bs(v,w1)=g residual"]),
+    ("4.4(iii)(b)", "generic", _powers((1.0, 0.5)), "infinite-unitary",
+     "4.4(iii)(b)", [], ["B(v,v)=0", "Bs(v,w1)=0"], [], None,
+     ["branch equation Bs(v,w1)=0 residual"]),
+    ("4.6(i)-no-w2", "zero", _powers((1.0, 0.25)), "infinite-unitary",
+     "4.6(i)", [], ["B(v,v)=0", "B(w1,w1)=0"], [], None,
+     [_no_w2("v = 0"), "branch equation B(w1,w1)=0 residual"]),
+    ("4.6(i)(1)", "zero", _powers((1.0, 0.25), (1.0, 0.5)), "infinite-unitary",
+     "4.6(i)(1)", [], ["B(v,v)=0", "B(w1,w1)=0", "Bs(w1,w2)=0"], [], None,
+     ["branch equation B(w1,w1)=0 residual", "branch equation Bs(w1,w2)=0 residual"]),
+    ("4.6(i)(2)", "zero", _powers((1.0, 0.25), (1.0, 0.75)), "infinite-unitary",
+     "4.6(i)(2)", ["mu"], ["B(v,v)=0", "B(w1,w1)=0", "mu*Bs(w1,w2)=g"], ["<g,w1>"], None,
+     ["branch equation B(w1,w1)=0 residual", "branch equation mu*Bs(w1,w2)=g residual"]),
+    ("4.6(i)-prec", "zero", _powers((1.0, 0.25), (1.0, 1.5)), "infinite-unitary",
+     "4.6(i)", [], ["B(v,v)=0", "B(w1,w1)=0"], [], None,
+     ["branch equation B(w1,w1)=0 residual",
+      "alpha*Gamma_1*Gamma_2 prec 1 is impossible in this regime"]),
+    ("4.6(ii)-mixed", "zero", _powers((1.0, 1.0)), "infinite-unitary",
+     "4.6(ii)", _MU_STAR, _RES_V0, ["<g,w1>"], "mixed",
+     [_no_w2("v = 0"), "alpha*Gamma_1^2 prec 1 is impossible for a v = 0 solution family",
+      "branch equation mu_star*B(w1,w1)=g residual",
+      "chi sign pattern mixed; sub-branch not classified"]),
+    ("4.6(ii)-no-w2", "zero", _powers((1.3, 0.5)), "infinite-unitary",
+     "4.6(ii)", _MU_STAR, _RES_V0, ["<g,w1>"], "S1", [_no_w2("v = 0")]),
+    ("4.6(ii)(1)", "zero", _powers((1.3, 0.5), (1.0, 1.5)), "infinite-unitary",
+     "4.6(ii)(1)", _MU_STAR, _RES_V0, ["<g,w1>"], "S1", [_DEGENERATE_46]),
+    ("4.6(ii)(1)-degenerate", "zero", _powers((1.3, 0.5), (1.0, 1.5)), "degenerate",
+     "4.6(ii)(1)", _MU_STAR, _RES_V0, ["<g,w1>"], "S1", []),
+    ("4.6(ii)(2b)", "zero", _powers((1.3, 0.5), (0.8, 1.0)), "infinite-unitary",
+     "4.6(ii)(2b)", ["mu_star", "mu_star_dispersion", "mu_2"],
+     _RES_V0 + ["Aw1+mu2*Bs(w1,w2)=0"],
+     ["<g,w1>", "mu_star*||w1||^2-mu2*<g,w2>"], "S1",
+     ["branch equation Aw1+mu2*Bs(w1,w2)=0 residual"]),
+    ("4.6(ii)(2b)-S2", "zero", _chi_s2(1.0, 0.8), "infinite-unitary",
+     "4.6(ii)(2b)", ["mu_star", "mu_star_dispersion", "mu_2"],
+     _RES_V0 + ["Aw1+mu2*Bs(w1,w2)=0"],
+     ["<g,w1>", "mu_star*||w1||^2-mu2*<g,w2>"], "S2",
+     ["branch equation mu_star*B(w1,w1)=g residual",
+      "matrix with |chi| row is not totally comparable",
+      "expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(2b)",
+      "branch equation Aw1+mu2*Bs(w1,w2)=0 residual"]),
+    ("4.6(ii)(3b)", "zero", _powers((1.3, 0.5), (1.0, 0.75)), "infinite-unitary",
+     "4.6(ii)(3b)", _MU_STAR, _RES_V0 + ["Bs(w1,w2)=0"],
+     ["<g,w1>", "<g,w2>", "<B(w2,w2),w1>"], "S1",
+     ["branch equation Bs(w1,w2)=0 residual"]),
+    ("4.6(ii)(3b)-S2", "zero", _chi_s2(0.75), "infinite-unitary",
+     "4.6(ii)(3b)", _MU_STAR, _RES_V0 + ["Bs(w1,w2)=0"],
+     ["<g,w1>", "<g,w2>", "<B(w2,w2),w1>"], "S2",
+     ["branch equation mu_star*B(w1,w1)=g residual",
+      "matrix with |chi| row is not totally comparable",
+      "expected chi = 0 or alpha*Gamma_1*Gamma_2 succ |chi|",
+      "branch equation Bs(w1,w2)=0 residual"]),
+    ("4.7-no-w2", "stokes", _powers((1.0, 1.0)), "infinite-unitary",
+     "4.7", [], _RES_STOKES, [], None, [_no_w2("v = A^{-1}g")]),
+    ("4.7(i)", "stokes", _powers((1.0, 1.5), (1.0, 3.0)), "infinite-unitary",
+     "4.7(i)", [], _RES_STOKES, [], None, [_DEGENERATE_47]),
+    ("4.7(i)-sim", "stokes", _powers((1.0, 1.0), (1.0, 2.5)), "degenerate",
+     "4.7(i)", [], _RES_STOKES, [], None, []),
+    ("4.7(ii)", "stokes", _powers((1.0, 1.0), (1.0, 1.5)), "infinite-unitary",
+     "4.7(ii)", [], _RES_STOKES + ["Bs(v,w2)=0"], [], None, []),
+    ("4.7(iii)", "stokes", _powers((1.0, 0.5), (1.0, 2.0)), "infinite-unitary",
+     "4.7(iii)", [], _RES_STOKES + ["B(w1,w1)=0"], [], None, []),
+    ("4.7(iv)", "stokes", _powers((1.0, 1.5), (1.0, 2.5)), "infinite-unitary",
+     "4.7(iv)", ["mu"], _RES_STOKES + ["Aw1+mu*Bs(v,w2)=0"], [], None,
+     ["branch equation Aw1+mu*Bs(v,w2)=0 residual"]),
+    ("4.7(v)", "stokes", _powers((1.0, 0.5), (1.0, 1.0)), "infinite-unitary",
+     "4.7(v)", ["mu"], _RES_STOKES + ["Bs(v,w2)+mu*B(w1,w1)=0"], [], None, []),
+    ("4.7(vi)", "stokes", _powers((1.0, 1.0), (1.0, 2.0)), "infinite-unitary",
+     "4.7(vi)", ["mu_1", "mu_2"], _RES_STOKES + ["Aw1+mu1*Bs(v,w2)+mu2*B(w1,w1)=0"],
+     [], None, ["branch equation Aw1+mu1*Bs(v,w2)+mu2*B(w1,w1)=0 residual"]),
+    # gamma(1) ~ alpha Gamma_2 ~ alpha Gamma_1^2 pairwise, yet alpha Gamma_2
+    # prec alpha Gamma_1^2: slopes 0.08, -0.08 and -0.16 on a slow alpha grid.
+    ("4.7-fallthrough", "stokes", _powers((1.0, 0.92), (1.0, 2.0), base=1.2),
+     "infinite-unitary",
+     "4.7", [], _RES_STOKES, [], None,
+     ["relation pattern does not match any listed scenario"]),
+]
+
+
+@pytest.mark.parametrize("case", _LEAVES, ids=[c[0] for c in _LEAVES])
+def test_classify_reaches_every_leaf(case):
+    import re
+
+    (_, route, (alphas, gammas), kind,
+     branch, constants, residuals, identities, chi_tag, warnings) = case
+    limit, g, dirs = _route(route)
+    terms = [ex.ExpansionTerm(gammas=gm, direction=w, witnesses=[w] * len(alphas),
+                              estimator="test") for gm, w in zip(gammas, dirs)]
+    e = ex.ExpansionResult(
+        limit=limit, terms=terms, kind=kind, form="unitary",
+        scale=ex.constant_scale(0.5, 1), space=0.5, degenerate_n=None,
+        depth_reason="test", limit_estimator="test", tols=ex.ToleranceSet(),
+    )
+    mat = od.build_S(alphas, gammas) if gammas else None
+    rep = od.classify(e, g, mat, alphas=alphas)
+    assert rep.branch == branch
+    assert sorted(rep.constants) == sorted(constants)
+    assert list(rep.residuals) == residuals
+    assert list(rep.identities) == identities
+    assert rep.chi_tag == chi_tag
+    assert [re.sub(r" residual \S+$", " residual", w) for w in rep.warnings] == warnings
+
+
+# ---------------------------------------------------------------------------
 # chi trichotomy
 # ---------------------------------------------------------------------------
 
