@@ -219,12 +219,11 @@ def cmd_classify(args):
     if g_limit is None:
         raise UsageError("manifest carries no g_limit or per-n forces to classify against")
     name = args.form or ("unitary" if "unitary" in forms else sorted(forms)[0])
+    if name not in forms:
+        raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
     e = forms[name]
     tols = od.OrderTols(slope=args.slope_tol, disp=args.disp_tol, residual=args.residual_tol)
-    matrix = None
-    if e.terms:
-        matrix = od.build_S(alphas, [t.gammas for t in e.terms], tols)
-    rep = od.classify(e, g_limit, matrix, tols, alphas=alphas)
+    rep = od.classify(e, g_limit, alphas, tols)
     doc = {
         "branch": rep.branch,
         "constants": {k: float(v) for k, v in rep.constants.items()},

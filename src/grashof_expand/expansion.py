@@ -828,7 +828,8 @@ def load_expansion(path):
 
     Raises:
       fieldio.FieldFormatError: the file is not of schema ``SCHEMA`` (files
-        of an earlier schema must be re-extracted) or lacks a required key.
+        of an earlier schema must be re-extracted), lacks a required key or
+        holds no forms.
     """
     doc = fieldio.read_json(path)
     found = doc.get("schema") if isinstance(doc, dict) else None
@@ -842,4 +843,6 @@ def load_expansion(path):
     except (KeyError, TypeError) as exc:
         raise fieldio.FieldFormatError(
             f"{path}: malformed expansion file (missing or bad {exc})") from exc
+    if not forms:
+        raise fieldio.FieldFormatError(f"{path}: expansion file holds no forms")
     return forms, alphas

@@ -5,13 +5,16 @@ than eta (succ), slower (prec), proportionally (sim, with the limit ratio), or
 cannot be decided. ``build_S`` assembles the coefficient sequences
 (alpha), (1), (Gamma_k), (alpha Gamma_k), (alpha Gamma_j Gamma_k) together
 with their full relation matrix and asserts the structural decay relations
-among them. ``classify`` routes a verified expansion through the steady-state
-classification tree (limit equation per branch, constants as tail means,
-residuals in the V' norm) and reports which branch fired.
+among them. ``classify`` builds that matrix from a verified expansion itself
+(so it raises ``InconsistentRelationsError`` where ``build_S`` does), routes
+the expansion through the steady-state classification tree (limit equation
+per branch, constants as tail means, residuals in the V' norm) and reports
+which branch fired.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +35,10 @@ class OrderTols:
     slope: float = 0.1
     disp: float = 0.05
     residual: float = 1e-8
-    zero: float = 1e-8       # relative gate for v = 0 / v = A^{-1} g
-    chi_floor: float = 1e-10
+
+
+ZERO_GATE = 1e-8     # relative V' gate for v = 0 / v = A^{-1} g
+CHI_FLOOR = 1e-10    # |chi_n| at or below this everywhere: chi vanishes (S1)
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,6 @@ def compare(xi, eta, tols=None, alphas=None):
 
 
 def _label(apow, gs):
-    if apow == 0 and not gs:
-        return "one"
     parts = (["alpha"] if apow else []) + [f"gamma({k})" for k in gs]
     return "*".join(parts) if parts else "one"
 
@@ -117,7 +120,6 @@ def _label(apow, gs):
 @dataclass
 class RelationMatrix:
     sequences: list
-    structure: list              # per sequence: (alpha power, gamma level tuple)
     relations: dict              # (i, j) -> OrderRelation, i < j
 
     def get(self, i, j):
@@ -140,19 +142,14 @@ class RelationMatrix:
         return self.get(self.index(label_a), self.index(label_b))
 
     def undecided_pairs(self):
-        out = []
-        for (i, j), r in self.relations.items():
-            if r.verdict == "undecided":
-                out.append((self.sequences[i].label, self.sequences[j].label))
-        return out
+        return [(self.sequences[i].label, self.sequences[j].label)
+                for (i, j), r in self.relations.items() if r.verdict == "undecided"]
 
 
 def _structurally_decaying(sa, sb):
     """True when seq_a / seq_b is a product of 1/Gamma factors (so a succ b)."""
     (pa, ga), (pb, gb) = sa, sb
-    if pa != pb or len(ga) > len(gb):
-        return False
-    if ga == gb:
+    if pa != pb or len(ga) > len(gb) or ga == gb:
         return False
     return all(x <= y for x, y in zip(sorted(ga), sorted(gb)))
 
@@ -173,36 +170,25 @@ def build_S(alphas, gammas, tols=None):
     gammas = [np.asarray(g, dtype=float) for g in gammas]
     if not gammas:
         raise ValueError("need at least one gamma level")
-    depth = len(gammas)
 
-    structure = [(0, ()), (1, ())]
-    values = [np.ones_like(alphas), alphas]
-    for k in range(1, depth + 1):
-        structure.append((0, (k,)))
-        values.append(gammas[k - 1])
-    for k in range(1, depth + 1):
-        structure.append((1, (k,)))
-        values.append(alphas * gammas[k - 1])
-    for j in range(1, depth + 1):
-        for k in range(j, depth + 1):
-            structure.append((1, (j, k)))
-            values.append(alphas * gammas[j - 1] * gammas[k - 1])
+    # Per sequence: (alpha power, gamma levels); its values are that product.
+    levels = range(1, len(gammas) + 1)
+    structure = ([(0, ()), (1, ())] + [(0, (k,)) for k in levels] + [(1, (k,)) for k in levels]
+                 + [(1, (j, k)) for j in levels for k in levels if j <= k])
+    seqs = []
+    for p, gs in structure:
+        values = alphas if p else np.ones_like(alphas)
+        for k in gs:
+            values = values * gammas[k - 1]
+        seqs.append(PositiveSequence(_label(p, gs), tuple(values)))
+    relations = {(i, j): compare(seqs[i], seqs[j], tols, alphas)
+                 for i in range(len(seqs)) for j in range(i + 1, len(seqs))}
+    mat = RelationMatrix(sequences=seqs, relations=relations)
 
-    seqs = [PositiveSequence(_label(p, g), tuple(v)) for (p, g), v in zip(structure, values)]
-    relations = {}
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            relations[(i, j)] = compare(seqs[i], seqs[j], tols, alphas)
-    mat = RelationMatrix(sequences=seqs, structure=structure, relations=relations)
-
-    for i in range(len(seqs)):
-        for j in range(len(seqs)):
-            if i != j and _structurally_decaying(structure[i], structure[j]):
-                if mat.get(i, j).verdict != "succ":
-                    raise InconsistentRelationsError(
-                        f"expected {seqs[i].label} succ {seqs[j].label}, "
-                        f"got {mat.get(i, j)}"
-                    )
+    for i, j in itertools.permutations(range(len(seqs)), 2):
+        if _structurally_decaying(structure[i], structure[j]) and mat.get(i, j).verdict != "succ":
+            raise InconsistentRelationsError(
+                f"expected {seqs[i].label} succ {seqs[j].label}, got {mat.get(i, j)}")
     return mat
 
 
@@ -212,40 +198,28 @@ def total_comparability(matrix):
     return (len(pairs) == 0, pairs)
 
 
-def extend_with_abs_chi(matrix, chi, tols=None):
-    """Insert the |chi_n| row and recompute its relations against the set."""
-    tols = tols or OrderTols()
-    alphas = matrix.sequences[1].array
-    abschi = PositiveSequence("abs_chi", tuple(np.abs(chi)))
-    seqs = matrix.sequences + [abschi]
-    structure = matrix.structure + [(None, None)]
-    relations = dict(matrix.relations)
-    j = len(seqs) - 1
-    for i in range(j):
-        relations[(i, j)] = compare(seqs[i], abschi, tols, alphas)
-    return RelationMatrix(sequences=seqs, structure=structure, relations=relations)
-
-
 def chi_trichotomy(chi, matrix, tols=None):
     """Sign-pattern tag of the deviation sequence chi_n: S1 / S2 / S3 / mixed.
 
-    S2/S3 extend the matrix with |chi| and re-check total comparability;
-    ``mixed`` (alternating signs) is reported without further classification.
+    S2/S3 extend the matrix with the |chi_n| row (label ``abs_chi``), compared
+    against every sequence, and re-check total comparability; ``mixed``
+    (alternating signs) is reported without further classification.
     Returns (tag, extended matrix or None, comparability verdict or None).
     """
-    tols = tols or OrderTols()
     chi = np.asarray(chi, dtype=float)
-    if np.all(np.abs(chi) <= tols.chi_floor):
+    if np.all(np.abs(chi) <= CHI_FLOOR):
         return "S1", None, None
-    if np.all(chi > 0):
-        ext = extend_with_abs_chi(matrix, chi, tols)
-        ok, _ = total_comparability(ext)
-        return "S2", ext, ok
-    if np.all(chi < 0):
-        ext = extend_with_abs_chi(matrix, chi, tols)
-        ok, _ = total_comparability(ext)
-        return "S3", ext, ok
-    return "mixed", None, None
+    if not (np.all(chi > 0) or np.all(chi < 0)):
+        return "mixed", None, None
+    alphas = matrix.sequences[1].array
+    abschi = PositiveSequence("abs_chi", tuple(np.abs(chi)))
+    relations = dict(matrix.relations)
+    j = len(matrix.sequences)
+    for i, seq in enumerate(matrix.sequences):
+        relations[(i, j)] = compare(seq, abschi, tols, alphas)
+    ext = RelationMatrix(sequences=matrix.sequences + [abschi], relations=relations)
+    ok, _ = total_comparability(ext)
+    return ("S2" if chi[0] > 0 else "S3"), ext, ok
 
 
 # ---------------------------------------------------------------------------
@@ -285,295 +259,248 @@ def _vprime(fieldobj):
     return sp.norm_ds(fieldobj, -0.5)
 
 
-def _tail_mean(values, t):
-    return float(np.mean(np.asarray(values)[-t:]))
+class _Pass:
+    """One pass down the classification tree: the inputs every branch reads,
+    the relation matrix it consults and the one report the branches fill."""
 
+    def __init__(self, expansion, g, alphas, tols):
+        self.kind = expansion.kind
+        self.v = expansion.limit
+        self.gammas = [np.asarray(term.gammas) for term in expansion.terms]
+        self.dirs = [term.direction for term in expansion.terms]
+        self.g = g
+        self.gvp = _vprime(g)
+        self.alphas = alphas
+        self.t = max(2, len(alphas) // 3)
+        self.tols = tols
+        self.report = ClassificationReport("", {}, None, None, {}, {}, True, {}, [])
+        self.matrix = build_S(alphas, self.gammas, tols) if self.gammas else None
+        if self.matrix is not None:
+            self.report.comparability, undecided = total_comparability(self.matrix)
+            if undecided:
+                self.warn(f"relation matrix undecided on {undecided}")
 
-def classify(expansion, g, matrix, tols=None, alphas=None):
-    """Classify a verified expansion against the steady-state classification tree.
+    def warn(self, message):
+        self.report.warnings.append(message)
 
-    Routes on the limit (trivial / v = 0 / v = A^{-1} g / generic), compares
-    the relevant coefficient sequences, estimates the branch constants as tail
-    means and measures every branch equation residual in the V' norm relative
-    to the forcing. Branch equation residual above ``tols.residual`` is a
-    recorded warning, not an error.
-
-    Raises:
-      ClassificationBlockedError: a needed comparison is undecided.
-    """
-    tols = tols or OrderTols()
-    if matrix is None and expansion.terms:
-        raise ValueError("a relation matrix is required for nontrivial expansions")
-    if alphas is None:
-        if matrix is None:
-            raise ValueError("need alphas when no relation matrix is given")
-        alphas = matrix.sequences[1].array
-    alphas = np.asarray(alphas, dtype=float)
-    t = max(2, len(alphas) // 3)
-    gvp = _vprime(g)
-    v = expansion.limit
-    terms = expansion.terms
-    gammas = [term.gammas for term in terms]
-    dirs = [term.direction for term in terms]
-
-    constants = {}
-    residuals = {}
-    identities = {}
-    evidence = {}
-    warnings = []
-    chi = None
-    chi_tag = None
-    if matrix is None:
-        comparable = True
-    else:
-        comparable, undecided = total_comparability(matrix)
-        if not comparable:
-            warnings.append(f"relation matrix undecided on {undecided}")
-
-    def rel(a, b):
-        r = matrix.relation(a, b)
-        evidence[f"{a} vs {b}"] = str(r)
+    def rel(self, a, b):
+        r = self.matrix.relation(a, b)
+        self.report.evidence[f"{a} vs {b}"] = str(r)
         if r.verdict == "undecided":
             raise ClassificationBlockedError(f"comparison {a} vs {b} is undecided")
         return r
 
-    def put_residual(eq_id, fieldobj):
-        residuals[eq_id] = _vprime(fieldobj) / gvp
-        if residuals[eq_id] > tols.residual:
-            warnings.append(f"branch equation {eq_id} residual {residuals[eq_id]:.3e}")
+    def residual(self, eq_id, fieldobj):
+        value = _vprime(fieldobj) / self.gvp
+        self.report.residuals[eq_id] = value
+        if value > self.tols.residual:
+            self.warn(f"branch equation {eq_id} residual {value:.3e}")
 
+    def tail_mean(self, values):
+        return float(np.mean(np.asarray(values)[-self.t:]))
+
+    def tail_dispersion(self, values):
+        tail = values[-self.t:]
+        return float(np.std(tail) / max(np.mean(tail), 1e-300))
+
+
+def classify(expansion, g, alphas, tols=None):
+    """Classify a verified expansion against the steady-state classification tree.
+
+    Builds the relation matrix of the expansion's gammas over the window
+    ``alphas`` (``build_S``), routes on the limit (trivial / v = 0 /
+    v = A^{-1} g / generic), compares the relevant coefficient sequences,
+    estimates the branch constants as tail means and measures every branch
+    equation residual in the V' norm relative to the forcing. Branch equation
+    residual above ``tols.residual`` is a recorded warning, not an error.
+
+    Raises:
+      InconsistentRelationsError: a structural decay relation among the
+        gammas failed (see ``build_S``).
+      ClassificationBlockedError: a needed comparison is undecided.
+    """
+    c = _Pass(expansion, g, np.asarray(alphas, dtype=float), tols or OrderTols())
+    v = c.v
     # Always: the limit satisfies B(v, v) = 0.
-    put_residual("B(v,v)=0", sp.bilinear_b(v, v))
-
-    av = sp.apply_fractional(v, 1.0)
-    if not terms:
-        branch = "4.4(ii)"
-        put_residual("Av=g", av - g)
-        return ClassificationReport(branch, constants, chi, chi_tag, residuals,
-                                    identities, comparable, evidence, warnings)
-
-    vnorm = _vprime(v)
-    a_inv_g = sp.apply_fractional(g, -1.0)
-    v_is_zero = vnorm <= tols.zero * gvp
-    v_is_stokes = _vprime(v - a_inv_g) <= tols.zero * gvp
-
-    if v_is_zero:
-        return _classify_v_zero(expansion, g, matrix, tols, alphas, t, gvp, rel,
-                                put_residual, constants, residuals, identities,
-                                evidence, warnings, comparable)
-    if v_is_stokes and terms:
-        return _classify_v_stokes(expansion, g, matrix, tols, alphas, t, gvp, rel,
-                                  put_residual, constants, residuals, identities,
-                                  evidence, warnings, comparable)
-
-    r = rel("alpha*gamma(1)", "one")
-    ag1 = alphas * gammas[0]
-    if r.verdict in ("sim", "prec"):
-        branch = "4.4(iii)(a)"
-        mu = _tail_mean(ag1, t) if r.verdict == "sim" else 0.0
-        constants["mu"] = mu
-        constants["mu_dispersion"] = float(np.std(ag1[-t:]) / max(np.mean(ag1[-t:]), 1e-300))
-        put_residual("Av+mu*Bs(v,w1)=g", av + mu * sp.bilinear_bs(v, dirs[0]) - g)
+    c.residual("B(v,v)=0", sp.bilinear_b(v, v))
+    if not c.gammas:
+        c.residual("Av=g", sp.apply_fractional(v, 1.0) - g)
+        c.report.branch = "4.4(ii)"
+    elif _vprime(v) <= ZERO_GATE * c.gvp:
+        c.report.branch = _classify_v_zero(c)
+    elif _vprime(v - sp.apply_fractional(g, -1.0)) <= ZERO_GATE * c.gvp:
+        c.report.branch = _classify_v_stokes(c)
     else:
-        branch = "4.4(iii)(b)"
-        put_residual("Bs(v,w1)=0", sp.bilinear_bs(v, dirs[0]))
-    return ClassificationReport(branch, constants, chi, chi_tag, residuals,
-                                identities, comparable, evidence, warnings)
+        c.report.branch = _classify_generic(c)
+    return c.report
 
 
-def _classify_v_zero(expansion, g, matrix, tols, alphas, t, gvp, rel, put_residual,
-                     constants, residuals, identities, evidence, warnings, comparable):
-    """Classification branches for v = 0: alpha Gamma_1^2 >= 1 and w_2 exists."""
-    terms = expansion.terms
-    gammas = [term.gammas for term in terms]
-    dirs = [term.direction for term in terms]
-    w1 = dirs[0]
-    ag11 = alphas * gammas[0] ** 2
-    chi = None
-    chi_tag = None
+def _classify_generic(c):
+    """Branches 4.4(iii) for a limit that is neither 0 nor A^{-1} g."""
+    w1 = c.dirs[0]
+    r = c.rel("alpha*gamma(1)", "one")
+    if r.verdict == "succ":
+        c.residual("Bs(v,w1)=0", sp.bilinear_bs(c.v, w1))
+        return "4.4(iii)(b)"
+    ag1 = c.alphas * c.gammas[0]
+    mu = c.tail_mean(ag1) if r.verdict == "sim" else 0.0
+    c.report.constants["mu"] = mu
+    c.report.constants["mu_dispersion"] = c.tail_dispersion(ag1)
+    c.residual("Av+mu*Bs(v,w1)=g",
+               sp.apply_fractional(c.v, 1.0) + mu * sp.bilinear_bs(c.v, w1) - c.g)
+    return "4.4(iii)(a)"
 
-    if len(terms) < 2:
-        warnings.append("v = 0 but no second direction extracted (this regime implies w2 exists)")
-    w2 = dirs[1] if len(terms) > 1 else None
 
-    r11 = rel("alpha*gamma(1)*gamma(1)", "one")
+def _classify_v_zero(c):
+    """Branches 4.6 for v = 0: alpha Gamma_1^2 >= 1 and w_2 exists."""
+    rep = c.report
+    w1 = c.dirs[0]
+    w2 = c.dirs[1] if len(c.dirs) > 1 else None
+    if w2 is None:
+        c.warn("v = 0 but no second direction extracted (this regime implies w2 exists)")
+
+    r11 = c.rel("alpha*gamma(1)*gamma(1)", "one")
     if r11.verdict == "prec":
-        warnings.append("alpha*Gamma_1^2 prec 1 is impossible for a v = 0 solution family")
+        c.warn("alpha*Gamma_1^2 prec 1 is impossible for a v = 0 solution family")
     if r11.verdict == "succ":
-        put_residual("B(w1,w1)=0", sp.bilinear_b(w1, w1))
+        c.residual("B(w1,w1)=0", sp.bilinear_b(w1, w1))
         if w2 is None:
-            branch = "4.6(i)"
-        else:
-            r12 = rel("alpha*gamma(1)*gamma(2)", "one")
-            ag12 = alphas * gammas[0] * gammas[1]
-            if r12.verdict == "succ":
-                branch = "4.6(i)(1)"
-                put_residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, w2))
-            elif r12.verdict == "sim":
-                branch = "4.6(i)(2)"
-                mu = _tail_mean(ag12, t)
-                constants["mu"] = mu
-                put_residual("mu*Bs(w1,w2)=g", mu * sp.bilinear_bs(w1, w2) - g)
-                identities["<g,w1>"] = sp.inner_h(g, w1) / (gvp * sp.norm_ds(w1, 0.5))
-            else:
-                branch = "4.6(i)"
-                warnings.append("alpha*Gamma_1*Gamma_2 prec 1 is impossible in this regime")
-        return ClassificationReport(branch, constants, chi, chi_tag, residuals,
-                                    identities, comparable, evidence, warnings)
+            return "4.6(i)"
+        r12 = c.rel("alpha*gamma(1)*gamma(2)", "one")
+        if r12.verdict == "succ":
+            c.residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, w2))
+            return "4.6(i)(1)"
+        if r12.verdict == "prec":
+            c.warn("alpha*Gamma_1*Gamma_2 prec 1 is impossible in this regime")
+            return "4.6(i)"
+        mu = c.tail_mean(c.alphas * c.gammas[0] * c.gammas[1])
+        rep.constants["mu"] = mu
+        c.residual("mu*Bs(w1,w2)=g", mu * sp.bilinear_bs(w1, w2) - c.g)
+        rep.identities["<g,w1>"] = sp.inner_h(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
+        return "4.6(i)(2)"
 
     # alpha Gamma_1^2 sim 1: mu_* and the deviation sequence chi.
-    mu_star = _tail_mean(ag11, t)
-    constants["mu_star"] = mu_star
-    constants["mu_star_dispersion"] = float(np.std(ag11[-t:]) / np.mean(ag11[-t:]))
-    put_residual("mu_star*B(w1,w1)=g", mu_star * sp.bilinear_b(w1, w1) - g)
-    identities["<g,w1>"] = sp.inner_h(g, w1) / (gvp * sp.norm_ds(w1, 0.5))
-    chi = 1.0 - ag11 / mu_star
-    chi_tag, ext, ext_ok = chi_trichotomy(chi, matrix, tols)
+    ag11 = c.alphas * c.gammas[0] ** 2
+    mu_star = c.tail_mean(ag11)
+    rep.constants["mu_star"] = mu_star
+    rep.constants["mu_star_dispersion"] = c.tail_dispersion(ag11)
+    c.residual("mu_star*B(w1,w1)=g", mu_star * sp.bilinear_b(w1, w1) - c.g)
+    rep.identities["<g,w1>"] = sp.inner_h(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
+    rep.chi = 1.0 - ag11 / mu_star
+    rep.chi_tag, ext, ext_ok = chi_trichotomy(rep.chi, c.matrix, c.tols)
     if ext is not None and not ext_ok:
-        warnings.append("matrix with |chi| row is not totally comparable")
-    if chi_tag == "mixed":
-        warnings.append("chi sign pattern mixed; sub-branch not classified")
-        return ClassificationReport("4.6(ii)", constants, chi, chi_tag, residuals,
-                                    identities, comparable, evidence, warnings)
-
-    def chi_small_vs(label):
-        """True when chi vanishes or |chi| is dominated by the labeled sequence."""
-        if chi_tag == "S1":
-            return True
-        r = ext.relation(label, "abs_chi")
-        evidence[f"{label} vs |chi|"] = str(r)
-        return r.verdict == "succ"
-
+        c.warn("matrix with |chi| row is not totally comparable")
+    if rep.chi_tag == "mixed":
+        c.warn("chi sign pattern mixed; sub-branch not classified")
+        return "4.6(ii)"
     if w2 is None:
-        return ClassificationReport("4.6(ii)", constants, chi, chi_tag, residuals,
-                                    identities, comparable, evidence, warnings)
+        return "4.6(ii)"
+
+    def versus_chi(label):
+        """Verdict of the labeled sequence against |chi|; succ when chi vanishes."""
+        if rep.chi_tag == "S1":
+            return "succ"
+        r = ext.relation(label, "abs_chi")
+        rep.evidence[f"{label} vs |chi|"] = str(r)
+        return r.verdict
 
     w1n = sp.norm_ds(w1, 0.5)
-    r2 = rel("alpha*gamma(2)", "one")
-    ag2 = alphas * gammas[1]
-    w2_ip = sp.inner_h(g, dirs[1])
+    r2 = c.rel("alpha*gamma(2)", "one")
+    w2_ip = sp.inner_h(c.g, w2)
     if r2.verdict == "prec":
-        branch = "4.6(ii)(1)"
-        if not chi_small_vs("gamma(1)"):
-            warnings.append("expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(1)")
-        if expansion.kind != "degenerate":
-            warnings.append("branch (ii)(1) concludes a degenerate expansion; kind is "
-                            + expansion.kind)
-    elif r2.verdict == "sim":
-        if chi_tag != "S1" and ext.relation("gamma(1)", "abs_chi").verdict == "sim":
-            branch = "4.6(ii)(2a)"
-            mu1 = _tail_mean(gammas[0] / chi, t)
-            mu2 = _tail_mean(ag2 / chi, t)
-            constants["mu_1"] = mu1
-            constants["mu_2"] = mu2
+        if versus_chi("gamma(1)") != "succ":
+            c.warn("expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(1)")
+        if c.kind != "degenerate":
+            c.warn("branch (ii)(1) concludes a degenerate expansion; kind is " + c.kind)
+        return "4.6(ii)(1)"
+    if r2.verdict == "sim":
+        verdict = versus_chi("gamma(1)")
+        if verdict == "sim":
+            mu1 = c.tail_mean(c.gammas[0] / rep.chi)
+            mu2 = c.tail_mean(c.alphas * c.gammas[1] / rep.chi)
+            rep.constants["mu_1"] = mu1
+            rep.constants["mu_2"] = mu2
             if mu1 * mu2 <= 0:
-                warnings.append("expected mu_1 mu_2 > 0")
-            put_residual(
-                "mu1*Aw1+mu2*Bs(w1,w2)=g",
-                mu1 * sp.apply_fractional(w1, 1.0) + mu2 * sp.bilinear_bs(w1, dirs[1]) - g,
-            )
-            identities["mu_star*mu1*||w1||^2-mu2*<g,w2>"] = (
-                constants["mu_star"] * mu1 * w1n**2 - mu2 * w2_ip
-            ) / (gvp**2)
-        else:
-            branch = "4.6(ii)(2b)"
-            if not chi_small_vs("gamma(1)"):
-                warnings.append("expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(2b)")
-            bs12 = sp.bilinear_bs(w1, dirs[1])
-            aw1 = sp.apply_fractional(w1, 1.0)
-            denom = sp.norm_ds(bs12, -0.5) ** 2
-            mu2 = -sp.inner_ds(aw1, bs12, -0.5) / denom if denom > 0 else 0.0
-            constants["mu_2"] = mu2
-            put_residual("Aw1+mu2*Bs(w1,w2)=0", aw1 + mu2 * bs12)
-            identities["mu_star*||w1||^2-mu2*<g,w2>"] = (
-                constants["mu_star"] * w1n**2 - mu2 * w2_ip
-            ) / (gvp**2)
+                c.warn("expected mu_1 mu_2 > 0")
+            c.residual("mu1*Aw1+mu2*Bs(w1,w2)=g",
+                       mu1 * sp.apply_fractional(w1, 1.0) + mu2 * sp.bilinear_bs(w1, w2) - c.g)
+            rep.identities["mu_star*mu1*||w1||^2-mu2*<g,w2>"] = (
+                mu_star * mu1 * w1n**2 - mu2 * w2_ip) / (c.gvp**2)
+            return "4.6(ii)(2a)"
+        if verdict != "succ":
+            c.warn("expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(2b)")
+        bs12 = sp.bilinear_bs(w1, w2)
+        aw1 = sp.apply_fractional(w1, 1.0)
+        denom = sp.norm_ds(bs12, -0.5) ** 2
+        mu2 = -sp.inner_ds(aw1, bs12, -0.5) / denom if denom > 0 else 0.0
+        rep.constants["mu_2"] = mu2
+        c.residual("Aw1+mu2*Bs(w1,w2)=0", aw1 + mu2 * bs12)
+        rep.identities["mu_star*||w1||^2-mu2*<g,w2>"] = (
+            mu_star * w1n**2 - mu2 * w2_ip) / (c.gvp**2)
+        return "4.6(ii)(2b)"
+
+    verdict = versus_chi("alpha*gamma(1)*gamma(2)")
+    if verdict == "sim":
+        branch = "4.6(ii)(3a)"
+        mu2 = c.tail_mean(c.alphas * c.gammas[0] * c.gammas[1] / rep.chi)
+        rep.constants["mu_2"] = mu2
+        c.residual("mu2*Bs(w1,w2)=g", mu2 * sp.bilinear_bs(w1, w2) - c.g)
     else:
-        if chi_tag != "S1" and ext.relation("alpha*gamma(1)*gamma(2)", "abs_chi").verdict == "sim":
-            branch = "4.6(ii)(3a)"
-            mu2 = _tail_mean(alphas * gammas[0] * gammas[1] / chi, t)
-            constants["mu_2"] = mu2
-            put_residual("mu2*Bs(w1,w2)=g", mu2 * sp.bilinear_bs(w1, dirs[1]) - g)
-        else:
-            branch = "4.6(ii)(3b)"
-            if not chi_small_vs("alpha*gamma(1)*gamma(2)"):
-                warnings.append("expected chi = 0 or alpha*Gamma_1*Gamma_2 succ |chi|")
-            put_residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, dirs[1]))
-        identities["<g,w2>"] = w2_ip / (gvp * sp.norm_ds(dirs[1], 0.5))
-        identities["<B(w2,w2),w1>"] = sp.inner_h(sp.bilinear_b(dirs[1], dirs[1]), w1) / (
-            gvp * sp.norm_ds(dirs[1], 0.5) ** 2
-        )
-    return ClassificationReport(branch, constants, chi, chi_tag, residuals,
-                                identities, comparable, evidence, warnings)
+        branch = "4.6(ii)(3b)"
+        if verdict != "succ":
+            c.warn("expected chi = 0 or alpha*Gamma_1*Gamma_2 succ |chi|")
+        c.residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, w2))
+    w2n = sp.norm_ds(w2, 0.5)
+    rep.identities["<g,w2>"] = w2_ip / (c.gvp * w2n)
+    rep.identities["<B(w2,w2),w1>"] = sp.inner_h(sp.bilinear_b(w2, w2), w1) / (c.gvp * w2n**2)
+    return branch
 
 
-def _classify_v_stokes(expansion, g, matrix, tols, alphas, t, gvp, rel, put_residual,
-                       constants, residuals, identities, evidence, warnings, comparable):
-    """Classification branches for v = A^{-1} g with a nontrivial expansion."""
-    terms = expansion.terms
-    gammas = [term.gammas for term in terms]
-    dirs = [term.direction for term in terms]
-    v = expansion.limit
-    w1 = dirs[0]
-    put_residual("Bs(v,w1)=0", sp.bilinear_bs(v, w1))
-    if len(terms) < 2:
-        warnings.append("v = A^{-1}g but no second direction extracted "
-                        "(this regime implies w2 exists)")
-        return ClassificationReport("4.7", constants, None, None, residuals,
-                                    identities, comparable, evidence, warnings)
-    w2 = dirs[1]
+def _classify_v_stokes(c):
+    """Branches 4.7 for v = A^{-1} g with a nontrivial expansion."""
+    v = c.v
+    w1 = c.dirs[0]
+    c.residual("Bs(v,w1)=0", sp.bilinear_bs(v, w1))
+    if len(c.dirs) < 2:
+        c.warn("v = A^{-1}g but no second direction extracted (this regime implies w2 exists)")
+        return "4.7"
+    w2 = c.dirs[1]
 
     # Pairwise relations among (Gamma_1), (alpha Gamma_2), (alpha Gamma_1^2).
-    r_g1_ag2 = rel("gamma(1)", "alpha*gamma(2)")
-    r_g1_ag11 = rel("gamma(1)", "alpha*gamma(1)*gamma(1)")
-    r_ag2_ag11 = rel("alpha*gamma(2)", "alpha*gamma(1)*gamma(1)")
+    g1_ag2 = c.rel("gamma(1)", "alpha*gamma(2)").verdict
+    g1_ag11 = c.rel("gamma(1)", "alpha*gamma(1)*gamma(1)").verdict
+    ag2_ag11 = c.rel("alpha*gamma(2)", "alpha*gamma(1)*gamma(1)").verdict
+    g1 = c.gammas[0]
+    ag2 = c.alphas * c.gammas[1]
 
-    g1 = np.asarray(gammas[0])
-    ag2 = alphas * gammas[1]
-    ag11 = alphas * g1**2
-
-    def is_degenerate_case():
-        if r_g1_ag2.verdict == "succ" and r_g1_ag11.verdict == "succ":
-            return True
-        return (r_g1_ag11.verdict == "sim" and r_g1_ag2.verdict == "succ"
-                and r_ag2_ag11.verdict == "prec")
-
-    if is_degenerate_case():
-        branch = "4.7(i)"
-        if expansion.kind != "degenerate":
-            warnings.append("branch 4.7(i) concludes a degenerate expansion; kind is "
-                            + expansion.kind)
-    elif r_g1_ag2.verdict == "prec" and r_ag2_ag11.verdict == "succ":
-        branch = "4.7(ii)"
-        put_residual("Bs(v,w2)=0", sp.bilinear_bs(v, w2))
-    elif r_g1_ag11.verdict == "prec" and r_ag2_ag11.verdict == "prec":
-        branch = "4.7(iii)"
-        put_residual("B(w1,w1)=0", sp.bilinear_b(w1, w1))
-    elif r_g1_ag2.verdict == "sim" and r_ag2_ag11.verdict == "succ":
-        branch = "4.7(iv)"
-        mu = _tail_mean(ag2 / g1, t)
-        constants["mu"] = mu
-        put_residual("Aw1+mu*Bs(v,w2)=0",
-                     sp.apply_fractional(w1, 1.0) + mu * sp.bilinear_bs(v, w2))
-    elif r_ag2_ag11.verdict == "sim" and r_g1_ag2.verdict == "prec":
-        branch = "4.7(v)"
-        mu = _tail_mean(g1**2 / gammas[1], t)
-        constants["mu"] = mu
-        put_residual("Bs(v,w2)+mu*B(w1,w1)=0",
-                     sp.bilinear_bs(v, w2) + mu * sp.bilinear_b(w1, w1))
-    elif r_g1_ag2.verdict == "sim" and r_ag2_ag11.verdict == "sim":
-        branch = "4.7(vi)"
-        mu1 = _tail_mean(ag2 / g1, t)
-        mu2 = _tail_mean(alphas * g1, t)
-        constants["mu_1"] = mu1
-        constants["mu_2"] = mu2
-        put_residual(
-            "Aw1+mu1*Bs(v,w2)+mu2*B(w1,w1)=0",
-            sp.apply_fractional(w1, 1.0) + mu1 * sp.bilinear_bs(v, w2)
-            + mu2 * sp.bilinear_b(w1, w1),
-        )
-    else:
-        branch = "4.7"
-        warnings.append("relation pattern does not match any listed scenario")
-    return ClassificationReport(branch, constants, None, None, residuals,
-                                identities, comparable, evidence, warnings)
+    if g1_ag2 == "succ" and (g1_ag11 == "succ" or (g1_ag11 == "sim" and ag2_ag11 == "prec")):
+        if c.kind != "degenerate":
+            c.warn("branch 4.7(i) concludes a degenerate expansion; kind is " + c.kind)
+        return "4.7(i)"
+    if g1_ag2 == "prec" and ag2_ag11 == "succ":
+        c.residual("Bs(v,w2)=0", sp.bilinear_bs(v, w2))
+        return "4.7(ii)"
+    if g1_ag11 == "prec" and ag2_ag11 == "prec":
+        c.residual("B(w1,w1)=0", sp.bilinear_b(w1, w1))
+        return "4.7(iii)"
+    if g1_ag2 == "sim" and ag2_ag11 == "succ":
+        mu = c.tail_mean(ag2 / g1)
+        c.report.constants["mu"] = mu
+        c.residual("Aw1+mu*Bs(v,w2)=0", sp.apply_fractional(w1, 1.0) + mu * sp.bilinear_bs(v, w2))
+        return "4.7(iv)"
+    if ag2_ag11 == "sim" and g1_ag2 == "prec":
+        mu = c.tail_mean(g1**2 / c.gammas[1])
+        c.report.constants["mu"] = mu
+        c.residual("Bs(v,w2)+mu*B(w1,w1)=0", sp.bilinear_bs(v, w2) + mu * sp.bilinear_b(w1, w1))
+        return "4.7(v)"
+    if g1_ag2 == "sim" and ag2_ag11 == "sim":
+        mu1 = c.tail_mean(ag2 / g1)
+        mu2 = c.tail_mean(c.alphas * g1)
+        c.report.constants["mu_1"] = mu1
+        c.report.constants["mu_2"] = mu2
+        c.residual("Aw1+mu1*Bs(v,w2)+mu2*B(w1,w1)=0",
+                   sp.apply_fractional(w1, 1.0) + mu1 * sp.bilinear_bs(v, w2)
+                   + mu2 * sp.bilinear_b(w1, w1))
+        return "4.7(vi)"
+    c.warn("relation pattern does not match any listed scenario")
+    return "4.7"

@@ -99,8 +99,7 @@ def test_criterion_2_example45_end_to_end(ex45_end_to_end):
     g2_err = float(np.max(np.abs(t2.gammas - g2) / g2))
 
     alphas = np.array(data.alphas)
-    mat = od.build_S(alphas, [t.gammas for t in unitary.terms])
-    rep = od.classify(unitary, recs[0].g, mat, alphas=alphas)
+    rep = od.classify(unitary, recs[0].g, alphas)
     mu_err = abs(rep.constants["mu"] - SQRT2PI)
     branch_res = rep.residuals["Av+mu*Bs(v,w1)=g"]
 

@@ -185,12 +185,26 @@ def test_extract_byte_identical_reruns(pipeline, tmp_path):
 @pytest.mark.parametrize("stage", ["verify", "classify", "report"])
 def test_non_expansion_file_exit_2(pipeline, tmp_path, capsys, stage):
     man = str(pipeline / "fx" / "manifest.json")
-    args = [stage, "--expansion", man, "--manifest", man, "--out", str(tmp_path / "o")]
-    if stage == "verify":
-        args = args[:-2]
-    assert run(args) == 2
+    # An expansion file of the right schema that holds no forms.
+    no_forms = str(tmp_path / "no_forms.json")
+    doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
+    fieldio.write_json(no_forms, {**doc, "forms": {}})
+    for path, message in ((man, "found schema None"), (no_forms, "holds no forms")):
+        args = [stage, "--expansion", path, "--manifest", man, "--out", str(tmp_path / "o")]
+        if stage == "verify":
+            args = args[:-2]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert path in err and message in err
+
+
+def test_classify_unknown_form_exit_2(pipeline, tmp_path, capsys):
+    assert run(["classify", "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json"), "--form", "nosuch",
+                "--out", str(tmp_path / "class.json")]) == 2
     err = capsys.readouterr().err
-    assert "manifest.json" in err and "found schema None" in err
+    assert "available: ['restructured', 'strict', 'unitary']" in err
+    assert not (tmp_path / "class.json").exists()
 
 
 def test_report_on_foreign_window_exit_1(pipeline, pipeline314, tmp_path, capsys):

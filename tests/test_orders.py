@@ -1,5 +1,7 @@
 """Order calculus and branch classifier tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -141,7 +143,7 @@ def test_total_comparability_flags_oscillation():
 
 
 def test_empty_and_singleton_trivially_comparable():
-    mat = od.RelationMatrix(sequences=[], structure=[], relations={})
+    mat = od.RelationMatrix(sequences=[], relations={})
     ok, pairs = od.total_comparability(mat)
     assert ok and not pairs
 
@@ -161,7 +163,7 @@ def test_classify_laminar_trivial_branch():
     data = ex.SequenceData(tuple(r.solution for r in reports), tuple(alphas))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     uni = ex.refine_unitary(strict, data, space=0.5)
-    rep = od.classify(uni, g, None, alphas=np.array(alphas))
+    rep = od.classify(uni, g, alphas)
     assert rep.branch == "4.4(ii)"
     assert rep.residuals["Av=g"] <= 1e-12
     assert rep.residuals["B(v,v)=0"] <= 1e-12
@@ -170,8 +172,7 @@ def test_classify_laminar_trivial_branch():
 def test_classify_example45_branch(ex45_extraction, ex45_data, ex45_records):
     _, unitary = ex45_extraction
     alphas = np.array(ex45_data.alphas)
-    mat = od.build_S(alphas, [t.gammas for t in unitary.terms])
-    rep = od.classify(unitary, ex45_records[0].g, mat, alphas=alphas)
+    rep = od.classify(unitary, ex45_records[0].g, alphas)
     assert rep.branch == "4.4(iii)(a)"
     assert rep.constants["mu"] == pytest.approx(SQRT2PI, abs=1e-6)
     assert rep.residuals["Av+mu*Bs(v,w1)=g"] <= 1e-8
@@ -183,8 +184,7 @@ def test_classify_v0_family_branch_tree():
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     uni = ex.refine_unitary(strict, data, space=0.5)
     alphas = np.array(data.alphas)
-    mat = od.build_S(alphas, [t.gammas for t in uni.terms])
-    rep = od.classify(uni, g_limit, mat, alphas=alphas)
+    rep = od.classify(uni, g_limit, alphas)
     assert rep.branch == "4.6(ii)(1)"
     assert rep.constants["mu_star"] == pytest.approx(1.3**2, rel=1e-10)
     assert rep.chi_tag == "S1"
@@ -210,8 +210,7 @@ def test_classify_v0_subbranch_2b():
     g_limit = (1.1**2) * sp.bilinear_b(w1, w1)
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     uni = ex.refine_unitary(strict, data, space=0.5)
-    mat = od.build_S(alphas, [t.gammas for t in uni.terms])
-    rep = od.classify(uni, g_limit, mat, alphas=alphas)
+    rep = od.classify(uni, g_limit, alphas)
     assert rep.branch == "4.6(ii)(2b)"
     assert "mu_2" in rep.constants
 
@@ -222,8 +221,7 @@ def test_classify_stokes_family_branches():
         strict = ex.extract_strict(data, ex.default_scale_2dp(6))
         uni = ex.refine_unitary(strict, data, space=0.5)
         alphas = np.array(data.alphas)
-        mat = od.build_S(alphas, [t.gammas for t in uni.terms])
-        rep = od.classify(uni, g_limit, mat, alphas=alphas)
+        rep = od.classify(uni, g_limit, alphas)
         assert rep.branch == expect
         assert rep.residuals["Bs(v,w1)=0"] <= 1e-10
         eq = "Bs(v,w2)=0" if branch == "ii" else "B(w1,w1)=0"
@@ -234,7 +232,6 @@ def test_classify_blocked_on_undecided():
     n = np.arange(1, 13)
     alphas = np.exp(n).astype(float)
     g1 = (1.0 + 0.3 * (-1.0) ** n) / alphas
-    mat = od.build_S(alphas, [g1])
     phi = sp.eigenfunction(5)
     term = ex.ExpansionTerm(gammas=g1, direction=phi,
                             witnesses=[phi] * 12, estimator="test")
@@ -247,7 +244,7 @@ def test_classify_blocked_on_undecided():
     with pytest.raises(od.ClassificationBlockedError):
         # g chosen so the limit is neither 0 nor A^{-1} g: the generic route
         # must consult alpha*Gamma_1 vs 1, which is undecided here.
-        od.classify(e, sp.eigenfunction(5), mat, alphas=alphas)
+        od.classify(e, sp.eigenfunction(5), alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +390,6 @@ _LEAVES = [
 
 @pytest.mark.parametrize("case", _LEAVES, ids=[c[0] for c in _LEAVES])
 def test_classify_reaches_every_leaf(case):
-    import re
-
     (_, route, (alphas, gammas), kind,
      branch, constants, residuals, identities, chi_tag, warnings) = case
     limit, g, dirs = _route(route)
@@ -405,8 +400,7 @@ def test_classify_reaches_every_leaf(case):
         scale=ex.constant_scale(0.5, 1), space=0.5, degenerate_n=None,
         depth_reason="test", limit_estimator="test", tols=ex.ToleranceSet(),
     )
-    mat = od.build_S(alphas, gammas) if gammas else None
-    rep = od.classify(e, g, mat, alphas=alphas)
+    rep = od.classify(e, g, alphas)
     assert rep.branch == branch
     assert sorted(rep.constants) == sorted(constants)
     assert list(rep.residuals) == residuals
