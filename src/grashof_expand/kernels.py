@@ -1,11 +1,10 @@
 """Hot numeric kernels for the spectral advection term, in plain numpy.
 
 The exact Fourier convolution of (u.grad)v is the innermost loop of the whole
-package (residual evaluations, property suites), and the dense Newton
-linearization is the innermost step of every steady solve. Each has one
-implementation here; ``steady._linearized_matrix_fields`` assembles the same
-linearization field by field and is the slow reference the tests compare
-against. Time the README sweep, which spends most of its time here, with
+package, and the dense Newton linearization the innermost step of every steady
+solve. Each is one numpy path over blocks of u modes or of columns; the tests
+check them against a per-mode loop and ``steady._linearized_matrix_fields``.
+Time the README sweep, which spends most of its time here, with
 
     python3 perfbench/run.py --workload sweep-n8 --seed 1 --seconds 15 --trace 0
 
@@ -15,6 +14,9 @@ and pass ``--trace 1`` for the time spent in each kernel.
 from __future__ import annotations
 
 import numpy as np
+
+_PAIR_BUDGET = 4096  # (p, q) pairs held at once; all of them at N = 16 are over a million
+_COLUMN_BLOCK = 8  # wider blocks hold more than 1.5x the Jacobian's memory at N = 8
 
 
 def advect_convolve(ku, cu, kv, cv, nout):
@@ -31,19 +33,19 @@ def advect_convolve(ku, cu, kv, cv, nout):
       holds the coefficient of e^{i k.x} for w[k] = sum_{p+q=k} i (u_p . q) v_q.
     """
     size = 2 * nout + 1
-    grid = np.zeros((size, size, 2), dtype=np.complex128)
-    qdot = kv.astype(np.float64)  # (Mv, 2)
-    # One u mode at a time: vectorizing over all (p, q) pairs would hold
-    # Mu*Mv temporaries, megabytes at N = 8.
-    for p in range(len(ku)):
-        kx = ku[p, 0] + kv[:, 0]
-        ky = ku[p, 1] + kv[:, 1]
-        keep = (np.abs(kx) <= nout) & (np.abs(ky) <= nout)
-        if not keep.any():
-            continue
-        dots = 1j * (cu[p, 0] * qdot[keep, 0] + cu[p, 1] * qdot[keep, 1])
-        np.add.at(grid, (kx[keep] + nout, ky[keep] + nout), dots[:, None] * cv[keep])
-    return grid
+    reals = np.zeros(4 * size * size)  # per cell (kx, ky): 2 complex components
+    block = max(1, _PAIR_BUDGET // max(len(kv), 1))
+    for start in range(0, len(ku), block):
+        kx = ku[start:start + block, 0, None] + kv[:, 0]
+        ky = ku[start:start + block, 1, None] + kv[:, 1]
+        # Pairs in (p, q) order: np.add.at sums every cell's terms in that order,
+        # so the sum is the same to the bit for any block size.
+        p, q = np.nonzero((np.abs(kx) <= nout) & (np.abs(ky) <= nout))
+        cells = 4 * ((kx[p, q] + nout) * size + ky[p, q] + nout)
+        p += start
+        terms = (1j * (cu[p, 0] * kv[q, 0] + cu[p, 1] * kv[q, 1]))[:, None] * cv[q]
+        np.add.at(reals, (cells[:, None] + np.arange(4)).ravel(), terms.view(np.float64).ravel())
+    return reals.view(np.complex128).reshape(size, size, 2)
 
 
 def assemble_linearized(kv, cv, reps, sigmas, alpha, nrad):
@@ -51,30 +53,28 @@ def assemble_linearized(kv, cv, reps, sigmas, alpha, nrad):
 
     ``kv, cv`` is v packed; ``reps, sigmas`` are ``steady._dof_maps(nrad)``,
     every representative of radius N = nrad in key order: (kx, ky) is number
-    r = kx (2N+1) + ky - 1, and r < 0 for any other key. Column r (m + r) is the
-    image of the field with amplitude 1 (i) on representative r; rows r and
-    m + r hold the real and imaginary parts of its amplitude on representative r.
+    r = kx (2N+1) + ky - 1. Column r (m + r) is the image of the field with
+    amplitude 1 (i) on representative r; rows r and m + r hold the real and
+    imaginary parts of its amplitude on representative r.
     """
     m = reps.shape[0]
     out = np.zeros((2 * m, 2 * m))
-    kvf = kv.astype(np.float64)
-    for r in range(m):
-        kr, sr = reps[r], sigmas[r]
-        halves = []  # images of sigma_r e^{+i k_r.x} and of sigma_r e^{-i k_r.x}
+    side, mid = 4 * nrad + 1, 2 * nrad * (4 * nrad + 2)  # entry (k, q) reads v at k - q only
+    near = np.max(np.abs(kv), axis=1, initial=0) <= 2 * nrad
+    vgrid = np.zeros((side * side, 2), dtype=np.complex128)
+    vgrid[kv[near, 0] * side + kv[near, 1] + mid] = cv[near]
+    rows = reps[:, 0] * side + reps[:, 1] + mid
+    for cols in np.split(np.arange(m), range(_COLUMN_BLOCK, m, _COLUMN_BLOCK)):
+        kr, sr = reps[cols], sigmas[cols]
+        ss, ks = sigmas @ sr.T, reps @ sr.T  # sigma_k . sigma_r and k . sigma_r
+        h = []  # images of sigma_r e^{+i k_r.x} and of sigma_r e^{-i k_r.x}
         for q in (kr, -kr):
-            k = kv + q
-            p = np.flatnonzero(np.all(np.abs(k) <= nrad, axis=1))
-            rows = k[p, 0] * (2 * nrad + 1) + k[p, 1] - 1
-            p, rows = p[rows >= 0], rows[rows >= 0]
-            srow = sigmas[rows]
-            # B(v, z) + B(z, v) at p + q; distinct p land on distinct rows.
-            h = np.zeros(m, dtype=np.complex128)
-            h[rows] = 1j * ((cv[p] @ q) * (srow @ sr)
-                            + (kvf[p] @ sr) * np.sum(srow * cv[p], axis=1))
-            halves.append(alpha * h)
-        s, d = halves[0] + halves[1], halves[0] - halves[1]
-        out[:m, r], out[m:, r] = s.real, s.imag
-        out[:m, m + r], out[m:, m + r] = -d.imag, d.real
-        out[r, r] += kr @ kr
-        out[m + r, m + r] += kr @ kr
+            c = vgrid[rows[:, None] - (q[:, 0] * side + q[:, 1])]
+            # B(v, z) + B(z, v) at k = p + q; p . sigma_r = k . sigma_r as q . sigma_r = 0
+            h.append(alpha * 1j * ((c[..., 0] * q[:, 0] + c[..., 1] * q[:, 1]) * ss
+                                   + ks * (sigmas[:, None, 0] * c[..., 0] + sigmas[:, None, 1] * c[..., 1])))
+        s, d = h[0] + h[1], h[0] - h[1]
+        out[:m, cols], out[m:, cols] = s.real, s.imag
+        out[:m, m + cols], out[m:, m + cols] = -d.imag, d.real
+    out[np.diag_indices(2 * m)] += np.tile(np.sum(reps * reps, axis=1), 2)
     return out

@@ -3,11 +3,11 @@
 The truncated system is solved by damped Newton iteration on the real
 divergence-free degrees of freedom: one complex amplitude per conjugate-pair
 representative, in the key order of the fields, so an iterate is the upper
-half of a field's rows (``_dof_maps``). Linearizations are assembled densely
-column by column and factored directly, which is exact and cheap at desk
-truncations (N <= 16). A sweep over increasing alpha warm-starts each solve
-from the previous solution and records the 2D enstrophy bound |Av| <= |g| per
-step.
+half of a field's rows (``_dof_maps``). Linearizations are assembled densely,
+a block of columns at a time, and factored directly, which is exact and cheap
+at desk truncations (N <= 16). A sweep over increasing alpha warm-starts each
+solve from the previous solution and records the 2D enstrophy bound
+|Av| <= |g| per step.
 """
 
 from __future__ import annotations

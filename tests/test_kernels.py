@@ -1,4 +1,5 @@
-"""Kernel tests: Jacobian assembly against the field-by-field oracle."""
+"""Kernel tests: the convolution against its per-mode loop, the Jacobian
+assembly against the field-by-field oracle."""
 
 import tracemalloc
 
@@ -10,11 +11,78 @@ from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
 
+def convolve_per_mode(ku, cu, kv, cv, nout):
+    """Slow oracle for ``kernels.advect_convolve``: one u mode at a time."""
+    size = 2 * nout + 1
+    grid = np.zeros((size, size, 2), dtype=np.complex128)
+    qdot = kv.astype(np.float64)
+    for p in range(len(ku)):
+        kx = ku[p, 0] + kv[:, 0]
+        ky = ku[p, 1] + kv[:, 1]
+        keep = (np.abs(kx) <= nout) & (np.abs(ky) <= nout)
+        if not keep.any():
+            continue
+        dots = 1j * (cu[p, 0] * qdot[keep, 0] + cu[p, 1] * qdot[keep, 1])
+        np.add.at(grid, (kx[keep] + nout, ky[keep] + nout), dots[:, None] * cv[keep])
+    return grid
+
+
+def one_mode(k):
+    """Real field on the pair +-k with coefficient sigma(k)."""
+    c = sp.sigma(k).astype(np.complex128)
+    return sp.SpectralField(max(map(abs, k)), {k: c, (-k[0], -k[1]): c.conj()})
+
+
+# (u, v, nout) drawn from one seeded generator.
+CONVOLUTION_CASES = {
+    "n8-nout8": lambda rng: (sp.random_divfree(8, rng), sp.random_divfree(8, rng), 8),
+    "n8-nout16": lambda rng: (sp.random_divfree(8, rng), sp.random_divfree(8, rng), 16),
+    "n3": lambda rng: (sp.random_divfree(3, rng), sp.random_divfree(3, rng), 6),
+    "eigen2-eigen5": lambda rng: (sp.eigenfunction(2), sp.eigenfunction(5), 2),
+    # every p + q lies outside the output box
+    "all-pairs-outside": lambda rng: (one_mode((5, 0)), one_mode((0, 5)), 4),
+    "zero-u": lambda rng: (sp.zero_field(4), sp.random_divfree(4, rng), 8),
+}
+
+
+@pytest.mark.parametrize("case", list(CONVOLUTION_CASES))
+def test_convolution_is_the_per_mode_sum_to_the_bit(case):
+    u, v, nout = CONVOLUTION_CASES[case](np.random.default_rng(2))
+    got = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    assert np.array_equal(got, convolve_per_mode(u.keys, u.coeffs, v.keys, v.coeffs, nout))
+
+
+def test_convolution_keeps_the_exact_support():
+    # e_2 and e_5 are one mode pair each: B(e_2, e_5) has the 4 sums p + q.
+    assert len(sp.bilinear_b(sp.eigenfunction(2), sp.eigenfunction(5)).keys) == 4
+
+
+def test_convolution_memory_is_bounded():
+    """One N = 16 convolution at its exact radius stays under 1 MB.
+
+    Holding every (p, q) pair at once, over a million at N = 16, would take
+    tens of megabytes.
+    """
+    rng = np.random.default_rng(5)
+    u, v = sp.random_divfree(16, rng), sp.random_divfree(16, rng)
+    tracemalloc.start()
+    try:
+        kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 # (radius N, alpha, v) for v drawn after g from one seeded generator.
 JACOBIAN_CASES = {
     "n1": (1, 2.0, lambda rng: sp.random_divfree(1, rng)),
     "n5-alpha4": (5, 4.0, lambda rng: sp.random_divfree(5, rng)),
     "n8-alpha1024": (8, 1024.0, lambda rng: sp.random_divfree(8, rng)),
+    # k - q reaches the edge of the radius-2N grid v is gathered from
+    "n12-alpha64": (12, 64.0, lambda rng: sp.random_divfree(12, rng)),
+    # v of a smaller truncation than the radius
+    "n6-v3": (6, 8.0, lambda rng: sp.random_divfree(3, rng)),
     # no v modes: only the Stokes diagonal remains
     "zero-v": (4, 3.0, lambda rng: sp.zero_field(4)),
     # one mode pair at k = (2, 1): most p +- k_r leave the box or miss a representative
@@ -35,19 +103,20 @@ def test_jacobian_kernel_matches_field_assembly(case):
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
-def test_jacobian_kernel_memory_is_one_matrix():
-    """The assembly holds little beyond its (2m, 2m) output at N = 8.
+@pytest.mark.parametrize("n", [8, 16])
+def test_jacobian_kernel_memory_is_one_matrix(n):
+    """The assembly holds little beyond its (2m, 2m) output.
 
     Materializing every (v mode, column) pair at once peaks at several
     times the output and shows in the solver's resident memory.
     """
     rng = np.random.default_rng(4)
-    v = sp.random_divfree(8, rng)
+    v = sp.random_divfree(n, rng)
     kv, cv = v.packed()
-    reparr, sigmas = st._dof_maps(8)
+    reparr, sigmas = st._dof_maps(n)
     tracemalloc.start()
     try:
-        out = kernels.assemble_linearized(kv, cv, reparr, sigmas, 5.0, 8)
+        out = kernels.assemble_linearized(kv, cv, reparr, sigmas, 5.0, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
