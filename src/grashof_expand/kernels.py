@@ -3,8 +3,10 @@
 The exact Fourier convolution of (u.grad)v is the innermost loop of the whole
 package, and the dense Newton linearization the innermost step of every steady
 solve. Each is one numpy path over blocks of u modes or of columns; the tests
-check them against a per-mode loop and ``steady._linearized_matrix_fields``.
-Time the README sweep, which spends most of its time here, with
+check them against a per-mode loop and a field-by-field column assembly. The
+linearization needs a divergence-free v, v_p = a_p sigma_p: each entry is then
+a_p times a closed-form real weight of the wavevectors. Time the README sweep,
+whose Newton loop assembles one linearization per residual, with
 
     python3 perfbench/run.py --workload sweep-n8 --seed 1 --seconds 15 --trace 0
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 _PAIR_BUDGET = 4096  # (p, q) pairs held at once; all of them at N = 16 are over a million
-_COLUMN_BLOCK = 8  # wider blocks hold more than 1.5x the Jacobian's memory at N = 8
+_COLUMN_BLOCK = 16  # 24 columns hold more than 1.5x the Jacobian's memory at N = 8
 
 
 def advect_convolve(ku, cu, kv, cv, nout):
@@ -48,33 +50,46 @@ def advect_convolve(ku, cu, kv, cv, nout):
     return reals.view(np.complex128).reshape(size, size, 2)
 
 
-def assemble_linearized(kv, cv, reps, sigmas, alpha, nrad):
+def assemble_linearized(kv, cv, reps, alpha, nrad):
     """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
-    ``kv, cv`` is v packed; ``reps, sigmas`` are ``steady._dof_maps(nrad)``,
-    every representative of radius N = nrad in key order: (kx, ky) is number
-    r = kx (2N+1) + ky - 1. Column r (m + r) is the image of the field with
-    amplitude 1 (i) on representative r; rows r and m + r hold the real and
-    imaginary parts of its amplitude on representative r.
+    ``kv, cv`` is a divergence-free v packed; ``reps`` is
+    ``steady._dof_maps(nrad)[0]``, every representative of radius N = nrad in
+    key order: (kx, ky) is number r = kx (2N+1) + ky - 1. Column r (m + r) is
+    the image of the field with amplitude 1 (i) on representative r; rows r and
+    m + r hold the real and imaginary parts of its amplitude on representative
+    r. With v_p = a_p sigma_p, a_p = (p x v_p) / |p|, the image of
+    sigma_r e^{i s k_r.x} (s = +-1) has amplitude i alpha a_p W on row k,
+    p = k - s k_r, with the real weight
+
+        W = (k x k_r) (2 s k.k_r - |k|^2) / (|k| |k_r| |p|).
     """
     m = reps.shape[0]
     out = np.zeros((2 * m, 2 * m))
-    side, mid = 4 * nrad + 1, 2 * nrad * (4 * nrad + 2)  # entry (k, q) reads v at k - q only
+    side, mid = 4 * nrad + 1, 2 * nrad * (4 * nrad + 2)  # entry (k, s k_r) reads v at k - s k_r only
     near = np.max(np.abs(kv), axis=1, initial=0) <= 2 * nrad
-    vgrid = np.zeros((side * side, 2), dtype=np.complex128)
-    vgrid[kv[near, 0] * side + kv[near, 1] + mid] = cv[near]
-    rows = reps[:, 0] * side + reps[:, 1] + mid
-    for cols in np.split(np.arange(m), range(_COLUMN_BLOCK, m, _COLUMN_BLOCK)):
-        kr, sr = reps[cols], sigmas[cols]
-        ss, ks = sigmas @ sr.T, reps @ sr.T  # sigma_k . sigma_r and k . sigma_r
-        h = []  # images of sigma_r e^{+i k_r.x} and of sigma_r e^{-i k_r.x}
-        for q in (kr, -kr):
-            c = vgrid[rows[:, None] - (q[:, 0] * side + q[:, 1])]
-            # B(v, z) + B(z, v) at k = p + q; p . sigma_r = k . sigma_r as q . sigma_r = 0
-            h.append(alpha * 1j * ((c[..., 0] * q[:, 0] + c[..., 1] * q[:, 1]) * ss
-                                   + ks * (sigmas[:, None, 0] * c[..., 0] + sigmas[:, None, 1] * c[..., 1])))
-        s, d = h[0] + h[1], h[0] - h[1]
-        out[:m, cols], out[m:, cols] = s.real, s.imag
-        out[:m, m + cols], out[m:, m + cols] = -d.imag, d.real
-    out[np.diag_indices(2 * m)] += np.tile(np.sum(reps * reps, axis=1), 2)
+    kn, cn = kv[near], cv[near]
+    bgrid = np.zeros(side * side, dtype=np.complex128)  # alpha a_p / |p| = alpha (p x v_p) / |p|^2
+    bgrid[kn[:, 0] * side + kn[:, 1] + mid] = (
+        alpha * (kn[:, 0] * cn[:, 1] - kn[:, 1] * cn[:, 0]) / np.sum(kn * kn, axis=1))
+    shift = reps[:, 0] * side + reps[:, 1]
+    rows = shift + mid
+    ksq = np.sum(reps * reps, axis=1)
+    unit = reps / np.sqrt(ksq)[:, None]
+    turned = np.stack([-unit[:, 1], unit[:, 0]])  # unit @ turned = (k_r x k) / (|k| |k_r|)
+    twice = 2.0 * reps.T
+    for start in range(0, m, _COLUMN_BLOCK):
+        c = slice(start, start + _COLUMN_BLOCK)
+        scale, dot2 = unit @ turned[:, c], reps @ twice[:, c]
+        # |p| W is -scale (dot2 - |k|^2) for s = +1 and scale (dot2 + |k|^2) for
+        # s = -1, so the s = +1 image is -i plus and the s = -1 image i minus.
+        plus, minus = bgrid[rows[:, None] - shift[c]], bgrid[rows[:, None] + shift[c]]
+        plus *= scale * (dot2 - ksq[:, None])
+        minus *= scale * (dot2 + ksq[:, None])
+        # column r holds the sum of both images, column m + r i times their difference
+        np.subtract(plus.imag, minus.imag, out=out[:m, :m][:, c])
+        np.subtract(minus.real, plus.real, out=out[m:, :m][:, c])
+        np.add(minus.real, plus.real, out=out[:m, m:][:, c])
+        np.add(minus.imag, plus.imag, out=out[m:, m:][:, c])
+    out[np.diag_indices(2 * m)] += np.tile(ksq, 2)
     return out

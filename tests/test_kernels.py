@@ -27,6 +27,21 @@ def convolve_per_mode(ku, cu, kv, cv, nout):
     return grid
 
 
+def linearized_by_fields(v, p, reps, sigmas):
+    """Slow oracle for ``kernels.assemble_linearized``: the image of each DOF's
+    field through ``spectral``'s own operators, one column at a time."""
+    m = len(reps)
+    cols = np.zeros((2 * m, 2 * m))
+    for i, (kx, ky) in enumerate(reps.tolist()):
+        for part in (0, 1):
+            c = sigmas[i].astype(np.complex128) * (1.0 if part == 0 else 1j)
+            z = sp.SpectralField(p.trunc, {(kx, ky): c, (-kx, -ky): np.conj(c)}, check=False)
+            img = sp.lin_comb([1.0, p.alpha], [sp.apply_fractional(z, 1.0),
+                                               sp.bilinear_bs(v, z, retruncate=p.trunc)])
+            cols[:, part * m + i] = st._field_to_vec(img, reps, sigmas)
+    return cols
+
+
 def one_mode(k):
     """Real field on the pair +-k with coefficient sigma(k)."""
     c = sp.sigma(k).astype(np.complex128)
@@ -83,6 +98,8 @@ JACOBIAN_CASES = {
     "n12-alpha64": (12, 64.0, lambda rng: sp.random_divfree(12, rng)),
     # v of a smaller truncation than the radius
     "n6-v3": (6, 8.0, lambda rng: sp.random_divfree(3, rng)),
+    # v wider than 2N: its modes beyond 2N must drop out
+    "n3-v8": (3, 6.0, lambda rng: sp.random_divfree(8, rng)),
     # no v modes: only the Stokes diagonal remains
     "zero-v": (4, 3.0, lambda rng: sp.zero_field(4)),
     # one mode pair at k = (2, 1): most p +- k_r leave the box or miss a representative
@@ -98,8 +115,8 @@ def test_jacobian_kernel_matches_field_assembly(case):
     p = st.SteadyProblem(g=(1.0 / sp.norm_ds(g, 0)) * g, alpha=alpha, trunc=n)
     v = make_v(rng)
     reps, sigmas = st._dof_maps(n)
-    a = kernels.assemble_linearized(v.keys, v.coeffs, reps, sigmas, p.alpha, p.trunc)
-    b = st._linearized_matrix_fields(v, p, (reps, sigmas))
+    a = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, p.trunc)
+    b = linearized_by_fields(v, p, reps, sigmas)
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
@@ -113,10 +130,10 @@ def test_jacobian_kernel_memory_is_one_matrix(n):
     rng = np.random.default_rng(4)
     v = sp.random_divfree(n, rng)
     kv, cv = v.packed()
-    reparr, sigmas = st._dof_maps(n)
+    reparr = st._dof_maps(n)[0]
     tracemalloc.start()
     try:
-        out = kernels.assemble_linearized(kv, cv, reparr, sigmas, 5.0, n)
+        out = kernels.assemble_linearized(kv, cv, reparr, 5.0, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -136,7 +153,7 @@ def test_jacobian_matches_finite_differences():
         fld = st._vec_to_field(x, reps, sigmas, 3)
         return st._field_to_vec(st.residual(fld, p), reps, sigmas)
 
-    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, sigmas, p.alpha, p.trunc)
+    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, p.trunc)
     f0 = fvec(x0)
     h = 1e-7
     for i in range(0, len(x0), 7):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grashof_expand import fixtures as fx
+from grashof_expand import kernels
 from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
@@ -100,6 +101,34 @@ def test_dof_order_is_the_field_key_order(n):
     w = st._vec_to_field(st._field_to_vec(v, reps, sigmas), reps, sigmas, n)
     assert np.array_equal(w.keys, v.keys)
     assert np.max(np.abs(w.coeffs - v.coeffs)) <= 1e-15 * v.amplitude()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 4.0, 1024.0])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_jacobian_gives_the_residual(n, alpha):
+    """B is bilinear, so J(v) x = A x + 2 alpha B(v, v) on the DOFs x of v:
+    the solver reads each residual off the Jacobian it assembles anyway."""
+    rng = np.random.default_rng(10 * n + 1)
+    g = sp.random_divfree(n, rng, decay=1.5)
+    p = st.SteadyProblem(g=g, alpha=alpha, trunc=n)
+    v = sp.random_divfree(n, rng)
+    reps, sigmas = st._dof_maps(n)
+    x = st._field_to_vec(v, reps, sigmas)
+    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n)
+    stokes = np.tile(np.sum(reps * reps, axis=1), 2)
+    got = 0.5 * (jac @ x + stokes * x) - st._field_to_vec(g, reps, sigmas)
+    want = st._field_to_vec(st.residual(v, p), reps, sigmas)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(jac)) * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("max_iters", [50, 0])
+def test_residual_h_is_the_exact_residual(shear_problem, max_iters):
+    """The reported residual is one exact residual of the returned solution,
+    not the Jacobian-derived one the Newton loop steps on."""
+    p = st.SteadyProblem(g=shear_problem.g, alpha=50.0, trunc=3)
+    rep = st.solve_steady(p, initial=sp.zero_field(3), max_iters=max_iters)
+    assert rep.converged == (max_iters > 0)
+    assert rep.residual_h == sp.norm_ds(st.residual(rep.solution, p), 0)
 
 
 def test_solve_nonconvergence_reported():
