@@ -53,14 +53,17 @@ def advect_convolve(ku, cu, kv, cv, nout):
 def assemble_linearized(kv, cv, reps, alpha, nrad):
     """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
-    ``kv, cv`` is a divergence-free v packed; ``reps`` is
-    ``steady._dof_maps(nrad)[0]``, every representative of radius N = nrad in
-    key order: (kx, ky) is number r = kx (2N+1) + ky - 1. Column r (m + r) is
-    the image of the field with amplitude 1 (i) on representative r; rows r and
-    m + r hold the real and imaginary parts of its amplitude on representative
-    r. With v_p = a_p sigma_p, a_p = (p x v_p) / |p|, the image of
-    sigma_r e^{i s k_r.x} (s = +-1) has amplitude i alpha a_p W on row k,
-    p = k - s k_r, with the real weight
+    ``kv, cv`` is a divergence-free v packed; ``reps`` (m, 2) is any
+    increasing set of conjugate representatives of radius N = nrad, such as
+    all of them (``steady._dof_maps(nrad)[0]``) or those on a sublattice. Each
+    entry depends only on v and the wavevectors of its row and column, so a
+    subset of ``reps`` gives the rows and columns of the full matrix it
+    selects.
+    Column r (m + r) is the image of the field with amplitude 1 (i) on
+    representative r; rows r and m + r hold the real and imaginary parts of
+    its amplitude on representative r. With v_p = a_p sigma_p,
+    a_p = (p x v_p) / |p|, the image of sigma_r e^{i s k_r.x} (s = +-1) has
+    amplitude i alpha a_p W on row k, p = k - s k_r, with the real weight
 
         W = (k x k_r) (2 s k.k_r - |k|^2) / (|k| |k_r| |p|).
     """

@@ -3,7 +3,15 @@
 The truncated system is solved by damped Newton iteration on the real
 divergence-free degrees of freedom: one complex amplitude per conjugate-pair
 representative, in the key order of the fields, so an iterate is the upper
-half of a field's rows (``_dof_maps``). Linearizations are assembled densely,
+half of a field's rows (``_dof_maps``). B(u, v) has its modes at sums p + q
+of the modes of u and v, so A and B map fields on any lattice L of wavevectors
+to fields on L. Newton started on L therefore stays on L: with g and the
+iterate on L, the linearization keeps fields on L and fields off it apart,
+and the off-lattice part of every right-hand side is zero. So the unknowns
+are the representatives on the lattice generated by the modes of g and of the
+initial guess (``_lattice_mask``), all of them when those modes generate the
+whole integer plane. The README forcing, on (+-2, 0) and (+-2, +-1), generates
+2Z x Z: 152 of the 288 unknowns at N = 8. Linearizations are assembled densely,
 a block of columns at a time, and factored directly, which is exact and cheap
 at desk truncations (N <= 16). B is bilinear, so the linearization J(v) at an
 iterate x satisfies J(v) x = A x + 2 alpha B(v, v): each residual is read off
@@ -15,6 +23,7 @@ records the 2D enstrophy bound |Av| <= |g| per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +73,7 @@ class SolveReport:
     message: str = ""
     condition: float | None = None
     residual_history: list = field(default_factory=list)
+    dofs: int = 0               # real unknowns Newton solved for
 
 
 def residual(v, p):
@@ -88,6 +98,49 @@ def _dof_maps(n):
     cells = np.arange(side * side // 2 + 1, side * side)
     reps = np.stack(np.divmod(cells, side), axis=1) - n
     return reps, sp.sigma(reps)
+
+
+def _lattice_mask(reps, key_sets):
+    """Which rows of ``reps`` lie on the lattice generated by ``key_sets``.
+
+    The lattice is kept in Hermite form, spanned by (a, b) and (0, c) with
+    a, c >= 0: (kx, ky) is on it when a divides kx (kx = 0 if a = 0) and c
+    divides ky - (kx / a) b (ky = (kx / a) b if c = 0). Starting from {0}, a
+    key off the current lattice is added until every key is on it; each
+    addition raises the rank or divides the index by at least 2, so there are
+    a handful of them.
+    """
+    keys = np.concatenate(key_sets)
+    basis = (0, 0, 0)
+    while True:
+        off = ~_on_lattice(keys, basis)
+        if not off.any():
+            return _on_lattice(reps, basis)
+        basis = _extend_lattice(basis, *keys[np.argmax(off)].tolist())
+
+
+def _on_lattice(keys, basis):
+    a, b, c = basis
+    kx, ky = keys[:, 0], keys[:, 1]
+    on, t = (kx == 0, 0) if a == 0 else (kx % a == 0, kx // a)
+    r = ky - t * b
+    return on & (r == 0 if c == 0 else r % c == 0)
+
+
+def _extend_lattice(basis, x, y):
+    """Hermite basis (a, b, c) of the lattice spanned by ``basis`` and (x, y).
+
+    Euclid's steps on the rows (a, b), (x, y) are unimodular, so they keep the
+    span; they end in (+-gcd(a, x), b') and (0, y'), and (0, y') joins (0, c).
+    """
+    a, b, c = basis
+    while x:
+        q = a // x
+        a, b, x, y = x, y, a - q * x, b - q * y
+    if a < 0:
+        a, b = -a, -b
+    c = math.gcd(c, y)
+    return a, (b % c if c else b), c
 
 
 def _field_to_vec(v, reps, sigmas):
@@ -115,16 +168,21 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
     next step's. ``residual_h``, which alone decides ``converged``, is one
     exact ``residual`` of the returned solution.
 
+    The unknowns are the representatives on the lattice of the modes of g and
+    of the projected ``initial``; ``dofs`` counts them, two reals each.
+
     Returns a SolveReport; ``converged`` is False after ``max_iters`` Newton
     steps or a singular linearization (condition estimate attached).
     """
     gnorm = sp.norm_ds(p.g, 0)
     tol = tol if tol is not None else 1e-12 * max(1.0, gnorm)
+    v = sp.project_trunc(initial if initial is not None else sp.zero_field(p.trunc), p.trunc)
     reps, sigmas = _dof_maps(p.trunc)
+    on = _lattice_mask(reps, [p.g.keys, v.keys])
+    reps, sigmas = reps[on], sigmas[on]
     stokes = np.tile(np.sum(reps * reps, axis=1), 2)  # A on the DOFs
     gvec = _field_to_vec(p.g, reps, sigmas)
-    v = initial if initial is not None else sp.zero_field(p.trunc)
-    x = _field_to_vec(sp.project_trunc(v, p.trunc), reps, sigmas)
+    x = _field_to_vec(v, reps, sigmas)
 
     def linearize(xv):
         fld = _vec_to_field(xv, reps, sigmas, p.trunc)
@@ -140,6 +198,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
             solution=vfld, residual_h=rh, newton_iters=iters,
             bound_check=_bound_check(vfld, gnorm), converged=not message,
             message=message, condition=condition, residual_history=history,
+            dofs=len(gvec),
         )
 
     jac, fx, rnorm, vfld = linearize(x)

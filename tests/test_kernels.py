@@ -120,6 +120,21 @@ def test_jacobian_kernel_matches_field_assembly(case):
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
+def test_jacobian_kernel_on_a_subset_of_representatives():
+    """Each entry depends only on its row's and column's wavevectors, so the
+    assembly on the kx-even representatives (the Newton unknowns of a forcing
+    on 2Z x Z) is the block of the full assembly that they select."""
+    n = 8
+    v = sp.random_divfree(n, np.random.default_rng(6))
+    reps = st._dof_maps(n)[0]
+    even = np.flatnonzero(reps[:, 0] % 2 == 0)
+    rows = np.concatenate([even, len(reps) + even])
+    full = kernels.assemble_linearized(v.keys, v.coeffs, reps, 16.0, n)
+    part = kernels.assemble_linearized(v.keys, v.coeffs, reps[even], 16.0, n)
+    assert part.shape == (2 * len(even), 2 * len(even))
+    assert np.max(np.abs(part - full[np.ix_(rows, rows)])) <= 1e-15 * np.max(np.abs(full))
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_jacobian_kernel_memory_is_one_matrix(n):
     """The assembly holds little beyond its (2m, 2m) output.

@@ -103,6 +103,77 @@ def test_dof_order_is_the_field_key_order(n):
     assert np.max(np.abs(w.coeffs - v.coeffs)) <= 1e-15 * v.amplitude()
 
 
+def lattice_by_closure(gens, n):
+    """Keys of radius n reached from 0 by steps +-g, g in ``gens``, without
+    leaving the box of radius 4n: the brute-force span of the generators."""
+    steps = [tuple(s) for s in np.concatenate([gens, -gens]).tolist() if any(s)]
+    seen, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        reached = {(x + dx, y + dy) for x, y in frontier for dx, dy in steps}
+        frontier = [k for k in reached if max(map(abs, k)) <= 4 * n and k not in seen]
+        seen.update(frontier)
+    return {k for k in seen if max(map(abs, k)) <= n}
+
+
+def readme_force():
+    """g_limit of ``fixtures example45 --c2 1``, the README sweep's forcing."""
+    return fx.example45(fx.Example45Config.single(2, 1.0), 1).g
+
+
+# Lattice bases; each case's generators are the basis and three integer
+# combinations of it, shuffled, drawn from one seeded generator.
+LATTICE_BASES = {
+    "line-(0,k)": [[0, 2]],
+    "line-(k,0)": [[3, 0]],
+    "line-(k,k)": [[1, 1]],
+    "2Z x Z": [[2, 1], [0, 1]],
+    "2Z x 3Z": [[2, 0], [0, 3]],
+    "index-3": [[1, 1], [1, -2]],
+    "index-5": [[3, 1], [1, 2]],
+    "full": [[2, 1], [3, 2]],
+}
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("case", list(LATTICE_BASES))
+def test_lattice_mask_is_the_span_of_the_generators(case, n):
+    rng = np.random.default_rng(n)
+    basis = np.array(LATTICE_BASES[case])
+    combos = rng.integers(-1, 2, size=(3, len(basis))) @ basis
+    gens = rng.permutation(np.concatenate([basis, combos]))
+    reps = st._dof_maps(n)[0]
+    on = st._lattice_mask(reps, [gens[:2], gens[2:]])
+    want = lattice_by_closure(gens, n)
+    assert on.tolist() == [tuple(k) in want for k in reps.tolist()]
+    assert on.all() == (case == "full")
+
+
+def test_dofs_are_the_forcing_lattice():
+    """The README forcing lives on 2Z x Z (76 of the 144 representatives at
+    N = 8); the two-mode forcing generates every wavevector, so its lattice
+    mask is all True."""
+    p = st.SteadyProblem(g=readme_force(), alpha=1.0, trunc=8)
+    assert st.solve_steady(p, initial=sp.apply_fractional(p.g, -1.0)).dofs == 152
+    two_mode = fx.example45(fx.Example45Config(coeffs=((2, 1.27), (3, 0.9))), 1).g
+    q = st.SteadyProblem(g=two_mode, alpha=1.0, trunc=8)
+    assert st.solve_steady(q, initial=sp.apply_fractional(q.g, -1.0)).dofs == 288
+
+
+def test_off_lattice_guess_solves_every_unknown():
+    """A guess off the forcing's lattice widens the unknowns to all of them,
+    and Newton lands on the same solution."""
+    g = readme_force()
+    alphas = [2.0**i for i in range(7)]
+    on = st.sweep(alphas, g, trunc=8)[-1]
+    assert on.dofs == 152
+    pert = sp.random_divfree(3, np.random.default_rng(64))
+    p = st.SteadyProblem(g=g, alpha=alphas[-1], trunc=8)
+    off = st.solve_steady(p, initial=on.solution + 1e-3 * pert)
+    assert off.converged and off.dofs == 288
+    diff = sp.norm_ds(off.solution - on.solution, 0.5) / sp.norm_ds(on.solution, 0.5)
+    assert diff <= 1e-12
+
+
 @pytest.mark.parametrize("alpha", [0.0, 4.0, 1024.0])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_jacobian_gives_the_residual(n, alpha):
