@@ -36,6 +36,12 @@ def dumps(obj, indent=0):
         seq = list(obj)
         if not seq:
             return "[]"
+        # Exact floats and exact ints (no bools, no numpy scalars) in one call each.
+        kinds = set(map(type, seq))
+        if kinds == {float}:
+            return "[" + ", ".join(["%.17g"] * len(seq)) % tuple(seq) + "]"
+        if kinds == {int}:
+            return "[" + ", ".join(map(str, seq)) + "]"
         flat = all(isinstance(v, (int, float, np.floating, np.integer)) for v in seq)
         if flat:
             return "[" + ", ".join(dumps(v) for v in seq) + "]"

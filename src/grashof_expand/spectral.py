@@ -364,26 +364,25 @@ def eigen_basis(count):
         radius += 1
 
 
-def _eigenfield(k, pol):
-    """Unit-norm real eigenfunction on the pair +-k with polarization ``pol``."""
-    amp = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
-    c = sigma(k).astype(np.complex128)
-    c = amp * c if pol == "cos" else (amp / 1j) * c
-    keys, coeffs = conj_closure(np.array([k], dtype=np.int64), c[None])
-    return SpectralField.from_arrays(max(abs(k[0]), abs(k[1])), keys, coeffs)
-
-
 def eigenfunction(j):
     """j-th eigenfunction (1-based) of the Stokes operator; unit H norm, real."""
     if j < 1:
         raise ValueError("eigen index must be >= 1")
-    _, k, pol = eigen_basis(j)[j - 1]
-    return _eigenfield(k, pol)
+    return eigenfunctions(j)[j - 1]
 
 
 def eigenfunctions(count):
-    """eigenfunction(1), ..., eigenfunction(count) from one eigen_basis pass."""
-    return [_eigenfield(k, pol) for _, k, pol in eigen_basis(count)]
+    """eigenfunction(1), ..., eigenfunction(count) in one array pass: on the pair
+    +-k, c(k) = amp sigma(k) (cos) or (amp / i) sigma(k) (sin), amp = 1 / (2 sqrt(2) pi)."""
+    basis = eigen_basis(count)
+    amp = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
+    reps = np.array([k for _, k, _ in basis], dtype=np.int64).reshape(-1, 2)
+    scale = np.array([amp if pol == "cos" else amp / 1j for _, _, pol in basis], dtype=np.complex128)
+    c = scale[:, None] * sigma(reps).astype(np.complex128)
+    keys = np.stack([-reps, reps], axis=1)
+    coeffs = np.stack([np.conj(c), c], axis=1)
+    truncs = np.max(np.abs(reps), axis=1).tolist()
+    return [SpectralField.from_arrays(t, k, cf) for t, k, cf in zip(truncs, keys, coeffs)]
 
 
 def eigenvalue(j):

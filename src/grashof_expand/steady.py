@@ -158,10 +158,12 @@ def _vec_to_field(x, reps, sigmas, n):
 def solve_steady(p, initial=None, tol=None, max_iters=50):
     """Damped Newton iteration for the steady problem.
 
-    Deterministic: identical inputs give bit-identical reports. After the
-    residual passes the tolerance one extra full step is taken (quadratic
-    convergence makes it nearly free), so converged solutions sit at the
-    roundoff floor rather than just below ``tol``.
+    Deterministic on a fixed BLAS thread count: identical inputs give
+    bit-identical reports (the LU may round differently on another count).
+    After the residual passes the tolerance one extra full step is taken
+    (quadratic convergence makes it nearly free), so converged solutions sit
+    at the roundoff floor rather than just below ``tol``; nothing is
+    linearized there, and its ``residual_history`` entry is ``residual_h``.
 
     Each line-search trial costs one Jacobian and one matvec, which give its
     residual norm for ``residual_history``; an accepted trial's Jacobian is the
@@ -190,10 +192,13 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
         fx = 0.5 * (jac @ xv + stokes * xv) - gvec
         return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(fx)), fld
 
-    def report(vfld, iters, message=None, condition=None):
+    def report(vfld, iters, message=None, condition=None, polished=False):
         rh = sp.norm_ds(residual(vfld, p), 0)
+        if polished:
+            history.append(rh)
         if message is None:
-            message = "" if rh <= tol else f"no convergence after {max_iters} iterations"
+            after = "the polish step" if polished else f"{max_iters} iterations"
+            message = "" if rh <= tol else f"no convergence after {after}"
         return SolveReport(
             solution=vfld, residual_h=rh, newton_iters=iters,
             bound_check=_bound_check(vfld, gnorm), converged=not message,
@@ -203,21 +208,21 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
 
     jac, fx, rnorm, vfld = linearize(x)
     history = [rnorm]
-    polish_left = 1
     for it in range(1, max_iters + 1):
-        if rnorm <= tol:
-            if polish_left == 0 or rnorm == 0.0:
-                break
-            polish_left -= 1
+        if rnorm == 0.0:
+            break
         try:
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
             return report(vfld, it - 1, "singular Newton system", float(np.linalg.cond(jac)))
+        if rnorm <= tol:
+            # The polish step: nothing is linearized at its result.
+            return report(_vec_to_field(x - step, reps, sigmas, p.trunc), it, polished=True)
         damp = 1.0
         for _ in range(MAX_HALVINGS + 1):
             xt = x - damp * step
             jt, ft, rt, vt = linearize(xt)
-            if rt < rnorm or rnorm <= tol:
+            if rt < rnorm:
                 break
             damp *= 0.5
         else:

@@ -1,5 +1,6 @@
 """CLI pipeline tests: subcommands, exit codes, deterministic artifacts."""
 
+import hashlib
 import os
 import shutil
 
@@ -261,3 +262,57 @@ def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
                 "--out", str(tmp_path / "exp")]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: divergence-free condition violated at mode (0, 1)" in err
+
+
+# sha256 of every file that ``fixtures example314 --count 6 --truncation 16
+# --with-expansions`` and ``extract --scale constant:0 --depth 3`` write,
+# recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
+EX314_SHA256 = {
+    "exp/expansion.json": "0204face9eefb7d53df0b4dc69ef308d344fafd24d7921d8a6a9a368bb086e2a",
+    "exp/restructured_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
+    "exp/restructured_term1.json": "d624fe477584b06f36a0fdc94932169987e86c9c679012f3af53555242e53eb2",
+    "exp/restructured_term2.json": "4e7d5cb01d8b542c75a64084585240a161b768e60a3a9c7b6ac83cf4d9ea82ee",
+    "exp/restructured_term3.json": "99a41f6f43c5c1ab66a0f25d12a7c0ecc984fb467274659d0b75cf3e0bf872b7",
+    "exp/strict_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
+    "exp/strict_term1.json": "cc255f7e3e9a743c04a9011998b29709b6087be0f0da28a6895405dc46d70c68",
+    "exp/strict_term2.json": "25a2f228cf34a8b7b1ee2bdee0d612c47ff170384bb0ac326d1f254228ce57a6",
+    "exp/strict_term3.json": "0609a3e8ed976be6861a88389fbe057198ec61db1ce85b141fc3d8b228523209",
+    "exp/unitary_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
+    "exp/unitary_term1.json": "dfe9326eccab6fa2371301ea5cb46e11bbbf94691674af31d3cff238356c381e",
+    "exp/unitary_term2.json": "f3b0b56ae89d3b72dcb4d7c72e4e5d71cfa37e4a294236f6aca714a240e75140",
+    "exp/unitary_term3.json": "60ec891d835ee7882b22284c8e4f30325859bfad142d874f0a87855e17f15db2",
+    "fx/degenerate_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
+    "fx/degenerate_term1.json": "0b803752665ecbff9a5ef08ca72388b8c2ce8da24dad2fec2f55593d7d967fa9",
+    "fx/degenerate_term2.json": "83f996e631b6cd82c0be5ad09b9535a3ae1224042b5969e7f1348d5b2ba16190",
+    "fx/degenerate_term3.json": "95b16c823b62a5f1ad209f0f8e7fa250a2b44ce890a0970d5dccaa86bfa6ab42",
+    "fx/degenerate_term4.json": "d99a0cc7b9452d269f30ed3728b1f80038445a783701d1acb809ecdd5392afb0",
+    "fx/degenerate_term5.json": "54e517ca1a857757088db231f531044efa66132873321561657201bcaa9177b5",
+    "fx/degenerate_term6.json": "0c22db72ab616bf41883298b06a6c13fcb7f2dc67ffff4787b1d8865530c8a4b",
+    "fx/expansion_analytic.json": "841ccff26ef0aca0bb4507c6eff414727b3b613bb62af50481eb77e41297816e",
+    "fx/manifest.json": "6836cb56035c213b7ca6ed671e868d0ab2626ddf75f1b25dac9f4ed9ac345b15",
+    "fx/unitary_limit.json": "28dc9e5962c39352632176461fd3a922e79e9285e1bd7bbda36e40275edb0bc1",
+    "fx/unitary_term1.json": "c1b4aea6755dfe407d27ba06c54acdf145e06bb7678a3985be56fb0f5f9cb660",
+    "fx/unitary_term2.json": "333f00f88490e8b1020609ba59e0a9402711546322fc9614ac7663ae383ceea5",
+    "fx/unitary_term3.json": "7e169cf53fb60e9449a24fdc567ccdb4ef16fe2eb0233a20f34d596129e2cdaf",
+    "fx/unitary_term4.json": "89dc20664cbab7613e88fa4f5547c7f3bd5df14b31c5fd05433f3156221c6d46",
+    "fx/unitary_term5.json": "23063547dac414f3008ac4cdb0d87e3423580b261f7db1950ff9fea609ba7257",
+    "fx/unitary_term6.json": "b7e2adc4645cf1ff4d5fa091c91a6344959de14fff30b7bf832f9a26a863ea1b",
+    "fx/v_0001.json": "1da33cc6ca396c1384c817f81a5df0e603301690b05129949c109f18fd5a999c",
+    "fx/v_0002.json": "56904b2976d63259559a39de3b88ca352eff6669acd32687f2d58e1c5be3105b",
+    "fx/v_0003.json": "abfceddc537df4f0308f4e16f18e7fda761012aa9b7bb43f2dbbcba5da884e30",
+    "fx/v_0004.json": "fbe3b82fc6c18a26a745d050e116e18320e8899ca9ba1473ba675fde7f2e4454",
+    "fx/v_0005.json": "f142585b7fc9a5201be50afad850fef8c8a2913193e87a8a1158f2b0d2333791",
+    "fx/v_0006.json": "cb3f8388a0eccf6e8e19f928d43a31aef16abf162c04484a48f2b76eb054fe36",
+}
+
+
+def test_example314_files_are_pinned(tmp_path):
+    fxdir, expdir = tmp_path / "fx", tmp_path / "exp"
+    assert run(["fixtures", "example314", "--count", "6", "--truncation", "16",
+                "--with-expansions", "--out", str(fxdir)]) == 0
+    assert run(["extract", "--manifest", str(fxdir / "manifest.json"), "--scale", "constant:0",
+                "--depth", "3", "--out", str(expdir)]) == 0
+    got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.glob("*/*"))}
+    assert sorted(got) == sorted(EX314_SHA256)
+    assert [name for name in sorted(got) if got[name] != EX314_SHA256[name]] == []

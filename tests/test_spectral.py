@@ -305,6 +305,25 @@ def test_eigenfunctions_bit_equal_to_eigenfunction():
         assert phi.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
+def test_eigenfunctions_match_closed_form():
+    """phi_j on the pair +-k: c(k) = amp sigma(k) (cos) or (amp / i) sigma(k)
+    (sin), c(-k) = conj(c(k)), amp = 1 / (2 sqrt(2) pi); representatives in
+    (|k|^2, kx, ky) order, cos before sin. Built mode by mode in Python complex
+    arithmetic and compared bit for bit."""
+    amp = 1.0 / (2.0 * math.sqrt(2.0) * math.pi)
+    reps = sorted(((kx, ky) for kx in range(11) for ky in range(-10, 11) if kx > 0 or ky > 0),
+                  key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
+    basis = [(k, pol) for k in reps for pol in ("cos", "sin")][:256]
+    assert basis[-1][0][0] ** 2 + basis[-1][0][1] ** 2 < 100  # the radius-10 box is complete
+    for phi, (k, pol) in zip(sp.eigenfunctions(256), basis, strict=True):
+        scale = amp if pol == "cos" else amp / 1j
+        c = [scale * complex(s) for s in sp.sigma(k).tolist()]
+        assert phi.trunc == max(abs(k[0]), abs(k[1]))
+        assert phi.keys.tobytes() == np.array([[-k[0], -k[1]], k], dtype=np.int64).tobytes()
+        want = np.array([[z.conjugate() for z in c], c], dtype=np.complex128)
+        assert phi.coeffs.tobytes() == want.tobytes()
+
+
 def _assert_sorted_closed(f):
     k = f.keys
     assert k.dtype == np.int64 and k.shape == (len(k), 2)

@@ -192,6 +192,35 @@ def test_jacobian_gives_the_residual(n, alpha):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(jac)) * np.max(np.abs(x))
 
 
+def test_one_jacobian_per_line_search_trial(monkeypatch):
+    """The starting point and each line-search trial are linearized once; the
+    polished iterate is not: assemblies = Newton iterations + step halvings."""
+    counts = {"jacobians": 0, "iterates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "assemble_linearized",
+                        counted("jacobians", kernels.assemble_linearized))
+    monkeypatch.setattr(st, "_vec_to_field", counted("iterates", st._vec_to_field))
+    g = readme_force()
+    guess = sp.project_trunc(sp.apply_fractional(g, -1.0), 8)
+    for alpha in [2.0**i for i in range(12)]:
+        counts.update(jacobians=0, iterates=0)
+        rep = st.solve_steady(st.SteadyProblem(g=g, alpha=alpha, trunc=8), initial=guess)
+        assert rep.converged
+        # Iterates: the start, one per line-search trial, the polished one.
+        halvings = (counts["iterates"] - 2) - (rep.newton_iters - 1)
+        assert halvings >= 0
+        assert counts["jacobians"] == rep.newton_iters + halvings
+        assert rep.residual_history[-1] == rep.residual_h
+        assert len(rep.residual_history) == rep.newton_iters + 1
+        guess = rep.solution
+
+
 @pytest.mark.parametrize("max_iters", [50, 0])
 def test_residual_h_is_the_exact_residual(shear_problem, max_iters):
     """The reported residual is one exact residual of the returned solution,
