@@ -149,7 +149,8 @@ def cmd_sweep(args):
         vfile = os.path.join(args.out, f"solution_{i + 1:04d}.json")
         fieldio.write_field(vfile, rep.solution)
         entry = {"n": i + 1, "alpha": a, "field": vfile,
-                 "residual_H": rep.residual_h, "bound_check": rep.bound_check}
+                 "residual_H": rep.residual_h, "bound_check": rep.bound_check,
+                 "dofs": rep.dofs, "group_order": rep.group_order}
         if args.fixture:
             gfile = os.path.join(args.out, f"g_{i + 1:04d}.json")
             fieldio.write_field(gfile, forces[i])

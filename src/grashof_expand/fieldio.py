@@ -127,7 +127,11 @@ def write_manifest(path, entries, g_limit=None):
 
     ``entries`` is a list of dicts with keys n, alpha, field, residual_H,
     bound_check and optionally force (per-n forcing g_n); paths are stored
-    relative to the manifest location.
+    relative to the manifest location. A sweep's entries also carry the
+    solve's ``dofs`` (real unknowns Newton solved for) and ``group_order``
+    (signed permutations of the unknowns that fix g and the guess): both are
+    deterministic, so reruns stay byte-identical, and ``read_manifest``
+    ignores them.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -145,6 +149,9 @@ def write_manifest(path, entries, g_limit=None):
         }
         if e.get("force") is not None:
             rec["force"] = rel(e["force"])
+        for key in ("dofs", "group_order"):
+            if key in e:
+                rec[key] = int(e[key])
         doc_entries.append(rec)
     doc = {"entries": doc_entries}
     if g_limit is not None:

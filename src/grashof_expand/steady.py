@@ -11,8 +11,33 @@ and the off-lattice part of every right-hand side is zero. So the unknowns
 are the representatives on the lattice generated by the modes of g and of the
 initial guess (``_lattice_mask``), all of them when those modes generate the
 whole integer plane. The README forcing, on (+-2, 0) and (+-2, +-1), generates
-2Z x Z: 152 of the 288 unknowns at N = 8. Linearizations are assembled densely,
-a block of columns at a time, and factored directly, which is exact and cheap
+2Z x Z: 152 of the 288 unknowns at N = 8.
+
+The same argument holds for every symmetry of the torus. The 2D Navier-Stokes
+equations on it are equivariant under the semidirect product of D4, the
+rotations and reflections of the square, and the translations T^2
+(Crawford & Knobloch, Annu. Rev. Fluid Mech. 23, 1991; Golubitsky, Stewart
+& Schaeffer, Singularities and Groups in Bifurcation Theory II, 1988), and
+so is their Galerkin truncation. If an element fixes g and the iterate, A
+and B commute with it, so the Newton step is fixed too: Newton started in
+the subspace that g's and the guess's isotropy group fixes stays there and
+finds the solution the full solve finds. An element (R, tau), R in D4 and tau in (pi/2) Z^2, maps the
+amplitude a(k) of v_k = a(k) sigma_k to a(R k) = det(R) e^{-i R k.tau} a(k),
+and a(-k) = -conj a(k). Its phases are powers of i, so it permutes the real
+unknowns with signs. ``_isotropy`` finds the elements that fix g and the
+projected guess by exact comparison of their unknowns, with no tolerance:
+roundoff breaks a symmetry only to keep more unknowns. Newton then solves for
+the first unknown of each orbit (``kernels.Subspace``). An orbit that some
+element maps to its own negative is zero. The residual norm weights each
+orbit by the root of its size, so it is the full norm, and the line search
+decides as the full solve would, to roundoff. The README forcing is fixed by
+the point reflection u(x) -> -u(-x) and by the glide "y -> -y, then translate
+by (pi/2, pi)", a group of order 4 that leaves 38 unknowns at N = 8 (140 of
+560 at N = 16). A generic g has the trivial group and keeps every unknown on
+its lattice.
+
+Linearizations are assembled densely, a block of columns at a time, on the
+rows of the first unknowns, and factored directly, which is exact and cheap
 at desk truncations (N <= 16). B is bilinear, so the linearization J(v) at an
 iterate x satisfies J(v) x = A x + 2 alpha B(v, v): each residual is read off
 the Jacobian the next step needs anyway, as (J x + A x) / 2 - g, and only the
@@ -74,6 +99,7 @@ class SolveReport:
     condition: float | None = None
     residual_history: list = field(default_factory=list)
     dofs: int = 0               # real unknowns Newton solved for
+    group_order: int = 1        # signed permutations of the unknowns that fix g and the guess
 
 
 def residual(v, p):
@@ -143,6 +169,67 @@ def _extend_lattice(basis, x, y):
     return a, (b % c if c else b), c
 
 
+# The elements (R, tau) of D4 x (pi/2) Z^2 (mod 2 pi): R runs over D4, the
+# symmetries of the square as integer matrices (four rotations, then four
+# reflections), and tau = (pi / 2) t over t in {0..3}^2. Element e maps
+# amplitude a(k) to a(R k) = det(R) e^{-i R k.tau} a(k) = (-i)^q a(k), with
+# q = k.(R^T t) + 2 [det R < 0] mod 4; rows _RX, _RY give R k.
+_D4 = np.array([[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]],
+                [[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1], [-1, 0]]])
+_R = np.repeat(_D4, 16, axis=0)
+_T = np.tile(np.stack(np.divmod(np.arange(16), 4), axis=1), (8, 1))
+_RX, _RY = _R[:, 0], _R[:, 1]
+_TURN = np.einsum("eji,ej->ei", _R, _T)  # R^T t
+_FLIPPED = np.repeat([0, 0, 0, 0, 2, 2, 2, 2], 16)  # det R = -1 = (-i)^2 on reflections
+_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # (-i)^p is +-1 (p even) or +-i (p odd)
+
+
+def _moves(reps, lookup, side, elements, src):
+    """Where the ``elements`` send the real and imaginary unknowns of the
+    representatives ``src``: (dst, sgn), each (len(elements), 2 len(src)), with
+    dst >= 2m where R k is off ``reps`` (``lookup`` maps the key
+    side kx + ky of a representative to its index, and any other to 2m). The
+    image of a real (imaginary) unit amplitude is (-i)^p with p = q (q + 3);
+    on a representative -R k it is -conj of that, (-i)^(2 - p). Its real
+    (p even) or imaginary part receives the sign of (-i)^p.
+    """
+    k = reps[src].T
+    key = side * (_RX[elements] @ k) + _RY[elements] @ k  # > 0 on representatives
+    q = _TURN[elements] @ k + _FLIPPED[elements, None]
+    p = np.concatenate([q, q + 3], axis=1)
+    p = np.where(np.concatenate([key, key], axis=1) < 0, 2 - p, p) % 4
+    to = lookup[np.abs(key)]
+    return np.concatenate([to, to], axis=1) + len(reps) * (p % 2), _SIGN[p]
+
+
+def _isotropy(reps, n, vecs):
+    """The group of the elements (R, tau) of D4 x (pi/2) Z^2 that map ``reps``
+    onto itself and fix every vector of ``vecs`` (2m real unknowns) exactly.
+
+    Each element permutes the unknowns with signs (``_moves``). All 128 are
+    tested on four modes where the vectors are nonzero, where most fail, and
+    the rest on every unknown.
+    Returns the ``kernels.Subspace`` that the group fixes and the number of
+    distinct signed permutations.
+    """
+    m, side = len(reps), 2 * n + 1
+    lookup = np.full(n * side + n + 1, 2 * m)
+    lookup[reps[:, 0] * side + reps[:, 1]] = np.arange(m)
+    x = np.stack(vecs)
+    off = np.concatenate([x, np.full((len(x), m + 1), np.nan)], axis=1)  # past 2m: never equal
+    elements = np.arange(len(_R))
+    support = np.flatnonzero(np.any(x[:, :m] != 0, axis=0) | np.any(x[:, m:] != 0, axis=0))
+    for src in (support[:4], slice(None)):
+        dst, sgn = _moves(reps, lookup, side, elements, src)
+        own = np.concatenate([x[:, :m][:, src], x[:, m:][:, src]], axis=1)
+        fixes = np.all(off[:, dst] == sgn * own[:, None], axis=(0, 2))
+        elements, dst, sgn = elements[fixes], dst[fixes], sgn[fixes]
+    # The elements that act as the identity form a normal subgroup; its cosets
+    # are the distinct signed permutations.
+    trivial = int(np.sum(np.all((dst == np.arange(2 * m)) & (sgn > 0), axis=1)))
+    return kernels.Subspace(reps, n, dst, sgn), len(dst) // trivial
+
+
 def _field_to_vec(v, reps, sigmas):
     c = sp.gather(v.keys, v.coeffs, reps)
     amps = sigmas[:, 0] * c[:, 0] + sigmas[:, 1] * c[:, 1]
@@ -170,8 +257,10 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
     next step's. ``residual_h``, which alone decides ``converged``, is one
     exact ``residual`` of the returned solution.
 
-    The unknowns are the representatives on the lattice of the modes of g and
-    of the projected ``initial``; ``dofs`` counts them, two reals each.
+    The unknowns are the first unknowns of the orbits, on the lattice of the
+    modes of g and of the projected ``initial``, of the group of symmetries
+    that fix both; ``dofs`` counts them and ``group_order`` the group's
+    distinct signed permutations of the lattice's unknowns.
 
     Returns a SolveReport; ``converged`` is False after ``max_iters`` Newton
     steps or a singular linearization (condition estimate attached).
@@ -182,15 +271,19 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
     reps, sigmas = _dof_maps(p.trunc)
     on = _lattice_mask(reps, [p.g.keys, v.keys])
     reps, sigmas = reps[on], sigmas[on]
-    stokes = np.tile(np.sum(reps * reps, axis=1), 2)  # A on the DOFs
-    gvec = _field_to_vec(p.g, reps, sigmas)
-    x = _field_to_vec(v, reps, sigmas)
+    gvec, xvec = _field_to_vec(p.g, reps, sigmas), _field_to_vec(v, reps, sigmas)
+    sub, order = _isotropy(reps, p.trunc, [gvec, xvec])
+    weight = np.sqrt(sub.sizes)  # |F| is the weighted norm of F on the first unknowns
+    gvec, x = gvec[sub.first], xvec[sub.first]
+
+    def field(xv):
+        return _vec_to_field(sub.expand(xv), reps, sigmas, p.trunc)
 
     def linearize(xv):
-        fld = _vec_to_field(xv, reps, sigmas, p.trunc)
-        jac = kernels.assemble_linearized(fld.keys, fld.coeffs, reps, p.alpha, p.trunc)
-        fx = 0.5 * (jac @ xv + stokes * xv) - gvec
-        return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(fx)), fld
+        fld = field(xv)
+        jac = kernels.assemble_linearized(fld.keys, fld.coeffs, reps, p.alpha, p.trunc, sub)
+        fx = 0.5 * (jac @ xv + sub.stokes * xv) - gvec
+        return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(weight * fx)), fld
 
     def report(vfld, iters, message=None, condition=None, polished=False):
         rh = sp.norm_ds(residual(vfld, p), 0)
@@ -203,7 +296,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
             solution=vfld, residual_h=rh, newton_iters=iters,
             bound_check=_bound_check(vfld, gnorm), converged=not message,
             message=message, condition=condition, residual_history=history,
-            dofs=len(gvec),
+            dofs=len(gvec), group_order=order,
         )
 
     jac, fx, rnorm, vfld = linearize(x)
@@ -217,7 +310,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
             return report(vfld, it - 1, "singular Newton system", float(np.linalg.cond(jac)))
         if rnorm <= tol:
             # The polish step: nothing is linearized at its result.
-            return report(_vec_to_field(x - step, reps, sigmas, p.trunc), it, polished=True)
+            return report(field(x - step), it, polished=True)
         damp = 1.0
         for _ in range(MAX_HALVINGS + 1):
             xt = x - damp * step

@@ -79,6 +79,10 @@ def test_sweep_cli_fixed_force(tmp_path):
     man = fieldio.read_manifest(os.path.join(out, "manifest.json"))
     assert len(man["entries"]) == 6
     assert all(e["bound_check"] <= 1 + 1e-10 for e in man["entries"])
+    assert all("dofs" not in e for e in man["entries"])  # read_manifest ignores them
+    # the README forcing's group of order 4 leaves 23 of the 90 unknowns on 2Z x Z at N = 6
+    raw = fieldio.read_json(os.path.join(out, "manifest.json"))["entries"]
+    assert [(e["dofs"], e["group_order"]) for e in raw] == [(23, 4)] * 6
 
 
 def test_sweep_cli_fixture_family(tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grashof_expand import fixtures as fx
 from grashof_expand import kernels
 from grashof_expand import spectral as sp
 from grashof_expand import steady as st
@@ -133,6 +134,60 @@ def test_jacobian_kernel_on_a_subset_of_representatives():
     part = kernels.assemble_linearized(v.keys, v.coeffs, reps[even], 16.0, n)
     assert part.shape == (2 * len(even), 2 * len(even))
     assert np.max(np.abs(part - full[np.ix_(rows, rows)])) <= 1e-15 * np.max(np.abs(full))
+
+
+def symmetrized(x, reps, n, element):
+    """The sum of x over the powers of one element (R, tau) of the symmetry
+    group: a vector that the element fixes, exactly when the sums are exact."""
+    side = 2 * n + 1
+    lookup = np.full(n * side + n + 1, 2 * len(reps))
+    lookup[reps[:, 0] * side + reps[:, 1]] = np.arange(len(reps))
+    dst, sgn = (a[0] for a in st._moves(reps, lookup, side, [element], np.arange(len(reps))))
+    total, y = x.copy(), x
+    for _ in range(15):  # (R, tau)^16 is the identity
+        z = np.empty_like(y)
+        z[dst] = sgn * y
+        total, y = total + z, z
+    return total
+
+
+def subspace_field(case):
+    """(v, reps, subspace) of a field on a group's fixed subspace at N = 8."""
+    n = 8
+    reps, sigmas = st._dof_maps(n)
+    rng = np.random.default_rng(9)
+    if case == "readme":
+        g = fx.example45(fx.Example45Config.single(2, 1.0), 1).g
+        on = st._lattice_mask(reps, [g.keys])
+        reps, sigmas = reps[on], sigmas[on]
+        orbits, _ = st._isotropy(reps, n, [st._field_to_vec(g, reps, sigmas)])
+        x = orbits.expand(0.1 * rng.standard_normal(len(orbits.first)))
+    else:
+        # x <-> y, then translate by (pi/2, 0): amplitude a(kx, ky) goes to
+        # a(ky, kx) times -e^{-i ky pi/2}, a phase -+i for odd ky
+        x = symmetrized(rng.integers(-64, 65, 2 * len(reps)) / 512, reps, n, 6 * 16 + 4)
+        orbits, _ = st._isotropy(reps, n, [x])
+    return st._vec_to_field(x, reps, sigmas, n), reps, orbits
+
+
+@pytest.mark.parametrize("case", ["readme", "quarter-glide"])
+def test_reduced_jacobian_is_p_j_q(case):
+    """On a fixed subspace the assembly is P J Q of the full one: the rows of
+    the first unknowns, and each orbit's columns summed with their signs."""
+    v, reps, orbits = subspace_field(case)
+    m = len(reps)
+    live = np.flatnonzero(orbits.orbit >= 0)
+    if case == "quarter-glide":  # some orbit holds a real and an imaginary part
+        parts = np.zeros((len(orbits.first), 2), dtype=bool)
+        parts[orbits.orbit[live], live // m] = True
+        assert parts.all(axis=1).any()
+    q = np.zeros((2 * m, len(orbits.first)))
+    q[live, orbits.orbit[live]] = orbits.sign[live]
+    full = kernels.assemble_linearized(v.keys, v.coeffs, reps, 32.0, 8)
+    want = full[orbits.first] @ q
+    got = kernels.assemble_linearized(v.keys, v.coeffs, reps, 32.0, 8, orbits)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -120,6 +120,11 @@ def readme_force():
     return fx.example45(fx.Example45Config.single(2, 1.0), 1).g
 
 
+def two_mode_force():
+    """The two-mode probe's forcing, c = (1.27, 0.9)."""
+    return fx.example45(fx.Example45Config(coeffs=((2, 1.27), (3, 0.9))), 1).g
+
+
 # Lattice bases; each case's generators are the basis and three integer
 # combinations of it, shuffled, drawn from one seeded generator.
 LATTICE_BASES = {
@@ -150,13 +155,15 @@ def test_lattice_mask_is_the_span_of_the_generators(case, n):
 
 def test_dofs_are_the_forcing_lattice():
     """The README forcing lives on 2Z x Z (76 of the 144 representatives at
-    N = 8); the two-mode forcing generates every wavevector, so its lattice
-    mask is all True."""
+    N = 8), and its isotropy group of order 4 leaves 38 of those 152 unknowns;
+    the two-mode forcing generates every wavevector, and its parity halves
+    the 288 unknowns."""
     p = st.SteadyProblem(g=readme_force(), alpha=1.0, trunc=8)
-    assert st.solve_steady(p, initial=sp.apply_fractional(p.g, -1.0)).dofs == 152
-    two_mode = fx.example45(fx.Example45Config(coeffs=((2, 1.27), (3, 0.9))), 1).g
-    q = st.SteadyProblem(g=two_mode, alpha=1.0, trunc=8)
-    assert st.solve_steady(q, initial=sp.apply_fractional(q.g, -1.0)).dofs == 288
+    rep = st.solve_steady(p, initial=sp.apply_fractional(p.g, -1.0))
+    assert (rep.dofs, rep.group_order) == (38, 4)
+    q = st.SteadyProblem(g=two_mode_force(), alpha=1.0, trunc=8)
+    rep = st.solve_steady(q, initial=sp.apply_fractional(q.g, -1.0))
+    assert (rep.dofs, rep.group_order) == (144, 2)
 
 
 def test_off_lattice_guess_solves_every_unknown():
@@ -165,13 +172,90 @@ def test_off_lattice_guess_solves_every_unknown():
     g = readme_force()
     alphas = [2.0**i for i in range(7)]
     on = st.sweep(alphas, g, trunc=8)[-1]
-    assert on.dofs == 152
+    assert on.dofs == 38
     pert = sp.random_divfree(3, np.random.default_rng(64))
     p = st.SteadyProblem(g=g, alpha=alphas[-1], trunc=8)
     off = st.solve_steady(p, initial=on.solution + 1e-3 * pert)
     assert off.converged and off.dofs == 288
     diff = sp.norm_ds(off.solution - on.solution, 0.5) / sp.norm_ds(on.solution, 0.5)
     assert diff <= 1e-12
+
+
+def subspace_of(g, n, guess=None):
+    """Lattice representatives, polarizations, ``kernels.Subspace`` and group
+    order of the unknowns for forcing g and the guess A^-1 g (or ``guess``)
+    at radius n."""
+    v = sp.project_trunc(sp.apply_fractional(g, -1.0) if guess is None else guess, n)
+    reps, sigmas = st._dof_maps(n)
+    on = st._lattice_mask(reps, [g.keys, v.keys])
+    reps, sigmas = reps[on], sigmas[on]
+    vecs = [st._field_to_vec(g, reps, sigmas), st._field_to_vec(v, reps, sigmas)]
+    orbits, order = st._isotropy(reps, n, vecs)
+    return reps, sigmas, orbits, order
+
+
+def is_fixed(x, orbits):
+    """Largest distance of x from the subspace vector with x's first unknowns."""
+    return np.max(np.abs(x - orbits.expand(x[orbits.first])))
+
+
+SYMMETRY_CASES = {
+    # parity u(x) -> -u(-x) and the glide "y -> -y, then translate by (pi/2, pi)"
+    "readme": (readme_force, 4, 38),
+    # parity only
+    "two-mode": (two_mode_force, 2, 144),
+    # no symmetry: every unknown
+    "random": (lambda: sp.random_divfree(4, np.random.default_rng(12), decay=1.5), 1, 288),
+}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_CASES))
+def test_isotropy_group_of_the_forcing(case):
+    """The group's order counts distinct signed permutations of the unknowns:
+    (R, tau) and (R, tau + (pi, 0)) act alike on the README's 2Z x Z."""
+    make, order, dofs = SYMMETRY_CASES[case]
+    g = make()
+    reps, sigmas, orbits, got = subspace_of(g, 8)
+    assert got == order and len(orbits.first) == dofs
+    assert np.sum(orbits.sizes) + np.sum(orbits.orbit < 0) == 2 * len(reps)
+    assert is_fixed(st._field_to_vec(g, reps, sigmas), orbits) == 0.0
+
+
+@pytest.mark.parametrize("case", list(SYMMETRY_CASES))
+def test_symmetric_fields_stay_symmetric_under_b(case):
+    """Equivariance: for v on the fixed subspace, B(v, v) is on it too."""
+    g = SYMMETRY_CASES[case][0]()
+    reps, sigmas, orbits, _ = subspace_of(g, 8)
+    x = orbits.expand(np.random.default_rng(5).standard_normal(len(orbits.first)))
+    v = st._vec_to_field(x, reps, sigmas, 8)
+    b = st._field_to_vec(sp.bilinear_b(v, v, retruncate=8), reps, sigmas)
+    assert is_fixed(x, orbits) == 0.0
+    assert is_fixed(b, orbits) <= 1e-14 * np.max(np.abs(b))
+
+
+def test_weighted_residual_norm_is_the_full_one():
+    """The residual read off the reduced Jacobian, weighted by the root of
+    each orbit's size, has the norm of the full residual."""
+    g = readme_force()
+    reps, sigmas, orbits, _ = subspace_of(g, 8)
+    y = 0.05 * np.random.default_rng(8).standard_normal(len(orbits.first))
+    v = st._vec_to_field(orbits.expand(y), reps, sigmas, 8)
+    p = st.SteadyProblem(g=g, alpha=64.0, trunc=8)
+    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, 8, orbits)
+    stokes = np.tile(np.sum(reps * reps, axis=1), 2)[orbits.first]
+    gvec = st._field_to_vec(g, reps, sigmas)[orbits.first]
+    fx_ = 0.5 * (jac @ y + stokes * y) - gvec
+    got = sp.TWO_PI * np.sqrt(2.0) * np.linalg.norm(np.sqrt(orbits.sizes) * fx_)
+    want = sp.norm_ds(st.residual(v, p), 0)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_symmetric_forcing_with_asymmetric_guess_keeps_every_unknown():
+    g = two_mode_force()
+    guess = sp.apply_fractional(g, -1.0) + 1e-3 * sp.random_divfree(3, np.random.default_rng(64))
+    rep = st.solve_steady(st.SteadyProblem(g=g, alpha=4.0, trunc=8), initial=guess)
+    assert rep.converged and rep.dofs == 288 and rep.group_order == 1
+    assert type(rep.group_order) is int
 
 
 @pytest.mark.parametrize("alpha", [0.0, 4.0, 1024.0])
