@@ -78,16 +78,22 @@ def cmd_fixtures(args):
     if args.family == "example45":
         coeffs = _parse_coeffs(args.coeffs) if args.coeffs else {2: args.c2}
         cfg = fx.Example45Config(coeffs=tuple(coeffs.items()))
+        if args.count < 1:
+            raise UsageError("--count must be at least 1")
         entries = []
         for n in range(1, args.count + 1):
-            rec = fx.example45(cfg, n)
+            rec = fx.example45(cfg, n, check=False)
+            # At the exact radius 2 N the Galerkin residual is A v_n + alpha_n
+            # B(v_n, v_n) - g_n itself, the field the fixture checks.
+            prob = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha,
+                                    trunc=max(2 * rec.v_n.trunc, rec.g_n.trunc))
+            steady = st.residual(rec.v_n, prob)
+            fx.check_example45(rec, steady)
+            res = sp.norm_ds(steady, 0)
             vfile = os.path.join(args.out, f"v_{n:04d}.json")
             gfile = os.path.join(args.out, f"g_{n:04d}.json")
             fieldio.write_field(vfile, rec.v_n)
             fieldio.write_field(gfile, rec.g_n)
-            prob = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha,
-                                    trunc=max(2 * rec.v_n.trunc, rec.g_n.trunc))
-            res = sp.norm_ds(st.residual(rec.v_n, prob), 0)
             entries.append({
                 "n": n, "alpha": rec.alpha, "field": vfile,
                 "residual_H": res,
@@ -96,7 +102,7 @@ def cmd_fixtures(args):
                 "force": gfile,
             })
         glim = os.path.join(args.out, "g_limit.json")
-        fieldio.write_field(glim, fx.example45(cfg, 1).g)
+        fieldio.write_field(glim, rec.g)  # g does not depend on n
         fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries, g_limit=glim)
     else:
         entries = []

@@ -2,13 +2,27 @@
 
 The exact Fourier convolution of (u.grad)v is the innermost loop of the whole
 package, and the dense Newton linearization the innermost step of every steady
-solve. Each is one numpy path over blocks of u modes or of columns; the tests
-check them against a per-mode loop and a field-by-field column assembly, and
-the assembly on a symmetry group's fixed subspace (``Subspace``) against P J Q
-of the full one. The linearization needs a divergence-free v,
+solve. The convolution is one FFT product on a padded grid: u, grad v and the
+indicators of both key sets go to an m x m grid of points, m 5-smooth with
+m >= 2 r + 1 for the larger input radius r, so each mode has its own point,
+and m >= r_u + r_v + nout + 1 for input radii r_u, r_v and output radius
+nout, so no sum p + q aliases onto an output cell (Orszag's padding rule).
+The product of the indicators counts the pairs p + q = k: every cell that no
+pair reaches is set to exactly zero, and a cell that one pair reaches, named
+by a third plane that sums the pairs' codes of p, holds that pair's term as
+a pairwise sum forms it (exactly zero for p parallel to q and a
+divergence-free u). A cell whose several terms cancel exactly keeps the
+FFT's roundoff. The ky < 0 half is the conjugate of the computed half, so
+the grid is Hermitian to the bit. The tests check it against a pairwise sum
+over blocks of mode pairs, which is bit-equal to a per-mode loop: 1e-14
+relative, and the same nonzero cells on every test case. The linearization
+is one numpy path over blocks of columns, checked against a field-by-field
+column assembly, and the assembly on a symmetry group's fixed subspace
+(``Subspace``) against P J Q of the full one. It needs a divergence-free v,
 v_p = a_p sigma_p: each entry is then a_p times a closed-form real weight of
 the wavevectors. Time the README sweep,
-whose Newton loop assembles one linearization per residual, with
+whose Newton loop assembles one linearization per residual and makes one
+exact residual per solve, with
 
     python3 perfbench/run.py --workload sweep-n8 --seed 1 --seconds 15 --trace 0
 
@@ -19,8 +33,33 @@ from __future__ import annotations
 
 import numpy as np
 
-_PAIR_BUDGET = 4096  # (p, q) pairs held at once; all of them at N = 16 are over a million
 _COLUMN_BLOCK = 16  # 24 columns hold more than 1.5x the Jacobian's memory at N = 8
+
+
+def _fft_size(n):
+    """The smallest 5-smooth integer >= n, a length pocketfft transforms fast."""
+    while True:
+        k = n
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return n
+        n += 1
+
+
+def _half(keys, coeffs):
+    """The modes of a real field with ky >= 0 (the rest are their conjugates)."""
+    keep = keys[:, 1] >= 0
+    return keys[keep], coeffs[keep].T
+
+
+def _rows(keys, r):
+    """The row of each of ``keys`` (max-norm at most r) at (k_x + r)(2r + 1) + k_y + r."""
+    w = 2 * r + 1
+    row = np.empty(w * w, dtype=np.int64)
+    row[(keys[:, 0] + r) * w + keys[:, 1] + r] = np.arange(len(keys))
+    return row
 
 
 def advect_convolve(ku, cu, kv, cv, nout):
@@ -29,27 +68,68 @@ def advect_convolve(ku, cu, kv, cv, nout):
     Args:
       ku: int64 array (Mu, 2), wavevectors of u.
       cu: complex128 array (Mu, 2), coefficients of u.
-      kv, cv: same for v.
+      kv, cv: same for v. Both fields are real: their keys are closed under
+        negation and c(-k) = conj(c(k)).
       nout: output truncation radius (max-norm).
 
     Returns:
       complex128 array (2*nout+1, 2*nout+1, 2); entry [kx+nout, ky+nout]
-      holds the coefficient of e^{i k.x} for w[k] = sum_{p+q=k} i (u_p . q) v_q.
+      holds the coefficient of e^{i k.x} for w[k] = sum_{p+q=k} i (u_p . q) v_q,
+      and is exactly zero where no p + q equals k. Where one pair (p, q)
+      does, the entry is its term as the pairwise sum forms it, to the bit.
+      The grid is Hermitian to the bit: entry -k is the conjugate of entry
+      k, entry (0, 0) is real.
     """
     size = 2 * nout + 1
-    reals = np.zeros(4 * size * size)  # per cell (kx, ky): 2 complex components
-    block = max(1, _PAIR_BUDGET // max(len(kv), 1))
-    for start in range(0, len(ku), block):
-        kx = ku[start:start + block, 0, None] + kv[:, 0]
-        ky = ku[start:start + block, 1, None] + kv[:, 1]
-        # Pairs in (p, q) order: np.add.at sums every cell's terms in that order,
-        # so the sum is the same to the bit for any block size.
-        p, q = np.nonzero((np.abs(kx) <= nout) & (np.abs(ky) <= nout))
-        cells = 4 * ((kx[p, q] + nout) * size + ky[p, q] + nout)
-        p += start
-        terms = (1j * (cu[p, 0] * kv[q, 0] + cu[p, 1] * kv[q, 1]))[:, None] * cv[q]
-        np.add.at(reals, (cells[:, None] + np.arange(4)).ravel(), terms.view(np.float64).ravel())
-    return reals.view(np.complex128).reshape(size, size, 2)
+    if len(ku) == 0 or len(kv) == 0:
+        return np.zeros((size, size, 2), dtype=np.complex128)
+    # Each input mode has its own cell of a grid of m >= 2 r + 1 points, and
+    # with m >= r_u + r_v + nout + 1 no sum p + q, of radius at most
+    # r_u + r_v, aliases onto a cell of radius nout.
+    ru, rv = int(ku.max()), int(kv.max())  # keys closed under negation
+    m = _fft_size(max(ru + rv + nout + 1, 2 * max(ru, rv) + 1, size))
+    cols, wu = max(ru, rv) + 1, 2 * ru + 1
+    (pu, hu), (qv, hv) = _half(ku, cu), _half(kv, cv)
+    # Planes u_x, u_y, 1_U, i c(p) 1_U, d_x v, 1_V, d_y v on the ky >= 0 half
+    # of an m x m grid, c(p) = p_x (2 r_u + 1) + p_y the code of p. The
+    # products with 1_V give each cell k the number of pairs (p, q) with
+    # p + q = k and the sum of their codes, so a cell one pair reaches names
+    # its p.
+    spec = np.zeros((9, m * cols), dtype=np.complex128)
+    at = pu[:, 0] * cols + pu[:, 1]
+    spec[:2, at] = hu
+    spec[2, at] = 1.0
+    spec[3, at] = 1j * (pu[:, 0] * wu + pu[:, 1])
+    at = qv[:, 0] * cols + qv[:, 1]
+    spec[4:6, at] = 1j * qv[:, 0] * hv
+    spec[6, at] = 1.0
+    spec[7:, at] = 1j * qv[:, 1] * hv
+    spec = spec.reshape(9, m, cols)
+    np.fft.ifft(spec, axis=1, norm="forward", out=spec)  # in place (numpy >= 2.0): no new buffer
+    grid = np.fft.irfft(spec, m, axis=2, norm="forward")  # samples on the m x m grid
+    del spec
+    grid[4:6] *= grid[0]
+    grid[7:] *= grid[1]
+    grid[4:6] += grid[7:]  # u.grad v
+    grid[2:4] *= grid[6]  # the pair count and the sum of the codes
+    half = np.fft.rfft(grid[2:6], axis=2, norm="forward")[:, :, :nout + 1]
+    del grid
+    half = np.fft.fft(half, axis=1, norm="forward")[:, np.arange(-nout, nout + 1)]
+    count = half[0].real
+    # A cell that one pair reaches holds that pair's term i (u_p . q) v_q as
+    # the pairwise sum forms it: exactly zero where u_p . q is (p parallel
+    # to q, for a divergence-free u), where the FFT would leave roundoff.
+    x, y = np.nonzero(np.abs(count - 1.0) < 0.5)
+    i = _rows(ku, ru)[np.rint(half[1, x, y].imag).astype(np.int64) + ru * (wu + 1)]
+    qx, qy = x - nout - ku[i, 0], y - ku[i, 1]
+    j = _rows(kv, rv)[(qx + rv) * (2 * rv + 1) + qy + rv]
+    half[2:, x, y] = 1j * (cu[i, 0] * qx + cu[i, 1] * qy) * cv[j].T
+    out = np.empty((size, size, 2), dtype=np.complex128)
+    out[:, nout:] = (half[2:] * (count > 0.5)).transpose(1, 2, 0)
+    out[:, :nout] = out[::-1, :nout:-1].conj()
+    out[:nout, nout] = out[:nout:-1, nout].conj()
+    out[nout, nout] = out[nout, nout].real
+    return out
 
 
 def _full_or(idx, n):

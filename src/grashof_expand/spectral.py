@@ -312,10 +312,14 @@ def _field_from_grid(grid, nout):
 
 
 def bilinear_b(u, v, retruncate=None):
-    """B(u, v) = P((u.grad)v) by exact Fourier convolution.
+    """B(u, v) = P((u.grad)v) by Fourier convolution on a padded FFT grid.
 
-    The exact output truncation is u.trunc + v.trunc (no aliasing); pass
-    ``retruncate`` for the solver's Galerkin closure to a smaller radius.
+    The output truncation u.trunc + v.trunc holds every mode p + q; pass
+    ``retruncate`` for the solver's Galerkin closure to a smaller radius. The
+    grid is large enough that no mode aliases (``kernels.advect_convolve``),
+    so each coefficient is the exact sum to roundoff (1e-14 relative), and
+    the modes are those that some p + q reaches, less any whose projected
+    coefficient comes out exactly zero.
     """
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
     return _field_from_grid(kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout), nout)

@@ -114,6 +114,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     assert run(["sweep", "--out", str(tmp_path / "s")]) == 2  # no force, no fixture
     assert run(["sweep", "--unknown-flag", "1", "--out", "x"]) == 2
+    # g_limit.json is written from a sample's record
+    assert run(["fixtures", "example45", "--count", "0", "--out", str(tmp_path / "f")]) == 2
 
 
 def test_domain_error_exit_1(tmp_path):

@@ -1,5 +1,7 @@
 """Analytic fixture tests: closed forms against high-precision evaluation."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -51,6 +53,20 @@ def test_example45_steady_equation_selfcheck():
         rec = fx.example45(cfg, n)  # check=True raises on failure
         p = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha, trunc=2 * rec.v_n.trunc)
         assert sp.norm_ds(st.residual(rec.v_n, p), 0) <= 1e-12 * sp.norm_ds(rec.g_n, 0)
+
+
+def test_example45_check_of_a_given_steady_residual():
+    """``check_example45`` takes the Galerkin residual at radius 2N, which the
+    CLI computes once per sample, and still raises on either identity."""
+    cfg = fx.Example45Config(coeffs=((2, 1.0), (3, 0.25)))
+    rec = fx.example45(cfg, 4, check=False)
+    p = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha, trunc=2 * rec.v_n.trunc)
+    fx.check_example45(rec, st.residual(rec.v_n, p))
+    with pytest.raises(fx.FixtureIntegrityError, match="steady equation"):
+        fx.check_example45(rec, 1e-9 * rec.g_n)
+    off = dataclasses.replace(rec, gamma2=rec.gamma2 * (1.0 + 1e-6))
+    with pytest.raises(fx.FixtureIntegrityError, match="reconstruction"):
+        fx.check_example45(off, st.residual(rec.v_n, p))
 
 
 def test_example45_reconstruction_and_force_limit():

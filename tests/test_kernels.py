@@ -1,5 +1,6 @@
-"""Kernel tests: the convolution against its per-mode loop, the Jacobian
-assembly against the field-by-field oracle."""
+"""Kernel tests: the FFT convolution against the pairwise oracle (itself the
+per-mode loop to the bit), the Jacobian assembly against the field-by-field
+oracle."""
 
 import tracemalloc
 
@@ -12,8 +13,27 @@ from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
 
+def convolve_pairwise(ku, cu, kv, cv, nout, pair_budget=4096):
+    """Oracle for ``kernels.advect_convolve``: the sum over every (p, q) pair,
+    ``pair_budget`` pairs of a block of u modes at a time."""
+    size = 2 * nout + 1
+    reals = np.zeros(4 * size * size)  # per cell (kx, ky): 2 complex components
+    block = max(1, pair_budget // max(len(kv), 1))
+    for start in range(0, len(ku), block):
+        kx = ku[start:start + block, 0, None] + kv[:, 0]
+        ky = ku[start:start + block, 1, None] + kv[:, 1]
+        # Pairs in (p, q) order: np.add.at sums every cell's terms in that order,
+        # so the sum is the same to the bit for any block size.
+        p, q = np.nonzero((np.abs(kx) <= nout) & (np.abs(ky) <= nout))
+        cells = 4 * ((kx[p, q] + nout) * size + ky[p, q] + nout)
+        p += start
+        terms = (1j * (cu[p, 0] * kv[q, 0] + cu[p, 1] * kv[q, 1]))[:, None] * cv[q]
+        np.add.at(reals, (cells[:, None] + np.arange(4)).ravel(), terms.view(np.float64).ravel())
+    return reals.view(np.complex128).reshape(size, size, 2)
+
+
 def convolve_per_mode(ku, cu, kv, cv, nout):
-    """Slow oracle for ``kernels.advect_convolve``: one u mode at a time."""
+    """Slowest oracle: one u mode at a time."""
     size = 2 * nout + 1
     grid = np.zeros((size, size, 2), dtype=np.complex128)
     qdot = kv.astype(np.float64)
@@ -64,13 +84,71 @@ CONVOLUTION_CASES = {
 @pytest.mark.parametrize("case", list(CONVOLUTION_CASES))
 def test_convolution_is_the_per_mode_sum_to_the_bit(case):
     u, v, nout = CONVOLUTION_CASES[case](np.random.default_rng(2))
-    got = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    got = convolve_pairwise(u.keys, u.coeffs, v.keys, v.coeffs, nout)
     assert np.array_equal(got, convolve_per_mode(u.keys, u.coeffs, v.keys, v.coeffs, nout))
+    # the block size does not change a bit
+    assert np.array_equal(got, convolve_pairwise(u.keys, u.coeffs, v.keys, v.coeffs, nout, 7))
+
+
+# Cases beyond CONVOLUTION_CASES for the FFT grid of m >= r_u + r_v + nout + 1.
+FFT_CASES = {
+    **CONVOLUTION_CASES,
+    # r_u = 8 is above m / 2 on the grid m = 15 that r_u + r_v + nout + 1 = 13
+    # asks for: the grid must widen to m >= 2 r_u + 1 to hold every mode of u
+    "wide-u": lambda rng: (sp.random_divfree(8, rng), sp.random_divfree(1, rng), 3),
+    "wide-v": lambda rng: (sp.random_divfree(1, rng), sp.random_divfree(8, rng), 3),
+    # nout > r_u + r_v: the grid is set by the output (m >= 2 nout + 1)
+    "nout-above-sum": lambda rng: (sp.random_divfree(2, rng), sp.random_divfree(3, rng), 9),
+    "zero-v": lambda rng: (sp.random_divfree(4, rng), sp.zero_field(4), 8),
+    "zero-both": lambda rng: (sp.zero_field(2), sp.zero_field(3), 5),
+}
+
+
+def pair_count(ku, kv, nout):
+    """The number of pairs (p, q) with p + q = k at each cell k of the
+    radius-nout grid."""
+    size = 2 * nout + 1
+    count = np.zeros((size, size), dtype=np.int64)
+    kx, ky = (ku[:, None, i] + kv[None, :, i] for i in (0, 1))
+    keep = (np.abs(kx) <= nout) & (np.abs(ky) <= nout)
+    np.add.at(count, (kx[keep] + nout, ky[keep] + nout), 1)
+    return count
+
+
+@pytest.mark.parametrize("case", list(FFT_CASES))
+def test_fft_convolution_matches_the_pairwise_oracle(case):
+    """Deviation within 1e-14 of the largest entry, a Hermitian grid to the
+    bit, and the oracle's support: exactly zero off the sum set of the two
+    key sets, and off (0, 0) nonzero exactly where the oracle is. A cell
+    that one pair reaches is the oracle's to the bit, also where that pair
+    has p parallel to q and u_p . q is 0 for a divergence-free u (corners of
+    "n3" and "nout-above-sum")."""
+    u, v, nout = FFT_CASES[case](np.random.default_rng(2))
+    got = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    want = convolve_pairwise(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    assert got.shape == want.shape == (2 * nout + 1, 2 * nout + 1, 2)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
+    assert np.array_equal(got, np.conj(got[::-1, ::-1]))
+    assert np.all(got[nout, nout].imag == 0)
+    count = pair_count(u.keys, v.keys, nout)
+    assert not np.any(got[count == 0])
+    assert np.array_equal(got[count == 1], want[count == 1])
+    off = np.ones(got.shape[:2], dtype=bool)
+    off[nout, nout] = False
+    assert np.array_equal(got[off] != 0, want[off] != 0)
 
 
 def test_convolution_keeps_the_exact_support():
     # e_2 and e_5 are one mode pair each: B(e_2, e_5) has the 4 sums p + q.
     assert len(sp.bilinear_b(sp.eigenfunction(2), sp.eigenfunction(5)).keys) == 4
+
+
+def test_convolution_of_the_shear_is_exactly_zero():
+    """(w1 . grad) w1 = sin y d_x (sin y) e1 = 0 for the example45 shear
+    w1 = sin y e1: its u_y and d_x planes are exact zeros, so the product is."""
+    w1 = fx.example45(fx.Example45Config.single(2, 1.0), 3).w1
+    assert len(w1.keys) == 2
+    assert len(sp.bilinear_b(w1, w1).keys) == 0
 
 
 def test_convolution_memory_is_bounded():
