@@ -36,7 +36,6 @@ from .orders import (
     ClassificationReport,
     InconsistentRelationsError,
     OrderRelation,
-    OrderTols,
     PositiveSequence,
     build_S,
     chi_trichotomy,

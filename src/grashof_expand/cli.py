@@ -56,9 +56,9 @@ def _parse_coeffs(spec):
 def _parse_scale(spec, depth):
     if spec == "default-2dp":
         return ex.default_scale_2dp(depth)
-    if spec.startswith("constant:"):
-        return ex.constant_scale(float(spec.split(":", 1)[1]), depth)
     try:
+        if spec.startswith("constant:"):
+            return ex.constant_scale(float(spec.split(":", 1)[1]), depth)
         exps = tuple(float(s) for s in spec.split(","))
     except ValueError as exc:
         raise UsageError(f"bad scale spec {spec!r}") from exc
@@ -74,12 +74,12 @@ def _parse_scale(spec, depth):
 
 
 def cmd_fixtures(args):
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     if args.family == "example45":
         coeffs = _parse_coeffs(args.coeffs) if args.coeffs else {2: args.c2}
         cfg = fx.Example45Config(coeffs=tuple(coeffs.items()))
-        if args.count < 1:
-            raise UsageError("--count must be at least 1")
         entries = []
         for n in range(1, args.count + 1):
             rec = fx.example45(cfg, n, check=False)
@@ -127,6 +127,8 @@ def cmd_fixtures(args):
 
 
 def cmd_sweep(args):
+    if args.count < 1:
+        raise UsageError("--count must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     if args.fixture:
         if args.fixture != "example45":
@@ -190,9 +192,9 @@ def cmd_extract(args):
     tols = ex.ToleranceSet(kmax=args.depth, tail=args.tail)
     scale = _parse_scale(args.scale, args.depth)
     strict = ex.extract_strict(data, scale, tols)
-    restructured = ex.restructure(strict, tols)
+    restructured = ex.restructure(strict)
     space = scale.exponent(0) if scale.regime == "constant" else args.space
-    unitary = ex.refine_unitary(strict, data, space=space, tols=tols)
+    unitary = ex.refine_unitary(strict, data, space=space)
     os.makedirs(args.out, exist_ok=True)
     ex.save_expansion(os.path.join(args.out, "expansion.json"),
                       {"strict": strict, "restructured": restructured, "unitary": unitary},
@@ -229,8 +231,7 @@ def cmd_classify(args):
     if name not in forms:
         raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
     e = forms[name]
-    tols = od.OrderTols(slope=args.slope_tol, disp=args.disp_tol, residual=args.residual_tol)
-    rep = od.classify(e, g_limit, alphas, tols)
+    rep = od.classify(e, g_limit, alphas)
     doc = {
         "branch": rep.branch,
         "constants": {k: float(v) for k, v in rep.constants.items()},
@@ -242,7 +243,8 @@ def cmd_classify(args):
         "evidence": rep.evidence,
         "warnings": rep.warnings,
         "form": name,
-        "tolerances": {"slope": tols.slope, "disp": tols.disp, "residual": tols.residual},
+        "tolerances": {"slope": od.SLOPE_GATE, "disp": od.DISP_GATE,
+                       "residual": od.RESIDUAL_GATE},
     }
     fieldio.write_json(args.out, doc)
     print(rep.summary())
@@ -354,9 +356,6 @@ def build_parser():
     p.add_argument("--expansion", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--form", help="expansion form to classify (default: unitary)")
-    p.add_argument("--slope-tol", type=float, default=0.1)
-    p.add_argument("--disp-tol", type=float, default=0.05)
-    p.add_argument("--residual-tol", type=float, default=1e-8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_classify)
 

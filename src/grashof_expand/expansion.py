@@ -30,10 +30,15 @@ import numpy as np
 
 from . import fieldio
 from . import spectral as sp
-from .seqlimit import EstimatorConfig, estimate_limit
+from .seqlimit import SNAP_REL, estimate_limit
 
 TWO_PI = sp.TWO_PI
 RECON_TOL = 1e-12  # verify: reconstruction error relative to the window's Z_0 scale
+FLOOR = 1e-9       # relative Gamma floor vs the window Z_0 scale
+FINITE = 1e-10     # witness stabilization threshold (finite kind)
+ZERO = 1e-10       # zero-direction threshold (relative to the largest in restructure)
+CAUCHY = 0.8       # window convergence gate on increment decay
+STAGNATION = 0.9   # Gamma-ratio tail gate
 
 
 class NotConvergentError(RuntimeError):
@@ -116,14 +121,9 @@ class SequenceData:
 
 @dataclass(frozen=True)
 class ToleranceSet:
-    """Extraction tolerances; defaults match the shipped acceptance suite."""
+    """The extraction settings a caller chooses; the fixed gates (``FLOOR`` ..
+    ``STAGNATION``, ``seqlimit.SNAP_REL``) are module constants."""
 
-    floor: float = 1e-9       # relative Gamma floor vs the window Z_0 scale
-    finite: float = 1e-10     # witness stabilization threshold (finite kind)
-    zero: float = 1e-10       # zero-direction threshold, relative
-    snap: float = 1e-12       # estimator component zero-snap
-    cauchy: float = 0.8       # window convergence gate on increment decay
-    stagnation: float = 0.9   # Gamma-ratio tail gate
     tail: int = 0             # 0 = ceil(M/3)
     kmax: int = 6
 
@@ -238,17 +238,16 @@ class _Window:
                              [self.to_field(w) for w in witnesses], estimator)
 
 
-def _check_convergent(win, s0, tols):
+def _check_convergent(win, s0, t):
     """Numerical Cauchy criterion in Z_0 over the window."""
     dn = win.norms(win.flat[1:] - win.flat[:-1], s0)
     scale = float(np.max(win.norms(win.flat, s0)))
     if np.all(dn <= 1e-13 * max(scale, 1e-300)):
         return
-    t = tols.tail_for(win.m)
     tail = dn[-(t + 1):]
     if np.any(np.diff(tail) > 1e-12 * max(scale, tail.max())):
         raise NotConvergentError("window increments are not decreasing in Z_0")
-    if dn[-1] > tols.cauchy * dn[0]:
+    if dn[-1] > CAUCHY * dn[0]:
         raise NotConvergentError("window increments show no overall decay in Z_0")
 
 
@@ -276,15 +275,14 @@ def extract_strict(data, scale, tols=None):
     win = _Window(data.fields)
     xs = 1.0 / np.array(data.alphas)
     t = tols.tail_for(win.m)
-    cfg = EstimatorConfig(tail=t, snap_rel=tols.snap)
     s0 = scale.exponent(0)
-    _check_convergent(win, s0, tols)
+    _check_convergent(win, s0, t)
 
-    vhat, vmethod = estimate_limit(win.flat, xs, cfg)
+    vhat, vmethod = estimate_limit(win.flat, xs, t)
     vhat = win.divfree(vhat)
     log = [f"limit estimator: {vmethod}"]
     scale0 = float(np.max(win.norms(win.flat, s0)))
-    floor_abs = tols.floor * max(scale0, 1e-300)
+    floor_abs = FLOOR * max(scale0, 1e-300)
 
     resid = win.flat - vhat
     terms = []
@@ -303,23 +301,23 @@ def extract_strict(data, scale, tols=None):
         if np.min(gammas) <= 0.0:
             raise StagnationError(f"level-{k} residual vanishes for some n but not all")
         if k == 1:
-            if gammas[-1] > tols.stagnation * np.max(gammas[:t]):
+            if gammas[-1] > STAGNATION * np.max(gammas[:t]):
                 raise StagnationError("Gamma_{1,n} does not decay over the window")
         witnesses = win.divfree(resid / gammas[:, None])
-        what, wmethod = estimate_limit(witnesses, xs, cfg)
+        what, wmethod = estimate_limit(witnesses, xs, t)
         what = win.divfree(what)
         sk = scale.exponent(k)
         conv = win.norms(witnesses - what, sk)
         terms.append(win.term(gammas, what, witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
-        if np.all(conv[-t:] < tols.finite):
+        if np.all(conv[-t:] < FINITE):
             kind = "finite-unitary"
             reason = f"witnesses stabilized at level {k}"
             break
         resid = resid - gammas[:, None] * what
         nxt = win.norms(resid, sk)
         ratios = nxt / gammas
-        if np.mean(ratios[-t:]) >= tols.stagnation:
+        if np.mean(ratios[-t:]) >= STAGNATION:
             reason = f"ratio stagnation after level {k}"
             break
     return ExpansionResult(
@@ -335,7 +333,7 @@ def extract_strict(data, scale, tols=None):
 # ---------------------------------------------------------------------------
 
 
-def refine_unitary(strict, data, space=0.5, tols=None):
+def refine_unitary(strict, data, space=0.5):
     """Unitary (or degenerate) expansion in the single space D(A^space).
 
     Reuses the strict result's window limit, then peels one direction per
@@ -343,17 +341,17 @@ def refine_unitary(strict, data, space=0.5, tols=None):
     Gamma_{k,n} is the projection of the level residual onto it. Witnesses
     are residual/Gamma, so the reconstruction identity is exact by
     construction; they converge to the direction but are not unit vectors.
+    The tail window and depth are the strict result's.
     """
-    tols = tols or strict.tols
+    tols = strict.tols
     win = _Window(data.fields)
     xs = 1.0 / np.array(data.alphas)
     t = tols.tail_for(win.m)
-    cfg = EstimatorConfig(tail=t, snap_rel=tols.snap)
     s = float(space)
     vhat = win.rows([strict.limit])[0]
 
     scale0 = float(np.max(win.norms(win.flat, s)))
-    floor_abs = tols.floor * max(scale0, 1e-300)
+    floor_abs = FLOOR * max(scale0, 1e-300)
     resid = win.flat - vhat
     terms = []
     kind = "infinite-unitary"
@@ -373,10 +371,10 @@ def refine_unitary(strict, data, space=0.5, tols=None):
             reason = f"exact reconstruction at level {k - 1}"
             break
         unit = win.divfree(resid / norms[:, None])
-        dhat, wmethod = estimate_limit(unit, xs, cfg)
+        dhat, wmethod = estimate_limit(unit, xs, t)
         dhat = win.divfree(dhat)
         dnorm = float(win.norms(dhat, s))
-        if dnorm <= tols.zero:
+        if dnorm <= ZERO:
             # Zero witness limit: the tail is degenerate in this space.
             degenerate_n = k - 1
             kind = "degenerate"
@@ -395,13 +393,13 @@ def refine_unitary(strict, data, space=0.5, tols=None):
         terms.append(win.term(projs, dhat, witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
         conv = win.norms(witnesses - dhat, s)
-        if np.all(conv[-t:] < tols.finite):
+        if np.all(conv[-t:] < FINITE):
             kind = "finite-unitary"
             reason = f"witnesses stabilized at level {k}"
             break
         resid = resid - projs[:, None] * dhat
         nxt = win.norms(resid, s)
-        if np.mean(nxt[-t:] / projs[-t:]) >= tols.stagnation:
+        if np.mean(nxt[-t:] / projs[-t:]) >= STAGNATION:
             reason = f"ratio stagnation after level {k}"
             break
     return ExpansionResult(
@@ -417,7 +415,7 @@ def refine_unitary(strict, data, space=0.5, tols=None):
 # ---------------------------------------------------------------------------
 
 
-def restructure(e, tols=None):
+def restructure(e):
     """Convert an expansion to unitary or degenerate form.
 
     Directions below the zero threshold that precede a nonzero direction are
@@ -426,13 +424,12 @@ def restructure(e, tols=None):
     classify the result degenerate; remaining directions are normalized with
     gammas rescaled so each term product is unchanged. Idempotent.
     """
-    tols = tols or e.tols
     if not e.terms:
         return replace(e, kind="trivial", form="unitary", decision_log=list(e.decision_log))
 
     dirnorms = [sp.norm_ds(t.direction, e.space_exponent(k + 1)) for k, t in enumerate(e.terms)]
     zmax = max(dirnorms)
-    zero = [nu <= tols.zero * zmax for nu in dirnorms]
+    zero = [nu <= ZERO * zmax for nu in dirnorms]
 
     if all(zero):
         terms = [
@@ -601,7 +598,7 @@ def verify_expansion(e, data):
         for k in range(len(e.terms)):
             conv = win.norms(wits[k] - dirs[k], e.space_exponent(k + 1))
             ok, _ = _tail_decreasing(conv, t, slack=1e-9)
-            stabilized = bool(np.all(conv[-(t + 1):] <= e.tols.finite))
+            stabilized = bool(np.all(conv[-(t + 1):] <= FINITE))
             checks.append(
                 CheckResult(
                     f"witness-convergence-k{k + 1}",
@@ -793,7 +790,8 @@ def save_expansion(path, forms, alphas):
             "degenerate_N": e.degenerate_n,
             "depth_reason": e.depth_reason,
             "limit_estimator": e.limit_estimator,
-            "tolerances": asdict(e.tols),
+            "tolerances": {"floor": FLOOR, "finite": FINITE, "zero": ZERO, "snap": SNAP_REL,
+                           "cauchy": CAUCHY, "stagnation": STAGNATION, **asdict(e.tols)},
             "limit": limit_file,
             "terms": terms,
             "decision_log": list(e.decision_log),
@@ -818,7 +816,7 @@ def _load_form(base, rec):
         scale=NestedScale(tuple(rec["scale"]["exponents"]), rec["scale"]["regime"]),
         space=rec["space"], degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
         limit_estimator=rec["limit_estimator"],
-        tols=ToleranceSet(**{k: tol[k] for k in asdict(ToleranceSet())}),
+        tols=ToleranceSet(tail=tol["tail"], kmax=tol["kmax"]),
         decision_log=list(rec.get("decision_log", [])),
     )
 

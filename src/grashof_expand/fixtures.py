@@ -244,10 +244,9 @@ def example314_window(n_values=range(1, 7), truncation=64):
     return recs, alphas
 
 
-def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6, tols=None):
+def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6):
     """The hand-built unitary expansion: Gamma_{k,n} = e^{-kn-n^2}, w_k = phi_k."""
     n_values = list(n_values)
-    tols = tols or ToleranceSet()
     phis = sp.eigenfunctions(truncation)
     terms = []
     for k in range(1, depth + 1):
@@ -260,15 +259,14 @@ def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6, t
     return ExpansionResult(
         limit=sp.zero_field(phis[0].trunc), terms=terms, kind="infinite-unitary",
         form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=None,
-        depth_reason="analytic fixture", limit_estimator="analytic", tols=tols,
+        depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
         decision_log=["example314 unitary fixture"],
     )
 
 
-def example314_degenerate_expansion(n_values=range(1, 7), truncation=64, depth=6, tols=None):
+def example314_degenerate_expansion(n_values=range(1, 7), truncation=64, depth=6):
     """The hand-built degenerate expansion: Gamma_{k,n} = e^{-kn}, w_k = 0."""
     n_values = list(n_values)
-    tols = tols or ToleranceSet()
     recs = [example314(n, truncation) for n in n_values]
     terms = []
     for k in range(1, depth + 1):
@@ -279,6 +277,6 @@ def example314_degenerate_expansion(n_values=range(1, 7), truncation=64, depth=6
     return ExpansionResult(
         limit=sp.zero_field(recs[0].v_n.trunc), terms=terms, kind="degenerate",
         form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=0,
-        depth_reason="analytic fixture", limit_estimator="analytic", tols=tols,
+        depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
         decision_log=["example314 degenerate fixture"],
     )

@@ -1,15 +1,18 @@
 """Order-of-magnitude calculus on positive sequences and the branch classifier.
 
-``compare`` decides, from a finite window, whether xi grows strictly faster
-than eta (succ), slower (prec), proportionally (sim, with the limit ratio), or
-cannot be decided. ``build_S`` assembles the coefficient sequences
-(alpha), (1), (Gamma_k), (alpha Gamma_k), (alpha Gamma_j Gamma_k) together
-with their full relation matrix and asserts the structural decay relations
-among them. ``classify`` builds that matrix from a verified expansion itself
-(so it raises ``InconsistentRelationsError`` where ``build_S`` does), routes
-the expansion through the steady-state classification tree (limit equation
-per branch, constants as tail means, residuals in the V' norm) and reports
-which branch fired.
+``compare`` decides, from a finite window over the parameters alpha_n,
+whether xi grows strictly faster than eta (succ), slower (prec),
+proportionally (sim, with the limit ratio), or cannot be decided. ``build_S``
+assembles the coefficient sequences (alpha), (1), (Gamma_k), (alpha Gamma_k),
+(alpha Gamma_j Gamma_k) together with their full relation matrix and asserts
+the structural decay relations among them. ``classify`` builds that matrix
+from a verified expansion itself (so it raises ``InconsistentRelationsError``
+where ``build_S`` does), routes the expansion through the steady-state
+classification tree (limit equation per branch, constants as tail means,
+residuals in the V' norm) and reports which branch fired. Every gate is a
+module constant (``SLOPE_GATE``, ``DISP_GATE``, ``RESIDUAL_GATE``,
+``ZERO_GATE``, ``CHI_FLOOR``); the ``classify`` command records the first
+three in its output file.
 """
 
 from __future__ import annotations
@@ -30,15 +33,11 @@ class ClassificationBlockedError(RuntimeError):
     """A comparison needed by the classification tree came back undecided."""
 
 
-@dataclass(frozen=True)
-class OrderTols:
-    slope: float = 0.1
-    disp: float = 0.05
-    residual: float = 1e-8
-
-
-ZERO_GATE = 1e-8     # relative V' gate for v = 0 / v = A^{-1} g
-CHI_FLOOR = 1e-10    # |chi_n| at or below this everywhere: chi vanishes (S1)
+SLOPE_GATE = 0.1      # compare: |log-ratio slope| above this is growth or decay
+DISP_GATE = 0.05      # compare: relative tail dispersion at or below this is sim
+RESIDUAL_GATE = 1e-8  # classify: branch equation residual above this is a warning
+ZERO_GATE = 1e-8      # relative V' gate for v = 0 / v = A^{-1} g
+CHI_FLOOR = 1e-10     # |chi_n| at or below this everywhere: chi vanishes (S1)
 
 
 @dataclass(frozen=True)
@@ -71,15 +70,14 @@ class OrderRelation:
         return f"{self.verdict}{lam} [slope={self.slope:.3g}, disp={self.dispersion:.3g}]"
 
 
-def compare(xi, eta, tols=None, alphas=None):
+def compare(xi, eta, alphas):
     """Decide xi vs eta from the window: succ / sim(lam) / prec / undecided.
 
-    Fits the slope of log(xi/eta) against log(alpha_n) (against log n when no
-    alphas are given) over the tail half; succ needs slope above the gate and
-    strictly increasing tail ratios, sim needs flat slope and small tail
-    dispersion. Windows shorter than 6 are refused.
+    Fits the slope of log(xi/eta) against log(alpha_n) over the tail half;
+    succ needs slope above ``SLOPE_GATE`` and strictly increasing tail ratios,
+    sim needs flat slope and tail dispersion at most ``DISP_GATE``. Windows
+    shorter than 6 are refused.
     """
-    tols = tols or OrderTols()
     x = xi.array
     y = eta.array
     if len(x) != len(y):
@@ -90,19 +88,17 @@ def compare(xi, eta, tols=None, alphas=None):
     ratio = x / y
     half = m // 2
     tail = ratio[half:]
-    grid = np.log(np.asarray(alphas, dtype=float)[half:]) if alphas is not None else np.log(
-        np.arange(half + 1, m + 1, dtype=float)
-    )
+    grid = np.log(np.asarray(alphas, dtype=float)[half:])
     slope = float(np.polyfit(grid, np.log(tail), 1)[0])
     increasing = bool(np.all(np.diff(tail) > 0))
     decreasing = bool(np.all(np.diff(tail) < 0))
     mean = float(np.mean(tail))
     dispersion = float(np.std(tail / mean))  # relative spread; overflow-safe
-    if slope > tols.slope and increasing:
+    if slope > SLOPE_GATE and increasing:
         return OrderRelation("succ", None, slope, dispersion)
-    if slope < -tols.slope and decreasing:
+    if slope < -SLOPE_GATE and decreasing:
         return OrderRelation("prec", None, slope, dispersion)
-    if abs(slope) <= tols.slope and dispersion <= tols.disp:
+    if abs(slope) <= SLOPE_GATE and dispersion <= DISP_GATE:
         return OrderRelation("sim", mean, slope, dispersion)
     return OrderRelation("undecided", None, slope, dispersion)
 
@@ -154,7 +150,7 @@ def _structurally_decaying(sa, sb):
     return all(x <= y for x, y in zip(sorted(ga), sorted(gb)))
 
 
-def build_S(alphas, gammas, tols=None):
+def build_S(alphas, gammas):
     """Coefficient sequences of the expansion with all pairwise relations.
 
     ``gammas`` is a list of positive arrays, one per expansion level. Returns
@@ -165,7 +161,6 @@ def build_S(alphas, gammas, tols=None):
       InconsistentRelationsError: a structural decay relation (a pure product
         of Gamma factors) did not come back succ, signalling a bad extraction.
     """
-    tols = tols or OrderTols()
     alphas = np.asarray(alphas, dtype=float)
     gammas = [np.asarray(g, dtype=float) for g in gammas]
     if not gammas:
@@ -181,7 +176,7 @@ def build_S(alphas, gammas, tols=None):
         for k in gs:
             values = values * gammas[k - 1]
         seqs.append(PositiveSequence(_label(p, gs), tuple(values)))
-    relations = {(i, j): compare(seqs[i], seqs[j], tols, alphas)
+    relations = {(i, j): compare(seqs[i], seqs[j], alphas)
                  for i in range(len(seqs)) for j in range(i + 1, len(seqs))}
     mat = RelationMatrix(sequences=seqs, relations=relations)
 
@@ -198,7 +193,7 @@ def total_comparability(matrix):
     return (len(pairs) == 0, pairs)
 
 
-def chi_trichotomy(chi, matrix, tols=None):
+def chi_trichotomy(chi, matrix):
     """Sign-pattern tag of the deviation sequence chi_n: S1 / S2 / S3 / mixed.
 
     S2/S3 extend the matrix with the |chi_n| row (label ``abs_chi``), compared
@@ -216,7 +211,7 @@ def chi_trichotomy(chi, matrix, tols=None):
     relations = dict(matrix.relations)
     j = len(matrix.sequences)
     for i, seq in enumerate(matrix.sequences):
-        relations[(i, j)] = compare(seq, abschi, tols, alphas)
+        relations[(i, j)] = compare(seq, abschi, alphas)
     ext = RelationMatrix(sequences=matrix.sequences + [abschi], relations=relations)
     ok, _ = total_comparability(ext)
     return ("S2" if chi[0] > 0 else "S3"), ext, ok
@@ -263,7 +258,7 @@ class _Pass:
     """One pass down the classification tree: the inputs every branch reads,
     the relation matrix it consults and the one report the branches fill."""
 
-    def __init__(self, expansion, g, alphas, tols):
+    def __init__(self, expansion, g, alphas):
         self.kind = expansion.kind
         self.v = expansion.limit
         self.gammas = [np.asarray(term.gammas) for term in expansion.terms]
@@ -272,9 +267,8 @@ class _Pass:
         self.gvp = _vprime(g)
         self.alphas = alphas
         self.t = max(2, len(alphas) // 3)
-        self.tols = tols
         self.report = ClassificationReport("", {}, None, None, {}, {}, True, {}, [])
-        self.matrix = build_S(alphas, self.gammas, tols) if self.gammas else None
+        self.matrix = build_S(alphas, self.gammas) if self.gammas else None
         if self.matrix is not None:
             self.report.comparability, undecided = total_comparability(self.matrix)
             if undecided:
@@ -293,7 +287,7 @@ class _Pass:
     def residual(self, eq_id, fieldobj):
         value = _vprime(fieldobj) / self.gvp
         self.report.residuals[eq_id] = value
-        if value > self.tols.residual:
+        if value > RESIDUAL_GATE:
             self.warn(f"branch equation {eq_id} residual {value:.3e}")
 
     def tail_mean(self, values):
@@ -304,22 +298,22 @@ class _Pass:
         return float(np.std(tail) / max(np.mean(tail), 1e-300))
 
 
-def classify(expansion, g, alphas, tols=None):
+def classify(expansion, g, alphas):
     """Classify a verified expansion against the steady-state classification tree.
 
     Builds the relation matrix of the expansion's gammas over the window
     ``alphas`` (``build_S``), routes on the limit (trivial / v = 0 /
     v = A^{-1} g / generic), compares the relevant coefficient sequences,
     estimates the branch constants as tail means and measures every branch
-    equation residual in the V' norm relative to the forcing. Branch equation
-    residual above ``tols.residual`` is a recorded warning, not an error.
+    equation residual in the V' norm relative to the forcing. A branch equation
+    residual above ``RESIDUAL_GATE`` is a recorded warning, not an error.
 
     Raises:
       InconsistentRelationsError: a structural decay relation among the
         gammas failed (see ``build_S``).
       ClassificationBlockedError: a needed comparison is undecided.
     """
-    c = _Pass(expansion, g, np.asarray(alphas, dtype=float), tols or OrderTols())
+    c = _Pass(expansion, g, np.asarray(alphas, dtype=float))
     v = c.v
     # Always: the limit satisfies B(v, v) = 0.
     c.residual("B(v,v)=0", sp.bilinear_b(v, v))
@@ -387,7 +381,7 @@ def _classify_v_zero(c):
     c.residual("mu_star*B(w1,w1)=g", mu_star * sp.bilinear_b(w1, w1) - c.g)
     rep.identities["<g,w1>"] = sp.inner_h(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
     rep.chi = 1.0 - ag11 / mu_star
-    rep.chi_tag, ext, ext_ok = chi_trichotomy(rep.chi, c.matrix, c.tols)
+    rep.chi_tag, ext, ext_ok = chi_trichotomy(rep.chi, c.matrix)
     if ext is not None and not ext_ok:
         c.warn("matrix with |chi| row is not totally comparable")
     if rep.chi_tag == "mixed":

@@ -9,11 +9,10 @@ from increment diagnostics, so identical inputs always take the same route:
                    the gate): Wynn epsilon algorithm per component, which
                    annihilates k geometric error components exactly from
                    2k+1 samples.
-3. ``ls-poly``   - otherwise, when abscissas are available (x_n = 1/alpha_n):
-                   least-squares polynomial in x over the window, evaluated at
-                   x = 0. Least squares (degree below the point count) keeps
-                   the extrapolation stable against roundoff noise.
-4. ``tail-average`` - fallback when no abscissas are given.
+3. ``ls-poly``   - otherwise: least-squares polynomial in the abscissa
+                   x_n = 1/alpha_n over the window, evaluated at x = 0. Least
+                   squares (degree below the point count) keeps the
+                   extrapolation stable against roundoff noise.
 
 Two zero-snap rules make vanishing limits exact, which downstream projections
 rely on: a component is zeroed when its estimate is negligible against its own
@@ -24,33 +23,26 @@ the estimate agrees that the limit sits far below the last sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GEOMETRIC_GATE = 0.6   # increment ratio at or below which decay counts as geometric
 FREEFALL_FRAC = 0.1    # free-fall snap: the estimate sits this far below the last sample
 MAX_SHANKS_ORDER = 3   # deepest Shanks transform e_k
 LS_DEGREE = 8          # highest degree of the least-squares polynomial
+SNAP_REL = 1e-12       # zero-snap: the estimate is this small against the window magnitude
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    tail: int
-    snap_rel: float = 1e-12
-
-
-def shanks_limit(values, max_order=MAX_SHANKS_ORDER):
+def shanks_limit(values):
     """Wynn epsilon extrapolation of a (P, d) sample matrix; returns (d,).
 
-    Computes the Shanks transforms e_k up to k = min((P-1)//2, max_order) and
-    returns, per component, the deepest even-column entry whose computation
+    Computes the Shanks transforms e_k up to k = min((P-1)//2, MAX_SHANKS_ORDER)
+    and returns, per component, the deepest even-column entry whose computation
     never divided by a vanishing difference (such a component has effectively
     converged earlier, so the shallower value is already exact).
     """
     v = np.asarray(values)
     p, d = v.shape
-    kmax = min((p - 1) // 2, max_order)
+    kmax = min((p - 1) // 2, MAX_SHANKS_ORDER)
     best = v[-1].copy()
     if kmax < 1:
         return best
@@ -79,12 +71,12 @@ def _ls_poly_limit(xs, values, degree):
     return coeff[0]
 
 
-def _snap_zero(limit, values, cfg, window):
+def _snap_zero(limit, values, window):
     """Zero components with negligible or free-falling estimated limits."""
     limit = limit.copy()
     mags = np.abs(values)
     maxmag = np.max(mags, axis=0)
-    snap = np.abs(limit) <= cfg.snap_rel * maxmag
+    snap = np.abs(limit) <= SNAP_REL * maxmag
     sub = mags[-window:]
     with np.errstate(invalid="ignore", divide="ignore"):
         falling = np.all(sub[1:] < sub[:-1], axis=0)
@@ -96,13 +88,13 @@ def _snap_zero(limit, values, cfg, window):
     return limit
 
 
-def estimate_limit(values, xs, cfg):
+def estimate_limit(values, xs, tail):
     """Estimate the limit of a sampled vector sequence.
 
     Args:
       values: (M, d) float or complex samples, oldest first.
-      xs: (M,) positive abscissas tending to 0 (1/alpha_n), or None.
-      cfg: EstimatorConfig.
+      xs: (M,) positive abscissas tending to 0 (1/alpha_n).
+      tail: tail length; Shanks and the free-fall snap read the last tail + 3 samples.
 
     Returns:
       (limit (d,), method name)
@@ -112,14 +104,14 @@ def estimate_limit(values, xs, cfg):
         # Real and imaginary parts converge independently (they carry different
         # eigendirections of the same wavevector); estimate them separately.
         real_view = np.ascontiguousarray(values).view(np.float64)
-        limit, method = estimate_limit(real_view, xs, cfg)
+        limit, method = estimate_limit(real_view, xs, tail)
         return limit.view(np.complex128), method
     m = values.shape[0]
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     if m < 3 or scale == 0.0:
         return values[-1].copy() if m else values, "constant"
 
-    window = min(m, cfg.tail + 3)
+    window = min(m, tail + 3)
     diffs = values[1:] - values[:-1]
     dn = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=1))
     if np.all(dn <= 1e-14 * scale):
@@ -132,12 +124,8 @@ def estimate_limit(values, xs, cfg):
     if len(tail_ratios) and np.max(tail_ratios) <= GEOMETRIC_GATE:
         limit = shanks_limit(values[-window:])
         method = "shanks"
-    elif xs is not None:
-        degree = min(LS_DEGREE, m - 2)
-        limit = _ls_poly_limit(xs, values, degree)
-        method = "ls-poly"
     else:
-        limit = np.mean(values[-max(cfg.tail, 1):], axis=0)
-        method = "tail-average"
+        limit = _ls_poly_limit(xs, values, min(LS_DEGREE, m - 2))
+        method = "ls-poly"
 
-    return _snap_zero(limit, values, cfg, window), method
+    return _snap_zero(limit, values, window), method

@@ -57,7 +57,7 @@ def ex314_extraction(ex314_window):
     _, data = ex314_window
     tols = ex.ToleranceSet(kmax=3)
     strict = ex.extract_strict(data, ex.constant_scale(0.0, 3), tols)
-    unitary = ex.refine_unitary(strict, data, space=0.0, tols=tols)
+    unitary = ex.refine_unitary(strict, data, space=0.0)
     return strict, unitary
 
 

@@ -117,7 +117,7 @@ def test_criterion_3_example314_extraction():
     data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(alphas))
     tols = ex.ToleranceSet(kmax=3)
     strict = ex.extract_strict(data, ex.constant_scale(0.0, 3), tols)
-    unitary = ex.refine_unitary(strict, data, space=0.0, tols=tols)
+    unitary = ex.refine_unitary(strict, data, space=0.0)
     limit_norm = sp.norm_ds(unitary.limit, 0)
     ns = np.arange(1, 7)
     gamma_err = 0.0
@@ -207,7 +207,7 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
         for (a2, c2), eta in corpus.items():
             if xi is eta:
                 continue
-            r = od.compare(xi, eta)
+            r = od.compare(xi, eta, n)
             if a1 < a2:
                 expected_ok = r.verdict == "succ"
             elif a1 > a2:
@@ -218,7 +218,7 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
             total += 1
             correct += bool(expected_ok)
     osc = od.compare(od.PositiveSequence("one", tuple(np.ones(12))),
-                     od.PositiveSequence("osc", tuple(2.0 + (-1.0) ** n)))
+                     od.PositiveSequence("osc", tuple(2.0 + (-1.0) ** n)), n)
     osc_ok = osc.verdict == "undecided"
 
     # table structural relations on every fixture extraction

@@ -10,6 +10,8 @@ import pytest
 from grashof_expand import cli
 from grashof_expand import expansion as ex
 from grashof_expand import fieldio
+from grashof_expand import orders as od
+from grashof_expand import seqlimit
 
 
 def run(args):
@@ -40,6 +42,19 @@ def test_pipeline_classification_branch(pipeline):
     assert doc["branch"] == "4.4(iii)(a)"
     assert doc["constants"]["mu"] == pytest.approx(np.sqrt(2) * np.pi, abs=1e-6)
     assert doc["totally_comparable"] is True
+
+
+def test_pipeline_records_its_gates(pipeline):
+    # The gates are module constants; the files still record them as provenance.
+    doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
+    want = {"floor": ex.FLOOR, "finite": ex.FINITE, "zero": ex.ZERO, "snap": seqlimit.SNAP_REL,
+            "cauchy": ex.CAUCHY, "stagnation": ex.STAGNATION, "tail": 0, "kmax": 6}
+    for form in ("strict", "restructured", "unitary"):
+        saved = doc["forms"][form]["tolerances"]
+        assert list(saved.items()) == list(want.items())
+    cls = fieldio.read_json(pipeline / "class.json")
+    assert cls["tolerances"] == {"slope": od.SLOPE_GATE, "disp": od.DISP_GATE,
+                                 "residual": od.RESIDUAL_GATE}
 
 
 def test_pipeline_verify_passes(pipeline):
@@ -114,8 +129,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     assert run(["sweep", "--out", str(tmp_path / "s")]) == 2  # no force, no fixture
     assert run(["sweep", "--unknown-flag", "1", "--out", "x"]) == 2
-    # g_limit.json is written from a sample's record
-    assert run(["fixtures", "example45", "--count", "0", "--out", str(tmp_path / "f")]) == 2
+    # g_limit.json is written from a sample's record, and so are the example314
+    # expansions; an empty sweep would write an empty manifest
+    for argv in (["fixtures", "example45"],
+                 ["fixtures", "example314", "--with-expansions"],
+                 ["sweep", "--force", str(tmp_path / "g.json")]):
+        capsys.readouterr()
+        assert run(argv + ["--count", "0", "--out", str(tmp_path / "c0")]) == 2
+        assert "--count must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "c0").exists()
+    fxdir = str(tmp_path / "fx")
+    assert run(["fixtures", "example45", "--count", "6", "--out", fxdir]) == 0
+    for spec in ("constant:abc", "0.7,abc"):
+        capsys.readouterr()
+        assert run(["extract", "--manifest", f"{fxdir}/manifest.json", "--scale", spec,
+                    "--out", str(tmp_path / "e")]) == 2
+        assert "bad scale spec" in capsys.readouterr().err
+    assert run(["classify", "--expansion", "x.json", "--manifest", f"{fxdir}/manifest.json",
+                "--slope-tol", "0.2", "--out", str(tmp_path / "c.json")]) == 2
+    assert "unrecognized arguments: --slope-tol" in capsys.readouterr().err
 
 
 def test_domain_error_exit_1(tmp_path):

@@ -13,7 +13,7 @@ from grashof_expand import expansion as ex
 from grashof_expand import fieldio
 from grashof_expand import fixtures as fx
 from grashof_expand import spectral as sp
-from grashof_expand.seqlimit import EstimatorConfig, estimate_limit
+from grashof_expand.seqlimit import estimate_limit
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +131,14 @@ def oracle_strict_eigen(coeffs, alphas, kmax, tail):
     Independent of the field machinery: works on the orthonormal-basis
     coefficients where every D(A^0) norm is the euclidean row norm.
     """
-    cfg = EstimatorConfig(tail=tail)
     xs = 1.0 / np.asarray(alphas)
-    vhat, _ = estimate_limit(coeffs, xs, cfg)
+    vhat, _ = estimate_limit(coeffs, xs, tail)
     resid = coeffs - vhat
     gammas_all, dirs_all = [], []
     for _ in range(kmax):
         gam = np.sqrt(np.sum(resid**2, axis=1))
         wit = resid / gam[:, None]
-        what, _ = estimate_limit(wit, xs, cfg)
+        what, _ = estimate_limit(wit, xs, tail)
         gammas_all.append(gam)
         dirs_all.append(what)
         resid = resid - gam[:, None] * what

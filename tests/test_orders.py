@@ -27,15 +27,15 @@ def test_compare_polynomial_rates():
     n = np.arange(1, 13, dtype=float)
     xi = seq("xi", n**-1.0)
     eta = seq("eta", n**-2.0)
-    assert od.compare(xi, eta).verdict == "succ"
-    assert od.compare(eta, xi).verdict == "prec"
+    assert od.compare(xi, eta, n).verdict == "succ"
+    assert od.compare(eta, xi, n).verdict == "prec"
 
 
 def test_compare_sim_with_lambda():
     n = np.arange(1, 13, dtype=float)
     xi = seq("xi", 2.0 / n)
     eta = seq("eta", 1.0 / n)
-    r = od.compare(xi, eta)
+    r = od.compare(xi, eta, n)
     assert r.verdict == "sim"
     assert r.lam == pytest.approx(2.0, rel=1e-12)
 
@@ -53,12 +53,12 @@ def test_compare_oscillating_ratio_undecided():
     n = np.arange(1, 13)
     xi = seq("xi", np.ones(12))
     eta = seq("eta", 2.0 + (-1.0) ** n)
-    assert od.compare(xi, eta).verdict == "undecided"
+    assert od.compare(xi, eta, n).verdict == "undecided"
 
 
 def test_compare_window_too_short():
     with pytest.raises(ValueError):
-        od.compare(seq("a", [1, 2, 3]), seq("b", [1, 2, 3]))
+        od.compare(seq("a", [1, 2, 3]), seq("b", [1, 2, 3]), np.arange(1, 4))
 
 
 def test_compare_antisymmetry_on_corpus():
@@ -68,18 +68,18 @@ def test_compare_antisymmetry_on_corpus():
     inverse = {"succ": "prec", "prec": "succ", "sim": "sim", "undecided": "undecided"}
     for a in corpus:
         for b in corpus:
-            r1 = od.compare(a, b)
-            r2 = od.compare(b, a)
+            r1 = od.compare(a, b, n)
+            r2 = od.compare(b, a, n)
             assert r2.verdict == inverse[r1.verdict]
 
 
 def test_compare_sim_scale_invariance():
     n = np.arange(1, 13, dtype=float)
     eta = seq("eta", 3.0 / n)
-    base = od.compare(seq("xi", 1.5 / n), eta)
+    base = od.compare(seq("xi", 1.5 / n), eta, n)
     assert base.verdict == "sim"
     for c in (0.5, 2.0, 10.0):
-        r = od.compare(seq("cxi", c * 1.5 / n), eta)
+        r = od.compare(seq("cxi", c * 1.5 / n), eta, n)
         assert r.verdict == "sim"
         assert r.lam == pytest.approx(c * base.lam, rel=1e-12)
 
