@@ -49,6 +49,7 @@ from .spectral import (
     apply_fractional,
     bilinear_b,
     bilinear_bs,
+    eigen_sums,
     eigenfunction,
     eigenfunctions,
     eigenvalue,

@@ -13,8 +13,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import expansion as ex
 from . import fieldio
 from . import fixtures as fx
@@ -54,18 +52,21 @@ def _parse_coeffs(spec):
 
 
 def _parse_scale(spec, depth):
-    if spec == "default-2dp":
-        return ex.default_scale_2dp(depth)
+    """The NestedScale of ``--scale``; an unparsable or invalid spec is a usage error."""
     try:
+        if spec == "default-2dp":
+            return ex.default_scale_2dp(depth)
         if spec.startswith("constant:"):
             return ex.constant_scale(float(spec.split(":", 1)[1]), depth)
         exps = tuple(float(s) for s in spec.split(","))
     except ValueError as exc:
         raise UsageError(f"bad scale spec {spec!r}") from exc
-    if len(set(exps)) == 1:
-        return ex.NestedScale(exps, "constant")
-    regime = "2d-periodic" if all(0.5 < s < 1.0 for s in exps) else "general"
-    return ex.NestedScale(exps, regime)
+    regime = ("constant" if len(set(exps)) == 1 else
+              "2d-periodic" if all(0.5 < s < 1.0 for s in exps) else "general")
+    try:
+        return ex.NestedScale(exps, regime)
+    except ValueError as exc:
+        raise UsageError(f"scale {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,10 @@ def _parse_scale(spec, depth):
 def cmd_fixtures(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
+    if args.family == "example314" and args.count > 6:
+        raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
+    if args.family == "example314" and args.truncation < 16:
+        raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {args.truncation}")
     os.makedirs(args.out, exist_ok=True)
     if args.family == "example45":
         coeffs = _parse_coeffs(args.coeffs) if args.coeffs else {2: args.c2}
@@ -105,23 +110,23 @@ def cmd_fixtures(args):
         fieldio.write_field(glim, rec.g)  # g does not depend on n
         fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries, g_limit=glim)
     else:
+        ns = range(1, args.count + 1)
+        recs, alphas = fx.example314_window(ns, args.truncation)
         entries = []
-        for n in range(1, args.count + 1):
-            rec = fx.example314(n, truncation=args.truncation)
-            vfile = os.path.join(args.out, f"v_{n:04d}.json")
+        for rec, alpha in zip(recs, alphas):
+            vfile = os.path.join(args.out, f"v_{rec.n:04d}.json")
             fieldio.write_field(vfile, rec.v_n)
             entries.append({
-                "n": n, "alpha": float(np.exp(n)), "field": vfile,
+                "n": rec.n, "alpha": alpha, "field": vfile,
                 "residual_H": 0.0, "bound_check": 0.0,
             })
         fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries)
         if args.with_expansions:
-            ns = range(1, args.count + 1)
             uni = fx.example314_unitary_expansion(ns, args.truncation)
             den = fx.example314_degenerate_expansion(ns, args.truncation)
             ex.save_expansion(os.path.join(args.out, "expansion_analytic.json"),
                               {"unitary": uni, "degenerate": den},
-                              [float(np.exp(n)) for n in ns])
+                              alphas)
     print(f"wrote fixture manifest under {args.out}")
     return 0
 
@@ -188,9 +193,14 @@ def _load_sequence(manifest_path):
 
 
 def cmd_extract(args):
-    data, _ = _load_sequence(args.manifest)
-    tols = ex.ToleranceSet(kmax=args.depth, tail=args.tail)
+    if args.depth < 1:
+        raise UsageError(f"--depth must be at least 1; got {args.depth}")
     scale = _parse_scale(args.scale, args.depth)
+    data, _ = _load_sequence(args.manifest)
+    if not 0 <= args.tail <= len(data):
+        raise UsageError(f"--tail {args.tail} is outside 0..{len(data)}, "
+                         f"the window's {len(data)} samples (0 = auto)")
+    tols = ex.ToleranceSet(kmax=args.depth, tail=args.tail)
     strict = ex.extract_strict(data, scale, tols)
     restructured = ex.restructure(strict)
     space = scale.exponent(0) if scale.regime == "constant" else args.space

@@ -7,7 +7,9 @@ Two families:
   two-term expansion of v_n = u_n/alpha_n in V.
 * ``example314`` - v_n = e^{-n^2} sum_k e^{-kn} phi_k in H, which carries both
   a unitary expansion (directions phi_k) and a degenerate expansion (all
-  directions zero), built here term by term.
+  directions zero), built here term by term. Each of its fields is one row
+  of a weight matrix on the first T Stokes eigenfunctions
+  (``spectral.eigen_sums``), bit-equal to ``lin_comb`` over the eigenfunctions.
 
 Every fixture self-checks its defining identities before being returned.
 """
@@ -221,6 +223,17 @@ def example314_abs_v(n, truncation=None):
     return np.exp(-n * n - n) * np.sqrt(top / (1.0 - q))
 
 
+def _example314_fields(n_values, truncation):
+    """v_n for each n of ``n_values`` in one array pass: the weights
+    e^{-n^2-kn}, k = 1..T, are one ``np.exp`` over the integer exponents."""
+    ns = np.array([int(n) for n in n_values], dtype=np.int64).reshape(-1, 1)
+    if not np.all((ns >= 1) & (ns <= 6)):
+        raise ValueError("example314 is defined for 1 <= n <= 6")
+    if truncation < 16:
+        raise ValueError("need at least 16 eigenmodes")
+    return sp.eigen_sums(np.exp(-ns * ns - np.arange(1, truncation + 1) * ns))
+
+
 def example314(n, truncation=64):
     """v_n = e^{-n^2} sum_{k=1}^{T} e^{-kn} phi_k, T = truncation eigenmodes.
 
@@ -228,12 +241,7 @@ def example314(n, truncation=64):
       ValueError: n outside the double-precision guard range 1..6, or T < 16.
     """
     n = int(n)
-    if not 1 <= n <= 6:
-        raise ValueError("example314 is defined for 1 <= n <= 6")
-    if truncation < 16:
-        raise ValueError("need at least 16 eigenmodes")
-    coeffs = [np.exp(-n * n - k * n) for k in range(1, truncation + 1)]
-    v_n = sp.lin_comb(coeffs, sp.eigenfunctions(truncation))
+    (v_n,) = _example314_fields([n], truncation)
     return Example314Data(n=n, truncation=truncation, v_n=v_n, abs_v=float(example314_abs_v(n, truncation)))
 
 
@@ -245,17 +253,21 @@ def example314_window(n_values=range(1, 7), truncation=64):
 
 
 def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6):
-    """The hand-built unitary expansion: Gamma_{k,n} = e^{-kn-n^2}, w_k = phi_k."""
+    """The hand-built unitary expansion: Gamma_{k,n} = e^{-kn-n^2}, w_k = phi_k.
+
+    The witness of term k at n is sum_{j>=k} e^{-(j-k)n} phi_j; the witnesses
+    of each term are one weight matrix, with weight 0 on j < k.
+    """
     n_values = list(n_values)
-    phis = sp.eigenfunctions(truncation)
+    phis = sp.eigenfunctions(depth)
+    lag = np.arange(1, truncation + 1) - np.arange(1, depth + 1)[:, None, None]  # j - k
+    ns = np.array(n_values, dtype=np.int64).reshape(-1, 1)
+    weights = np.where(lag < 0, 0.0, np.exp(-lag * ns))
     terms = []
-    for k in range(1, depth + 1):
+    for k, w in enumerate(weights, start=1):
         gammas = np.array([np.exp(-k * n - n * n) for n in n_values])
-        witnesses = []
-        for n in n_values:
-            coef = [1.0] + [np.exp(-(j - k) * n) for j in range(k + 1, truncation + 1)]
-            witnesses.append(sp.lin_comb(coef, phis[k - 1 : truncation]))
-        terms.append(ExpansionTerm(gammas=gammas, direction=phis[k - 1], witnesses=witnesses, estimator="analytic"))
+        terms.append(ExpansionTerm(gammas=gammas, direction=phis[k - 1],
+                                   witnesses=sp.eigen_sums(w), estimator="analytic"))
     return ExpansionResult(
         limit=sp.zero_field(phis[0].trunc), terms=terms, kind="infinite-unitary",
         form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=None,
@@ -267,15 +279,15 @@ def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6):
 def example314_degenerate_expansion(n_values=range(1, 7), truncation=64, depth=6):
     """The hand-built degenerate expansion: Gamma_{k,n} = e^{-kn}, w_k = 0."""
     n_values = list(n_values)
-    recs = [example314(n, truncation) for n in n_values]
+    fields = _example314_fields(n_values, truncation)
     terms = []
     for k in range(1, depth + 1):
         gammas = np.array([np.exp(-k * n) for n in n_values])
-        witnesses = [np.exp(n * k) * recs[i].v_n for i, n in enumerate(n_values)]
-        terms.append(ExpansionTerm(gammas=gammas, direction=sp.zero_field(recs[0].v_n.trunc),
+        witnesses = [np.exp(n * k) * v_n for n, v_n in zip(n_values, fields)]
+        terms.append(ExpansionTerm(gammas=gammas, direction=sp.zero_field(fields[0].trunc),
                                    witnesses=witnesses, estimator="analytic"))
     return ExpansionResult(
-        limit=sp.zero_field(recs[0].v_n.trunc), terms=terms, kind="degenerate",
+        limit=sp.zero_field(fields[0].trunc), terms=terms, kind="degenerate",
         form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=0,
         depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
         decision_log=["example314 degenerate fixture"],

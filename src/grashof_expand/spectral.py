@@ -375,9 +375,10 @@ def eigenfunction(j):
     return eigenfunctions(j)[j - 1]
 
 
-def eigenfunctions(count):
-    """eigenfunction(1), ..., eigenfunction(count) in one array pass: on the pair
-    +-k, c(k) = amp sigma(k) (cos) or (amp / i) sigma(k) (sin), amp = 1 / (2 sqrt(2) pi)."""
+def _eigen_arrays(count):
+    """Keys (count, 2, 2) and coefficients (count, 2, 2) of eigenfunction(1..count)
+    on their pairs (-k, k), and their truncations: c(k) = amp sigma(k) (cos) or
+    (amp / i) sigma(k) (sin), amp = 1 / (2 sqrt(2) pi), and c(-k) = conj(c(k))."""
     basis = eigen_basis(count)
     amp = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
     reps = np.array([k for _, k, _ in basis], dtype=np.int64).reshape(-1, 2)
@@ -385,8 +386,33 @@ def eigenfunctions(count):
     c = scale[:, None] * sigma(reps).astype(np.complex128)
     keys = np.stack([-reps, reps], axis=1)
     coeffs = np.stack([np.conj(c), c], axis=1)
-    truncs = np.max(np.abs(reps), axis=1).tolist()
+    return keys, coeffs, np.max(np.abs(reps), axis=1).tolist()
+
+
+def eigenfunctions(count):
+    """eigenfunction(1), ..., eigenfunction(count) in one array pass."""
+    keys, coeffs, truncs = _eigen_arrays(count)
     return [SpectralField.from_arrays(t, k, cf) for t, k, cf in zip(truncs, keys, coeffs)]
+
+
+def eigen_sums(weights):
+    """The fields sum_j weights[r, j] phi_j, one per row of the real (R, T)
+    matrix ``weights``, phi_j = eigenfunction(j), in one array pass.
+
+    Each is bit-equal to ``lin_comb(weights[r], eigenfunctions(T))``: every
+    cell starts at -0.0 and adds its terms in column order (on a pair +-k the
+    cos term, then the sin term), each term computed as lin_comb computes it,
+    so a weight of 0 adds a signed zero; the truncation is the largest of
+    phi_1..phi_T, and zero rows are dropped.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    keys, coeffs, truncs = _eigen_arrays(weights.shape[1])
+    union, (slot,) = key_union([keys.reshape(-1, 2)])
+    terms = weights[:, :, None, None] * coeffs  # (R, T, 2, 2): halves -k, k
+    acc = np.full((len(weights), len(union), 2), complex(-0.0, -0.0))
+    np.add.at(acc, (slice(None), slot), terms.reshape(len(weights), len(slot), 2))
+    trunc = max([1] + truncs)
+    return [SpectralField.from_arrays(trunc, union, row) for row in acc]
 
 
 def eigenvalue(j):

@@ -150,6 +150,44 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "unrecognized arguments: --slope-tol" in capsys.readouterr().err
 
 
+def test_example314_fixture_arguments_are_usage_errors(tmp_path, capsys):
+    """example314 is defined for n = 1..6 and T >= 16: a larger --count (the
+    default 20 too) or a smaller --truncation exits 2 before anything is written."""
+    out = tmp_path / "fx"
+    for extra, words in ((["--count", "7"], "--count 7 is above 6"),
+                         ([], "--count 20 is above 6"),
+                         (["--count", "6", "--truncation", "8"], "--truncation 8")):
+        capsys.readouterr()
+        assert run(["fixtures", "example314", *extra, "--out", str(out)]) == 2
+        assert words in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _extract_usage_errors(manifest, out, capsys, cases):
+    for extra, words in cases:
+        capsys.readouterr()
+        assert run(["extract", "--manifest", manifest, *extra, "--out", str(out)]) == 2
+        assert words in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_extract_scale_and_depth_faults_are_usage_errors(pipeline, tmp_path, capsys):
+    """A --scale that NestedScale rejects, or --depth 0, exits 2 and writes nothing."""
+    _extract_usage_errors(str(pipeline / "fx" / "manifest.json"), tmp_path / "exp", capsys, (
+        (["--scale", "0.7"], "scale needs at least two exponents"),
+        (["--scale", "0.6,0.7"], "strictly decreasing"),
+        (["--depth", "0"], "--depth must be at least 1; got 0"),
+    ))
+
+
+def test_extract_tail_outside_window_is_usage_error(pipeline, tmp_path, capsys):
+    """--tail must lie in 0..M, M the window's sample count (20 here; 0 = auto)."""
+    _extract_usage_errors(str(pipeline / "fx" / "manifest.json"), tmp_path / "exp", capsys, (
+        (["--tail", "-1"], "--tail -1 is outside 0..20"),
+        (["--tail", "50"], "--tail 50 is outside 0..20"),
+    ))
+
+
 def test_domain_error_exit_1(tmp_path):
     # a manifest whose window is too short for extraction
     fxdir = str(tmp_path / "short")

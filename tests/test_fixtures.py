@@ -132,6 +132,51 @@ def test_example314_reconstruction_exact():
         assert recon.passed and recon.worst <= 1e-12
 
 
+def _same_bits(got, want):
+    return (got.trunc == want.trunc and got.keys.tobytes() == want.keys.tobytes()
+            and got.coeffs.tobytes() == want.coeffs.tobytes())
+
+
+def _example314_oracle(T, ns=range(1, 7), depth=6):
+    """v_n, unitary witnesses and degenerate witnesses as ``lin_comb`` over
+    ``eigenfunctions(T)``, one field at a time, with one scalar ``np.exp`` per weight."""
+    phis = sp.eigenfunctions(T)
+    v = {n: sp.lin_comb([np.exp(-n * n - k * n) for k in range(1, T + 1)], phis) for n in ns}
+    uni = {(k, n): sp.lin_comb([1.0] + [np.exp(-(j - k) * n) for j in range(k + 1, T + 1)],
+                               phis[k - 1:T])
+           for k in range(1, depth + 1) for n in ns}
+    den = {(k, n): np.exp(n * k) * v[n] for k in range(1, depth + 1) for n in ns}
+    return phis, v, uni, den
+
+
+@pytest.mark.parametrize("T", [16, 64, 256])
+def test_example314_bit_equal_to_lin_comb_oracle(T):
+    """The weight-matrix builds give the fields that summing single
+    eigenfunctions gives, bit for bit. At T = 256 weights underflow to 0 (n = 6
+    from k = 119 for v_n, from j - k = 125 for the witnesses); the witnesses of
+    terms 2, 4 and 6 start on the sin half of a +-k pair, whose cos the oracle
+    leaves out and the weight matrix weighs 0."""
+    ns = range(1, 7)
+    phis, v, uni, den = _example314_oracle(T)
+    basis = sp.eigen_basis(6)
+    assert [pol for _, _, pol in basis[1::2]] == ["sin"] * 3
+    if T == 256:
+        assert np.exp(-36 - 6 * 119) == 0.0 and np.exp(-36 - 6 * 118) > 0.0
+    for n in ns:
+        assert _same_bits(fx.example314(n, T).v_n, v[n])
+    recs, _ = fx.example314_window(ns, T)
+    assert all(_same_bits(r.v_n, v[r.n]) for r in recs)
+    unitary = fx.example314_unitary_expansion(ns, T)
+    degenerate = fx.example314_degenerate_expansion(ns, T)
+    for k in range(1, 7):
+        assert _same_bits(unitary.terms[k - 1].direction, phis[k - 1])
+        for i, n in enumerate(ns):
+            assert _same_bits(unitary.terms[k - 1].witnesses[i], uni[k, n])
+            assert _same_bits(degenerate.terms[k - 1].witnesses[i], den[k, n])
+    assert _same_bits(unitary.limit, sp.zero_field(phis[0].trunc))
+    assert _same_bits(degenerate.limit, sp.zero_field(v[1].trunc))
+
+
 def test_example314_range_guard():
     with pytest.raises(ValueError):
         fx.example314(0)
@@ -139,6 +184,8 @@ def test_example314_range_guard():
         fx.example314(7)
     with pytest.raises(ValueError):
         fx.example314(3, truncation=8)
+    with pytest.raises(ValueError):
+        fx.example314_degenerate_expansion(range(1, 8))
 
 
 def test_fixture_determinism():

@@ -324,6 +324,26 @@ def test_eigenfunctions_match_closed_form():
         assert phi.coeffs.tobytes() == want.tobytes()
 
 
+def test_eigen_sums_bit_equal_to_lin_comb():
+    """Each row of ``eigen_sums`` is ``lin_comb`` over eigenfunction(1..T), zero
+    weights included as terms; odd T ends on a cos without its sin."""
+    rng = np.random.default_rng(5)
+    for T in (1, 2, 3, 17, 64, 256):
+        phis = sp.eigenfunctions(T)
+        w = rng.standard_normal((6, T))
+        w[1, ::2] = 0.0   # every cos weight 0
+        w[2, 1::2] = 0.0  # every sin weight 0
+        w[3] = 0.0        # the zero field, at the largest truncation of phi_1..phi_T
+        w[4, 5:] = 0.0
+        w[5] = np.exp(-750.0 * rng.random(T))  # some weights underflow to 0
+        for row, got in zip(w, sp.eigen_sums(w), strict=True):
+            ref = sp.lin_comb(list(row), phis)
+            assert got.trunc == ref.trunc
+            assert got.keys.tobytes() == ref.keys.tobytes()
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert sp.eigen_sums(np.zeros((0, 8))) == []
+
+
 def _assert_sorted_closed(f):
     k = f.keys
     assert k.dtype == np.int64 and k.shape == (len(k), 2)
