@@ -282,7 +282,7 @@ def cmd_report(args):
                _fmt(entry["bound_check"])]
         row += [_fmt(t.gammas[i]) for t in e.terms] + [_fmt(r[i]) for r in ratios]
         lines.append(",".join(row))
-    fieldio.atomic_write_text(os.path.join(args.out, "series.csv"), "\n".join(lines) + "\n")
+    fieldio.atomic_write(os.path.join(args.out, "series.csv"), "\n".join(lines) + "\n")
 
     summary = [f"sequence window: {len(data)} samples, "
                f"alpha in [{_fmt(alphas[0])}, {_fmt(alphas[-1])}]",
@@ -299,12 +299,11 @@ def cmd_report(args):
         reslines = ["id,value"]
         for k, v in classification.get("residuals", {}).items():
             reslines.append(f"{k},{_fmt(v)}")
-        fieldio.atomic_write_text(os.path.join(args.out, "residuals.csv"),
-                                  "\n".join(reslines) + "\n")
+        fieldio.atomic_write(os.path.join(args.out, "residuals.csv"),
+                             "\n".join(reslines) + "\n")
         for w in classification.get("warnings", []):
             summary.append(f"  warning: {w}")
-    fieldio.atomic_write_text(os.path.join(args.out, "summary.txt"),
-                              "\n".join(summary) + "\n")
+    fieldio.atomic_write(os.path.join(args.out, "summary.txt"), "\n".join(summary) + "\n")
     print("\n".join(summary))
     return 0
 

@@ -22,6 +22,7 @@ partial sums; verification re-checks every expansion axiom on the raw window.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate, islice
@@ -718,36 +719,45 @@ def uniqueness_check(e1, e2, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-SCHEMA = "grashof-expand/expansion-v2"
+SCHEMA = "grashof-expand/expansion-v3"
+_TERM_DTYPE = np.dtype("<f8")
 
 
 def _save_term(path, term):
-    """One term as a matrix: direction then witnesses, on their representative modes."""
+    """Write one term as a (1 + M, modes, 4) float64 matrix, the direction then the
+    witnesses on their representative modes; returns the index record's
+    ``modes`` and ``truncations``."""
     fields = [term.direction] + list(term.witnesses)
     win = _Window(fields)
     half = sp.rep_half(win.nk)
     coeffs = win.flat.reshape(win.m, win.nk, 2)[:, half]
-    fieldio.write_json(path, {
-        "modes": win.keys[half].tolist(),
-        "truncations": [f.trunc for f in fields],
-        "rows": coeffs.view(np.float64).reshape(win.m, -1).tolist(),
-    })
+    buf = io.BytesIO()
+    np.save(buf, coeffs.view(np.float64).reshape(win.m, -1, 4).astype(_TERM_DTYPE, copy=False),
+            allow_pickle=False)
+    fieldio.atomic_write(path, buf.getvalue())
+    return {"modes": win.keys[half].tolist(), "truncations": [f.trunc for f in fields]}
 
 
-def _load_term(path):
-    """(direction, witnesses) of one term file, validated as one batch; a
-    MalformedFieldError names the file, the row (direction or witness n) and the mode."""
-    doc = fieldio.read_json(path)
+def _load_term(path, rec):
+    """(direction, witnesses) of one term matrix, checked against its index record
+    ``rec`` and validated as one batch; a MalformedFieldError names the file, the
+    row (direction or witness n) and the mode."""
     try:
-        reps = np.array(doc["modes"], dtype=np.int64).reshape(-1, 2)
-        truncs = [int(t) for t in doc["truncations"]]
+        reps = np.array(rec["modes"], dtype=np.int64).reshape(-1, 2)
+        truncs = [int(t) for t in rec["truncations"]]
         if not truncs:
             raise ValueError("no direction row")
-        rows = np.array(doc["rows"], dtype=np.float64).reshape(len(truncs), len(reps), 4)
+        with open(path, "rb") as fh:  # .npy only: np.load would also open an .npz archive
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+        shape = (len(truncs), len(reps), 4)
+        if rows.dtype != _TERM_DTYPE or rows.shape != shape:
+            raise ValueError(f"{rows.dtype.str} matrix of shape {rows.shape}, expected "
+                             f"{_TERM_DTYPE.str} of shape {shape}")
+        coeffs = rows.view(np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise fieldio.FieldFormatError(f"{path}: malformed expansion term file ({exc})") from exc
     try:
-        keys, coeffs = sp.conj_closure(reps, rows.view(np.complex128))
+        keys, coeffs = sp.conj_closure(reps, coeffs)
     except sp.MalformedFieldError as exc:
         raise sp.MalformedFieldError(f"{path}: {exc}") from exc
     bad = sp.first_violation(keys, coeffs, truncs)
@@ -760,13 +770,14 @@ def _load_term(path):
 
 
 def save_expansion(path, forms, alphas):
-    """Write expansion forms to ``path`` (JSON) plus their fields alongside.
+    """Write expansion forms to ``path`` (JSON index) plus their files alongside.
 
     ``forms`` maps a form name ("strict", "unitary", ...) to an
     ExpansionResult. Next to ``path`` go ``<form>_limit.json`` (a field file)
-    and, per term k, ``<form>_term<k>.json``: the representative mode list,
-    one truncation per field and one coefficient row per field, the
-    direction first, then the witnesses.
+    and, per term k, ``<form>_term<k>.npy``: a little-endian float64 matrix of
+    shape (1 + M, modes, 4), one row per field (the direction first, then the
+    witnesses), each holding ``re1, im1, re2, im2`` per representative mode.
+    The term's record in ``path`` lists those modes and one truncation per row.
     """
     outdir = os.path.dirname(os.path.abspath(path))
     doc_forms = {}
@@ -775,11 +786,12 @@ def save_expansion(path, forms, alphas):
         fieldio.write_field(os.path.join(outdir, limit_file), e.limit)
         terms = []
         for k, term in enumerate(e.terms, start=1):
-            term_file = f"{name}_term{k}.json"
-            _save_term(os.path.join(outdir, term_file), term)
+            term_file = f"{name}_term{k}.npy"
+            layout = _save_term(os.path.join(outdir, term_file), term)
             terms.append({
                 "gammas": [float(g) for g in term.gammas],
                 "file": term_file,
+                **layout,
                 "estimator": term.estimator,
             })
         doc_forms[name] = {
@@ -806,7 +818,7 @@ def save_expansion(path, forms, alphas):
 def _load_form(base, rec):
     terms = []
     for t in rec["terms"]:
-        direction, witnesses = _load_term(os.path.join(base, t["file"]))
+        direction, witnesses = _load_term(os.path.join(base, t["file"]), t)
         terms.append(ExpansionTerm(np.array(t["gammas"], dtype=float), direction, witnesses,
                                    t["estimator"]))
     tol = rec["tolerances"]

@@ -1,8 +1,10 @@
 """Shared on-disk formats: field files, sequence manifests, JSON helpers.
 
-All files are JSON text with floats serialized at 17 significant digits
-(lossless double round-trip) and LF line endings; writes are atomic
-(temp file in the target directory, then rename).
+Field files, manifests and expansion indexes are JSON text with floats
+serialized at 17 significant digits (lossless double round-trip) and LF line
+endings; expansion term matrices are binary ``.npy`` files (see
+``expansion.save_expansion``). Every write is atomic (temp file in the target
+directory, then rename).
 """
 
 from __future__ import annotations
@@ -60,13 +62,16 @@ def dumps(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def atomic_write_text(path, text):
+def atomic_write(path, data):
+    """Write ``data`` (bytes, or str as UTF-8) to a temp file beside ``path``, then rename."""
+    if isinstance(data, str):
+        data = data.encode()
     path = os.path.abspath(path)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,7 +80,7 @@ def atomic_write_text(path, text):
 
 
 def write_json(path, obj):
-    atomic_write_text(path, dumps(obj) + "\n")
+    atomic_write(path, dumps(obj) + "\n")
 
 
 def read_json(path):

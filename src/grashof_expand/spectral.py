@@ -20,6 +20,7 @@ and the D(A^s) norm is |A^s u| with A^s scaling mode k by |k|^{2s}.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -358,7 +359,9 @@ def eigen_basis(count):
     Eigenvalues |k|^2 are nondecreasing; ties are broken lexicographically on
     the representative (kx, ky), then cos before sin polarization.
     """
-    radius = 1
+    # About pi r^2 entries lie within radius r; any radius that completes the
+    # prefix gives the same list, so start just below the estimate.
+    radius = max(1, math.isqrt(int(count / math.pi)))
     while True:
         # Representatives with |k|^2 <= radius^2 are complete at this radius.
         safe = [k for k in representative_modes(radius) if k[0] ** 2 + k[1] ** 2 <= radius * radius]

@@ -313,17 +313,49 @@ def test_classify_reads_no_window_files(tmp_path):
 def test_corrupt_term_row_is_named(pipeline, tmp_path, capsys):
     out = tmp_path / "exp"
     shutil.copytree(pipeline / "exp", out)
-    path = out / "unitary_term1.json"
-    doc = fieldio.read_json(path)
-    kx, ky = doc["modes"][0]
+    path = out / "unitary_term1.npy"
+    record = fieldio.read_json(out / "expansion.json")["forms"]["unitary"]["terms"][0]
+    kx, ky = record["modes"][0]
+    rows = np.load(path, allow_pickle=False)
     # Witness n=3 (row 3): push mode 0 off k.c = 0 through the component that k sees.
-    doc["rows"][3][2 if ky != 0 else 0] += 1.0
-    fieldio.write_json(path, doc)
+    rows[3, 0, 2 if ky != 0 else 0] += 1.0
+    np.save(path, rows)
     assert run(["verify", "--expansion", str(out / "expansion.json"),
                 "--manifest", str(pipeline / "fx" / "manifest.json")]) == 1
     err = capsys.readouterr().err
     assert str(path) in err
     assert f"witness n=3: divergence-free condition violated at mode ({kx}, {ky})" in err
+
+
+def _wrong_dtype(path):
+    np.save(path, np.load(path).astype(np.float32))
+
+
+def _wrong_shape(path):
+    np.save(path, np.load(path)[:, :-1])  # one mode fewer than the index lists
+
+
+def _truncated(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _object_array(path):
+    np.save(path, np.load(path).astype(object), allow_pickle=True)
+
+
+@pytest.mark.parametrize("damage", [_wrong_dtype, _wrong_shape, _truncated, _object_array],
+                         ids=["wrong-dtype", "wrong-shape", "truncated", "object-array"])
+def test_malformed_term_matrix_exit_2(pipeline, tmp_path, capsys, damage):
+    out = tmp_path / "exp"
+    shutil.copytree(pipeline / "exp", out)
+    path = out / "strict_term2.npy"
+    damage(path)
+    with pytest.raises(fieldio.FieldFormatError, match="malformed expansion term file") as exc:
+        ex.load_expansion(str(out / "expansion.json"))
+    assert str(path) in str(exc.value)
+    assert run(["verify", "--expansion", str(out / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json")]) == 2
+    assert f"{path}: malformed expansion term file" in capsys.readouterr().err
 
 
 def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
@@ -344,35 +376,35 @@ def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
 # --with-expansions`` and ``extract --scale constant:0 --depth 3`` write,
 # recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 EX314_SHA256 = {
-    "exp/expansion.json": "0204face9eefb7d53df0b4dc69ef308d344fafd24d7921d8a6a9a368bb086e2a",
+    "exp/expansion.json": "ccf16d345aa743655d090671d9586168a6179c966f8876fb2deca42ccd46a862",
     "exp/restructured_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "exp/restructured_term1.json": "d624fe477584b06f36a0fdc94932169987e86c9c679012f3af53555242e53eb2",
-    "exp/restructured_term2.json": "4e7d5cb01d8b542c75a64084585240a161b768e60a3a9c7b6ac83cf4d9ea82ee",
-    "exp/restructured_term3.json": "99a41f6f43c5c1ab66a0f25d12a7c0ecc984fb467274659d0b75cf3e0bf872b7",
+    "exp/restructured_term1.npy": "4bdce720884654f27e2192279244dde52743320b3683403c5dd165462e95def4",
+    "exp/restructured_term2.npy": "19d98b1987dab1c8f4ce43e3454bba55cf4adf9a2890e8713b8eeb39407186b9",
+    "exp/restructured_term3.npy": "4b5d5e07657419b82dee429863ec4e3633f39c36491369b092dd348316649542",
     "exp/strict_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "exp/strict_term1.json": "cc255f7e3e9a743c04a9011998b29709b6087be0f0da28a6895405dc46d70c68",
-    "exp/strict_term2.json": "25a2f228cf34a8b7b1ee2bdee0d612c47ff170384bb0ac326d1f254228ce57a6",
-    "exp/strict_term3.json": "0609a3e8ed976be6861a88389fbe057198ec61db1ce85b141fc3d8b228523209",
+    "exp/strict_term1.npy": "41a40cf438a00f6e41827d88045927b98e7961934b31e705eff16a13529b3196",
+    "exp/strict_term2.npy": "42ad8c4212c61f36af5e5a913be79dddae13efd3dc7aad4316df6beacdfbe134",
+    "exp/strict_term3.npy": "849a1a64f3cc2e4f49b902cb99db56a27e6b6f484628dfb9b6263590b1fc826f",
     "exp/unitary_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "exp/unitary_term1.json": "dfe9326eccab6fa2371301ea5cb46e11bbbf94691674af31d3cff238356c381e",
-    "exp/unitary_term2.json": "f3b0b56ae89d3b72dcb4d7c72e4e5d71cfa37e4a294236f6aca714a240e75140",
-    "exp/unitary_term3.json": "60ec891d835ee7882b22284c8e4f30325859bfad142d874f0a87855e17f15db2",
+    "exp/unitary_term1.npy": "dac98e27ff5f2f122daf66c68bf00b6717a8664c278adde8cf633a95e711e770",
+    "exp/unitary_term2.npy": "b1e56ad3cbe9651bbb86f9cb85800150d9f6dc790531cd9b62878b6f69f6cd2f",
+    "exp/unitary_term3.npy": "1c79efeed23d506bcda73e5da0a99d62b417850119236707cccdec41d4603f82",
     "fx/degenerate_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "fx/degenerate_term1.json": "0b803752665ecbff9a5ef08ca72388b8c2ce8da24dad2fec2f55593d7d967fa9",
-    "fx/degenerate_term2.json": "83f996e631b6cd82c0be5ad09b9535a3ae1224042b5969e7f1348d5b2ba16190",
-    "fx/degenerate_term3.json": "95b16c823b62a5f1ad209f0f8e7fa250a2b44ce890a0970d5dccaa86bfa6ab42",
-    "fx/degenerate_term4.json": "d99a0cc7b9452d269f30ed3728b1f80038445a783701d1acb809ecdd5392afb0",
-    "fx/degenerate_term5.json": "54e517ca1a857757088db231f531044efa66132873321561657201bcaa9177b5",
-    "fx/degenerate_term6.json": "0c22db72ab616bf41883298b06a6c13fcb7f2dc67ffff4787b1d8865530c8a4b",
-    "fx/expansion_analytic.json": "841ccff26ef0aca0bb4507c6eff414727b3b613bb62af50481eb77e41297816e",
+    "fx/degenerate_term1.npy": "6ff6c88381546a93ec38e935a040459372852f386ef33d015efbd7f8e3a85279",
+    "fx/degenerate_term2.npy": "7daf1626af2ffdec1a94c71313e485cde27864248d65fd8da650ef1d9f22d168",
+    "fx/degenerate_term3.npy": "c3166d831d8429ae349f5ebf9a5106c93d64f4a995e6f308601f3b01482b8c83",
+    "fx/degenerate_term4.npy": "0b9535ff7d1f65d5629943350fe0ec70a1cdc0419a8688c5afe5bf6f3efd8acf",
+    "fx/degenerate_term5.npy": "e3d73ff5f9311cdc8b33d4b98ed9a978d7cc5289e304767f1030f2b63bb68137",
+    "fx/degenerate_term6.npy": "77ae44a1e8b4161c7257e560bf6a1e1af4e4c1aea70acdbf870747a8b3c04a31",
+    "fx/expansion_analytic.json": "3727cd3e5a1dab63ca703f639fc01524796f3db068d20efead39e67f5a8f3669",
     "fx/manifest.json": "6836cb56035c213b7ca6ed671e868d0ab2626ddf75f1b25dac9f4ed9ac345b15",
     "fx/unitary_limit.json": "28dc9e5962c39352632176461fd3a922e79e9285e1bd7bbda36e40275edb0bc1",
-    "fx/unitary_term1.json": "c1b4aea6755dfe407d27ba06c54acdf145e06bb7678a3985be56fb0f5f9cb660",
-    "fx/unitary_term2.json": "333f00f88490e8b1020609ba59e0a9402711546322fc9614ac7663ae383ceea5",
-    "fx/unitary_term3.json": "7e169cf53fb60e9449a24fdc567ccdb4ef16fe2eb0233a20f34d596129e2cdaf",
-    "fx/unitary_term4.json": "89dc20664cbab7613e88fa4f5547c7f3bd5df14b31c5fd05433f3156221c6d46",
-    "fx/unitary_term5.json": "23063547dac414f3008ac4cdb0d87e3423580b261f7db1950ff9fea609ba7257",
-    "fx/unitary_term6.json": "b7e2adc4645cf1ff4d5fa091c91a6344959de14fff30b7bf832f9a26a863ea1b",
+    "fx/unitary_term1.npy": "c50dcb687cd56d6b8837ee6de333b6ff49107ca0fcd0613920afe71c7dad780f",
+    "fx/unitary_term2.npy": "9ef0f56bcb66ac7f4ef9e0219de7fdf1c7e696344bb6086c21ddb37c7dff30c4",
+    "fx/unitary_term3.npy": "183d49c7ee5c93df0e7f54ec4924338df9a0ee96e3c9115a1d3514ee1cc79d78",
+    "fx/unitary_term4.npy": "3ed965cd733df3198382008b131a1b6d515cfd0477368ecdec70bdc84695a360",
+    "fx/unitary_term5.npy": "729545b4926e3cd3d4af8b9b9074bad6d62390df3ff73288c7d57db8733f15f0",
+    "fx/unitary_term6.npy": "d98393f8b156be1579b1f29c50d379d865e44318fa11028dbbc11d356085a768",
     "fx/v_0001.json": "1da33cc6ca396c1384c817f81a5df0e603301690b05129949c109f18fd5a999c",
     "fx/v_0002.json": "56904b2976d63259559a39de3b88ca352eff6669acd32687f2d58e1c5be3105b",
     "fx/v_0003.json": "abfceddc537df4f0308f4e16f18e7fda761012aa9b7bb43f2dbbcba5da884e30",

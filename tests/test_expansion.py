@@ -448,15 +448,15 @@ def test_save_load_round_trip_is_exact(which, ex45_data, ex45_extraction, tmp_pa
 
 
 def test_load_rejects_other_schemas(tmp_path):
-    old = tmp_path / "v1.json"
-    fieldio.write_json(str(old), {"schema": "grashof-expand/expansion-v1", "alphas": [1.0],
-                                  "forms": {}})
-    with pytest.raises(fieldio.FieldFormatError, match="expansion-v1"):
-        ex.load_expansion(str(old))
-    missing = tmp_path / "v2.json"
+    for schema in ("grashof-expand/expansion-v1", "grashof-expand/expansion-v2"):
+        old = tmp_path / "old.json"
+        fieldio.write_json(str(old), {"schema": schema, "alphas": [1.0], "forms": {}})
+        with pytest.raises(fieldio.FieldFormatError, match=schema):
+            ex.load_expansion(str(old))
+    missing = tmp_path / "current.json"
     fieldio.write_json(str(missing), {"schema": ex.SCHEMA, "alphas": [1.0],
                                       "forms": {"unitary": {"kind": "trivial"}}})
-    with pytest.raises(fieldio.FieldFormatError, match="v2.json"):
+    with pytest.raises(fieldio.FieldFormatError, match="current.json"):
         ex.load_expansion(str(missing))
 
 

@@ -270,6 +270,22 @@ def test_eigenvalues_nondecreasing():
     assert all(b >= a for a, b in zip(lams, lams[1:]))
 
 
+def _eigen_basis_incremental(count):
+    """The radius loop from 1 up that eigen_basis used to run (the oracle)."""
+    radius = 1
+    while True:
+        safe = [k for k in sp.representative_modes(radius) if k[0] ** 2 + k[1] ** 2 <= radius**2]
+        if 2 * len(safe) >= count:
+            return [(float(k[0] ** 2 + k[1] ** 2), k, pol) for k in safe
+                    for pol in ("cos", "sin")][:count]
+        radius += 1
+
+
+def test_eigen_basis_matches_incremental_radius_loop():
+    for count in range(1, 701):
+        assert sp.eigen_basis(count) == _eigen_basis_incremental(count), count
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants
 # ---------------------------------------------------------------------------
