@@ -36,19 +36,30 @@ def _fmt(x):
 
 
 def _parse_coeffs(spec):
-    out = {}
+    """The (m, c_m) pairs of ``m=value,m=value``, in the order given."""
+    out = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         try:
             m, c = part.split("=")
-            out[int(m)] = float(c)
+            out.append((int(m), float(c)))
         except ValueError as exc:
             raise UsageError(f"bad coefficient entry {part!r}; expected m=value") from exc
     if not out:
         raise UsageError("empty coefficient list")
-    return out
+    return tuple(out)
+
+
+def _example45_config(spec, c2):
+    """The example45 coefficients of ``spec`` (m=value,...), else c_2 = ``c2``
+    alone; one that ``Example45Config`` rejects is a usage error."""
+    coeffs = _parse_coeffs(spec) if spec else ((2, c2),)
+    try:
+        return fx.Example45Config(coeffs=coeffs)
+    except ValueError as exc:
+        raise UsageError(f"bad example45 coefficients: {exc}") from exc
 
 
 def _parse_scale(spec, depth):
@@ -81,33 +92,25 @@ def cmd_fixtures(args):
         raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
     if args.family == "example314" and args.truncation < 16:
         raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {args.truncation}")
+    cfg = _example45_config(args.coeffs, args.c2) if args.family == "example45" else None
     os.makedirs(args.out, exist_ok=True)
-    if args.family == "example45":
-        coeffs = _parse_coeffs(args.coeffs) if args.coeffs else {2: args.c2}
-        cfg = fx.Example45Config(coeffs=tuple(coeffs.items()))
+    if cfg is not None:
+        recs = fx.example45_window(cfg, range(1, args.count + 1))
         entries = []
-        for n in range(1, args.count + 1):
-            rec = fx.example45(cfg, n, check=False)
-            # At the exact radius 2 N the Galerkin residual is A v_n + alpha_n
-            # B(v_n, v_n) - g_n itself, the field the fixture checks.
-            prob = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha,
-                                    trunc=max(2 * rec.v_n.trunc, rec.g_n.trunc))
-            steady = st.residual(rec.v_n, prob)
-            fx.check_example45(rec, steady)
-            res = sp.norm_ds(steady, 0)
-            vfile = os.path.join(args.out, f"v_{n:04d}.json")
-            gfile = os.path.join(args.out, f"g_{n:04d}.json")
+        for rec in recs:
+            vfile = os.path.join(args.out, f"v_{rec.n:04d}.json")
+            gfile = os.path.join(args.out, f"g_{rec.n:04d}.json")
             fieldio.write_field(vfile, rec.v_n)
             fieldio.write_field(gfile, rec.g_n)
             entries.append({
-                "n": n, "alpha": rec.alpha, "field": vfile,
-                "residual_H": res,
+                "n": rec.n, "alpha": rec.alpha, "field": vfile,
+                "residual_H": rec.residual_h,
                 "bound_check": sp.norm_ds(sp.apply_fractional(rec.v_n, 1.0), 0)
                 / sp.norm_ds(rec.g_n, 0),
                 "force": gfile,
             })
         glim = os.path.join(args.out, "g_limit.json")
-        fieldio.write_field(glim, rec.g)  # g does not depend on n
+        fieldio.write_field(glim, recs[-1].g)  # g does not depend on n
         fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries, g_limit=glim)
     else:
         ns = range(1, args.count + 1)
@@ -134,12 +137,10 @@ def cmd_fixtures(args):
 def cmd_sweep(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    os.makedirs(args.out, exist_ok=True)
     if args.fixture:
         if args.fixture != "example45":
             raise UsageError(f"unknown fixture {args.fixture!r}")
-        coeffs = _parse_coeffs(args.cstar_coeffs) if args.cstar_coeffs else {2: 1.0}
-        cfg = fx.Example45Config(coeffs=tuple(coeffs.items()))
+        cfg = _example45_config(args.cstar_coeffs, 1.0)
         recs = fx.example45_window(cfg, range(1, args.count + 1))
         alphas = [r.alpha for r in recs]
         forces = [r.g_n for r in recs]
@@ -152,6 +153,7 @@ def cmd_sweep(args):
         forces = [g] * args.count
         g_limit = g
     trunc = args.truncation
+    os.makedirs(args.out, exist_ok=True)
     try:
         reports = st.sweep(alphas, forces, trunc, tol=args.tol)
     except st.ContinuationError as exc:

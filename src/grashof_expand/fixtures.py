@@ -4,7 +4,8 @@ Two families:
 
 * ``example45`` - an explicit steady family u_n = (sin y, n sum_m c_m sin(mx))
   with manufactured force F_n, known Grashof values alpha_n and a known
-  two-term expansion of v_n = u_n/alpha_n in V.
+  two-term expansion of v_n = u_n/alpha_n in V. A window of indices is one
+  array pass, self-checked at every n by one batched convolution.
 * ``example314`` - v_n = e^{-n^2} sum_k e^{-kn} phi_k in H, which carries both
   a unitary expansion (directions phi_k) and a degenerate expansion (all
   directions zero), built here term by term. Each of its fields is one row
@@ -16,11 +17,12 @@ Every fixture self-checks its defining identities before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral as sp
+from . import steady as st
 from .expansion import ExpansionResult, ExpansionTerm, ToleranceSet, constant_scale
 
 SQRT2PI = np.sqrt(2.0) * np.pi  # |sin(y) e1|_{L^2} on [0, 2pi]^2
@@ -37,17 +39,28 @@ class FixtureIntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Example45Config:
-    """Coefficients c_m (m >= 2, finitely many nonzero, not all zero)."""
+    """Coefficients c_m: at least one, each of a distinct m >= 2, finite and nonzero.
+
+    Raises:
+      ValueError: no coefficient, an m below 2 or given twice, or a c_m that
+        is zero or not finite; the message names the m.
+    """
 
     coeffs: tuple  # ((m, c_m), ...)
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(m), float(c)) for m, c in dict(self.coeffs).items()))
+        pairs = tuple(sorted(((int(m), float(c)) for m, c in self.coeffs), key=lambda mc: mc[0]))
         object.__setattr__(self, "coeffs", pairs)
-        if not pairs or all(c == 0.0 for _, c in pairs):
-            raise ValueError("at least one coefficient must be nonzero")
-        if any(m < 2 for m, _ in pairs):
-            raise ValueError("coefficients start at m = 2")
+        if not pairs:
+            raise ValueError("at least one coefficient c_m is needed")
+        if pairs[0][0] < 2:
+            raise ValueError(f"coefficients start at m = 2; got m = {pairs[0][0]}")
+        for (m, _), (m_next, _) in zip(pairs, pairs[1:]):
+            if m == m_next:
+                raise ValueError(f"c_{m} is given more than once")
+        for m, c in pairs:
+            if not np.isfinite(c) or c == 0.0:
+                raise ValueError(f"c_{m} = {c!r} must be finite and nonzero")
 
     @classmethod
     def single(cls, m=2, c=1.0):
@@ -63,51 +76,59 @@ def cstar(cfg):
 
 
 def example45_alpha(cfg, n):
-    """alpha_n = |f_n| = sqrt(2) pi sqrt(1 + c_*^2 n^2)."""
+    """alpha_n = |f_n| = sqrt(2) pi sqrt(1 + c_*^2 n^2), for an index n or an array of them."""
     cs = cstar(cfg)
     return SQRT2PI * np.sqrt(1.0 + cs * cs * n * n)
 
 
-def _sin_modes_y():
-    # (sin y, 0)
-    c = np.array([1.0 / 2j, 0.0j])
-    return {(0, 1): c, (0, -1): np.conj(c)}
+def _sin_rows(cfg, amps, force=False, shear=True):
+    """Representatives, in increasing order, and the imaginary parts (B, R, 2)
+    of their coefficients, for each amplitude A of ``amps`` (B,), of
+
+        shear sin(y) e1 + sum_m (0, A c_m sin(mx)),
+
+    or with ``force`` of the unprojected force
+
+        shear sin(y) e1 + sum_m (0, A m^2 c_m sin(mx))
+                        + A sum_m c_m (sin(mx) cos y, m sin y cos(mx)).
+
+    The real parts are zero. Each entry is the product or quotient of the
+    closed form in its order of operations (A c_m, then / 4, then times +-m).
+    """
+    ms = np.array([m for m, _ in cfg.coeffs])
+    cs = np.array([c for _, c in cfg.coeffs])
+    amps = np.asarray(amps).reshape(-1, 1)
+    zero = np.zeros((len(amps), len(ms)))
+    if force:
+        q = -(amps * cs) / 4  # sin(mx) cos y and sin y cos(mx) on (m, +-1)
+        per_m = ((-1, q, q * -ms), (0, zero, -(amps * ms * ms * cs) / 2), (1, q, q * ms))
+    else:
+        per_m = ((0, zero, -(amps * cs) / 2),)
+    reps = [(0, 1)] + [(m, ky) for m in ms for ky, _, _ in per_m]
+    parts = np.zeros((len(amps), len(reps), 2))
+    parts[:, 0, 0] = -0.5  # sin y = (e^{iy} - e^{-iy}) / 2i
+    for j, (_, first, second) in enumerate(per_m):
+        parts[:, 1 + j::len(per_m), 0] = first
+        parts[:, 1 + j::len(per_m), 1] = second
+    reps = np.array(reps, dtype=np.int64)
+    return (reps, parts) if shear else (reps[1:], parts[:, 1:])
 
 
-def _sin_modes_x(m, amp):
-    # (0, amp sin(mx))
-    c = np.array([0.0j, amp / 2j])
-    return {(m, 0): c, (-m, 0): np.conj(c)}
-
-
-def _cross_modes(cfg, amp):
-    # amp * sum_m c_m (sin(mx) cos y, m sin y cos(mx))
-    raw = {}
-    for m, c in cfg.coeffs:
-        if c == 0.0:
-            continue
-        for sx in (1, -1):
-            for sy in (1, -1):
-                coeff = amp * c / 4j * np.array([sx, sy * m], dtype=np.complex128)
-                k = (sx * m, sy)
-                raw[k] = raw.get(k, 0.0) + coeff
-    return raw
-
-
-def _merge(*dicts):
-    out = {}
-    for d in dicts:
-        for k, c in d.items():
-            out[k] = out.get(k, np.zeros(2, dtype=np.complex128)) + c
-    return out
+def _imaginary(reps, parts):
+    """Sorted keys closed under negation and complex rows (..., 2R, 2) with
+    zero real parts, from the representatives ``reps`` and the imaginary
+    parts (..., R, 2) of their coefficients; c(-k) = conj(c(k)), and a zero
+    stays +0.0 on both halves."""
+    keys = np.concatenate([-reps[::-1], reps])
+    rows = np.zeros(parts.shape[:-2] + (len(keys), 2), dtype=np.complex128)
+    rows.imag = np.concatenate([0.0 - parts[..., ::-1, :], parts], axis=-2)
+    return keys, rows
 
 
 def example45_big_force(cfg, n):
-    """Raw Fourier data of the unprojected force F_n."""
-    second = {}
-    for m, c in cfg.coeffs:
-        second = _merge(second, _sin_modes_x(m, n * m * m * c))
-    return _merge(_sin_modes_y(), second, _cross_modes(cfg, float(n)))
+    """Raw Fourier data of the unprojected force F_n: (kx, ky) -> coefficient 2-vector."""
+    keys, rows = _imaginary(*_sin_rows(cfg, [n], force=True))
+    return dict(zip(map(tuple, keys.tolist()), rows[0]))
 
 
 @dataclass(frozen=True)
@@ -125,10 +146,11 @@ class Example45Data:
     mu0: float
     cstar: float
     g: "sp.SpectralField"
+    residual_h: float | None = None  # |P_2N(A v_n + alpha_n B(v_n, v_n) - g_n)|, when checked
 
 
 def example45(cfg, n, check=True):
-    """All closed-form pieces of the family at index n.
+    """All closed-form pieces of the family at index n: the window of one.
 
     The returned record satisfies, to roundoff:
       A v_n + alpha_n B(v_n, v_n) = g_n,
@@ -137,45 +159,7 @@ def example45(cfg, n, check=True):
     Raises:
       FixtureIntegrityError: a self-check identity fails at 1e-12.
     """
-    n = int(n)
-    cs = cstar(cfg)
-    alpha = example45_alpha(cfg, n)
-    mu0 = 1.0 / (SQRT2PI * cs)
-
-    f_n = sp.leray_project(example45_big_force(cfg, n))
-    g_n = (1.0 / alpha) * f_n
-
-    u_modes = _merge(_sin_modes_y(), *[_sin_modes_x(m, n * c) for m, c in cfg.coeffs])
-    u_n = sp.SpectralField(max(m for m, _ in cfg.coeffs), u_modes, check=False)
-    v_n = (1.0 / alpha) * u_n
-
-    s_field = sp.SpectralField(
-        max(m for m, _ in cfg.coeffs),
-        _merge(*[_sin_modes_x(m, c) for m, c in cfg.coeffs]),
-        check=False,
-    )
-    v = mu0 * s_field
-    w1 = (1.0 / SQRT2PI) * sp.SpectralField(1, _sin_modes_y(), check=False)
-    w2tilde = -1.0 * s_field
-    w2_norm = sp.norm_ds(w2tilde, 0.5)
-    w2 = (1.0 / w2_norm) * w2tilde
-    gamma1 = SQRT2PI / alpha
-    gamma2 = w2_norm / (cs * cs * alpha * (mu0 * alpha + n))
-
-    g_raw = _merge(
-        *[_sin_modes_x(m, mu0 * m * m * c) for m, c in cfg.coeffs],
-        _cross_modes(cfg, mu0),
-    )
-    g = sp.leray_project(g_raw)
-
-    rec = Example45Data(
-        n=n, alpha=float(alpha), v_n=v_n, g_n=g_n, f_n=f_n, v=v,
-        gamma1=float(gamma1), w1=w1, gamma2=float(gamma2), w2=w2,
-        mu0=float(mu0), cstar=float(cs), g=g,
-    )
-    if check:
-        check_example45(rec, sp.apply_fractional(v_n, 1.0) + alpha * sp.bilinear_b(v_n, v_n) - g_n)
-    return rec
+    return example45_window(cfg, [n], check)[0]
 
 
 def check_example45(rec, steady):
@@ -185,21 +169,66 @@ def check_example45(rec, steady):
 
     Raises:
       FixtureIntegrityError: ``steady`` or v + gamma1 w1 + gamma2 w2 - v_n
-      exceeds 1e-12 relative.
+      is not within 1e-12 relative (a NaN norm fails).
     """
-    if sp.norm_ds(steady, 0) > 1e-12 * sp.norm_ds(rec.g_n, 0):
+    if not sp.norm_ds(steady, 0) <= 1e-12 * sp.norm_ds(rec.g_n, 0):
         raise FixtureIntegrityError(f"steady equation residual too large at n={rec.n}")
-    recon = rec.v + rec.gamma1 * rec.w1 + rec.gamma2 * rec.w2 - rec.v_n
-    if sp.norm_ds(recon, 0.5) > 1e-12 * sp.norm_ds(rec.v_n, 0.5):
+    recon = sp.lin_comb([1.0, rec.gamma1, rec.gamma2, -1.0], [rec.v, rec.w1, rec.w2, rec.v_n])
+    if not sp.norm_ds(recon, 0.5) <= 1e-12 * sp.norm_ds(rec.v_n, 0.5):
         raise FixtureIntegrityError(f"expansion reconstruction failed at n={rec.n}")
 
 
 def example45_window(cfg, n_values, check=True):
-    """Fixture records for a window of indices (checked once at the ends)."""
-    n_values = list(n_values)
+    """Fixture records for the indices ``n_values``, built in one array pass.
+
+    The pieces that do not depend on n (v, w1, w2, g) are built once; v_n,
+    f_n and g_n of every n are coefficient rows on one key set each. With
+    ``check`` every record passes ``check_example45`` on its Galerkin residual
+    at radius 2N, formed by ``steady.residual`` from one batched convolution
+    of all the v_n, and carries that residual's H norm in ``residual_h``.
+
+    Raises:
+      FixtureIntegrityError: a self-check fails; the message names its n.
+    """
+    ns = np.array([int(n) for n in n_values], dtype=np.int64)
+    cs = cstar(cfg)
+    mu0 = 1.0 / (SQRT2PI * cs)
+    trunc = cfg.coeffs[-1][0]
+    alphas = example45_alpha(cfg, ns)
+    scale = (1.0 / alphas)[:, None, None]
+
+    skeys, srows = _imaginary(*_sin_rows(cfg, [1], shear=False))
+    s_field = sp.SpectralField.from_arrays(trunc, skeys, srows[0])
+    v = mu0 * s_field
+    w1 = (1.0 / SQRT2PI) * sp.SpectralField.from_arrays(
+        1, *_imaginary(np.array([[0, 1]]), np.array([[-0.5, 0.0]])))
+    w2tilde = -1.0 * s_field
+    w2_norm = sp.norm_ds(w2tilde, 0.5)
+    w2 = (1.0 / w2_norm) * w2tilde
+    gamma1 = SQRT2PI / alphas
+    gamma2 = w2_norm / (cs * cs * alphas * (mu0 * alphas + ns))
+    gkeys, grows = _imaginary(*_sin_rows(cfg, [mu0], force=True, shear=False))
+    g = sp.SpectralField.from_arrays(trunc, gkeys, sp.divfree(gkeys, grows)[0])
+
+    ukeys, urows = _imaginary(*_sin_rows(cfg, ns))
+    fkeys, frows = _imaginary(*_sin_rows(cfg, ns, force=True))
+    frows = sp.divfree(fkeys, frows)
+    fields = [[sp.SpectralField.from_arrays(trunc, keys, r) for r in rows]
+              for keys, rows in ((ukeys, scale * urows), (fkeys, frows), (fkeys, scale * frows))]
+    nout = 2 * trunc  # the exact radius of B(v_n, v_n)
+    bvvs = sp.bilinear_b_each(fields[0], nout) if check and len(ns) else [None] * len(ns)
     out = []
-    for i, n in enumerate(n_values):
-        out.append(example45(cfg, n, check=check and (i == 0 or i == len(n_values) - 1)))
+    for i, (v_n, f_n, g_n, bvv) in enumerate(zip(*fields, bvvs)):
+        rec = Example45Data(
+            n=int(ns[i]), alpha=float(alphas[i]), v_n=v_n, g_n=g_n, f_n=f_n, v=v,
+            gamma1=float(gamma1[i]), w1=w1, gamma2=float(gamma2[i]), w2=w2,
+            mu0=float(mu0), cstar=float(cs), g=g,
+        )
+        if check:
+            steady = st.residual(v_n, st.SteadyProblem(g=g_n, alpha=rec.alpha, trunc=nout), bvv)
+            check_example45(rec, steady)
+            rec = replace(rec, residual_h=sp.norm_ds(steady, 0))
+        out.append(rec)
     return out
 
 

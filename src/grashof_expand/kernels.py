@@ -13,9 +13,13 @@ by a third plane that sums the pairs' codes of p, holds that pair's term as
 a pairwise sum forms it (exactly zero for p parallel to q and a
 divergence-free u). A cell whose several terms cancel exactly keeps the
 FFT's roundoff. The ky < 0 half is the conjugate of the computed half, so
-the grid is Hermitian to the bit. The tests check it against a pairwise sum
-over blocks of mode pairs, which is bit-equal to a per-mode loop: 1e-14
-relative, and the same nonzero cells on every test case. The linearization
+the grid is Hermitian to the bit. A batch of field pairs on one key set each
+(coefficients (..., M, 2)) is one product too: the indicator planes serve
+every member, and each member's grid is the bits of its own call. The tests
+check it against a pairwise sum over blocks of mode pairs, which is
+bit-equal to a per-mode loop: 1e-14 relative, every cell that one pair
+reaches to the bit, and the same nonzero cells on every test case whose
+cells have no terms that cancel exactly. The linearization
 is one numpy path over blocks of columns, checked against a field-by-field
 column assembly, and the assembly on a symmetry group's fixed subspace
 (``Subspace``) against P J Q of the full one. It needs a divergence-free v,
@@ -49,9 +53,10 @@ def _fft_size(n):
 
 
 def _half(keys, coeffs):
-    """The modes of a real field with ky >= 0 (the rest are their conjugates)."""
+    """The modes of a real field with ky >= 0 (the rest are their conjugates),
+    and their coefficients (B, 2, M) for the batch's (B, M, 2)."""
     keep = keys[:, 1] >= 0
-    return keys[keep], coeffs[keep].T
+    return keys[keep], coeffs[:, keep].transpose(0, 2, 1)
 
 
 def _rows(keys, r):
@@ -63,26 +68,35 @@ def _rows(keys, r):
 
 
 def advect_convolve(ku, cu, kv, cv, nout):
-    """Exact convolution of (u.grad)v on a dense coefficient grid.
+    """Exact convolution of (u.grad)v on a dense coefficient grid, for a batch
+    of field pairs on one key set each.
 
     Args:
       ku: int64 array (Mu, 2), wavevectors of u.
-      cu: complex128 array (Mu, 2), coefficients of u.
-      kv, cv: same for v. Both fields are real: their keys are closed under
-        negation and c(-k) = conj(c(k)).
+      cu: complex128 array (..., Mu, 2), coefficients of u: one row set per
+        batch member, a single field being the batch of none.
+      kv, cv: same for v, with the leading (batch) shape of cu. Both fields
+        of a pair are real: their keys are closed under negation and
+        c(-k) = conj(c(k)).
       nout: output truncation radius (max-norm).
 
     Returns:
-      complex128 array (2*nout+1, 2*nout+1, 2); entry [kx+nout, ky+nout]
-      holds the coefficient of e^{i k.x} for w[k] = sum_{p+q=k} i (u_p . q) v_q,
+      complex128 array (..., 2*nout+1, 2*nout+1, 2), one grid per batch
+      member; entry [kx+nout, ky+nout] holds the coefficient of e^{i k.x} for
+      w[k] = sum_{p+q=k} i (u_p . q) v_q,
       and is exactly zero where no p + q equals k. Where one pair (p, q)
       does, the entry is its term as the pairwise sum forms it, to the bit.
       The grid is Hermitian to the bit: entry -k is the conjugate of entry
-      k, entry (0, 0) is real.
+      k, entry (0, 0) is real. Each member's grid is the bits of a call with
+      that member alone: the transforms act on each plane by itself, and the
+      indicator planes, which depend only on the keys, are shared.
     """
     size = 2 * nout + 1
+    batch = cu.shape[:-2]
     if len(ku) == 0 or len(kv) == 0:
-        return np.zeros((size, size, 2), dtype=np.complex128)
+        return np.zeros(batch + (size, size, 2), dtype=np.complex128)
+    cu, cv = cu.reshape(-1, len(ku), 2), cv.reshape(-1, len(kv), 2)
+    nb = len(cu)
     # Each input mode has its own cell of a grid of m >= 2 r + 1 points, and
     # with m >= r_u + r_v + nout + 1 no sum p + q, of radius at most
     # r_u + r_v, aliases onto a cell of radius nout.
@@ -90,30 +104,34 @@ def advect_convolve(ku, cu, kv, cv, nout):
     m = _fft_size(max(ru + rv + nout + 1, 2 * max(ru, rv) + 1, size))
     cols, wu = max(ru, rv) + 1, 2 * ru + 1
     (pu, hu), (qv, hv) = _half(ku, cu), _half(kv, cv)
-    # Planes u_x, u_y, 1_U, i c(p) 1_U, d_x v, 1_V, d_y v on the ky >= 0 half
-    # of an m x m grid, c(p) = p_x (2 r_u + 1) + p_y the code of p. The
-    # products with 1_V give each cell k the number of pairs (p, q) with
-    # p + q = k and the sum of their codes, so a cell one pair reaches names
-    # its p.
-    spec = np.zeros((9, m * cols), dtype=np.complex128)
+    # Planes on the ky >= 0 half of an m x m grid, c(p) = p_x (2 r_u + 1) + p_y
+    # the code of p: 1_U and i c(p) 1_U, d_x v of each member, 1_V, then d_y v,
+    # u_x and u_y of each member. The three indicator planes serve the whole
+    # batch. Their products with 1_V give each cell k the number of pairs
+    # (p, q) with p + q = k and the sum of their codes, so a cell one pair
+    # reaches names its p.
+    b2 = 2 * nb
+    dx, one_v, dy, ux = slice(2, 2 + b2), 2 + b2, slice(3 + b2, 3 + 2 * b2), 3 + 2 * b2
+    spec = np.zeros((3 + 3 * b2, m * cols), dtype=np.complex128)
     at = pu[:, 0] * cols + pu[:, 1]
-    spec[:2, at] = hu
-    spec[2, at] = 1.0
-    spec[3, at] = 1j * (pu[:, 0] * wu + pu[:, 1])
+    spec[0, at] = 1.0
+    spec[1, at] = 1j * (pu[:, 0] * wu + pu[:, 1])
+    spec[ux:, at] = hu.transpose(1, 0, 2).reshape(b2, -1)  # u_x of each member, then u_y
     at = qv[:, 0] * cols + qv[:, 1]
-    spec[4:6, at] = 1j * qv[:, 0] * hv
-    spec[6, at] = 1.0
-    spec[7:, at] = 1j * qv[:, 1] * hv
-    spec = spec.reshape(9, m, cols)
+    spec[dx, at] = (1j * qv[:, 0] * hv).reshape(b2, -1)
+    spec[one_v, at] = 1.0
+    spec[dy, at] = (1j * qv[:, 1] * hv).reshape(b2, -1)
+    spec = spec.reshape(-1, m, cols)
     np.fft.ifft(spec, axis=1, norm="forward", out=spec)  # in place (numpy >= 2.0): no new buffer
     grid = np.fft.irfft(spec, m, axis=2, norm="forward")  # samples on the m x m grid
     del spec
-    grid[4:6] *= grid[0]
-    grid[7:] *= grid[1]
-    grid[4:6] += grid[7:]  # u.grad v
-    grid[2:4] *= grid[6]  # the pair count and the sum of the codes
-    half = np.fft.rfft(grid[2:6], axis=2, norm="forward")[:, :, :nout + 1]
-    del grid
+    ddx, ddy = (grid[s].reshape(nb, 2, m, m) for s in (dx, dy))
+    ddx *= grid[ux:ux + nb, None]
+    ddy *= grid[ux + nb:, None]
+    ddx += ddy  # u.grad v
+    grid[:2] *= grid[one_v]  # the pair count and the sum of the codes
+    half = np.fft.rfft(grid[:2 + b2], axis=2, norm="forward")[:, :, :nout + 1]
+    del grid, ddx, ddy
     half = np.fft.fft(half, axis=1, norm="forward")[:, np.arange(-nout, nout + 1)]
     count = half[0].real
     # A cell that one pair reaches holds that pair's term i (u_p . q) v_q as
@@ -123,13 +141,15 @@ def advect_convolve(ku, cu, kv, cv, nout):
     i = _rows(ku, ru)[np.rint(half[1, x, y].imag).astype(np.int64) + ru * (wu + 1)]
     qx, qy = x - nout - ku[i, 0], y - ku[i, 1]
     j = _rows(kv, rv)[(qx + rv) * (2 * rv + 1) + qy + rv]
-    half[2:, x, y] = 1j * (cu[i, 0] * qx + cu[i, 1] * qy) * cv[j].T
-    out = np.empty((size, size, 2), dtype=np.complex128)
-    out[:, nout:] = (half[2:] * (count > 0.5)).transpose(1, 2, 0)
-    out[:, :nout] = out[::-1, :nout:-1].conj()
-    out[:nout, nout] = out[:nout:-1, nout].conj()
-    out[nout, nout] = out[nout, nout].real
-    return out
+    adv = half[2:].reshape(nb, 2, size, nout + 1)
+    term = 1j * (cu[:, i, 0] * qx + cu[:, i, 1] * qy)
+    adv[:, :, x, y] = term[:, None] * cv[:, j].transpose(0, 2, 1)
+    out = np.empty((nb, size, size, 2), dtype=np.complex128)
+    out[:, :, nout:] = (adv * (count > 0.5)).transpose(0, 2, 3, 1)
+    out[:, :, :nout] = out[:, ::-1, :nout:-1].conj()
+    out[:, :nout, nout] = out[:, :nout:-1, nout].conj()
+    out[:, nout, nout] = out[:, nout, nout].real
+    return out.reshape(batch + (size, size, 2))
 
 
 def _full_or(idx, n):

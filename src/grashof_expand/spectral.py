@@ -295,8 +295,10 @@ def project_trunc(u, n):
     return SpectralField.from_arrays(n, u.keys[keep], u.coeffs[keep])
 
 
-def _field_from_grid(grid, nout):
-    """Leray-project a dense coefficient grid and collect nonzero modes."""
+def _fields_from_grid(grid, nout):
+    """Leray-project dense coefficient grids (..., 2 nout + 1, 2 nout + 1, 2)
+    and collect each one's nonzero modes: one field per grid, in order, each
+    the field that projecting its grid alone gives."""
     ks = np.arange(-nout, nout + 1)
     kx = ks[:, None].astype(np.float64)
     ky = ks[None, :].astype(np.float64)
@@ -305,11 +307,14 @@ def _field_from_grid(grid, nout):
     dot = (kx * grid[..., 0] + ky * grid[..., 1]) / k2
     p0 = grid[..., 0] - dot * kx
     p1 = grid[..., 1] - dot * ky
-    live = (p0 != 0) | (p1 != 0)
+    count = math.prod(grid.shape[:-3])
+    live = ((p0 != 0) | (p1 != 0)).reshape(count, 2 * nout + 1, 2 * nout + 1).any(axis=0)
     live[nout, nout] = False
-    # Row-major grid order is the lexicographic key order.
+    # Row-major grid order is the lexicographic key order; from_arrays drops
+    # each grid's rows that are zero in it.
     keys = np.argwhere(live) - nout
-    return SpectralField.from_arrays(nout, keys, np.stack([p0[live], p1[live]], axis=1))
+    rows = np.stack([p0[..., live], p1[..., live]], axis=-1).reshape(count, len(keys), 2)
+    return [SpectralField.from_arrays(nout, keys, r) for r in rows]
 
 
 def bilinear_b(u, v, retruncate=None):
@@ -323,7 +328,22 @@ def bilinear_b(u, v, retruncate=None):
     coefficient comes out exactly zero.
     """
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
-    return _field_from_grid(kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout), nout)
+    grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    return _fields_from_grid(grid, nout)[0]
+
+
+def bilinear_b_each(fields, nout):
+    """[bilinear_b(v, v, nout) for v in fields], to the bit, in one batched
+    convolution; the fields must share one key set.
+
+    Raises:
+      ValueError: the fields' key sets differ.
+    """
+    keys = fields[0].keys
+    if any(not np.array_equal(f.keys, keys) for f in fields):
+        raise ValueError("bilinear_b_each needs fields on one key set")
+    rows = np.stack([f.coeffs for f in fields])
+    return _fields_from_grid(kernels.advect_convolve(keys, rows, keys, rows, nout), nout)
 
 
 def bilinear_bs(u, v, retruncate=None):
@@ -331,7 +351,7 @@ def bilinear_bs(u, v, retruncate=None):
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
     grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
     grid += kernels.advect_convolve(v.keys, v.coeffs, u.keys, u.coeffs, nout)
-    return _field_from_grid(grid, nout)
+    return _fields_from_grid(grid, nout)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,15 @@ class SolveReport:
     group_order: int = 1        # signed permutations of the unknowns that fix g and the guess
 
 
-def residual(v, p):
-    """Galerkin residual P_N(A v + alpha B(v, v) - g) at radius p.trunc."""
+def residual(v, p, bvv=None):
+    """Galerkin residual P_N(A v + alpha B(v, v) - g) at radius p.trunc.
+
+    ``bvv`` is B(v, v) at radius p.trunc when the caller has it already, as
+    ``spectral.bilinear_b_each`` gives it for a window of fields at once.
+    """
     av = sp.apply_fractional(v, 1.0)
-    bvv = sp.bilinear_b(v, v, retruncate=p.trunc)
+    if bvv is None:
+        bvv = sp.bilinear_b(v, v, retruncate=p.trunc)
     return sp.project_trunc(sp.lin_comb([1.0, p.alpha, -1.0], [av, bvv, p.g]), p.trunc)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from grashof_expand import expansion as ex
 from grashof_expand import fixtures as fx
+from grashof_expand import kernels
 from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
@@ -84,6 +85,115 @@ def test_example45_config_validation():
         fx.Example45Config(coeffs=((2, 0.0),))
     with pytest.raises(ValueError):
         fx.Example45Config(coeffs=((1, 1.0),))
+    # each fault names its m: a NaN or infinite c_m, a zero beside a nonzero
+    # one, an m given twice, no coefficient at all
+    for coeffs, words in ((((2, float("nan")),), "c_2 = nan"),
+                          (((2, 1.0), (3, float("inf"))), "c_3 = inf"),
+                          (((2, 1.0), (5, -float("inf"))), "c_5 = -inf"),
+                          (((2, 1.0), (4, 0.0)), "c_4 = 0.0 must be finite and nonzero"),
+                          (((2, 1.0), (2, 3.0)), "c_2 is given more than once"),
+                          ((), "at least one coefficient")):
+        with pytest.raises(ValueError, match=words):
+            fx.Example45Config(coeffs=coeffs)
+
+
+# The construction of the example45 fields one n at a time from dicts of
+# modes, kept as the oracle of the window's array pass.
+
+def _sin_modes_y():
+    c = np.array([1.0 / 2j, 0.0j])
+    return {(0, 1): c, (0, -1): np.conj(c)}
+
+
+def _sin_modes_x(m, amp):
+    c = np.array([0.0j, amp / 2j])
+    return {(m, 0): c, (-m, 0): np.conj(c)}
+
+
+def _cross_modes(cfg, amp):
+    raw = {}
+    for m, c in cfg.coeffs:
+        for sx in (1, -1):
+            for sy in (1, -1):
+                k = (sx * m, sy)
+                raw[k] = raw.get(k, 0.0) + amp * c / 4j * np.array([sx, sy * m], dtype=np.complex128)
+    return raw
+
+
+def _merge(*dicts):
+    out = {}
+    for d in dicts:
+        for k, c in d.items():
+            out[k] = out.get(k, np.zeros(2, dtype=np.complex128)) + c
+    return out
+
+
+def example45_by_dicts(cfg, n):
+    """(v_n, f_n, g_n, g, v, w2) of index n, mode dict by mode dict."""
+    trunc = max(m for m, _ in cfg.coeffs)
+    alpha = fx.example45_alpha(cfg, n)
+    mu0 = 1.0 / (fx.SQRT2PI * fx.cstar(cfg))
+    big = _merge(_sin_modes_y(), *[_sin_modes_x(m, n * m * m * c) for m, c in cfg.coeffs],
+                 _cross_modes(cfg, float(n)))
+    f_n = sp.leray_project(big)
+    u_n = sp.SpectralField(trunc, _merge(_sin_modes_y(), *[_sin_modes_x(m, n * c) for m, c in cfg.coeffs]))
+    s_field = sp.SpectralField(trunc, _merge(*[_sin_modes_x(m, c) for m, c in cfg.coeffs]))
+    g = sp.leray_project(_merge(*[_sin_modes_x(m, mu0 * m * m * c) for m, c in cfg.coeffs],
+                                _cross_modes(cfg, mu0)))
+    w2tilde = -1.0 * s_field
+    w2 = (1.0 / sp.norm_ds(w2tilde, 0.5)) * w2tilde
+    return (1.0 / alpha) * u_n, f_n, (1.0 / alpha) * f_n, g, mu0 * s_field, w2
+
+
+@pytest.mark.parametrize("coeffs", [((2, 1.0),), ((2, 0.93), (3, -0.6)), ((3, 2.0),),
+                                    ((2, 0.5), (4, -1.25), (7, 3.1e-3))])
+def test_example45_window_bit_equal_to_dict_oracle(coeffs):
+    """Every field of the window's array pass is the one the mode dicts give,
+    bit for bit (signed zeros included), at every n; the records of the window
+    and of ``example45`` are the same, and so is the raw force."""
+    cfg = fx.Example45Config(coeffs=coeffs)
+    ns = list(range(1, 31)) + [400]
+    recs = fx.example45_window(cfg, ns)
+    for rec in recs:
+        want = example45_by_dicts(cfg, rec.n)
+        got = (rec.v_n, rec.f_n, rec.g_n, rec.g, rec.v, rec.w2)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+        assert rec.residual_h <= 1e-12 * sp.norm_ds(rec.g_n, 0)
+    one = fx.example45(cfg, 7)
+    for name, a in vars(one).items():
+        b = getattr(recs[6], name)
+        assert _same_bits(a, b) if isinstance(a, sp.SpectralField) else a == b
+    raw = fx.example45_big_force(cfg, 7)
+    big = _merge(_sin_modes_y(), *[_sin_modes_x(m, 7 * m * m * c) for m, c in cfg.coeffs],
+                 _cross_modes(cfg, 7.0))
+    assert sorted(raw) == sorted(big)
+    assert all(raw[k].tobytes() == big[k].tobytes() for k in big)
+
+
+@pytest.mark.parametrize("fault, words", [
+    ("convolution", "steady equation residual too large at n=10"),
+    ("alpha", "expansion reconstruction failed at n=10"),
+])
+def test_example45_window_checks_every_n(monkeypatch, fault, words):
+    """A window whose middle sample is off fails at that sample: B(v_10, v_10)
+    of the batched convolution, or alpha_10, moved by 1e-6 relative."""
+    cfg = fx.Example45Config(coeffs=((2, 1.0), (3, 0.25)))
+    fx.example45_window(cfg, range(1, 20))
+    if fault == "convolution":
+        convolve = kernels.advect_convolve
+
+        def off(ku, cu, kv, cv, nout):
+            grid = convolve(ku, cu, kv, cv, nout)
+            grid[9] *= 1.0 + 1e-6
+            return grid
+
+        monkeypatch.setattr(kernels, "advect_convolve", off)
+    else:
+        alpha = fx.example45_alpha
+        monkeypatch.setattr(fx, "example45_alpha",
+                            lambda cfg, n: alpha(cfg, n) * np.where(n == 10, 1.0 + 1e-6, 1.0))
+    with pytest.raises(fx.FixtureIntegrityError, match=words):
+        fx.example45_window(cfg, range(1, 20))
 
 
 def test_example314_norm_closed_form():

@@ -115,27 +115,74 @@ def pair_count(ku, kv, nout):
     return count
 
 
-@pytest.mark.parametrize("case", list(FFT_CASES))
-def test_fft_convolution_matches_the_pairwise_oracle(case):
+def assert_matches_the_pairwise_oracle(got, ku, cu, kv, cv, nout):
     """Deviation within 1e-14 of the largest entry, a Hermitian grid to the
-    bit, and the oracle's support: exactly zero off the sum set of the two
-    key sets, and off (0, 0) nonzero exactly where the oracle is. A cell
-    that one pair reaches is the oracle's to the bit, also where that pair
-    has p parallel to q and u_p . q is 0 for a divergence-free u (corners of
-    "n3" and "nout-above-sum")."""
-    u, v, nout = FFT_CASES[case](np.random.default_rng(2))
-    got = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
-    want = convolve_pairwise(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    bit, exactly zero off the sum set of the two key sets, and a cell that
+    one pair reaches the oracle's to the bit. Returns the oracle's grid."""
+    want = convolve_pairwise(ku, cu, kv, cv, nout)
     assert got.shape == want.shape == (2 * nout + 1, 2 * nout + 1, 2)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * np.max(np.abs(want), initial=0.0)
     assert np.array_equal(got, np.conj(got[::-1, ::-1]))
     assert np.all(got[nout, nout].imag == 0)
-    count = pair_count(u.keys, v.keys, nout)
+    count = pair_count(ku, kv, nout)
     assert not np.any(got[count == 0])
     assert np.array_equal(got[count == 1], want[count == 1])
+    return want
+
+
+@pytest.mark.parametrize("case", list(FFT_CASES))
+def test_fft_convolution_matches_the_pairwise_oracle(case):
+    """The oracle's values and single-pair cells, also where that pair has p
+    parallel to q and u_p . q is 0 for a divergence-free u (corners of "n3"
+    and "nout-above-sum"), and its support: off (0, 0) nonzero exactly where
+    the oracle is, as no cell of these cases has terms that cancel exactly."""
+    u, v, nout = FFT_CASES[case](np.random.default_rng(2))
+    got = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    want = assert_matches_the_pairwise_oracle(got, u.keys, u.coeffs, v.keys, v.coeffs, nout)
     off = np.ones(got.shape[:2], dtype=bool)
     off[nout, nout] = False
     assert np.array_equal(got[off] != 0, want[off] != 0)
+
+
+def readme_n8_solution():
+    """The README forcing's steady state at N = 8, alpha = 16."""
+    g = fx.example45(fx.Example45Config.single(2, 1.0), 1).g
+    return st.solve_steady(st.SteadyProblem(g=g, alpha=16.0, trunc=8)).solution
+
+
+# (fields on one key set, output radius nout)
+BATCH_CASES = {
+    "example45-two-coefficients": lambda: (
+        [r.v_n for r in fx.example45_window(fx.Example45Config(coeffs=((2, 0.93), (3, -0.6))),
+                                            range(1, 21), check=False)], 6),
+    "readme-n8-scaled": lambda: ([a * v for v in [readme_n8_solution()] for a in (1.0, -0.5, 3.0)], 8),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_convolution_is_per_field_calls_to_the_bit(case):
+    """A batch of fields on one key set convolves, member by member, to the
+    bits of one call per field, and each member still matches the pairwise
+    oracle, and ``bilinear_b_each`` gives ``bilinear_b``'s fields."""
+    fields, nout = BATCH_CASES[case]()
+    keys = fields[0].keys
+    assert len(fields) >= 3 and all(np.array_equal(f.keys, keys) for f in fields)
+    rows = np.stack([f.coeffs for f in fields])
+    got = kernels.advect_convolve(keys, rows, keys, rows, nout)
+    assert got.shape == (len(fields), 2 * nout + 1, 2 * nout + 1, 2)
+    for b, c in enumerate(rows):
+        assert got[b].tobytes() == kernels.advect_convolve(keys, c, keys, c, nout).tobytes()
+        assert_matches_the_pairwise_oracle(got[b], keys, c, keys, c, nout)
+    for f, b in zip(fields, sp.bilinear_b_each(fields, nout)):
+        want = sp.bilinear_b(f, f, retruncate=nout)
+        assert b.trunc == want.trunc and b.keys.tobytes() == want.keys.tobytes()
+        assert b.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_bilinear_b_each_needs_one_key_set():
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValueError, match="one key set"):
+        sp.bilinear_b_each([sp.random_divfree(3, rng), sp.eigenfunction(2)], 6)
 
 
 def test_convolution_keeps_the_exact_support():
