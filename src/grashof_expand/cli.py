@@ -1,9 +1,9 @@
 """Batch pipeline front door: sweep -> extract -> verify -> classify -> report.
 
 Exit codes: 0 success, 1 domain error (solver/extraction/format failures),
-2 usage error. All artifacts are written atomically; repeated runs with the
-same configuration produce byte-identical outputs. The environment variable
-``GRASHOF_EXPAND_THREADS`` caps the verification worker count (0 = auto).
+2 usage error. A usage error writes nothing. All artifacts are written
+atomically; repeated runs with the same configuration produce byte-identical
+outputs. ``verify`` checks its forms one after another on one thread.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import expansion as ex
 from . import fieldio
@@ -22,17 +21,12 @@ from . import steady as st
 
 
 def worker_count():
-    raw = os.environ.get("GRASHOF_EXPAND_THREADS", "0").strip()
-    n = int(raw) if raw else 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads that ``verify`` runs on: always one (``perfbench`` records it)."""
+    return 1
 
 
 class UsageError(ValueError):
     pass
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _parse_coeffs(spec):
@@ -63,21 +57,16 @@ def _example45_config(spec, c2):
 
 
 def _parse_scale(spec, depth):
-    """The NestedScale of ``--scale``; an unparsable or invalid spec is a usage error."""
+    """The NestedScale of ``--scale``, its regime read off its exponents; an
+    unparsable or invalid spec is a usage error."""
     try:
         if spec == "default-2dp":
             return ex.default_scale_2dp(depth)
         if spec.startswith("constant:"):
             return ex.constant_scale(float(spec.split(":", 1)[1]), depth)
-        exps = tuple(float(s) for s in spec.split(","))
+        return ex.NestedScale(tuple(float(s) for s in spec.split(",")))
     except ValueError as exc:
-        raise UsageError(f"bad scale spec {spec!r}") from exc
-    regime = ("constant" if len(set(exps)) == 1 else
-              "2d-periodic" if all(0.5 < s < 1.0 for s in exps) else "general")
-    try:
-        return ex.NestedScale(exps, regime)
-    except ValueError as exc:
-        raise UsageError(f"scale {spec!r}: {exc}") from exc
+        raise UsageError(f"bad scale spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +141,16 @@ def cmd_sweep(args):
         alphas = [args.alpha_start * args.alpha_factor**i for i in range(args.count)]
         forces = [g] * args.count
         g_limit = g
-    trunc = args.truncation
-    os.makedirs(args.out, exist_ok=True)
     try:
-        reports = st.sweep(alphas, forces, trunc, tol=args.tol)
+        st.sweep_problems(alphas, forces, args.truncation)
+    except ValueError as exc:
+        raise UsageError(f"bad sweep: {exc}") from exc
+    try:
+        reports = st.sweep(alphas, forces, args.truncation)
     except st.ContinuationError as exc:
         print(f"sweep failed at index {exc.index}: {exc.reports[-1].message}", file=sys.stderr)
         return 1
+    os.makedirs(args.out, exist_ok=True)
     entries = []
     for i, (rep, a) in enumerate(zip(reports, alphas)):
         vfile = os.path.join(args.out, f"solution_{i + 1:04d}.json")
@@ -205,7 +197,7 @@ def cmd_extract(args):
     tols = ex.ToleranceSet(kmax=args.depth, tail=args.tail)
     strict = ex.extract_strict(data, scale, tols)
     restructured = ex.restructure(strict)
-    space = scale.exponent(0) if scale.regime == "constant" else args.space
+    space = scale.exponent(0) if scale.regime == "constant" else 0.5  # else V = D(A^{1/2})
     unitary = ex.refine_unitary(strict, data, space=space)
     os.makedirs(args.out, exist_ok=True)
     ex.save_expansion(os.path.join(args.out, "expansion.json"),
@@ -224,10 +216,9 @@ def cmd_verify(args):
     names = [args.form] if args.form else sorted(forms)
     if any(n not in forms for n in names):
         raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        reports = list(pool.map(lambda n: (n, ex.verify_expansion(forms[n], data)), names))
     ok = True
-    for name, rep in reports:
+    for name in names:
+        rep = ex.verify_expansion(forms[name], data)
         print(f"== form {name}")
         print(str(rep))
         ok = ok and rep.passed
@@ -267,6 +258,7 @@ def cmd_classify(args):
 def cmd_report(args):
     if not os.path.exists(args.manifest):
         raise UsageError(f"manifest not found: {args.manifest}")
+    fmt = fieldio.fmt_float
     data, man = _load_sequence(args.manifest)
     forms, alphas = ex.load_expansion(args.expansion)
     name = "unitary" if "unitary" in forms else sorted(forms)[0]
@@ -280,14 +272,14 @@ def cmd_report(args):
     header += [f"remainder_ratio_{k + 1}" for k in range(len(e.terms))]
     lines = [",".join(header)]
     for i, entry in enumerate(man["entries"]):
-        row = [str(entry["n"]), _fmt(entry["alpha"]), _fmt(entry["residual_H"]),
-               _fmt(entry["bound_check"])]
-        row += [_fmt(t.gammas[i]) for t in e.terms] + [_fmt(r[i]) for r in ratios]
+        row = [str(entry["n"]), fmt(entry["alpha"]), fmt(entry["residual_H"]),
+               fmt(entry["bound_check"])]
+        row += [fmt(t.gammas[i]) for t in e.terms] + [fmt(r[i]) for r in ratios]
         lines.append(",".join(row))
     fieldio.atomic_write(os.path.join(args.out, "series.csv"), "\n".join(lines) + "\n")
 
     summary = [f"sequence window: {len(data)} samples, "
-               f"alpha in [{_fmt(alphas[0])}, {_fmt(alphas[-1])}]",
+               f"alpha in [{fmt(alphas[0])}, {fmt(alphas[-1])}]",
                f"expansion form {name}: kind {e.kind}, depth {e.depth} "
                f"({e.depth_reason}); limit estimator {e.limit_estimator}"]
     for line in e.decision_log:
@@ -295,12 +287,12 @@ def cmd_report(args):
     if classification:
         summary.append(f"classification branch: {classification['branch']}")
         for k, v in classification.get("constants", {}).items():
-            summary.append(f"  {k} = {_fmt(v)}")
+            summary.append(f"  {k} = {fmt(v)}")
         for k, v in classification.get("residuals", {}).items():
-            summary.append(f"  residual {k}: {_fmt(v)}")
+            summary.append(f"  residual {k}: {fmt(v)}")
         reslines = ["id,value"]
         for k, v in classification.get("residuals", {}).items():
-            reslines.append(f"{k},{_fmt(v)}")
+            reslines.append(f"{k},{fmt(v)}")
         fieldio.atomic_write(os.path.join(args.out, "residuals.csv"),
                              "\n".join(reslines) + "\n")
         for w in classification.get("warnings", []):
@@ -342,7 +334,6 @@ def build_parser():
     p.add_argument("--fixture", help="example45: per-n forces g_n from the fixture")
     p.add_argument("--cstar-coeffs", help="fixture coefficients m=value,m=value")
     p.add_argument("--truncation", type=int, default=8)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -352,8 +343,6 @@ def build_parser():
                    help="default-2dp | constant:<s> | s0,s1,...")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--tail", type=int, default=0, help="estimator tail window (0 = auto)")
-    p.add_argument("--space", type=float, default=0.5,
-                   help="single-space exponent of the unitary form")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 

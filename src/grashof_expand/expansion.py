@@ -57,32 +57,33 @@ class StagnationError(RuntimeError):
 
 @dataclass(frozen=True)
 class NestedScale:
-    """Strictly decreasing exponents (s_0..s_K) defining Z_k = D(A^{s_k}).
+    """Finite exponents (s_0..s_K), K >= 1, defining Z_k = D(A^{s_k}).
 
-    Regimes: ``2d-periodic`` requires s_k in (1/2, 1); ``general`` requires
-    s_k in (0, 1/2); ``constant`` is the single-space family Z_k = D(A^s)
-    (all exponents equal), used when expanding in one fixed space.
+    The regime follows from them: ``constant`` when all are equal (the
+    single-space family Z_k = D(A^s)), else ``2d-periodic`` when all lie in
+    (1/2, 1), else ``general``, which needs them in (0, 1/2). The last two
+    need strictly decreasing exponents.
     """
 
     exponents: tuple
-    regime: str = "2d-periodic"
 
     def __post_init__(self):
         exps = tuple(float(s) for s in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 2:
             raise ValueError("scale needs at least two exponents")
-        if self.regime == "constant":
-            if any(s != exps[0] for s in exps):
-                raise ValueError("constant scale must repeat one exponent")
-            return
-        if any(b >= a for a, b in zip(exps, exps[1:])):
+        if not np.all(np.isfinite(exps)):
+            raise ValueError(f"scale exponents must be finite; got {list(exps)}")
+        if self.regime != "constant" and any(b >= a for a, b in zip(exps, exps[1:])):
             raise ValueError("scale exponents must be strictly decreasing")
-        lo, hi = (0.5, 1.0) if self.regime == "2d-periodic" else (0.0, 0.5)
-        if self.regime not in ("2d-periodic", "general"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if any(not lo < s < hi for s in exps):
-            raise ValueError(f"{self.regime} scale exponents must lie in ({lo}, {hi})")
+        if self.regime == "general" and any(not 0.0 < s < 0.5 for s in exps):
+            raise ValueError("general scale exponents must lie in (0.0, 0.5)")
+
+    @property
+    def regime(self):
+        if len(set(self.exponents)) == 1:
+            return "constant"
+        return "2d-periodic" if all(0.5 < s < 1.0 for s in self.exponents) else "general"
 
     @property
     def depth(self):
@@ -94,11 +95,11 @@ class NestedScale:
 
 def default_scale_2dp(kmax=6):
     """s_k = 1/2 + 1/(2(k+2)): harmonic spacing from 3/4 decreasing toward 1/2."""
-    return NestedScale(tuple(0.5 + 0.5 / (k + 2) for k in range(kmax + 1)), "2d-periodic")
+    return NestedScale(tuple(0.5 + 0.5 / (k + 2) for k in range(kmax + 1)))
 
 
 def constant_scale(s, kmax=6):
-    return NestedScale((float(s),) * (kmax + 1), "constant")
+    return NestedScale((float(s),) * (kmax + 1))
 
 
 @dataclass(frozen=True)
@@ -483,7 +484,7 @@ def restructure(e):
         degenerate_n = None
         kind = "finite-unitary" if e.kind in ("finite-unitary", "trivial") else "infinite-unitary"
 
-    new_scale = NestedScale(tuple(new_exponents), e.scale.regime) if len(new_exponents) >= 2 else e.scale
+    new_scale = NestedScale(tuple(new_exponents)) if len(new_exponents) >= 2 else e.scale
     log = e.decision_log + [f"restructure: removed {len(removed)} zero term(s)"]
     return replace(e, terms=new_terms, kind=kind, form="unitary", scale=new_scale,
                    degenerate_n=degenerate_n, decision_log=log)
@@ -815,17 +816,20 @@ def save_expansion(path, forms, alphas):
     })
 
 
-def _load_form(base, rec):
+def _load_form(path, rec):
+    base = os.path.dirname(os.path.abspath(path))
     terms = []
     for t in rec["terms"]:
         direction, witnesses = _load_term(os.path.join(base, t["file"]), t)
         terms.append(ExpansionTerm(np.array(t["gammas"], dtype=float), direction, witnesses,
                                    t["estimator"]))
-    tol = rec["tolerances"]
+    tol, scale = rec["tolerances"], NestedScale(tuple(rec["scale"]["exponents"]))
+    if scale.regime != rec["scale"]["regime"]:
+        raise fieldio.FieldFormatError(f"{path}: scale records regime {rec['scale']['regime']!r}, "
+                                       f"but its exponents give {scale.regime!r}")
     return ExpansionResult(
         limit=fieldio.read_field(os.path.join(base, rec["limit"])), terms=terms,
-        kind=rec["kind"], form=rec["form"],
-        scale=NestedScale(tuple(rec["scale"]["exponents"]), rec["scale"]["regime"]),
+        kind=rec["kind"], form=rec["form"], scale=scale,
         space=rec["space"], degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
         limit_estimator=rec["limit_estimator"],
         tols=ToleranceSet(tail=tol["tail"], kmax=tol["kmax"]),
@@ -838,17 +842,17 @@ def load_expansion(path):
 
     Raises:
       fieldio.FieldFormatError: the file is not of schema ``SCHEMA`` (files
-        of an earlier schema must be re-extracted), lacks a required key or
-        holds no forms.
+        of an earlier schema must be re-extracted), lacks a required key,
+        holds no forms, or records a regime that its scale's exponents do
+        not give.
     """
     doc = fieldio.read_json(path)
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != SCHEMA:
         raise fieldio.FieldFormatError(
             f"{path}: not an expansion file of schema {SCHEMA} (found schema {found!r})")
-    base = os.path.dirname(os.path.abspath(path))
     try:
-        forms = {name: _load_form(base, rec) for name, rec in doc["forms"].items()}
+        forms = {name: _load_form(path, rec) for name, rec in doc["forms"].items()}
         alphas = np.array(doc["alphas"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise fieldio.FieldFormatError(

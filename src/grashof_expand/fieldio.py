@@ -22,7 +22,7 @@ class FieldFormatError(ValueError):
     """Raised when a field/manifest file does not match the expected schema."""
 
 
-def _fmt_float(x):
+def fmt_float(x):
     return format(float(x), ".17g")
 
 
@@ -56,7 +56,7 @@ def dumps(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

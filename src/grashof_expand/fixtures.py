@@ -264,21 +264,22 @@ def _example314_fields(n_values, truncation):
 
 
 def example314(n, truncation=64):
-    """v_n = e^{-n^2} sum_{k=1}^{T} e^{-kn} phi_k, T = truncation eigenmodes.
+    """v_n = e^{-n^2} sum_{k=1}^{T} e^{-kn} phi_k, T = truncation eigenmodes:
+    the window of one.
 
     Raises:
       ValueError: n outside the double-precision guard range 1..6, or T < 16.
     """
-    n = int(n)
-    (v_n,) = _example314_fields([n], truncation)
-    return Example314Data(n=n, truncation=truncation, v_n=v_n, abs_v=float(example314_abs_v(n, truncation)))
+    return example314_window([n], truncation)[0][0]
 
 
 def example314_window(n_values=range(1, 7), truncation=64):
-    """Window of fields plus the alpha_n = e^n parametrization."""
-    recs = [example314(n, truncation) for n in n_values]
-    alphas = [float(np.exp(r.n)) for r in recs]
-    return recs, alphas
+    """Records of the indices ``n_values``, every v_n from one weight matrix,
+    plus the alpha_n = e^n parametrization."""
+    ns = [int(n) for n in n_values]
+    recs = [Example314Data(n, truncation, v_n, float(example314_abs_v(n, truncation)))
+            for n, v_n in zip(ns, _example314_fields(ns, truncation))]
+    return recs, [float(np.exp(n)) for n in ns]
 
 
 def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6):

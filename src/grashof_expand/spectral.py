@@ -128,13 +128,13 @@ class SpectralField:
         row is zero.
 
     Both arrays are read-only. ``SpectralField(trunc, mapping)`` builds a field
-    from a mapping (kx, ky) -> 2-vector; ``modes`` gives that mapping back.
+    from a mapping (kx, ky) -> 2-vector, validated; ``modes`` gives it back.
     """
 
     __slots__ = ("trunc", "keys", "coeffs")
 
-    def __init__(self, trunc, mapping, check=True):
-        self._assign(trunc, *_arrays(mapping), check)
+    def __init__(self, trunc, mapping):
+        self._assign(trunc, *_arrays(mapping), True)
 
     @classmethod
     def from_arrays(cls, trunc, keys, coeffs, check=False):
@@ -188,7 +188,7 @@ class SpectralField:
 
 
 def zero_field(trunc=1):
-    return SpectralField(trunc, {}, check=False)
+    return SpectralField(trunc, {})
 
 
 def lin_comb(coeffs, fields):

@@ -82,10 +82,10 @@ class SteadyProblem:
     def __post_init__(self):
         if sp.norm_ds(self.g, 0) == 0.0:
             raise ValueError("forcing g must be nonzero")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:  # NaN fails too
+            raise ValueError(f"alpha {self.alpha!r} must be finite and nonnegative")
         if self.trunc < self.g.trunc or np.max(np.abs(self.g.keys), initial=0) > self.trunc:
-            raise ValueError("truncation radius must cover the forcing modes")
+            raise ValueError(f"truncation radius {self.trunc} must cover the forcing modes")
 
 
 @dataclass
@@ -299,9 +299,9 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
             message = "" if rh <= tol else f"no convergence after {after}"
         return SolveReport(
             solution=vfld, residual_h=rh, newton_iters=iters,
-            bound_check=_bound_check(vfld, gnorm), converged=not message,
-            message=message, condition=condition, residual_history=history,
-            dofs=len(gvec), group_order=order,
+            bound_check=sp.norm_ds(sp.apply_fractional(vfld, 1.0), 0) / gnorm,
+            converged=not message, message=message, condition=condition,
+            residual_history=history, dofs=len(gvec), group_order=order,
         )
 
     jac, fx, rnorm, vfld = linearize(x)
@@ -330,39 +330,41 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
     return report(vfld, len(history) - 1)
 
 
-def _bound_check(v, gnorm):
-    return sp.norm_ds(sp.apply_fractional(v, 1.0), 0) / gnorm
+def sweep_problems(alphas, forces, trunc):
+    """The SteadyProblem of each sweep step, one force g_n per alpha, all
+    checked before any solve; a ValueError names the failing sweep index."""
+    if len(forces) != len(alphas):
+        raise ValueError("need one force per alpha")
+    problems = []
+    for i, (a, g) in enumerate(zip(alphas, forces)):
+        try:
+            problems.append(SteadyProblem(g=g, alpha=float(a), trunc=trunc))
+            if i and not problems[i].alpha > problems[i - 1].alpha:
+                raise ValueError("alphas must be strictly increasing")
+        except ValueError as exc:
+            raise ValueError(f"sweep index {i}: {exc}") from exc
+    return problems
 
 
 def sweep(alphas, forces, trunc, tol=None, initial=None):
-    """Continuation sweep over strictly increasing alphas.
+    """Continuation sweep over strictly increasing alphas, one force g_n per alpha.
 
-    ``forces`` is either one field (fixed g) or a list g_n matching ``alphas``.
     The solution at alpha_n seeds Newton at alpha_{n+1}; the first solve seeds
     from the Stokes solution A^{-1} g unless ``initial`` is given.
 
     Raises:
+      ValueError: ``sweep_problems`` rejects a step; nothing is solved.
       ContinuationError: a step failed; carries the break index and the
         reports collected so far.
     """
-    alphas = [float(a) for a in alphas]
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
-    if isinstance(forces, sp.SpectralField):
-        forces = [forces] * len(alphas)
-    if len(forces) != len(alphas):
-        raise ValueError("need one force per alpha")
-
     reports = []
     guess = initial
-    for i, (a, g) in enumerate(zip(alphas, forces)):
-        p = SteadyProblem(g=g, alpha=a, trunc=trunc)
+    for i, p in enumerate(sweep_problems(alphas, forces, trunc)):
         if guess is None:
-            guess = sp.project_trunc(sp.apply_fractional(g, -1.0), trunc)
+            guess = sp.project_trunc(sp.apply_fractional(p.g, -1.0), trunc)
         rep = solve_steady(p, initial=guess, tol=tol)
-        if not rep.converged:
-            reports.append(rep)
-            raise ContinuationError(i, reports)
         reports.append(rep)
+        if not rep.converged:
+            raise ContinuationError(i, reports)
         guess = rep.solution
     return reports

@@ -12,13 +12,13 @@ from grashof_expand import steady as st
 def shear_field(amplitude=1.0):
     """(amplitude * sin y, 0): the laminar forcing/solution workhorse."""
     c = np.array([amplitude / 2j, 0.0j])
-    return sp.SpectralField(1, {(0, 1): c, (0, -1): np.conj(c)}, check=False)
+    return sp.SpectralField(1, {(0, 1): c, (0, -1): np.conj(c)})
 
 
 def x_wave(m, amplitude=1.0):
     """(0, amplitude * sin(mx)): unidirectional, B(u, u) = 0 exactly."""
     c = np.array([0.0j, amplitude / 2j])
-    return sp.SpectralField(m, {(m, 0): c, (-m, 0): np.conj(c)}, check=False)
+    return sp.SpectralField(m, {(m, 0): c, (-m, 0): np.conj(c)})
 
 
 @pytest.fixture(scope="session")

@@ -142,7 +142,7 @@ def test_criterion_3_example314_extraction():
 
 def test_criterion_4_enstrophy_and_energy_bounds(ex45_end_to_end):
     g = sp.leray_project(dict(shear_field().modes))
-    for rep in st.sweep([1.0, 10.0, 100.0, 1000.0], g, trunc=4):
+    for rep in st.sweep([1.0, 10.0, 100.0, 1000.0], [g] * 4, trunc=4):
         _solve_corpus.append((rep, sp.norm_ds(g, 0)))
     assert _solve_corpus, "corpus is filled by criteria 2 and 4"
     worst_enstrophy = 0.0

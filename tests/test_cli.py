@@ -190,12 +190,64 @@ def _extract_usage_errors(manifest, out, capsys, cases):
 
 
 def test_extract_scale_and_depth_faults_are_usage_errors(pipeline, tmp_path, capsys):
-    """A --scale that NestedScale rejects, or --depth 0, exits 2 and writes nothing."""
+    """A --scale that NestedScale rejects, a non-finite exponent among them,
+    or --depth 0, exits 2 and writes nothing."""
     _extract_usage_errors(str(pipeline / "fx" / "manifest.json"), tmp_path / "exp", capsys, (
         (["--scale", "0.7"], "scale needs at least two exponents"),
         (["--scale", "0.6,0.7"], "strictly decreasing"),
+        (["--scale", "0.9,0.3"], "general scale exponents must lie in (0.0, 0.5)"),
+        (["--scale", "constant:inf"], "scale exponents must be finite"),
+        (["--scale", "constant:nan"], "scale exponents must be finite"),
+        (["--scale", "0.9,nan"], "scale exponents must be finite"),
         (["--depth", "0"], "--depth must be at least 1; got 0"),
     ))
+
+
+@pytest.mark.parametrize("extra, words", [
+    (["--alpha-factor", "1"], "alphas must be strictly increasing"),
+    (["--alpha-factor", "0.5"], "alphas must be strictly increasing"),
+    (["--alpha-start", "0"], "alphas must be strictly increasing"),
+    (["--alpha-start", "-1"], "sweep index 0: alpha -1.0 must be finite and nonnegative"),
+    (["--alpha-start", "nan"], "sweep index 0: alpha nan must be finite"),
+    (["--alpha-factor", "inf"], "sweep index 1: alpha inf must be finite"),
+    (["--truncation", "1"], "sweep index 0: truncation radius 1 must cover the forcing modes"),
+], ids=["factor-1", "factor-half", "start-0", "start-negative", "start-nan", "factor-inf",
+        "truncation-1"])
+def test_sweep_argument_faults_are_usage_errors(pipeline, tmp_path, capsys, extra, words):
+    """Alphas that are not finite, nonnegative and strictly increasing, or a
+    truncation that does not cover the force, exit 2 before any solve and
+    create no --out."""
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--force", str(pipeline / "fx" / "g_limit.json"), *extra,
+                "--out", str(out)]) == 2
+    assert words in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_sweep_creates_no_out(tmp_path, capsys):
+    """A sweep that breaks inside Newton exits 1 and leaves no --out behind."""
+    fxdir = tmp_path / "fx"
+    assert run(["fixtures", "example45", "--count", "2", "--out", str(fxdir)]) == 0
+    out = tmp_path / "sweep"
+    # alpha 1 converges; the jump to alpha 100 finds no residual decrease
+    assert run(["sweep", "--force", str(fxdir / "g_limit.json"), "--alpha-factor", "100",
+                "--count", "4", "--out", str(out)]) == 1
+    assert "sweep failed at index 1: Newton stalled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_regime_its_exponents_do_not_give(pipeline, tmp_path, capsys):
+    """expansion.json records each form's regime; one that its exponents do
+    not give is a malformed file (exit 2)."""
+    out = tmp_path / "exp"
+    shutil.copytree(pipeline / "exp", out)
+    doc = fieldio.read_json(out / "expansion.json")
+    assert doc["forms"]["strict"]["scale"]["regime"] == "2d-periodic"
+    doc["forms"]["strict"]["scale"]["regime"] = "general"
+    fieldio.write_json(out / "expansion.json", doc)
+    assert run(["verify", "--expansion", str(out / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json")]) == 2
+    assert "scale records regime 'general', but its exponents" in capsys.readouterr().err
 
 
 def test_extract_tail_outside_window_is_usage_error(pipeline, tmp_path, capsys):
@@ -213,13 +265,6 @@ def test_domain_error_exit_1(tmp_path):
     code = run(["extract", "--manifest", f"{fxdir}/manifest.json",
                 "--out", str(tmp_path / "e")])
     assert code == 1
-
-
-def test_threads_env_cap(monkeypatch):
-    monkeypatch.setenv("GRASHOF_EXPAND_THREADS", "2")
-    assert cli.worker_count() == 2
-    monkeypatch.setenv("GRASHOF_EXPAND_THREADS", "0")
-    assert cli.worker_count() >= 1
 
 
 def test_extract_constant_manifest_gives_trivial(tmp_path, capsys):
@@ -542,3 +587,55 @@ def test_example45_files_are_pinned(tmp_path):
            for p in sorted(tmp_path.glob("*/*"))}
     assert sorted(got) == sorted(EX45_SHA256)
     assert [name for name in sorted(got) if got[name] != EX45_SHA256[name]] == []
+
+
+# sha256 of every file that the README example45 pipeline writes past its
+# fixtures (``extract --scale default-2dp --depth 6``, ``classify`` and
+# ``report``; the fixtures are c2/ in EX45_SHA256), and of the text that
+# ``verify`` prints, recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
+README_PIPELINE_SHA256 = {
+    "class.json": "156278288ca0e01af5110e1e5b644c495a575abdb90c0b4f1a53860ee7729ab5",
+    "exp/expansion.json": "dde7a247b809221b00e90d08d772231f61e1697060965600783d1756165ef154",
+    "exp/restructured_limit.json": "7df5a63ade109c5c17f41832b450fd7205ebc3ced270ddb7e8c947c6deacaa8e",
+    "exp/restructured_term1.npy": "48bb5f8809fb6e951c8226f43077dd9636dc270c4d9bdc7c4d6083106813a8fe",
+    "exp/restructured_term2.npy": "1827af324303c199efca23e32f893ba43f245affe063567276f43fde18c7ce79",
+    "exp/restructured_term3.npy": "9bb9366f8ffb26dd0ecabfd8a6e0e399fc328f6c77eb1770c70ca496cbb0dd1a",
+    "exp/restructured_term4.npy": "2fb637b7b58f24892e3cbea2a1a69b3619d9dfc01d015efad0fcff0e5561751f",
+    "exp/restructured_term5.npy": "701e9586e9e4b2d5f3e61e31341a9c57584f4644ad6e26ed5ff4c4f0914f38f1",
+    "exp/restructured_term6.npy": "09896153c499182395820aff5e9f59ed2066c6610be6fb412fd18a021d0e5694",
+    "exp/strict_limit.json": "7df5a63ade109c5c17f41832b450fd7205ebc3ced270ddb7e8c947c6deacaa8e",
+    "exp/strict_term1.npy": "48bb5f8809fb6e951c8226f43077dd9636dc270c4d9bdc7c4d6083106813a8fe",
+    "exp/strict_term2.npy": "714f1d3a430b6f206e580577905f0384565d649dcef85715344041ac3b892f0e",
+    "exp/strict_term3.npy": "9bb9366f8ffb26dd0ecabfd8a6e0e399fc328f6c77eb1770c70ca496cbb0dd1a",
+    "exp/strict_term4.npy": "c5c15c6ac83f239625f3804c650032362eb39184321b37b47692d012930da098",
+    "exp/strict_term5.npy": "701e9586e9e4b2d5f3e61e31341a9c57584f4644ad6e26ed5ff4c4f0914f38f1",
+    "exp/strict_term6.npy": "9870604150512a52de58a6fd785a2127aca58a40e60a6a88d43a260c5c6648e1",
+    "exp/unitary_limit.json": "7df5a63ade109c5c17f41832b450fd7205ebc3ced270ddb7e8c947c6deacaa8e",
+    "exp/unitary_term1.npy": "cba82cc7cce58ced8709da82cfe24cffe82080632bb3db4a73966e607da5aa2f",
+    "exp/unitary_term2.npy": "0252890f0fdf32c85d42e6911cb29088f096942c113bb9da74e3b701ea17a671",
+    "report/residuals.csv": "7ced5cb3501f8f26fd0bc63be4258ad726f6869236e9edf7662f08c63e1bfa65",
+    "report/series.csv": "785d22f58b6b87dde21b35d22a19e527d62893936518d4ee8a5bc9aef1c16be3",
+    "report/summary.txt": "323d0cf30ba042ff424602a763093299ea1bd808c7a5a05ad9703ef73e1f9c83",
+}
+README_VERIFY_STDOUT_SHA256 = "cc597412b8aeb44326a370b8132aec4fc4eb28b41e940cc37e6b55423340ffb7"
+
+
+def test_readme_pipeline_files_are_pinned(tmp_path, capsys):
+    fx, exp = str(tmp_path / "fx"), str(tmp_path / "exp")
+    man, expf, cls = f"{fx}/manifest.json", f"{exp}/expansion.json", str(tmp_path / "class.json")
+    assert run(["fixtures", "example45", "--c2", "1", "--count", "20", "--out", fx]) == 0
+    assert run(["extract", "--manifest", man, "--scale", "default-2dp", "--depth", "6",
+                "--out", exp]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--expansion", expf, "--manifest", man]) == 0
+    verify_out = capsys.readouterr().out.encode()
+    assert run(["classify", "--expansion", expf, "--manifest", man, "--out", cls]) == 0
+    assert run(["report", "--manifest", man, "--expansion", expf, "--classification", cls,
+                "--out", str(tmp_path / "report")]) == 0
+    assert hashlib.sha256(verify_out).hexdigest() == README_VERIFY_STDOUT_SHA256
+    want = {**README_PIPELINE_SHA256, **{"fx/" + name[3:]: digest for name, digest
+                                         in EX45_SHA256.items() if name.startswith("c2/")}}
+    got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert sorted(got) == sorted(want)
+    assert [name for name in sorted(got) if got[name] != want[name]] == []

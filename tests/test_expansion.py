@@ -6,6 +6,8 @@ dual-expansion family, with no SpectralField machinery, and must match the
 engine to 1e-12 relative.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,34 @@ from grashof_expand import fieldio
 from grashof_expand import fixtures as fx
 from grashof_expand import spectral as sp
 from grashof_expand.seqlimit import estimate_limit
+
+
+# ---------------------------------------------------------------------------
+# NestedScale
+# ---------------------------------------------------------------------------
+
+
+def test_scale_regime_follows_from_exponents(ex45_extraction):
+    assert ex.default_scale_2dp(6).regime == "2d-periodic"
+    assert ex.constant_scale(0.5).regime == "constant"
+    assert ex.NestedScale((0.4, 0.3)).regime == "general"
+    strict, _ = ex45_extraction
+    restructured = ex.restructure(strict).scale
+    assert restructured.regime == "2d-periodic"
+    assert set(restructured.exponents) <= set(strict.scale.exponents)
+    uni = _insert_zero_level(fx.example314_unitary_expansion(depth=4), position=1)
+    assert ex.restructure(uni).scale.regime == "constant"
+
+
+@pytest.mark.parametrize("exps, words", [
+    ((0.9, 0.3), "general scale exponents must lie in (0.0, 0.5)"),
+    ((0.6, 0.7), "strictly decreasing"),
+    ((np.inf,) * 4, "must be finite"),
+    ((0.9, np.nan), "must be finite"),
+], ids=["mixed-ranges", "increasing", "constant-inf", "nan"])
+def test_scale_rejects_bad_exponents(exps, words):
+    with pytest.raises(ValueError, match=re.escape(words)):
+        ex.NestedScale(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +300,7 @@ def _insert_zero_level(e, position):
     terms.insert(position, zero_term)
     exps = list(e.scale.exponents)
     exps.insert(position + 1, exps[position + 1])
-    scale = ex.NestedScale(tuple(exps), "constant") if e.scale.regime == "constant" else e.scale
+    scale = ex.NestedScale(tuple(exps)) if e.scale.regime == "constant" else e.scale
     return ex.ExpansionResult(
         limit=e.limit, terms=terms, kind=e.kind, form="relaxed", scale=scale,
         space=e.space, degenerate_n=None, depth_reason=e.depth_reason,

@@ -56,7 +56,7 @@ def linearized_by_fields(v, p, reps, sigmas):
     for i, (kx, ky) in enumerate(reps.tolist()):
         for part in (0, 1):
             c = sigmas[i].astype(np.complex128) * (1.0 if part == 0 else 1j)
-            z = sp.SpectralField(p.trunc, {(kx, ky): c, (-kx, -ky): np.conj(c)}, check=False)
+            z = sp.SpectralField(p.trunc, {(kx, ky): c, (-kx, -ky): np.conj(c)})
             img = sp.lin_comb([1.0, p.alpha], [sp.apply_fractional(z, 1.0),
                                                sp.bilinear_bs(v, z, retruncate=p.trunc)])
             cols[:, part * m + i] = st._field_to_vec(img, reps, sigmas)

@@ -159,7 +159,7 @@ def test_classify_laminar_trivial_branch():
 
     g = sp.leray_project(dict(shear_field().modes))
     alphas = [float(10 * 2**j) for j in range(8)]
-    reports = st.sweep(alphas, g, trunc=4)
+    reports = st.sweep(alphas, [g] * len(alphas), trunc=4)
     data = ex.SequenceData(tuple(r.solution for r in reports), tuple(alphas))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     uni = ex.refine_unitary(strict, data, space=0.5)

@@ -77,7 +77,7 @@ def test_fractional_single_modes():
     phi = sp.eigenfunction(1)  # |k| = 1
     assert sp.norm_ds(sp.apply_fractional(phi, 1.0) - phi, 0) == 0.0
     mode = sp.SpectralField(2, {(2, 0): np.array([0, 1 / 2j]),
-                                (-2, 0): np.array([0, -1 / 2j])}, check=False)
+                                (-2, 0): np.array([0, -1 / 2j])})
     scaled = sp.apply_fractional(mode, 0.5)
     diff = scaled - 2.0 * mode
     assert sp.norm_ds(diff, 0) <= 1e-15 * sp.norm_ds(mode, 0)
@@ -304,13 +304,13 @@ def test_operations_preserve_reality_and_divergence():
         sp.project_trunc(sp.bilinear_b(u, v), 3),
     ]
     for out in outputs:
-        sp.SpectralField(out.trunc, dict(out.modes), check=True)  # revalidates
+        sp.SpectralField(out.trunc, dict(out.modes))  # revalidates
 
 
 def test_field_rejects_divergence_violation():
     with pytest.raises(sp.MalformedFieldError):
         sp.SpectralField(2, {(1, 0): np.array([1.0 + 0j, 0.0j]),
-                             (-1, 0): np.array([1.0 + 0j, 0.0j])}, check=True)
+                             (-1, 0): np.array([1.0 + 0j, 0.0j])})
 
 
 def test_eigenfunctions_bit_equal_to_eigenfunction():

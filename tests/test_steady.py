@@ -171,7 +171,7 @@ def test_off_lattice_guess_solves_every_unknown():
     and Newton lands on the same solution."""
     g = readme_force()
     alphas = [2.0**i for i in range(7)]
-    on = st.sweep(alphas, g, trunc=8)[-1]
+    on = st.sweep(alphas, [g] * len(alphas), trunc=8)[-1]
     assert on.dofs == 38
     pert = sp.random_divfree(3, np.random.default_rng(64))
     p = st.SteadyProblem(g=g, alpha=alphas[-1], trunc=8)
@@ -325,7 +325,7 @@ def test_solve_nonconvergence_reported():
 
 def test_sweep_laminar_branch(shear_problem):
     g = shear_problem.g
-    reports = st.sweep([1.0, 10.0, 100.0, 1000.0], g, trunc=4)
+    reports = st.sweep([1.0, 10.0, 100.0, 1000.0], [g] * 4, trunc=4)
     lam = sp.apply_fractional(g, -1.0)
     for rep in reports:
         assert sp.norm_ds(rep.solution - lam, 1.0) <= 1e-13
@@ -343,7 +343,7 @@ def test_sweep_example45_tracks_analytic(ex45_records):
 
 def test_sweep_requires_increasing_alphas(shear_problem):
     with pytest.raises(ValueError):
-        st.sweep([2.0, 1.0], shear_problem.g, trunc=4)
+        st.sweep([2.0, 1.0], [shear_problem.g] * 2, trunc=4)
 
 
 def test_sweep_propagates_failure_index(ex45_records):
