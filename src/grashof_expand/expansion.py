@@ -102,9 +102,27 @@ def constant_scale(s, kmax=6):
     return NestedScale((float(s),) * (kmax + 1))
 
 
+def _rows(keys, fields):
+    """Coefficients of each field on the sorted mode list ``keys``, one flat row per
+    field: ``row[2 * i], row[2 * i + 1] = c(k_i)``. The one map from fields to rows,
+    used by extraction, verification and the expansion files."""
+    union, slots = sp.key_union([keys] + [f.keys for f in fields])
+    if len(union) > len(keys):
+        raise ValueError("expansion carries modes outside the data window")
+    out = np.zeros((len(fields), len(keys), 2), dtype=np.complex128)
+    for row, f, slot in zip(out, fields, slots[1:]):
+        row[slot] = f.coeffs
+    return out.reshape(len(fields), 2 * len(keys))
+
+
 @dataclass(frozen=True)
 class SequenceData:
-    """Finite sample (v_n, alpha_n), n = 1..M, of a solution sequence."""
+    """Finite sample (v_n, alpha_n), n = 1..M, of a solution sequence, flattened once.
+
+    ``flat`` holds one row per field on the window's sorted mode list ``keys``
+    (see ``_rows``), ``lam`` the eigenvalue |k|^2 of each row entry and ``trunc``
+    the largest truncation. The alphas must be positive and strictly increasing.
+    """
 
     fields: tuple
     alphas: tuple
@@ -116,9 +134,45 @@ class SequenceData:
             raise ValueError("fields and alphas must have equal length")
         if any(a <= 0 for a in self.alphas):
             raise ValueError("alphas must be positive")
+        for n, (a, b) in enumerate(zip(self.alphas, self.alphas[1:]), start=2):
+            if not b > a:
+                raise ValueError(f"alphas must be strictly increasing: sample {n} has "
+                                 f"alpha {b!r} after {a!r}")
+        keys = sp.key_union([f.keys for f in self.fields])[0]
+        flat = _rows(keys, self.fields)
+        flat.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "trunc", max((f.trunc for f in self.fields), default=1))
+        object.__setattr__(self, "lam", np.repeat(np.sum(keys * keys, axis=1), 2).astype(float))
 
     def __len__(self):
         return len(self.fields)
+
+    def norms(self, flat_rows, s):
+        """D(A^s) norm of each row (of the one row, for a 1-D ``flat_rows``)."""
+        w = self.lam ** (2.0 * s)
+        return TWO_PI * np.sqrt(np.sum(w * np.abs(flat_rows) ** 2, axis=-1))
+
+    def inner(self, rows, row, s):
+        """Real D(A^s) inner products of each row of ``rows`` with ``row``."""
+        w = self.lam ** (2.0 * s)
+        return TWO_PI**2 * np.real(np.sum(w * rows * np.conj(row), axis=1))
+
+    def divfree(self, rows):
+        """Leray projection of rows, mode by mode: window estimates, and residuals
+        divided by small gammas, drift off k.c = 0 beyond the loader's tolerance."""
+        shape = rows.shape[:-1] + (len(self.keys), 2)
+        return sp.divfree(self.keys, rows.reshape(shape)).reshape(rows.shape)
+
+    def to_field(self, row):
+        """Inverse of ``_rows``: the field whose nonzero modes are those of ``row``."""
+        return sp.SpectralField.from_arrays(self.trunc, self.keys, row.reshape(-1, 2))
+
+    def term(self, gammas, direction, witnesses, estimator):
+        """ExpansionTerm of a direction row and one witness row per sample."""
+        return ExpansionTerm(gammas, self.to_field(direction),
+                             [self.to_field(w) for w in witnesses], estimator)
 
 
 @dataclass(frozen=True)
@@ -175,75 +229,10 @@ class ExpansionResult:
         return self.scale.exponent(min(k, self.scale.depth))
 
 
-# ---------------------------------------------------------------------------
-# Shared window machinery
-# ---------------------------------------------------------------------------
-
-
-class _Window:
-    """Fields flattened onto their shared sorted mode list, one row per field.
-
-    A row holds the coefficient 2-vector of each listed mode in turn:
-    ``row[2 * i], row[2 * i + 1] = c(k_i)``. ``rows`` is the one map from fields
-    to rows, used by extraction, verification and the expansion files.
-    """
-
-    def __init__(self, fields):
-        fields = list(fields)
-        self.keys = sp.key_union([f.keys for f in fields])[0]
-        self.nk = len(self.keys)
-        self.m = len(fields)
-        self.flat = self.rows(fields)
-        self.trunc = max(f.trunc for f in fields)
-        self._wcache = {}
-
-    def rows(self, fields):
-        """Coefficients of each field on the window's mode list, one flat row per field."""
-        keys, slots = sp.key_union([self.keys] + [f.keys for f in fields])
-        if len(keys) > self.nk:
-            raise ValueError("expansion carries modes outside the data window")
-        out = np.zeros((len(fields), self.nk, 2), dtype=np.complex128)
-        for row, f, slot in zip(out, fields, slots[1:]):
-            row[slot] = f.coeffs
-        return out.reshape(len(fields), 2 * self.nk)
-
-    def weights(self, s):
-        s = float(s)
-        if s not in self._wcache:
-            lam = np.sum(self.keys * self.keys, axis=1).astype(np.float64)
-            self._wcache[s] = np.repeat(lam ** (2.0 * s), 2)
-        return self._wcache[s]
-
-    def norms(self, flat_rows, s):
-        """D(A^s) norm of each row (of the one row, for a 1-D ``flat_rows``)."""
-        w = self.weights(s)
-        return TWO_PI * np.sqrt(np.sum(w * np.abs(flat_rows) ** 2, axis=-1))
-
-    def inner(self, rows, row, s):
-        """Real D(A^s) inner products of each row of ``rows`` with ``row``."""
-        w = self.weights(s)
-        return TWO_PI**2 * np.real(np.sum(w * rows * np.conj(row), axis=1))
-
-    def divfree(self, rows):
-        """Leray projection of rows, mode by mode: window estimates, and residuals
-        divided by small gammas, drift off k.c = 0 beyond the loader's tolerance."""
-        shape = rows.shape[:-1] + (self.nk, 2)
-        return sp.divfree(self.keys, rows.reshape(shape)).reshape(rows.shape)
-
-    def to_field(self, row):
-        """Inverse of ``rows``: the field whose nonzero modes are those of ``row``."""
-        return sp.SpectralField.from_arrays(self.trunc, self.keys, row.reshape(self.nk, 2))
-
-    def term(self, gammas, direction, witnesses, estimator):
-        """ExpansionTerm of a direction row and one witness row per sample."""
-        return ExpansionTerm(gammas, self.to_field(direction),
-                             [self.to_field(w) for w in witnesses], estimator)
-
-
-def _check_convergent(win, s0, t):
+def _check_convergent(data, s0, t):
     """Numerical Cauchy criterion in Z_0 over the window."""
-    dn = win.norms(win.flat[1:] - win.flat[:-1], s0)
-    scale = float(np.max(win.norms(win.flat, s0)))
+    dn = data.norms(data.flat[1:] - data.flat[:-1], s0)
+    scale = float(np.max(data.norms(data.flat, s0)))
     if np.all(dn <= 1e-13 * max(scale, 1e-300)):
         return
     tail = dn[-(t + 1):]
@@ -274,25 +263,24 @@ def extract_strict(data, scale, tols=None):
     tols = tols or ToleranceSet()
     if len(data) < 6:
         raise ValueError("extraction window must contain at least 6 samples")
-    win = _Window(data.fields)
     xs = 1.0 / np.array(data.alphas)
-    t = tols.tail_for(win.m)
+    t = tols.tail_for(len(data))
     s0 = scale.exponent(0)
-    _check_convergent(win, s0, t)
+    _check_convergent(data, s0, t)
 
-    vhat, vmethod = estimate_limit(win.flat, xs, t)
-    vhat = win.divfree(vhat)
+    vhat, vmethod = estimate_limit(data.flat, xs, t)
+    vhat = data.divfree(vhat)
     log = [f"limit estimator: {vmethod}"]
-    scale0 = float(np.max(win.norms(win.flat, s0)))
+    scale0 = float(np.max(data.norms(data.flat, s0)))
     floor_abs = FLOOR * max(scale0, 1e-300)
 
-    resid = win.flat - vhat
+    resid = data.flat - vhat
     terms = []
     kind = "strict"
     reason = f"depth cap {min(tols.kmax, scale.depth)}"
     kmax = min(tols.kmax, scale.depth)
     for k in range(1, kmax + 1):
-        gammas = win.norms(resid, scale.exponent(k - 1))
+        gammas = data.norms(resid, scale.exponent(k - 1))
         if np.max(gammas) <= floor_abs:
             if k == 1:
                 kind = "trivial"
@@ -305,25 +293,25 @@ def extract_strict(data, scale, tols=None):
         if k == 1:
             if gammas[-1] > STAGNATION * np.max(gammas[:t]):
                 raise StagnationError("Gamma_{1,n} does not decay over the window")
-        witnesses = win.divfree(resid / gammas[:, None])
+        witnesses = data.divfree(resid / gammas[:, None])
         what, wmethod = estimate_limit(witnesses, xs, t)
-        what = win.divfree(what)
+        what = data.divfree(what)
         sk = scale.exponent(k)
-        conv = win.norms(witnesses - what, sk)
-        terms.append(win.term(gammas, what, witnesses, wmethod))
+        conv = data.norms(witnesses - what, sk)
+        terms.append(data.term(gammas, what, witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
         if np.all(conv[-t:] < FINITE):
             kind = "finite-unitary"
             reason = f"witnesses stabilized at level {k}"
             break
         resid = resid - gammas[:, None] * what
-        nxt = win.norms(resid, sk)
+        nxt = data.norms(resid, sk)
         ratios = nxt / gammas
         if np.mean(ratios[-t:]) >= STAGNATION:
             reason = f"ratio stagnation after level {k}"
             break
     return ExpansionResult(
-        limit=win.to_field(vhat), terms=terms,
+        limit=data.to_field(vhat), terms=terms,
         kind="trivial" if (kind == "trivial" or not terms) else kind, form="strict",
         scale=scale, space=None, degenerate_n=None, depth_reason=reason,
         limit_estimator=vmethod, tols=tols, decision_log=log,
@@ -346,22 +334,21 @@ def refine_unitary(strict, data, space=0.5):
     The tail window and depth are the strict result's.
     """
     tols = strict.tols
-    win = _Window(data.fields)
     xs = 1.0 / np.array(data.alphas)
-    t = tols.tail_for(win.m)
+    t = tols.tail_for(len(data))
     s = float(space)
-    vhat = win.rows([strict.limit])[0]
+    vhat = _rows(data.keys, [strict.limit])[0]
 
-    scale0 = float(np.max(win.norms(win.flat, s)))
+    scale0 = float(np.max(data.norms(data.flat, s)))
     floor_abs = FLOOR * max(scale0, 1e-300)
-    resid = win.flat - vhat
+    resid = data.flat - vhat
     terms = []
     kind = "infinite-unitary"
     degenerate_n = None
     reason = f"depth cap {tols.kmax}"
     log = list(strict.decision_log) + [f"unitary refinement in D(A^{s})"]
     for k in range(1, tols.kmax + 1):
-        norms = win.norms(resid, s)
+        norms = data.norms(resid, s)
         if np.max(norms) <= floor_abs:
             if k == 1:
                 kind = "trivial"
@@ -372,35 +359,35 @@ def refine_unitary(strict, data, space=0.5):
         if np.min(norms) <= 0.0:
             reason = f"exact reconstruction at level {k - 1}"
             break
-        unit = win.divfree(resid / norms[:, None])
+        unit = data.divfree(resid / norms[:, None])
         dhat, wmethod = estimate_limit(unit, xs, t)
-        dhat = win.divfree(dhat)
-        dnorm = float(win.norms(dhat, s))
+        dhat = data.divfree(dhat)
+        dnorm = float(data.norms(dhat, s))
         if dnorm <= ZERO:
             # Zero witness limit: the tail is degenerate in this space.
             degenerate_n = k - 1
             kind = "degenerate"
-            terms.append(win.term(norms, np.zeros_like(dhat), unit, wmethod))
+            terms.append(data.term(norms, np.zeros_like(dhat), unit, wmethod))
             reason = f"zero direction at level {k}"
             break
         dhat = dhat / dnorm
-        projs = win.inner(resid, dhat, s)
+        projs = data.inner(resid, dhat, s)
         if np.mean(projs[-t:]) < 0:
             dhat = -dhat
             projs = -projs
         if np.min(projs) <= 0.0:
             reason = f"non-positive projection at level {k}"
             break
-        witnesses = win.divfree(resid / projs[:, None])
-        terms.append(win.term(projs, dhat, witnesses, wmethod))
+        witnesses = data.divfree(resid / projs[:, None])
+        terms.append(data.term(projs, dhat, witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
-        conv = win.norms(witnesses - dhat, s)
+        conv = data.norms(witnesses - dhat, s)
         if np.all(conv[-t:] < FINITE):
             kind = "finite-unitary"
             reason = f"witnesses stabilized at level {k}"
             break
         resid = resid - projs[:, None] * dhat
-        nxt = win.norms(resid, s)
+        nxt = data.norms(resid, s)
         if np.mean(nxt[-t:] / projs[-t:]) >= STAGNATION:
             reason = f"ratio stagnation after level {k}"
             break
@@ -531,23 +518,16 @@ def _tail_decreasing(values, t, slack=1e-12):
     return bool(np.all(diffs <= slack * max(np.max(np.abs(v)), 1e-300))), worst
 
 
-def _partial_sums(e, win):
+def _partial_sums(e, data):
     """Rows of v + sum_{j<k} Gamma_{j,n} w_j on the window, for k = 0..depth, in turn.
 
     The expansion is checked against the window here; the sums are made lazily.
     """
-    start, *dirs = win.rows([e.limit] + [term.direction for term in e.terms])
-    if any(len(term.gammas) != win.m for term in e.terms):
-        raise ValueError(f"expansion window length differs from the {win.m}-sample data window")
+    start, *dirs = _rows(data.keys, [e.limit] + [term.direction for term in e.terms])
+    if any(len(term.gammas) != len(data) for term in e.terms):
+        raise ValueError(f"expansion window length differs from the {len(data)}-sample data window")
     steps = (term.gammas[:, None] * d[None, :] for term, d in zip(e.terms, dirs))
-    return accumulate(steps, initial=np.repeat(start[None, :], win.m, axis=0))
-
-
-def _remainder_ratios(e, win):
-    prev = [np.ones(win.m)] + [term.gammas for term in e.terms]
-    ratios = [win.norms(win.flat - p, e.space_exponent(k + 1)) / prev[k]
-              for k, p in zip(range(e.depth), _partial_sums(e, win))]
-    return np.array(ratios).reshape(e.depth, win.m)
+    return accumulate(steps, initial=np.repeat(start[None, :], len(data), axis=0))
 
 
 def remainder_ratios(e, data):
@@ -559,30 +539,31 @@ def remainder_ratios(e, data):
     Raises:
       ValueError: the expansion carries modes outside the data window.
     """
-    win = _Window(data.fields)
-    return _remainder_ratios(e, win)
+    prev = [np.ones(len(data))] + [term.gammas for term in e.terms]
+    ratios = [data.norms(data.flat - p, e.space_exponent(k + 1)) / prev[k]
+              for k, p in zip(range(e.depth), _partial_sums(e, data))]
+    return np.array(ratios).reshape(e.depth, len(data))
 
 
 def verify_expansion(e, data):
     """Per-axiom verification report of an expansion against its raw window."""
-    win = _Window(data.fields)
-    t = e.tols.tail_for(win.m)
+    t = e.tols.tail_for(len(data))
     checks = []
     s0 = e.scale.exponent(0)
-    wits = [win.rows(term.witnesses) for term in e.terms]
-    dirs = win.rows([term.direction for term in e.terms])
+    wits = [_rows(data.keys, term.witnesses) for term in e.terms]
+    dirs = _rows(data.keys, [term.direction for term in e.terms])
     gammas = [term.gammas for term in e.terms]
-    scale0 = float(np.max(win.norms(win.flat, s0)))
+    scale0 = float(np.max(data.norms(data.flat, s0)))
 
     def unit_error(levels):
         """Largest | |w_k| - 1 | over the given direction levels (0 for none)."""
-        return max([0.0] + [abs(float(win.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
+        return max([0.0] + [abs(float(data.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
                             for k in levels])
 
     # Reconstruction identity at every recorded level.
-    sums = _partial_sums(e, win)
+    sums = _partial_sums(e, data)
     recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
-    worst = max(float(np.max(win.norms(r - win.flat, s0))) for r in recons) / scale0
+    worst = max(float(np.max(data.norms(r - data.flat, s0))) for r in recons) / scale0
     checks.append(CheckResult("reconstruction", worst <= RECON_TOL, worst))
 
     if e.terms:
@@ -598,7 +579,7 @@ def verify_expansion(e, data):
             checks.append(CheckResult(f"ratio-decay-k{k + 1}", ok, float(r[-1])))
 
         for k in range(len(e.terms)):
-            conv = win.norms(wits[k] - dirs[k], e.space_exponent(k + 1))
+            conv = data.norms(wits[k] - dirs[k], e.space_exponent(k + 1))
             ok, _ = _tail_decreasing(conv, t, slack=1e-9)
             stabilized = bool(np.all(conv[-(t + 1):] <= FINITE))
             checks.append(
@@ -611,7 +592,7 @@ def verify_expansion(e, data):
             )
 
         if e.form == "strict":
-            worst = max(float(np.max(np.abs(win.norms(wits[k], e.scale.exponent(k)) - 1.0)))
+            worst = max(float(np.max(np.abs(data.norms(wits[k], e.scale.exponent(k)) - 1.0)))
                         for k in range(len(e.terms)))
             checks.append(CheckResult("unit-witnesses", worst <= 1e-13, worst))
         else:
@@ -622,11 +603,11 @@ def verify_expansion(e, data):
         # Remainder-ratio profile over the last half of the window.
         # Levels whose remainders reach the float reconstruction floor count
         # as converged to roundoff; the trend is meaningless below it.
-        half = max(2, win.m // 2)
+        half = max(2, len(data) // 2)
         worst = 0.0
         worstnote = ""
         ok = True
-        for k, ratio in enumerate(_remainder_ratios(e, win), start=1):
+        for k, ratio in enumerate(remainder_ratios(e, data), start=1):
             if np.any(ratio[-(half - 1):] <= 1e-13 * np.max(ratio)):
                 continue
             dec, bad = _tail_decreasing(ratio, half - 1)
@@ -644,12 +625,12 @@ def verify_expansion(e, data):
             CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst)
         )
         # Degenerate remainders: ||R_{N,n}|| / Gamma_{m+1,n} = ||w_n^{(m+1)}|| -> 0.
-        partial = next(islice(_partial_sums(e, win), n0, None))
+        partial = next(islice(_partial_sums(e, data), n0, None))
         ok = True
         worst = 0.0
         for mlev in range(n0, len(e.terms)):
             smp1 = e.space_exponent(mlev + 1)
-            ratio = win.norms(win.flat - partial, smp1) / gammas[mlev]
+            ratio = data.norms(data.flat - partial, smp1) / gammas[mlev]
             dec, _ = _tail_decreasing(ratio, t, slack=1e-9)
             ok = ok and dec
             worst = max(worst, float(ratio[-1]))
@@ -729,14 +710,13 @@ def _save_term(path, term):
     witnesses on their representative modes; returns the index record's
     ``modes`` and ``truncations``."""
     fields = [term.direction] + list(term.witnesses)
-    win = _Window(fields)
-    half = sp.rep_half(win.nk)
-    coeffs = win.flat.reshape(win.m, win.nk, 2)[:, half]
+    keys = sp.key_union([f.keys for f in fields])[0]
+    half = sp.rep_half(len(keys))
+    rows = _rows(keys, fields).view(np.float64).reshape(len(fields), len(keys), 4)[:, half]
     buf = io.BytesIO()
-    np.save(buf, coeffs.view(np.float64).reshape(win.m, -1, 4).astype(_TERM_DTYPE, copy=False),
-            allow_pickle=False)
+    np.save(buf, rows.astype(_TERM_DTYPE, copy=False), allow_pickle=False)
     fieldio.atomic_write(path, buf.getvalue())
-    return {"modes": win.keys[half].tolist(), "truncations": [f.trunc for f in fields]}
+    return {"modes": keys[half].tolist(), "truncations": [f.trunc for f in fields]}
 
 
 def _load_term(path, rec):

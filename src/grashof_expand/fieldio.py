@@ -115,11 +115,14 @@ def read_field(path):
         parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise FieldFormatError(f"{path}: malformed field file ({exc})") from exc
-    coeffs = parts[..., 0] + 1j * parts[..., 1]
     try:
-        return sp.SpectralField.from_arrays(trunc, *sp.conj_closure(reps, coeffs), check=True)
+        keys, coeffs = sp.conj_closure(reps, parts[..., 0] + 1j * parts[..., 1])
     except sp.MalformedFieldError as exc:
         raise sp.MalformedFieldError(f"{path}: {exc}") from exc
+    bad = sp.first_violation(keys, coeffs[None], [trunc])
+    if bad is not None:
+        raise sp.MalformedFieldError(f"{path}: {bad[1]}")
+    return sp.SpectralField.from_arrays(trunc, keys, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ def example45(cfg, n, check=True):
 
 def check_example45(rec, steady):
     """The self-checks of ``example45``, given ``steady`` = A v_n + alpha_n
-    B(v_n, v_n) - g_n, so that a caller that needs that field anyway (the
-    CLI reports its norm) computes B(v_n, v_n) once.
+    B(v_n, v_n) - g_n, so that a caller that needs that field anyway
+    (``example45_window`` records its norm) computes B(v_n, v_n) once.
 
     Raises:
       FixtureIntegrityError: ``steady`` or v + gamma1 w1 + gamma2 w2 - v_n

@@ -134,16 +134,20 @@ class SpectralField:
     __slots__ = ("trunc", "keys", "coeffs")
 
     def __init__(self, trunc, mapping):
-        self._assign(trunc, *_arrays(mapping), True)
+        self._assign(trunc, *_arrays(mapping))
+        bad = first_violation(self.keys, self.coeffs[None], [self.trunc])
+        if bad is not None:
+            raise MalformedFieldError(bad[1])
 
     @classmethod
-    def from_arrays(cls, trunc, keys, coeffs, check=False):
-        """Field on sorted, duplicate-free ``keys``; zero rows are dropped."""
+    def from_arrays(cls, trunc, keys, coeffs):
+        """Field on sorted, duplicate-free ``keys``; zero rows are dropped. Unchecked:
+        a caller reading untrusted arrays runs ``first_violation`` on them first."""
         field = cls.__new__(cls)
-        field._assign(trunc, keys, coeffs, check)
+        field._assign(trunc, keys, coeffs)
         return field
 
-    def _assign(self, trunc, keys, coeffs, check):
+    def _assign(self, trunc, keys, coeffs):
         live = (coeffs[:, 0] != 0) | (coeffs[:, 1] != 0)
         if not live.all():
             keys, coeffs = keys[live], coeffs[live]
@@ -151,9 +155,6 @@ class SpectralField:
         self.keys, self.coeffs = keys.view(), coeffs.view()
         self.keys.flags.writeable = False
         self.coeffs.flags.writeable = False
-        bad = first_violation(keys, coeffs[None], [self.trunc]) if check else None
-        if bad is not None:
-            raise MalformedFieldError(bad[1])
 
     @property
     def modes(self):

@@ -80,7 +80,7 @@ def test_report_byte_identical_reruns(pipeline, tmp_path):
                 "--expansion", str(pipeline / "exp" / "expansion.json"),
                 "--classification", str(pipeline / "class.json"), "--out", rep2]) == 0
     a = (pipeline / "rep" / "series.csv").read_bytes()
-    b = open(os.path.join(rep2, "series.csv"), "rb").read()
+    b = (tmp_path / "rep2" / "series.csv").read_bytes()
     assert a == b
 
 
@@ -356,6 +356,64 @@ def test_report_on_foreign_window_exit_1(pipeline, pipeline314, tmp_path, capsys
     assert run(["report", "--manifest", man, "--expansion", exf,
                 "--out", str(tmp_path / "rep")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_misordered_alphas_are_rejected(pipeline, tmp_path, capsys):
+    fxdir = tmp_path / "fx"
+    shutil.copytree(pipeline / "fx", fxdir)
+    man = fxdir / "manifest.json"
+    doc = fieldio.read_json(man)
+    a16, a17 = doc["entries"][15]["alpha"], doc["entries"][16]["alpha"]
+    doc["entries"][15]["alpha"], doc["entries"][16]["alpha"] = a17, a16
+    fieldio.write_json(man, doc)
+    message = f"alphas must be strictly increasing: sample 17 has alpha {a16!r} after {a17!r}"
+    out = tmp_path / "out"
+    assert run(["extract", "--manifest", str(man), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert run(["verify", "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--manifest", str(man)]) == 1
+    assert message in capsys.readouterr().err
+    assert run(["report", "--manifest", str(man), "--out", str(out),
+                "--expansion", str(pipeline / "exp" / "expansion.json")]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _classify_with(pipeline, tmp_path, edit):
+    """classify the pipeline's expansion against a copy of its manifest changed by ``edit``."""
+    fxdir = tmp_path / "fx"
+    shutil.copytree(pipeline / "fx", fxdir)
+    doc = fieldio.read_json(fxdir / "manifest.json")
+    edit(doc)
+    fieldio.write_json(fxdir / "manifest.json", doc)
+    out = tmp_path / "class.json"
+    code = run(["classify", "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--manifest", str(fxdir / "manifest.json"), "--out", str(out)])
+    return code, out
+
+
+def test_classify_falls_back_to_the_last_force(pipeline, tmp_path):
+    # Without g_limit the last per-n force is the limit force: the same as a
+    # manifest whose g_limit names that force file.
+    code, out = _classify_with(pipeline, tmp_path / "a", lambda doc: doc.pop("g_limit"))
+    assert code == 0
+
+    def last_force(doc):
+        doc["g_limit"] = doc["entries"][-1]["force"]
+    code, named = _classify_with(pipeline, tmp_path / "b", last_force)
+    assert code == 0
+    assert out.read_bytes() == named.read_bytes()
+
+
+def test_classify_without_any_force_exit_2(pipeline, tmp_path, capsys):
+    def strip(doc):
+        doc.pop("g_limit")
+        for entry in doc["entries"]:
+            entry.pop("force")
+    code, out = _classify_with(pipeline, tmp_path, strip)
+    assert code == 2
+    assert "manifest carries no g_limit or per-n forces" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classify_reads_no_window_files(tmp_path):

@@ -150,6 +150,131 @@ def test_extract_stagnation_error():
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
 
+# Constructed windows for the remaining exits: v = 3 phi_1 plus residuals on
+# phi_2, phi_3 (|k|^2 = 1, so orthonormal in every D(A^s)) and phi_5.
+PHI = [None] + sp.eigenfunctions(5)
+V = 3.0 * PHI[1]
+GEOMETRIC = [2.0**j for j in range(8)]
+
+
+def _window(alphas, weights):
+    """SequenceData of v + sum_j weights[n][j] phi_{j+2} (phi_2, phi_3, phi_4, phi_5)."""
+    return ex.SequenceData([sp.lin_comb([1.0, *w], [V, *PHI[2:2 + len(w)]]) for w in weights],
+                           alphas)
+
+
+def test_sequence_data_rejects_alphas_out_of_order():
+    alphas = list(GEOMETRIC)
+    alphas[3], alphas[4] = alphas[4], alphas[3]
+    with pytest.raises(ValueError, match=re.escape(
+            "alphas must be strictly increasing: sample 5 has alpha 8.0 after 16.0")):
+        _window(alphas, [[1.0 / a] for a in alphas])
+    with pytest.raises(ValueError, match="sample 2 has alpha 1.0 after 1.0"):
+        _window([1.0, 1.0], [[1.0], [1.0]])
+
+
+def test_extract_finite_unitary_when_witnesses_stabilize():
+    data = _window(GEOMETRIC, [[1.0 / a] for a in GEOMETRIC])
+    res = ex.extract_strict(data, ex.default_scale_2dp(4))
+    assert (res.kind, res.depth_reason) == ("finite-unitary", "witnesses stabilized at level 1")
+    assert np.allclose(res.terms[0].gammas, 1.0 / np.array(GEOMETRIC), rtol=1e-13, atol=0)
+    assert sp.norm_ds(res.terms[0].direction - PHI[2], 0.75) <= 1e-13
+    assert ex.verify_expansion(res, data).passed
+
+
+def test_extract_stops_at_gamma_floor_of_level_2():
+    # The level-1 witnesses still move by about 1e-9 x_n, so they do not count as
+    # stabilized, but what they leave is below the 1e-9 floor.
+    alphas = [1.0 + 0.2 * n for n in range(8)]
+    data = _window(alphas, [[1.0 / a, 0.0, 0.0, 1e-9 / a**2] for a in alphas])
+    res = ex.extract_strict(data, ex.default_scale_2dp(4))
+    assert (res.kind, res.depth, res.depth_reason) == ("strict", 1, "gamma floor at level 2")
+
+
+def test_extract_stagnation_when_the_residual_vanishes_at_some_samples():
+    # The window reaches its limit at the last sample: Gamma_{1,M} = 0 exactly.
+    ys = [0.3**n for n in range(7)] + [0.0]
+    with pytest.raises(ex.StagnationError, match="level-1 residual vanishes for some n but not all"):
+        ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
+
+
+def test_extract_stagnation_when_gamma1_does_not_decay():
+    # Increments decay by 0.7 per sample, but alpha grows only from 1 to 1.35: the
+    # ls-poly limit at 1/alpha = 0 lies far off, so Gamma_{1,n} stays flat.
+    alphas = [1.0 + 0.05 * n for n in range(8)]
+    with pytest.raises(ex.StagnationError, match=re.escape("Gamma_{1,n} does not decay")):
+        ex.extract_strict(_window(alphas, [[0.7**n] for n in range(8)]), ex.default_scale_2dp(4))
+
+
+def test_extract_rejects_increments_that_grow_again():
+    ys = [1.0, 0.5, 0.3, 0.2, 0.15, 0.12, 0.05, 0.0]
+    with pytest.raises(ex.NotConvergentError, match="window increments are not decreasing"):
+        ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
+
+
+# ---------------------------------------------------------------------------
+# refine_unitary exits
+# ---------------------------------------------------------------------------
+
+
+def _refine_from_v(data):
+    """refine_unitary in V = D(A^{1/2}) from the exact limit v."""
+    strict = ex.ExpansionResult(
+        limit=V, terms=[], kind="strict", form="strict", scale=ex.default_scale_2dp(4),
+        space=None, degenerate_n=None, depth_reason="", limit_estimator="exact",
+        tols=ex.ToleranceSet())
+    return ex.refine_unitary(strict, data)
+
+
+def test_refine_stops_on_exact_reconstruction():
+    ys = [1.0 / a for a in GEOMETRIC[:-1]] + [0.0]
+    res = _refine_from_v(_window(GEOMETRIC, [[y] for y in ys]))
+    assert (res.kind, res.depth, res.depth_reason) == (
+        "trivial", 0, "exact reconstruction at level 0")
+
+
+def test_refine_degenerate_on_a_zero_direction():
+    # Residuals alternating in sign have unit witnesses +-phi_2 whose limit is 0.
+    data = _window(GEOMETRIC, [[(-1.0)**n / a] for n, a in enumerate(GEOMETRIC)])
+    res = _refine_from_v(data)
+    assert (res.kind, res.degenerate_n, res.depth_reason) == (
+        "degenerate", 0, "zero direction at level 1")
+    assert res.depth == 1 and res.terms[0].direction.is_zero()
+
+
+def test_refine_flips_a_direction_against_the_residuals():
+    # Unit residuals turning through 1.2 rad on phi_2, phi_3 as alpha grows from 1
+    # to 1.35: their ls-poly limit at 1/alpha = 0 points away from every residual,
+    # so the direction is flipped and every Gamma stays positive.
+    alphas = [1.0 + 0.05 * n for n in range(8)]
+    turn = [3.0 * (1.0 - 1.0 / a) for a in alphas]
+    data = _window(alphas, [[np.cos(t) / a, np.sin(t) / a] for t, a in zip(turn, alphas)])
+    resid = data.flat - ex._rows(data.keys, [V])[0]
+    units = resid / data.norms(resid, 0.5)[:, None]
+    raw, _ = estimate_limit(units, 1.0 / np.array(alphas), ex.ToleranceSet().tail_for(8))
+    assert np.all(data.inner(resid, raw, 0.5) < 0)
+    res = _refine_from_v(data)
+    assert res.depth >= 1 and np.all(res.terms[0].gammas > 0)
+    direction = ex._rows(data.keys, [res.terms[0].direction])[0]
+    assert np.all(data.inner(resid, direction, 0.5) > 0)
+
+
+def test_refine_stops_on_a_non_positive_projection():
+    # The first sample lies on the far side of v from all the others.
+    signs = [-1.0] + [1.0] * 7
+    res = _refine_from_v(_window(GEOMETRIC, [[s / a] for s, a in zip(signs, GEOMETRIC)]))
+    assert (res.kind, res.depth, res.depth_reason) == (
+        "trivial", 0, "non-positive projection at level 1")
+
+
+def test_refine_stops_on_ratio_stagnation():
+    # Past the phi_2 direction an alternating phi_3 part of the same size remains.
+    data = _window(GEOMETRIC, [[1.0 / a, (-1.0)**n / a] for n, a in enumerate(GEOMETRIC)])
+    res = _refine_from_v(data)
+    assert (res.kind, res.depth, res.depth_reason) == (
+        "infinite-unitary", 1, "ratio stagnation after level 1")
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracle (closed-form eigencoefficient arithmetic)
 # ---------------------------------------------------------------------------

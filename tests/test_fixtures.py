@@ -57,8 +57,9 @@ def test_example45_steady_equation_selfcheck():
 
 
 def test_example45_check_of_a_given_steady_residual():
-    """``check_example45`` takes the Galerkin residual at radius 2N, which the
-    CLI computes once per sample, and still raises on either identity."""
+    """``check_example45`` takes the Galerkin residual at radius 2N, which
+    ``example45_window`` computes once per sample, and still raises on either
+    identity."""
     cfg = fx.Example45Config(coeffs=((2, 1.0), (3, 0.25)))
     rec = fx.example45(cfg, 4, check=False)
     p = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha, trunc=2 * rec.v_n.trunc)

@@ -380,7 +380,7 @@ def test_field_ops_return_sorted_closed_keys(tmp_path):
     v = sp.random_divfree(3, rng)
     w = sp.leray_project(dict(u.modes), trunc=u.trunc)
     fieldio.write_field(tmp_path / "u.json", u)
-    win = ex._Window([u, v, sp.eigenfunction(7)])
+    win = ex.SequenceData([u, v, sp.eigenfunction(7)], [1.0, 2.0, 3.0])
     outputs = [
         u, v, w,
         sp.lin_comb([0.5, -2.0, 1.0], [u, v, u]),
