@@ -49,7 +49,7 @@ from .spectral import (
     apply_fractional,
     bilinear_b,
     bilinear_bs,
-    eigen_sums,
+    eigen_rows,
     eigenfunction,
     eigenfunctions,
     eigenvalue,

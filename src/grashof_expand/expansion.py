@@ -22,7 +22,6 @@ partial sums; verification re-checks every expansion axiom on the raw window.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate, islice
@@ -102,17 +101,24 @@ def constant_scale(s, kmax=6):
     return NestedScale((float(s),) * (kmax + 1))
 
 
-def _rows(keys, fields):
-    """Coefficients of each field on the sorted mode list ``keys``, one flat row per
-    field: ``row[2 * i], row[2 * i + 1] = c(k_i)``. The one map from fields to rows,
-    used by extraction, verification and the expansion files."""
-    union, slots = sp.key_union([keys] + [f.keys for f in fields])
-    if len(union) > len(keys):
+def _onto(keys, rows, target):
+    """Flat rows (..., 2 len(keys)) on the sorted mode list ``keys``, ``row[2 * i],
+    row[2 * i + 1] = c(k_i)``, as rows on the sorted ``target`` (the rows themselves
+    when the lists are equal). The one map between mode lists; a nonzero entry
+    on a mode outside ``target`` is a ValueError."""
+    if np.array_equal(keys, target):
+        return rows
+    lead = rows.shape[:-1]
+    out = sp.gather(keys, rows.reshape(lead + (len(keys), 2)), target)
+    if np.count_nonzero(out) != np.count_nonzero(rows):
         raise ValueError("expansion carries modes outside the data window")
-    out = np.zeros((len(fields), len(keys), 2), dtype=np.complex128)
-    for row, f, slot in zip(out, fields, slots[1:]):
-        row[slot] = f.coeffs
-    return out.reshape(len(fields), 2 * len(keys))
+    return out.reshape(lead + (2 * len(target),))
+
+
+def _rows(keys, fields):
+    """Coefficients of each field on the sorted mode list ``keys``, one flat row per field."""
+    flat = [_onto(f.keys, f.coeffs.reshape(-1), keys) for f in fields]
+    return np.array(flat, dtype=np.complex128).reshape(len(fields), 2 * len(keys))
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ class SequenceData:
     """Finite sample (v_n, alpha_n), n = 1..M, of a solution sequence, flattened once.
 
     ``flat`` holds one row per field on the window's sorted mode list ``keys``
-    (see ``_rows``), ``lam`` the eigenvalue |k|^2 of each row entry and ``trunc``
+    (see ``_onto``), ``lam`` the eigenvalue |k|^2 of each row entry and ``trunc``
     the largest truncation. The alphas must be positive and strictly increasing.
     """
 
@@ -169,11 +175,6 @@ class SequenceData:
         """Inverse of ``_rows``: the field whose nonzero modes are those of ``row``."""
         return sp.SpectralField.from_arrays(self.trunc, self.keys, row.reshape(-1, 2))
 
-    def term(self, gammas, direction, witnesses, estimator):
-        """ExpansionTerm of a direction row and one witness row per sample."""
-        return ExpansionTerm(gammas, self.to_field(direction),
-                             [self.to_field(w) for w in witnesses], estimator)
-
 
 @dataclass(frozen=True)
 class ToleranceSet:
@@ -189,10 +190,17 @@ class ToleranceSet:
 
 @dataclass
 class ExpansionTerm:
+    """Level k: Gamma_{k,n}, the direction w_k and the witnesses w_n^{(k)}, one
+    read-only flat row per sample on the expansion's mode list (see ``_onto``)."""
+
     gammas: np.ndarray
     direction: "sp.SpectralField"
-    witnesses: list
+    witnesses: np.ndarray
     estimator: str
+
+    def __post_init__(self):
+        self.witnesses = np.asarray(self.witnesses, dtype=np.complex128).view()
+        self.witnesses.flags.writeable = False
 
 
 @dataclass
@@ -203,7 +211,8 @@ class ExpansionResult:
     / strict (the provisional tag for a depth-capped strict recursion); ``form``
     records whether gammas are residual norms ("strict") or projections onto
     unit directions ("unitary"). ``space`` is the single-space exponent of the
-    unitary form (None for nested-scale results).
+    unitary form (None for nested-scale results). ``keys`` is the sorted mode
+    list of every witness row and ``trunc`` the witnesses' truncation.
     """
 
     limit: "sp.SpectralField"
@@ -216,6 +225,8 @@ class ExpansionResult:
     depth_reason: str
     limit_estimator: str
     tols: ToleranceSet
+    keys: np.ndarray
+    trunc: int
     decision_log: list = field(default_factory=list)
 
     @property
@@ -298,7 +309,7 @@ def extract_strict(data, scale, tols=None):
         what = data.divfree(what)
         sk = scale.exponent(k)
         conv = data.norms(witnesses - what, sk)
-        terms.append(data.term(gammas, what, witnesses, wmethod))
+        terms.append(ExpansionTerm(gammas, data.to_field(what), witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
         if np.all(conv[-t:] < FINITE):
             kind = "finite-unitary"
@@ -314,7 +325,7 @@ def extract_strict(data, scale, tols=None):
         limit=data.to_field(vhat), terms=terms,
         kind="trivial" if (kind == "trivial" or not terms) else kind, form="strict",
         scale=scale, space=None, degenerate_n=None, depth_reason=reason,
-        limit_estimator=vmethod, tols=tols, decision_log=log,
+        limit_estimator=vmethod, tols=tols, keys=data.keys, trunc=data.trunc, decision_log=log,
     )
 
 
@@ -367,7 +378,7 @@ def refine_unitary(strict, data, space=0.5):
             # Zero witness limit: the tail is degenerate in this space.
             degenerate_n = k - 1
             kind = "degenerate"
-            terms.append(data.term(norms, np.zeros_like(dhat), unit, wmethod))
+            terms.append(ExpansionTerm(norms, data.to_field(np.zeros_like(dhat)), unit, wmethod))
             reason = f"zero direction at level {k}"
             break
         dhat = dhat / dnorm
@@ -379,7 +390,7 @@ def refine_unitary(strict, data, space=0.5):
             reason = f"non-positive projection at level {k}"
             break
         witnesses = data.divfree(resid / projs[:, None])
-        terms.append(data.term(projs, dhat, witnesses, wmethod))
+        terms.append(ExpansionTerm(projs, data.to_field(dhat), witnesses, wmethod))
         log.append(f"level {k}: witness estimator {wmethod}")
         conv = data.norms(witnesses - dhat, s)
         if np.all(conv[-t:] < FINITE):
@@ -395,7 +406,8 @@ def refine_unitary(strict, data, space=0.5):
         limit=strict.limit, terms=terms, kind="trivial" if not terms else kind,
         form="unitary", scale=constant_scale(s, tols.kmax), space=s,
         degenerate_n=degenerate_n, depth_reason=reason,
-        limit_estimator=strict.limit_estimator, tols=tols, decision_log=log,
+        limit_estimator=strict.limit_estimator, tols=tols, keys=data.keys, trunc=data.trunc,
+        decision_log=log,
     )
 
 
@@ -417,64 +429,44 @@ def restructure(e):
         return replace(e, kind="trivial", form="unitary", decision_log=list(e.decision_log))
 
     dirnorms = [sp.norm_ds(t.direction, e.space_exponent(k + 1)) for k, t in enumerate(e.terms)]
-    zmax = max(dirnorms)
-    zero = [nu <= ZERO * zmax for nu in dirnorms]
+    zero = [nu <= ZERO * max(dirnorms) for nu in dirnorms]
 
     if all(zero):
-        terms = [
-            ExpansionTerm(t.gammas.copy(), sp.zero_field(t.direction.trunc), list(t.witnesses), t.estimator)
-            for t in e.terms
-        ]
+        terms = [replace(t, gammas=t.gammas.copy(), direction=sp.zero_field(t.direction.trunc))
+                 for t in e.terms]
         return replace(e, terms=terms, kind="degenerate", form="unitary", degenerate_n=0,
                        decision_log=e.decision_log + ["restructure: all directions zero"])
 
     last_nonzero = max(k for k, z in enumerate(zero) if not z)
     removed = [k for k in range(last_nonzero) if zero[k]]
     kept = [k for k in range(len(e.terms)) if k not in removed]
+    dirs = dict(zip(removed, _rows(e.keys, [e.terms[r].direction for r in removed])))
 
     new_terms = []
-    new_exponents = [e.scale.exponent(0)]
-    n_nonzero = 0
-    for pos, k in enumerate(kept):
-        t = e.terms[k]
-        nu = dirnorms[k]
-        new_exponents.append(e.scale.exponent(min(k + 1, e.scale.depth)))
+    for k in kept:
+        t, nu = e.terms[k], dirnorms[k]
         # Fold removed earlier terms back into the witnesses so that
         # v_n = v + sum kept Gamma_j w_j + Gamma_k w_n^{(k)} stays exact.
-        dropped = [r for r in removed if r < k]
-        witnesses = list(t.witnesses)
-        if dropped:
-            witnesses = [
-                sp.lin_comb(
-                    [1.0] + [e.terms[r].gammas[n] / t.gammas[n] for r in dropped],
-                    [t.witnesses[n]] + [e.terms[r].direction for r in dropped],
-                )
-                for n in range(len(witnesses))
-            ]
+        witnesses = t.witnesses
+        for r in [r for r in removed if r < k]:
+            witnesses = witnesses + (e.terms[r].gammas / t.gammas)[:, None] * dirs[r]
+        t = replace(t, gammas=t.gammas.copy(), witnesses=witnesses)
         if k > last_nonzero:
-            new_terms.append(
-                ExpansionTerm(t.gammas.copy(), sp.zero_field(t.direction.trunc), witnesses, t.estimator)
-            )
-            continue
-        n_nonzero = pos + 1
-        if abs(nu - 1.0) <= 1e-13:
-            new_terms.append(ExpansionTerm(t.gammas.copy(), t.direction, witnesses, t.estimator))
-        else:
-            new_terms.append(ExpansionTerm(t.gammas * nu, (1.0 / nu) * t.direction,
-                                           [(1.0 / nu) * w for w in witnesses], t.estimator))
+            t = replace(t, direction=sp.zero_field(t.direction.trunc))
+        elif abs(nu - 1.0) > 1e-13:
+            t = replace(t, gammas=t.gammas * nu, direction=(1.0 / nu) * t.direction,
+                        witnesses=(1.0 / nu) * witnesses)
+        new_terms.append(t)
 
-    trailing = len(kept) > n_nonzero
-    if trailing:
-        kind = "degenerate"
-        degenerate_n = n_nonzero
+    if last_nonzero < len(e.terms) - 1:  # trailing zero directions
+        kind, degenerate_n = "degenerate", len(kept) - (len(e.terms) - 1 - last_nonzero)
     else:
         degenerate_n = None
         kind = "finite-unitary" if e.kind in ("finite-unitary", "trivial") else "infinite-unitary"
-
-    new_scale = NestedScale(tuple(new_exponents)) if len(new_exponents) >= 2 else e.scale
+    exponents = [e.scale.exponent(0)] + [e.scale.exponent(min(k + 1, e.scale.depth)) for k in kept]
     log = e.decision_log + [f"restructure: removed {len(removed)} zero term(s)"]
-    return replace(e, terms=new_terms, kind=kind, form="unitary", scale=new_scale,
-                   degenerate_n=degenerate_n, decision_log=log)
+    return replace(e, terms=new_terms, kind=kind, form="unitary", degenerate_n=degenerate_n,
+                   scale=NestedScale(tuple(exponents)), decision_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +542,9 @@ def verify_expansion(e, data):
     t = e.tols.tail_for(len(data))
     checks = []
     s0 = e.scale.exponent(0)
-    wits = [_rows(data.keys, term.witnesses) for term in e.terms]
+    wits = [term.witnesses for term in e.terms]
+    if wits and not np.array_equal(e.keys, data.keys):
+        wits = list(_onto(e.keys, np.stack(wits), data.keys))
     dirs = _rows(data.keys, [term.direction for term in e.terms])
     gammas = [term.gammas for term in e.terms]
     scale0 = float(np.max(data.norms(data.flat, s0)))
@@ -701,130 +695,91 @@ def uniqueness_check(e1, e2, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-SCHEMA = "grashof-expand/expansion-v3"
-_TERM_DTYPE = np.dtype("<f8")
-
-
-def _save_term(path, term):
-    """Write one term as a (1 + M, modes, 4) float64 matrix, the direction then the
-    witnesses on their representative modes; returns the index record's
-    ``modes`` and ``truncations``."""
-    fields = [term.direction] + list(term.witnesses)
-    keys = sp.key_union([f.keys for f in fields])[0]
-    half = sp.rep_half(len(keys))
-    rows = _rows(keys, fields).view(np.float64).reshape(len(fields), len(keys), 4)[:, half]
-    buf = io.BytesIO()
-    np.save(buf, rows.astype(_TERM_DTYPE, copy=False), allow_pickle=False)
-    fieldio.atomic_write(path, buf.getvalue())
-    return {"modes": keys[half].tolist(), "truncations": [f.trunc for f in fields]}
-
-
-def _load_term(path, rec):
-    """(direction, witnesses) of one term matrix, checked against its index record
-    ``rec`` and validated as one batch; a MalformedFieldError names the file, the
-    row (direction or witness n) and the mode."""
-    try:
-        reps = np.array(rec["modes"], dtype=np.int64).reshape(-1, 2)
-        truncs = [int(t) for t in rec["truncations"]]
-        if not truncs:
-            raise ValueError("no direction row")
-        with open(path, "rb") as fh:  # .npy only: np.load would also open an .npz archive
-            rows = np.lib.format.read_array(fh, allow_pickle=False)
-        shape = (len(truncs), len(reps), 4)
-        if rows.dtype != _TERM_DTYPE or rows.shape != shape:
-            raise ValueError(f"{rows.dtype.str} matrix of shape {rows.shape}, expected "
-                             f"{_TERM_DTYPE.str} of shape {shape}")
-        coeffs = rows.view(np.complex128)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise fieldio.FieldFormatError(f"{path}: malformed expansion term file ({exc})") from exc
-    try:
-        keys, coeffs = sp.conj_closure(reps, coeffs)
-    except sp.MalformedFieldError as exc:
-        raise sp.MalformedFieldError(f"{path}: {exc}") from exc
-    bad = sp.first_violation(keys, coeffs, truncs)
-    if bad is not None:
-        row, message = bad
-        where = "direction" if row == 0 else f"witness n={row}"
-        raise sp.MalformedFieldError(f"{path}: {where}: {message}")
-    fields = [sp.SpectralField.from_arrays(t, keys, c) for t, c in zip(truncs, coeffs)]
-    return fields[0], fields[1:]
+SCHEMA = "grashof-expand/expansion-v4"
+_MATRIX_DTYPE = np.dtype("<f8")
 
 
 def save_expansion(path, forms, alphas):
-    """Write expansion forms to ``path`` (JSON index) plus their files alongside.
-
-    ``forms`` maps a form name ("strict", "unitary", ...) to an
-    ExpansionResult. Next to ``path`` go ``<form>_limit.json`` (a field file)
-    and, per term k, ``<form>_term<k>.npy``: a little-endian float64 matrix of
-    shape (1 + M, modes, 4), one row per field (the direction first, then the
-    witnesses), each holding ``re1, im1, re2, im2`` per representative mode.
-    The term's record in ``path`` lists those modes and one truncation per row.
-    """
-    outdir = os.path.dirname(os.path.abspath(path))
-    doc_forms = {}
+    """Write ``forms`` (name -> ExpansionResult) as the JSON index ``path`` and one
+    row matrix beside it (``expansion.npy`` for ``expansion.json``): little-endian
+    float64 of shape (rows, modes, 4), each row one field's ``re1, im1, re2, im2``
+    per representative mode. A form owns the rows ``[start, stop)``: its limit,
+    then per term the direction and the M witnesses. The index records the
+    matrix name, the modes, one truncation per row and the gates once; per form
+    its row offsets, per term the gammas and estimator, and its other metadata."""
+    keys = sp.key_union([k for e in forms.values() for k in [e.keys, e.limit.keys]
+                         + [t.direction.keys for t in e.terms]])[0]
+    blocks, truncs, doc_forms = [], [], {}
     for name, e in forms.items():
-        limit_file = f"{name}_limit.json"
-        fieldio.write_field(os.path.join(outdir, limit_file), e.limit)
-        terms = []
-        for k, term in enumerate(e.terms, start=1):
-            term_file = f"{name}_term{k}.npy"
-            layout = _save_term(os.path.join(outdir, term_file), term)
-            terms.append({
-                "gammas": [float(g) for g in term.gammas],
-                "file": term_file,
-                **layout,
-                "estimator": term.estimator,
-            })
+        start = len(truncs)
+        limit, *dirs = _rows(keys, [e.limit] + [t.direction for t in e.terms])
+        blocks.append(limit[None])
+        truncs.append(e.limit.trunc)
+        for term, d in zip(e.terms, dirs):
+            blocks += [d[None], _onto(e.keys, term.witnesses, keys)]
+            truncs += [term.direction.trunc] + [e.trunc] * len(term.witnesses)
         doc_forms[name] = {
-            "kind": e.kind,
-            "form": e.form,
+            "kind": e.kind, "form": e.form,
             "scale": {"regime": e.scale.regime, "exponents": list(e.scale.exponents)},
-            "space": e.space,
-            "degenerate_N": e.degenerate_n,
-            "depth_reason": e.depth_reason,
-            "limit_estimator": e.limit_estimator,
-            "tolerances": {"floor": FLOOR, "finite": FINITE, "zero": ZERO, "snap": SNAP_REL,
-                           "cauchy": CAUCHY, "stagnation": STAGNATION, **asdict(e.tols)},
-            "limit": limit_file,
-            "terms": terms,
+            "space": e.space, "degenerate_N": e.degenerate_n, "depth_reason": e.depth_reason,
+            "limit_estimator": e.limit_estimator, "tolerances": asdict(e.tols),
+            "rows": [start, len(truncs)],
+            "terms": [{"gammas": [float(g) for g in t.gammas], "estimator": t.estimator}
+                      for t in e.terms],
             "decision_log": list(e.decision_log),
         }
+    reps = np.concatenate([b[:, len(keys):] for b in blocks]).view(np.float64)  # upper half
+    matrix = reps.reshape(len(truncs), -1, 4).astype(_MATRIX_DTYPE, copy=False)
+    name = os.path.splitext(os.path.basename(path))[0] + ".npy"
+    fieldio.atomic_write(os.path.join(os.path.dirname(os.path.abspath(path)), name),
+                         lambda fh: np.lib.format.write_array(fh, matrix, allow_pickle=False))
     fieldio.write_json(path, {
         "schema": SCHEMA,
         "alphas": [float(a) for a in alphas],
+        "matrix": name,
+        "modes": keys[sp.rep_half(len(keys))].tolist(),
+        "truncations": truncs,
+        "tolerances": {"floor": FLOOR, "finite": FINITE, "zero": ZERO, "snap": SNAP_REL,
+                       "cauchy": CAUCHY, "stagnation": STAGNATION},
         "forms": doc_forms,
     })
 
 
-def _load_form(path, rec):
-    base = os.path.dirname(os.path.abspath(path))
-    terms = []
-    for t in rec["terms"]:
-        direction, witnesses = _load_term(os.path.join(base, t["file"]), t)
-        terms.append(ExpansionTerm(np.array(t["gammas"], dtype=float), direction, witnesses,
-                                   t["estimator"]))
-    tol, scale = rec["tolerances"], NestedScale(tuple(rec["scale"]["exponents"]))
+def _load_form(path, rec, keys, rows, truncs, m):
+    """ExpansionResult of the form record ``rec`` of the index ``path``, on the
+    validated matrix ``rows`` (rows, len(keys), 2) of M = ``m`` samples."""
+    start, stop = rec["rows"]
+    heads = range(start + 1, stop, 1 + m)  # the direction rows
+    limit, *dirs = [sp.SpectralField.from_arrays(truncs[r], keys, rows[r]) for r in [start, *heads]]
+    terms = [ExpansionTerm(np.array(t["gammas"], dtype=float), d,
+                           rows[h + 1:h + 1 + m].reshape(m, -1), t["estimator"])
+             for t, d, h in zip(rec["terms"], dirs, heads)]
+    scale = NestedScale(tuple(rec["scale"]["exponents"]))
     if scale.regime != rec["scale"]["regime"]:
         raise fieldio.FieldFormatError(f"{path}: scale records regime {rec['scale']['regime']!r}, "
                                        f"but its exponents give {scale.regime!r}")
     return ExpansionResult(
-        limit=fieldio.read_field(os.path.join(base, rec["limit"])), terms=terms,
-        kind=rec["kind"], form=rec["form"], scale=scale,
+        limit=limit, terms=terms, kind=rec["kind"], form=rec["form"], scale=scale,
         space=rec["space"], degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
         limit_estimator=rec["limit_estimator"],
-        tols=ToleranceSet(tail=tol["tail"], kmax=tol["kmax"]),
+        tols=ToleranceSet(tail=rec["tolerances"]["tail"], kmax=rec["tolerances"]["kmax"]),
+        keys=keys, trunc=max((truncs[r] for r in range(start + 1, stop) if r not in heads),
+                             default=truncs[start]),
         decision_log=list(rec.get("decision_log", [])),
     )
 
 
 def load_expansion(path):
-    """Read an expansion file; returns (forms dict, alphas array).
+    """Read an expansion index and its row matrix; returns (forms dict, alphas array).
+    The matrix is validated once; every witness row is a read-only view of it.
 
     Raises:
-      fieldio.FieldFormatError: the file is not of schema ``SCHEMA`` (files
-        of an earlier schema must be re-extracted), lacks a required key,
-        holds no forms, or records a regime that its scale's exponents do
-        not give.
+      fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
+        re-extracted), a missing key, no forms, row offsets that do not tile the
+        matrix, a regime its exponents do not give, or a matrix of wrong dtype or shape.
+      sp.MalformedFieldError: a matrix row breaks a field invariant; the message
+        names the matrix, the form, the row (limit, or term k's direction or
+        witness n) and the mode.
     """
     doc = fieldio.read_json(path)
     found = doc.get("schema") if isinstance(doc, dict) else None
@@ -832,11 +787,43 @@ def load_expansion(path):
         raise fieldio.FieldFormatError(
             f"{path}: not an expansion file of schema {SCHEMA} (found schema {found!r})")
     try:
-        forms = {name: _load_form(path, rec) for name, rec in doc["forms"].items()}
-        alphas = np.array(doc["alphas"], dtype=float)
+        recs, alphas = doc["forms"], np.array(doc["alphas"], dtype=float)
+        matrix = os.path.join(os.path.dirname(os.path.abspath(path)), doc["matrix"])
+        reps = np.array(doc["modes"], dtype=np.int64).reshape(-1, 2)
+        truncs = [int(t) for t in doc["truncations"]]
+        m = len(alphas)
+        bounds = list(accumulate((1 + len(r["terms"]) * (1 + m) for r in recs.values()), initial=0))
+        offsets = [r["rows"] for r in recs.values()]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise fieldio.FieldFormatError(
+            f"{path}: malformed expansion file (missing or bad {exc})") from exc
+    if not recs:
+        raise fieldio.FieldFormatError(f"{path}: expansion file holds no forms")
+    if offsets != [list(b) for b in zip(bounds, bounds[1:])] or bounds[-1] != len(truncs):
+        raise fieldio.FieldFormatError(
+            f"{path}: form row offsets {offsets} do not tile the {len(truncs)} matrix rows")
+    try:
+        with open(matrix, "rb") as fh:  # .npy only: np.load would also open an .npz archive
+            rows = np.lib.format.read_array(fh, allow_pickle=False)
+        if rows.dtype != _MATRIX_DTYPE or rows.shape != (len(truncs), len(reps), 4):
+            raise ValueError(f"{rows.dtype.str} matrix of shape {rows.shape}, expected "
+                             f"{_MATRIX_DTYPE.str} of shape {(len(truncs), len(reps), 4)}")
+    except ValueError as exc:
+        raise fieldio.FieldFormatError(f"{matrix}: malformed expansion matrix ({exc})") from exc
+    try:  # rebinding ``rows`` frees the file's half-matrix
+        keys, rows = sp.conj_closure(reps, rows.view(np.complex128))
+    except sp.MalformedFieldError as exc:
+        raise sp.MalformedFieldError(f"{path}: {exc}") from exc
+    bad = sp.first_violation(keys, rows, truncs)
+    if bad is not None:
+        i = int(np.searchsorted(bounds, bad[0], side="right")) - 1
+        k, n = divmod(bad[0] - bounds[i] - 1, 1 + m)
+        part = "limit" if k < 0 else f"term {k + 1}: " + (f"witness n={n}" if n else "direction")
+        raise sp.MalformedFieldError(f"{matrix}: form {list(recs)[i]}: {part}: {bad[1]}")
+    rows.flags.writeable = False
+    try:
+        forms = {name: _load_form(path, rec, keys, rows, truncs, m) for name, rec in recs.items()}
     except (KeyError, TypeError) as exc:
         raise fieldio.FieldFormatError(
             f"{path}: malformed expansion file (missing or bad {exc})") from exc
-    if not forms:
-        raise fieldio.FieldFormatError(f"{path}: expansion file holds no forms")
     return forms, alphas

@@ -2,9 +2,9 @@
 
 Field files, manifests and expansion indexes are JSON text with floats
 serialized at 17 significant digits (lossless double round-trip) and LF line
-endings; expansion term matrices are binary ``.npy`` files (see
-``expansion.save_expansion``). Every write is atomic (temp file in the target
-directory, then rename).
+endings; each expansion index has one binary ``.npy`` row matrix beside it
+(see ``expansion.save_expansion``). Every write is atomic (temp file in the
+target directory, then rename).
 """
 
 from __future__ import annotations
@@ -63,15 +63,17 @@ def dumps(obj, indent=0):
 
 
 def atomic_write(path, data):
-    """Write ``data`` (bytes, or str as UTF-8) to a temp file beside ``path``, then rename."""
-    if isinstance(data, str):
-        data = data.encode()
+    """Write ``data`` (bytes, str as UTF-8, or a function that writes to the open
+    binary file) to a temp file beside ``path``, then rename."""
     path = os.path.abspath(path)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

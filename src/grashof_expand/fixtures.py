@@ -8,9 +8,9 @@ Two families:
   array pass, self-checked at every n by one batched convolution.
 * ``example314`` - v_n = e^{-n^2} sum_k e^{-kn} phi_k in H, which carries both
   a unitary expansion (directions phi_k) and a degenerate expansion (all
-  directions zero), built here term by term. Each of its fields is one row
-  of a weight matrix on the first T Stokes eigenfunctions
-  (``spectral.eigen_sums``), bit-equal to ``lin_comb`` over the eigenfunctions.
+  directions zero). Each of its fields and witnesses is one row of a weight
+  matrix on the first T Stokes eigenfunctions (``spectral.eigen_rows``),
+  bit-equal to ``lin_comb`` over the eigenfunctions.
 
 Every fixture self-checks its defining identities before being returned.
 """
@@ -252,15 +252,15 @@ def example314_abs_v(n, truncation=None):
     return np.exp(-n * n - n) * np.sqrt(top / (1.0 - q))
 
 
-def _example314_fields(n_values, truncation):
-    """v_n for each n of ``n_values`` in one array pass: the weights
-    e^{-n^2-kn}, k = 1..T, are one ``np.exp`` over the integer exponents."""
+def _example314_weights(n_values, truncation):
+    """The weights e^{-n^2-kn}, k = 1..T, of v_n for each n of ``n_values``:
+    one ``np.exp`` over the integer exponents."""
     ns = np.array([int(n) for n in n_values], dtype=np.int64).reshape(-1, 1)
     if not np.all((ns >= 1) & (ns <= 6)):
         raise ValueError("example314 is defined for 1 <= n <= 6")
     if truncation < 16:
         raise ValueError("need at least 16 eigenmodes")
-    return sp.eigen_sums(np.exp(-ns * ns - np.arange(1, truncation + 1) * ns))
+    return np.exp(-ns * ns - np.arange(1, truncation + 1) * ns)
 
 
 def example314(n, truncation=64):
@@ -277,48 +277,49 @@ def example314_window(n_values=range(1, 7), truncation=64):
     """Records of the indices ``n_values``, every v_n from one weight matrix,
     plus the alpha_n = e^n parametrization."""
     ns = [int(n) for n in n_values]
-    recs = [Example314Data(n, truncation, v_n, float(example314_abs_v(n, truncation)))
-            for n, v_n in zip(ns, _example314_fields(ns, truncation))]
+    keys, rows, trunc = sp.eigen_rows(_example314_weights(ns, truncation))
+    recs = [Example314Data(n, truncation, sp.SpectralField.from_arrays(trunc, keys, row),
+                           float(example314_abs_v(n, truncation))) for n, row in zip(ns, rows)]
     return recs, [float(np.exp(n)) for n in ns]
+
+
+def _analytic(name, kind, terms, keys, trunc, limit_trunc, degenerate_n):
+    """The hand-built example314 expansion ``name`` in H, with its terms."""
+    return ExpansionResult(
+        limit=sp.zero_field(limit_trunc), terms=terms, kind=kind, form="unitary",
+        scale=constant_scale(0.0, len(terms)), space=0.0, degenerate_n=degenerate_n,
+        depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
+        keys=keys, trunc=trunc, decision_log=[f"example314 {name} fixture"],
+    )
 
 
 def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6):
     """The hand-built unitary expansion: Gamma_{k,n} = e^{-kn-n^2}, w_k = phi_k.
 
     The witness of term k at n is sum_{j>=k} e^{-(j-k)n} phi_j; the witnesses
-    of each term are one weight matrix, with weight 0 on j < k.
+    of each term are the rows of one weight matrix, with weight 0 on j < k.
     """
     n_values = list(n_values)
     phis = sp.eigenfunctions(depth)
     lag = np.arange(1, truncation + 1) - np.arange(1, depth + 1)[:, None, None]  # j - k
     ns = np.array(n_values, dtype=np.int64).reshape(-1, 1)
-    weights = np.where(lag < 0, 0.0, np.exp(-lag * ns))
     terms = []
-    for k, w in enumerate(weights, start=1):
-        gammas = np.array([np.exp(-k * n - n * n) for n in n_values])
-        terms.append(ExpansionTerm(gammas=gammas, direction=phis[k - 1],
-                                   witnesses=sp.eigen_sums(w), estimator="analytic"))
-    return ExpansionResult(
-        limit=sp.zero_field(phis[0].trunc), terms=terms, kind="infinite-unitary",
-        form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=None,
-        depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
-        decision_log=["example314 unitary fixture"],
-    )
+    for k, w in enumerate(np.where(lag < 0, 0.0, np.exp(-lag * ns)), start=1):
+        keys, rows, trunc = sp.eigen_rows(w)  # one term at a time, to bound the peak memory
+        terms.append(ExpansionTerm(gammas=np.array([np.exp(-k * n - n * n) for n in n_values]),
+                                   direction=phis[k - 1], witnesses=rows.reshape(len(w), -1),
+                                   estimator="analytic"))
+    return _analytic("unitary", "infinite-unitary", terms, keys, trunc, phis[0].trunc, None)
 
 
 def example314_degenerate_expansion(n_values=range(1, 7), truncation=64, depth=6):
-    """The hand-built degenerate expansion: Gamma_{k,n} = e^{-kn}, w_k = 0."""
+    """The hand-built degenerate expansion: Gamma_{k,n} = e^{-kn}, w_k = 0; the
+    witnesses of term k are e^{kn} v_n."""
     n_values = list(n_values)
-    fields = _example314_fields(n_values, truncation)
-    terms = []
-    for k in range(1, depth + 1):
-        gammas = np.array([np.exp(-k * n) for n in n_values])
-        witnesses = [np.exp(n * k) * v_n for n, v_n in zip(n_values, fields)]
-        terms.append(ExpansionTerm(gammas=gammas, direction=sp.zero_field(fields[0].trunc),
-                                   witnesses=witnesses, estimator="analytic"))
-    return ExpansionResult(
-        limit=sp.zero_field(fields[0].trunc), terms=terms, kind="degenerate",
-        form="unitary", scale=constant_scale(0.0, depth), space=0.0, degenerate_n=0,
-        depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
-        decision_log=["example314 degenerate fixture"],
-    )
+    keys, rows, trunc = sp.eigen_rows(_example314_weights(n_values, truncation))
+    terms = [ExpansionTerm(gammas=np.array([np.exp(-k * n) for n in n_values]),
+                           direction=sp.zero_field(trunc), estimator="analytic",
+                           witnesses=np.exp(np.array(n_values) * k)[:, None]
+                           * rows.reshape(len(n_values), -1))
+             for k in range(1, depth + 1)]
+    return _analytic("degenerate", "degenerate", terms, keys, trunc, trunc, 0)

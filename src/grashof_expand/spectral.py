@@ -83,19 +83,23 @@ def first_violation(keys, rows, truncs):
     ``keys``, zero entries counting as absent, or None. Checks run in turn (zero
     mode, truncation ``truncs[row]``, reality, divergence); each names its first
     failing row at the largest failing key: the representative of a failing pair."""
-    live = np.any(rows != 0, axis=2)
+    # Component planes (R, M): numpy loops over a length-2 last axis far slower.
+    planes = (rows[..., 0], rows[..., 1])
+    live = (planes[0] != 0) | (planes[1] != 0)
     amp = np.max(np.abs(rows), axis=(1, 2), initial=0.0)
     tol = REALITY_TOL * np.maximum(amp, 1e-300)[:, None]
     radius = np.max(np.abs(keys), axis=1, initial=0)
     closed = np.array_equal(keys[::-1], -keys)
     mirror = rows[..., ::-1, :] if closed else gather(keys, rows, -keys)
+    gap = np.maximum(*(np.abs(mirror[..., c] - np.conj(p)) for c, p in enumerate(planes)))
+    div = keys[:, 0] * planes[0]
+    div += keys[:, 1] * planes[1]
     checks = (
         (radius == 0, "zero-average constraint: mode (0,0) not allowed"),
         (radius > np.asarray(truncs)[:, None], "mode {k} outside truncation radius {t}"),
-        (~np.any(mirror != 0, axis=2) | (np.max(np.abs(mirror - np.conj(rows)), axis=2) > tol),
+        (((mirror[..., 0] == 0) & (mirror[..., 1] == 0)) | (gap > tol),
          "reality condition violated at mode {k}"),
-        (np.abs(keys[:, 0] * rows[..., 0] + keys[:, 1] * rows[..., 1]) > tol * radius,
-         "divergence-free condition violated at mode {k}"),
+        (np.abs(div) > tol * radius, "divergence-free condition violated at mode {k}"),
     )
     for bad, message in checks:
         hit = live & bad
@@ -419,15 +423,15 @@ def eigenfunctions(count):
     return [SpectralField.from_arrays(t, k, cf) for t, k, cf in zip(truncs, keys, coeffs)]
 
 
-def eigen_sums(weights):
-    """The fields sum_j weights[r, j] phi_j, one per row of the real (R, T)
-    matrix ``weights``, phi_j = eigenfunction(j), in one array pass.
+def eigen_rows(weights):
+    """Sorted keys, rows (R, len(keys), 2) and truncation of sum_j weights[r, j] phi_j
+    for each row of the real (R, T) matrix ``weights``, phi_j = eigenfunction(j),
+    on all keys of phi_1..phi_T at the largest truncation of them, in one pass.
 
-    Each is bit-equal to ``lin_comb(weights[r], eigenfunctions(T))``: every
+    Each row is bit-equal to ``lin_comb(weights[r], eigenfunctions(T))``: every
     cell starts at -0.0 and adds its terms in column order (on a pair +-k the
     cos term, then the sin term), each term computed as lin_comb computes it,
-    so a weight of 0 adds a signed zero; the truncation is the largest of
-    phi_1..phi_T, and zero rows are dropped.
+    so a weight of 0 adds a signed zero.
     """
     weights = np.asarray(weights, dtype=np.float64)
     keys, coeffs, truncs = _eigen_arrays(weights.shape[1])
@@ -435,8 +439,7 @@ def eigen_sums(weights):
     terms = weights[:, :, None, None] * coeffs  # (R, T, 2, 2): halves -k, k
     acc = np.full((len(weights), len(union), 2), complex(-0.0, -0.0))
     np.add.at(acc, (slice(None), slot), terms.reshape(len(weights), len(slot), 2))
-    trunc = max([1] + truncs)
-    return [SpectralField.from_arrays(trunc, union, row) for row in acc]
+    return union, acc, max([1] + truncs)
 
 
 def eigenvalue(j):

@@ -21,6 +21,11 @@ def x_wave(m, amplitude=1.0):
     return sp.SpectralField(m, {(m, 0): c, (-m, 0): np.conj(c)})
 
 
+def witness_fields(e, term):
+    """The witnesses of ``term``, a term of the expansion ``e``, as fields."""
+    return [sp.SpectralField.from_arrays(e.trunc, e.keys, w.reshape(-1, 2)) for w in term.witnesses]
+
+
 @pytest.fixture(scope="session")
 def ex45_cfg():
     return fx.Example45Config.single(2, 1.0)

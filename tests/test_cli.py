@@ -3,6 +3,9 @@
 import hashlib
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,13 +48,14 @@ def test_pipeline_classification_branch(pipeline):
 
 
 def test_pipeline_records_its_gates(pipeline):
-    # The gates are module constants; the files still record them as provenance.
+    # The gates are module constants; the file still records them once as provenance,
+    # and each form its own settings.
     doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
-    want = {"floor": ex.FLOOR, "finite": ex.FINITE, "zero": ex.ZERO, "snap": seqlimit.SNAP_REL,
-            "cauchy": ex.CAUCHY, "stagnation": ex.STAGNATION, "tail": 0, "kmax": 6}
+    gates = {"floor": ex.FLOOR, "finite": ex.FINITE, "zero": ex.ZERO, "snap": seqlimit.SNAP_REL,
+             "cauchy": ex.CAUCHY, "stagnation": ex.STAGNATION}
+    assert list(doc["tolerances"].items()) == list(gates.items())
     for form in ("strict", "restructured", "unitary"):
-        saved = doc["forms"][form]["tolerances"]
-        assert list(saved.items()) == list(want.items())
+        assert doc["forms"][form]["tolerances"] == {"tail": 0, "kmax": 6}
     cls = fieldio.read_json(pipeline / "class.json")
     assert cls["tolerances"] == {"slope": od.SLOPE_GATE, "disp": od.DISP_GATE,
                                  "residual": od.RESIDUAL_GATE}
@@ -301,15 +305,27 @@ def pipeline314(tmp_path_factory):
     return root
 
 
-def _expected_file_count(expansion_path):
-    forms, _ = ex.load_expansion(str(expansion_path))
-    return 1 + sum(1 + e.depth for e in forms.values())
+def test_extract_writes_index_and_matrix(pipeline, pipeline314):
+    for root in (pipeline, pipeline314):
+        assert sorted(os.listdir(root / "exp")) == ["expansion.json", "expansion.npy"]
 
 
-def test_extract_writes_one_file_per_term(pipeline, pipeline314):
-    for root, count in ((pipeline, 18), (pipeline314, 13)):
-        names = os.listdir(root / "exp")
-        assert len(names) == count == _expected_file_count(root / "exp" / "expansion.json")
+def test_closed_stdout_exits_quietly(pipeline, tmp_path):
+    """A stage whose standard output closes before it prints (``extract ... | true``)
+    still writes its files, then exits 1 without a traceback."""
+    out = tmp_path / "exp"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "grashof_expand.cli", "extract",
+                           "--manifest", str(pipeline / "fx" / "manifest.json"),
+                           "--scale", "default-2dp", "--depth", "6", "--out", str(out)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # long before the interpreter has started
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
+    for name in ("expansion.json", "expansion.npy"):
+        assert (out / name).read_bytes() == (pipeline / "exp" / name).read_bytes()
 
 
 def test_extract_byte_identical_reruns(pipeline, tmp_path):
@@ -432,20 +448,24 @@ def test_classify_reads_no_window_files(tmp_path):
 
 
 def test_corrupt_term_row_is_named(pipeline, tmp_path, capsys):
-    out = tmp_path / "exp"
-    shutil.copytree(pipeline / "exp", out)
-    path = out / "unitary_term1.npy"
-    record = fieldio.read_json(out / "expansion.json")["forms"]["unitary"]["terms"][0]
-    kx, ky = record["modes"][0]
-    rows = np.load(path, allow_pickle=False)
-    # Witness n=3 (row 3): push mode 0 off k.c = 0 through the component that k sees.
-    rows[3, 0, 2 if ky != 0 else 0] += 1.0
-    np.save(path, rows)
-    assert run(["verify", "--expansion", str(out / "expansion.json"),
-                "--manifest", str(pipeline / "fx" / "manifest.json")]) == 1
-    err = capsys.readouterr().err
-    assert str(path) in err
-    assert f"witness n=3: divergence-free condition violated at mode ({kx}, {ky})" in err
+    doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
+    m = len(doc["alphas"])
+    kx, ky = doc["modes"][0]
+    for form, offset, where in (("unitary", 1 + 3, "term 1: witness n=3"),
+                                ("strict", 0, "limit"),
+                                ("restructured", 1 + (1 + m), "term 2: direction")):
+        out = tmp_path / form
+        shutil.copytree(pipeline / "exp", out)
+        path = out / "expansion.npy"
+        rows = np.load(path, allow_pickle=False)
+        # Push mode 0 of the row off k.c = 0 through the component that k sees.
+        rows[doc["forms"][form]["rows"][0] + offset, 0, 2 if ky != 0 else 0] += 1.0
+        np.save(path, rows)
+        assert run(["verify", "--expansion", str(out / "expansion.json"),
+                    "--manifest", str(pipeline / "fx" / "manifest.json")]) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {path}: form {form}: {where}: divergence-free condition violated "
+                f"at mode ({kx}, {ky})") in err
 
 
 def _wrong_dtype(path):
@@ -456,6 +476,10 @@ def _wrong_shape(path):
     np.save(path, np.load(path)[:, :-1])  # one mode fewer than the index lists
 
 
+def _wrong_rows(path):
+    np.save(path, np.load(path)[:-1])  # one row fewer than the index has truncations
+
+
 def _truncated(path):
     path.write_bytes(path.read_bytes()[:-8])
 
@@ -464,19 +488,21 @@ def _object_array(path):
     np.save(path, np.load(path).astype(object), allow_pickle=True)
 
 
-@pytest.mark.parametrize("damage", [_wrong_dtype, _wrong_shape, _truncated, _object_array],
-                         ids=["wrong-dtype", "wrong-shape", "truncated", "object-array"])
+@pytest.mark.parametrize("damage", [_wrong_dtype, _wrong_shape, _wrong_rows, _truncated,
+                                    _object_array],
+                         ids=["wrong-dtype", "wrong-shape", "wrong-rows", "truncated",
+                              "object-array"])
 def test_malformed_term_matrix_exit_2(pipeline, tmp_path, capsys, damage):
     out = tmp_path / "exp"
     shutil.copytree(pipeline / "exp", out)
-    path = out / "strict_term2.npy"
+    path = out / "expansion.npy"
     damage(path)
-    with pytest.raises(fieldio.FieldFormatError, match="malformed expansion term file") as exc:
+    with pytest.raises(fieldio.FieldFormatError, match="malformed expansion matrix") as exc:
         ex.load_expansion(str(out / "expansion.json"))
     assert str(path) in str(exc.value)
     assert run(["verify", "--expansion", str(out / "expansion.json"),
                 "--manifest", str(pipeline / "fx" / "manifest.json")]) == 2
-    assert f"{path}: malformed expansion term file" in capsys.readouterr().err
+    assert f"{path}: malformed expansion matrix" in capsys.readouterr().err
 
 
 def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
@@ -497,35 +523,11 @@ def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
 # --with-expansions`` and ``extract --scale constant:0 --depth 3`` write,
 # recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 EX314_SHA256 = {
-    "exp/expansion.json": "ccf16d345aa743655d090671d9586168a6179c966f8876fb2deca42ccd46a862",
-    "exp/restructured_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "exp/restructured_term1.npy": "4bdce720884654f27e2192279244dde52743320b3683403c5dd165462e95def4",
-    "exp/restructured_term2.npy": "19d98b1987dab1c8f4ce43e3454bba55cf4adf9a2890e8713b8eeb39407186b9",
-    "exp/restructured_term3.npy": "4b5d5e07657419b82dee429863ec4e3633f39c36491369b092dd348316649542",
-    "exp/strict_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "exp/strict_term1.npy": "41a40cf438a00f6e41827d88045927b98e7961934b31e705eff16a13529b3196",
-    "exp/strict_term2.npy": "42ad8c4212c61f36af5e5a913be79dddae13efd3dc7aad4316df6beacdfbe134",
-    "exp/strict_term3.npy": "849a1a64f3cc2e4f49b902cb99db56a27e6b6f484628dfb9b6263590b1fc826f",
-    "exp/unitary_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "exp/unitary_term1.npy": "dac98e27ff5f2f122daf66c68bf00b6717a8664c278adde8cf633a95e711e770",
-    "exp/unitary_term2.npy": "b1e56ad3cbe9651bbb86f9cb85800150d9f6dc790531cd9b62878b6f69f6cd2f",
-    "exp/unitary_term3.npy": "1c79efeed23d506bcda73e5da0a99d62b417850119236707cccdec41d4603f82",
-    "fx/degenerate_limit.json": "eda9b01a08e3022bba9d51de9cee1200c93839810989b9c4bf0445cdc34a0bb0",
-    "fx/degenerate_term1.npy": "6ff6c88381546a93ec38e935a040459372852f386ef33d015efbd7f8e3a85279",
-    "fx/degenerate_term2.npy": "7daf1626af2ffdec1a94c71313e485cde27864248d65fd8da650ef1d9f22d168",
-    "fx/degenerate_term3.npy": "c3166d831d8429ae349f5ebf9a5106c93d64f4a995e6f308601f3b01482b8c83",
-    "fx/degenerate_term4.npy": "0b9535ff7d1f65d5629943350fe0ec70a1cdc0419a8688c5afe5bf6f3efd8acf",
-    "fx/degenerate_term5.npy": "e3d73ff5f9311cdc8b33d4b98ed9a978d7cc5289e304767f1030f2b63bb68137",
-    "fx/degenerate_term6.npy": "77ae44a1e8b4161c7257e560bf6a1e1af4e4c1aea70acdbf870747a8b3c04a31",
-    "fx/expansion_analytic.json": "3727cd3e5a1dab63ca703f639fc01524796f3db068d20efead39e67f5a8f3669",
+    "exp/expansion.json": "5c98dcfddc9619b08362e0759794acc849242ed4aae677a6ceee25e23d5b4ce1",
+    "exp/expansion.npy": "60163190a87df6dd4f0ed7d3c11fccbe603fd2771aa5a18a9835d1832d180a8e",
+    "fx/expansion_analytic.json": "376b28fd4656323730fee2ee5e5c22e2081e0495a20fb0f84615805e969bb429",
+    "fx/expansion_analytic.npy": "461aadb68d96a535dc14ab84328b922ed45f10d65bb55095b0bf8604e0a5efce",
     "fx/manifest.json": "6836cb56035c213b7ca6ed671e868d0ab2626ddf75f1b25dac9f4ed9ac345b15",
-    "fx/unitary_limit.json": "28dc9e5962c39352632176461fd3a922e79e9285e1bd7bbda36e40275edb0bc1",
-    "fx/unitary_term1.npy": "c50dcb687cd56d6b8837ee6de333b6ff49107ca0fcd0613920afe71c7dad780f",
-    "fx/unitary_term2.npy": "9ef0f56bcb66ac7f4ef9e0219de7fdf1c7e696344bb6086c21ddb37c7dff30c4",
-    "fx/unitary_term3.npy": "183d49c7ee5c93df0e7f54ec4924338df9a0ee96e3c9115a1d3514ee1cc79d78",
-    "fx/unitary_term4.npy": "3ed965cd733df3198382008b131a1b6d515cfd0477368ecdec70bdc84695a360",
-    "fx/unitary_term5.npy": "729545b4926e3cd3d4af8b9b9074bad6d62390df3ff73288c7d57db8733f15f0",
-    "fx/unitary_term6.npy": "d98393f8b156be1579b1f29c50d379d865e44318fa11028dbbc11d356085a768",
     "fx/v_0001.json": "1da33cc6ca396c1384c817f81a5df0e603301690b05129949c109f18fd5a999c",
     "fx/v_0002.json": "56904b2976d63259559a39de3b88ca352eff6669acd32687f2d58e1c5be3105b",
     "fx/v_0003.json": "abfceddc537df4f0308f4e16f18e7fda761012aa9b7bb43f2dbbcba5da884e30",
@@ -653,24 +655,8 @@ def test_example45_files_are_pinned(tmp_path):
 # ``verify`` prints, recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 README_PIPELINE_SHA256 = {
     "class.json": "156278288ca0e01af5110e1e5b644c495a575abdb90c0b4f1a53860ee7729ab5",
-    "exp/expansion.json": "dde7a247b809221b00e90d08d772231f61e1697060965600783d1756165ef154",
-    "exp/restructured_limit.json": "7df5a63ade109c5c17f41832b450fd7205ebc3ced270ddb7e8c947c6deacaa8e",
-    "exp/restructured_term1.npy": "48bb5f8809fb6e951c8226f43077dd9636dc270c4d9bdc7c4d6083106813a8fe",
-    "exp/restructured_term2.npy": "1827af324303c199efca23e32f893ba43f245affe063567276f43fde18c7ce79",
-    "exp/restructured_term3.npy": "9bb9366f8ffb26dd0ecabfd8a6e0e399fc328f6c77eb1770c70ca496cbb0dd1a",
-    "exp/restructured_term4.npy": "2fb637b7b58f24892e3cbea2a1a69b3619d9dfc01d015efad0fcff0e5561751f",
-    "exp/restructured_term5.npy": "701e9586e9e4b2d5f3e61e31341a9c57584f4644ad6e26ed5ff4c4f0914f38f1",
-    "exp/restructured_term6.npy": "09896153c499182395820aff5e9f59ed2066c6610be6fb412fd18a021d0e5694",
-    "exp/strict_limit.json": "7df5a63ade109c5c17f41832b450fd7205ebc3ced270ddb7e8c947c6deacaa8e",
-    "exp/strict_term1.npy": "48bb5f8809fb6e951c8226f43077dd9636dc270c4d9bdc7c4d6083106813a8fe",
-    "exp/strict_term2.npy": "714f1d3a430b6f206e580577905f0384565d649dcef85715344041ac3b892f0e",
-    "exp/strict_term3.npy": "9bb9366f8ffb26dd0ecabfd8a6e0e399fc328f6c77eb1770c70ca496cbb0dd1a",
-    "exp/strict_term4.npy": "c5c15c6ac83f239625f3804c650032362eb39184321b37b47692d012930da098",
-    "exp/strict_term5.npy": "701e9586e9e4b2d5f3e61e31341a9c57584f4644ad6e26ed5ff4c4f0914f38f1",
-    "exp/strict_term6.npy": "9870604150512a52de58a6fd785a2127aca58a40e60a6a88d43a260c5c6648e1",
-    "exp/unitary_limit.json": "7df5a63ade109c5c17f41832b450fd7205ebc3ced270ddb7e8c947c6deacaa8e",
-    "exp/unitary_term1.npy": "cba82cc7cce58ced8709da82cfe24cffe82080632bb3db4a73966e607da5aa2f",
-    "exp/unitary_term2.npy": "0252890f0fdf32c85d42e6911cb29088f096942c113bb9da74e3b701ea17a671",
+    "exp/expansion.json": "fd1a2d30e53acc9084fd039821ab0d05b51c1de2a65731c88c41a8cc3c1a636f",
+    "exp/expansion.npy": "b8426e7ed67d37142b545be6d608980f697ee0428a8d550e0a491d4d7cba906b",
     "report/residuals.csv": "7ced5cb3501f8f26fd0bc63be4258ad726f6869236e9edf7662f08c63e1bfa65",
     "report/series.csv": "785d22f58b6b87dde21b35d22a19e527d62893936518d4ee8a5bc9aef1c16be3",
     "report/summary.txt": "323d0cf30ba042ff424602a763093299ea1bd808c7a5a05ad9703ef73e1f9c83",

@@ -12,6 +12,8 @@ from grashof_expand import kernels
 from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
+from conftest import witness_fields
+
 
 def test_cstar_and_alpha_high_precision():
     cfg = fx.Example45Config.single(2, 1.0)
@@ -218,8 +220,8 @@ def test_example314_unitary_witness_distance():
     # |w_n^{(k)} - w_k| = e^{-n} / (1 - e^{-2n})^{1/2} for the unitary family.
     uni = fx.example314_unitary_expansion(depth=4)
     for k, term in enumerate(uni.terms, start=1):
-        for i, n in enumerate(range(1, 7)):
-            d = sp.norm_ds(term.witnesses[i] - term.direction, 0)
+        for i, (n, w) in enumerate(zip(range(1, 7), witness_fields(uni, term))):
+            d = sp.norm_ds(w - term.direction, 0)
             expect = np.exp(-n) / np.sqrt(1 - np.exp(-2 * n))
             assert d == pytest.approx(expect, rel=1e-10)
 
@@ -227,7 +229,7 @@ def test_example314_unitary_witness_distance():
 def test_example314_degenerate_witness_norms():
     den = fx.example314_degenerate_expansion(depth=6)
     for k, term in enumerate(den.terms, start=1):
-        norms = [sp.norm_ds(w, 0) for w in term.witnesses]
+        norms = [sp.norm_ds(w, 0) for w in witness_fields(den, term)]
         for i, n in enumerate(range(1, 7)):
             expect = np.exp(n * k) * fx.example314_abs_v(n, 64)
             assert norms[i] == pytest.approx(expect, rel=1e-12)
@@ -281,9 +283,11 @@ def test_example314_bit_equal_to_lin_comb_oracle(T):
     degenerate = fx.example314_degenerate_expansion(ns, T)
     for k in range(1, 7):
         assert _same_bits(unitary.terms[k - 1].direction, phis[k - 1])
+        uni_k = witness_fields(unitary, unitary.terms[k - 1])
+        den_k = witness_fields(degenerate, degenerate.terms[k - 1])
         for i, n in enumerate(ns):
-            assert _same_bits(unitary.terms[k - 1].witnesses[i], uni[k, n])
-            assert _same_bits(degenerate.terms[k - 1].witnesses[i], den[k, n])
+            assert _same_bits(uni_k[i], uni[k, n])
+            assert _same_bits(den_k[i], den[k, n])
     assert _same_bits(unitary.limit, sp.zero_field(phis[0].trunc))
     assert _same_bits(degenerate.limit, sp.zero_field(v[1].trunc))
 

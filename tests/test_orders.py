@@ -234,12 +234,13 @@ def test_classify_blocked_on_undecided():
     g1 = (1.0 + 0.3 * (-1.0) ** n) / alphas
     phi = sp.eigenfunction(5)
     term = ex.ExpansionTerm(gammas=g1, direction=phi,
-                            witnesses=[phi] * 12, estimator="test")
+                            witnesses=np.repeat(phi.coeffs.reshape(1, -1), 12, axis=0),
+                            estimator="test")
     e = ex.ExpansionResult(
         limit=sp.eigenfunction(1), terms=[term], kind="infinite-unitary",
         form="unitary", scale=ex.constant_scale(0.5, 1), space=0.5,
         degenerate_n=None, depth_reason="test", limit_estimator="test",
-        tols=ex.ToleranceSet(),
+        tols=ex.ToleranceSet(), keys=phi.keys, trunc=phi.trunc,
     )
     with pytest.raises(od.ClassificationBlockedError):
         # g chosen so the limit is neither 0 nor A^{-1} g: the generic route
@@ -393,12 +394,16 @@ def test_classify_reaches_every_leaf(case):
     (_, route, (alphas, gammas), kind,
      branch, constants, residuals, identities, chi_tag, warnings) = case
     limit, g, dirs = _route(route)
-    terms = [ex.ExpansionTerm(gammas=gm, direction=w, witnesses=[w] * len(alphas),
-                              estimator="test") for gm, w in zip(gammas, dirs)]
+    # Each term's witnesses are its direction, as rows on the directions' modes.
+    keys = sp.key_union([w.keys for w in dirs])[0]
+    terms = [ex.ExpansionTerm(gammas=gm, direction=w, estimator="test",
+                              witnesses=np.repeat(ex._rows(keys, [w]), len(alphas), axis=0))
+             for gm, w in zip(gammas, dirs)]
     e = ex.ExpansionResult(
         limit=limit, terms=terms, kind=kind, form="unitary",
         scale=ex.constant_scale(0.5, 1), space=0.5, degenerate_n=None,
         depth_reason="test", limit_estimator="test", tols=ex.ToleranceSet(),
+        keys=keys, trunc=max([1] + [w.trunc for w in dirs]),
     )
     rep = od.classify(e, g, alphas)
     assert rep.branch == branch
