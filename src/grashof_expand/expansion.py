@@ -17,7 +17,8 @@ in two forms:
   norm-based strict recursion (norm vs projection of the residual) cannot.
 
 Restructuring removes zero directions and normalizes the rest, preserving all
-partial sums; verification re-checks every expansion axiom on the raw window.
+partial sums; verification re-checks every expansion axiom on the raw window and
+is the one definition of a level: both extractions keep the levels it accepts.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ FLOOR = 1e-9       # relative Gamma floor vs the window Z_0 scale
 FINITE = 1e-10     # witness stabilization threshold (finite kind)
 ZERO = 1e-10       # zero-direction threshold (relative to the largest in restructure)
 CAUCHY = 0.8       # window convergence gate on increment decay
-STAGNATION = 0.9   # Gamma-ratio tail gate
+STAGNATION = 0.9   # level-1 gate: Gamma_{1,M} against the largest Gamma_{1,n} of the tail
 
 
 class NotConvergentError(RuntimeError):
-    """The sample window shows no numerical convergence in Z_0."""
+    """No numerical convergence in Z_0, or level 1 of the expansion fails verification."""
 
 
 class StagnationError(RuntimeError):
@@ -247,10 +248,15 @@ def _check_convergent(data, s0, t):
     if np.all(dn <= 1e-13 * max(scale, 1e-300)):
         return
     tail = dn[-(t + 1):]
-    if np.any(np.diff(tail) > 1e-12 * max(scale, tail.max())):
-        raise NotConvergentError("window increments are not decreasing in Z_0")
+    grows = np.flatnonzero(np.diff(tail) > 1e-12 * max(scale, tail.max()))
+    if len(grows):
+        i = len(dn) - len(tail) + int(grows[0]) + 1  # dn[i] = |v_{i+2} - v_{i+1}|, 1-based
+        raise NotConvergentError(f"window increments are not decreasing in Z_0: the increment into "
+                                 f"sample {i + 2} (alpha {data.alphas[i + 1]!r}) is {dn[i]:.3e}, "
+                                 f"after {dn[i - 1]:.3e}")
     if dn[-1] > CAUCHY * dn[0]:
-        raise NotConvergentError("window increments show no overall decay in Z_0")
+        raise NotConvergentError(f"window increments show no overall decay in Z_0: the last is "
+                                 f"{dn[-1]:.3e}, above {CAUCHY} x the first, {dn[0]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +271,13 @@ def extract_strict(data, scale, tols=None):
     r_n = v_n - v - sum_{j<k} Gamma_{j,n} w_j, the witness is r_n / Gamma_{k,n}
     (unit in Z_{k-1}) and the direction w_k is the estimated Z_k-limit of the
     witnesses. Recursion ends on witness stabilization (finite kind), on the
-    Gamma floor, on ratio stagnation, or at the scale depth.
+    Gamma floor, or at the depth cap; ``_verified_prefix`` then cuts it to the
+    levels that ``verify_expansion`` accepts.
 
     Raises:
-      NotConvergentError: no numerical convergence in Z_0.
-      StagnationError: Gamma_{1,n} does not decay over the window.
+      NotConvergentError: no numerical convergence in Z_0, or level 1 fails verification.
+      StagnationError: Gamma_{1,n} does not decay over the window, or a level's
+        residual vanishes at some samples only.
     """
     tols = tols or ToleranceSet()
     if len(data) < 6:
@@ -287,23 +295,19 @@ def extract_strict(data, scale, tols=None):
 
     resid = data.flat - vhat
     terms = []
-    kind = "strict"
-    reason = f"depth cap {min(tols.kmax, scale.depth)}"
     kmax = min(tols.kmax, scale.depth)
+    kind, reason = "strict", f"depth cap {kmax}"
     for k in range(1, kmax + 1):
         gammas = data.norms(resid, scale.exponent(k - 1))
-        if np.max(gammas) <= floor_abs:
-            if k == 1:
-                kind = "trivial"
-                reason = "constant window"
-            else:
-                reason = f"gamma floor at level {k}"
+        if np.max(gammas) <= floor_abs:  # at level 1 no term is kept: trivial kind
+            reason = "constant window" if k == 1 else f"gamma floor at level {k}"
             break
         if np.min(gammas) <= 0.0:
-            raise StagnationError(f"level-{k} residual vanishes for some n but not all")
-        if k == 1:
-            if gammas[-1] > STAGNATION * np.max(gammas[:t]):
-                raise StagnationError("Gamma_{1,n} does not decay over the window")
+            n = int(np.argmax(gammas <= 0.0))
+            raise StagnationError(f"level-{k} residual vanishes for some n but not all: first "
+                                  f"at sample {n + 1} (alpha {data.alphas[n]!r})")
+        if k == 1 and gammas[-1] > STAGNATION * np.max(gammas[:t]):
+            raise StagnationError("Gamma_{1,n} does not decay over the window")
         witnesses = data.divfree(resid / gammas[:, None])
         what, wmethod = estimate_limit(witnesses, xs, t)
         what = data.divfree(what)
@@ -316,17 +320,12 @@ def extract_strict(data, scale, tols=None):
             reason = f"witnesses stabilized at level {k}"
             break
         resid = resid - gammas[:, None] * what
-        nxt = data.norms(resid, sk)
-        ratios = nxt / gammas
-        if np.mean(ratios[-t:]) >= STAGNATION:
-            reason = f"ratio stagnation after level {k}"
-            break
-    return ExpansionResult(
+    return _verified_prefix(ExpansionResult(
         limit=data.to_field(vhat), terms=terms,
-        kind="trivial" if (kind == "trivial" or not terms) else kind, form="strict",
+        kind="trivial" if not terms else kind, form="strict",
         scale=scale, space=None, degenerate_n=None, depth_reason=reason,
         limit_estimator=vmethod, tols=tols, keys=data.keys, trunc=data.trunc, decision_log=log,
-    )
+    ), data)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +336,15 @@ def extract_strict(data, scale, tols=None):
 def refine_unitary(strict, data, space=0.5):
     """Unitary (or degenerate) expansion in the single space D(A^space).
 
-    Reuses the strict result's window limit, then peels one direction per
-    level: the direction is the normalized witness limit in D(A^space) and
-    Gamma_{k,n} is the projection of the level residual onto it. Witnesses
-    are residual/Gamma, so the reconstruction identity is exact by
+    Reuses the strict result's window limit and tail window, then peels one
+    direction per level: the direction is the normalized witness limit in
+    D(A^space) and Gamma_{k,n} is the projection of the level residual onto it.
+    Witnesses are residual/Gamma, so the reconstruction identity is exact by
     construction; they converge to the direction but are not unit vectors.
-    The tail window and depth are the strict result's.
+    Peeling ends on the Gamma floor, an exact reconstruction, a zero direction
+    (degenerate), a non-positive projection, stabilized witnesses (finite) or
+    at ``tols.kmax`` levels, whatever the strict depth; ``_verified_prefix``
+    then cuts it like the strict form (NotConvergentError if level 1 fails).
     """
     tols = strict.tols
     xs = 1.0 / np.array(data.alphas)
@@ -360,12 +362,8 @@ def refine_unitary(strict, data, space=0.5):
     log = list(strict.decision_log) + [f"unitary refinement in D(A^{s})"]
     for k in range(1, tols.kmax + 1):
         norms = data.norms(resid, s)
-        if np.max(norms) <= floor_abs:
-            if k == 1:
-                kind = "trivial"
-                reason = "constant window"
-            else:
-                reason = f"gamma floor at level {k}"
+        if np.max(norms) <= floor_abs:  # at level 1 no term is kept: trivial kind
+            reason = "constant window" if k == 1 else f"gamma floor at level {k}"
             break
         if np.min(norms) <= 0.0:
             reason = f"exact reconstruction at level {k - 1}"
@@ -398,17 +396,13 @@ def refine_unitary(strict, data, space=0.5):
             reason = f"witnesses stabilized at level {k}"
             break
         resid = resid - projs[:, None] * dhat
-        nxt = data.norms(resid, s)
-        if np.mean(nxt[-t:] / projs[-t:]) >= STAGNATION:
-            reason = f"ratio stagnation after level {k}"
-            break
-    return ExpansionResult(
+    return _verified_prefix(ExpansionResult(
         limit=strict.limit, terms=terms, kind="trivial" if not terms else kind,
         form="unitary", scale=constant_scale(s, tols.kmax), space=s,
         degenerate_n=degenerate_n, depth_reason=reason,
         limit_estimator=strict.limit_estimator, tols=tols, keys=data.keys, trunc=data.trunc,
         decision_log=log,
-    )
+    ), data)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +474,7 @@ class CheckResult:
     passed: bool
     worst: float
     note: str = ""
+    level: int | None = None  # lowest level a failing check reads; None for reconstruction
 
 
 @dataclass
@@ -549,10 +544,10 @@ def verify_expansion(e, data):
     gammas = [term.gammas for term in e.terms]
     scale0 = float(np.max(data.norms(data.flat, s0)))
 
-    def unit_error(levels):
-        """Largest | |w_k| - 1 | over the given direction levels (0 for none)."""
-        return max([0.0] + [abs(float(data.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
-                            for k in levels])
+    def unit_errors(levels):
+        """| |w_k| - 1 | per 1-based level k, over the given 0-based direction levels."""
+        return {k + 1: abs(float(data.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
+                for k in levels}
 
     # Reconstruction identity at every recorded level.
     sums = _partial_sums(e, data)
@@ -564,35 +559,32 @@ def verify_expansion(e, data):
         g1 = gammas[0]
         ok, worst = _tail_decreasing(g1, t)
         ok = ok and g1[-1] < g1[0]
-        checks.append(CheckResult("gamma1-decay", ok, float(g1[-1] / g1[0])))
+        checks.append(CheckResult("gamma1-decay", ok, float(g1[-1] / g1[0]), level=1))
 
         for k in range(len(e.terms) - 1):
             r = gammas[k + 1] / gammas[k]
             ok, _ = _tail_decreasing(r, t)
             ok = ok and r[-1] < r[0]
-            checks.append(CheckResult(f"ratio-decay-k{k + 1}", ok, float(r[-1])))
+            checks.append(CheckResult(f"ratio-decay-k{k + 1}", ok, float(r[-1]), level=k + 2))
 
         for k in range(len(e.terms)):
             conv = data.norms(wits[k] - dirs[k], e.space_exponent(k + 1))
             ok, _ = _tail_decreasing(conv, t, slack=1e-9)
             stabilized = bool(np.all(conv[-(t + 1):] <= FINITE))
-            checks.append(
-                CheckResult(
-                    f"witness-convergence-k{k + 1}",
-                    ok or stabilized,
-                    float(conv[-1]),
-                    "stabilized" if stabilized and not ok else "",
-                )
-            )
+            checks.append(CheckResult(f"witness-convergence-k{k + 1}", ok or stabilized,
+                                      float(conv[-1]), "stabilized" if stabilized and not ok else "",
+                                      k + 1))
 
         if e.form == "strict":
-            worst = max(float(np.max(np.abs(data.norms(wits[k], e.scale.exponent(k)) - 1.0)))
-                        for k in range(len(e.terms)))
-            checks.append(CheckResult("unit-witnesses", worst <= 1e-13, worst))
+            errs = {k + 1: float(np.max(np.abs(data.norms(wits[k], e.scale.exponent(k)) - 1.0)))
+                    for k in range(len(e.terms))}
+            name, tol, worst = "unit-witnesses", 1e-13, max(errs.values())
         else:
-            worst = unit_error(k for k in range(len(e.terms))
+            errs = unit_errors(k for k in range(len(e.terms))
                                if e.degenerate_n is None or k < e.degenerate_n)
-            checks.append(CheckResult("unit-directions", worst <= 1e-12, worst))
+            name, tol, worst = "unit-directions", 1e-12, max([0.0, *errs.values()])
+        checks.append(CheckResult(name, worst <= tol, worst, level=next(
+            (k for k, err in errs.items() if not err <= tol), None)))
 
         # Remainder-ratio profile over the last half of the window.
         # Levels whose remainders reach the float reconstruction floor count
@@ -600,24 +592,23 @@ def verify_expansion(e, data):
         half = max(2, len(data) // 2)
         worst = 0.0
         worstnote = ""
-        ok = True
+        first = None
         for k, ratio in enumerate(remainder_ratios(e, data), start=1):
             if np.any(ratio[-(half - 1):] <= 1e-13 * np.max(ratio)):
                 continue
             dec, bad = _tail_decreasing(ratio, half - 1)
             if not dec:
-                ok = False
+                first = first or k
                 worst = max(worst, bad)
                 worstnote = f"level {k}"
-        checks.append(CheckResult("remainder-ratio", ok, worst, worstnote))
+        checks.append(CheckResult("remainder-ratio", first is None, worst, worstnote, first))
 
     if e.kind == "degenerate" and e.terms:
         n0 = e.degenerate_n or 0
-        worst = unit_error(range(n0))
+        worst = max([0.0, *unit_errors(range(n0)).values()])
         tail_ok = all(np.all(dirs[k] == 0) for k in range(n0, len(e.terms)))
-        checks.append(
-            CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst)
-        )
+        checks.append(CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst,
+                                  level=n0 + 1))
         # Degenerate remainders: ||R_{N,n}|| / Gamma_{m+1,n} = ||w_n^{(m+1)}|| -> 0.
         partial = next(islice(_partial_sums(e, data), n0, None))
         ok = True
@@ -628,9 +619,28 @@ def verify_expansion(e, data):
             dec, _ = _tail_decreasing(ratio, t, slack=1e-9)
             ok = ok and dec
             worst = max(worst, float(ratio[-1]))
-        checks.append(CheckResult("degenerate-remainders", ok, worst))
+        checks.append(CheckResult("degenerate-remainders", ok, worst, level=n0 + 1))
 
     return VerificationReport(checks)
+
+
+def _verified_prefix(e, data):
+    """``e`` cut to the longest prefix of its levels that ``verify_expansion`` accepts:
+    while a check fails, the levels from the lowest failing level k on go, and
+    ``depth_reason`` and the log read "level k fails <axiom>, ...". A cut drops any
+    stabilized or zero-direction level, so the kind becomes strict or infinite-unitary.
+    If level 1 fails, raises NotConvergentError naming the failing checks."""
+    while True:
+        fails = [c for c in verify_expansion(e, data).failures() if c.level is not None]
+        if not fails:
+            return e
+        k = min(c.level for c in fails)
+        reason = f"level {k} fails " + ", ".join(c.axiom for c in fails if c.level == k)
+        if k == 1:
+            raise NotConvergentError(f"{e.form} expansion: {reason}")
+        e = replace(e, terms=e.terms[:k - 1], degenerate_n=None, depth_reason=reason,
+                    kind="strict" if e.form == "strict" else "infinite-unitary",
+                    decision_log=e.decision_log + [reason])
 
 
 # ---------------------------------------------------------------------------

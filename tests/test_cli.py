@@ -262,6 +262,34 @@ def test_extract_tail_outside_window_is_usage_error(pipeline, tmp_path, capsys):
     ))
 
 
+@pytest.mark.parametrize("spec, depths, cut", [
+    (["--c2", "0.7"], (5, 5, 2), ("level 6 fails remainder-ratio", None)),
+    (["--coeffs", "2=1.27,3=0.9"], (4, 4, 2), ("level 5 fails witness-convergence-k5", None)),
+    (["--coeffs", "2=1.1181,3=0.7442"], (4, 4, 1),
+     ("level 5 fails witness-convergence-k5", "level 2 fails witness-convergence-k2")),
+    (["--c2", "1"], (6, 6, 2), (None, None)),
+], ids=["c2-0.7", "two-coeffs", "two-coeffs-unitary-cut", "readme"])
+def test_extract_keeps_the_levels_verify_accepts(tmp_path, spec, depths, cut):
+    # extract cuts each form to the levels verify accepts, so verify passes on
+    # windows it used to reject; the README window is not cut.
+    fxdir, expdir = str(tmp_path / "fx"), str(tmp_path / "exp")
+    assert run(["fixtures", "example45", *spec, "--count", "20", "--out", fxdir]) == 0
+    assert run(["extract", "--manifest", f"{fxdir}/manifest.json",
+                "--scale", "default-2dp", "--depth", "6", "--out", expdir]) == 0
+    assert run(["verify", "--expansion", f"{expdir}/expansion.json",
+                "--manifest", f"{fxdir}/manifest.json"]) == 0
+    forms = fieldio.read_json(tmp_path / "exp" / "expansion.json")["forms"]
+    assert tuple(len(forms[f]["terms"]) for f in ("strict", "restructured", "unitary")) == depths
+    strict_cut, unitary_cut = cut
+    for name, reason in (("strict", strict_cut), ("restructured", strict_cut),
+                         ("unitary", unitary_cut)):
+        if reason is None:
+            assert not forms[name]["depth_reason"].startswith("level")
+        else:
+            assert forms[name]["depth_reason"] == reason
+            assert reason in forms[name]["decision_log"]
+
+
 def test_domain_error_exit_1(tmp_path):
     # a manifest whose window is too short for extraction
     fxdir = str(tmp_path / "short")

@@ -150,7 +150,9 @@ def test_extract_rejects_window_without_overall_decay():
     for n in range(1, 9):
         fields.append(sp.lin_comb([1.0, 0.2 * (1 + 1e-12) ** n], [phi1, phi5]))
     data = ex.SequenceData(tuple(fields), tuple(2.0**j for j in range(8)))
-    with pytest.raises(ex.NotConvergentError, match="no overall decay"):
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "window increments show no overall decay in Z_0: the last is 3.363e-13, "
+            "above 0.8 x the first, 3.364e-13")):
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
 
@@ -198,7 +200,8 @@ def test_extract_stops_at_gamma_floor_of_level_2():
 def test_extract_stagnation_when_the_residual_vanishes_at_some_samples():
     # The window reaches its limit at the last sample: Gamma_{1,M} = 0 exactly.
     ys = [0.3**n for n in range(7)] + [0.0]
-    with pytest.raises(ex.StagnationError, match="level-1 residual vanishes for some n but not all"):
+    with pytest.raises(ex.StagnationError, match=re.escape(
+            "level-1 residual vanishes for some n but not all: first at sample 8 (alpha 128.0)")):
         ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
 
 
@@ -212,8 +215,27 @@ def test_extract_stagnation_when_gamma1_does_not_decay():
 
 def test_extract_rejects_increments_that_grow_again():
     ys = [1.0, 0.5, 0.3, 0.2, 0.15, 0.12, 0.05, 0.0]
-    with pytest.raises(ex.NotConvergentError, match="window increments are not decreasing"):
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "window increments are not decreasing in Z_0: the increment into sample 7 "
+            "(alpha 64.0) is 7.000e-02, after 3.000e-02")):
         ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
+
+
+def test_extract_rejects_a_window_whose_level_1_fails_verify():
+    # The last sample moves away from v again: the increments still decrease, so the
+    # window gates pass, but Gamma_{1,n} rises at the window end.
+    ys = [1.0, 0.5, 0.3, 0.2, 0.15, 0.12, 0.1, 0.11]
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "strict expansion: level 1 fails gamma1-decay, remainder-ratio")):
+        ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
+    # Unit residuals turning through 1.2 rad on phi_2, phi_3 as alpha grows from 1
+    # to 1.35: the level-1 witnesses move away from their direction.
+    alphas = [1.0 + 0.05 * n for n in range(8)]
+    turn = [3.0 * (1.0 - 1.0 / a) for a in alphas]
+    data = _window(alphas, [[np.cos(t) / a, np.sin(t) / a] for t, a in zip(turn, alphas)])
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "unitary expansion: level 1 fails witness-convergence-k1")):
+        _refine_from_v(data)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +269,20 @@ def test_refine_degenerate_on_a_zero_direction():
 
 
 def test_refine_flips_a_direction_against_the_residuals():
-    # Unit residuals turning through 1.2 rad on phi_2, phi_3 as alpha grows from 1
-    # to 1.35: their ls-poly limit at 1/alpha = 0 points away from every residual,
-    # so the direction is flipped and every Gamma stays positive.
+    # Residuals on phi_2 that lean toward phi_3 by 0.02 and 0.00285 rad at the
+    # first two samples as alpha grows from 1 to 1.35. The degree-6 ls-poly limit
+    # at 1/alpha = 0 all but cancels the phi_3 leans, yet turns the phi_2 deficits
+    # (2e-4 and 4e-6) into a phi_2 part near -7.6: it points away from every
+    # residual, so the direction is flipped and every Gamma stays positive.
     alphas = [1.0 + 0.05 * n for n in range(8)]
-    turn = [3.0 * (1.0 - 1.0 / a) for a in alphas]
-    data = _window(alphas, [[np.cos(t) / a, np.sin(t) / a] for t, a in zip(turn, alphas)])
+    leans = [0.02, 0.00285] + [0.0] * 6
+    data = _window(alphas, [[np.cos(t) / a, np.sin(t) / a] for t, a in zip(leans, alphas)])
     resid = data.flat - ex._rows(data.keys, [V])[0]
     units = resid / data.norms(resid, 0.5)[:, None]
     raw, _ = estimate_limit(units, 1.0 / np.array(alphas), ex.ToleranceSet().tail_for(8))
     assert np.all(data.inner(resid, raw, 0.5) < 0)
     res = _refine_from_v(data)
-    assert res.depth >= 1 and np.all(res.terms[0].gammas > 0)
+    assert res.depth == 1 and np.all(res.terms[0].gammas > 0)
     direction = ex._rows(data.keys, [res.terms[0].direction])[0]
     assert np.all(data.inner(resid, direction, 0.5) > 0)
 
@@ -271,12 +295,15 @@ def test_refine_stops_on_a_non_positive_projection():
         "trivial", 0, "non-positive projection at level 1")
 
 
-def test_refine_stops_on_ratio_stagnation():
-    # Past the phi_2 direction an alternating phi_3 part of the same size remains.
+def test_refine_cuts_the_level_that_fails_ratio_decay():
+    # Past the phi_2 direction an alternating phi_3 part of the same size remains:
+    # Gamma_{2,n} / Gamma_{1,n} does not fall, so verify rejects level 2.
     data = _window(GEOMETRIC, [[1.0 / a, (-1.0)**n / a] for n, a in enumerate(GEOMETRIC)])
     res = _refine_from_v(data)
     assert (res.kind, res.depth, res.depth_reason) == (
-        "infinite-unitary", 1, "ratio stagnation after level 1")
+        "infinite-unitary", 1, "level 2 fails ratio-decay-k1")
+    assert res.decision_log[-1] == res.depth_reason
+    assert ex.verify_expansion(res, data).passed
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +515,21 @@ def test_verify_analytic_fixtures_pass(ex314_window):
     axiom_ids = [c.axiom for c in rep_d.checks]
     assert "degenerate-remainders" in axiom_ids
     assert "degenerate-pattern" in axiom_ids
+
+
+def test_verify_names_the_lowest_level_each_check_reads(ex314_window):
+    _, data = ex314_window
+    uni = fx.example314_unitary_expansion(depth=4)
+    terms = list(uni.terms)
+    terms[2] = replace(terms[2], direction=2.0 * terms[2].direction)
+    rep = ex.verify_expansion(replace(uni, terms=terms), data)
+    assert [(c.axiom, c.level) for c in rep.failures()] == [
+        ("reconstruction", None), ("unit-directions", 3)]
+    den = fx.example314_degenerate_expansion(depth=6)
+    levels = {c.axiom: c.level for c in ex.verify_expansion(den, data).checks}
+    assert (levels["gamma1-decay"], levels["ratio-decay-k2"], levels["witness-convergence-k2"]) == (
+        1, 3, 2)
+    assert levels["degenerate-pattern"] == levels["degenerate-remainders"] == den.degenerate_n + 1
 
 
 def test_verify_remainder_ratio_decreasing_example45(ex45_records, ex45_data, ex45_extraction):
