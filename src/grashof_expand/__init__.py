@@ -9,7 +9,6 @@ from .expansion import (
     NotConvergentError,
     SequenceData,
     StagnationError,
-    ToleranceSet,
     constant_scale,
     default_scale_2dp,
     extract_strict,

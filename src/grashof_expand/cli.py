@@ -57,14 +57,16 @@ def _example45_config(spec, c2):
 
 
 def _parse_scale(spec, depth):
-    """The NestedScale of ``--scale``, its regime read off its exponents; an
+    """The NestedScale of ``--scale`` to depth at most ``depth`` (an explicit list
+    keeps its first depth + 1 exponents), its regime read off its exponents; an
     unparsable or invalid spec is a usage error."""
     try:
         if spec == "default-2dp":
             return ex.default_scale_2dp(depth)
         if spec.startswith("constant:"):
             return ex.constant_scale(float(spec.split(":", 1)[1]), depth)
-        return ex.NestedScale(tuple(float(s) for s in spec.split(",")))
+        exponents = ex.NestedScale(tuple(float(s) for s in spec.split(","))).exponents
+        return ex.NestedScale(exponents[:depth + 1])
     except ValueError as exc:
         raise UsageError(f"bad scale spec {spec!r}: {exc}") from exc
 
@@ -191,14 +193,9 @@ def cmd_extract(args):
         raise UsageError(f"--depth must be at least 1; got {args.depth}")
     scale = _parse_scale(args.scale, args.depth)
     data, _ = _load_sequence(args.manifest)
-    if not 0 <= args.tail <= len(data):
-        raise UsageError(f"--tail {args.tail} is outside 0..{len(data)}, "
-                         f"the window's {len(data)} samples (0 = auto)")
-    tols = ex.ToleranceSet(kmax=args.depth, tail=args.tail)
-    strict = ex.extract_strict(data, scale, tols)
+    strict = ex.extract_strict(data, scale)
     restructured = ex.restructure(strict)
-    space = scale.exponent(0) if scale.regime == "constant" else 0.5  # else V = D(A^{1/2})
-    unitary = ex.refine_unitary(strict, data, space=space)
+    unitary = ex.refine_unitary(strict, data)
     os.makedirs(args.out, exist_ok=True)
     ex.save_expansion(os.path.join(args.out, "expansion.json"),
                       {"strict": strict, "restructured": restructured, "unitary": unitary},
@@ -342,7 +339,6 @@ def build_parser():
     p.add_argument("--scale", default="default-2dp",
                    help="default-2dp | constant:<s> | s0,s1,...")
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--tail", type=int, default=0, help="estimator tail window (0 = auto)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 

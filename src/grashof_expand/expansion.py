@@ -24,7 +24,7 @@ is the one definition of a level: both extractions keep the levels it accepts.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, islice
 
 import numpy as np
@@ -47,7 +47,8 @@ class NotConvergentError(RuntimeError):
 
 
 class StagnationError(RuntimeError):
-    """Gamma_{1,n} does not decay over the window."""
+    """Gamma_{1,n} does not decay over the window, or a level's residual
+    vanishes at some samples but not at all of them."""
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +178,9 @@ class SequenceData:
         return sp.SpectralField.from_arrays(self.trunc, self.keys, row.reshape(-1, 2))
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
-    """The extraction settings a caller chooses; the fixed gates (``FLOOR`` ..
-    ``STAGNATION``, ``seqlimit.SNAP_REL``) are module constants."""
-
-    tail: int = 0             # 0 = ceil(M/3)
-    kmax: int = 6
-
-    def tail_for(self, m):
-        return self.tail if self.tail > 0 else int(np.ceil(m / 3))
+def _tail(m):
+    """The last ceil(M/3) samples of an M-sample window: the estimators' and gates' tail."""
+    return int(np.ceil(m / 3))
 
 
 @dataclass
@@ -211,9 +205,9 @@ class ExpansionResult:
     ``kind`` is one of trivial / finite-unitary / infinite-unitary / degenerate
     / strict (the provisional tag for a depth-capped strict recursion); ``form``
     records whether gammas are residual norms ("strict") or projections onto
-    unit directions ("unitary"). ``space`` is the single-space exponent of the
-    unitary form (None for nested-scale results). ``keys`` is the sorted mode
-    list of every witness row and ``trunc`` the witnesses' truncation.
+    unit directions ("unitary"). ``scale``, the one setting, caps the depth and
+    gives level k its space (a unitary form's scale is constant). ``keys`` is
+    the sorted mode list of every witness row and ``trunc`` the witnesses' truncation.
     """
 
     limit: "sp.SpectralField"
@@ -221,11 +215,9 @@ class ExpansionResult:
     kind: str
     form: str
     scale: NestedScale
-    space: float | None
     degenerate_n: int | None
     depth_reason: str
     limit_estimator: str
-    tols: ToleranceSet
     keys: np.ndarray
     trunc: int
     decision_log: list = field(default_factory=list)
@@ -236,8 +228,6 @@ class ExpansionResult:
 
     def space_exponent(self, k):
         """Exponent of the norm used for level-k directions."""
-        if self.space is not None:
-            return self.space
         return self.scale.exponent(min(k, self.scale.depth))
 
 
@@ -264,26 +254,25 @@ def _check_convergent(data, s0, t):
 # ---------------------------------------------------------------------------
 
 
-def extract_strict(data, scale, tols=None):
+def extract_strict(data, scale):
     """Constructive strict-expansion recursion on a finite sample window.
 
     At level k the coefficient Gamma_{k,n} is the Z_{k-1} norm of the residual
     r_n = v_n - v - sum_{j<k} Gamma_{j,n} w_j, the witness is r_n / Gamma_{k,n}
     (unit in Z_{k-1}) and the direction w_k is the estimated Z_k-limit of the
     witnesses. Recursion ends on witness stabilization (finite kind), on the
-    Gamma floor, or at the depth cap; ``_verified_prefix`` then cuts it to the
-    levels that ``verify_expansion`` accepts.
+    Gamma floor, or at ``scale.depth`` levels; ``_verified_prefix`` then cuts it
+    to the levels that ``verify_expansion`` accepts.
 
     Raises:
       NotConvergentError: no numerical convergence in Z_0, or level 1 fails verification.
       StagnationError: Gamma_{1,n} does not decay over the window, or a level's
         residual vanishes at some samples only.
     """
-    tols = tols or ToleranceSet()
     if len(data) < 6:
         raise ValueError("extraction window must contain at least 6 samples")
     xs = 1.0 / np.array(data.alphas)
-    t = tols.tail_for(len(data))
+    t = _tail(len(data))
     s0 = scale.exponent(0)
     _check_convergent(data, s0, t)
 
@@ -295,9 +284,8 @@ def extract_strict(data, scale, tols=None):
 
     resid = data.flat - vhat
     terms = []
-    kmax = min(tols.kmax, scale.depth)
-    kind, reason = "strict", f"depth cap {kmax}"
-    for k in range(1, kmax + 1):
+    kind, reason = "strict", f"depth cap {scale.depth}"
+    for k in range(1, scale.depth + 1):
         gammas = data.norms(resid, scale.exponent(k - 1))
         if np.max(gammas) <= floor_abs:  # at level 1 no term is kept: trivial kind
             reason = "constant window" if k == 1 else f"gamma floor at level {k}"
@@ -323,8 +311,8 @@ def extract_strict(data, scale, tols=None):
     return _verified_prefix(ExpansionResult(
         limit=data.to_field(vhat), terms=terms,
         kind="trivial" if not terms else kind, form="strict",
-        scale=scale, space=None, degenerate_n=None, depth_reason=reason,
-        limit_estimator=vmethod, tols=tols, keys=data.keys, trunc=data.trunc, decision_log=log,
+        scale=scale, degenerate_n=None, depth_reason=reason,
+        limit_estimator=vmethod, keys=data.keys, trunc=data.trunc, decision_log=log,
     ), data)
 
 
@@ -333,23 +321,24 @@ def extract_strict(data, scale, tols=None):
 # ---------------------------------------------------------------------------
 
 
-def refine_unitary(strict, data, space=0.5):
-    """Unitary (or degenerate) expansion in the single space D(A^space).
+def refine_unitary(strict, data):
+    """Unitary (or degenerate) expansion in one space D(A^s), s the exponent of a
+    constant ``strict.scale``, else 1/2 (V).
 
-    Reuses the strict result's window limit and tail window, then peels one
+    Reuses the strict result's window limit (and its log line), then peels one
     direction per level: the direction is the normalized witness limit in
-    D(A^space) and Gamma_{k,n} is the projection of the level residual onto it.
+    D(A^s) and Gamma_{k,n} is the projection of the level residual onto it.
     Witnesses are residual/Gamma, so the reconstruction identity is exact by
     construction; they converge to the direction but are not unit vectors.
     Peeling ends on the Gamma floor, an exact reconstruction, a zero direction
-    (degenerate), a non-positive projection, stabilized witnesses (finite) or
-    at ``tols.kmax`` levels, whatever the strict depth; ``_verified_prefix``
-    then cuts it like the strict form (NotConvergentError if level 1 fails).
+    (degenerate), a non-positive projection, stabilized witnesses (finite) or at
+    the scale's depth, whatever the strict form kept; ``_verified_prefix`` then
+    cuts it like the strict form (NotConvergentError if level 1 fails).
     """
-    tols = strict.tols
     xs = 1.0 / np.array(data.alphas)
-    t = tols.tail_for(len(data))
-    s = float(space)
+    t = _tail(len(data))
+    kmax = strict.scale.depth
+    s = strict.scale.exponent(0) if strict.scale.regime == "constant" else 0.5
     vhat = _rows(data.keys, [strict.limit])[0]
 
     scale0 = float(np.max(data.norms(data.flat, s)))
@@ -358,9 +347,9 @@ def refine_unitary(strict, data, space=0.5):
     terms = []
     kind = "infinite-unitary"
     degenerate_n = None
-    reason = f"depth cap {tols.kmax}"
-    log = list(strict.decision_log) + [f"unitary refinement in D(A^{s})"]
-    for k in range(1, tols.kmax + 1):
+    reason = f"depth cap {kmax}"
+    log = [f"limit estimator: {strict.limit_estimator}", f"unitary refinement in D(A^{s})"]
+    for k in range(1, kmax + 1):
         norms = data.norms(resid, s)
         if np.max(norms) <= floor_abs:  # at level 1 no term is kept: trivial kind
             reason = "constant window" if k == 1 else f"gamma floor at level {k}"
@@ -398,10 +387,9 @@ def refine_unitary(strict, data, space=0.5):
         resid = resid - projs[:, None] * dhat
     return _verified_prefix(ExpansionResult(
         limit=strict.limit, terms=terms, kind="trivial" if not terms else kind,
-        form="unitary", scale=constant_scale(s, tols.kmax), space=s,
-        degenerate_n=degenerate_n, depth_reason=reason,
-        limit_estimator=strict.limit_estimator, tols=tols, keys=data.keys, trunc=data.trunc,
-        decision_log=log,
+        form="unitary", scale=constant_scale(s, kmax), degenerate_n=degenerate_n,
+        depth_reason=reason, limit_estimator=strict.limit_estimator, keys=data.keys,
+        trunc=data.trunc, decision_log=log,
     ), data)
 
 
@@ -505,16 +493,20 @@ def _tail_decreasing(values, t, slack=1e-12):
     return bool(np.all(diffs <= slack * max(np.max(np.abs(v)), 1e-300))), worst
 
 
-def _partial_sums(e, data):
-    """Rows of v + sum_{j<k} Gamma_{j,n} w_j on the window, for k = 0..depth, in turn.
-
-    The expansion is checked against the window here; the sums are made lazily.
-    """
-    start, *dirs = _rows(data.keys, [e.limit] + [term.direction for term in e.terms])
+def _partial_sums(e, data, rows):
+    """Rows of v + sum_{j<k} Gamma_{j,n} w_j, k = 0..depth, made lazily from ``rows`` (the
+    limit's, then each direction's, on the window's modes) once the window lengths agree."""
     if any(len(term.gammas) != len(data) for term in e.terms):
         raise ValueError(f"expansion window length differs from the {len(data)}-sample data window")
-    steps = (term.gammas[:, None] * d[None, :] for term, d in zip(e.terms, dirs))
-    return accumulate(steps, initial=np.repeat(start[None, :], len(data), axis=0))
+    steps = (term.gammas[:, None] * d[None, :] for term, d in zip(e.terms, rows[1:]))
+    return accumulate(steps, initial=np.repeat(rows[:1], len(data), axis=0))
+
+
+def _ratios(e, data, rows):
+    prev = [np.ones(len(data))] + [term.gammas for term in e.terms]
+    ratios = [data.norms(data.flat - p, e.space_exponent(k + 1)) / prev[k]
+              for k, p in zip(range(e.depth), _partial_sums(e, data, rows))]
+    return np.array(ratios).reshape(e.depth, len(data))
 
 
 def remainder_ratios(e, data):
@@ -526,21 +518,19 @@ def remainder_ratios(e, data):
     Raises:
       ValueError: the expansion carries modes outside the data window.
     """
-    prev = [np.ones(len(data))] + [term.gammas for term in e.terms]
-    ratios = [data.norms(data.flat - p, e.space_exponent(k + 1)) / prev[k]
-              for k, p in zip(range(e.depth), _partial_sums(e, data))]
-    return np.array(ratios).reshape(e.depth, len(data))
+    return _ratios(e, data, _rows(data.keys, [e.limit] + [t.direction for t in e.terms]))
 
 
 def verify_expansion(e, data):
     """Per-axiom verification report of an expansion against its raw window."""
-    t = e.tols.tail_for(len(data))
+    t = _tail(len(data))
     checks = []
     s0 = e.scale.exponent(0)
     wits = [term.witnesses for term in e.terms]
     if wits and not np.array_equal(e.keys, data.keys):
         wits = list(_onto(e.keys, np.stack(wits), data.keys))
-    dirs = _rows(data.keys, [term.direction for term in e.terms])
+    rows = _rows(data.keys, [e.limit] + [term.direction for term in e.terms])
+    dirs = rows[1:]
     gammas = [term.gammas for term in e.terms]
     scale0 = float(np.max(data.norms(data.flat, s0)))
 
@@ -550,7 +540,7 @@ def verify_expansion(e, data):
                 for k in levels}
 
     # Reconstruction identity at every recorded level.
-    sums = _partial_sums(e, data)
+    sums = _partial_sums(e, data, rows)
     recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
     worst = max(float(np.max(data.norms(r - data.flat, s0))) for r in recons) / scale0
     checks.append(CheckResult("reconstruction", worst <= RECON_TOL, worst))
@@ -593,7 +583,7 @@ def verify_expansion(e, data):
         worst = 0.0
         worstnote = ""
         first = None
-        for k, ratio in enumerate(remainder_ratios(e, data), start=1):
+        for k, ratio in enumerate(_ratios(e, data, rows), start=1):
             if np.any(ratio[-(half - 1):] <= 1e-13 * np.max(ratio)):
                 continue
             dec, bad = _tail_decreasing(ratio, half - 1)
@@ -610,7 +600,7 @@ def verify_expansion(e, data):
         checks.append(CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst,
                                   level=n0 + 1))
         # Degenerate remainders: ||R_{N,n}|| / Gamma_{m+1,n} = ||w_n^{(m+1)}|| -> 0.
-        partial = next(islice(_partial_sums(e, data), n0, None))
+        partial = next(islice(_partial_sums(e, data, rows), n0, None))
         ok = True
         worst = 0.0
         for mlev in range(n0, len(e.terms)):
@@ -705,7 +695,7 @@ def uniqueness_check(e1, e2, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-SCHEMA = "grashof-expand/expansion-v4"
+SCHEMA = "grashof-expand/expansion-v5"
 _MATRIX_DTYPE = np.dtype("<f8")
 
 
@@ -731,8 +721,8 @@ def save_expansion(path, forms, alphas):
         doc_forms[name] = {
             "kind": e.kind, "form": e.form,
             "scale": {"regime": e.scale.regime, "exponents": list(e.scale.exponents)},
-            "space": e.space, "degenerate_N": e.degenerate_n, "depth_reason": e.depth_reason,
-            "limit_estimator": e.limit_estimator, "tolerances": asdict(e.tols),
+            "degenerate_N": e.degenerate_n, "depth_reason": e.depth_reason,
+            "limit_estimator": e.limit_estimator,
             "rows": [start, len(truncs)],
             "terms": [{"gammas": [float(g) for g in t.gammas], "estimator": t.estimator}
                       for t in e.terms],
@@ -770,11 +760,10 @@ def _load_form(path, rec, keys, rows, truncs, m):
                                        f"but its exponents give {scale.regime!r}")
     return ExpansionResult(
         limit=limit, terms=terms, kind=rec["kind"], form=rec["form"], scale=scale,
-        space=rec["space"], degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
-        limit_estimator=rec["limit_estimator"],
-        tols=ToleranceSet(tail=rec["tolerances"]["tail"], kmax=rec["tolerances"]["kmax"]),
-        keys=keys, trunc=max((truncs[r] for r in range(start + 1, stop) if r not in heads),
-                             default=truncs[start]),
+        degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
+        limit_estimator=rec["limit_estimator"], keys=keys,
+        trunc=max((truncs[r] for r in range(start + 1, stop) if r not in heads),
+                  default=truncs[start]),
         decision_log=list(rec.get("decision_log", [])),
     )
 

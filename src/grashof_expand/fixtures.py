@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spectral as sp
 from . import steady as st
-from .expansion import ExpansionResult, ExpansionTerm, ToleranceSet, constant_scale
+from .expansion import ExpansionResult, ExpansionTerm, constant_scale
 
 SQRT2PI = np.sqrt(2.0) * np.pi  # |sin(y) e1|_{L^2} on [0, 2pi]^2
 
@@ -287,9 +287,9 @@ def _analytic(name, kind, terms, keys, trunc, limit_trunc, degenerate_n):
     """The hand-built example314 expansion ``name`` in H, with its terms."""
     return ExpansionResult(
         limit=sp.zero_field(limit_trunc), terms=terms, kind=kind, form="unitary",
-        scale=constant_scale(0.0, len(terms)), space=0.0, degenerate_n=degenerate_n,
-        depth_reason="analytic fixture", limit_estimator="analytic", tols=ToleranceSet(),
-        keys=keys, trunc=trunc, decision_log=[f"example314 {name} fixture"],
+        scale=constant_scale(0.0, len(terms)), degenerate_n=degenerate_n,
+        depth_reason="analytic fixture", limit_estimator="analytic", keys=keys, trunc=trunc,
+        decision_log=[f"example314 {name} fixture"],
     )
 
 

@@ -46,7 +46,7 @@ def ex45_data(ex45_records):
 @pytest.fixture(scope="session")
 def ex45_extraction(ex45_data):
     strict = ex.extract_strict(ex45_data, ex.default_scale_2dp(6))
-    unitary = ex.refine_unitary(strict, ex45_data, space=0.5)
+    unitary = ex.refine_unitary(strict, ex45_data)
     return strict, unitary
 
 
@@ -60,9 +60,8 @@ def ex314_window():
 @pytest.fixture(scope="session")
 def ex314_extraction(ex314_window):
     _, data = ex314_window
-    tols = ex.ToleranceSet(kmax=3)
-    strict = ex.extract_strict(data, ex.constant_scale(0.0, 3), tols)
-    unitary = ex.refine_unitary(strict, data, space=0.0)
+    strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
+    unitary = ex.refine_unitary(strict, data)
     return strict, unitary
 
 

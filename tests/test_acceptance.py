@@ -68,7 +68,7 @@ def ex45_end_to_end():
     data = ex.SequenceData(tuple(r.solution for r in reports),
                            tuple(r.alpha for r in recs))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
-    unitary = ex.refine_unitary(strict, data, space=0.5)
+    unitary = ex.refine_unitary(strict, data)
     return cfg, recs, reports, data, strict, unitary
 
 
@@ -115,9 +115,8 @@ def test_criterion_2_example45_end_to_end(ex45_end_to_end):
 def test_criterion_3_example314_extraction():
     recs, alphas = fx.example314_window(range(1, 7), truncation=64)
     data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(alphas))
-    tols = ex.ToleranceSet(kmax=3)
-    strict = ex.extract_strict(data, ex.constant_scale(0.0, 3), tols)
-    unitary = ex.refine_unitary(strict, data, space=0.0)
+    strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
+    unitary = ex.refine_unitary(strict, data)
     limit_norm = sp.norm_ds(unitary.limit, 0)
     ns = np.arange(1, 7)
     gamma_err = 0.0
@@ -227,8 +226,7 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
     extractions = [(np.array(data.alphas), [t.gammas for t in uni45.terms])]
     recs314, alphas314 = fx.example314_window()
     data314 = ex.SequenceData(tuple(r.v_n for r in recs314), tuple(alphas314))
-    tols = ex.ToleranceSet(kmax=3)
-    strict314 = ex.extract_strict(data314, ex.constant_scale(0.0, 3), tols)
+    strict314 = ex.extract_strict(data314, ex.constant_scale(0.0, 3))
     extractions.append((np.array(alphas314), [t.gammas for t in strict314.terms]))
     for alphas, gammas in extractions:
         try:
@@ -247,12 +245,13 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
                     f"{osc_ok}, table relations hold: {table_ok}")
 
 
-def test_criterion_7_uniqueness_across_windows():
+def test_criterion_7_uniqueness_across_windows(monkeypatch):
     recs, alphas = fx.example314_window()
     data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(alphas))
     scale = ex.constant_scale(0.0, 3)
-    e1 = ex.extract_strict(data, scale, ex.ToleranceSet(kmax=3, tail=2))
-    e2 = ex.extract_strict(data, scale, ex.ToleranceSet(kmax=3, tail=3))
+    e1 = ex.extract_strict(data, scale)  # tail ceil(6/3) = 2
+    monkeypatch.setattr(ex, "_tail", lambda m: 3)
+    e2 = ex.extract_strict(data, scale)
     rep = ex.uniqueness_check(e1, e2, tol=1e-10)
     detail = (f"limit diff {rep.limit_diff:.2e}, max Gamma diff "
               f"{max(rep.gamma_diffs, default=0.0):.2e}, max direction diff "

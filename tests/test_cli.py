@@ -48,14 +48,15 @@ def test_pipeline_classification_branch(pipeline):
 
 
 def test_pipeline_records_its_gates(pipeline):
-    # The gates are module constants; the file still records them once as provenance,
-    # and each form its own settings.
+    # The gates are module constants; the file still records them once as provenance.
+    # A form's only setting is its scale: it records no space or tolerances of its own.
     doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
     gates = {"floor": ex.FLOOR, "finite": ex.FINITE, "zero": ex.ZERO, "snap": seqlimit.SNAP_REL,
              "cauchy": ex.CAUCHY, "stagnation": ex.STAGNATION}
     assert list(doc["tolerances"].items()) == list(gates.items())
-    for form in ("strict", "restructured", "unitary"):
-        assert doc["forms"][form]["tolerances"] == {"tail": 0, "kmax": 6}
+    assert sorted(doc["forms"]) == ["restructured", "strict", "unitary"]
+    for rec in doc["forms"].values():
+        assert "space" not in rec and "tolerances" not in rec
     cls = fieldio.read_json(pipeline / "class.json")
     assert cls["tolerances"] == {"slope": od.SLOPE_GATE, "disp": od.DISP_GATE,
                                  "residual": od.RESIDUAL_GATE}
@@ -254,12 +255,28 @@ def test_verify_rejects_a_regime_its_exponents_do_not_give(pipeline, tmp_path, c
     assert "scale records regime 'general', but its exponents" in capsys.readouterr().err
 
 
-def test_extract_tail_outside_window_is_usage_error(pipeline, tmp_path, capsys):
-    """--tail must lie in 0..M, M the window's sample count (20 here; 0 = auto)."""
+def test_extract_tail_is_not_an_option(pipeline, tmp_path, capsys):
+    """The estimators' tail is ceil(M/3) of the window; --tail is no option (exit 2)."""
     _extract_usage_errors(str(pipeline / "fx" / "manifest.json"), tmp_path / "exp", capsys, (
-        (["--tail", "-1"], "--tail -1 is outside 0..20"),
-        (["--tail", "50"], "--tail 50 is outside 0..20"),
+        (["--tail", "3"], "unrecognized arguments: --tail 3"),
     ))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--scale", "0.75,0.7,0.65,0.6", "--depth", "2"],
+    ["--scale", "0.75,0.7,0.65"],
+], ids=["list-cut-by-depth", "list-under-default-depth"])
+def test_extract_explicit_scale_is_every_forms_cap(pipeline, tmp_path, extra):
+    """--depth keeps the first depth + 1 exponents of an explicit list, and the
+    scale's depth caps the unitary form as it caps the strict one."""
+    man, out = str(pipeline / "fx" / "manifest.json"), tmp_path / "exp"
+    assert run(["extract", "--manifest", man, *extra, "--out", str(out)]) == 0
+    assert run(["verify", "--expansion", str(out / "expansion.json"), "--manifest", man]) == 0
+    forms = fieldio.read_json(out / "expansion.json")["forms"]
+    assert forms["strict"]["scale"]["exponents"] == [0.75, 0.7, 0.65]
+    assert len(forms["unitary"]["scale"]["exponents"]) == 3
+    for rec in forms.values():
+        assert len(rec["scale"]["exponents"]) <= 3 and len(rec["terms"]) <= 2
 
 
 @pytest.mark.parametrize("spec, depths, cut", [
@@ -288,6 +305,11 @@ def test_extract_keeps_the_levels_verify_accepts(tmp_path, spec, depths, cut):
         else:
             assert forms[name]["depth_reason"] == reason
             assert reason in forms[name]["decision_log"]
+    # The unitary log starts from the strict limit it reuses, not the strict levels or cut.
+    unitary_log = forms["unitary"]["decision_log"]
+    assert unitary_log[:2] == [forms["strict"]["decision_log"][0],
+                               "unitary refinement in D(A^0.5)"]
+    assert strict_cut is None or strict_cut not in unitary_log
 
 
 def test_domain_error_exit_1(tmp_path):
@@ -551,9 +573,9 @@ def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
 # --with-expansions`` and ``extract --scale constant:0 --depth 3`` write,
 # recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 EX314_SHA256 = {
-    "exp/expansion.json": "5c98dcfddc9619b08362e0759794acc849242ed4aae677a6ceee25e23d5b4ce1",
+    "exp/expansion.json": "3eb42cb06a76bb45bb27543de1c5f2e35b4b253a976760b7b6805a77d3ce3c4e",
     "exp/expansion.npy": "60163190a87df6dd4f0ed7d3c11fccbe603fd2771aa5a18a9835d1832d180a8e",
-    "fx/expansion_analytic.json": "376b28fd4656323730fee2ee5e5c22e2081e0495a20fb0f84615805e969bb429",
+    "fx/expansion_analytic.json": "af1163befe156feafcfda250a51a6657cdd4a027f9054ec092bcf7085d7c8838",
     "fx/expansion_analytic.npy": "461aadb68d96a535dc14ab84328b922ed45f10d65bb55095b0bf8604e0a5efce",
     "fx/manifest.json": "6836cb56035c213b7ca6ed671e868d0ab2626ddf75f1b25dac9f4ed9ac345b15",
     "fx/v_0001.json": "1da33cc6ca396c1384c817f81a5df0e603301690b05129949c109f18fd5a999c",
@@ -683,11 +705,11 @@ def test_example45_files_are_pinned(tmp_path):
 # ``verify`` prints, recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 README_PIPELINE_SHA256 = {
     "class.json": "156278288ca0e01af5110e1e5b644c495a575abdb90c0b4f1a53860ee7729ab5",
-    "exp/expansion.json": "fd1a2d30e53acc9084fd039821ab0d05b51c1de2a65731c88c41a8cc3c1a636f",
+    "exp/expansion.json": "e5114bc8695a7cd05ed532a36799295a6e95de9b4d88c762df1110d63557a675",
     "exp/expansion.npy": "b8426e7ed67d37142b545be6d608980f697ee0428a8d550e0a491d4d7cba906b",
     "report/residuals.csv": "7ced5cb3501f8f26fd0bc63be4258ad726f6869236e9edf7662f08c63e1bfa65",
     "report/series.csv": "785d22f58b6b87dde21b35d22a19e527d62893936518d4ee8a5bc9aef1c16be3",
-    "report/summary.txt": "323d0cf30ba042ff424602a763093299ea1bd808c7a5a05ad9703ef73e1f9c83",
+    "report/summary.txt": "2f8ab44199bff5c44d655135184a824b1f3db2a410e6aadc5a9edbf736af6e89",
 }
 README_VERIFY_STDOUT_SHA256 = "cc597412b8aeb44326a370b8132aec4fc4eb28b41e940cc37e6b55423340ffb7"
 

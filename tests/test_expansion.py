@@ -82,7 +82,7 @@ def test_extract_rejects_nonconvergent_window():
 
 def test_extract_example314_strict_values(ex314_window):
     recs, data = ex314_window
-    strict = ex.extract_strict(data, ex.constant_scale(0.0, 3), ex.ToleranceSet(kmax=3))
+    strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
     assert sp.norm_ds(strict.limit, 0) <= 1e-12
     ns = np.arange(1, 7)
     # Gamma_1,n is the exact H norm of v_n (norm-based strict coefficients).
@@ -247,8 +247,8 @@ def _refine_from_v(data):
     """refine_unitary in V = D(A^{1/2}) from the exact limit v."""
     strict = ex.ExpansionResult(
         limit=V, terms=[], kind="strict", form="strict", scale=ex.default_scale_2dp(4),
-        space=None, degenerate_n=None, depth_reason="", limit_estimator="exact",
-        tols=ex.ToleranceSet(), keys=data.keys, trunc=data.trunc)
+        degenerate_n=None, depth_reason="", limit_estimator="exact",
+        keys=data.keys, trunc=data.trunc)
     return ex.refine_unitary(strict, data)
 
 
@@ -279,7 +279,7 @@ def test_refine_flips_a_direction_against_the_residuals():
     data = _window(alphas, [[np.cos(t) / a, np.sin(t) / a] for t, a in zip(leans, alphas)])
     resid = data.flat - ex._rows(data.keys, [V])[0]
     units = resid / data.norms(resid, 0.5)[:, None]
-    raw, _ = estimate_limit(units, 1.0 / np.array(alphas), ex.ToleranceSet().tail_for(8))
+    raw, _ = estimate_limit(units, 1.0 / np.array(alphas), ex._tail(8))
     assert np.all(data.inner(resid, raw, 0.5) < 0)
     res = _refine_from_v(data)
     assert res.depth == 1 and np.all(res.terms[0].gammas > 0)
@@ -339,14 +339,13 @@ def test_brute_force_oracle_matches_engine(ex314_window, ex314_extraction):
     coeffs = np.array([[np.exp(-n * n - k * n) for k in range(1, truncation + 1)]
                        for n in ns])
     alphas = [float(np.exp(n)) for n in ns]
-    vhat, gammas, dirs = oracle_strict_eigen(coeffs, alphas, kmax=3,
-                                             tail=ex.ToleranceSet().tail_for(6))
+    vhat, gammas, dirs = oracle_strict_eigen(coeffs, alphas, kmax=3, tail=ex._tail(6))
     fields = tuple(
         sp.lin_comb(list(coeffs[i]), [sp.eigenfunction(k) for k in range(1, truncation + 1)])
         for i in range(6)
     )
     data8 = ex.SequenceData(fields, tuple(alphas))
-    engine = ex.extract_strict(data8, ex.constant_scale(0.0, 3), ex.ToleranceSet(kmax=3))
+    engine = ex.extract_strict(data8, ex.constant_scale(0.0, 3))
     assert np.max(np.abs(vhat)) <= 1e-12
     assert sp.norm_ds(engine.limit, 0) <= 1e-12
     phis = [sp.eigenfunction(k) for k in range(1, truncation + 1)]
@@ -553,11 +552,12 @@ def test_uniqueness_identical_results(ex314_extraction):
     assert rep.limit_diff == 0.0
 
 
-def test_uniqueness_across_tail_windows(ex314_window):
+def test_uniqueness_across_tail_windows(ex314_window, monkeypatch):
     _, data = ex314_window
     scale = ex.constant_scale(0.0, 3)
-    e1 = ex.extract_strict(data, scale, ex.ToleranceSet(kmax=3, tail=2))
-    e2 = ex.extract_strict(data, scale, ex.ToleranceSet(kmax=3, tail=3))
+    e1 = ex.extract_strict(data, scale)  # tail ceil(6/3) = 2
+    monkeypatch.setattr(ex, "_tail", lambda m: 3)
+    e2 = ex.extract_strict(data, scale)
     rep = ex.uniqueness_check(e1, e2, tol=1e-10)
     assert rep.match, str(rep)
 
@@ -596,8 +596,8 @@ def _bits(e, half=False):
     only the entries on the representative modes (the upper half, which the
     file stores; it rebuilds the rest as their conjugates, equal in value but
     not always in the sign of a zero)."""
-    meta = (e.kind, e.form, e.scale, e.space, e.degenerate_n, e.depth_reason,
-            e.limit_estimator, e.tols, e.decision_log, e.keys.tobytes(), e.trunc)
+    meta = (e.kind, e.form, e.scale, e.degenerate_n, e.depth_reason,
+            e.limit_estimator, e.decision_log, e.keys.tobytes(), e.trunc)
 
     def field(f):
         return f.trunc, f.keys.tobytes(), f.coeffs[len(f.coeffs) // 2 if half else 0:].tobytes()
@@ -628,9 +628,9 @@ def _pinned_forms(which, ex45_data, ex45_extraction):
     if which == "ex314-extraction":
         recs, _ = fx.example314_window(range(1, 7), 16)
         data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(alphas314))
-        strict = ex.extract_strict(data, ex.constant_scale(0.0, 3), ex.ToleranceSet(kmax=3))
+        strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
         return {"strict": strict, "restructured": ex.restructure(strict),
-                "unitary": ex.refine_unitary(strict, data, space=0.0)}, alphas314
+                "unitary": ex.refine_unitary(strict, data)}, alphas314
     if which == "ex314-analytic":
         return analytic, alphas314
     name = which.split("-")[1]
@@ -667,7 +667,7 @@ def test_save_load_round_trip_is_exact(which, ex45_data, ex45_extraction, tmp_pa
 
 def test_load_rejects_other_schemas(tmp_path):
     for schema in ("grashof-expand/expansion-v1", "grashof-expand/expansion-v2",
-                   "grashof-expand/expansion-v3"):
+                   "grashof-expand/expansion-v3", "grashof-expand/expansion-v4"):
         old = tmp_path / "old.json"
         fieldio.write_json(str(old), {"schema": schema, "alphas": [1.0], "forms": {}})
         with pytest.raises(fieldio.FieldFormatError, match=schema):
@@ -677,17 +677,6 @@ def test_load_rejects_other_schemas(tmp_path):
                                       "forms": {"unitary": {"kind": "trivial"}}})
     with pytest.raises(fieldio.FieldFormatError, match="current.json"):
         ex.load_expansion(str(missing))
-
-
-def test_load_ignores_retired_tolerance_keys(tmp_path, ex45_data, ex45_extraction):
-    # Earlier files also record the unused tolerance "limit"; they still load.
-    _, unitary = ex45_extraction
-    path = str(tmp_path / "expansion.json")
-    ex.save_expansion(path, {"unitary": unitary}, ex45_data.alphas)
-    doc = fieldio.read_json(path)
-    doc["forms"]["unitary"]["tolerances"]["limit"] = 1e-8
-    fieldio.write_json(path, doc)
-    assert ex.load_expansion(path)[0]["unitary"].tols == unitary.tols
 
 
 def test_verify_rejects_window_of_other_length(ex45_data, ex45_extraction):

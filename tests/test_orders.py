@@ -162,7 +162,7 @@ def test_classify_laminar_trivial_branch():
     reports = st.sweep(alphas, [g] * len(alphas), trunc=4)
     data = ex.SequenceData(tuple(r.solution for r in reports), tuple(alphas))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
-    uni = ex.refine_unitary(strict, data, space=0.5)
+    uni = ex.refine_unitary(strict, data)
     rep = od.classify(uni, g, alphas)
     assert rep.branch == "4.4(ii)"
     assert rep.residuals["Av=g"] <= 1e-12
@@ -182,7 +182,7 @@ def test_classify_example45_branch(ex45_extraction, ex45_data, ex45_records):
 def test_classify_v0_family_branch_tree():
     data, _, g_limit, (g1, w1, g2, w2) = make_v0_family()
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
-    uni = ex.refine_unitary(strict, data, space=0.5)
+    uni = ex.refine_unitary(strict, data)
     alphas = np.array(data.alphas)
     rep = od.classify(uni, g_limit, alphas)
     assert rep.branch == "4.6(ii)(1)"
@@ -209,7 +209,7 @@ def test_classify_v0_subbranch_2b():
     data = ex.SequenceData(tuple(fields), tuple(alphas))
     g_limit = (1.1**2) * sp.bilinear_b(w1, w1)
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
-    uni = ex.refine_unitary(strict, data, space=0.5)
+    uni = ex.refine_unitary(strict, data)
     rep = od.classify(uni, g_limit, alphas)
     assert rep.branch == "4.6(ii)(2b)"
     assert "mu_2" in rep.constants
@@ -219,7 +219,7 @@ def test_classify_stokes_family_branches():
     for branch, expect in (("ii", "4.7(ii)"), ("iii", "4.7(iii)")):
         data, _, g_limit, _ = make_stokes_family(branch)
         strict = ex.extract_strict(data, ex.default_scale_2dp(6))
-        uni = ex.refine_unitary(strict, data, space=0.5)
+        uni = ex.refine_unitary(strict, data)
         alphas = np.array(data.alphas)
         rep = od.classify(uni, g_limit, alphas)
         assert rep.branch == expect
@@ -238,9 +238,9 @@ def test_classify_blocked_on_undecided():
                             estimator="test")
     e = ex.ExpansionResult(
         limit=sp.eigenfunction(1), terms=[term], kind="infinite-unitary",
-        form="unitary", scale=ex.constant_scale(0.5, 1), space=0.5,
+        form="unitary", scale=ex.constant_scale(0.5, 1),
         degenerate_n=None, depth_reason="test", limit_estimator="test",
-        tols=ex.ToleranceSet(), keys=phi.keys, trunc=phi.trunc,
+        keys=phi.keys, trunc=phi.trunc,
     )
     with pytest.raises(od.ClassificationBlockedError):
         # g chosen so the limit is neither 0 nor A^{-1} g: the generic route
@@ -401,9 +401,8 @@ def test_classify_reaches_every_leaf(case):
              for gm, w in zip(gammas, dirs)]
     e = ex.ExpansionResult(
         limit=limit, terms=terms, kind=kind, form="unitary",
-        scale=ex.constant_scale(0.5, 1), space=0.5, degenerate_n=None,
-        depth_reason="test", limit_estimator="test", tols=ex.ToleranceSet(),
-        keys=keys, trunc=max([1] + [w.trunc for w in dirs]),
+        scale=ex.constant_scale(0.5, 1), degenerate_n=None,
+        depth_reason="test", limit_estimator="test", keys=keys, trunc=max([1] + [w.trunc for w in dirs]),
     )
     rep = od.classify(e, g, alphas)
     assert rep.branch == branch

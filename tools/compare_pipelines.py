@@ -1,0 +1,150 @@
+"""Run the reference CLI pipelines with two source trees and compare what they write.
+
+Usage:
+    python tools/compare_pipelines.py OLD_SRC NEW_SRC WORKDIR
+
+OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts; WORKDIR
+receives ``old/<pipeline>`` and ``new/<pipeline>``. Each stage runs as
+``python -m grashof_expand.cli`` with relative paths, so the two trees see the
+same paths. The pipelines are the README example45 window (``--c2 1``), the
+three example45 windows whose deep levels ``extract`` cuts, and example314 at
+T = 256 with its analytic expansions.
+
+Every file and every stage's exit code, stdout and stderr must be byte-identical,
+except that
+  * an expansion index (``*.json`` with a ``"schema"``) is compared once its
+    schema string, each form's ``"space"`` and ``"tolerances"`` and the unitary
+    ``decision_log`` are set aside;
+  * ``report/summary.txt`` and ``report``'s stdout are compared once their
+    ``decision:`` lines (the reported form's decision log) are set aside.
+Every difference set aside is listed. Exits 0 when nothing else differs, else 1.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+EX45 = {
+    "readme": ["--c2", "1"],
+    "c2-0.7": ["--c2", "0.7"],
+    "two-coeffs": ["--coeffs", "2=1.27,3=0.9"],
+    "two-coeffs-unitary-cut": ["--coeffs", "2=1.1181,3=0.7442"],
+}
+
+
+def stages(name):
+    """The CLI argument lists of pipeline ``name``, in order."""
+    if name == "ex314":
+        return [
+            ["fixtures", "example314", "--count", "6", "--truncation", "256",
+             "--with-expansions", "--out", "fx"],
+            ["extract", "--manifest", "fx/manifest.json", "--scale", "constant:0",
+             "--depth", "3", "--out", "exp"],
+            ["verify", "--expansion", "exp/expansion.json", "--manifest", "fx/manifest.json"],
+            ["verify", "--expansion", "fx/expansion_analytic.json",
+             "--manifest", "fx/manifest.json"],
+            ["report", "--manifest", "fx/manifest.json", "--expansion", "exp/expansion.json",
+             "--out", "report"],
+        ]
+    return [
+        ["fixtures", "example45", *EX45[name], "--count", "20", "--out", "fx"],
+        ["extract", "--manifest", "fx/manifest.json", "--scale", "default-2dp",
+         "--depth", "6", "--out", "exp"],
+        ["verify", "--expansion", "exp/expansion.json", "--manifest", "fx/manifest.json"],
+        ["classify", "--expansion", "exp/expansion.json", "--manifest", "fx/manifest.json",
+         "--out", "class.json"],
+        ["report", "--manifest", "fx/manifest.json", "--expansion", "exp/expansion.json",
+         "--classification", "class.json", "--out", "report"],
+    ]
+
+
+def run_pipeline(src, name, root):
+    """Run pipeline ``name`` in the fresh directory ``root``; returns the
+    {label: bytes} of every stage's exit code, stdout and stderr and every file."""
+    os.makedirs(root)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = {}
+    for i, argv in enumerate(stages(name)):
+        proc = subprocess.run([sys.executable, "-m", "grashof_expand.cli", *argv],
+                              cwd=root, env=env, capture_output=True)
+        label = f"stage {i} {argv[0]}"
+        out[f"{label} exit"] = str(proc.returncode).encode()
+        out[f"{label} stdout"] = proc.stdout
+        out[f"{label} stderr"] = proc.stderr
+    for base, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(base, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def _index_without_set_aside(raw):
+    doc = json.loads(raw)
+    doc.pop("schema")
+    for form_name, form in doc["forms"].items():
+        form.pop("space", None)
+        form.pop("tolerances", None)
+        if form_name == "unitary":
+            form.pop("decision_log")
+    return doc
+
+
+def _index_changes(a, b):
+    dropped = sorted({key for form in a["forms"].values() for key in form}
+                     - {key for form in b["forms"].values() for key in form})
+    logs = [len(doc["forms"].get("unitary", {}).get("decision_log", [])) for doc in (a, b)]
+    return (f"schema {a['schema']} -> {b['schema']}; form keys dropped: {dropped}; "
+            f"unitary decision_log {logs[0]} -> {logs[1]} lines")
+
+
+def _without_decisions(raw):
+    return [line for line in raw.decode().splitlines() if not line.startswith("  decision:")]
+
+
+def compare(old, new):
+    """(faults, set-aside notes) of two pipelines' outputs."""
+    faults, notes = [], []
+    for label in sorted(set(old) | set(new)):
+        a, b = old.get(label), new.get(label)
+        if a == b:
+            continue
+        if a is None or b is None:
+            faults.append(f"{label}: only in {'new' if a is None else 'old'}")
+        elif label.endswith(".json") and a.startswith(b'{\n  "schema"'):
+            if _index_without_set_aside(a) != _index_without_set_aside(b):
+                faults.append(f"{label}: differs beyond schema, space, tolerances, unitary log")
+            else:
+                notes.append(f"{label}: {_index_changes(json.loads(a), json.loads(b))}")
+        elif label == "report/summary.txt" or label.endswith("report stdout"):
+            if _without_decisions(a) != _without_decisions(b):
+                faults.append(f"{label}: differs beyond its decision lines")
+            else:
+                notes.append(f"{label}: decision lines only")
+        else:
+            faults.append(f"{label}: differs")
+    return faults, notes
+
+
+def main(argv):
+    if len(argv) != 3:
+        sys.exit(__doc__)
+    old_src, new_src, work = argv
+    bad = 0
+    for name in [*EX45, "ex314"]:
+        old = run_pipeline(old_src, name, os.path.join(work, "old", name))
+        new = run_pipeline(new_src, name, os.path.join(work, "new", name))
+        faults, notes = compare(old, new)
+        same = sum(old.get(k) == new.get(k) for k in set(old) | set(new))
+        print(f"== {name}: {same} of {len(set(old) | set(new))} outputs byte-identical")
+        for line in notes:
+            print(f"  set aside: {line}")
+        for line in faults:
+            print(f"  FAULT: {line}")
+        bad += len(faults)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
