@@ -219,12 +219,12 @@ class Subspace:
 def assemble_linearized(kv, cv, reps, alpha, nrad, subspace=None):
     """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
-    ``kv, cv`` is a divergence-free v packed; ``reps`` (m, 2) is any
-    increasing set of conjugate representatives of radius N = nrad, such as
-    all of them (``steady._dof_maps(nrad)[0]``) or those on a sublattice. Each
-    entry depends only on v and the wavevectors of its row and column, so a
-    subset of ``reps`` gives the rows and columns of the full matrix it
-    selects.
+    ``kv, cv`` are the keys and coefficients of v's nonzero modes in any
+    order, v divergence-free; ``reps`` (m, 2) is any increasing set of
+    conjugate representatives of radius N = nrad, such as all of them
+    (``steady._dof_maps(nrad)[0]``) or those on a sublattice. Each entry
+    depends only on v and the wavevectors of its row and column, so a subset
+    of ``reps`` gives the rows and columns of the full matrix it selects.
     Column r (m + r) is the image of the field with amplitude 1 (i) on
     representative r; rows r and m + r hold the real and imaginary parts of
     its amplitude on representative r. With v_p = a_p sigma_p,

@@ -21,28 +21,30 @@ rotations and reflections of the square, and the translations T^2
 so is their Galerkin truncation. If an element fixes g and the iterate, A
 and B commute with it, so the Newton step is fixed too: Newton started in
 the subspace that g's and the guess's isotropy group fixes stays there and
-finds the solution the full solve finds. An element (R, tau), R in D4 and tau in (pi/2) Z^2, maps the
-amplitude a(k) of v_k = a(k) sigma_k to a(R k) = det(R) e^{-i R k.tau} a(k),
-and a(-k) = -conj a(k). Its phases are powers of i, so it permutes the real
-unknowns with signs. ``_isotropy`` finds the elements that fix g and the
-projected guess by exact comparison of their unknowns, with no tolerance:
-roundoff breaks a symmetry only to keep more unknowns. Newton then solves for
-the first unknown of each orbit (``kernels.Subspace``). An orbit that some
-element maps to its own negative is zero. The residual norm weights each
-orbit by the root of its size, so it is the full norm, and the line search
-decides as the full solve would, to roundoff. The README forcing is fixed by
-the point reflection u(x) -> -u(-x) and by the glide "y -> -y, then translate
-by (pi/2, pi)", a group of order 4 that leaves 38 unknowns at N = 8 (140 of
-560 at N = 16). A generic g has the trivial group and keeps every unknown on
-its lattice.
+finds the solution the full solve finds. An element (R, tau), R in D4 and
+tau in (pi/2) Z^2, maps the amplitude a(k) of v_k = a(k) sigma_k to
+a(R k) = det(R) e^{-i R k.tau} a(k), and a(-k) = -conj a(k). Its phases are
+powers of i, so it permutes the real unknowns with signs. ``_isotropy`` finds
+the elements that fix g once per forcing (``_frame``), and each solve keeps
+those that fix the projected guess too, by exact comparison of unknowns with
+no tolerance: roundoff breaks a symmetry only to keep more unknowns. Newton
+then solves for the first unknown of each orbit (``kernels.Subspace``). An
+orbit that some element maps to its own negative is zero. The residual norm
+weights each orbit by the root of its size, so it is the full norm, and the
+line search decides as the full solve would, to roundoff. The README forcing
+is fixed by the point reflection u(x) -> -u(-x) and by the glide "y -> -y,
+then translate by (pi/2, pi)", a group of order 4 that leaves 38 unknowns at
+N = 8 (140 of 560 at N = 16). A generic g has the trivial group and keeps
+every unknown on its lattice.
 
 Linearizations are assembled densely, a block of columns at a time, on the
 rows of the first unknowns, and factored directly, which is exact and cheap
 at desk truncations (N <= 16). B is bilinear, so the linearization J(v) at an
 iterate x satisfies J(v) x = A x + 2 alpha B(v, v): each residual is read off
-the Jacobian the next step needs anyway, as (J x + A x) / 2 - g, and only the
-reported residual of a solution goes through the exact convolution. A sweep
-over increasing alpha warm-starts each solve from the previous solution and
+the Jacobian the next step needs anyway, as (J x + A x) / 2 - g. J is
+assembled from the reduced unknowns; only a solution becomes a field, and
+only its reported residual goes through the exact convolution. A sweep over
+increasing alpha warm-starts each solve from the previous solution and
 records the 2D enstrophy bound |Av| <= |g| per step.
 """
 
@@ -207,32 +209,66 @@ def _moves(reps, lookup, side, elements, src):
     return np.concatenate([to, to], axis=1) + len(reps) * (p % 2), _SIGN[p]
 
 
-def _isotropy(reps, n, vecs):
-    """The group of the elements (R, tau) of D4 x (pi/2) Z^2 that map ``reps``
-    onto itself and fix every vector of ``vecs`` (2m real unknowns) exactly.
+def _isotropy(reps, n, x):
+    """The elements (R, tau) of D4 x (pi/2) Z^2 that map ``reps`` onto itself
+    and fix the vector x (2m real unknowns) exactly, as their moves (dst, sgn).
 
     Each element permutes the unknowns with signs (``_moves``). All 128 are
-    tested on four modes where the vectors are nonzero, where most fail, and
-    the rest on every unknown.
-    Returns the ``kernels.Subspace`` that the group fixes and the number of
-    distinct signed permutations.
-    """
+    tested on four modes where x is nonzero, where most fail, and the rest
+    on every unknown."""
     m, side = len(reps), 2 * n + 1
     lookup = np.full(n * side + n + 1, 2 * m)
     lookup[reps[:, 0] * side + reps[:, 1]] = np.arange(m)
-    x = np.stack(vecs)
-    off = np.concatenate([x, np.full((len(x), m + 1), np.nan)], axis=1)  # past 2m: never equal
+    off = np.concatenate([x, np.full(m + 1, np.nan)])  # past 2m: never equal
     elements = np.arange(len(_R))
-    support = np.flatnonzero(np.any(x[:, :m] != 0, axis=0) | np.any(x[:, m:] != 0, axis=0))
+    support = np.flatnonzero((x[:m] != 0) | (x[m:] != 0))
     for src in (support[:4], slice(None)):
         dst, sgn = _moves(reps, lookup, side, elements, src)
-        own = np.concatenate([x[:, :m][:, src], x[:, m:][:, src]], axis=1)
-        fixes = np.all(off[:, dst] == sgn * own[:, None], axis=(0, 2))
+        fixes = np.all(off[dst] == sgn * np.concatenate([x[:m][src], x[m:][src]]), axis=1)
         elements, dst, sgn = elements[fixes], dst[fixes], sgn[fixes]
-    # The elements that act as the identity form a normal subgroup; its cosets
-    # are the distinct signed permutations.
-    trivial = int(np.sum(np.all((dst == np.arange(2 * m)) & (sgn > 0), axis=1)))
-    return kernels.Subspace(reps, n, dst, sgn), len(dst) // trivial
+    return dst, sgn
+
+
+class _Frame:
+    """The forcing's part of the reduced space at radius n: the lattice's
+    representatives and polarizations, g's unknowns, and the moves of the
+    elements that fix g (``_isotropy``). ``restrict`` cuts that group to a
+    guess's stabilizer, which is the joint test exactly, and returns the
+    survivors' ``kernels.Subspace``, built once per set of survivors, and
+    their number of distinct signed permutations."""
+
+    def __init__(self, reps, sigmas, n, gvec):
+        self.reps, self.sigmas, self.n, self.gvec = reps, sigmas, n, gvec
+        self.dst, self.sgn, self.subspaces = *_isotropy(reps, n, gvec), {}
+
+    def restrict(self, x):
+        fixes = np.all(x[self.dst] == self.sgn * x, axis=1)
+        key = fixes.tobytes()
+        if key not in self.subspaces:
+            dst, sgn = self.dst[fixes], self.sgn[fixes]
+            # The elements that act as the identity form a normal subgroup; its
+            # cosets are the distinct signed permutations.
+            trivial = int(np.sum(np.all((dst == np.arange(len(x))) & (sgn > 0), axis=1)))
+            self.subspaces[key] = kernels.Subspace(self.reps, self.n, dst, sgn), len(dst) // trivial
+        return self.subspaces[key]
+
+
+_FRAME = {}  # the latest forcing's frame only, keyed on its content
+
+
+def _frame(g, n, v):
+    """The ``_Frame`` of forcing g at radius n on the lattice of the modes of g
+    and v, reused while the radius, the lattice and g's unknowns stay equal."""
+    reps, sigmas = _dof_maps(n)
+    on = _lattice_mask(reps, [g.keys, v.keys])
+    reps, sigmas = reps[on], sigmas[on]
+    gvec = _field_to_vec(g, reps, sigmas)
+    key = (n, on.tobytes(), gvec.tobytes())
+    frame = _FRAME.get(key)
+    if frame is None:
+        _FRAME.clear()
+        frame = _FRAME[key] = _Frame(reps, sigmas, n, gvec)
+    return frame
 
 
 def _field_to_vec(v, reps, sigmas):
@@ -241,10 +277,14 @@ def _field_to_vec(v, reps, sigmas):
     return np.concatenate([amps.real, amps.imag])
 
 
+def _coefficients(x, sigmas):
+    """The coefficients a sigma of the representatives whose amplitudes a are x."""
+    m = len(sigmas)
+    return (x[:m] + 1j * x[m:])[:, None] * sigmas
+
+
 def _vec_to_field(x, reps, sigmas, n):
-    m = len(reps)
-    amps = x[:m] + 1j * x[m:]
-    return sp.SpectralField.from_arrays(n, *sp.conj_closure(reps, amps[:, None] * sigmas))
+    return sp.SpectralField.from_arrays(n, *sp.conj_closure(reps, _coefficients(x, sigmas)))
 
 
 def solve_steady(p, initial=None, tol=None, max_iters=50):
@@ -273,24 +313,24 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
     gnorm = sp.norm_ds(p.g, 0)
     tol = tol if tol is not None else 1e-12 * max(1.0, gnorm)
     v = sp.project_trunc(initial if initial is not None else sp.zero_field(p.trunc), p.trunc)
-    reps, sigmas = _dof_maps(p.trunc)
-    on = _lattice_mask(reps, [p.g.keys, v.keys])
-    reps, sigmas = reps[on], sigmas[on]
-    gvec, xvec = _field_to_vec(p.g, reps, sigmas), _field_to_vec(v, reps, sigmas)
-    sub, order = _isotropy(reps, p.trunc, [gvec, xvec])
+    frame = _frame(p.g, p.trunc, v)
+    reps, sigmas = frame.reps, frame.sigmas
+    xvec = _field_to_vec(v, reps, sigmas)
+    sub, order = frame.restrict(xvec)
     weight = np.sqrt(sub.sizes)  # |F| is the weighted norm of F on the first unknowns
-    gvec, x = gvec[sub.first], xvec[sub.first]
-
-    def field(xv):
-        return _vec_to_field(sub.expand(xv), reps, sigmas, p.trunc)
+    gvec, x = frame.gvec[sub.first], xvec[sub.first]
 
     def linearize(xv):
-        fld = field(xv)
-        jac = kernels.assemble_linearized(fld.keys, fld.coeffs, reps, p.alpha, p.trunc, sub)
+        c = _coefficients(sub.expand(xv), sigmas)
+        live = (c[:, 0] != 0) | (c[:, 1] != 0)  # the rows from_arrays keeps: no signed zero
+        kv, cv = reps[live], c[live]
+        kv, cv = np.concatenate([kv, -kv]), np.concatenate([cv, cv.conj()])
+        jac = kernels.assemble_linearized(kv, cv, reps, p.alpha, p.trunc, sub)
         fx = 0.5 * (jac @ xv + sub.stokes * xv) - gvec
-        return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(weight * fx)), fld
+        return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(weight * fx))
 
-    def report(vfld, iters, message=None, condition=None, polished=False):
+    def report(xv, iters, message=None, condition=None, polished=False):
+        vfld = _vec_to_field(sub.expand(xv), reps, sigmas, p.trunc)
         rh = sp.norm_ds(residual(vfld, p), 0)
         if polished:
             history.append(rh)
@@ -304,7 +344,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
             residual_history=history, dofs=len(gvec), group_order=order,
         )
 
-    jac, fx, rnorm, vfld = linearize(x)
+    jac, fx, rnorm = linearize(x)
     history = [rnorm]
     for it in range(1, max_iters + 1):
         if rnorm == 0.0:
@@ -312,22 +352,22 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
         try:
             step = np.linalg.solve(jac, fx)
         except np.linalg.LinAlgError:
-            return report(vfld, it - 1, "singular Newton system", float(np.linalg.cond(jac)))
+            return report(x, it - 1, "singular Newton system", float(np.linalg.cond(jac)))
         if rnorm <= tol:
             # The polish step: nothing is linearized at its result.
-            return report(field(x - step), it, polished=True)
+            return report(x - step, it, polished=True)
         damp = 1.0
         for _ in range(MAX_HALVINGS + 1):
             xt = x - damp * step
-            jt, ft, rt, vt = linearize(xt)
+            jt, ft, rt = linearize(xt)
             if rt < rnorm:
                 break
             damp *= 0.5
         else:
-            return report(vfld, it, "Newton stalled (no residual decrease)")
-        x, jac, fx, rnorm, vfld = xt, jt, ft, rt, vt
+            return report(x, it, "Newton stalled (no residual decrease)")
+        x, jac, fx, rnorm = xt, jt, ft, rt
         history.append(rnorm)
-    return report(vfld, len(history) - 1)
+    return report(x, len(history) - 1)
 
 
 def sweep_problems(alphas, forces, trunc):

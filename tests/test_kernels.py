@@ -285,13 +285,14 @@ def subspace_field(case):
         g = fx.example45(fx.Example45Config.single(2, 1.0), 1).g
         on = st._lattice_mask(reps, [g.keys])
         reps, sigmas = reps[on], sigmas[on]
-        orbits, _ = st._isotropy(reps, n, [st._field_to_vec(g, reps, sigmas)])
+        gvec = st._field_to_vec(g, reps, sigmas)
+        orbits, _ = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
         x = orbits.expand(0.1 * rng.standard_normal(len(orbits.first)))
     else:
         # x <-> y, then translate by (pi/2, 0): amplitude a(kx, ky) goes to
         # a(ky, kx) times -e^{-i ky pi/2}, a phase -+i for odd ky
         x = symmetrized(rng.integers(-64, 65, 2 * len(reps)) / 512, reps, n, 6 * 16 + 4)
-        orbits, _ = st._isotropy(reps, n, [x])
+        orbits, _ = st._Frame(reps, sigmas, n, x).restrict(x)
     return st._vec_to_field(x, reps, sigmas, n), reps, orbits
 
 

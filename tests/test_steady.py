@@ -186,12 +186,9 @@ def subspace_of(g, n, guess=None):
     order of the unknowns for forcing g and the guess A^-1 g (or ``guess``)
     at radius n."""
     v = sp.project_trunc(sp.apply_fractional(g, -1.0) if guess is None else guess, n)
-    reps, sigmas = st._dof_maps(n)
-    on = st._lattice_mask(reps, [g.keys, v.keys])
-    reps, sigmas = reps[on], sigmas[on]
-    vecs = [st._field_to_vec(g, reps, sigmas), st._field_to_vec(v, reps, sigmas)]
-    orbits, order = st._isotropy(reps, n, vecs)
-    return reps, sigmas, orbits, order
+    frame = st._frame(g, n, v)
+    orbits, order = frame.restrict(st._field_to_vec(v, frame.reps, frame.sigmas))
+    return frame.reps, frame.sigmas, orbits, order
 
 
 def is_fixed(x, orbits):
@@ -278,8 +275,12 @@ def test_jacobian_gives_the_residual(n, alpha):
 
 def test_one_jacobian_per_line_search_trial(monkeypatch):
     """The starting point and each line-search trial are linearized once; the
-    polished iterate is not: assemblies = Newton iterations + step halvings."""
-    counts = {"jacobians": 0, "iterates": 0}
+    polished iterate is not: assemblies = Newton iterations + step halvings.
+    Each point Newton forms is expanded from its first unknowns once: the
+    start, each trial and the reported solution. One exact residual is
+    evaluated per solve, that of the reported solution."""
+    counts = {"jacobians": 0, "iterates": 0, "residuals": 0}
+    linearized, assemble_linearized = [], kernels.assemble_linearized
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -287,22 +288,132 @@ def test_one_jacobian_per_line_search_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernels, "assemble_linearized",
-                        counted("jacobians", kernels.assemble_linearized))
-    monkeypatch.setattr(st, "_vec_to_field", counted("iterates", st._vec_to_field))
+    def assemble(kv, cv, *args):
+        order = np.lexsort((kv[:, 1], kv[:, 0]))  # the key order of a field
+        linearized.append(kv[order].tobytes() + cv[order].tobytes())
+        return assemble_linearized(kv, cv, *args)
+
+    monkeypatch.setattr(kernels, "assemble_linearized", counted("jacobians", assemble))
+    monkeypatch.setattr(kernels.Subspace, "expand",
+                        counted("iterates", kernels.Subspace.expand))
+    monkeypatch.setattr(st, "residual", counted("residuals", st.residual))
     g = readme_force()
     guess = sp.project_trunc(sp.apply_fractional(g, -1.0), 8)
     for alpha in [2.0**i for i in range(12)]:
-        counts.update(jacobians=0, iterates=0)
+        counts.update(jacobians=0, iterates=0, residuals=0)
+        linearized.clear()
         rep = st.solve_steady(st.SteadyProblem(g=g, alpha=alpha, trunc=8), initial=guess)
         assert rep.converged
         # Iterates: the start, one per line-search trial, the polished one.
         halvings = (counts["iterates"] - 2) - (rep.newton_iters - 1)
         assert halvings >= 0
         assert counts["jacobians"] == rep.newton_iters + halvings
+        assert len(set(linearized)) == len(linearized)  # no point linearized twice
+        keys, coeffs = rep.solution.packed()
+        assert keys.tobytes() + coeffs.tobytes() not in linearized
+        assert counts["residuals"] == 1
         assert rep.residual_history[-1] == rep.residual_h
         assert len(rep.residual_history) == rep.newton_iters + 1
         guess = rep.solution
+
+
+def report_bits(rep):
+    """Every field of a SolveReport, the solution and the floats as bytes."""
+    keys, coeffs = rep.solution.packed()
+    floats = np.array([rep.residual_h, rep.bound_check, *rep.residual_history])
+    return (rep.solution.trunc, keys.tobytes(), coeffs.tobytes(), floats.tobytes(),
+            rep.newton_iters, rep.converged, rep.message, rep.condition, rep.dofs,
+            rep.group_order, type(rep.group_order))
+
+
+def fresh_solve(p, guess):
+    """``solve_steady`` with the forcing's frame built anew."""
+    st._FRAME.clear()
+    return st.solve_steady(p, initial=guess)
+
+
+@pytest.mark.parametrize("case", ["readme", "two-mode-stall"])
+def test_warm_frame_solve_is_the_cold_one(case, monkeypatch):
+    """A solve that reuses the forcing's frame gives the report, to the bit,
+    of a solve that builds it: on the README forcing, and at the two-mode
+    sweep's step 10, where Newton stalls."""
+    if case == "readme":
+        g, alpha = readme_force(), 64.0
+        guess = sp.apply_fractional(g, -1.0)
+    else:
+        g, alphas = two_mode_force(), [2.0**i for i in range(12)]
+        with pytest.raises(st.ContinuationError) as err:
+            st.sweep(alphas, [g] * len(alphas), trunc=8)
+        assert err.value.index == 10
+        alpha, guess = alphas[10], err.value.reports[9].solution
+    p = st.SteadyProblem(g=g, alpha=alpha, trunc=8)
+    cold = fresh_solve(p, guess)
+    calls = []
+
+    def recorded(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(st, "_isotropy", recorded(st._isotropy))
+    monkeypatch.setattr(kernels, "Subspace", recorded(kernels.Subspace))
+    warm = st.solve_steady(p, initial=guess)
+    assert calls == []  # neither g's group nor the Subspace is built again
+    assert report_bits(warm) == report_bits(cold)
+    assert cold.converged == (case == "readme")
+    if case != "readme":
+        assert cold.message == "Newton stalled (no residual decrease)"
+
+
+def test_frame_restricts_to_each_guess():
+    """Parity fixes the two-mode forcing; a symmetric guess keeps it, an
+    asymmetric one drops it, and the next symmetric guess has it back, each
+    solve equal to one with a fresh frame."""
+    g = two_mode_force()
+    p = st.SteadyProblem(g=g, alpha=4.0, trunc=8)
+    symmetric = sp.apply_fractional(g, -1.0)
+    asymmetric = symmetric + 1e-3 * sp.random_divfree(3, np.random.default_rng(64))
+    fresh = [report_bits(fresh_solve(p, guess)) for guess in (symmetric, asymmetric)]
+    st._FRAME.clear()
+    orders = []
+    for guess, want in zip([symmetric, asymmetric, symmetric], fresh + fresh[:1]):
+        rep = st.solve_steady(p, initial=guess)
+        assert report_bits(rep) == want
+        orders.append(rep.group_order)
+    assert orders == [2, 1, 2]
+    assert len(st._FRAME) == 1
+
+
+def test_sweep_with_a_force_per_step_is_the_fresh_solves():
+    """Each step of a per-n-force sweep builds its own frame, and its reports
+    are those of solves with a fresh frame each."""
+    recs = fx.example45_window(fx.Example45Config.single(2, 1.0), range(1, 7))
+    alphas, forces = [r.alpha for r in recs], [r.g_n for r in recs]
+    reports = st.sweep(alphas, forces, trunc=8)
+    guess = sp.project_trunc(sp.apply_fractional(forces[0], -1.0), 8)
+    for rep, a, g in zip(reports, alphas, forces):
+        want = fresh_solve(st.SteadyProblem(g=g, alpha=a, trunc=8), guess)
+        assert report_bits(rep) == report_bits(want)
+        guess = want.solution
+
+
+def test_frame_is_keyed_on_the_forcing_content():
+    """An equal forcing held in another object finds the frame; another
+    forcing, radius or lattice builds a new one, and only one is kept."""
+    g = readme_force()
+    copy = sp.SpectralField.from_arrays(g.trunc, g.keys.copy(), g.coeffs.copy())
+    assert copy is not g
+    guess = sp.apply_fractional(g, -1.0)
+    st._FRAME.clear()
+    frame = st._frame(g, 8, guess)
+    assert st._frame(copy, 8, guess) is frame
+    assert st._frame(readme_force(), 8, guess) is frame
+    assert st._frame(2.0 * g, 8, guess) is not frame
+    assert st._frame(g, 9, guess) is not st._frame(g, 8, guess)
+    off = guess + 1e-3 * sp.random_divfree(3, np.random.default_rng(64))
+    assert st._frame(g, 8, off) is not st._frame(g, 8, guess)
+    assert len(st._FRAME) == 1
 
 
 @pytest.mark.parametrize("max_iters", [50, 0])

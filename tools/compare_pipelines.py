@@ -7,8 +7,11 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts; WORKDIR
 receives ``old/<pipeline>`` and ``new/<pipeline>``. Each stage runs as
 ``python -m grashof_expand.cli`` with relative paths, so the two trees see the
 same paths. The pipelines are the README example45 window (``--c2 1``), the
-three example45 windows whose deep levels ``extract`` cuts, and example314 at
-T = 256 with its analytic expansions.
+three example45 windows whose deep levels ``extract`` cuts, example314 at
+T = 256 with its analytic expansions, and continuation sweeps: the README
+``g_limit`` sweep at N = 8, 16 and 24, the per-n-force ``sweep --fixture
+example45`` and the ``--coeffs 2=1.27,3=0.9`` forcing's sweep, which exits 1
+when Newton stalls at sweep index 10.
 
 Every file and every stage's exit code, stdout and stderr must be byte-identical,
 except that
@@ -33,8 +36,25 @@ EX45 = {
 }
 
 
+def _sweep(fixture_args, n):
+    """A doubling sweep of 12 steps from alpha 1 on the g_limit of an example45 window."""
+    return [["fixtures", "example45", *fixture_args, "--count", "20", "--out", "fx"],
+            ["sweep", "--force", "fx/g_limit.json", "--alpha-start", "1", "--alpha-factor", "2",
+             "--count", "12", "--truncation", str(n), "--out", "sweep"]]
+
+
+SWEEPS = {
+    **{f"sweep-readme-n{n}": _sweep(EX45["readme"], n) for n in (8, 16, 24)},
+    "sweep-fixture": [["sweep", "--fixture", "example45", "--count", "12",
+                       "--truncation", "8", "--out", "sweep"]],
+    "sweep-two-coeffs": _sweep(EX45["two-coeffs"], 8),
+}
+
+
 def stages(name):
     """The CLI argument lists of pipeline ``name``, in order."""
+    if name in SWEEPS:
+        return SWEEPS[name]
     if name == "ex314":
         return [
             ["fixtures", "example314", "--count", "6", "--truncation", "256",
@@ -132,7 +152,7 @@ def main(argv):
         sys.exit(__doc__)
     old_src, new_src, work = argv
     bad = 0
-    for name in [*EX45, "ex314"]:
+    for name in [*EX45, "ex314", *SWEEPS]:
         old = run_pipeline(old_src, name, os.path.join(work, "old", name))
         new = run_pipeline(new_src, name, os.path.join(work, "new", name))
         faults, notes = compare(old, new)
