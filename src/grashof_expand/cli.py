@@ -83,6 +83,8 @@ def cmd_fixtures(args):
         raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
     if args.family == "example314" and args.truncation < 16:
         raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {args.truncation}")
+    if args.family == "example45" and args.with_expansions:
+        raise UsageError("--with-expansions is for example314 only")
     cfg = _example45_config(args.coeffs, args.c2) if args.family == "example45" else None
     os.makedirs(args.out, exist_ok=True)
     if cfg is not None:
@@ -128,17 +130,19 @@ def cmd_fixtures(args):
 def cmd_sweep(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
+    if args.fixture not in (None, "example45"):
+        raise UsageError(f"unknown fixture {args.fixture!r}")
+    if bool(args.force) == bool(args.fixture):
+        raise UsageError("need exactly one of --force <fieldfile> and --fixture example45")
+    if args.cstar_coeffs and not args.fixture:
+        raise UsageError("--cstar-coeffs needs --fixture example45")
     if args.fixture:
-        if args.fixture != "example45":
-            raise UsageError(f"unknown fixture {args.fixture!r}")
         cfg = _example45_config(args.cstar_coeffs, 1.0)
         recs = fx.example45_window(cfg, range(1, args.count + 1))
         alphas = [r.alpha for r in recs]
         forces = [r.g_n for r in recs]
         g_limit = recs[0].g
     else:
-        if not args.force:
-            raise UsageError("need --force <fieldfile> or --fixture example45")
         g = fieldio.read_field(args.force)
         alphas = [args.alpha_start * args.alpha_factor**i for i in range(args.count)]
         forces = [g] * args.count

@@ -12,7 +12,9 @@ classification tree (limit equation per branch, constants as tail means,
 residuals in the V' norm) and reports which branch fired. Every gate is a
 module constant (``SLOPE_GATE``, ``DISP_GATE``, ``RESIDUAL_GATE``,
 ``ZERO_GATE``, ``CHI_FLOOR``); the ``classify`` command records the first
-three in its output file.
+three in its output file. The 4.6(ii) sub-branches (2a) and (3a) are not
+classified: no window reaches them while mu_* is a tail mean
+(``_classify_v_zero`` says what would).
 """
 
 from __future__ import annotations
@@ -193,28 +195,17 @@ def total_comparability(matrix):
     return (len(pairs) == 0, pairs)
 
 
-def chi_trichotomy(chi, matrix):
-    """Sign-pattern tag of the deviation sequence chi_n: S1 / S2 / S3 / mixed.
-
-    S2/S3 extend the matrix with the |chi_n| row (label ``abs_chi``), compared
-    against every sequence, and re-check total comparability; ``mixed``
-    (alternating signs) is reported without further classification.
-    Returns (tag, extended matrix or None, comparability verdict or None).
-    """
+def chi_trichotomy(chi):
+    """Sign-pattern tag of chi_n: S1 (|chi_n| <= ``CHI_FLOOR`` everywhere), S2 / S3
+    (chi > 0 / < 0) or mixed. The tag is recorded only: a one-signed chi that sums
+    to zero over the tail is roundoff there, too small for a |chi| relation row
+    (``_classify_v_zero`` says what would restore one)."""
     chi = np.asarray(chi, dtype=float)
     if np.all(np.abs(chi) <= CHI_FLOOR):
-        return "S1", None, None
-    if not (np.all(chi > 0) or np.all(chi < 0)):
-        return "mixed", None, None
-    alphas = matrix.sequences[1].array
-    abschi = PositiveSequence("abs_chi", tuple(np.abs(chi)))
-    relations = dict(matrix.relations)
-    j = len(matrix.sequences)
-    for i, seq in enumerate(matrix.sequences):
-        relations[(i, j)] = compare(seq, abschi, alphas)
-    ext = RelationMatrix(sequences=matrix.sequences + [abschi], relations=relations)
-    ok, _ = total_comparability(ext)
-    return ("S2" if chi[0] > 0 else "S3"), ext, ok
+        return "S1"
+    if np.all(chi > 0):
+        return "S2"
+    return "S3" if np.all(chi < 0) else "mixed"
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +337,14 @@ def _classify_generic(c):
 
 
 def _classify_v_zero(c):
-    """Branches 4.6 for v = 0: alpha Gamma_1^2 >= 1 and w_2 exists."""
+    """Branches 4.6 for v = 0: alpha Gamma_1^2 >= 1 and w_2 exists.
+
+    Branch (ii) routes on alpha Gamma_2 vs 1 alone: prec (ii)(1), sim (ii)(2b),
+    succ (ii)(3b). Sub-branches (2a) and (3a) need |chi| sim Gamma_1 or sim
+    alpha Gamma_1 Gamma_2; with mu_* the tail mean of alpha Gamma_1^2, chi sums
+    to zero over the tail ``compare`` reads, so |chi| is roundoff there. They
+    need mu_* as a limit estimate with an error floor that |chi| must clear.
+    """
     rep = c.report
     w1 = c.dirs[0]
     w2 = c.dirs[1] if len(c.dirs) > 1 else None
@@ -381,48 +379,18 @@ def _classify_v_zero(c):
     c.residual("mu_star*B(w1,w1)=g", mu_star * sp.bilinear_b(w1, w1) - c.g)
     rep.identities["<g,w1>"] = sp.inner_h(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
     rep.chi = 1.0 - ag11 / mu_star
-    rep.chi_tag, ext, ext_ok = chi_trichotomy(rep.chi, c.matrix)
-    if ext is not None and not ext_ok:
-        c.warn("matrix with |chi| row is not totally comparable")
+    rep.chi_tag = chi_trichotomy(rep.chi)
     if rep.chi_tag == "mixed":
         c.warn("chi sign pattern mixed; sub-branch not classified")
-        return "4.6(ii)"
-    if w2 is None:
+    if rep.chi_tag == "mixed" or w2 is None:
         return "4.6(ii)"
 
-    def versus_chi(label):
-        """Verdict of the labeled sequence against |chi|; succ when chi vanishes."""
-        if rep.chi_tag == "S1":
-            return "succ"
-        r = ext.relation(label, "abs_chi")
-        rep.evidence[f"{label} vs |chi|"] = str(r)
-        return r.verdict
-
-    w1n = sp.norm_ds(w1, 0.5)
     r2 = c.rel("alpha*gamma(2)", "one")
-    w2_ip = sp.inner_h(c.g, w2)
     if r2.verdict == "prec":
-        if versus_chi("gamma(1)") != "succ":
-            c.warn("expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(1)")
         if c.kind != "degenerate":
             c.warn("branch (ii)(1) concludes a degenerate expansion; kind is " + c.kind)
         return "4.6(ii)(1)"
     if r2.verdict == "sim":
-        verdict = versus_chi("gamma(1)")
-        if verdict == "sim":
-            mu1 = c.tail_mean(c.gammas[0] / rep.chi)
-            mu2 = c.tail_mean(c.alphas * c.gammas[1] / rep.chi)
-            rep.constants["mu_1"] = mu1
-            rep.constants["mu_2"] = mu2
-            if mu1 * mu2 <= 0:
-                c.warn("expected mu_1 mu_2 > 0")
-            c.residual("mu1*Aw1+mu2*Bs(w1,w2)=g",
-                       mu1 * sp.apply_fractional(w1, 1.0) + mu2 * sp.bilinear_bs(w1, w2) - c.g)
-            rep.identities["mu_star*mu1*||w1||^2-mu2*<g,w2>"] = (
-                mu_star * mu1 * w1n**2 - mu2 * w2_ip) / (c.gvp**2)
-            return "4.6(ii)(2a)"
-        if verdict != "succ":
-            c.warn("expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(2b)")
         bs12 = sp.bilinear_bs(w1, w2)
         aw1 = sp.apply_fractional(w1, 1.0)
         denom = sp.norm_ds(bs12, -0.5) ** 2
@@ -430,24 +398,14 @@ def _classify_v_zero(c):
         rep.constants["mu_2"] = mu2
         c.residual("Aw1+mu2*Bs(w1,w2)=0", aw1 + mu2 * bs12)
         rep.identities["mu_star*||w1||^2-mu2*<g,w2>"] = (
-            mu_star * w1n**2 - mu2 * w2_ip) / (c.gvp**2)
+            mu_star * sp.norm_ds(w1, 0.5)**2 - mu2 * sp.inner_h(c.g, w2)) / (c.gvp**2)
         return "4.6(ii)(2b)"
 
-    verdict = versus_chi("alpha*gamma(1)*gamma(2)")
-    if verdict == "sim":
-        branch = "4.6(ii)(3a)"
-        mu2 = c.tail_mean(c.alphas * c.gammas[0] * c.gammas[1] / rep.chi)
-        rep.constants["mu_2"] = mu2
-        c.residual("mu2*Bs(w1,w2)=g", mu2 * sp.bilinear_bs(w1, w2) - c.g)
-    else:
-        branch = "4.6(ii)(3b)"
-        if verdict != "succ":
-            c.warn("expected chi = 0 or alpha*Gamma_1*Gamma_2 succ |chi|")
-        c.residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, w2))
+    c.residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, w2))
     w2n = sp.norm_ds(w2, 0.5)
-    rep.identities["<g,w2>"] = w2_ip / (c.gvp * w2n)
+    rep.identities["<g,w2>"] = sp.inner_h(c.g, w2) / (c.gvp * w2n)
     rep.identities["<B(w2,w2),w1>"] = sp.inner_h(sp.bilinear_b(w2, w2), w1) / (c.gvp * w2n**2)
-    return branch
+    return "4.6(ii)(3b)"
 
 
 def _classify_v_stokes(c):

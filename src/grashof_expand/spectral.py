@@ -131,8 +131,9 @@ class SpectralField:
       coeffs: complex128 (M, 2) coefficient 2-vectors, row i for keys[i]; no
         row is zero.
 
-    Both arrays are read-only. ``SpectralField(trunc, mapping)`` builds a field
-    from a mapping (kx, ky) -> 2-vector, validated; ``modes`` gives it back.
+    Both arrays are read-only; callers read them directly. ``SpectralField(trunc,
+    mapping)`` builds a field from a mapping (kx, ky) -> 2-vector, validated;
+    ``modes`` gives it back.
     """
 
     __slots__ = ("trunc", "keys", "coeffs")
@@ -164,10 +165,6 @@ class SpectralField:
     def modes(self):
         """Read-only mapping (kx, ky) -> coefficient 2-vector, built on each access."""
         return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.coeffs)))
-
-    def packed(self):
-        """The (wavevectors, coefficients) arrays."""
-        return self.keys, self.coeffs
 
     def amplitude(self):
         """Largest coefficient magnitude (0.0 for the zero field)."""

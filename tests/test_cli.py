@@ -133,6 +133,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "r")]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["sweep", "--out", str(tmp_path / "s")]) == 2  # no force, no fixture
+    assert "need exactly one of --force <fieldfile> and --fixture" in capsys.readouterr().err
     assert run(["sweep", "--unknown-flag", "1", "--out", "x"]) == 2
     # g_limit.json is written from a sample's record, and so are the example314
     # expansions; an empty sweep would write an empty manifest
@@ -153,6 +154,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["classify", "--expansion", "x.json", "--manifest", f"{fxdir}/manifest.json",
                 "--slope-tol", "0.2", "--out", str(tmp_path / "c.json")]) == 2
     assert "unrecognized arguments: --slope-tol" in capsys.readouterr().err
+    # a flag the chosen mode would not read, or a fixture that does not exist
+    for argv, words in ((["fixtures", "example45", "--with-expansions"],
+                         "--with-expansions is for example314 only"),
+                        (["sweep", "--fixture", "other"], "unknown fixture 'other'")):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "w")]) == 2
+        assert words in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
 
 def test_example314_fixture_arguments_are_usage_errors(tmp_path, capsys):
@@ -177,7 +186,9 @@ def test_example45_coefficient_faults_are_usage_errors(tmp_path, capsys):
                                 (["--c2", "0"], "2=0", "c_2 = 0.0 must be finite and nonzero"),
                                 (["--coeffs", "2=1,3=0"], "2=1,3=0", "c_3 = 0.0"),
                                 (["--coeffs", "2=1,2=3"], "2=1,2=3", "c_2 is given more than once"),
-                                (["--coeffs", "1=1"], "1=1", "coefficients start at m = 2; got m = 1")):
+                                (["--coeffs", "1=1"], "1=1", "coefficients start at m = 2; got m = 1"),
+                                (["--coeffs", "2:1"], "2:1", "bad coefficient entry '2:1'"),
+                                (["--coeffs", ","], ",", "empty coefficient list")):
         for argv in (["fixtures", "example45", *spec],
                      ["sweep", "--fixture", "example45", "--cstar-coeffs", coeffs, "--count", "2"]):
             capsys.readouterr()
@@ -216,12 +227,14 @@ def test_extract_scale_and_depth_faults_are_usage_errors(pipeline, tmp_path, cap
     (["--alpha-start", "nan"], "sweep index 0: alpha nan must be finite"),
     (["--alpha-factor", "inf"], "sweep index 1: alpha inf must be finite"),
     (["--truncation", "1"], "sweep index 0: truncation radius 1 must cover the forcing modes"),
+    (["--fixture", "example45"], "need exactly one of --force <fieldfile> and --fixture"),
+    (["--cstar-coeffs", "2=5"], "--cstar-coeffs needs --fixture example45"),
 ], ids=["factor-1", "factor-half", "start-0", "start-negative", "start-nan", "factor-inf",
-        "truncation-1"])
+        "truncation-1", "with-fixture", "cstar-coeffs"])
 def test_sweep_argument_faults_are_usage_errors(pipeline, tmp_path, capsys, extra, words):
-    """Alphas that are not finite, nonnegative and strictly increasing, or a
-    truncation that does not cover the force, exit 2 before any solve and
-    create no --out."""
+    """Alphas that are not finite, nonnegative and strictly increasing, a
+    truncation that does not cover the force, or a fixture flag beside --force,
+    exit 2 before any solve and create no --out."""
     out = tmp_path / "sweep"
     assert run(["sweep", "--force", str(pipeline / "fx" / "g_limit.json"), *extra,
                 "--out", str(out)]) == 2
@@ -413,6 +426,12 @@ def test_classify_unknown_form_exit_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "class.json").exists()
 
 
+def test_verify_unknown_form_exit_2(pipeline, capsys):
+    assert run(["verify", "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json"), "--form", "nosuch"]) == 2
+    assert "available: ['restructured', 'strict', 'unitary']" in capsys.readouterr().err
+
+
 def test_report_on_foreign_window_exit_1(pipeline, pipeline314, tmp_path, capsys):
     man = str(pipeline / "fx" / "manifest.json")
     exf = str(pipeline314 / "exp" / "expansion.json")
@@ -567,6 +586,87 @@ def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
                 "--out", str(tmp_path / "exp")]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: divergence-free condition violated at mode (0, 1)" in err
+
+
+def _swap_first_modes(doc):
+    doc["modes"][0], doc["modes"][1] = doc["modes"][1], doc["modes"][0]
+    return f"mode {tuple(doc['modes'][1]['k'])} is not a conjugate representative in increasing order"
+
+
+def _zero_mode_first(doc):
+    doc["modes"].insert(0, {"k": [0, 0], "c": [[1.0, 0.0], [0.0, 0.0]]})
+    return "mode (0, 0) is not a conjugate representative in increasing order"
+
+
+@pytest.mark.parametrize("damage", [_swap_first_modes, _zero_mode_first],
+                         ids=["out-of-order", "zero-mode"])
+def test_misordered_field_modes_are_named(pipeline, tmp_path, capsys, damage):
+    """A field file whose representatives are out of order or list (0, 0) exits 1
+    and names the file."""
+    fxdir = tmp_path / "fx"
+    shutil.copytree(pipeline / "fx", fxdir)
+    path = fxdir / "v_0003.json"
+    doc = fieldio.read_json(path)
+    words = damage(doc)
+    fieldio.write_json(path, doc)
+    assert run(["extract", "--manifest", str(fxdir / "manifest.json"),
+                "--out", str(tmp_path / "exp")]) == 1
+    assert f"error: {path}: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def _index_modes_out_of_order(doc):
+    doc["modes"][0], doc["modes"][1] = doc["modes"][1], doc["modes"][0]
+    return 1, f"mode {tuple(doc['modes'][1])} is not a conjugate representative in increasing order"
+
+
+def _index_rows_do_not_tile(doc):
+    doc["forms"]["strict"]["rows"][1] -= 1
+    return 2, "do not tile the"
+
+
+def _index_term_without_estimator(doc):
+    del doc["forms"]["unitary"]["terms"][0]["estimator"]
+    return 2, "malformed expansion file (missing or bad 'estimator')"
+
+
+@pytest.mark.parametrize("damage", [_index_modes_out_of_order, _index_rows_do_not_tile,
+                                    _index_term_without_estimator],
+                         ids=["modes-out-of-order", "rows-do-not-tile", "no-estimator"])
+def test_malformed_expansion_index(pipeline, tmp_path, capsys, damage):
+    out = tmp_path / "exp"
+    shutil.copytree(pipeline / "exp", out)
+    doc = fieldio.read_json(out / "expansion.json")
+    code, words = damage(doc)
+    fieldio.write_json(out / "expansion.json", doc)
+    assert run(["verify", "--expansion", str(out / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json")]) == code
+    err = capsys.readouterr().err
+    assert str(out / "expansion.json") in err and words in err
+
+
+def _manifest_without_entries(doc):
+    doc.pop("entries")
+    return "manifest has no entries list"
+
+
+def _entry_without_alpha(doc):
+    doc["entries"][4].pop("alpha")
+    return "malformed manifest entry ('alpha')"
+
+
+@pytest.mark.parametrize("damage", [_manifest_without_entries, _entry_without_alpha],
+                         ids=["no-entries", "no-alpha"])
+def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys, damage):
+    fxdir = tmp_path / "fx"
+    shutil.copytree(pipeline / "fx", fxdir)
+    doc = fieldio.read_json(fxdir / "manifest.json")
+    words = damage(doc)
+    fieldio.write_json(fxdir / "manifest.json", doc)
+    assert run(["extract", "--manifest", str(fxdir / "manifest.json"),
+                "--out", str(tmp_path / "exp")]) == 2
+    assert f"{fxdir / 'manifest.json'}: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 # sha256 of every file that ``fixtures example314 --count 6 --truncation 16

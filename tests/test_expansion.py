@@ -179,6 +179,16 @@ def test_sequence_data_rejects_alphas_out_of_order():
         _window([1.0, 1.0], [[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("alphas, words", [
+    ([1.0, 2.0], "fields and alphas must have equal length"),
+    ([0.0, 1.0, 2.0], "alphas must be positive"),
+    ([-1.0, 1.0, 2.0], "alphas must be positive"),
+], ids=["unequal-lengths", "zero-alpha", "negative-alpha"])
+def test_sequence_data_rejects_bad_windows(alphas, words):
+    with pytest.raises(ValueError, match=words):
+        ex.SequenceData((V, V, V), alphas)
+
+
 def test_extract_finite_unitary_when_witnesses_stabilize():
     data = _window(GEOMETRIC, [[1.0 / a] for a in GEOMETRIC])
     res = ex.extract_strict(data, ex.default_scale_2dp(4))

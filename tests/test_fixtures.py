@@ -307,11 +307,11 @@ def test_fixture_determinism():
     cfg = fx.Example45Config.single(2, 1.0)
     a = fx.example45(cfg, 4)
     b = fx.example45(cfg, 4)
-    ka, ca = a.v_n.packed()
-    kb, cb = b.v_n.packed()
+    ka, ca = a.v_n.keys, a.v_n.coeffs
+    kb, cb = b.v_n.keys, b.v_n.coeffs
     assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
     ra = fx.example314(3)
     rb = fx.example314(3)
-    ka, ca = ra.v_n.packed()
-    kb, cb = rb.v_n.packed()
+    ka, ca = ra.v_n.keys, ra.v_n.coeffs
+    kb, cb = rb.v_n.keys, rb.v_n.coeffs
     assert np.array_equal(ka, kb) and np.array_equal(ca, cb)

@@ -325,7 +325,7 @@ def test_jacobian_kernel_memory_is_one_matrix(n):
     """
     rng = np.random.default_rng(4)
     v = sp.random_divfree(n, rng)
-    kv, cv = v.packed()
+    kv, cv = v.keys, v.coeffs
     reparr = st._dof_maps(n)[0]
     tracemalloc.start()
     try:

@@ -348,8 +348,6 @@ _LEAVES = [
      _RES_V0 + ["Aw1+mu2*Bs(w1,w2)=0"],
      ["<g,w1>", "mu_star*||w1||^2-mu2*<g,w2>"], "S2",
      ["branch equation mu_star*B(w1,w1)=g residual",
-      "matrix with |chi| row is not totally comparable",
-      "expected chi = 0 or Gamma_1 succ |chi| in branch (ii)(2b)",
       "branch equation Aw1+mu2*Bs(w1,w2)=0 residual"]),
     ("4.6(ii)(3b)", "zero", _powers((1.3, 0.5), (1.0, 0.75)), "infinite-unitary",
      "4.6(ii)(3b)", _MU_STAR, _RES_V0 + ["Bs(w1,w2)=0"],
@@ -359,8 +357,6 @@ _LEAVES = [
      "4.6(ii)(3b)", _MU_STAR, _RES_V0 + ["Bs(w1,w2)=0"],
      ["<g,w1>", "<g,w2>", "<B(w2,w2),w1>"], "S2",
      ["branch equation mu_star*B(w1,w1)=g residual",
-      "matrix with |chi| row is not totally comparable",
-      "expected chi = 0 or alpha*Gamma_1*Gamma_2 succ |chi|",
       "branch equation Bs(w1,w2)=0 residual"]),
     ("4.7-no-w2", "stokes", _powers((1.0, 1.0)), "infinite-unitary",
      "4.7", [], _RES_STOKES, [], None, [_no_w2("v = A^{-1}g")]),
@@ -411,6 +407,13 @@ def test_classify_reaches_every_leaf(case):
     assert list(rep.identities) == identities
     assert rep.chi_tag == chi_tag
     assert [re.sub(r" residual \S+$", " residual", w) for w in rep.warnings] == warnings
+    # summary(): one line per constant, chi tag, residual, identity and warning.
+    numeric = re.compile(r"^(  .*(?:: | = ))[-+0-9.e]+$")
+    assert [numeric.sub(r"\1#", line) for line in rep.summary().splitlines()] == (
+        [f"branch: {branch}"] + [f"  {k} = #" for k in rep.constants]
+        + ([f"  chi pattern: {chi_tag}"] if chi_tag else [])
+        + [f"  residual {k}: #" for k in residuals] + [f"  identity {k}: #" for k in identities]
+        + [f"  totally comparable: {rep.comparability}"] + [f"  warning: {w}" for w in rep.warnings])
 
 
 # ---------------------------------------------------------------------------
@@ -418,34 +421,18 @@ def test_classify_reaches_every_leaf(case):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_matrix():
-    n = np.arange(1, 13)
-    alphas = np.exp(n).astype(float)
-    return od.build_S(alphas, [np.exp(-n)]), n
-
-
 def test_chi_all_zero_is_s1():
-    mat, n = _gamma_matrix()
-    tag, extended, ok = od.chi_trichotomy(np.zeros(12), mat)
-    assert tag == "S1" and extended is None
+    assert od.chi_trichotomy(np.zeros(12)) == "S1"
 
 
-def test_chi_positive_is_s2_with_row():
-    mat, n = _gamma_matrix()
-    tag, extended, ok = od.chi_trichotomy(1.0 / n, mat)
-    assert tag == "S2"
-    assert extended.relation("one", "abs_chi").verdict == "succ"
-    assert ok
+def test_chi_positive_is_s2():
+    assert od.chi_trichotomy(1.0 / np.arange(1, 13)) == "S2"
 
 
 def test_chi_negative_is_s3():
-    mat, n = _gamma_matrix()
-    tag, extended, ok = od.chi_trichotomy(-1.0 / n, mat)
-    assert tag == "S3"
-    assert ok
+    assert od.chi_trichotomy(-1.0 / np.arange(1, 13)) == "S3"
 
 
 def test_chi_alternating_is_mixed():
-    mat, n = _gamma_matrix()
-    tag, extended, ok = od.chi_trichotomy((-1.0) ** n / n, mat)
-    assert tag == "mixed" and extended is None
+    n = np.arange(1, 13)
+    assert od.chi_trichotomy((-1.0) ** n / n) == "mixed"

@@ -187,7 +187,7 @@ def test_bilinear_example45_steady_identity_mode_by_mode(ex45_cfg):
     n = 3
     rec = fx.example45(ex45_cfg, n)
     u_n = rec.alpha * rec.v_n  # u_n
-    ku, cu = u_n.packed()
+    ku, cu = u_n.keys, u_n.coeffs
     conv = kernels.advect_convolve(ku, cu, ku, cu, 2 * u_n.trunc)
     lap = sp.apply_fractional(u_n, 1.0)
     big = fx.example45_big_force(ex45_cfg, n)

@@ -87,8 +87,8 @@ def test_solve_deterministic_bit_identical(ex45_cfg):
     rep2 = st.solve_steady(p, initial=start)
     assert rep1.residual_h == rep2.residual_h
     assert rep1.newton_iters == rep2.newton_iters
-    k1, c1 = rep1.solution.packed()
-    k2, c2 = rep2.solution.packed()
+    k1, c1 = rep1.solution.keys, rep1.solution.coeffs
+    k2, c2 = rep2.solution.keys, rep2.solution.coeffs
     assert np.array_equal(k1, k2) and np.array_equal(c1, c2)
 
 
@@ -309,7 +309,7 @@ def test_one_jacobian_per_line_search_trial(monkeypatch):
         assert halvings >= 0
         assert counts["jacobians"] == rep.newton_iters + halvings
         assert len(set(linearized)) == len(linearized)  # no point linearized twice
-        keys, coeffs = rep.solution.packed()
+        keys, coeffs = rep.solution.keys, rep.solution.coeffs
         assert keys.tobytes() + coeffs.tobytes() not in linearized
         assert counts["residuals"] == 1
         assert rep.residual_history[-1] == rep.residual_h
@@ -319,7 +319,7 @@ def test_one_jacobian_per_line_search_trial(monkeypatch):
 
 def report_bits(rep):
     """Every field of a SolveReport, the solution and the floats as bytes."""
-    keys, coeffs = rep.solution.packed()
+    keys, coeffs = rep.solution.keys, rep.solution.coeffs
     floats = np.array([rep.residual_h, rep.bound_check, *rep.residual_history])
     return (rep.solution.trunc, keys.tobytes(), coeffs.tobytes(), floats.tobytes(),
             rep.newton_iters, rep.converged, rep.message, rep.condition, rep.dofs,
@@ -432,6 +432,19 @@ def test_solve_nonconvergence_reported():
     rep = st.solve_steady(p, initial=sp.zero_field(3), max_iters=0)
     assert not rep.converged
     assert "no convergence" in rep.message
+
+
+def test_singular_newton_system_is_reported(shear_problem, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    p = st.SteadyProblem(g=shear_problem.g, alpha=50.0, trunc=3)
+    rep = st.solve_steady(p, initial=sp.zero_field(3))
+    assert not rep.converged
+    assert rep.message == "singular Newton system"
+    assert rep.newton_iters == 0
+    assert np.isfinite(rep.condition)
 
 
 def test_sweep_laminar_branch(shear_problem):
