@@ -8,7 +8,6 @@ from .expansion import (
     NestedScale,
     NotConvergentError,
     SequenceData,
-    StagnationError,
     constant_scale,
     default_scale_2dp,
     extract_strict,

@@ -46,10 +46,10 @@ def _parse_coeffs(spec):
     return tuple(out)
 
 
-def _example45_config(spec, c2):
+def _example45_config(spec, c2=None):
     """The example45 coefficients of ``spec`` (m=value,...), else c_2 = ``c2``
-    alone; one that ``Example45Config`` rejects is a usage error."""
-    coeffs = _parse_coeffs(spec) if spec else ((2, c2),)
+    alone (1 if None); one that ``Example45Config`` rejects is a usage error."""
+    coeffs = _parse_coeffs(spec) if spec is not None else ((2, 1.0 if c2 is None else c2),)
     try:
         return fx.Example45Config(coeffs=coeffs)
     except ValueError as exc:
@@ -85,6 +85,11 @@ def cmd_fixtures(args):
         raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {args.truncation}")
     if args.family == "example45" and args.with_expansions:
         raise UsageError("--with-expansions is for example314 only")
+    if args.family == "example45" and args.coeffs is not None and args.c2 is not None:
+        raise UsageError("give --c2 or --coeffs, not both")
+    for flag, value in (("--c2", args.c2), ("--coeffs", args.coeffs)):
+        if args.family == "example314" and value is not None:
+            raise UsageError(f"{flag} is for example45 only")
     cfg = _example45_config(args.coeffs, args.c2) if args.family == "example45" else None
     os.makedirs(args.out, exist_ok=True)
     if cfg is not None:
@@ -134,17 +139,22 @@ def cmd_sweep(args):
         raise UsageError(f"unknown fixture {args.fixture!r}")
     if bool(args.force) == bool(args.fixture):
         raise UsageError("need exactly one of --force <fieldfile> and --fixture example45")
-    if args.cstar_coeffs and not args.fixture:
+    if args.cstar_coeffs is not None and not args.fixture:
         raise UsageError("--cstar-coeffs needs --fixture example45")
+    for flag, value in (("--alpha-start", args.alpha_start), ("--alpha-factor", args.alpha_factor)):
+        if args.fixture and value is not None:
+            raise UsageError(f"{flag} is for --force only; the fixture gives its own alphas")
     if args.fixture:
-        cfg = _example45_config(args.cstar_coeffs, 1.0)
+        cfg = _example45_config(args.cstar_coeffs)
         recs = fx.example45_window(cfg, range(1, args.count + 1))
         alphas = [r.alpha for r in recs]
         forces = [r.g_n for r in recs]
         g_limit = recs[0].g
     else:
         g = fieldio.read_field(args.force)
-        alphas = [args.alpha_start * args.alpha_factor**i for i in range(args.count)]
+        start = 1.0 if args.alpha_start is None else args.alpha_start
+        factor = 2.0 if args.alpha_factor is None else args.alpha_factor
+        alphas = [start * factor**i for i in range(args.count)]
         forces = [g] * args.count
         g_limit = g
     try:
@@ -318,7 +328,7 @@ def build_parser():
 
     p = sub.add_parser("fixtures", help="emit analytic fixture fields and manifests")
     p.add_argument("family", choices=["example45", "example314"])
-    p.add_argument("--c2", type=float, default=1.0, help="single coefficient c_2")
+    p.add_argument("--c2", type=float, help="single coefficient c_2 (default 1)")
     p.add_argument("--coeffs", help="coefficient list m=value,m=value")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--truncation", type=int, default=64)
@@ -328,8 +338,8 @@ def build_parser():
     p.set_defaults(func=cmd_fixtures)
 
     p = sub.add_parser("sweep", help="continuation sweep over increasing alpha")
-    p.add_argument("--alpha-start", type=float, default=1.0)
-    p.add_argument("--alpha-factor", type=float, default=2.0)
+    p.add_argument("--alpha-start", type=float, help="first alpha (default 1)")
+    p.add_argument("--alpha-factor", type=float, help="ratio of successive alphas (default 2)")
     p.add_argument("--count", type=int, default=12)
     p.add_argument("--force", help="field file with the forcing g")
     p.add_argument("--fixture", help="example45: per-n forces g_n from the fixture")
@@ -388,9 +398,9 @@ def main(argv=None):
     except (fieldio.FieldFormatError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (sp.MalformedFieldError, ex.NotConvergentError, ex.StagnationError,
-            st.ContinuationError, od.InconsistentRelationsError,
-            od.ClassificationBlockedError, fx.FixtureIntegrityError, ValueError) as exc:
+    except (sp.MalformedFieldError, ex.NotConvergentError, st.ContinuationError,
+            od.InconsistentRelationsError, od.ClassificationBlockedError,
+            fx.FixtureIntegrityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,8 @@ in two forms:
 
 Restructuring removes zero directions and normalizes the rest, preserving all
 partial sums; verification re-checks every expansion axiom on the raw window and
-is the one definition of a level: both extractions keep the levels it accepts.
+is the one definition of a level: both extractions keep the levels it accepts and
+apply no convergence gate of their own.
 """
 
 from __future__ import annotations
@@ -38,16 +39,10 @@ RECON_TOL = 1e-12  # verify: reconstruction error relative to the window's Z_0 s
 FLOOR = 1e-9       # relative Gamma floor vs the window Z_0 scale
 FINITE = 1e-10     # witness stabilization threshold (finite kind)
 ZERO = 1e-10       # zero-direction threshold (relative to the largest in restructure)
-CAUCHY = 0.8       # window convergence gate on increment decay
-STAGNATION = 0.9   # level-1 gate: Gamma_{1,M} against the largest Gamma_{1,n} of the tail
 
 
 class NotConvergentError(RuntimeError):
-    """No numerical convergence in Z_0, or level 1 of the expansion fails verification."""
-
-
-class StagnationError(RuntimeError):
-    """Gamma_{1,n} does not decay over the window, or a level's residual
+    """Level 1 of the expansion fails verification, or a level's residual
     vanishes at some samples but not at all of them."""
 
 
@@ -179,7 +174,7 @@ class SequenceData:
 
 
 def _tail(m):
-    """The last ceil(M/3) samples of an M-sample window: the estimators' and gates' tail."""
+    """The last ceil(M/3) samples of an M-sample window: the estimators' and checks' tail."""
     return int(np.ceil(m / 3))
 
 
@@ -231,24 +226,6 @@ class ExpansionResult:
         return self.scale.exponent(min(k, self.scale.depth))
 
 
-def _check_convergent(data, s0, t):
-    """Numerical Cauchy criterion in Z_0 over the window."""
-    dn = data.norms(data.flat[1:] - data.flat[:-1], s0)
-    scale = float(np.max(data.norms(data.flat, s0)))
-    if np.all(dn <= 1e-13 * max(scale, 1e-300)):
-        return
-    tail = dn[-(t + 1):]
-    grows = np.flatnonzero(np.diff(tail) > 1e-12 * max(scale, tail.max()))
-    if len(grows):
-        i = len(dn) - len(tail) + int(grows[0]) + 1  # dn[i] = |v_{i+2} - v_{i+1}|, 1-based
-        raise NotConvergentError(f"window increments are not decreasing in Z_0: the increment into "
-                                 f"sample {i + 2} (alpha {data.alphas[i + 1]!r}) is {dn[i]:.3e}, "
-                                 f"after {dn[i - 1]:.3e}")
-    if dn[-1] > CAUCHY * dn[0]:
-        raise NotConvergentError(f"window increments show no overall decay in Z_0: the last is "
-                                 f"{dn[-1]:.3e}, above {CAUCHY} x the first, {dn[0]:.3e}")
-
-
 # ---------------------------------------------------------------------------
 # Strict extraction (nested-scale recursion)
 # ---------------------------------------------------------------------------
@@ -262,19 +239,18 @@ def extract_strict(data, scale):
     (unit in Z_{k-1}) and the direction w_k is the estimated Z_k-limit of the
     witnesses. Recursion ends on witness stabilization (finite kind), on the
     Gamma floor, or at ``scale.depth`` levels; ``_verified_prefix`` then cuts it
-    to the levels that ``verify_expansion`` accepts.
+    to the levels that ``verify_expansion`` accepts. The recursion has no gate
+    of its own: ``verify_expansion`` alone decides whether the window converges.
 
     Raises:
-      NotConvergentError: no numerical convergence in Z_0, or level 1 fails verification.
-      StagnationError: Gamma_{1,n} does not decay over the window, or a level's
-        residual vanishes at some samples only.
+      NotConvergentError: level 1 fails verification, or a level's residual
+        vanishes at some samples only.
     """
     if len(data) < 6:
         raise ValueError("extraction window must contain at least 6 samples")
     xs = 1.0 / np.array(data.alphas)
     t = _tail(len(data))
     s0 = scale.exponent(0)
-    _check_convergent(data, s0, t)
 
     vhat, vmethod = estimate_limit(data.flat, xs, t)
     vhat = data.divfree(vhat)
@@ -292,10 +268,8 @@ def extract_strict(data, scale):
             break
         if np.min(gammas) <= 0.0:
             n = int(np.argmax(gammas <= 0.0))
-            raise StagnationError(f"level-{k} residual vanishes for some n but not all: first "
-                                  f"at sample {n + 1} (alpha {data.alphas[n]!r})")
-        if k == 1 and gammas[-1] > STAGNATION * np.max(gammas[:t]):
-            raise StagnationError("Gamma_{1,n} does not decay over the window")
+            raise NotConvergentError(f"level-{k} residual vanishes for some n but not all: "
+                                     f"first at sample {n + 1} (alpha {data.alphas[n]!r})")
         witnesses = data.divfree(resid / gammas[:, None])
         what, wmethod = estimate_limit(witnesses, xs, t)
         what = data.divfree(what)
@@ -462,7 +436,7 @@ class CheckResult:
     passed: bool
     worst: float
     note: str = ""
-    level: int | None = None  # lowest level a failing check reads; None for reconstruction
+    level: int | None = None  # lowest level a failing check reads
 
 
 @dataclass
@@ -539,11 +513,11 @@ def verify_expansion(e, data):
         return {k + 1: abs(float(data.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
                 for k in levels}
 
-    # Reconstruction identity at every recorded level.
+    # Reconstruction identity at every recorded level (of v_n = v alone for a termless form).
     sums = _partial_sums(e, data, rows)
     recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
     worst = max(float(np.max(data.norms(r - data.flat, s0))) for r in recons) / scale0
-    checks.append(CheckResult("reconstruction", worst <= RECON_TOL, worst))
+    checks.append(CheckResult("reconstruction", worst <= RECON_TOL, worst, level=1))
 
     if e.terms:
         g1 = gammas[0]
@@ -621,7 +595,7 @@ def _verified_prefix(e, data):
     stabilized or zero-direction level, so the kind becomes strict or infinite-unitary.
     If level 1 fails, raises NotConvergentError naming the failing checks."""
     while True:
-        fails = [c for c in verify_expansion(e, data).failures() if c.level is not None]
+        fails = verify_expansion(e, data).failures()
         if not fails:
             return e
         k = min(c.level for c in fails)
@@ -645,23 +619,19 @@ class UniquenessReport:
     depth_equal: bool
     gamma_diffs: list
     direction_diffs: list
-    note: str
 
     def __str__(self):
         tag = "MATCH" if self.match else "MISMATCH"
         return (
             f"[{tag}] limit diff {self.limit_diff:.3e}; depths equal: {self.depth_equal}; "
             f"max gamma rel diff {max(self.gamma_diffs, default=0.0):.3e}; "
-            f"max direction diff {max(self.direction_diffs, default=0.0):.3e} ({self.note})"
+            f"max direction diff {max(self.direction_diffs, default=0.0):.3e}"
         )
 
 
 def uniqueness_check(e1, e2, tol=1e-10):
-    """Compare two expansions of the same data over the overlap window.
-
-    With every witness recorded from sample 1 on, the comparable overlap is
-    the whole window; values below each result's recorded starting index would
-    be unconstrained and are only reported, never compared.
+    """Compare two expansions of the same window: their limits, depths, and per
+    shared level the gammas at every sample and the directions.
     """
     s0 = e1.scale.exponent(0)
     scale0 = max(sp.norm_ds(e1.limit, s0), sp.norm_ds(e2.limit, s0), 1e-300)
@@ -686,7 +656,6 @@ def uniqueness_check(e1, e2, tol=1e-10):
         depth_equal=depth_equal,
         gamma_diffs=gamma_diffs,
         direction_diffs=direction_diffs,
-        note="values below the recorded N_k of either expansion are unconstrained",
     )
 
 
@@ -739,8 +708,7 @@ def save_expansion(path, forms, alphas):
         "matrix": name,
         "modes": keys[sp.rep_half(len(keys))].tolist(),
         "truncations": truncs,
-        "tolerances": {"floor": FLOOR, "finite": FINITE, "zero": ZERO, "snap": SNAP_REL,
-                       "cauchy": CAUCHY, "stagnation": STAGNATION},
+        "tolerances": {"floor": FLOOR, "finite": FINITE, "zero": ZERO, "snap": SNAP_REL},
         "forms": doc_forms,
     })
 

@@ -51,8 +51,7 @@ def test_pipeline_records_its_gates(pipeline):
     # The gates are module constants; the file still records them once as provenance.
     # A form's only setting is its scale: it records no space or tolerances of its own.
     doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
-    gates = {"floor": ex.FLOOR, "finite": ex.FINITE, "zero": ex.ZERO, "snap": seqlimit.SNAP_REL,
-             "cauchy": ex.CAUCHY, "stagnation": ex.STAGNATION}
+    gates = {"floor": ex.FLOOR, "finite": ex.FINITE, "zero": ex.ZERO, "snap": seqlimit.SNAP_REL}
     assert list(doc["tolerances"].items()) == list(gates.items())
     assert sorted(doc["forms"]) == ["restructured", "strict", "unitary"]
     for rec in doc["forms"].values():
@@ -155,13 +154,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--slope-tol", "0.2", "--out", str(tmp_path / "c.json")]) == 2
     assert "unrecognized arguments: --slope-tol" in capsys.readouterr().err
     # a flag the chosen mode would not read, or a fixture that does not exist
+    ex314 = ["fixtures", "example314", "--count", "6", "--truncation", "16"]
     for argv, words in ((["fixtures", "example45", "--with-expansions"],
                          "--with-expansions is for example314 only"),
+                        (["fixtures", "example45", "--c2", "0.7", "--coeffs", "2=1"],
+                         "give --c2 or --coeffs, not both"),
+                        (ex314 + ["--coeffs", "2=5"], "--coeffs is for example45 only"),
+                        (ex314 + ["--c2", "0.7"], "--c2 is for example45 only"),
+                        (["sweep", "--fixture", "example45", "--alpha-start", "7"],
+                         "--alpha-start is for --force only"),
+                        (["sweep", "--fixture", "example45", "--alpha-factor", "3"],
+                         "--alpha-factor is for --force only"),
                         (["sweep", "--fixture", "other"], "unknown fixture 'other'")):
         capsys.readouterr()
         assert run(argv + ["--out", str(tmp_path / "w")]) == 2
         assert words in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+
+
+def test_flag_defaults_resolve_where_read(tmp_path):
+    """With no --c2 the example45 fixture has c_2 = 1, and with no --alpha-start
+    and --alpha-factor a --force sweep runs alpha = 1, 2, 4, ..."""
+    fxdir, out = tmp_path / "fx", tmp_path / "sweep"
+    assert run(["fixtures", "example45", "--count", "2", "--out", str(fxdir)]) == 0
+    assert hashlib.sha256((fxdir / "v_0002.json").read_bytes()).hexdigest() == \
+        EX45_SHA256["c2/v_0002.json"]
+    assert run(["sweep", "--force", str(fxdir / "g_limit.json"), "--count", "3",
+                "--truncation", "4", "--out", str(out)]) == 0
+    assert [e["alpha"] for e in fieldio.read_manifest(out / "manifest.json")["entries"]] == [
+        1.0, 2.0, 4.0]
 
 
 def test_example314_fixture_arguments_are_usage_errors(tmp_path, capsys):
@@ -323,6 +344,41 @@ def test_extract_keeps_the_levels_verify_accepts(tmp_path, spec, depths, cut):
     assert unitary_log[:2] == [forms["strict"]["decision_log"][0],
                                "unitary refinement in D(A^0.5)"]
     assert strict_cut is None or strict_cut not in unitary_log
+
+
+@pytest.fixture(scope="module")
+def doubling_sweep(tmp_path_factory):
+    """The README doubling sweep at N = 8: alpha = 1, 2, ..., 2048 on the example45 g_limit."""
+    root = tmp_path_factory.mktemp("doubling")
+    assert run(["fixtures", "example45", "--c2", "1", "--count", "20",
+                "--out", str(root / "fx")]) == 0
+    assert run(["sweep", "--force", str(root / "fx" / "g_limit.json"), "--count", "12",
+                "--truncation", "8", "--out", str(root / "sweep")]) == 0
+    return root / "sweep"
+
+
+@pytest.mark.parametrize("start", range(7))
+def test_doubling_sweep_suffixes_extract_where_verify_passes(doubling_sweep, tmp_path, capsys,
+                                                            start):
+    """extract has no convergence gate of its own: on the suffix from each start
+    of the N = 8 doubling sweep it exits 1 only where verify rejects level 1 (the
+    full window), and elsewhere writes depth 1 in every form, which verify passes."""
+    doc = fieldio.read_json(doubling_sweep / "manifest.json")
+    man = doubling_sweep / f"from_{start}.json"  # beside the field files it names
+    fieldio.write_json(man, dict(doc, entries=doc["entries"][start:]))
+    out = tmp_path / "exp"
+    capsys.readouterr()
+    code = run(["extract", "--manifest", str(man), "--out", str(out)])
+    if start == 0:
+        assert code == 1
+        assert "strict expansion: level 1 fails witness-convergence-k1" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    assert run(["verify", "--expansion", str(out / "expansion.json"), "--manifest", str(man)]) == 0
+    forms = fieldio.read_json(out / "expansion.json")["forms"]
+    assert [len(forms[f]["terms"]) for f in ("strict", "restructured", "unitary")] == [1, 1, 1]
+    assert forms["strict"]["depth_reason"] == "level 2 fails witness-convergence-k2"
 
 
 def test_domain_error_exit_1(tmp_path):
@@ -673,9 +729,9 @@ def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys, damage):
 # --with-expansions`` and ``extract --scale constant:0 --depth 3`` write,
 # recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 EX314_SHA256 = {
-    "exp/expansion.json": "3eb42cb06a76bb45bb27543de1c5f2e35b4b253a976760b7b6805a77d3ce3c4e",
+    "exp/expansion.json": "91e14fa70ee9f333631269ad0b96a8e251297762bbb4cd0d61590a3da79f1726",
     "exp/expansion.npy": "60163190a87df6dd4f0ed7d3c11fccbe603fd2771aa5a18a9835d1832d180a8e",
-    "fx/expansion_analytic.json": "af1163befe156feafcfda250a51a6657cdd4a027f9054ec092bcf7085d7c8838",
+    "fx/expansion_analytic.json": "f7a0671a614121c1b5786d133b8931b20b787b462c6aadf4b09259ec7b9c881c",
     "fx/expansion_analytic.npy": "461aadb68d96a535dc14ab84328b922ed45f10d65bb55095b0bf8604e0a5efce",
     "fx/manifest.json": "6836cb56035c213b7ca6ed671e868d0ab2626ddf75f1b25dac9f4ed9ac345b15",
     "fx/v_0001.json": "1da33cc6ca396c1384c817f81a5df0e603301690b05129949c109f18fd5a999c",
@@ -805,7 +861,7 @@ def test_example45_files_are_pinned(tmp_path):
 # ``verify`` prints, recorded with numpy 2.4.6 on x86_64 (OpenBLAS).
 README_PIPELINE_SHA256 = {
     "class.json": "156278288ca0e01af5110e1e5b644c495a575abdb90c0b4f1a53860ee7729ab5",
-    "exp/expansion.json": "e5114bc8695a7cd05ed532a36799295a6e95de9b4d88c762df1110d63557a675",
+    "exp/expansion.json": "e26d8678912c585c5875165a65e2bfc1a7ec57a077ac5da30071ddb3947e9ace",
     "exp/expansion.npy": "b8426e7ed67d37142b545be6d608980f697ee0428a8d550e0a491d4d7cba906b",
     "report/residuals.csv": "7ced5cb3501f8f26fd0bc63be4258ad726f6869236e9edf7662f08c63e1bfa65",
     "report/series.csv": "785d22f58b6b87dde21b35d22a19e527d62893936518d4ee8a5bc9aef1c16be3",

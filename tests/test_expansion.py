@@ -143,16 +143,16 @@ def test_witness_scale_monotonicity(ex45_extraction):
 
 
 def test_extract_rejects_window_without_overall_decay():
-    # The increments hold steady (they grow by a factor 1 + 1e-12 per sample), so
-    # the Cauchy gate rejects the window before any Gamma is formed.
+    # The increments hold steady (they grow by a factor 1 + 1e-12 per sample). The
+    # samples lie within the Gamma floor of their limit, so extraction keeps no
+    # term, and verify rejects v_n = v: the samples move by more than roundoff.
     phi1, phi5 = sp.eigenfunction(1), sp.eigenfunction(5)
     fields = []
     for n in range(1, 9):
         fields.append(sp.lin_comb([1.0, 0.2 * (1 + 1e-12) ** n], [phi1, phi5]))
     data = ex.SequenceData(tuple(fields), tuple(2.0**j for j in range(8)))
     with pytest.raises(ex.NotConvergentError, match=re.escape(
-            "window increments show no overall decay in Z_0: the last is 3.363e-13, "
-            "above 0.8 x the first, 3.364e-13")):
+            "strict expansion: level 1 fails reconstruction")):
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
 
@@ -207,28 +207,44 @@ def test_extract_stops_at_gamma_floor_of_level_2():
     assert (res.kind, res.depth, res.depth_reason) == ("strict", 1, "gamma floor at level 2")
 
 
-def test_extract_stagnation_when_the_residual_vanishes_at_some_samples():
+def test_extract_rejects_a_residual_that_vanishes_at_some_samples():
     # The window reaches its limit at the last sample: Gamma_{1,M} = 0 exactly.
     ys = [0.3**n for n in range(7)] + [0.0]
-    with pytest.raises(ex.StagnationError, match=re.escape(
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
             "level-1 residual vanishes for some n but not all: first at sample 8 (alpha 128.0)")):
         ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
 
 
-def test_extract_stagnation_when_gamma1_does_not_decay():
+def test_extract_rejects_a_window_whose_gamma1_does_not_decay():
     # Increments decay by 0.7 per sample, but alpha grows only from 1 to 1.35: the
     # ls-poly limit at 1/alpha = 0 lies far off, so Gamma_{1,n} stays flat.
     alphas = [1.0 + 0.05 * n for n in range(8)]
-    with pytest.raises(ex.StagnationError, match=re.escape("Gamma_{1,n} does not decay")):
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "strict expansion: level 1 fails gamma1-decay, witness-convergence-k1, "
+            "remainder-ratio")):
         ex.extract_strict(_window(alphas, [[0.7**n] for n in range(8)]), ex.default_scale_2dp(4))
 
 
-def test_extract_rejects_increments_that_grow_again():
+def test_extract_accepts_increments_that_grow_again():
+    # v + y_n phi_2 is an exact one-term expansion whatever the increments of y_n
+    # do: they grow again into sample 7 (from 0.03 to 0.07), and extraction still
+    # finds the term, which verify accepts in every form.
     ys = [1.0, 0.5, 0.3, 0.2, 0.15, 0.12, 0.05, 0.0]
+    data = _window(GEOMETRIC, [[y] for y in ys])
+    strict = ex.extract_strict(data, ex.default_scale_2dp(4))
+    for e in (strict, ex.restructure(strict), ex.refine_unitary(strict, data)):
+        assert (e.kind, e.depth) == ("finite-unitary", 1)
+        assert ex.verify_expansion(e, data).passed, str(ex.verify_expansion(e, data))
+
+
+def test_extract_rejects_a_termless_form_that_does_not_reconstruct():
+    # The samples lie within the Gamma floor of v (1e-10 x 0.5^n against a window
+    # scale of 3), so no level is kept; but v_n = v fails reconstruction by 3.3e-11,
+    # above RECON_TOL, so the trivial form is not written.
+    data = _window(GEOMETRIC, [[1e-10 * 0.5**n] for n in range(8)])
     with pytest.raises(ex.NotConvergentError, match=re.escape(
-            "window increments are not decreasing in Z_0: the increment into sample 7 "
-            "(alpha 64.0) is 7.000e-02, after 3.000e-02")):
-        ex.extract_strict(_window(GEOMETRIC, [[y] for y in ys]), ex.default_scale_2dp(4))
+            "strict expansion: level 1 fails reconstruction")):
+        ex.extract_strict(data, ex.default_scale_2dp(4))
 
 
 def test_extract_rejects_a_window_whose_level_1_fails_verify():
@@ -263,10 +279,12 @@ def _refine_from_v(data):
 
 
 def test_refine_stops_on_exact_reconstruction():
+    # The last sample equals v, so peeling stops before level 1; the termless form
+    # v_n = v does not reconstruct the other samples.
     ys = [1.0 / a for a in GEOMETRIC[:-1]] + [0.0]
-    res = _refine_from_v(_window(GEOMETRIC, [[y] for y in ys]))
-    assert (res.kind, res.depth, res.depth_reason) == (
-        "trivial", 0, "exact reconstruction at level 0")
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "unitary expansion: level 1 fails reconstruction")):
+        _refine_from_v(_window(GEOMETRIC, [[y] for y in ys]))
 
 
 def test_refine_degenerate_on_a_zero_direction():
@@ -298,11 +316,12 @@ def test_refine_flips_a_direction_against_the_residuals():
 
 
 def test_refine_stops_on_a_non_positive_projection():
-    # The first sample lies on the far side of v from all the others.
+    # The first sample lies on the far side of v from all the others: peeling stops
+    # at level 1, and the termless form v_n = v does not reconstruct.
     signs = [-1.0] + [1.0] * 7
-    res = _refine_from_v(_window(GEOMETRIC, [[s / a] for s, a in zip(signs, GEOMETRIC)]))
-    assert (res.kind, res.depth, res.depth_reason) == (
-        "trivial", 0, "non-positive projection at level 1")
+    with pytest.raises(ex.NotConvergentError, match=re.escape(
+            "unitary expansion: level 1 fails reconstruction")):
+        _refine_from_v(_window(GEOMETRIC, [[s / a] for s, a in zip(signs, GEOMETRIC)]))
 
 
 def test_refine_cuts_the_level_that_fails_ratio_decay():
@@ -533,7 +552,7 @@ def test_verify_names_the_lowest_level_each_check_reads(ex314_window):
     terms[2] = replace(terms[2], direction=2.0 * terms[2].direction)
     rep = ex.verify_expansion(replace(uni, terms=terms), data)
     assert [(c.axiom, c.level) for c in rep.failures()] == [
-        ("reconstruction", None), ("unit-directions", 3)]
+        ("reconstruction", 1), ("unit-directions", 3)]
     den = fx.example314_degenerate_expansion(depth=6)
     levels = {c.axiom: c.level for c in ex.verify_expansion(den, data).checks}
     assert (levels["gamma1-decay"], levels["ratio-decay-k2"], levels["witness-convergence-k2"]) == (
