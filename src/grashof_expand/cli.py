@@ -197,7 +197,7 @@ def _limit_force(man):
 
 def _load_sequence(manifest_path):
     man = fieldio.read_manifest(manifest_path)
-    fields = [fieldio.read_field(e["field"]) for e in man["entries"]]
+    fields = fieldio.read_fields([e["field"] for e in man["entries"]])
     alphas = [e["alpha"] for e in man["entries"]]
     return ex.SequenceData(tuple(fields), tuple(alphas)), man
 

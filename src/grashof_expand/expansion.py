@@ -513,11 +513,13 @@ def verify_expansion(e, data):
         return {k + 1: abs(float(data.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
                 for k in levels}
 
-    # Reconstruction identity at every recorded level (of v_n = v alone for a termless form).
+    # Reconstruction identity at every recorded level (of v_n = v alone for a termless
+    # form); it fails at the first level whose error exceeds RECON_TOL.
     sums = _partial_sums(e, data, rows)
     recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
-    worst = max(float(np.max(data.norms(r - data.flat, s0))) for r in recons) / scale0
-    checks.append(CheckResult("reconstruction", worst <= RECON_TOL, worst, level=1))
+    errs = [float(np.max(data.norms(r - data.flat, s0))) / scale0 for r in recons]
+    bad = next((k for k, err in enumerate(errs, start=1) if not err <= RECON_TOL), None)
+    checks.append(CheckResult("reconstruction", bad is None, max(errs), level=bad))
 
     if e.terms:
         g1 = gammas[0]
@@ -738,7 +740,8 @@ def _load_form(path, rec, keys, rows, truncs, m):
 
 def load_expansion(path):
     """Read an expansion index and its row matrix; returns (forms dict, alphas array).
-    The matrix is validated once; every witness row is a read-only view of it.
+    The matrix is closed under conjugation and its representative half validated
+    once; every witness row is a read-only view of it.
 
     Raises:
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
@@ -781,7 +784,7 @@ def load_expansion(path):
         keys, rows = sp.conj_closure(reps, rows.view(np.complex128))
     except sp.MalformedFieldError as exc:
         raise sp.MalformedFieldError(f"{path}: {exc}") from exc
-    bad = sp.first_violation(keys, rows, truncs)
+    bad = sp.first_violation(reps, rows[:, len(reps):], truncs, representatives=True)
     if bad is not None:
         i = int(np.searchsorted(bounds, bad[0], side="right")) - 1
         k, n = divmod(bad[0] - bounds[i] - 1, 1 + m)

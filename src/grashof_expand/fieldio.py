@@ -4,7 +4,9 @@ Field files, manifests and expansion indexes are JSON text with floats
 serialized at 17 significant digits (lossless double round-trip) and LF line
 endings; each expansion index has one binary ``.npy`` row matrix beside it
 (see ``expansion.save_expansion``). Every write is atomic (temp file in the
-target directory, then rename).
+target directory, then rename). A window of field files is read in one pass
+(``read_fields``; ``read_field`` is the window of one), and a field file is
+written from one format string (``write_field``).
 """
 
 from __future__ import annotations
@@ -95,36 +97,82 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 
 
+# One {"k", "c"} record as ``dumps`` lays it out; %.17g prints a key as an integer.
+_MODE = ('    {\n      "k": [%.17g, %.17g],\n      "c": [\n        [%.17g, %.17g],\n'
+         '        [%.17g, %.17g]\n      ]\n    }')
+
+
 def write_field(path, field):
-    """Store one representative of each conjugate pair, sorted by wavevector."""
+    """Store one representative of each conjugate pair, sorted by wavevector: the
+    text of ``write_json`` on the field's record, from one %-format over all values."""
     half = sp.rep_half(len(field.keys))
-    keys = field.keys[half].tolist()
-    coeffs = field.coeffs[half].view(np.float64).reshape(-1, 2, 2).tolist()
-    records = [{"k": k, "c": c} for k, c in zip(keys, coeffs)]
-    doc = {"truncation": int(field.trunc), "conjugate_closure": True, "modes": records}
-    write_json(path, doc)
+    table = np.concatenate([field.keys[half], field.coeffs[half].view(np.float64)], axis=1)
+    body = ",\n".join([_MODE] * len(table)) % tuple(table.ravel().tolist())
+    modes = f"[\n{body}\n  ]" if len(table) else "[]"
+    atomic_write(path, f'{{\n  "truncation": {int(field.trunc)},\n  "conjugate_closure": true,\n'
+                       f'  "modes": {modes}\n}}\n')
+
+
+def read_fields(paths):
+    """Read the field files ``paths`` (a window, in manifest order): each is parsed
+    (FieldFormatError), then all are validated in one pass (MalformedFieldError).
+    The first bad file in order raises, with its path and the message a file read
+    alone gives."""
+    paths, docs = list(paths), []
+    try:
+        for path in paths:
+            doc = read_json(path)
+            try:
+                trunc = int(doc["truncation"])
+                if not doc.get("conjugate_closure", False):
+                    raise FieldFormatError(f"{path}: conjugate_closure flag missing or false")
+                recs = doc["modes"]
+                reps = np.array([rec["k"] for rec in recs], dtype=np.int64).reshape(len(recs), 2)
+                parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FieldFormatError(f"{path}: malformed field file ({exc})") from exc
+            docs.append((trunc, reps, parts))
+    except Exception:
+        _window(paths[:len(docs)], docs)  # a bad file before the unreadable one comes first
+        raise
+    return _window(paths, docs)
+
+
+def _window(paths, docs):
+    """Fields of the parsed files ``docs`` of ``paths``: their representatives go
+    onto the union keys as one row per file, validated in one pass, then closed
+    under conjugation at once. ``docs`` is emptied once placed. On a violation the
+    files are read again one at a time, so the first bad one raises."""
+    truncs, reps = [t for t, _, _ in docs], [r for _, r, _ in docs]
+    sizes = [len(r) for r in reps]
+    every = np.concatenate([np.zeros((0, 2), dtype=np.int64), *reps])
+    starts = np.cumsum(sizes[:-1], dtype=np.intp)
+    try:
+        sp.check_representatives(every, starts[starts < len(every)])
+        # Past a mode outside its file's truncation the files go one at a time,
+        # so the union grid never outgrows the truncations.
+        if len(docs) > 1 and np.any(np.max(np.abs(every), axis=1) > np.repeat(truncs, sizes)):
+            raise sp.MalformedFieldError("a mode lies outside its truncation")
+        keys, slots = sp.key_union(reps) if len(docs) > 1 else (every, [slice(None)])
+        half = np.zeros((len(docs), len(keys), 2), dtype=np.complex128)
+        for row, slot, (_, _, parts) in zip(half, slots, docs):
+            row[slot] = parts[..., 0] + 1j * parts[..., 1]
+        docs.clear()
+        del reps, every, slots  # with docs: only the rows stay, to bound the peak memory
+        bad = sp.first_violation(keys, half, truncs, representatives=True)
+        if bad is not None:
+            raise sp.MalformedFieldError(bad[1])
+    except sp.MalformedFieldError as exc:
+        if len(paths) == 1:
+            raise sp.MalformedFieldError(f"{paths[0]}: {exc}") from exc
+        return [read_field(path) for path in paths]
+    keys, rows = sp.conj_closure(keys, half)
+    return [sp.SpectralField.from_arrays(t, keys, r) for t, r in zip(truncs, rows)]
 
 
 def read_field(path):
-    """Read a field file (FieldFormatError) and validate it (MalformedFieldError)."""
-    doc = read_json(path)
-    try:
-        trunc = int(doc["truncation"])
-        if not doc.get("conjugate_closure", False):
-            raise FieldFormatError(f"{path}: conjugate_closure flag missing or false")
-        recs = doc["modes"]
-        reps = np.array([rec["k"] for rec in recs], dtype=np.int64).reshape(len(recs), 2)
-        parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FieldFormatError(f"{path}: malformed field file ({exc})") from exc
-    try:
-        keys, coeffs = sp.conj_closure(reps, parts[..., 0] + 1j * parts[..., 1])
-    except sp.MalformedFieldError as exc:
-        raise sp.MalformedFieldError(f"{path}: {exc}") from exc
-    bad = sp.first_violation(keys, coeffs[None], [trunc])
-    if bad is not None:
-        raise sp.MalformedFieldError(f"{path}: {bad[1]}")
-    return sp.SpectralField.from_arrays(trunc, keys, coeffs)
+    """Read a field file and validate it: the window of one."""
+    return read_fields([path])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -78,31 +78,35 @@ def compare(xi, eta, alphas):
     Fits the slope of log(xi/eta) against log(alpha_n) over the tail half;
     succ needs slope above ``SLOPE_GATE`` and strictly increasing tail ratios,
     sim needs flat slope and tail dispersion at most ``DISP_GATE``. Windows
-    shorter than 6 are refused.
+    shorter than 6 are refused. The batch of one of ``_compare_rows``.
     """
-    x = xi.array
-    y = eta.array
-    if len(x) != len(y):
+    return _compare_rows(xi.array[None], eta.array[None], alphas)[0]
+
+
+def _compare_rows(xs, ys, alphas):
+    """``compare`` of each row of ``xs`` (P, M) against the same row of ``ys``:
+    ratios, tails, trends and dispersions in one array pass."""
+    if xs.shape[1] != ys.shape[1]:
         raise ValueError("sequences must share the window")
-    m = len(x)
-    if m < 6:
+    if xs.shape[1] < 6:
         raise ValueError("comparison window must contain at least 6 samples")
-    ratio = x / y
-    half = m // 2
-    tail = ratio[half:]
+    half = xs.shape[1] // 2
+    tail = (xs / ys)[:, half:]
     grid = np.log(np.asarray(alphas, dtype=float)[half:])
-    slope = float(np.polyfit(grid, np.log(tail), 1)[0])
-    increasing = bool(np.all(np.diff(tail) > 0))
-    decreasing = bool(np.all(np.diff(tail) < 0))
-    mean = float(np.mean(tail))
-    dispersion = float(np.std(tail / mean))  # relative spread; overflow-safe
-    if slope > SLOPE_GATE and increasing:
-        return OrderRelation("succ", None, slope, dispersion)
-    if slope < -SLOPE_GATE and decreasing:
-        return OrderRelation("prec", None, slope, dispersion)
-    if abs(slope) <= SLOPE_GATE and dispersion <= DISP_GATE:
-        return OrderRelation("sim", mean, slope, dispersion)
-    return OrderRelation("undecided", None, slope, dispersion)
+    # One fit per row: a fit of all rows at once (a 2-D y) moves the last bits
+    # of some slopes, and a slope of pure roundoff is printed as evidence.
+    slopes = [float(np.polyfit(grid, row, 1)[0]) for row in np.log(tail)]
+    steps = np.diff(tail, axis=1)
+    means = np.mean(tail, axis=1)
+    disps = np.std(tail / means[:, None], axis=1)  # relative spread; overflow-safe
+    out = []
+    for slope, up, down, mean, disp in zip(slopes, np.all(steps > 0, axis=1),
+                                           np.all(steps < 0, axis=1), means.tolist(),
+                                           disps.tolist()):
+        verdict = ("succ" if slope > SLOPE_GATE and up else "prec" if slope < -SLOPE_GATE and down
+                   else "sim" if abs(slope) <= SLOPE_GATE and disp <= DISP_GATE else "undecided")
+        out.append(OrderRelation(verdict, mean if verdict == "sim" else None, slope, disp))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,8 @@ def build_S(alphas, gammas):
 
     ``gammas`` is a list of positive arrays, one per expansion level. Returns
     a RelationMatrix over (1), (alpha), (Gamma_k), (alpha Gamma_k) and
-    (alpha Gamma_j Gamma_k), j <= k.
+    (alpha Gamma_j Gamma_k), j <= k; every pair is compared in one array pass,
+    each relation the one ``compare`` gives on its pair.
 
     Raises:
       InconsistentRelationsError: a structural decay relation (a pure product
@@ -178,8 +183,10 @@ def build_S(alphas, gammas):
         for k in gs:
             values = values * gammas[k - 1]
         seqs.append(PositiveSequence(_label(p, gs), tuple(values)))
-    relations = {(i, j): compare(seqs[i], seqs[j], alphas)
-                 for i in range(len(seqs)) for j in range(i + 1, len(seqs))}
+    pairs = list(itertools.combinations(range(len(seqs)), 2))
+    table = np.array([sq.values for sq in seqs])
+    first, second = np.array(pairs).T
+    relations = dict(zip(pairs, _compare_rows(table[first], table[second], alphas)))
     mat = RelationMatrix(sequences=seqs, relations=relations)
 
     for i, j in itertools.permutations(range(len(seqs)), 2):

@@ -64,41 +64,55 @@ def rep_half(n):
     return slice(n // 2, None)
 
 
-def conj_closure(reps, coeffs):
-    """Sorted keys closed under negation, and coefficients (..., 2M, 2), from
-    increasing representatives ``reps`` (M, 2) and their coefficients (..., M, 2)."""
-    # Each step from the previous key (from (0, 0) for the first) must be a
-    # representative: kx > 0, or kx = 0 and ky > 0.
+def check_representatives(reps, starts=()):
+    """Raise MalformedFieldError unless each row of ``reps`` (M, 2) steps from the one
+    before (from (0, 0) at row 0 and at ``starts``, where each next key set of a
+    concatenation begins) to a conjugate representative: kx > 0, or kx = 0 < ky."""
     step = np.diff(reps, axis=0, prepend=np.zeros((1, 2), dtype=reps.dtype))
+    starts = np.asarray(starts, dtype=np.intp)
+    step[starts] = reps[starts]
     bad = (step[:, 0] < 0) | ((step[:, 0] == 0) & (step[:, 1] <= 0))
     if bad.any():
         k = tuple(reps[np.argmax(bad)].tolist())
         raise MalformedFieldError(f"mode {k} is not a conjugate representative in increasing order")
+
+
+def conj_closure(reps, coeffs):
+    """Sorted keys closed under negation, and coefficients (..., 2M, 2), from
+    increasing representatives ``reps`` (M, 2) and their coefficients (..., M, 2)."""
+    check_representatives(reps)
     keys = np.concatenate([-reps[::-1], reps])
-    return keys, np.concatenate([np.conj(coeffs[..., ::-1, :]), coeffs], axis=-2)
+    full = np.empty(coeffs.shape[:-2] + keys.shape, dtype=coeffs.dtype)
+    full[..., len(reps):, :] = coeffs
+    np.conj(coeffs[..., ::-1, :], out=full[..., :len(reps), :])  # no temporary of the half
+    return keys, full
 
 
-def first_violation(keys, rows, truncs):
+def first_violation(keys, rows, truncs, representatives=False):
     """(row, message) of the first violation in ``rows`` (R, M, 2) on the sorted
     ``keys``, zero entries counting as absent, or None. Checks run in turn (zero
     mode, truncation ``truncs[row]``, reality, divergence); each names its first
-    failing row at the largest failing key: the representative of a failing pair."""
+    failing row at the largest failing key: the representative of a failing pair.
+    With ``representatives`` the rows are the half that ``conj_closure`` completes,
+    exact by construction: reality is not checked, the rest name the same."""
     # Component planes (R, M): numpy loops over a length-2 last axis far slower.
     planes = (rows[..., 0], rows[..., 1])
     live = (planes[0] != 0) | (planes[1] != 0)
     amp = np.max(np.abs(rows), axis=(1, 2), initial=0.0)
     tol = REALITY_TOL * np.maximum(amp, 1e-300)[:, None]
     radius = np.max(np.abs(keys), axis=1, initial=0)
-    closed = np.array_equal(keys[::-1], -keys)
-    mirror = rows[..., ::-1, :] if closed else gather(keys, rows, -keys)
-    gap = np.maximum(*(np.abs(mirror[..., c] - np.conj(p)) for c, p in enumerate(planes)))
+    unreal = False  # the representative half has no conjugate to differ from
+    if not representatives:
+        closed = np.array_equal(keys[::-1], -keys)
+        mirror = rows[..., ::-1, :] if closed else gather(keys, rows, -keys)
+        gap = np.maximum(*(np.abs(mirror[..., c] - np.conj(p)) for c, p in enumerate(planes)))
+        unreal = ((mirror[..., 0] == 0) & (mirror[..., 1] == 0)) | (gap > tol)
     div = keys[:, 0] * planes[0]
     div += keys[:, 1] * planes[1]
     checks = (
         (radius == 0, "zero-average constraint: mode (0,0) not allowed"),
         (radius > np.asarray(truncs)[:, None], "mode {k} outside truncation radius {t}"),
-        (((mirror[..., 0] == 0) & (mirror[..., 1] == 0)) | (gap > tol),
-         "reality condition violated at mode {k}"),
+        (unreal, "reality condition violated at mode {k}"),
         (np.abs(div) > tol * radius, "divergence-free condition violated at mode {k}"),
     )
     for bad, message in checks:

@@ -552,12 +552,29 @@ def test_verify_names_the_lowest_level_each_check_reads(ex314_window):
     terms[2] = replace(terms[2], direction=2.0 * terms[2].direction)
     rep = ex.verify_expansion(replace(uni, terms=terms), data)
     assert [(c.axiom, c.level) for c in rep.failures()] == [
-        ("reconstruction", 1), ("unit-directions", 3)]
+        ("reconstruction", 4), ("unit-directions", 3)]
     den = fx.example314_degenerate_expansion(depth=6)
     levels = {c.axiom: c.level for c in ex.verify_expansion(den, data).checks}
     assert (levels["gamma1-decay"], levels["ratio-decay-k2"], levels["witness-convergence-k2"]) == (
         1, 3, 2)
     assert levels["degenerate-pattern"] == levels["degenerate-remainders"] == den.degenerate_n + 1
+
+
+def test_verified_prefix_cuts_at_a_deep_broken_reconstruction(ex314_window):
+    """Doubled witnesses of term 4 break only the level-4 reconstruction, so the
+    form is cut to its first three levels, not rejected."""
+    _, data = ex314_window
+    uni = fx.example314_unitary_expansion(depth=4)
+    terms = list(uni.terms)
+    terms[3] = replace(terms[3], witnesses=2.0 * terms[3].witnesses)
+    broken = replace(uni, terms=terms)
+    assert [(c.axiom, c.level) for c in ex.verify_expansion(broken, data).failures()] == [
+        ("reconstruction", 4)]
+    cut = ex._verified_prefix(broken, data)
+    assert (cut.depth, cut.depth_reason, cut.kind) == (
+        3, "level 4 fails reconstruction", "infinite-unitary")
+    assert cut.decision_log[-1] == "level 4 fails reconstruction"
+    assert ex.verify_expansion(cut, data).passed
 
 
 def test_verify_remainder_ratio_decreasing_example45(ex45_records, ex45_data, ex45_extraction):

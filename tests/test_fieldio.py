@@ -1,11 +1,14 @@
-"""Field/manifest file-format tests: round-trips, 17-digit floats, atomicity."""
+"""Field/manifest file-format tests: round-trips, 17-digit floats, atomicity, and
+the window reader and the field writer against their per-item oracles."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from grashof_expand import cli
 from grashof_expand import fieldio
 from grashof_expand import spectral as sp
 
@@ -138,3 +141,196 @@ def test_dumps_matches_per_element_oracle(name):
     doc = DUMPS_DOCS[name]
     assert fieldio.dumps(doc) == _dumps_per_element(doc)
     assert fieldio.dumps({"x": doc, "y": [doc]}) == _dumps_per_element({"x": doc, "y": [doc]})
+
+
+# ---------------------------------------------------------------------------
+# The window reader against the per-file reader
+# ---------------------------------------------------------------------------
+
+
+def _read_field_per_file(path):
+    """The per-file reader: the oracle for ``fieldio.read_fields``."""
+    doc = fieldio.read_json(path)
+    try:
+        trunc = int(doc["truncation"])
+        if not doc.get("conjugate_closure", False):
+            raise fieldio.FieldFormatError(f"{path}: conjugate_closure flag missing or false")
+        recs = doc["modes"]
+        reps = np.array([rec["k"] for rec in recs], dtype=np.int64).reshape(len(recs), 2)
+        parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise fieldio.FieldFormatError(f"{path}: malformed field file ({exc})") from exc
+    try:
+        keys, coeffs = sp.conj_closure(reps, parts[..., 0] + 1j * parts[..., 1])
+    except sp.MalformedFieldError as exc:
+        raise sp.MalformedFieldError(f"{path}: {exc}") from exc
+    bad = sp.first_violation(keys, coeffs[None], [trunc])
+    if bad is not None:
+        raise sp.MalformedFieldError(f"{path}: {bad[1]}")
+    return sp.SpectralField.from_arrays(trunc, keys, coeffs)
+
+
+WINDOWS = {
+    "example45": [["fixtures", "example45", "--coeffs", "2=1,3=0.5", "--count", "20", "--out", "w"]],
+    "example314": [["fixtures", "example314", "--count", "6", "--truncation", "64", "--out", "w"]],
+    # the README doubling sweep at N = 8
+    "sweep-n8": [["fixtures", "example45", "--c2", "1", "--count", "20", "--out", "fx"],
+                 ["sweep", "--force", "fx/g_limit.json", "--count", "12", "--truncation", "8",
+                  "--out", "w"]],
+}
+
+
+@pytest.fixture(scope="module")
+def windows(tmp_path_factory):
+    """Field paths, in manifest order, of each window of ``WINDOWS``."""
+    out = {}
+    for name, stages in WINDOWS.items():
+        root = tmp_path_factory.mktemp(name)
+        for argv in stages:
+            argv = [str(root / a) if a in ("w", "fx") or a.startswith("fx/") else a for a in argv]
+            assert cli.main(argv) == 0
+        out[name] = [e["field"] for e in fieldio.read_manifest(root / "w" / "manifest.json")["entries"]]
+    return out
+
+
+def _same_bits(u, v):
+    return (u.trunc == v.trunc and u.keys.dtype == v.keys.dtype and u.coeffs.dtype == v.coeffs.dtype
+            and np.array_equal(u.keys, v.keys) and u.coeffs.tobytes() == v.coeffs.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_read_fields_bit_equal_to_per_file_reader(windows, name):
+    paths = windows[name]
+    got = fieldio.read_fields(paths)
+    want = [_read_field_per_file(p) for p in paths]
+    assert len(got) == len(want) == len(paths)
+    assert all(_same_bits(u, v) for u, v in zip(got, want))
+    assert all(_same_bits(fieldio.read_field(p), v) for p, v in zip(paths, want))
+
+
+def _corrupt(path, kind):
+    """Damage the field file ``path`` in the way ``kind`` names."""
+    if kind == "json":
+        with open(path, "w") as fh:
+            fh.write('{"truncation": 2, "modes": [')
+        return
+    doc = fieldio.read_json(path)
+    modes = doc["modes"]
+    if kind == "missing-key":
+        del doc["truncation"]
+    elif kind == "flag":
+        doc["conjugate_closure"] = False
+    elif kind == "unordered":
+        modes[0], modes[1] = modes[1], modes[0]
+    elif kind in ("truncation", "zero-outside"):
+        c = 1.0 if kind == "truncation" else 0.0
+        modes.append({"k": [doc["truncation"] + 1, 0], "c": [[0.0, 0.0], [0.0, c]]})
+    elif kind == "divergence":
+        k = modes[-1]["k"]
+        modes[-1]["c"] = [[float(k[0]), 0.0], [float(k[1]), 0.0]]
+    elif kind == "ragged":
+        modes[0]["c"] = [[1.0, 2.0, 3.0], [4.0, 5.0]]
+    else:
+        raise ValueError(kind)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _copy(paths, target):
+    """Copies of the files ``paths`` in the directory ``target``, in order."""
+    out = [str(target / os.path.basename(p)) for p in paths]
+    for src, dst in zip(paths, out):
+        shutil.copyfile(src, dst)
+    return out
+
+
+def _outcome(read):
+    try:
+        return [(f.trunc, f.keys.tobytes(), f.coeffs.tobytes()) for f in read()]
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+FAULTS = ["json", "missing-key", "flag", "unordered", "truncation", "divergence", "ragged"]
+
+
+@pytest.mark.parametrize("faults", [[(6, kind)] for kind in FAULTS] + [
+    [(3, "divergence"), (11, "json")],
+    [(3, "json"), (11, "divergence")],
+    [(4, "truncation"), (9, "unordered")],
+    [(4, "ragged"), (9, "truncation")],
+    [(2, "flag"), (15, "divergence")],
+    [(8, "divergence"), (17, "missing-key")],
+    [(5, "zero-outside"), (12, "divergence")],
+], ids=lambda faults: "+".join(f"{k}@{i}" for i, k in faults))
+def test_read_fields_raises_as_the_per_file_reader(windows, tmp_path, faults):
+    """A window with bad files raises what reading it file by file raises: the
+    first bad file in order, with the same exception type and message."""
+    paths = _copy(windows["example45"], tmp_path)
+    for i, kind in faults:
+        _corrupt(paths[i], kind)
+    want = _outcome(lambda: [_read_field_per_file(p) for p in paths])
+    first = next((i, kind) for i, kind in faults if kind != "zero-outside")
+    assert isinstance(want, tuple)
+    if first[1] != "json":  # json's own message names no file
+        assert os.path.basename(paths[first[0]]) in want[1]
+    assert _outcome(lambda: fieldio.read_fields(paths)) == want
+
+
+def test_read_fields_drops_a_zero_mode_outside_the_truncation(windows, tmp_path):
+    paths = _copy(windows["example45"], tmp_path)
+    _corrupt(paths[5], "zero-outside")
+    want = _outcome(lambda: [_read_field_per_file(p) for p in windows["example45"]])
+    assert _outcome(lambda: [_read_field_per_file(p) for p in paths]) == want
+    assert _outcome(lambda: fieldio.read_fields(paths)) == want
+
+
+def test_load_sequence_validates_a_window_once(windows, monkeypatch):
+    calls = []
+    check = sp.first_violation
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "first_violation", counted)
+    manifest = os.path.join(os.path.dirname(windows["example45"][0]), "manifest.json")
+    data, _ = cli._load_sequence(manifest)
+    assert calls == [len(data)] == [20]
+
+
+def _write_field_via_dumps(field):
+    """The record-by-record field text: the oracle for ``fieldio.write_field``."""
+    half = sp.rep_half(len(field.keys))
+    keys = field.keys[half].tolist()
+    coeffs = field.coeffs[half].view(np.float64).reshape(-1, 2, 2).tolist()
+    records = [{"k": k, "c": c} for k, c in zip(keys, coeffs)]
+    doc = {"truncation": int(field.trunc), "conjugate_closure": True, "modes": records}
+    return fieldio.dumps(doc) + "\n"
+
+
+def _signed_zeros():
+    c = np.array([complex(-0.0, 0.0), complex(0.0, -0.0)])
+    # k = (1, 0) with c_x = 0: divergence-free whatever c_y is
+    up = np.array([complex(-0.0, -0.0), complex(-0.0, 0.1 + 0.2)])
+    return sp.SpectralField(3, {(0, 1): c, (0, -1): np.conj(c), (1, 0): up, (-1, 0): np.conj(up)})
+
+
+WRITE_CASES = {
+    "random": lambda: sp.random_divfree(5, np.random.default_rng(3)),
+    "empty": lambda: sp.zero_field(4),
+    "signed-zeros": _signed_zeros,
+    "17-digits": lambda: (0.1 + 0.2) * sp.random_divfree(3, np.random.default_rng(4), decay=3.0),
+    "eigenfunctions": lambda: sp.lin_comb([1e300, -5e-324 * 1e300, 1e-300], sp.eigenfunctions(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_CASES))
+def test_write_field_text_matches_dumps(tmp_path, name):
+    field = WRITE_CASES[name]()
+    path = tmp_path / "f.json"
+    fieldio.write_field(path, field)
+    assert path.read_text() == _write_field_via_dumps(field)
+    if name == "signed-zeros":
+        assert '"c": [\n        [-0, -0],' in path.read_text()
+    assert _same_bits(fieldio.read_field(path), _read_field_per_file(path))

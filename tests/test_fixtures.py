@@ -1,7 +1,5 @@
 """Analytic fixture tests: closed forms against high-precision evaluation."""
 
-import dataclasses
-
 import mpmath
 import numpy as np
 import pytest
@@ -56,21 +54,6 @@ def test_example45_steady_equation_selfcheck():
         rec = fx.example45(cfg, n)  # check=True raises on failure
         p = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha, trunc=2 * rec.v_n.trunc)
         assert sp.norm_ds(st.residual(rec.v_n, p), 0) <= 1e-12 * sp.norm_ds(rec.g_n, 0)
-
-
-def test_example45_check_of_a_given_steady_residual():
-    """``check_example45`` takes the Galerkin residual at radius 2N, which
-    ``example45_window`` computes once per sample, and still raises on either
-    identity."""
-    cfg = fx.Example45Config(coeffs=((2, 1.0), (3, 0.25)))
-    rec = fx.example45(cfg, 4, check=False)
-    p = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha, trunc=2 * rec.v_n.trunc)
-    fx.check_example45(rec, st.residual(rec.v_n, p))
-    with pytest.raises(fx.FixtureIntegrityError, match="steady equation"):
-        fx.check_example45(rec, 1e-9 * rec.g_n)
-    off = dataclasses.replace(rec, gamma2=rec.gamma2 * (1.0 + 1e-6))
-    with pytest.raises(fx.FixtureIntegrityError, match="reconstruction"):
-        fx.check_example45(off, st.residual(rec.v_n, p))
 
 
 def test_example45_reconstruction_and_force_limit():
@@ -197,6 +180,31 @@ def test_example45_window_checks_every_n(monkeypatch, fault, words):
                             lambda cfg, n: alpha(cfg, n) * np.where(n == 10, 1.0 + 1e-6, 1.0))
     with pytest.raises(fx.FixtureIntegrityError, match=words):
         fx.example45_window(cfg, range(1, 20))
+
+
+@pytest.mark.parametrize("recon_n, steady_n, words", [
+    (3, 5, "expansion reconstruction failed at n=3"),
+    (5, 3, "steady equation residual too large at n=3"),
+    (3, 3, "steady equation residual too large at n=3"),
+])
+def test_example45_window_names_the_first_failing_n(monkeypatch, recon_n, steady_n, words):
+    """With alpha_{recon_n} moved by 1e-6 relative (only the reconstruction
+    fails there) and B(v, v) of sample steady_n (only its steady residual), the
+    window raises for the first failing n; at one n the steady check comes first."""
+    cfg = fx.Example45Config(coeffs=((2, 1.0), (3, 0.25)))
+    alpha = fx.example45_alpha
+    monkeypatch.setattr(fx, "example45_alpha",
+                        lambda cfg, n: alpha(cfg, n) * np.where(n == recon_n, 1.0 + 1e-6, 1.0))
+    convolve = kernels.advect_convolve
+
+    def off(ku, cu, kv, cv, nout):
+        grid = convolve(ku, cu, kv, cv, nout)
+        grid[steady_n - 1] *= 1.0 + 1e-6
+        return grid
+
+    monkeypatch.setattr(kernels, "advect_convolve", off)
+    with pytest.raises(fx.FixtureIntegrityError, match=words):
+        fx.example45_window(cfg, range(1, 8))
 
 
 def test_example314_norm_closed_form():

@@ -436,3 +436,51 @@ def test_chi_negative_is_s3():
 def test_chi_alternating_is_mixed():
     n = np.arange(1, 13)
     assert od.chi_trichotomy((-1.0) ** n / n) == "mixed"
+
+
+# ---------------------------------------------------------------------------
+# build_S's one pass over all pairs against per-pair comparisons
+# ---------------------------------------------------------------------------
+
+
+def _compare_per_pair(xi, eta, alphas):
+    """One comparison at a time: the oracle for ``compare`` and ``build_S``."""
+    x, y = xi.array, eta.array
+    half = len(x) // 2
+    tail = (x / y)[half:]
+    grid = np.log(np.asarray(alphas, dtype=float)[half:])
+    slope = float(np.polyfit(grid, np.log(tail), 1)[0])
+    mean = float(np.mean(tail))
+    dispersion = float(np.std(tail / mean))
+    if slope > od.SLOPE_GATE and np.all(np.diff(tail) > 0):
+        return od.OrderRelation("succ", None, slope, dispersion)
+    if slope < -od.SLOPE_GATE and np.all(np.diff(tail) < 0):
+        return od.OrderRelation("prec", None, slope, dispersion)
+    if abs(slope) <= od.SLOPE_GATE and dispersion <= od.DISP_GATE:
+        return od.OrderRelation("sim", mean, slope, dispersion)
+    return od.OrderRelation("undecided", None, slope, dispersion)
+
+
+def _ex45_gammas(coeffs):
+    from grashof_expand import fixtures as fx
+
+    recs = fx.example45_window(fx.Example45Config(coeffs=coeffs), range(1, 21), check=False)
+    return (np.array([r.alpha for r in recs]),
+            [np.array([r.gamma1 for r in recs]), np.array([r.gamma2 for r in recs])])
+
+
+_WINDOWS = {case[0]: case[2] for case in _LEAVES if case[2][1]}
+_WINDOWS.update({f"example45 {c}": _ex45_gammas(c) for c in (
+    ((2, 1.0),), ((2, 0.7),), ((2, 1.27), (3, 0.9)), ((2, 1.1181), (3, 0.7442)))})
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOWS))
+def test_build_s_matches_per_pair_compare(name):
+    """Every relation of the one-pass build_S, and compare on its pair, equals
+    the per-pair comparison to the bit."""
+    alphas, gammas = _WINDOWS[name]
+    mat = od.build_S(alphas, gammas)
+    for (i, j), r in mat.relations.items():
+        want = _compare_per_pair(mat.sequences[i], mat.sequences[j], alphas)
+        assert r == want, (mat.sequences[i].label, mat.sequences[j].label)
+        assert od.compare(mat.sequences[i], mat.sequences[j], alphas) == want
