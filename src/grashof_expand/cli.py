@@ -1,9 +1,11 @@
 """Batch pipeline front door: sweep -> extract -> verify -> classify -> report.
 
-Exit codes: 0 success, 1 domain error (solver/extraction/format failures),
-2 usage error. A usage error writes nothing. All artifacts are written
-atomically; repeated runs with the same configuration produce byte-identical
-outputs. ``verify`` checks its forms one after another on one thread.
+Exit codes: 0 success; 1 domain error (a failed solve, extraction or
+classification, or a field that breaks an invariant); 2 usage error, or an
+input file that is missing, not valid JSON or not of its schema, named in the
+message. A usage error writes nothing. All artifacts are written atomically;
+repeated runs with the same configuration produce byte-identical outputs.
+``verify`` checks its forms one after another on one thread.
 """
 
 from __future__ import annotations
@@ -76,58 +78,57 @@ def _parse_scale(spec, depth):
 # ---------------------------------------------------------------------------
 
 
+def _write_window(out, stem, fields, entries, forces=None, g_limit=None):
+    """Write each field as ``<stem>_<n>.json`` under ``out`` (made by the first
+    write), its force as ``g_<n>.json`` and ``g_limit`` as ``g_limit.json`` if
+    given, then the manifest of ``entries``, each given the paths of its files."""
+    for i, (entry, field) in enumerate(zip(entries, fields)):
+        entry["field"] = os.path.join(out, f"{stem}_{entry['n']:04d}.json")
+        fieldio.write_field(entry["field"], field)
+        if forces is not None:
+            entry["force"] = os.path.join(out, f"g_{entry['n']:04d}.json")
+            fieldio.write_field(entry["force"], forces[i])
+    glim = None if g_limit is None else os.path.join(out, "g_limit.json")
+    if glim is not None:
+        fieldio.write_field(glim, g_limit)
+    fieldio.write_manifest(os.path.join(out, "manifest.json"), entries, g_limit=glim)
+
+
 def cmd_fixtures(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    if args.family == "example314" and args.count > 6:
-        raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
-    if args.family == "example314" and args.truncation < 16:
-        raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {args.truncation}")
-    if args.family == "example45" and args.with_expansions:
-        raise UsageError("--with-expansions is for example314 only")
-    if args.family == "example45" and args.coeffs is not None and args.c2 is not None:
+    only = {"example45": (("--c2", args.c2), ("--coeffs", args.coeffs)),
+            "example314": (("--truncation", args.truncation),
+                           ("--with-expansions", args.with_expansions or None))}
+    for family, flags in only.items():
+        for flag, value in flags:
+            if args.family != family and value is not None:
+                raise UsageError(f"{flag} is for {family} only")
+    if args.coeffs is not None and args.c2 is not None:
         raise UsageError("give --c2 or --coeffs, not both")
-    for flag, value in (("--c2", args.c2), ("--coeffs", args.coeffs)):
-        if args.family == "example314" and value is not None:
-            raise UsageError(f"{flag} is for example45 only")
-    cfg = _example45_config(args.coeffs, args.c2) if args.family == "example45" else None
-    os.makedirs(args.out, exist_ok=True)
-    if cfg is not None:
-        recs = fx.example45_window(cfg, range(1, args.count + 1))
-        entries = []
-        for rec in recs:
-            vfile = os.path.join(args.out, f"v_{rec.n:04d}.json")
-            gfile = os.path.join(args.out, f"g_{rec.n:04d}.json")
-            fieldio.write_field(vfile, rec.v_n)
-            fieldio.write_field(gfile, rec.g_n)
-            entries.append({
-                "n": rec.n, "alpha": rec.alpha, "field": vfile,
-                "residual_H": rec.residual_h,
-                "bound_check": sp.norm_ds(sp.apply_fractional(rec.v_n, 1.0), 0)
-                / sp.norm_ds(rec.g_n, 0),
-                "force": gfile,
-            })
-        glim = os.path.join(args.out, "g_limit.json")
-        fieldio.write_field(glim, recs[-1].g)  # g does not depend on n
-        fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries, g_limit=glim)
+    if args.family == "example45":
+        recs = fx.example45_window(_example45_config(args.coeffs, args.c2),
+                                   range(1, args.count + 1))
+        entries = [{"n": rec.n, "alpha": rec.alpha, "residual_H": rec.residual_h,
+                    "bound_check": sp.norm_ds(sp.apply_fractional(rec.v_n, 1.0), 0)
+                    / sp.norm_ds(rec.g_n, 0)} for rec in recs]
+        _write_window(args.out, "v", [r.v_n for r in recs], entries,
+                      forces=[r.g_n for r in recs], g_limit=recs[-1].g)  # g does not depend on n
     else:
+        truncation = 64 if args.truncation is None else args.truncation
+        if args.count > 6:
+            raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
+        if truncation < 16:
+            raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {truncation}")
         ns = range(1, args.count + 1)
-        recs, alphas = fx.example314_window(ns, args.truncation)
-        entries = []
-        for rec, alpha in zip(recs, alphas):
-            vfile = os.path.join(args.out, f"v_{rec.n:04d}.json")
-            fieldio.write_field(vfile, rec.v_n)
-            entries.append({
-                "n": rec.n, "alpha": alpha, "field": vfile,
-                "residual_H": 0.0, "bound_check": 0.0,
-            })
-        fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries)
+        recs, alphas = fx.example314_window(ns, truncation)
+        entries = [{"n": rec.n, "alpha": alpha, "residual_H": 0.0, "bound_check": 0.0}
+                   for rec, alpha in zip(recs, alphas)]
+        _write_window(args.out, "v", [r.v_n for r in recs], entries)
         if args.with_expansions:
-            uni = fx.example314_unitary_expansion(ns, args.truncation)
-            den = fx.example314_degenerate_expansion(ns, args.truncation)
-            ex.save_expansion(os.path.join(args.out, "expansion_analytic.json"),
-                              {"unitary": uni, "degenerate": den},
-                              alphas)
+            forms = {"unitary": fx.example314_unitary_expansion(ns, truncation),
+                     "degenerate": fx.example314_degenerate_expansion(ns, truncation)}
+            ex.save_expansion(os.path.join(args.out, "expansion_analytic.json"), forms, alphas)
     print(f"wrote fixture manifest under {args.out}")
     return 0
 
@@ -166,22 +167,11 @@ def cmd_sweep(args):
     except st.ContinuationError as exc:
         print(f"sweep failed at index {exc.index}: {exc.reports[-1].message}", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
-    entries = []
-    for i, (rep, a) in enumerate(zip(reports, alphas)):
-        vfile = os.path.join(args.out, f"solution_{i + 1:04d}.json")
-        fieldio.write_field(vfile, rep.solution)
-        entry = {"n": i + 1, "alpha": a, "field": vfile,
-                 "residual_H": rep.residual_h, "bound_check": rep.bound_check,
-                 "dofs": rep.dofs, "group_order": rep.group_order}
-        if args.fixture:
-            gfile = os.path.join(args.out, f"g_{i + 1:04d}.json")
-            fieldio.write_field(gfile, forces[i])
-            entry["force"] = gfile
-        entries.append(entry)
-    glim_file = os.path.join(args.out, "g_limit.json")
-    fieldio.write_field(glim_file, g_limit)
-    fieldio.write_manifest(os.path.join(args.out, "manifest.json"), entries, g_limit=glim_file)
+    entries = [{"n": i + 1, "alpha": a, "residual_H": rep.residual_h,
+                "bound_check": rep.bound_check, "dofs": rep.dofs, "group_order": rep.group_order}
+               for i, (rep, a) in enumerate(zip(reports, alphas))]
+    _write_window(args.out, "solution", [rep.solution for rep in reports], entries,
+                  forces=forces if args.fixture else None, g_limit=g_limit)
     print(f"swept {len(reports)} steps; manifest at {os.path.join(args.out, 'manifest.json')}")
     return 0
 
@@ -331,7 +321,7 @@ def build_parser():
     p.add_argument("--c2", type=float, help="single coefficient c_2 (default 1)")
     p.add_argument("--coeffs", help="coefficient list m=value,m=value")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--truncation", type=int, default=64)
+    p.add_argument("--truncation", type=int, help="eigenmodes of example314 (default 64)")
     p.add_argument("--with-expansions", action="store_true",
                    help="also write the hand-built expansions (example314)")
     p.add_argument("--out", required=True)

@@ -88,8 +88,12 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """The JSON document at ``path``; text that does not decode is a FieldFormatError."""
     with open(path, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FieldFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,6 @@ class Example314Data:
     n: int
     truncation: int
     v_n: "sp.SpectralField"
-    abs_v: float
 
 
 def example314_abs_v(n, truncation=None):
@@ -280,8 +279,8 @@ def example314_window(n_values=range(1, 7), truncation=64):
     plus the alpha_n = e^n parametrization."""
     ns = [int(n) for n in n_values]
     keys, rows, trunc = sp.eigen_rows(_example314_weights(ns, truncation))
-    recs = [Example314Data(n, truncation, sp.SpectralField.from_arrays(trunc, keys, row),
-                           float(example314_abs_v(n, truncation))) for n, row in zip(ns, rows)]
+    recs = [Example314Data(n, truncation, sp.SpectralField.from_arrays(trunc, keys, row))
+            for n, row in zip(ns, rows)]
     return recs, [float(np.exp(n)) for n in ns]
 
 

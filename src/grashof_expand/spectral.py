@@ -223,21 +223,6 @@ def lin_comb(coeffs, fields):
     return SpectralField.from_arrays(trunc, keys, acc)
 
 
-def _leray(keys, coeffs, trunc=None):
-    """leray_project on sorted (keys, coeffs) arrays."""
-    if trunc is None:
-        trunc = int(np.max(np.abs(keys), initial=1))
-    scale = float(np.max(np.abs(coeffs), initial=0.0))
-    live = np.any(keys != 0, axis=1)
-    keys, coeffs = keys[live], coeffs[live]
-    mismatch = np.max(np.abs(gather(keys, coeffs, -keys) - np.conj(coeffs)), axis=1, initial=0.0)
-    bad = mismatch > REALITY_TOL * max(scale, 1e-300)
-    if bad.any():
-        k = tuple(keys[np.argmax(bad)].tolist())
-        raise MalformedFieldError(f"reality condition violated at mode {k}")
-    return SpectralField.from_arrays(trunc, keys, divfree(keys, coeffs))
-
-
 def divfree(keys, rows):
     """(I - k k^T / |k|^2) c(k) for each row of ``rows`` (..., M, 2) on ``keys``.
 
@@ -259,7 +244,18 @@ def leray_project(raw, trunc=None):
     Raises:
       MalformedFieldError: reality condition violated beyond 1e-13 relative.
     """
-    return _leray(*_arrays(raw), trunc)
+    keys, coeffs = _arrays(raw)
+    if trunc is None:
+        trunc = int(np.max(np.abs(keys), initial=1))
+    scale = float(np.max(np.abs(coeffs), initial=0.0))
+    live = np.any(keys != 0, axis=1)
+    keys, coeffs = keys[live], coeffs[live]
+    mismatch = np.max(np.abs(gather(keys, coeffs, -keys) - np.conj(coeffs)), axis=1, initial=0.0)
+    bad = mismatch > REALITY_TOL * max(scale, 1e-300)
+    if bad.any():
+        k = tuple(keys[np.argmax(bad)].tolist())
+        raise MalformedFieldError(f"reality condition violated at mode {k}")
+    return SpectralField.from_arrays(trunc, keys, divfree(keys, coeffs))
 
 
 def _eigenvalues(keys):
@@ -466,4 +462,5 @@ def random_divfree(trunc, rng, decay=1.0):
     keys, (slot,) = key_union([reps])
     lex = np.empty_like(c)
     lex[slot] = c
-    return _leray(*conj_closure(keys, lex), trunc)
+    keys, coeffs = conj_closure(keys, lex)  # real by construction, no (0, 0) mode
+    return SpectralField.from_arrays(trunc, keys, divfree(keys, coeffs))

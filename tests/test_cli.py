@@ -159,6 +159,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                          "--with-expansions is for example314 only"),
                         (["fixtures", "example45", "--c2", "0.7", "--coeffs", "2=1"],
                          "give --c2 or --coeffs, not both"),
+                        (["fixtures", "example45", "--truncation", "5"],
+                         "--truncation is for example314 only"),
                         (ex314 + ["--coeffs", "2=5"], "--coeffs is for example45 only"),
                         (ex314 + ["--c2", "0.7"], "--c2 is for example45 only"),
                         (["sweep", "--fixture", "example45", "--alpha-start", "7"],
@@ -183,6 +185,15 @@ def test_flag_defaults_resolve_where_read(tmp_path):
                 "--truncation", "4", "--out", str(out)]) == 0
     assert [e["alpha"] for e in fieldio.read_manifest(out / "manifest.json")["entries"]] == [
         1.0, 2.0, 4.0]
+
+
+def test_example314_truncation_defaults_to_64(tmp_path):
+    """Unset, example314's --truncation is 64."""
+    for name, extra in (("default", []), ("64", ["--truncation", "64"])):
+        assert run(["fixtures", "example314", "--count", "1", *extra,
+                    "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "default" / "v_0001.json").read_bytes() == \
+        (tmp_path / "64" / "v_0001.json").read_bytes()
 
 
 def test_example314_fixture_arguments_are_usage_errors(tmp_path, capsys):
@@ -272,6 +283,18 @@ def test_failed_sweep_creates_no_out(tmp_path, capsys):
     assert run(["sweep", "--force", str(fxdir / "g_limit.json"), "--alpha-factor", "100",
                 "--count", "4", "--out", str(out)]) == 1
     assert "sweep failed at index 1: Newton stalled" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_fixture_check_creates_no_out(tmp_path, capsys, monkeypatch):
+    """A fixture that fails its own check exits 1 and leaves no --out behind."""
+    def failing(*args):
+        raise cli.fx.FixtureIntegrityError("example45 n=3: reconstruction check failed")
+
+    monkeypatch.setattr(cli.fx, "example45_window", failing)
+    out = tmp_path / "fx"
+    assert run(["fixtures", "example45", "--out", str(out)]) == 1
+    assert "n=3: reconstruction check failed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -723,6 +746,22 @@ def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys, damage):
                 "--out", str(tmp_path / "exp")]) == 2
     assert f"{fxdir / 'manifest.json'}: {words}" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("stage", ["extract", "verify"])
+def test_unparsable_json_exit_2_naming_the_file(pipeline, tmp_path, capsys, stage):
+    """A manifest (extract) or an expansion index (verify) that is not JSON is
+    a format error that names the file, as a malformed one is."""
+    fxdir, expdir = tmp_path / "fx", tmp_path / "exp"
+    shutil.copytree(pipeline / "fx", fxdir)
+    shutil.copytree(pipeline / "exp", expdir)
+    bad = fxdir / "manifest.json" if stage == "extract" else expdir / "expansion.json"
+    bad.write_text('{"entries": [')
+    argv = (["extract", "--out", str(tmp_path / "out")] if stage == "extract"
+            else ["verify", "--expansion", str(expdir / "expansion.json")])
+    assert run(argv + ["--manifest", str(fxdir / "manifest.json")]) == 2
+    assert f"{bad}: not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # sha256 of every file that ``fixtures example314 --count 6 --truncation 16

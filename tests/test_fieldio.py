@@ -272,8 +272,7 @@ def test_read_fields_raises_as_the_per_file_reader(windows, tmp_path, faults):
     want = _outcome(lambda: [_read_field_per_file(p) for p in paths])
     first = next((i, kind) for i, kind in faults if kind != "zero-outside")
     assert isinstance(want, tuple)
-    if first[1] != "json":  # json's own message names no file
-        assert os.path.basename(paths[first[0]]) in want[1]
+    assert os.path.basename(paths[first[0]]) in want[1]
     assert _outcome(lambda: fieldio.read_fields(paths)) == want
 
 
