@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -66,10 +65,16 @@ def dumps(obj, indent=0):
 
 def atomic_write(path, data):
     """Write ``data`` (bytes, str as UTF-8, or a function that writes to the open
-    binary file) to a temp file beside ``path``, then rename."""
+    binary file) to a temp file beside ``path``, then rename. The file gets the
+    mode a plain ``open`` gives it (0o666 less the umask), and the directory is
+    made only when it is missing."""
     path = os.path.abspath(path)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp, flags = f"{path}.{os.urandom(6).hex()}.tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             if callable(data):

@@ -298,18 +298,18 @@ def example314_unitary_expansion(n_values=range(1, 7), truncation=64, depth=6):
     """The hand-built unitary expansion: Gamma_{k,n} = e^{-kn-n^2}, w_k = phi_k.
 
     The witness of term k at n is sum_{j>=k} e^{-(j-k)n} phi_j; the witnesses
-    of each term are the rows of one weight matrix, with weight 0 on j < k.
+    of every term are the rows of one weight matrix, with weight 0 on j < k.
     """
     n_values = list(n_values)
     phis = sp.eigenfunctions(depth)
     lag = np.arange(1, truncation + 1) - np.arange(1, depth + 1)[:, None, None]  # j - k
     ns = np.array(n_values, dtype=np.int64).reshape(-1, 1)
-    terms = []
-    for k, w in enumerate(np.where(lag < 0, 0.0, np.exp(-lag * ns)), start=1):
-        keys, rows, trunc = sp.eigen_rows(w)  # one term at a time, to bound the peak memory
-        terms.append(ExpansionTerm(gammas=np.array([np.exp(-k * n - n * n) for n in n_values]),
-                                   direction=phis[k - 1], witnesses=rows.reshape(len(w), -1),
-                                   estimator="analytic"))
+    weights = np.where(lag < 0, 0.0, np.exp(-lag * ns))  # (depth, len(n_values), T)
+    keys, rows, trunc = sp.eigen_rows(weights.reshape(-1, truncation))
+    terms = [ExpansionTerm(gammas=np.array([np.exp(-k * n - n * n) for n in n_values]),
+                           direction=phis[k - 1], witnesses=w.reshape(len(n_values), -1),
+                           estimator="analytic")
+             for k, w in enumerate(rows.reshape(depth, len(n_values), -1), start=1)]
     return _analytic("unitary", "infinite-unitary", terms, keys, trunc, phis[0].trunc, None)
 
 

@@ -20,11 +20,14 @@ check it against a pairwise sum over blocks of mode pairs, which is
 bit-equal to a per-mode loop: 1e-14 relative, every cell that one pair
 reaches to the bit, and the same nonzero cells on every test case whose
 cells have no terms that cancel exactly. The linearization
-is one numpy path over blocks of columns, checked against a field-by-field
-column assembly, and the assembly on a symmetry group's fixed subspace
-(``Subspace``) against P J Q of the full one. It needs a divergence-free v,
-v_p = a_p sigma_p: each entry is then a_p times a closed-form real weight of
-the wavevectors. Time the README sweep,
+is one numpy path, checked against a field-by-field column assembly, and the
+assembly on a symmetry group's fixed subspace (``Subspace``) against P J Q of
+the full one. It needs a divergence-free v, v_p = a_p sigma_p: each entry is
+then a_p times a closed-form real weight of the wavevectors. The weights and
+the grid cells that a_p is read from depend only on the wavevectors, so a
+``Subspace`` builds them once (``Subspace.plan``), and each assembly scatters
+v once and then, a block of rows at a time, gathers it through the kept cells
+and multiplies by the kept weights. Time the README sweep,
 whose Newton loop assembles one linearization per residual and makes one
 exact residual per solve, with
 
@@ -35,9 +38,15 @@ and pass ``--trace 1`` for the time spent in each kernel.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-_COLUMN_BLOCK = 16  # 24 columns hold more than 1.5x the Jacobian's memory at N = 8
+# Entries (rows x representatives) of a block of a kept plan. The whole plan in
+# one pass needs temporaries of three times its rows' bytes, on pages fresh at
+# every call (1,900 page faults per assembly at N = 24); blocks of 2^14 entries
+# in a kept workspace fault in none.
+_PLAN_BLOCK = 1 << 14
 
 
 def _fft_size(n):
@@ -152,6 +161,12 @@ def advect_convolve(ku, cu, kv, cv, nout):
     return out.reshape(batch + (size, size, 2))
 
 
+def _workspace(rows, m):
+    """Flat buffers for a block of up to ``rows`` rows of a linearization on m
+    representatives: its two images (2, rows, m) and its rows (rows, 2m)."""
+    return np.empty(2 * rows * m, dtype=np.complex128), np.empty(rows * 2 * m)
+
+
 def _full_or(idx, n):
     """``idx``, a sorted subset of range(n), or the slice that selects the same
     entries when it is all of them, so that indexing with it makes no copy."""
@@ -170,6 +185,10 @@ class Subspace:
     Orbits are numbered in the order of their first unknowns ``first``, whose
     sign is 1, so real parts come first (``n0`` of them); ``sizes`` counts the
     members of each orbit.
+
+    ``plan`` keeps the half of the assembly that no iterate enters, about
+    twice the bytes of the rows it assembles, so that a solve or a sweep that
+    keeps the subspace builds it once.
     """
 
     def __init__(self, reps, nrad, dst=None, sgn=None):
@@ -192,24 +211,46 @@ class Subspace:
         level = np.arange(len(rest)) - np.searchsorted(self.orbit[rest], self.orbit[rest])
         self.further = [(j, self.orbit[j], self.sign[j]) for j in
                         (rest[level == lev] for lev in range(int(level.max(initial=-1)) + 1))]
-        # What the assembly reads of reps: the rows are the representatives
-        # of the first unknowns, the real parts of those in ``top``, the
-        # imaginary parts in ``bottom``.
-        mark = np.zeros(m, dtype=bool)
-        mark[self.first % m] = True
-        rows, slot = np.flatnonzero(mark), np.cumsum(mark) - 1
-        self.top, self.bottom = (_full_or(slot[u], len(rows))
-                                 for u in (self.first[:self.n0], self.first[self.n0:] - m))
-        rows = _full_or(rows, m)
+        self.reps = reps
         self.side, self.mid = 4 * nrad + 1, 2 * nrad * (4 * nrad + 2)  # k - q on a radius-2N grid
-        self.shift = reps[:, 0] * self.side + reps[:, 1]
+        # A on the first unknowns
+        self.stokes = np.tile(np.sum(reps * reps, axis=1), 2)[_full_or(self.first, 2 * m)]
+
+    @cached_property
+    def plan(self):
+        """The half of ``assemble_linearized`` that no iterate or alpha enters:
+        its ``blocks`` of about ``_PLAN_BLOCK`` entries, and a ``_workspace``
+        for them that every assembly reuses, so its temporaries stay on pages
+        already mapped; a Subspace serves one assembly at a time. Built on the
+        first assembly and kept with the subspace."""
+        blocks = list(self.blocks(_PLAN_BLOCK // len(self.reps)))
+        return blocks, _workspace(max(at.shape[1] for _, at, _ in blocks), len(self.reps))
+
+    def blocks(self, size):
+        """(lo, at, weight) for ``size`` (at least two) rows lo, lo + 1, ... of
+        the first unknowns at a time, the last block taking the rest: no block
+        has a single row unless there is one, since BLAS rounds the matmul of
+        the scales otherwise on one row. For each row k and column r, at[0]
+        and at[1] are the cells of k - k_r and k + k_r on the radius-2N grid,
+        and weight[0] and weight[1] the real weights scale (dot2 -+ |k|^2),
+        which are -|p| W for s = +1 and |p| W for s = -1
+        (``assemble_linearized``)."""
+        reps, m, n = self.reps, len(self.reps), len(self.first)
+        shift = reps[:, 0] * self.side + reps[:, 1]
         ksq = np.sum(reps * reps, axis=1)
         unit = reps / np.sqrt(ksq)[:, None]
-        self.turned = np.stack([-unit[:, 1], unit[:, 0]])  # unit @ turned = (k_r x k) / (|k| |k_r|)
-        self.twice = 2.0 * reps.T
-        self.at, self.kr = self.shift[rows, None] + self.mid, ksq[rows, None]
-        self.ur, self.rr = unit[rows], reps[rows].astype(np.float64)  # exact, as matmul casts it
-        self.stokes = np.tile(ksq, 2)[_full_or(self.first, 2 * m)]  # A on the first unknowns
+        turned = np.stack([-unit[:, 1], unit[:, 0]])  # unit @ turned = (k_r x k) / (|k| |k_r|)
+        twice = 2.0 * reps.T
+        own = self.first % m  # the representative of each first unknown
+        mp = np.array([-1, 1])[:, None, None]  # -+: k - k_r for s = +1, k + k_r for s = -1
+        size = max(size, 2)
+        stops = [*range(size, n - 1, size), n]
+        for lo, hi in zip([0, *stops], stops):
+            r = own[lo:hi]
+            at = shift[r, None] + self.mid + mp * shift
+            weight = reps[r].astype(np.float64) @ twice + mp * ksq[r, None]  # dot2 -+ |k|^2
+            weight *= unit[r] @ turned  # scale
+            yield lo, at, weight
 
     def expand(self, y):
         """The 2m unknowns of the subspace vector whose first unknowns are y."""
@@ -243,33 +284,43 @@ def assemble_linearized(kv, cv, reps, alpha, nrad, subspace=None):
     matrix by the same arithmetic.
     """
     m = reps.shape[0]
-    sub = subspace if subspace is not None else Subspace(reps, nrad)
-    n, n0, top, bottom = len(sub.first), sub.n0, sub.top, sub.bottom
-    shift, turned, twice, at, kr, ur, rr = (
-        sub.shift, sub.turned, sub.twice, sub.at, sub.kr, sub.ur, sub.rr)
-    part = np.zeros((n, 2 * m))  # the rows of every column
-    side, mid = sub.side, sub.mid  # entry (k, s k_r) reads v at k - s k_r only
-    near = np.max(np.abs(kv), axis=1, initial=0) <= 2 * nrad
-    kn, cn = kv[near], cv[near]
+    if subspace is None:
+        # The trivial group's plan, streamed: a block of m / 16 rows and its
+        # workspace hold about a quarter of the output's memory, a kept plan
+        # twice the output's.
+        sub, size = Subspace(reps, nrad), max(m // 16, 2)
+        blocks, (images, rows_of) = sub.blocks(size), _workspace(size + 1, m)
+    else:
+        sub = subspace
+        blocks, (images, rows_of) = sub.plan
+    n, n0, side, mid = len(sub.first), sub.n0, sub.side, sub.mid
+    first = _full_or(sub.first, 2 * m)
+    if np.abs(kv).max(initial=0) > 2 * nrad:  # entry (k, s k_r) reads v at k - s k_r only
+        near = np.abs(kv).max(axis=1) <= 2 * nrad
+        kv, cv = kv[near], cv[near]
+    kx, ky = kv.T
     bgrid = np.zeros(side * side, dtype=np.complex128)  # alpha a_p / |p| = alpha (p x v_p) / |p|^2
-    bgrid[kn[:, 0] * side + kn[:, 1] + mid] = (
-        alpha * (kn[:, 0] * cn[:, 1] - kn[:, 1] * cn[:, 0]) / np.sum(kn * kn, axis=1))
-    width = _COLUMN_BLOCK * (2 * m // n)  # as many entries as _COLUMN_BLOCK full columns
-    for start in range(0, m, width):
-        c = slice(start, start + width)
-        scale, dot2 = ur @ turned[:, c], rr @ twice[:, c]
-        # |p| W is -scale (dot2 - |k|^2) for s = +1 and scale (dot2 + |k|^2) for
-        # s = -1, so the s = +1 image is -i plus and the s = -1 image i minus.
-        plus, minus = bgrid[at - shift[c]], bgrid[at + shift[c]]
-        plus *= scale * (dot2 - kr)
-        minus *= scale * (dot2 + kr)
+    bgrid[kx * side + ky + mid] = alpha * (kx * cv[:, 1] - ky * cv[:, 0]) / (kx * kx + ky * ky)
+    # J @ x rounds by J's layout: column-major, as a gather of columns leaves
+    # it, unless no column is gathered (the trivial group)
+    out = np.empty((n, n), order="C" if isinstance(first, slice) else "F")
+    for lo, at, weight in blocks:
+        rows = at.shape[1]
+        # the s = +1 image is -i plus and the s = -1 image i minus
+        # every cell is on the grid: "clip" only spares the copy "raise" makes
+        img = np.take(bgrid, at, out=images[:at.size].reshape(at.shape), mode="clip")
+        img *= weight
+        plus, minus = img
+        t = min(max(n0 - lo, 0), rows)  # the real-part rows of the block come first
         # column r holds the sum of both images, column m + r i times their difference
-        np.subtract(plus.imag[top], minus.imag[top], out=part[:n0, :m][:, c])
-        np.subtract(minus.real[bottom], plus.real[bottom], out=part[n0:, :m][:, c])
-        np.add(minus.real[top], plus.real[top], out=part[:n0, m:][:, c])
-        np.add(minus.imag[bottom], plus.imag[bottom], out=part[n0:, m:][:, c])
-    out = part[:, _full_or(sub.first, 2 * m)]
-    for j, orbit, sign in sub.further:
-        out[:, orbit] += part[:, j] * sign
+        part = rows_of[:rows * 2 * m].reshape(rows, 2 * m)
+        np.subtract(plus.imag[:t], minus.imag[:t], out=part[:t, :m])
+        np.add(minus.real[:t], plus.real[:t], out=part[:t, m:])
+        np.subtract(minus.real[t:], plus.real[t:], out=part[t:, :m])
+        np.add(minus.imag[t:], plus.imag[t:], out=part[t:, m:])
+        block = out[lo:lo + rows]
+        block[...] = part[:, first]
+        for j, orbit, sign in sub.further:
+            block[:, orbit] += part[:, j] * sign
     out.flat[::n + 1] += sub.stokes
     return out

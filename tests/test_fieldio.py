@@ -77,6 +77,32 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert fieldio.read_json(path)["a"] == 2.5
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_atomic_write_gives_the_mode_of_open(tmp_path, umask):
+    """A written file has the mode a plain open() gives it, 0o666 less the
+    umask, in a directory made on the first write; a writer that fails leaves
+    the target as it was and no temp file."""
+    path = tmp_path / "new" / "doc.json"
+    old = os.umask(umask)
+    try:
+        fieldio.write_json(path, {"a": 1.5})
+        with open(tmp_path / "plain", "w"):
+            pass
+
+        def failing(fh):
+            fh.write(b"partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            fieldio.atomic_write(path, failing)
+    finally:
+        os.umask(old)
+    mode = os.stat(path).st_mode & 0o777
+    assert mode == 0o666 & ~umask == os.stat(tmp_path / "plain").st_mode & 0o777
+    assert os.listdir(path.parent) == ["doc.json"]
+    assert fieldio.read_json(path) == {"a": 1.5}
+
+
 def test_write_is_deterministic(tmp_path):
     rng = np.random.default_rng(5)
     u = sp.random_divfree(4, rng)

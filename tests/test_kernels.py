@@ -316,6 +316,35 @@ def test_reduced_jacobian_is_p_j_q(case):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("case", ["readme", "trivial"])
+def test_kept_subspace_assembles_as_a_fresh_one(case):
+    """A Subspace keeps its plan across assemblies: v1 and then v2, each at two
+    alphas, give the bits of a fresh Subspace per call, on the README frame
+    (group order 4) and on the trivial group, where a call without a Subspace
+    streams the same plan in blocks of rows."""
+    n = 8
+    if case == "readme":
+        _, reps, kept = subspace_field(case)
+    else:
+        reps = st._dof_maps(n)[0]
+        kept = kernels.Subspace(reps, n)
+
+    def fresh():
+        return subspace_field(case)[2] if case == "readme" else kernels.Subspace(reps, n)
+
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        x = kept.expand(0.1 * rng.standard_normal(len(kept.first)))
+        v = st._vec_to_field(x, reps, sp.sigma(reps), n)
+        for alpha in (3.0, 700.0):
+            got = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n, kept)
+            want = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n, fresh())
+            assert got.tobytes() == want.tobytes()
+            if case == "trivial":
+                none = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n)
+                assert none.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_jacobian_kernel_memory_is_one_matrix(n):
     """The assembly holds little beyond its (2m, 2m) output.

@@ -218,25 +218,23 @@ def test_bilinear_bs_example45_cross_term_closed_form(ex45_cfg):
 
 def test_bilinear_bs_cross_term_quadrature_anchor(ex45_cfg):
     # The (2,1) Fourier coefficient of P((v.grad)w1 + (w1.grad)v) against
-    # mpmath quadrature of the closed-form cross term.
+    # mpmath quadrature of the closed-form cross term. Its integrand is
+    # g(2x) h(y), so each coefficient is the product of two 1-D quadratures.
     rec = fx.example45(ex45_cfg, 1)
     amp = rec.mu0 / SQRT2PI
     with mpmath.workdps(25):
         two_pi = 2 * mpmath.pi
 
-        def coeff(component):
-            def outer(x):
-                def f(y):
-                    if component == 0:
-                        val = amp * mpmath.sin(2 * x) * mpmath.cos(y)
-                    else:
-                        val = amp * 2 * mpmath.sin(y) * mpmath.cos(2 * x)
-                    return val * mpmath.e ** (-1j * (2 * x + y))
-                return mpmath.quad(f, [0, two_pi])
-            return mpmath.quad(outer, [0, two_pi]) / (two_pi**2)
+        def mean(f):
+            return mpmath.quad(f, [0, two_pi]) / two_pi
 
-        c1 = coeff(0)
-        c2 = coeff(1)
+        def coeff(gx, hy, weight):
+            """weight g(2x) h(y) against e^{-i(2x + y)}, g and h the 1-D factors."""
+            return (weight * mean(lambda x: gx(2 * x) * mpmath.e ** (-2j * x))
+                    * mean(lambda y: hy(y) * mpmath.e ** (-1j * y)))
+
+        c1 = coeff(mpmath.sin, mpmath.cos, amp)
+        c2 = coeff(mpmath.cos, mpmath.sin, 2 * amp)
         dot = (2 * c1 + c2) / 5
         proj = (complex(c1 - 2 * dot), complex(c2 - dot))
     got = sp.bilinear_bs(rec.v, rec.w1).modes[(2, 1)]

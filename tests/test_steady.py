@@ -366,6 +366,32 @@ def test_warm_frame_solve_is_the_cold_one(case, monkeypatch):
         assert cold.message == "Newton stalled (no residual decrease)"
 
 
+def test_readme_sweep_builds_each_plan_once(monkeypatch):
+    """The iterate-independent half of the assembly is built once per
+    subspace of the frame, however many Jacobians the sweep assembles."""
+    planned, assembled = [], []
+    blocks, assemble_linearized = kernels.Subspace.blocks, kernels.assemble_linearized
+
+    def counted_blocks(self, size):
+        planned.append(self)
+        return blocks(self, size)
+
+    def counted_assemble(*args):
+        assembled.append(args[-1])
+        return assemble_linearized(*args)
+
+    monkeypatch.setattr(kernels.Subspace, "blocks", counted_blocks)
+    monkeypatch.setattr(kernels, "assemble_linearized", counted_assemble)
+    st._FRAME.clear()
+    g, alphas = readme_force(), [2.0**i for i in range(12)]
+    st.sweep(alphas, [g] * len(alphas), trunc=8)
+    (frame,) = st._FRAME.values()
+    subspaces = [sub for sub, _ in frame.subspaces.values()]
+    assert sorted(map(id, planned)) == sorted(map(id, subspaces))
+    assert set(map(id, assembled)) == set(map(id, subspaces))
+    assert len(assembled) > 4 * len(subspaces)
+
+
 def test_frame_restricts_to_each_guess():
     """Parity fixes the two-mode forcing; a symmetric guess keeps it, an
     asymmetric one drops it, and the next symmetric guess has it back, each
