@@ -23,11 +23,11 @@ cells have no terms that cancel exactly. The linearization
 is one numpy path, checked against a field-by-field column assembly, and the
 assembly on a symmetry group's fixed subspace (``Subspace``) against P J Q of
 the full one. It needs a divergence-free v, v_p = a_p sigma_p: each entry is
-then a_p times a closed-form real weight of the wavevectors. The weights and
-the grid cells that a_p is read from depend only on the wavevectors, so a
-``Subspace`` builds them once (``Subspace.plan``), and each assembly scatters
-v once and then, a block of rows at a time, gathers it through the kept cells
-and multiplies by the kept weights. Time the README sweep,
+then a_p times a closed-form real weight of the wavevectors. The weights
+depend only on the wavevectors, so a ``Subspace`` of a symmetry group keeps
+them (``Subspace.weights``). Each assembly scatters v onto a grid once and
+then, a block of rows at a time, reads it at p = k -+ k_r and multiplies it
+by the weights. Time the README sweep,
 whose Newton loop assembles one linearization per residual and makes one
 exact residual per solve, with
 
@@ -42,11 +42,12 @@ from functools import cached_property
 
 import numpy as np
 
-# Entries (rows x representatives) of a block of a kept plan. The whole plan in
-# one pass needs temporaries of three times its rows' bytes, on pages fresh at
-# every call (1,900 page faults per assembly at N = 24); blocks of 2^14 entries
-# in a kept workspace fault in none.
-_PLAN_BLOCK = 1 << 14
+# Rows of a block of the assembly. Where each call makes the weights (the
+# trivial group), blocks of 16 rows keep the call within 1.5x of its output's
+# bytes at N = 8. Kept weights need no temporaries, and blocks of 64 rows
+# make the README frame's assembly at N = 8 one block (three of 16 rows).
+_ROWS, _KEPT_ROWS = 16, 64
+_MP = np.array([-1, 1])[:, None, None]  # -+: k - k_r for s = +1, k + k_r for s = -1
 
 
 def _fft_size(n):
@@ -161,12 +162,6 @@ def advect_convolve(ku, cu, kv, cv, nout):
     return out.reshape(batch + (size, size, 2))
 
 
-def _workspace(rows, m):
-    """Flat buffers for a block of up to ``rows`` rows of a linearization on m
-    representatives: its two images (2, rows, m) and its rows (rows, 2m)."""
-    return np.empty(2 * rows * m, dtype=np.complex128), np.empty(rows * 2 * m)
-
-
 def _full_or(idx, n):
     """``idx``, a sorted subset of range(n), or the slice that selects the same
     entries when it is all of them, so that indexing with it makes no copy."""
@@ -186,9 +181,14 @@ class Subspace:
     sign is 1, so real parts come first (``n0`` of them); ``sizes`` counts the
     members of each orbit.
 
-    ``plan`` keeps the half of the assembly that no iterate enters, about
-    twice the bytes of the rows it assembles, so that a solve or a sweep that
-    keeps the subspace builds it once.
+    The assembly's rows are the representatives ``own`` of the first
+    unknowns, each once. Their weights are the half of the assembly that no
+    iterate or alpha enters. A group that at least halves the unknowns
+    (n <= m) keeps them (``weights``), at most half the bytes of the full
+    Jacobian on ``reps``, so that a solve or a sweep that keeps the subspace
+    builds them once. Any other group, the trivial one among them, makes them
+    at each assembly: kept, the trivial group's would take half the bytes of
+    its own Jacobian.
     """
 
     def __init__(self, reps, nrad, dst=None, sgn=None):
@@ -215,42 +215,51 @@ class Subspace:
         self.side, self.mid = 4 * nrad + 1, 2 * nrad * (4 * nrad + 2)  # k - q on a radius-2N grid
         # A on the first unknowns
         self.stokes = np.tile(np.sum(reps * reps, axis=1), 2)[_full_or(self.first, 2 * m)]
+        # Blocks of rows own[rows]: unknowns first[a:b] are the real parts of
+        # own[rows][i], first[c:d] the imaginary parts of own[rows][j]. The
+        # last block takes the rest, so no block has a single row unless
+        # there is one: BLAS rounds the matmul of the scales otherwise on one.
+        self.own, slot = np.unique(self.first % m, return_inverse=True)
+        self.keep = len(self.first) <= m
+        size = _KEPT_ROWS if self.keep else _ROWS
+        stops = [*range(size, len(self.own) - 1, size), len(self.own)]
+        self.parts = []
+        for lo, hi in zip([0, *stops], stops):
+            a, b = np.searchsorted(slot[:self.n0], [lo, hi])
+            c, d = self.n0 + np.searchsorted(slot[self.n0:], [lo, hi])
+            self.parts.append((slice(lo, hi), (a, b, _full_or(slot[a:b] - lo, hi - lo)),
+                               (c, d, _full_or(slot[c:d] - lo, hi - lo))))
+        shift = reps[:, 0] * self.side + reps[:, 1]
+        self.cells, self.turns = shift[self.own] + self.mid, _MP * shift  # k's cell; -+ k_r
 
     @cached_property
-    def plan(self):
-        """The half of ``assemble_linearized`` that no iterate or alpha enters:
-        its ``blocks`` of about ``_PLAN_BLOCK`` entries, and a ``_workspace``
-        for them that every assembly reuses, so its temporaries stay on pages
-        already mapped; a Subspace serves one assembly at a time. Built on the
-        first assembly and kept with the subspace."""
-        blocks = list(self.blocks(_PLAN_BLOCK // len(self.reps)))
-        return blocks, _workspace(max(at.shape[1] for _, at, _ in blocks), len(self.reps))
+    def weights(self):
+        """The weights of every block, built on the first assembly and kept."""
+        return list(self._weights())
 
-    def blocks(self, size):
-        """(lo, at, weight) for ``size`` (at least two) rows lo, lo + 1, ... of
-        the first unknowns at a time, the last block taking the rest: no block
-        has a single row unless there is one, since BLAS rounds the matmul of
-        the scales otherwise on one row. For each row k and column r, at[0]
-        and at[1] are the cells of k - k_r and k + k_r on the radius-2N grid,
-        and weight[0] and weight[1] the real weights scale (dot2 -+ |k|^2),
-        which are -|p| W for s = +1 and |p| W for s = -1
-        (``assemble_linearized``)."""
-        reps, m, n = self.reps, len(self.reps), len(self.first)
-        shift = reps[:, 0] * self.side + reps[:, 1]
+    def _weights(self):
+        """For each block of rows, the real weights scale (dot2 -+ |k|^2) of
+        row k and column r, which are -|p| W for s = +1 (weight[0]) and |p| W
+        for s = -1 (weight[1]) (``assemble_linearized``)."""
+        reps = self.reps
         ksq = np.sum(reps * reps, axis=1)
         unit = reps / np.sqrt(ksq)[:, None]
         turned = np.stack([-unit[:, 1], unit[:, 0]])  # unit @ turned = (k_r x k) / (|k| |k_r|)
         twice = 2.0 * reps.T
-        own = self.first % m  # the representative of each first unknown
-        mp = np.array([-1, 1])[:, None, None]  # -+: k - k_r for s = +1, k + k_r for s = -1
-        size = max(size, 2)
-        stops = [*range(size, n - 1, size), n]
-        for lo, hi in zip([0, *stops], stops):
-            r = own[lo:hi]
-            at = shift[r, None] + self.mid + mp * shift
-            weight = reps[r].astype(np.float64) @ twice + mp * ksq[r, None]  # dot2 -+ |k|^2
+        for rows, _, _ in self.parts:
+            r = self.own[rows]
+            weight = reps[r].astype(np.float64) @ twice + _MP * ksq[r, None]  # dot2 -+ |k|^2
             weight *= unit[r] @ turned  # scale
-            yield lo, at, weight
+            yield weight
+
+    def blocks(self):
+        """(at, weight, real, imag) for each block of rows: for row k and
+        column r, at[0] and at[1] are the cells of k - k_r and k + k_r on the
+        radius-2N grid, weight holds the block's weights, kept or made anew,
+        and real and imag are (a, b, i) and (c, d, j) of the block."""
+        weights = self.weights if self.keep else self._weights()
+        for (rows, real, imag), weight in zip(self.parts, weights):
+            yield self.cells[rows, None] + self.turns, weight, real, imag
 
     def expand(self, y):
         """The 2m unknowns of the subspace vector whose first unknowns are y."""
@@ -284,43 +293,29 @@ def assemble_linearized(kv, cv, reps, alpha, nrad, subspace=None):
     matrix by the same arithmetic.
     """
     m = reps.shape[0]
-    if subspace is None:
-        # The trivial group's plan, streamed: a block of m / 16 rows and its
-        # workspace hold about a quarter of the output's memory, a kept plan
-        # twice the output's.
-        sub, size = Subspace(reps, nrad), max(m // 16, 2)
-        blocks, (images, rows_of) = sub.blocks(size), _workspace(size + 1, m)
-    else:
-        sub = subspace
-        blocks, (images, rows_of) = sub.plan
-    n, n0, side, mid = len(sub.first), sub.n0, sub.side, sub.mid
-    first = _full_or(sub.first, 2 * m)
+    sub = subspace if subspace is not None else Subspace(reps, nrad)
+    n, side, mid = len(sub.first), sub.side, sub.mid
     if np.abs(kv).max(initial=0) > 2 * nrad:  # entry (k, s k_r) reads v at k - s k_r only
         near = np.abs(kv).max(axis=1) <= 2 * nrad
         kv, cv = kv[near], cv[near]
     kx, ky = kv.T
     bgrid = np.zeros(side * side, dtype=np.complex128)  # alpha a_p / |p| = alpha (p x v_p) / |p|^2
     bgrid[kx * side + ky + mid] = alpha * (kx * cv[:, 1] - ky * cv[:, 0]) / (kx * kx + ky * ky)
-    # J @ x rounds by J's layout: column-major, as a gather of columns leaves
-    # it, unless no column is gathered (the trivial group)
-    out = np.empty((n, n), order="C" if isinstance(first, slice) else "F")
-    for lo, at, weight in blocks:
-        rows = at.shape[1]
+    part = np.empty((n, 2 * m))  # the rows of every column
+    for at, weight, (a, b, i), (c, d, j) in sub.blocks():
         # the s = +1 image is -i plus and the s = -1 image i minus
         # every cell is on the grid: "clip" only spares the copy "raise" makes
-        img = np.take(bgrid, at, out=images[:at.size].reshape(at.shape), mode="clip")
+        img = np.take(bgrid, at, mode="clip")
         img *= weight
         plus, minus = img
-        t = min(max(n0 - lo, 0), rows)  # the real-part rows of the block come first
         # column r holds the sum of both images, column m + r i times their difference
-        part = rows_of[:rows * 2 * m].reshape(rows, 2 * m)
-        np.subtract(plus.imag[:t], minus.imag[:t], out=part[:t, :m])
-        np.add(minus.real[:t], plus.real[:t], out=part[:t, m:])
-        np.subtract(minus.real[t:], plus.real[t:], out=part[t:, :m])
-        np.add(minus.imag[t:], plus.imag[t:], out=part[t:, m:])
-        block = out[lo:lo + rows]
-        block[...] = part[:, first]
-        for j, orbit, sign in sub.further:
-            block[:, orbit] += part[:, j] * sign
+        np.subtract(plus.imag[i], minus.imag[i], out=part[a:b, :m])
+        np.add(minus.real[i], plus.real[i], out=part[a:b, m:])
+        np.subtract(minus.real[j], plus.real[j], out=part[c:d, :m])
+        np.add(minus.imag[j], plus.imag[j], out=part[c:d, m:])
+        del at, weight, img, plus, minus  # before the next block is made
+    out = part[:, _full_or(sub.first, 2 * m)]
+    for k, orbit, sign in sub.further:
+        out[:, orbit] += part[:, k] * sign
     out.flat[::n + 1] += sub.stokes
     return out

@@ -38,9 +38,9 @@ N = 8 (140 of 560 at N = 16). A generic g has the trivial group and keeps
 every unknown on its lattice.
 
 Linearizations are assembled densely on the rows of the first unknowns, from
-weights and grid cells that each ``kernels.Subspace`` builds once for every
-solve that keeps it, and factored directly, which is exact and cheap at desk
-truncations (N <= 16). B is bilinear, so the linearization J(v) at an
+weights that the ``kernels.Subspace`` of a symmetry group builds once for
+every solve that keeps it, and factored directly, which is exact and cheap at
+desk truncations (N <= 16). B is bilinear, so the linearization J(v) at an
 iterate x satisfies J(v) x = A x + 2 alpha B(v, v): each residual is read off
 the Jacobian the next step needs anyway, as (J x + A x) / 2 - g. J is
 assembled from the reduced unknowns; only a solution becomes a field, and

@@ -318,16 +318,17 @@ def test_reduced_jacobian_is_p_j_q(case):
 
 @pytest.mark.parametrize("case", ["readme", "trivial"])
 def test_kept_subspace_assembles_as_a_fresh_one(case):
-    """A Subspace keeps its plan across assemblies: v1 and then v2, each at two
-    alphas, give the bits of a fresh Subspace per call, on the README frame
-    (group order 4) and on the trivial group, where a call without a Subspace
-    streams the same plan in blocks of rows."""
+    """A Subspace serves many assemblies: v1 and then v2, each at two alphas,
+    give the bits of a fresh Subspace per call, on the README frame (group
+    order 4), which keeps its weights, and on the trivial group, which makes
+    them at each call, as a call without a Subspace does."""
     n = 8
     if case == "readme":
         _, reps, kept = subspace_field(case)
     else:
         reps = st._dof_maps(n)[0]
         kept = kernels.Subspace(reps, n)
+    assert kept.keep == (case == "readme")
 
     def fresh():
         return subspace_field(case)[2] if case == "readme" else kernels.Subspace(reps, n)
@@ -347,22 +348,29 @@ def test_kept_subspace_assembles_as_a_fresh_one(case):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_jacobian_kernel_memory_is_one_matrix(n):
-    """The assembly holds little beyond its (2m, 2m) output.
+    """The assembly holds little beyond its (2m, 2m) output, also with a
+    Subspace of the trivial group that serves several calls, as the solver
+    holds one for a whole sweep.
 
     Materializing every (v mode, column) pair at once peaks at several
-    times the output and shows in the solver's resident memory.
+    times the output and shows in the solver's resident memory, and so
+    would weights kept for every row and column.
     """
     rng = np.random.default_rng(4)
     v = sp.random_divfree(n, rng)
     kv, cv = v.keys, v.coeffs
     reparr = st._dof_maps(n)[0]
-    tracemalloc.start()
-    try:
-        out = kernels.assemble_linearized(kv, cv, reparr, 5.0, n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * out.nbytes
+    for kept in (False, True):
+        tracemalloc.start()
+        try:
+            sub = kernels.Subspace(reparr, n) if kept else None
+            for _ in range(2):
+                out = None
+                out = kernels.assemble_linearized(kv, cv, reparr, 5.0, n, sub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
 
 def test_jacobian_matches_finite_differences():

@@ -367,26 +367,27 @@ def test_warm_frame_solve_is_the_cold_one(case, monkeypatch):
 
 
 def test_readme_sweep_builds_each_plan_once(monkeypatch):
-    """The iterate-independent half of the assembly is built once per
-    subspace of the frame, however many Jacobians the sweep assembles."""
+    """The weights of the assembly are built once per subspace of the frame,
+    however many Jacobians the sweep assembles."""
     planned, assembled = [], []
-    blocks, assemble_linearized = kernels.Subspace.blocks, kernels.assemble_linearized
+    weights, assemble_linearized = kernels.Subspace._weights, kernels.assemble_linearized
 
-    def counted_blocks(self, size):
+    def counted_weights(self):
         planned.append(self)
-        return blocks(self, size)
+        return weights(self)
 
     def counted_assemble(*args):
         assembled.append(args[-1])
         return assemble_linearized(*args)
 
-    monkeypatch.setattr(kernels.Subspace, "blocks", counted_blocks)
+    monkeypatch.setattr(kernels.Subspace, "_weights", counted_weights)
     monkeypatch.setattr(kernels, "assemble_linearized", counted_assemble)
     st._FRAME.clear()
     g, alphas = readme_force(), [2.0**i for i in range(12)]
     st.sweep(alphas, [g] * len(alphas), trunc=8)
     (frame,) = st._FRAME.values()
     subspaces = [sub for sub, _ in frame.subspaces.values()]
+    assert all(sub.keep for sub in subspaces)
     assert sorted(map(id, planned)) == sorted(map(id, subspaces))
     assert set(map(id, assembled)) == set(map(id, subspaces))
     assert len(assembled) > 4 * len(subspaces)
