@@ -11,6 +11,7 @@ repeated runs with the same configuration produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -308,7 +309,9 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="grashof-expand",
         description="Steady-state sweeps and intrinsic asymptotic expansion extraction "

@@ -290,7 +290,9 @@ def assemble_linearized(kv, cv, reps, alpha, nrad, subspace=None):
     assembled, for every column. Then each orbit's column is its first
     member's, and the further members are added to it by index, a level at a
     time, never through a dense Q. With the trivial group this is the full
-    matrix by the same arithmetic.
+    matrix by the same arithmetic. It comes back row-major there and
+    column-major (the column gather) on any other group; ``steady``'s
+    ``jac @ xv`` rounds by that layout, so the solver's bits rest on it.
     """
     m = reps.shape[0]
     sub = subspace if subspace is not None else Subspace(reps, nrad)

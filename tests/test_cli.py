@@ -1,10 +1,13 @@
 """CLI pipeline tests: subcommands, exit codes, deterministic artifacts."""
 
+import argparse
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -892,6 +895,103 @@ def test_example45_files_are_pinned(tmp_path):
            for p in sorted(tmp_path.glob("*/*"))}
     assert sorted(got) == sorted(EX45_SHA256)
     assert [name for name in sorted(got) if got[name] != EX45_SHA256[name]] == []
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    """Stages run in one process share one parser: two ``main`` calls
+    construct the root ``ArgumentParser`` once."""
+    roots = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "grashof-expand":
+                roots.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Counting))
+    cli.build_parser.cache_clear()
+    try:
+        assert run(["no-such-command"]) == 2
+        assert run(["fixtures", "--help"]) == 0
+    finally:
+        cli.build_parser.cache_clear()  # later tests build a plain parser again
+    assert len(roots) == 1
+
+
+def test_shared_parser_keeps_no_flag_from_an_earlier_call(tmp_path):
+    """With no --c2, ``fixtures example45`` writes the c_2 = 1 files, also right
+    after a call with --c2 0.7 in the same process."""
+    assert run(["fixtures", "example45", "--c2", "0.7", "--count", "3",
+                "--out", str(tmp_path / "c07")]) == 0
+    assert run(["fixtures", "example45", "--count", "20", "--out", str(tmp_path / "c2")]) == 0
+    got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.glob("c2/*"))}
+    assert got == {name: digest for name, digest in EX45_SHA256.items() if name.startswith("c2/")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixtures", "example45", "--c2", "0.7", "--coeffs", "2=1", "--out", "unwritten"],
+    ["classify", "--expansion", "x.json", "--manifest", "m.json", "--slope-tol", "0.2",
+     "--out", "unwritten.json"],
+], ids=["usage-error", "unknown-flag"])
+def test_usage_error_after_a_stage_reads_as_in_a_fresh_process(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    """A usage error exits 2 with the same standard error after a successful
+    call in the same process as in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    monkeypatch.chdir(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    alone = subprocess.run([sys.executable, "-m", "grashof_expand.cli", *argv],
+                           capture_output=True, env=env)
+    assert alone.returncode == 2
+    assert run(["fixtures", "example45", "--count", "2", "--out", "fx"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == alone.stderr.decode()
+    assert sorted(os.listdir(tmp_path)) == ["fx"]
+
+
+@pytest.fixture(scope="module")
+def ab():
+    """``tools/ab.py``, the A/B harness, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# ten parent runs of 1.00 ... 1.09 s: median 1.045, interquartile range 0.045
+AB_PARENT = [1.0 + 0.01 * i for i in range(10)]
+
+
+def test_ab_verdict_improved_needs_nine_wins_in_ten_and_a_gap_past_the_spread(ab):
+    lost_one = [p - 0.2 for p in AB_PARENT[:9]] + [AB_PARENT[9] + 0.01]
+    assert ab.verdict(AB_PARENT, lost_one, 0.25) == "improved"
+    # 8 wins in 10 never improve, however large the gap
+    lost_two = [p - 0.5 for p in AB_PARENT[:8]] + [p + 0.01 for p in AB_PARENT[8:]]
+    assert ab.verdict(AB_PARENT, lost_two, 0.25) == "unchanged"
+    # nor do fewer than 10 pairs, all won
+    assert ab.verdict(AB_PARENT[:9], [p - 0.5 for p in AB_PARENT[:9]], 0.25) == "unchanged"
+    # every pair won, but by less than the parent's interquartile range
+    assert ab.verdict(AB_PARENT, [p - 0.01 for p in AB_PARENT], 0.25) == "unchanged"
+    # a metric where higher is better wins by being higher
+    assert ab.verdict(AB_PARENT, [p + 0.2 for p in AB_PARENT], 0.25, "higher") == "improved"
+
+
+def test_ab_verdict_worse_past_the_bound(ab):
+    assert ab.verdict(AB_PARENT, [1.4 * p for p in AB_PARENT], 0.25) == "worse"
+    assert ab.verdict(AB_PARENT, [1.2 * p for p in AB_PARENT], 0.25) == "unchanged"
+    assert ab.verdict(AB_PARENT, [0.6 * p for p in AB_PARENT], 0.25, "higher") == "worse"
+
+
+def test_ab_verdict_unresolved_on_a_wide_parent_spread(ab):
+    wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.5]
+    assert ab.verdict(wide, list(reversed(wide)), 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert ab.verdict(wide, [p - 1.0 for p in wide][:9] + [0.45], 0.25) == "improved"
+    assert ab.verdict(wide[:4], [0.5, 0.55, 0.4, 0.3], 0.25) == "unchanged"
 
 
 # sha256 of every file that the README example45 pipeline writes past its

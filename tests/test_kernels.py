@@ -346,6 +346,34 @@ def test_kept_subspace_assembles_as_a_fresh_one(case):
                 assert none.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("coeffs, order, layout", [
+    (((2, 1.0),), 4, "F_CONTIGUOUS"),  # the README frame
+    (((2, 1.27), (3, 0.9)), 2, "F_CONTIGUOUS"),  # the two-mode parity frame
+    (None, 1, "C_CONTIGUOUS"),  # the trivial group
+])
+def test_jacobian_memory_layout_is_pinned(coeffs, order, layout):
+    """The solver reads each residual as ``jac @ xv``, whose rounding follows
+    J's memory layout: column-major from the column gather on a nontrivial
+    group, row-major on the trivial one. A change of layout would move every
+    ``SolveReport``'s bits, so it must fail here first."""
+    n = 8
+    reps, sigmas = st._dof_maps(n)
+    if coeffs is None:
+        v = sp.random_divfree(n, np.random.default_rng(12))
+        sub, got_order = kernels.Subspace(reps, n), 1
+    else:
+        v = fx.example45(fx.Example45Config(coeffs=coeffs), 1).g
+        on = st._lattice_mask(reps, [v.keys])
+        reps, sigmas = reps[on], sigmas[on]
+        gvec = st._field_to_vec(v, reps, sigmas)
+        sub, got_order = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
+    assert got_order == order
+    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, 5.0, n, sub)
+    other = {"F_CONTIGUOUS": "C_CONTIGUOUS", "C_CONTIGUOUS": "F_CONTIGUOUS"}[layout]
+    assert jac.shape[0] > 1
+    assert jac.flags[layout] and not jac.flags[other]
+
+
 @pytest.mark.parametrize("n", [8, 16])
 def test_jacobian_kernel_memory_is_one_matrix(n):
     """The assembly holds little beyond its (2m, 2m) output, also with a

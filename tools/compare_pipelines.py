@@ -13,8 +13,9 @@ T = 256 with its analytic expansions, and continuation sweeps: the README
 example45`` and the ``--coeffs 2=1.27,3=0.9`` forcing's sweep, which exits 1
 when Newton stalls at sweep index 10.
 
-Every file and every stage's exit code, stdout and stderr must be
-byte-identical. Exits 0 when they are, else 1 with each difference listed.
+Every file's bytes and permission bits, and every stage's exit code, stdout
+and stderr, must be identical. Exits 0 when they are, else 1 with each
+difference listed.
 Passing the same tree twice (``src src``) checks that every pipeline reruns
 byte-identically in fresh interpreters.
 
@@ -25,6 +26,7 @@ import the checkout's own ``src``.
 """
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -81,7 +83,8 @@ def stages(name):
 
 def run_pipeline(src, name, root):
     """Run pipeline ``name`` in the fresh directory ``root``; returns the
-    {label: bytes} of every stage's exit code, stdout and stderr and every file."""
+    {label: bytes} of every stage's exit code, stdout and stderr and of every
+    file's bytes and permission bits (``<path> mode``, in octal)."""
     os.makedirs(root)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "OPENBLAS_NUM_THREADS": "1"}
     out = {}
@@ -95,8 +98,10 @@ def run_pipeline(src, name, root):
     for base, _, files in os.walk(root):
         for f in files:
             path = os.path.join(base, f)
+            rel = os.path.relpath(path, root)
             with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = fh.read()
+                out[rel] = fh.read()
+            out[f"{rel} mode"] = oct(stat.S_IMODE(os.stat(path).st_mode)).encode()
     return out
 
 
