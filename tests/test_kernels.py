@@ -346,12 +346,12 @@ def test_kept_subspace_assembles_as_a_fresh_one(case):
                 assert none.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("coeffs, order, layout", [
-    (((2, 1.0),), 4, "F_CONTIGUOUS"),  # the README frame
-    (((2, 1.27), (3, 0.9)), 2, "F_CONTIGUOUS"),  # the two-mode parity frame
-    (None, 1, "C_CONTIGUOUS"),  # the trivial group
+@pytest.mark.parametrize("coeffs, order, column_major", [
+    (((2, 1.0),), 4, True),  # the README frame
+    (((2, 1.27), (3, 0.9)), 2, True),  # the two-mode parity frame
+    (None, 1, False),  # the trivial group
 ])
-def test_jacobian_memory_layout_is_pinned(coeffs, order, layout):
+def test_jacobian_memory_layout_is_pinned(coeffs, order, column_major):
     """The solver reads each residual as ``jac @ xv``, whose rounding follows
     J's memory layout: column-major from the column gather on a nontrivial
     group, row-major on the trivial one. A change of layout would move every
@@ -369,9 +369,9 @@ def test_jacobian_memory_layout_is_pinned(coeffs, order, layout):
         sub, got_order = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
     assert got_order == order
     jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, 5.0, n, sub)
-    other = {"F_CONTIGUOUS": "C_CONTIGUOUS", "C_CONTIGUOUS": "F_CONTIGUOUS"}[layout]
-    assert jac.shape[0] > 1
-    assert jac.flags[layout] and not jac.flags[other]
+    assert jac.shape[0] > 1  # else both layouts at once
+    assert jac.flags.f_contiguous == column_major
+    assert jac.flags.c_contiguous != column_major
 
 
 @pytest.mark.parametrize("n", [8, 16])
