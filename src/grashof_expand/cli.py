@@ -328,7 +328,6 @@ def build_parser():
     p.add_argument("--with-expansions", action="store_true",
                    help="also write the hand-built expansions (example314)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fixtures)
 
     p = sub.add_parser("sweep", help="continuation sweep over increasing alpha")
     p.add_argument("--alpha-start", type=float, help="first alpha (default 1)")
@@ -339,7 +338,6 @@ def build_parser():
     p.add_argument("--cstar-coeffs", help="fixture coefficients m=value,m=value")
     p.add_argument("--truncation", type=int, default=8)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("extract", help="extract strict + unitary expansions from a manifest")
     p.add_argument("--manifest", required=True)
@@ -347,27 +345,23 @@ def build_parser():
                    help="default-2dp | constant:<s> | s0,s1,...")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="verify expansion axioms against the raw window")
     p.add_argument("--expansion", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--form", help="verify one form only")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="classify an expansion against the branch tree")
     p.add_argument("--expansion", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--form", help="expansion form to classify (default: unitary)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="merge manifest + expansion + classification")
     p.add_argument("--manifest", required=True)
     p.add_argument("--expansion", required=True)
     p.add_argument("--classification")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -378,7 +372,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        code = args.func(args)
+        # looked up per call, so a cmd_* replaced after the parser was built runs
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # stdout closed early (| head), files written: exit 1 quietly

@@ -918,6 +918,17 @@ def test_main_builds_its_parser_once(monkeypatch):
     assert len(roots) == 1
 
 
+def test_main_runs_the_stage_function_bound_at_call_time(monkeypatch, tmp_path):
+    """A ``cmd_*`` replaced after the shared parser was built is the one that
+    runs, as wrappers that time the stages expect."""
+    assert run(["fixtures", "example45", "--count", "2", "--out", str(tmp_path / "fx")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_fixtures", lambda args: seen.append(args.family) or 0)
+    assert run(["fixtures", "example314", "--out", str(tmp_path / "unwritten")]) == 0
+    assert seen == ["example314"]
+    assert sorted(os.listdir(tmp_path)) == ["fx"]
+
+
 def test_shared_parser_keeps_no_flag_from_an_earlier_call(tmp_path):
     """With no --c2, ``fixtures example45`` writes the c_2 = 1 files, also right
     after a call with --c2 0.7 in the same process."""
@@ -966,31 +977,35 @@ def ab():
 AB_PARENT = [1.0 + 0.01 * i for i in range(10)]
 
 
+def verdict(ab, parent, change, bound, better="lower"):
+    return ab.verdict(ab.tally(parent, change, better), bound, better)
+
+
 def test_ab_verdict_improved_needs_nine_wins_in_ten_and_a_gap_past_the_spread(ab):
     lost_one = [p - 0.2 for p in AB_PARENT[:9]] + [AB_PARENT[9] + 0.01]
-    assert ab.verdict(AB_PARENT, lost_one, 0.25) == "improved"
+    assert verdict(ab, AB_PARENT, lost_one, 0.25) == "improved"
     # 8 wins in 10 never improve, however large the gap
     lost_two = [p - 0.5 for p in AB_PARENT[:8]] + [p + 0.01 for p in AB_PARENT[8:]]
-    assert ab.verdict(AB_PARENT, lost_two, 0.25) == "unchanged"
+    assert verdict(ab, AB_PARENT, lost_two, 0.25) == "unchanged"
     # nor do fewer than 10 pairs, all won
-    assert ab.verdict(AB_PARENT[:9], [p - 0.5 for p in AB_PARENT[:9]], 0.25) == "unchanged"
+    assert verdict(ab, AB_PARENT[:9], [p - 0.5 for p in AB_PARENT[:9]], 0.25) == "unchanged"
     # every pair won, but by less than the parent's interquartile range
-    assert ab.verdict(AB_PARENT, [p - 0.01 for p in AB_PARENT], 0.25) == "unchanged"
+    assert verdict(ab, AB_PARENT, [p - 0.01 for p in AB_PARENT], 0.25) == "unchanged"
     # a metric where higher is better wins by being higher
-    assert ab.verdict(AB_PARENT, [p + 0.2 for p in AB_PARENT], 0.25, "higher") == "improved"
+    assert verdict(ab, AB_PARENT, [p + 0.2 for p in AB_PARENT], 0.25, "higher") == "improved"
 
 
 def test_ab_verdict_worse_past_the_bound(ab):
-    assert ab.verdict(AB_PARENT, [1.4 * p for p in AB_PARENT], 0.25) == "worse"
-    assert ab.verdict(AB_PARENT, [1.2 * p for p in AB_PARENT], 0.25) == "unchanged"
-    assert ab.verdict(AB_PARENT, [0.6 * p for p in AB_PARENT], 0.25, "higher") == "worse"
+    assert verdict(ab, AB_PARENT, [1.4 * p for p in AB_PARENT], 0.25) == "worse"
+    assert verdict(ab, AB_PARENT, [1.2 * p for p in AB_PARENT], 0.25) == "unchanged"
+    assert verdict(ab, AB_PARENT, [0.6 * p for p in AB_PARENT], 0.25, "higher") == "worse"
 
 
 def test_ab_verdict_unresolved_on_a_wide_parent_spread(ab):
     wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.5]
-    assert ab.verdict(wide, list(reversed(wide)), 0.25) == "unresolved"
+    assert verdict(ab, wide, list(reversed(wide)), 0.25) == "unresolved"
     # unless every change run beats every parent run (4 pairs are too few to improve)
-    assert ab.verdict(wide[:4], [0.5, 0.55, 0.4, 0.3], 0.25) == "unchanged"
+    assert verdict(ab, wide[:4], [0.5, 0.55, 0.4, 0.3], 0.25) == "unchanged"
 
 
 # sha256 of every file that the README example45 pipeline writes past its

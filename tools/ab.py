@@ -35,9 +35,25 @@ BUILD = os.path.join(ROOT, ".bench_build", "ab")
 SIDES = ("parent", "change")
 
 
-def verdict(parent, change, bound, better="lower"):
-    """The verdict on one metric, from its values per pair (``parent[i]`` and
-    ``change[i]`` ran as pair i) and its bound, a fraction of the parent's median.
+def tally(parent, change, better="lower"):
+    """Each side's median, quartiles and extremes, and the change's wins,
+    losses and ties over the pairs (``parent[i]`` and ``change[i]`` ran as
+    pair i); ``better`` says whether the lower or the higher value wins."""
+    sides = {}
+    for side, values in zip(SIDES, (parent, change)):
+        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        sides[side] = {"median": float(med), "q1": float(q1), "q3": float(q3),
+                       "min": float(np.min(values)), "max": float(np.max(values))}
+    beats = np.less if better == "lower" else np.greater
+    wins = int(np.sum(beats(change, parent)))
+    losses = int(np.sum(beats(parent, change)))
+    return {**sides, "pairs": len(parent), "wins": wins, "losses": losses,
+            "ties": len(parent) - wins - losses}
+
+
+def verdict(t, bound, better="lower"):
+    """The verdict on one metric from its ``tally`` and its bound, a fraction
+    of the parent's median.
 
     - ``improved``: at least 10 pairs, the change wins at least 9 in 10 of them
       (ties count for neither side), and its median is better than the
@@ -50,33 +66,24 @@ def verdict(parent, change, bound, better="lower"):
 
     ``main`` gives ``failed`` instead when a run of the workload failed.
     """
-    sign = 1.0 if better == "lower" else -1.0
-    p, c = sign * np.asarray(parent, float), sign * np.asarray(change, float)
-    p_med, c_med = np.median(p), np.median(c)
-    q1, q3 = np.percentile(p, [25, 75])
-    wins = int(np.sum(c < p))
-    if len(p) >= 10 and 10 * wins >= 9 * len(p) and p_med - c_med > q3 - q1:
+    p, c = t["parent"], t["change"]
+    gain = p["median"] - c["median"] if better == "lower" else c["median"] - p["median"]
+    iqr, scale = p["q3"] - p["q1"], bound * abs(p["median"])
+    apart = c["max"] < p["min"] if better == "lower" else c["min"] > p["max"]
+    if t["pairs"] >= 10 and 10 * t["wins"] >= 9 * t["pairs"] and gain > iqr:
         return "improved"
-    if c_med - p_med > bound * abs(p_med):
+    if -gain > scale:
         return "worse"
-    if q3 - q1 > bound * abs(p_med) and not c.max() < p.min():
+    if iqr > scale and not apart:
         return "unresolved"
     return "unchanged"
 
 
 def summarize(parent, change, bound, better):
-    """Medians, quartiles, wins and the verdict of one metric's pairs."""
-    sides = {}
-    for side, values in zip(SIDES, (parent, change)):
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
-        sides[side] = {"median": float(med), "q1": float(q1), "q3": float(q3)}
-    beats = np.less if better == "lower" else np.greater
-    wins = int(np.sum(beats(change, parent)))
-    losses = int(np.sum(beats(parent, change)))
-    return {**sides, "pairs": len(parent), "wins": wins, "losses": losses,
-            "ties": len(parent) - wins - losses,
-            "ratio": sides["change"]["median"] / sides["parent"]["median"],
-            "verdict": verdict(parent, change, bound, better)}
+    """``tally``, the ratio of the medians and the verdict of one metric's pairs."""
+    t = tally(parent, change, better)
+    return {**t, "ratio": t["change"]["median"] / t["parent"]["median"],
+            "verdict": verdict(t, bound, better)}
 
 
 def git(*args):
