@@ -263,10 +263,15 @@ def cmd_report(args):
     fmt = fieldio.fmt_float
     data, man = _load_sequence(args.manifest)
     forms, alphas = ex.load_expansion(args.expansion)
+    classification = fieldio.read_json(args.classification) if args.classification else None
     name = "unitary" if "unitary" in forms else sorted(forms)[0]
+    if classification is not None:  # report on the form that was classified
+        name = classification.get("form") if isinstance(classification, dict) else None
+        if not isinstance(name, str) or name not in forms:
+            raise UsageError(f"{args.classification}: classified form {name!r} is not in the "
+                             f"expansion file; available: {sorted(forms)}")
     e = forms[name]
     ratios = ex.remainder_ratios(e, data)
-    classification = fieldio.read_json(args.classification) if args.classification else None
     os.makedirs(args.out, exist_ok=True)
 
     header = ["n", "alpha", "residual_H", "bound_check"]

@@ -610,58 +610,6 @@ def _verified_prefix(e, data):
 
 
 # ---------------------------------------------------------------------------
-# Uniqueness comparison over the shared window
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class UniquenessReport:
-    match: bool
-    limit_diff: float
-    depth_equal: bool
-    gamma_diffs: list
-    direction_diffs: list
-
-    def __str__(self):
-        tag = "MATCH" if self.match else "MISMATCH"
-        return (
-            f"[{tag}] limit diff {self.limit_diff:.3e}; depths equal: {self.depth_equal}; "
-            f"max gamma rel diff {max(self.gamma_diffs, default=0.0):.3e}; "
-            f"max direction diff {max(self.direction_diffs, default=0.0):.3e}"
-        )
-
-
-def uniqueness_check(e1, e2, tol=1e-10):
-    """Compare two expansions of the same window: their limits, depths, and per
-    shared level the gammas at every sample and the directions.
-    """
-    s0 = e1.scale.exponent(0)
-    scale0 = max(sp.norm_ds(e1.limit, s0), sp.norm_ds(e2.limit, s0), 1e-300)
-    limit_diff = sp.norm_ds(e1.limit - e2.limit, s0) / scale0
-    depth_equal = e1.depth == e2.depth
-    gamma_diffs = []
-    direction_diffs = []
-    for k in range(min(e1.depth, e2.depth)):
-        g1, g2 = e1.terms[k].gammas, e2.terms[k].gammas
-        gamma_diffs.append(float(np.max(np.abs(g1 - g2) / np.maximum(np.abs(g1), 1e-300))))
-        sk = e1.space_exponent(k + 1)
-        direction_diffs.append(sp.norm_ds(e1.terms[k].direction - e2.terms[k].direction, sk))
-    match = (
-        depth_equal
-        and limit_diff <= tol
-        and all(d <= tol for d in gamma_diffs)
-        and all(d <= tol for d in direction_diffs)
-    )
-    return UniquenessReport(
-        match=match,
-        limit_diff=limit_diff,
-        depth_equal=depth_equal,
-        gamma_diffs=gamma_diffs,
-        direction_diffs=direction_diffs,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Expansion result files
 # ---------------------------------------------------------------------------
 
@@ -715,16 +663,19 @@ def save_expansion(path, forms, alphas):
     })
 
 
-def _load_form(path, rec, keys, rows, truncs, m):
-    """ExpansionResult of the form record ``rec`` of the index ``path``, on the
-    validated matrix ``rows`` (rows, len(keys), 2) of M = ``m`` samples."""
+def _load_form(path, name, rec, keys, rows, truncs, m):
+    """ExpansionResult of the form ``name``, record ``rec``, of the index ``path``,
+    on the validated matrix ``rows`` (rows, len(keys), 2) of M = ``m`` samples."""
     start, stop = rec["rows"]
     heads = range(start + 1, stop, 1 + m)  # the direction rows
     limit, *dirs = [sp.SpectralField.from_arrays(truncs[r], keys, rows[r]) for r in [start, *heads]]
     terms = [ExpansionTerm(np.array(t["gammas"], dtype=float), d,
                            rows[h + 1:h + 1 + m].reshape(m, -1), t["estimator"])
              for t, d, h in zip(rec["terms"], dirs, heads)]
-    scale = NestedScale(tuple(rec["scale"]["exponents"]))
+    try:
+        scale = NestedScale(tuple(rec["scale"]["exponents"]))
+    except ValueError as exc:
+        raise fieldio.FieldFormatError(f"{path}: form {name}: bad scale ({exc})") from exc
     if scale.regime != rec["scale"]["regime"]:
         raise fieldio.FieldFormatError(f"{path}: scale records regime {rec['scale']['regime']!r}, "
                                        f"but its exponents give {scale.regime!r}")
@@ -746,7 +697,8 @@ def load_expansion(path):
     Raises:
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
         re-extracted), a missing key, no forms, row offsets that do not tile the
-        matrix, a regime its exponents do not give, or a matrix of wrong dtype or shape.
+        matrix, exponents that make no scale or not the recorded regime, or a
+        matrix of wrong dtype or shape.
       sp.MalformedFieldError: a matrix row breaks a field invariant; the message
         names the matrix, the form, the row (limit, or term k's direction or
         witness n) and the mode.
@@ -792,7 +744,8 @@ def load_expansion(path):
         raise sp.MalformedFieldError(f"{matrix}: form {list(recs)[i]}: {part}: {bad[1]}")
     rows.flags.writeable = False
     try:
-        forms = {name: _load_form(path, rec, keys, rows, truncs, m) for name, rec in recs.items()}
+        forms = {name: _load_form(path, name, rec, keys, rows, truncs, m)
+                 for name, rec in recs.items()}
     except (KeyError, TypeError) as exc:
         raise fieldio.FieldFormatError(
             f"{path}: malformed expansion file (missing or bad {exc})") from exc

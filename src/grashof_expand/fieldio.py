@@ -227,10 +227,12 @@ def write_manifest(path, entries, g_limit=None):
 
 
 def read_manifest(path):
-    """Parse a manifest; returns a dict with absolute paths resolved."""
+    """Parse a manifest; returns a dict with absolute paths resolved. A document
+    that is not an object with an entries list, or a path that is not a string,
+    is a FieldFormatError naming the file."""
     doc = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
-    if "entries" not in doc or not isinstance(doc["entries"], list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise FieldFormatError(f"{path}: manifest has no entries list")
     entries = []
     for rec in doc["entries"]:
@@ -242,12 +244,15 @@ def read_manifest(path):
                 "residual_H": float(rec["residual_H"]),
                 "bound_check": float(rec["bound_check"]),
             }
+            if "force" in rec:
+                entry["force"] = os.path.join(base, rec["force"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError(f"{path}: malformed manifest entry ({exc})") from exc
-        if "force" in rec:
-            entry["force"] = os.path.join(base, rec["force"])
         entries.append(entry)
     out = {"entries": entries}
     if "g_limit" in doc:
-        out["g_limit"] = os.path.join(base, doc["g_limit"])
+        try:
+            out["g_limit"] = os.path.join(base, doc["g_limit"])
+        except TypeError as exc:
+            raise FieldFormatError(f"{path}: malformed g_limit ({exc})") from exc
     return out

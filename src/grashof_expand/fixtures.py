@@ -125,12 +125,6 @@ def _imaginary(reps, parts):
     return keys, rows
 
 
-def example45_big_force(cfg, n):
-    """Raw Fourier data of the unprojected force F_n: (kx, ky) -> coefficient 2-vector."""
-    keys, rows = _imaginary(*_sin_rows(cfg, [n], force=True))
-    return dict(zip(map(tuple, keys.tolist()), rows[0]))
-
-
 @dataclass(frozen=True)
 class Example45Data:
     n: int
@@ -244,13 +238,6 @@ class Example314Data:
     n: int
     truncation: int
     v_n: "sp.SpectralField"
-
-
-def example314_abs_v(n, truncation=None):
-    """|v_n| = e^{-n^2-n} (1 - e^{-2n})^{-1/2}, truncated tail included if given."""
-    q = np.exp(-2.0 * n)
-    top = 1.0 - q ** truncation if truncation is not None else 1.0
-    return np.exp(-n * n - n) * np.sqrt(top / (1.0 - q))
 
 
 def _example314_weights(n_values, truncation):

@@ -196,12 +196,6 @@ def build_S(alphas, gammas):
     return mat
 
 
-def total_comparability(matrix):
-    """(verdict, offending pairs): every pair must be decided."""
-    pairs = matrix.undecided_pairs()
-    return (len(pairs) == 0, pairs)
-
-
 def chi_trichotomy(chi):
     """Sign-pattern tag of chi_n: S1 (|chi_n| <= ``CHI_FLOOR`` everywhere), S2 / S3
     (chi > 0 / < 0) or mixed. The tag is recorded only: a one-signed chi that sums
@@ -268,7 +262,8 @@ class _Pass:
         self.report = ClassificationReport("", {}, None, None, {}, {}, True, {}, [])
         self.matrix = build_S(alphas, self.gammas) if self.gammas else None
         if self.matrix is not None:
-            self.report.comparability, undecided = total_comparability(self.matrix)
+            undecided = self.matrix.undecided_pairs()
+            self.report.comparability = len(undecided) == 0
             if undecided:
                 self.warn(f"relation matrix undecided on {undecided}")
 
@@ -375,7 +370,7 @@ def _classify_v_zero(c):
         mu = c.tail_mean(c.alphas * c.gammas[0] * c.gammas[1])
         rep.constants["mu"] = mu
         c.residual("mu*Bs(w1,w2)=g", mu * sp.bilinear_bs(w1, w2) - c.g)
-        rep.identities["<g,w1>"] = sp.inner_h(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
+        rep.identities["<g,w1>"] = sp.inner_ds(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
         return "4.6(i)(2)"
 
     # alpha Gamma_1^2 sim 1: mu_* and the deviation sequence chi.
@@ -384,7 +379,7 @@ def _classify_v_zero(c):
     rep.constants["mu_star"] = mu_star
     rep.constants["mu_star_dispersion"] = c.tail_dispersion(ag11)
     c.residual("mu_star*B(w1,w1)=g", mu_star * sp.bilinear_b(w1, w1) - c.g)
-    rep.identities["<g,w1>"] = sp.inner_h(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
+    rep.identities["<g,w1>"] = sp.inner_ds(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
     rep.chi = 1.0 - ag11 / mu_star
     rep.chi_tag = chi_trichotomy(rep.chi)
     if rep.chi_tag == "mixed":
@@ -405,13 +400,13 @@ def _classify_v_zero(c):
         rep.constants["mu_2"] = mu2
         c.residual("Aw1+mu2*Bs(w1,w2)=0", aw1 + mu2 * bs12)
         rep.identities["mu_star*||w1||^2-mu2*<g,w2>"] = (
-            mu_star * sp.norm_ds(w1, 0.5)**2 - mu2 * sp.inner_h(c.g, w2)) / (c.gvp**2)
+            mu_star * sp.norm_ds(w1, 0.5)**2 - mu2 * sp.inner_ds(c.g, w2)) / (c.gvp**2)
         return "4.6(ii)(2b)"
 
     c.residual("Bs(w1,w2)=0", sp.bilinear_bs(w1, w2))
     w2n = sp.norm_ds(w2, 0.5)
-    rep.identities["<g,w2>"] = sp.inner_h(c.g, w2) / (c.gvp * w2n)
-    rep.identities["<B(w2,w2),w1>"] = sp.inner_h(sp.bilinear_b(w2, w2), w1) / (c.gvp * w2n**2)
+    rep.identities["<g,w2>"] = sp.inner_ds(c.g, w2) / (c.gvp * w2n)
+    rep.identities["<B(w2,w2),w1>"] = sp.inner_ds(sp.bilinear_b(w2, w2), w1) / (c.gvp * w2n**2)
     return "4.6(ii)(3b)"
 
 

@@ -180,13 +180,6 @@ class SpectralField:
         """Read-only mapping (kx, ky) -> coefficient 2-vector, built on each access."""
         return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.coeffs)))
 
-    def amplitude(self):
-        """Largest coefficient magnitude (0.0 for the zero field)."""
-        return float(np.max(np.abs(self.coeffs), initial=0.0))
-
-    def is_zero(self):
-        return len(self.keys) == 0
-
     # Linear combinations preserve all invariants; checks are skipped.
     def __add__(self, other):
         return lin_comb([1.0, 1.0], [self, other])
@@ -235,29 +228,6 @@ def divfree(keys, rows):
     return np.where((kc != 0)[..., None], proj, rows)
 
 
-def leray_project(raw, trunc=None):
-    """Helmholtz-Leray projection of raw Fourier data onto divergence-free fields.
-
-    Each mode is replaced by (I - k k^T / |k|^2) c(k); the (0,0) mode, if
-    present, is dropped. Idempotent; gradient fields map to zero.
-
-    Raises:
-      MalformedFieldError: reality condition violated beyond 1e-13 relative.
-    """
-    keys, coeffs = _arrays(raw)
-    if trunc is None:
-        trunc = int(np.max(np.abs(keys), initial=1))
-    scale = float(np.max(np.abs(coeffs), initial=0.0))
-    live = np.any(keys != 0, axis=1)
-    keys, coeffs = keys[live], coeffs[live]
-    mismatch = np.max(np.abs(gather(keys, coeffs, -keys) - np.conj(coeffs)), axis=1, initial=0.0)
-    bad = mismatch > REALITY_TOL * max(scale, 1e-300)
-    if bad.any():
-        k = tuple(keys[np.argmax(bad)].tolist())
-        raise MalformedFieldError(f"reality condition violated at mode {k}")
-    return SpectralField.from_arrays(trunc, keys, divfree(keys, coeffs))
-
-
 def _eigenvalues(keys):
     return np.sum(keys * keys, axis=1).astype(np.float64)
 
@@ -291,11 +261,6 @@ def inner_ds(u, v, s=0.0):
         terms = _eigenvalues(u.keys) ** (2.0 * s) * terms
     # Start from +0.0, as a running sum does, so no sum of zeros comes out -0.0.
     return TWO_PI * TWO_PI * float(np.sum(terms, initial=0.0))
-
-
-def inner_h(u, v):
-    """L^2 inner product of H; symmetric, inner_h(u, u) = norm_ds(u, 0)^2."""
-    return inner_ds(u, v, 0.0)
 
 
 def project_trunc(u, n):
@@ -403,17 +368,11 @@ def eigen_basis(count):
         radius += 1
 
 
-def eigenfunction(j):
-    """j-th eigenfunction (1-based) of the Stokes operator; unit H norm, real."""
-    if j < 1:
-        raise ValueError("eigen index must be >= 1")
-    return eigenfunctions(j)[j - 1]
-
-
 def _eigen_arrays(count):
-    """Keys (count, 2, 2) and coefficients (count, 2, 2) of eigenfunction(1..count)
-    on their pairs (-k, k), and their truncations: c(k) = amp sigma(k) (cos) or
-    (amp / i) sigma(k) (sin), amp = 1 / (2 sqrt(2) pi), and c(-k) = conj(c(k))."""
+    """Keys (count, 2, 2) and coefficients (count, 2, 2) of phi_1..phi_count
+    (``eigenfunctions``) on their pairs (-k, k), and their truncations:
+    c(k) = amp sigma(k) (cos) or (amp / i) sigma(k) (sin), amp = 1 / (2 sqrt(2) pi),
+    and c(-k) = conj(c(k))."""
     basis = eigen_basis(count)
     amp = 1.0 / (2.0 * np.sqrt(2.0) * np.pi)
     reps = np.array([k for _, k, _ in basis], dtype=np.int64).reshape(-1, 2)
@@ -425,14 +384,16 @@ def _eigen_arrays(count):
 
 
 def eigenfunctions(count):
-    """eigenfunction(1), ..., eigenfunction(count) in one array pass."""
+    """The first ``count`` eigenfunctions phi_1..phi_count of the Stokes operator,
+    in ``eigen_basis`` order, real with unit H norm, in one array pass; phi_j is
+    ``eigenfunctions(j)[-1]`` and its eigenvalue ``eigen_basis(j)[-1][0]``."""
     keys, coeffs, truncs = _eigen_arrays(count)
     return [SpectralField.from_arrays(t, k, cf) for t, k, cf in zip(truncs, keys, coeffs)]
 
 
 def eigen_rows(weights):
     """Sorted keys, rows (R, len(keys), 2) and truncation of sum_j weights[r, j] phi_j
-    for each row of the real (R, T) matrix ``weights``, phi_j = eigenfunction(j),
+    for each row of the real (R, T) matrix ``weights``, phi_j as in ``eigenfunctions``,
     on all keys of phi_1..phi_T at the largest truncation of them, in one pass.
 
     Each row is bit-equal to ``lin_comb(weights[r], eigenfunctions(T))``: every
@@ -447,10 +408,6 @@ def eigen_rows(weights):
     acc = np.full((len(weights), len(union), 2), complex(-0.0, -0.0))
     np.add.at(acc, (slice(None), slot), terms.reshape(len(weights), len(slot), 2))
     return union, acc, max([1] + truncs)
-
-
-def eigenvalue(j):
-    return eigen_basis(j)[j - 1][0]
 
 
 def random_divfree(trunc, rng, decay=1.0):

@@ -59,6 +59,8 @@ import numpy as np
 from . import kernels
 from . import spectral as sp
 
+RESIDUAL_TOL = 1e-12  # a solve converges once |F| <= RESIDUAL_TOL max(1, |g|)
+MAX_ITERS = 50  # Newton steps before a solve reports no convergence
 MAX_HALVINGS = 20  # step halvings in one Newton line search before it stalls
 
 
@@ -115,11 +117,6 @@ def residual(v, p, bvv=None):
     if bvv is None:
         bvv = sp.bilinear_b(v, v, retruncate=p.trunc)
     return sp.project_trunc(sp.lin_comb([1.0, p.alpha, -1.0], [av, bvv, p.g]), p.trunc)
-
-
-def manufactured_force(v, alpha):
-    """g = A v + alpha B(v, v); residual(v, (g, alpha, N >= 2*v.trunc)) = 0 exactly."""
-    return sp.lin_comb([1.0, float(alpha)], [sp.apply_fractional(v, 1.0), sp.bilinear_b(v, v)])
 
 
 # --- real degree-of-freedom mapping -----------------------------------------
@@ -288,14 +285,14 @@ def _vec_to_field(x, reps, sigmas, n):
     return sp.SpectralField.from_arrays(n, *sp.conj_closure(reps, _coefficients(x, sigmas)))
 
 
-def solve_steady(p, initial=None, tol=None, max_iters=50):
+def solve_steady(p, initial=None):
     """Damped Newton iteration for the steady problem.
 
     Deterministic on a fixed BLAS thread count: identical inputs give
     bit-identical reports (the LU may round differently on another count).
     After the residual passes the tolerance one extra full step is taken
     (quadratic convergence makes it nearly free), so converged solutions sit
-    at the roundoff floor rather than just below ``tol``; nothing is
+    at the roundoff floor rather than just below the tolerance; nothing is
     linearized there, and its ``residual_history`` entry is ``residual_h``.
 
     Each line-search trial costs one Jacobian and one matvec, which give its
@@ -308,11 +305,11 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
     that fix both; ``dofs`` counts them and ``group_order`` the group's
     distinct signed permutations of the lattice's unknowns.
 
-    Returns a SolveReport; ``converged`` is False after ``max_iters`` Newton
+    Returns a SolveReport; ``converged`` is False after ``MAX_ITERS`` Newton
     steps or a singular linearization (condition estimate attached).
     """
     gnorm = sp.norm_ds(p.g, 0)
-    tol = tol if tol is not None else 1e-12 * max(1.0, gnorm)
+    tol = RESIDUAL_TOL * max(1.0, gnorm)
     v = sp.project_trunc(initial if initial is not None else sp.zero_field(p.trunc), p.trunc)
     frame = _frame(p.g, p.trunc, v)
     reps, sigmas = frame.reps, frame.sigmas
@@ -336,7 +333,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
         if polished:
             history.append(rh)
         if message is None:
-            after = "the polish step" if polished else f"{max_iters} iterations"
+            after = "the polish step" if polished else f"{MAX_ITERS} iterations"
             message = "" if rh <= tol else f"no convergence after {after}"
         return SolveReport(
             solution=vfld, residual_h=rh, newton_iters=iters,
@@ -347,7 +344,7 @@ def solve_steady(p, initial=None, tol=None, max_iters=50):
 
     jac, fx, rnorm = linearize(x)
     history = [rnorm]
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if rnorm == 0.0:
             break
         try:
@@ -387,7 +384,7 @@ def sweep_problems(alphas, forces, trunc):
     return problems
 
 
-def sweep(alphas, forces, trunc, tol=None, initial=None):
+def sweep(alphas, forces, trunc, initial=None):
     """Continuation sweep over strictly increasing alphas, one force g_n per alpha.
 
     The solution at alpha_n seeds Newton at alpha_{n+1}; the first solve seeds
@@ -403,7 +400,7 @@ def sweep(alphas, forces, trunc, tol=None, initial=None):
     for i, p in enumerate(sweep_problems(alphas, forces, trunc)):
         if guess is None:
             guess = sp.project_trunc(sp.apply_fractional(p.g, -1.0), trunc)
-        rep = solve_steady(p, initial=guess, tol=tol)
+        rep = solve_steady(p, initial=guess)
         reports.append(rep)
         if not rep.converged:
             raise ContinuationError(i, reports)

@@ -6,7 +6,8 @@ import pytest
 from grashof_expand import expansion as ex
 from grashof_expand import fixtures as fx
 from grashof_expand import spectral as sp
-from grashof_expand import steady as st
+
+from oracles import leray_project, manufactured_force
 
 
 def shear_field(amplitude=1.0):
@@ -70,7 +71,7 @@ def make_v0_family(mu_hat=1.3, mu2_hat=1.0, count=10, base=3.0):
     manufactured forces; the limit force is mu_hat^2 B(w1, w1) != 0."""
     raw1 = {(0, 1): np.array([1 / 2j, 0]), (0, -1): np.array([-1 / 2j, 0]),
             (2, 0): np.array([0, 1 / 2j]), (-2, 0): np.array([0, -1 / 2j])}
-    w1 = sp.leray_project(raw1)
+    w1 = leray_project(raw1)
     w1 = (1.0 / sp.norm_ds(w1, 0.5)) * w1
     w2 = x_wave(3)
     w2 = (1.0 / sp.norm_ds(w2, 0.5)) * w2
@@ -78,7 +79,7 @@ def make_v0_family(mu_hat=1.3, mu2_hat=1.0, count=10, base=3.0):
     g1 = mu_hat / np.sqrt(alphas)
     g2 = mu2_hat / alphas**1.5
     fields = [sp.lin_comb([g1[i], g2[i]], [w1, w2]) for i in range(count)]
-    forces = [st.manufactured_force(fields[i], alphas[i]) for i in range(count)]
+    forces = [manufactured_force(fields[i], alphas[i]) for i in range(count)]
     g_limit = (mu_hat**2) * sp.bilinear_b(w1, w1)
     data = ex.SequenceData(tuple(fields), tuple(alphas))
     return data, forces, g_limit, (g1, w1, g2, w2)
@@ -103,7 +104,7 @@ def make_stokes_family(branch="ii", count=10, base=3.0):
     else:
         raise ValueError(branch)
     fields = [sp.lin_comb([1.0, g1[i], g2[i]], [v, w1, w2]) for i in range(count)]
-    forces = [st.manufactured_force(fields[i], alphas[i]) for i in range(count)]
+    forces = [manufactured_force(fields[i], alphas[i]) for i in range(count)]
     g_limit = sp.apply_fractional(v, 1.0)
     data = ex.SequenceData(tuple(fields), tuple(alphas))
     return data, forces, g_limit, (g1, w1, g2, w2)

@@ -81,6 +81,35 @@ def test_pipeline_report_artifacts(pipeline):
     assert "\r" not in series  # LF endings
 
 
+def test_report_takes_the_classified_form(pipeline, tmp_path):
+    """With a classification of the strict form, series.csv's Gammas, the
+    summary's form line and the branch all belong to the strict form."""
+    man, exf = str(pipeline / "fx" / "manifest.json"), str(pipeline / "exp" / "expansion.json")
+    cls, rep = tmp_path / "class.json", tmp_path / "rep"
+    assert run(["classify", "--expansion", exf, "--manifest", man, "--form", "strict",
+                "--out", str(cls)]) == 0
+    assert run(["report", "--manifest", man, "--expansion", exf,
+                "--classification", str(cls), "--out", str(rep)]) == 0
+    strict = ex.load_expansion(exf)[0]["strict"]
+    header = (rep / "series.csv").read_text().splitlines()[0].split(",")
+    assert sum(h.startswith("Gamma_") for h in header) == strict.depth == 6
+    summary = (rep / "summary.txt").read_text()
+    assert f"expansion form strict: kind {strict.kind}, depth {strict.depth}" in summary
+    assert f"classification branch: {fieldio.read_json(cls)['branch']}" in summary
+
+
+def test_report_on_a_form_the_expansion_lacks_exit_2(pipeline, tmp_path, capsys):
+    cls = tmp_path / "class.json"
+    fieldio.write_json(cls, {**fieldio.read_json(pipeline / "class.json"), "form": "nosuch"})
+    assert run(["report", "--manifest", str(pipeline / "fx" / "manifest.json"),
+                "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--classification", str(cls), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cls}: classified form 'nosuch' is not in the expansion file" in err
+    assert "available: ['restructured', 'strict', 'unitary']" in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_report_byte_identical_reruns(pipeline, tmp_path):
     rep2 = str(tmp_path / "rep2")
     assert run(["report", "--manifest", str(pipeline / "fx" / "manifest.json"),
@@ -421,7 +450,7 @@ def test_extract_constant_manifest_gives_trivial(tmp_path, capsys):
     import conftest
     from grashof_expand import spectral as sp
 
-    g = sp.leray_project(dict(conftest.shear_field().modes))
+    g = conftest.shear_field()
     fdir = str(tmp_path / "lam")
     os.makedirs(fdir)
     fieldio.write_field(os.path.join(fdir, "g.json"), g)
@@ -712,9 +741,15 @@ def _index_term_without_estimator(doc):
     return 2, "malformed expansion file (missing or bad 'estimator')"
 
 
+def _index_scale_of_one_exponent(doc):
+    doc["forms"]["unitary"]["scale"]["exponents"] = [0.5]
+    return 2, "form unitary: bad scale (scale needs at least two exponents)"
+
+
 @pytest.mark.parametrize("damage", [_index_modes_out_of_order, _index_rows_do_not_tile,
-                                    _index_term_without_estimator],
-                         ids=["modes-out-of-order", "rows-do-not-tile", "no-estimator"])
+                                    _index_term_without_estimator, _index_scale_of_one_exponent],
+                         ids=["modes-out-of-order", "rows-do-not-tile", "no-estimator",
+                              "one-exponent"])
 def test_malformed_expansion_index(pipeline, tmp_path, capsys, damage):
     out = tmp_path / "exp"
     shutil.copytree(pipeline / "exp", out)
@@ -729,21 +764,41 @@ def test_malformed_expansion_index(pipeline, tmp_path, capsys, damage):
 
 def _manifest_without_entries(doc):
     doc.pop("entries")
-    return "manifest has no entries list"
+    return doc, "manifest has no entries list"
 
 
 def _entry_without_alpha(doc):
     doc["entries"][4].pop("alpha")
-    return "malformed manifest entry ('alpha')"
+    return doc, "malformed manifest entry ('alpha')"
 
 
-@pytest.mark.parametrize("damage", [_manifest_without_entries, _entry_without_alpha],
-                         ids=["no-entries", "no-alpha"])
+def _manifest_null(doc):
+    return None, "manifest has no entries list"
+
+
+def _manifest_number(doc):
+    return 5, "manifest has no entries list"
+
+
+def _entry_force_not_a_path(doc):
+    doc["entries"][4]["force"] = 7
+    return doc, "malformed manifest entry ("
+
+
+def _g_limit_not_a_path(doc):
+    doc["g_limit"] = 7
+    return doc, "malformed g_limit ("
+
+
+@pytest.mark.parametrize("damage", [_manifest_without_entries, _entry_without_alpha,
+                                    _manifest_null, _manifest_number, _entry_force_not_a_path,
+                                    _g_limit_not_a_path],
+                         ids=["no-entries", "no-alpha", "null", "number", "force-not-a-path",
+                              "g-limit-not-a-path"])
 def test_malformed_manifest_exit_2(pipeline, tmp_path, capsys, damage):
     fxdir = tmp_path / "fx"
     shutil.copytree(pipeline / "fx", fxdir)
-    doc = fieldio.read_json(fxdir / "manifest.json")
-    words = damage(doc)
+    doc, words = damage(fieldio.read_json(fxdir / "manifest.json"))
     fieldio.write_json(fxdir / "manifest.json", doc)
     assert run(["extract", "--manifest", str(fxdir / "manifest.json"),
                 "--out", str(tmp_path / "exp")]) == 2

@@ -19,6 +19,7 @@ from grashof_expand import spectral as sp
 from grashof_expand.seqlimit import estimate_limit
 
 from conftest import witness_fields
+from oracles import example314_abs_v, uniqueness_check
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,7 @@ def test_extract_rejects_short_window():
 
 
 def test_extract_rejects_nonconvergent_window():
-    phi = sp.eigenfunction(1)
+    phi = sp.eigenfunctions(1)[-1]
     fields = tuple(phi if n % 2 == 0 else -1.0 * phi for n in range(8))
     data = ex.SequenceData(fields, tuple(2.0**j for j in range(8)))
     with pytest.raises(ex.NotConvergentError):
@@ -86,12 +87,12 @@ def test_extract_example314_strict_values(ex314_window):
     assert sp.norm_ds(strict.limit, 0) <= 1e-12
     ns = np.arange(1, 7)
     # Gamma_1,n is the exact H norm of v_n (norm-based strict coefficients).
-    g1_expect = np.array([fx.example314_abs_v(n, 64) for n in ns])
+    g1_expect = np.array([example314_abs_v(n, 64) for n in ns])
     assert np.max(np.abs(strict.terms[0].gammas - g1_expect) / g1_expect) <= 1e-13
     # first two strict directions are phi_1, phi_2
     for k in (1, 2):
         d = strict.terms[k - 1].direction
-        phi = sp.eigenfunction(k)
+        phi = sp.eigenfunctions(k)[-1]
         assert min(sp.norm_ds(d - phi, 0), sp.norm_ds(d + phi, 0)) <= 1e-10
 
 
@@ -102,7 +103,7 @@ def test_extract_example314_unitary_matches_paper(ex314_extraction):
     for k, term in enumerate(unitary.terms, start=1):
         expect = np.exp(-k * ns - ns * ns)
         assert np.max(np.abs(term.gammas - expect) / expect) <= 1e-12
-        phi = sp.eigenfunction(k)
+        phi = sp.eigenfunctions(k)[-1]
         diff = min(sp.norm_ds(term.direction - phi, 0), sp.norm_ds(term.direction + phi, 0))
         assert diff <= 1e-10
 
@@ -146,7 +147,7 @@ def test_extract_rejects_window_without_overall_decay():
     # The increments hold steady (they grow by a factor 1 + 1e-12 per sample). The
     # samples lie within the Gamma floor of their limit, so extraction keeps no
     # term, and verify rejects v_n = v: the samples move by more than roundoff.
-    phi1, phi5 = sp.eigenfunction(1), sp.eigenfunction(5)
+    phi1, phi5 = sp.eigenfunctions(1)[-1], sp.eigenfunctions(5)[-1]
     fields = []
     for n in range(1, 9):
         fields.append(sp.lin_comb([1.0, 0.2 * (1 + 1e-12) ** n], [phi1, phi5]))
@@ -293,7 +294,7 @@ def test_refine_degenerate_on_a_zero_direction():
     res = _refine_from_v(data)
     assert (res.kind, res.degenerate_n, res.depth_reason) == (
         "degenerate", 0, "zero direction at level 1")
-    assert res.depth == 1 and res.terms[0].direction.is_zero()
+    assert res.depth == 1 and len(res.terms[0].direction.keys) == 0
 
 
 def test_refine_flips_a_direction_against_the_residuals():
@@ -370,14 +371,14 @@ def test_brute_force_oracle_matches_engine(ex314_window, ex314_extraction):
     alphas = [float(np.exp(n)) for n in ns]
     vhat, gammas, dirs = oracle_strict_eigen(coeffs, alphas, kmax=3, tail=ex._tail(6))
     fields = tuple(
-        sp.lin_comb(list(coeffs[i]), [sp.eigenfunction(k) for k in range(1, truncation + 1)])
+        sp.lin_comb(list(coeffs[i]), sp.eigenfunctions(truncation))
         for i in range(6)
     )
     data8 = ex.SequenceData(fields, tuple(alphas))
     engine = ex.extract_strict(data8, ex.constant_scale(0.0, 3))
     assert np.max(np.abs(vhat)) <= 1e-12
     assert sp.norm_ds(engine.limit, 0) <= 1e-12
-    phis = [sp.eigenfunction(k) for k in range(1, truncation + 1)]
+    phis = sp.eigenfunctions(truncation)
     for k in range(3):
         ge = engine.terms[k].gammas
         go = gammas[k]
@@ -593,7 +594,7 @@ def test_verify_remainder_ratio_decreasing_example45(ex45_records, ex45_data, ex
 
 def test_uniqueness_identical_results(ex314_extraction):
     strict, _ = ex314_extraction
-    rep = ex.uniqueness_check(strict, strict)
+    rep = uniqueness_check(strict, strict)
     assert rep.match
     assert rep.limit_diff == 0.0
 
@@ -604,7 +605,7 @@ def test_uniqueness_across_tail_windows(ex314_window, monkeypatch):
     e1 = ex.extract_strict(data, scale)  # tail ceil(6/3) = 2
     monkeypatch.setattr(ex, "_tail", lambda m: 3)
     e2 = ex.extract_strict(data, scale)
-    rep = ex.uniqueness_check(e1, e2, tol=1e-10)
+    rep = uniqueness_check(e1, e2, tol=1e-10)
     assert rep.match, str(rep)
 
 
@@ -613,7 +614,7 @@ def test_uniqueness_reports_restructured_difference(ex314_window):
     uni = fx.example314_unitary_expansion(depth=4)
     withzero = _insert_zero_level(uni, position=1)
     out = ex.restructure(withzero)
-    rep = ex.uniqueness_check(withzero, out)
+    rep = uniqueness_check(withzero, out)
     assert not rep.match          # different structure (term removed)
     assert not rep.depth_equal
     _assert_partial_sums_match(withzero, out)  # but same reconstruction

@@ -26,7 +26,7 @@ def test_field_roundtrip_exact(tmp_path):
 
 
 def test_field_file_stores_representatives_only(tmp_path):
-    u = sp.eigenfunction(1)
+    u = sp.eigenfunctions(1)[-1]
     path = tmp_path / "phi.json"
     fieldio.write_field(path, u)
     doc = fieldio.read_json(path)
@@ -44,7 +44,7 @@ def test_float_serialization_17_digits():
 
 
 def test_manifest_roundtrip_relative_paths(tmp_path):
-    u = sp.eigenfunction(3)
+    u = sp.eigenfunctions(3)[-1]
     sub = tmp_path / "run"
     os.makedirs(sub)
     fieldio.write_field(sub / "f1.json", u)

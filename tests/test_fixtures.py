@@ -11,6 +11,7 @@ from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
 from conftest import witness_fields
+from oracles import example314_abs_v, example45_big_force, leray_project
 
 
 def test_cstar_and_alpha_high_precision():
@@ -121,10 +122,10 @@ def example45_by_dicts(cfg, n):
     mu0 = 1.0 / (fx.SQRT2PI * fx.cstar(cfg))
     big = _merge(_sin_modes_y(), *[_sin_modes_x(m, n * m * m * c) for m, c in cfg.coeffs],
                  _cross_modes(cfg, float(n)))
-    f_n = sp.leray_project(big)
+    f_n = leray_project(big)
     u_n = sp.SpectralField(trunc, _merge(_sin_modes_y(), *[_sin_modes_x(m, n * c) for m, c in cfg.coeffs]))
     s_field = sp.SpectralField(trunc, _merge(*[_sin_modes_x(m, c) for m, c in cfg.coeffs]))
-    g = sp.leray_project(_merge(*[_sin_modes_x(m, mu0 * m * m * c) for m, c in cfg.coeffs],
+    g = leray_project(_merge(*[_sin_modes_x(m, mu0 * m * m * c) for m, c in cfg.coeffs],
                                 _cross_modes(cfg, mu0)))
     w2tilde = -1.0 * s_field
     w2 = (1.0 / sp.norm_ds(w2tilde, 0.5)) * w2tilde
@@ -149,7 +150,7 @@ def test_example45_window_bit_equal_to_dict_oracle(coeffs):
     for name, a in vars(one).items():
         b = getattr(recs[6], name)
         assert _same_bits(a, b) if isinstance(a, sp.SpectralField) else a == b
-    raw = fx.example45_big_force(cfg, 7)
+    raw = example45_big_force(cfg, 7)
     big = _merge(_sin_modes_y(), *[_sin_modes_x(m, 7 * m * m * c) for m, c in cfg.coeffs],
                  _cross_modes(cfg, 7.0))
     assert sorted(raw) == sorted(big)
@@ -239,7 +240,7 @@ def test_example314_degenerate_witness_norms():
     for k, term in enumerate(den.terms, start=1):
         norms = [sp.norm_ds(w, 0) for w in witness_fields(den, term)]
         for i, n in enumerate(range(1, 7)):
-            expect = np.exp(n * k) * fx.example314_abs_v(n, 64)
+            expect = np.exp(n * k) * example314_abs_v(n, 64)
             assert norms[i] == pytest.approx(expect, rel=1e-12)
         assert norms[-1] < norms[-2]  # -> 0 along the tail
 

@@ -74,7 +74,7 @@ CONVOLUTION_CASES = {
     "n8-nout8": lambda rng: (sp.random_divfree(8, rng), sp.random_divfree(8, rng), 8),
     "n8-nout16": lambda rng: (sp.random_divfree(8, rng), sp.random_divfree(8, rng), 16),
     "n3": lambda rng: (sp.random_divfree(3, rng), sp.random_divfree(3, rng), 6),
-    "eigen2-eigen5": lambda rng: (sp.eigenfunction(2), sp.eigenfunction(5), 2),
+    "eigen2-eigen5": lambda rng: (sp.eigenfunctions(2)[-1], sp.eigenfunctions(5)[-1], 2),
     # every p + q lies outside the output box
     "all-pairs-outside": lambda rng: (one_mode((5, 0)), one_mode((0, 5)), 4),
     "zero-u": lambda rng: (sp.zero_field(4), sp.random_divfree(4, rng), 8),
@@ -182,12 +182,12 @@ def test_batched_convolution_is_per_field_calls_to_the_bit(case):
 def test_bilinear_b_each_needs_one_key_set():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError, match="one key set"):
-        sp.bilinear_b_each([sp.random_divfree(3, rng), sp.eigenfunction(2)], 6)
+        sp.bilinear_b_each([sp.random_divfree(3, rng), sp.eigenfunctions(2)[-1]], 6)
 
 
 def test_convolution_keeps_the_exact_support():
     # e_2 and e_5 are one mode pair each: B(e_2, e_5) has the 4 sums p + q.
-    assert len(sp.bilinear_b(sp.eigenfunction(2), sp.eigenfunction(5)).keys) == 4
+    assert len(sp.bilinear_b(sp.eigenfunctions(2)[-1], sp.eigenfunctions(5)[-1]).keys) == 4
 
 
 def test_convolution_of_the_shear_is_exactly_zero():
@@ -229,7 +229,7 @@ JACOBIAN_CASES = {
     # no v modes: only the Stokes diagonal remains
     "zero-v": (4, 3.0, lambda rng: sp.zero_field(4)),
     # one mode pair at k = (2, 1): most p +- k_r leave the box or miss a representative
-    "eigenfunction-v": (3, 7.0, lambda rng: sp.eigenfunction(19)),
+    "eigenfunction-v": (3, 7.0, lambda rng: sp.eigenfunctions(19)[-1]),
 }
 
 

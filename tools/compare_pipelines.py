@@ -53,6 +53,9 @@ SWEEPS = {
 }
 
 
+PIPELINES = [*EX45, "ex314", *SWEEPS]
+
+
 def stages(name):
     """The CLI argument lists of pipeline ``name``, in order."""
     if name in SWEEPS:
@@ -122,7 +125,7 @@ def main(argv):
         sys.exit(__doc__)
     old_src, new_src, work = argv
     bad = 0
-    for name in [*EX45, "ex314", *SWEEPS]:
+    for name in PIPELINES:
         old = run_pipeline(old_src, name, os.path.join(work, "old", name))
         new = run_pipeline(new_src, name, os.path.join(work, "new", name))
         faults = compare(old, new)
