@@ -1,11 +1,13 @@
 """Batch pipeline front door: sweep -> extract -> verify -> classify -> report.
 
 Exit codes: 0 success; 1 domain error (a failed solve, extraction or
-classification, or a field that breaks an invariant); 2 usage error, or an
-input file that is missing, not valid JSON or not of its schema, named in the
-message. A usage error writes nothing. All artifacts are written atomically;
-repeated runs with the same configuration produce byte-identical outputs.
-``verify`` checks its forms one after another on one thread.
+classification, or a field that breaks an invariant); 2 usage error, an input
+or output that cannot be opened (missing, a directory read as a file, a file
+in the way of a directory), or an input file that is not valid JSON or not of
+its schema (``report`` checks a classification's keys before it writes), each
+named in the message. A usage error writes nothing. All artifacts are written
+atomically; repeated runs with the same configuration produce byte-identical
+outputs. ``verify`` checks its forms one after another on one thread.
 """
 
 from __future__ import annotations
@@ -79,22 +81,6 @@ def _parse_scale(spec, depth):
 # ---------------------------------------------------------------------------
 
 
-def _write_window(out, stem, fields, entries, forces=None, g_limit=None):
-    """Write each field as ``<stem>_<n>.json`` under ``out`` (made by the first
-    write), its force as ``g_<n>.json`` and ``g_limit`` as ``g_limit.json`` if
-    given, then the manifest of ``entries``, each given the paths of its files."""
-    for i, (entry, field) in enumerate(zip(entries, fields)):
-        entry["field"] = os.path.join(out, f"{stem}_{entry['n']:04d}.json")
-        fieldio.write_field(entry["field"], field)
-        if forces is not None:
-            entry["force"] = os.path.join(out, f"g_{entry['n']:04d}.json")
-            fieldio.write_field(entry["force"], forces[i])
-    glim = None if g_limit is None else os.path.join(out, "g_limit.json")
-    if glim is not None:
-        fieldio.write_field(glim, g_limit)
-    fieldio.write_manifest(os.path.join(out, "manifest.json"), entries, g_limit=glim)
-
-
 def cmd_fixtures(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
@@ -113,8 +99,8 @@ def cmd_fixtures(args):
         entries = [{"n": rec.n, "alpha": rec.alpha, "residual_H": rec.residual_h,
                     "bound_check": sp.norm_ds(sp.apply_fractional(rec.v_n, 1.0), 0)
                     / sp.norm_ds(rec.g_n, 0)} for rec in recs]
-        _write_window(args.out, "v", [r.v_n for r in recs], entries,
-                      forces=[r.g_n for r in recs], g_limit=recs[-1].g)  # g does not depend on n
+        fieldio.write_window(args.out, "v", [r.v_n for r in recs], entries,
+                             forces=[r.g_n for r in recs], g_limit=recs[-1].g)  # one g for every n
     else:
         truncation = 64 if args.truncation is None else args.truncation
         if args.count > 6:
@@ -125,7 +111,7 @@ def cmd_fixtures(args):
         recs, alphas = fx.example314_window(ns, truncation)
         entries = [{"n": rec.n, "alpha": alpha, "residual_H": 0.0, "bound_check": 0.0}
                    for rec, alpha in zip(recs, alphas)]
-        _write_window(args.out, "v", [r.v_n for r in recs], entries)
+        fieldio.write_window(args.out, "v", [r.v_n for r in recs], entries)
         if args.with_expansions:
             forms = {"unitary": fx.example314_unitary_expansion(ns, truncation),
                      "degenerate": fx.example314_degenerate_expansion(ns, truncation)}
@@ -171,8 +157,8 @@ def cmd_sweep(args):
     entries = [{"n": i + 1, "alpha": a, "residual_H": rep.residual_h,
                 "bound_check": rep.bound_check, "dofs": rep.dofs, "group_order": rep.group_order}
                for i, (rep, a) in enumerate(zip(reports, alphas))]
-    _write_window(args.out, "solution", [rep.solution for rep in reports], entries,
-                  forces=forces if args.fixture else None, g_limit=g_limit)
+    fieldio.write_window(args.out, "solution", [rep.solution for rep in reports], entries,
+                         forces=forces if args.fixture else None, g_limit=g_limit)
     print(f"swept {len(reports)} steps; manifest at {os.path.join(args.out, 'manifest.json')}")
     return 0
 
@@ -257,17 +243,40 @@ def cmd_classify(args):
     return 0
 
 
+def _read_classification(path):
+    """The classification document at ``path``: a string ``form`` and ``branch``,
+    and where present ``constants`` and ``residuals`` objects of numbers and
+    ``warnings`` a list of strings; anything else is a FieldFormatError naming
+    the file and the key."""
+    doc = fieldio.read_json(path)
+    if not isinstance(doc, dict):
+        raise fieldio.FieldFormatError(f"{path}: classification is not a JSON object")
+
+    def numbers(v):
+        return isinstance(v, dict) and all(type(x) in (int, float) for x in v.values())
+
+    def strings(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    for key, what, ok in (("form", "a string", lambda v: isinstance(v, str)),
+                          ("branch", "a string", lambda v: isinstance(v, str)),
+                          ("constants", "an object of numbers", numbers),
+                          ("residuals", "an object of numbers", numbers),
+                          ("warnings", "a list of strings", strings)):
+        if (key in doc or key in ("form", "branch")) and not ok(doc.get(key)):
+            raise fieldio.FieldFormatError(f"{path}: classification {key!r} is not {what}")
+    return doc
+
+
 def cmd_report(args):
-    if not os.path.exists(args.manifest):
-        raise UsageError(f"manifest not found: {args.manifest}")
     fmt = fieldio.fmt_float
     data, man = _load_sequence(args.manifest)
     forms, alphas = ex.load_expansion(args.expansion)
-    classification = fieldio.read_json(args.classification) if args.classification else None
+    classification = _read_classification(args.classification) if args.classification else None
     name = "unitary" if "unitary" in forms else sorted(forms)[0]
     if classification is not None:  # report on the form that was classified
-        name = classification.get("form") if isinstance(classification, dict) else None
-        if not isinstance(name, str) or name not in forms:
+        name = classification["form"]
+        if name not in forms:
             raise UsageError(f"{args.classification}: classified form {name!r} is not in the "
                              f"expansion file; available: {sorted(forms)}")
     e = forms[name]
@@ -291,7 +300,7 @@ def cmd_report(args):
                f"({e.depth_reason}); limit estimator {e.limit_estimator}"]
     for line in e.decision_log:
         summary.append(f"  decision: {line}")
-    if classification:
+    if classification is not None:
         summary.append(f"classification branch: {classification['branch']}")
         for k, v in classification.get("constants", {}).items():
             summary.append(f"  {k} = {fmt(v)}")
@@ -388,7 +397,7 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (fieldio.FieldFormatError, FileNotFoundError) as exc:
+    except (fieldio.FieldFormatError, OSError) as exc:  # OSError names the file it could not open
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (sp.MalformedFieldError, ex.NotConvergentError, st.ContinuationError,

@@ -1,4 +1,4 @@
-"""Shared on-disk formats: field files, sequence manifests, JSON helpers.
+"""Shared on-disk formats: field files, windows and their manifests, JSON helpers.
 
 Field files, manifests and expansion indexes are JSON text with floats
 serialized at 17 significant digits (lossless double round-trip) and LF line
@@ -67,12 +67,12 @@ def atomic_write(path, data):
     """Write ``data`` (bytes, str as UTF-8, or a function that writes to the open
     binary file) to a temp file beside ``path``, then rename. The file gets the
     mode a plain ``open`` gives it (0o666 less the umask), and the directory is
-    made only when it is missing."""
+    made only when it is missing (a file in its way raises an OSError naming it)."""
     path = os.path.abspath(path)
     tmp, flags = f"{path}.{os.urandom(6).hex()}.tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
         fd = os.open(tmp, flags, 0o666)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd = os.open(tmp, flags, 0o666)
     try:
@@ -185,45 +185,33 @@ def read_field(path):
 
 
 # ---------------------------------------------------------------------------
-# Sequence manifests
+# Windows and their manifests
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(path, entries, g_limit=None):
-    """Sequence manifest: per n the alpha, solution path, residual and bound check.
-
-    ``entries`` is a list of dicts with keys n, alpha, field, residual_H,
-    bound_check and optionally force (per-n forcing g_n); paths are stored
-    relative to the manifest location. A sweep's entries also carry the
-    solve's ``dofs`` (real unknowns Newton solved for) and ``group_order``
-    (signed permutations of the unknowns that fix g and the guess): both are
-    deterministic, so reruns stay byte-identical, and ``read_manifest``
-    ignores them.
-    """
-    base = os.path.dirname(os.path.abspath(path))
-
-    def rel(p):
-        return os.path.relpath(os.path.abspath(p), base)
-
-    doc_entries = []
-    for e in entries:
-        rec = {
-            "n": int(e["n"]),
-            "alpha": float(e["alpha"]),
-            "field": rel(e["field"]),
-            "residual_H": float(e["residual_H"]),
-            "bound_check": float(e["bound_check"]),
-        }
-        if e.get("force") is not None:
-            rec["force"] = rel(e["force"])
-        for key in ("dofs", "group_order"):
-            if key in e:
-                rec[key] = int(e[key])
-        doc_entries.append(rec)
-    doc = {"entries": doc_entries}
+def write_window(out, stem, fields, entries, forces=None, g_limit=None):
+    """Write a window under ``out`` (made by the first write): each field as
+    ``<stem>_<n>.json``, its force as ``g_<n>.json`` and ``g_limit`` as
+    ``g_limit.json`` if given, then ``manifest.json`` naming them relative to
+    ``out``. A sweep's ``entries`` also carry the solve's ``dofs`` (real unknowns
+    Newton solved for) and ``group_order`` (signed permutations of the unknowns
+    that fix g and the guess): both are deterministic, so reruns stay
+    byte-identical, and ``read_manifest`` ignores them."""
+    records = []
+    for i, (e, field) in enumerate(zip(entries, fields)):
+        rec = {"n": int(e["n"]), "alpha": float(e["alpha"]), "field": f"{stem}_{e['n']:04d}.json",
+               "residual_H": float(e["residual_H"]), "bound_check": float(e["bound_check"])}
+        write_field(os.path.join(out, rec["field"]), field)
+        if forces is not None:
+            rec["force"] = f"g_{e['n']:04d}.json"
+            write_field(os.path.join(out, rec["force"]), forces[i])
+        rec.update({key: int(e[key]) for key in ("dofs", "group_order") if key in e})
+        records.append(rec)
+    doc = {"entries": records}
     if g_limit is not None:
-        doc["g_limit"] = rel(g_limit)
-    write_json(path, doc)
+        doc["g_limit"] = "g_limit.json"
+        write_field(os.path.join(out, doc["g_limit"]), g_limit)
+    write_json(os.path.join(out, "manifest.json"), doc)
 
 
 def read_manifest(path):

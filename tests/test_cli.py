@@ -822,6 +822,44 @@ def test_unparsable_json_exit_2_naming_the_file(pipeline, tmp_path, capsys, stag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["extract", "--manifest", "{fx}", "--out", "{tmp}/out"], "{fx}"),
+    (["verify", "--expansion", "{exp}", "--manifest", "{fx}/manifest.json"], "{exp}"),
+    (["extract", "--manifest", "{fx}/manifest.json", "--out", "{tmp}/file"], "{tmp}/file"),
+    (["fixtures", "example45", "--count", "2", "--out", "{tmp}/file"], "{tmp}/file"),
+], ids=["dir-as-manifest", "dir-as-expansion", "file-as-extract-out", "file-as-fixtures-out"])
+def test_unopenable_path_exit_2_naming_it(pipeline, tmp_path, capsys, argv, bad):
+    """An input or output that cannot be opened (a directory read as a file, a
+    file in the way of an output directory) exits 2 naming it, and writes nothing."""
+    (tmp_path / "file").write_text("")
+
+    def fill(arg):
+        return arg.format(fx=pipeline / "fx", exp=pipeline / "exp", tmp=tmp_path)
+    assert run([fill(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and fill(bad) in err
+    assert os.listdir(tmp_path) == ["file"] and (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "branch"}, "branch"),
+    (lambda doc: {**doc, "branch": 7}, "branch"),
+    (lambda doc: {**doc, "constants": [1, 2]}, "constants"),
+    (lambda doc: {**doc, "residuals": {**doc["residuals"], "R1": "0.1"}}, "residuals"),
+    (lambda doc: {**doc, "warnings": "none"}, "warnings"),
+], ids=["no-branch", "branch-number", "constants-list", "residual-string", "warnings-string"])
+def test_report_checks_the_classification_first(pipeline, tmp_path, capsys, edit, key):
+    """A classification with a key of the wrong type is a format error naming the
+    file and the key, found before report writes anything."""
+    cls = tmp_path / "class.json"
+    fieldio.write_json(cls, edit(fieldio.read_json(pipeline / "class.json")))
+    assert run(["report", "--manifest", str(pipeline / "fx" / "manifest.json"),
+                "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--classification", str(cls), "--out", str(tmp_path / "rep")]) == 2
+    assert f"{cls}: classification {key!r} is not" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 # sha256 of every file that ``fixtures example314 --count 6 --truncation 16
 # --with-expansions`` and ``extract --scale constant:0 --depth 3`` write,
 # recorded with numpy 2.4.6 on x86_64 (OpenBLAS).

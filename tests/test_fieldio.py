@@ -44,21 +44,24 @@ def test_float_serialization_17_digits():
 
 
 def test_manifest_roundtrip_relative_paths(tmp_path):
+    """write_window names its files relative to the manifest beside them, in the
+    record key order of every window, and read_manifest resolves them."""
     u = sp.eigenfunctions(3)[-1]
     sub = tmp_path / "run"
-    os.makedirs(sub)
-    fieldio.write_field(sub / "f1.json", u)
-    fieldio.write_field(sub / "g1.json", u)
-    fieldio.write_field(sub / "glim.json", u)
-    entries = [{"n": 1, "alpha": 2.0, "field": str(sub / "f1.json"),
-                "residual_H": 1e-13, "bound_check": 0.5, "force": str(sub / "g1.json")}]
-    fieldio.write_manifest(sub / "manifest.json", entries, g_limit=str(sub / "glim.json"))
+    entries = [{"n": 1, "alpha": 2.0, "residual_H": 1e-13, "bound_check": 0.5,
+                "dofs": 38, "group_order": 4}]
+    fieldio.write_window(str(sub), "v", [u], entries, forces=[u], g_limit=u)
     doc = fieldio.read_json(sub / "manifest.json")
-    assert doc["entries"][0]["field"] == "f1.json"  # relative on disk
+    rec = doc["entries"][0]
+    assert (rec["field"], rec["force"], doc["g_limit"]) == (
+        "v_0001.json", "g_0001.json", "g_limit.json")  # relative on disk
+    assert list(rec) == ["n", "alpha", "field", "residual_H", "bound_check", "force",
+                         "dofs", "group_order"]
+    assert list(doc) == ["entries", "g_limit"]
     man = fieldio.read_manifest(sub / "manifest.json")
     assert os.path.isabs(man["entries"][0]["field"])
-    assert os.path.exists(man["entries"][0]["field"])
-    assert os.path.exists(man["g_limit"])
+    for path in (man["entries"][0]["field"], man["entries"][0]["force"], man["g_limit"]):
+        assert os.path.exists(path)
 
 
 def test_malformed_field_file_raises(tmp_path):
