@@ -162,8 +162,8 @@ def example45_window(cfg, n_values, check=True):
     The pieces that do not depend on n (v, w1, w2, g) are built once; v_n,
     f_n and g_n of every n are coefficient rows on one key set each. With
     ``check`` every record passes two checks at 1e-12 relative (a NaN norm
-    fails): its Galerkin residual at radius 2N, by ``steady.residual`` from one
-    batched convolution of all the v_n, against |g_n|, and v + gamma1 w1 +
+    fails): the H norm of its Galerkin residual at radius 2N, from one
+    ``steady.residual`` call, against |g_n|, and v + gamma1 w1 +
     gamma2 w2 - v_n, one row of one array per n, against ||v_n||. It carries
     the residual's H norm in ``residual_h``.
 
@@ -197,9 +197,10 @@ def example45_window(cfg, n_values, check=True):
     vrows, grows = scale * urows, scale * frows
     fields = [[sp.SpectralField.from_arrays(trunc, keys, r) for r in rows]
               for keys, rows in ((ukeys, vrows), (fkeys, frows), (fkeys, grows))]
-    nout = 2 * trunc  # the exact radius of B(v_n, v_n)
-    bvvs = sp.bilinear_b_each(fields[0], nout) if check and len(ns) else [None] * len(ns)
     if check:
+        problems = [st.SteadyProblem(g=g_n, alpha=float(a), trunc=2 * trunc)  # B(v_n, v_n) exactly
+                    for g_n, a in zip(fields[2], alphas)]
+        steady = st.residual(fields[0], problems)
         # v + gamma1 w1 + gamma2 w2 - v_n of every n as rows on one key set, summed
         # in lin_comb's order; then one norm per row for each check.
         keys, slots = sp.key_union([v.keys, w1.keys, w2.keys, ukeys])
@@ -211,11 +212,10 @@ def example45_window(cfg, n_values, check=True):
         rnorm, vnorm, gnorm = (sp.TWO_PI * np.sqrt(np.sum(w * np.abs(r) ** 2, axis=(1, 2)))
                                for r, w in ((recon, lam), (vrows, lam[slots[3]]), (grows, 1.0)))
     out = []
-    for i, (v_n, f_n, g_n, bvv) in enumerate(zip(*fields, bvvs)):
+    for i, (v_n, f_n, g_n) in enumerate(zip(*fields)):
         residual_h = None
         if check:
-            steady = st.residual(v_n, st.SteadyProblem(g=g_n, alpha=float(alphas[i]), trunc=nout), bvv)
-            residual_h = sp.norm_ds(steady, 0)
+            residual_h = steady[i]
             if not residual_h <= 1e-12 * gnorm[i]:
                 raise FixtureIntegrityError(f"steady equation residual too large at n={ns[i]}")
             if not rnorm[i] <= 1e-12 * vnorm[i]:

@@ -28,8 +28,8 @@ depend only on the wavevectors, so a ``Subspace`` of a symmetry group keeps
 them (``Subspace.weights``). Each assembly scatters v onto a grid once and
 then, a block of rows at a time, reads it at p = k -+ k_r and multiplies it
 by the weights. Time the README sweep,
-whose Newton loop assembles one linearization per residual and makes one
-exact residual per solve, with
+whose Newton loop assembles one linearization per residual and which
+certifies its solutions in one batched exact residual, with
 
     python3 perfbench/run.py --workload sweep-n8 --seed 1 --seconds 15 --trace 0
 

@@ -272,18 +272,23 @@ def project_trunc(u, n):
     return SpectralField.from_arrays(n, u.keys[keep], u.coeffs[keep])
 
 
-def _fields_from_grid(grid, nout):
-    """Leray-project dense coefficient grids (..., 2 nout + 1, 2 nout + 1, 2)
-    and collect each one's nonzero modes: one field per grid, in order, each
-    the field that projecting its grid alone gives."""
+def leray_grid(grid, nout):
+    """The two component planes of the Leray projections of dense coefficient
+    grids (..., 2 nout + 1, 2 nout + 1, 2); the (0, 0) cell is left as it is."""
     ks = np.arange(-nout, nout + 1)
     kx = ks[:, None].astype(np.float64)
     ky = ks[None, :].astype(np.float64)
     k2 = kx * kx + ky * ky
     k2[nout, nout] = 1.0
     dot = (kx * grid[..., 0] + ky * grid[..., 1]) / k2
-    p0 = grid[..., 0] - dot * kx
-    p1 = grid[..., 1] - dot * ky
+    return grid[..., 0] - dot * kx, grid[..., 1] - dot * ky
+
+
+def _fields_from_grid(grid, nout):
+    """Leray-project dense coefficient grids (..., 2 nout + 1, 2 nout + 1, 2)
+    and collect each one's nonzero modes: one field per grid, in order, each
+    the field that projecting its grid alone gives."""
+    p0, p1 = leray_grid(grid, nout)
     count = math.prod(grid.shape[:-3])
     live = ((p0 != 0) | (p1 != 0)).reshape(count, 2 * nout + 1, 2 * nout + 1).any(axis=0)
     live[nout, nout] = False
@@ -307,20 +312,6 @@ def bilinear_b(u, v, retruncate=None):
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
     grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
     return _fields_from_grid(grid, nout)[0]
-
-
-def bilinear_b_each(fields, nout):
-    """[bilinear_b(v, v, nout) for v in fields], to the bit, in one batched
-    convolution; the fields must share one key set.
-
-    Raises:
-      ValueError: the fields' key sets differ.
-    """
-    keys = fields[0].keys
-    if any(not np.array_equal(f.keys, keys) for f in fields):
-        raise ValueError("bilinear_b_each needs fields on one key set")
-    rows = np.stack([f.coeffs for f in fields])
-    return _fields_from_grid(kernels.advect_convolve(keys, rows, keys, rows, nout), nout)
 
 
 def bilinear_bs(u, v, retruncate=None):

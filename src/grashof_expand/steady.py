@@ -9,7 +9,7 @@ to fields on L. Newton started on L therefore stays on L: with g and the
 iterate on L, the linearization keeps fields on L and fields off it apart,
 and the off-lattice part of every right-hand side is zero. So the unknowns
 are the representatives on the lattice generated by the modes of g and of the
-initial guess (``_lattice_mask``), all of them when those modes generate the
+initial guess (``_lattice``), all of them when those modes generate the
 whole integer plane. The README forcing, on (+-2, 0) and (+-2, +-1), generates
 2Z x Z: 152 of the 288 unknowns at N = 8.
 
@@ -44,15 +44,16 @@ desk truncations (N <= 16). B is bilinear, so the linearization J(v) at an
 iterate x satisfies J(v) x = A x + 2 alpha B(v, v): each residual is read off
 the Jacobian the next step needs anyway, as (J x + A x) / 2 - g. J is
 assembled from the reduced unknowns; only a solution becomes a field, and
-only its reported residual goes through the exact convolution. A sweep over
-increasing alpha warm-starts each solve from the previous solution and
-records the 2D enstrophy bound |Av| <= |g| per step.
+only its reported residual goes through the exact convolution, batched over
+a sweep's steps. A sweep over increasing alpha warm-starts each solve from
+the previous solution and records the 2D enstrophy bound |Av| <= |g| per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -107,16 +108,32 @@ class SolveReport:
     group_order: int = 1        # signed permutations of the unknowns that fix g and the guess
 
 
-def residual(v, p, bvv=None):
-    """Galerkin residual P_N(A v + alpha B(v, v) - g) at radius p.trunc.
-
-    ``bvv`` is B(v, v) at radius p.trunc when the caller has it already, as
-    ``spectral.bilinear_b_each`` gives it for a window of fields at once.
+def residual(fields, problems):
+    """H norms |P_N(A v + alpha B(v, v) - g)| of ``fields``, each v with its
+    problem (g, alpha, N = p.trunc), one batched ``kernels.advect_convolve`` per
+    run of fields on one key set and one N. Each is ``norm_ds`` of the residual
+    field to the bit: each cell of the radius-N grid adds -0.0, A v, alpha B(v, v)
+    and -g in ``lin_comb``'s order (a term a field lacks adds a signed zero,
+    which moves no magnitude), and the nonzero cells are summed in key order.
     """
-    av = sp.apply_fractional(v, 1.0)
-    if bvv is None:
-        bvv = sp.bilinear_b(v, v, retruncate=p.trunc)
-    return sp.project_trunc(sp.lin_comb([1.0, p.alpha, -1.0], [av, bvv, p.g]), p.trunc)
+    norms, runs = [], groupby(zip(fields, problems), lambda vp: (vp[0].keys.tobytes(), vp[1].trunc))
+    for (_, n), run in runs:
+        vs, ps = zip(*run)
+        keys, rows = vs[0].keys, np.stack([v.coeffs for v in vs])
+        acc = np.full((len(rows), 2 * n + 1, 2 * n + 1, 2), complex(-0.0, -0.0))
+        inside = np.max(np.abs(keys), axis=1, initial=0) <= n
+        x, y = keys[inside].T + n
+        acc[:, x, y] += 1.0 * (np.sum(keys * keys, axis=1)[:, None] * rows)[:, inside]
+        alphas = np.array([p.alpha for p in ps])[:, None, None]
+        for c, b in enumerate(sp.leray_grid(kernels.advect_convolve(keys, rows, keys, rows, n), n)):
+            acc[..., c] += alphas * b
+        for cells, p in zip(acc, ps):
+            x, y = p.g.keys.T + n
+            cells[x, y] += -1.0 * p.g.coeffs
+        acc[:, n, n] = 0.0  # B's mean, which the field drops
+        sq, live = np.sum(np.abs(acc) ** 2, axis=-1), np.any(acc != 0, axis=-1)
+        norms += [sp.TWO_PI * float(np.sqrt(float(np.sum(s[m])))) for s, m in zip(sq, live)]
+    return norms
 
 
 # --- real degree-of-freedom mapping -----------------------------------------
@@ -131,22 +148,20 @@ def _dof_maps(n):
     return reps, sp.sigma(reps)
 
 
-def _lattice_mask(reps, key_sets):
-    """Which rows of ``reps`` lie on the lattice generated by ``key_sets``.
+def _lattice(keys, basis=(0, 0, 0)):
+    """Hermite basis (a, b, c) of the lattice generated by ``keys`` and by the
+    lattice of ``basis``, spanned by (a, b) and (0, c) with a, c >= 0.
 
-    The lattice is kept in Hermite form, spanned by (a, b) and (0, c) with
-    a, c >= 0: (kx, ky) is on it when a divides kx (kx = 0 if a = 0) and c
-    divides ky - (kx / a) b (ky = (kx / a) b if c = 0). Starting from {0}, a
-    key off the current lattice is added until every key is on it; each
-    addition raises the rank or divides the index by at least 2, so there are
-    a handful of them.
+    (kx, ky) is on it when a divides kx (kx = 0 if a = 0) and c divides
+    ky - (kx / a) b (ky = (kx / a) b if c = 0), and b is reduced mod c, so
+    each lattice has one basis. A key off the current lattice is added until
+    every key is on it; each addition raises the rank or divides the index by
+    at least 2, so there are a handful of them.
     """
-    keys = np.concatenate(key_sets)
-    basis = (0, 0, 0)
     while True:
         off = ~_on_lattice(keys, basis)
         if not off.any():
-            return _on_lattice(reps, basis)
+            return basis
         basis = _extend_lattice(basis, *keys[np.argmax(off)].tolist())
 
 
@@ -232,8 +247,9 @@ class _Frame:
     representatives and polarizations, g's unknowns, and the moves of the
     elements that fix g (``_isotropy``). ``restrict`` cuts that group to a
     guess's stabilizer, which is the joint test exactly, and returns the
-    survivors' ``kernels.Subspace``, built once per set of survivors, and
-    their number of distinct signed permutations."""
+    survivors' ``kernels.Subspace``, built once per set of survivors, and their
+    number of distinct signed permutations. ``_frame`` adds the lattice's
+    Hermite basis ``basis`` and whether it is g's own (``own``)."""
 
     def __init__(self, reps, sigmas, n, gvec):
         self.reps, self.sigmas, self.n, self.gvec = reps, sigmas, n, gvec
@@ -251,21 +267,26 @@ class _Frame:
         return self.subspaces[key]
 
 
-_FRAME = {}  # the latest forcing's frame only, keyed on its content
+_FRAME = {}  # the latest frame only, keyed on its radius and its forcing's content
 
 
 def _frame(g, n, v):
     """The ``_Frame`` of forcing g at radius n on the lattice of the modes of g
-    and v, reused while the radius, the lattice and g's unknowns stay equal."""
-    reps, sigmas = _dof_maps(n)
-    on = _lattice_mask(reps, [g.keys, v.keys])
-    reps, sigmas = reps[on], sigmas[on]
-    gvec = _field_to_vec(g, reps, sigmas)
-    key = (n, on.tobytes(), gvec.tobytes())
+    and v. A guess on g's own lattice finds a frame built on it by its basis,
+    with no gather; any other reuses the frame only on the lattice of g and v."""
+    key = (n, g.keys.tobytes(), g.coeffs.tobytes())
     frame = _FRAME.get(key)
-    if frame is None:
+    if frame is not None and frame.own and _on_lattice(v.keys, frame.basis).all():
+        return frame
+    own = _lattice(g.keys)
+    basis = _lattice(v.keys, own)  # the steps of _lattice on g's keys, then v's
+    if frame is None or frame.basis != basis:
+        reps, sigmas = _dof_maps(n)
+        on = _on_lattice(reps, basis)
+        reps, sigmas = reps[on], sigmas[on]
         _FRAME.clear()
-        frame = _FRAME[key] = _Frame(reps, sigmas, n, gvec)
+        frame = _FRAME[key] = _Frame(reps, sigmas, n, _field_to_vec(g, reps, sigmas))
+        frame.basis, frame.own = basis, basis == own
     return frame
 
 
@@ -297,8 +318,8 @@ def solve_steady(p, initial=None):
 
     Each line-search trial costs one Jacobian and one matvec, which give its
     residual norm for ``residual_history``; an accepted trial's Jacobian is the
-    next step's. ``residual_h``, which alone decides ``converged``, is one
-    exact ``residual`` of the returned solution.
+    next step's. ``residual_h``, which decides ``converged`` unless Newton
+    failed, is the exact ``residual`` of the solution (``_certify``).
 
     The unknowns are the first unknowns of the orbits, on the lattice of the
     modes of g and of the projected ``initial``, of the group of symmetries
@@ -308,6 +329,14 @@ def solve_steady(p, initial=None):
     Returns a SolveReport; ``converged`` is False after ``MAX_ITERS`` Newton
     steps or a singular linearization (condition estimate attached).
     """
+    step = _newton(p, initial)
+    _certify([step], [p])
+    return step[0]
+
+
+def _newton(p, initial):
+    """The Newton half of ``solve_steady``: the uncertified report (``residual_h``
+    NaN, ``message`` None unless Newton failed) and whether it ended polished."""
     gnorm = sp.norm_ds(p.g, 0)
     tol = RESIDUAL_TOL * max(1.0, gnorm)
     v = sp.project_trunc(initial if initial is not None else sp.zero_field(p.trunc), p.trunc)
@@ -329,18 +358,12 @@ def solve_steady(p, initial=None):
 
     def report(xv, iters, message=None, condition=None, polished=False):
         vfld = _vec_to_field(sub.expand(xv), reps, sigmas, p.trunc)
-        rh = sp.norm_ds(residual(vfld, p), 0)
-        if polished:
-            history.append(rh)
-        if message is None:
-            after = "the polish step" if polished else f"{MAX_ITERS} iterations"
-            message = "" if rh <= tol else f"no convergence after {after}"
         return SolveReport(
-            solution=vfld, residual_h=rh, newton_iters=iters,
+            solution=vfld, residual_h=math.nan, newton_iters=iters,
             bound_check=sp.norm_ds(sp.apply_fractional(vfld, 1.0), 0) / gnorm,
-            converged=not message, message=message, condition=condition,
+            converged=False, message=message, condition=condition,
             residual_history=history, dofs=len(gvec), group_order=order,
-        )
+        ), polished
 
     jac, fx, rnorm = linearize(x)
     history = [rnorm]
@@ -368,6 +391,22 @@ def solve_steady(p, initial=None):
     return report(x, len(history) - 1)
 
 
+def _certify(steps, problems):
+    """The certification half of ``solve_steady`` for Newton halves ``steps``
+    (report, polished) of ``problems``, in one ``residual`` call: each report
+    gets its exact residual and, unless Newton failed, its verdict from it."""
+    norms = residual([rep.solution for rep, _ in steps], problems)
+    for (rep, polished), rh, p in zip(steps, norms, problems):
+        rep.residual_h = rh
+        if polished:
+            rep.residual_history.append(rh)
+        if rep.message is None:
+            after = "the polish step" if polished else f"{MAX_ITERS} iterations"
+            tol = RESIDUAL_TOL * max(1.0, sp.norm_ds(p.g, 0))
+            rep.message = "" if rh <= tol else f"no convergence after {after}"
+        rep.converged = not rep.message
+
+
 def sweep_problems(alphas, forces, trunc):
     """The SteadyProblem of each sweep step, one force g_n per alpha, all
     checked before any solve; a ValueError names the failing sweep index."""
@@ -388,21 +427,29 @@ def sweep(alphas, forces, trunc, initial=None):
     """Continuation sweep over strictly increasing alphas, one force g_n per alpha.
 
     The solution at alpha_n seeds Newton at alpha_{n+1}; the first solve seeds
-    from the Stokes solution A^{-1} g unless ``initial`` is given.
+    from the Stokes solution A^{-1} g unless ``initial`` is given. The steps
+    wait for their certificates, one ``_certify`` call, until a step ends
+    without its polish step (it may have failed) or the last step ends; the
+    sweep then breaks at the first failed step, as solving step by step does.
 
     Raises:
       ValueError: ``sweep_problems`` rejects a step; nothing is solved.
       ContinuationError: a step failed; carries the break index and the
         reports collected so far.
     """
-    reports = []
-    guess = initial
-    for i, p in enumerate(sweep_problems(alphas, forces, trunc)):
+    problems = sweep_problems(alphas, forces, trunc)
+    reports, waiting, guess = [], [], initial
+    for i, p in enumerate(problems):
         if guess is None:
             guess = sp.project_trunc(sp.apply_fractional(p.g, -1.0), trunc)
-        rep = solve_steady(p, initial=guess)
+        rep, polished = step = _newton(p, guess)
         reports.append(rep)
-        if not rep.converged:
-            raise ContinuationError(i, reports)
+        waiting.append(step)
+        if not polished or i == len(problems) - 1:
+            _certify(waiting, problems[i + 1 - len(waiting):i + 1])
+            waiting = []
+            failed = next((j for j, r in enumerate(reports) if not r.converged), None)
+            if failed is not None:
+                raise ContinuationError(failed, reports[:failed + 1])
         guess = rep.solution
     return reports

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests compare the package against.
 
 Each is a slow or closed-form second route to a quantity the package computes
-another way: the Leray projection of raw Fourier data, the force a given field
-solves for, the unprojected example45 force, the closed-form example314 norm,
-and a comparison of two expansions of one window.
+another way: the Leray projection of raw Fourier data, the Galerkin residual as
+a field, the force a given field solves for, the unprojected example45 force,
+the closed-form example314 norm, and a comparison of two expansions of one
+window.
 """
 
 from dataclasses import dataclass
@@ -35,6 +36,14 @@ def leray_project(raw, trunc=None):
         k = tuple(keys[np.argmax(bad)].tolist())
         raise sp.MalformedFieldError(f"reality condition violated at mode {k}")
     return sp.SpectralField.from_arrays(trunc, keys, sp.divfree(keys, coeffs))
+
+
+def residual(v, p):
+    """Galerkin residual P_N(A v + alpha B(v, v) - g) at radius p.trunc, a field
+    summed by ``lin_comb``; ``steady.residual`` gives its H norm to the bit."""
+    av = sp.apply_fractional(v, 1.0)
+    bvv = sp.bilinear_b(v, v, retruncate=p.trunc)
+    return sp.project_trunc(sp.lin_comb([1.0, p.alpha, -1.0], [av, bvv, p.g]), p.trunc)
 
 
 def manufactured_force(v, alpha):

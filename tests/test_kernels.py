@@ -12,6 +12,8 @@ from grashof_expand import kernels
 from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
+from oracles import residual
+
 
 def convolve_pairwise(ku, cu, kv, cv, nout, pair_budget=4096):
     """Oracle for ``kernels.advect_convolve``: the sum over every (p, q) pair,
@@ -159,11 +161,16 @@ BATCH_CASES = {
 }
 
 
+def norm_bits(norms):
+    return np.array(norms, dtype=np.float64).tobytes()
+
+
 @pytest.mark.parametrize("case", list(BATCH_CASES))
 def test_batched_convolution_is_per_field_calls_to_the_bit(case):
     """A batch of fields on one key set convolves, member by member, to the
     bits of one call per field, and each member still matches the pairwise
-    oracle, and ``bilinear_b_each`` gives ``bilinear_b``'s fields."""
+    oracle, and ``steady.residual`` of the batch gives each member's norm of
+    the residual field to the bit."""
     fields, nout = BATCH_CASES[case]()
     keys = fields[0].keys
     assert len(fields) >= 3 and all(np.array_equal(f.keys, keys) for f in fields)
@@ -173,16 +180,33 @@ def test_batched_convolution_is_per_field_calls_to_the_bit(case):
     for b, c in enumerate(rows):
         assert got[b].tobytes() == kernels.advect_convolve(keys, c, keys, c, nout).tobytes()
         assert_matches_the_pairwise_oracle(got[b], keys, c, keys, c, nout)
-    for f, b in zip(fields, sp.bilinear_b_each(fields, nout)):
-        want = sp.bilinear_b(f, f, retruncate=nout)
-        assert b.trunc == want.trunc and b.keys.tobytes() == want.keys.tobytes()
-        assert b.coeffs.tobytes() == want.coeffs.tobytes()
+    problems = [st.SteadyProblem(g=fields[0], alpha=1.0 + b, trunc=nout) for b in range(len(fields))]
+    want = [sp.norm_ds(residual(f, p), 0) for f, p in zip(fields, problems)]
+    assert norm_bits(st.residual(fields, problems)) == norm_bits(want)
 
 
-def test_bilinear_b_each_needs_one_key_set():
+def test_residual_convolves_each_run_of_one_key_set(monkeypatch):
+    """A list that mixes key sets and radii makes one batched convolution per
+    run of consecutive fields on one key set and one radius, and each norm is
+    the residual field's to the bit, a radius below v's included."""
     rng = np.random.default_rng(8)
-    with pytest.raises(ValueError, match="one key set"):
-        sp.bilinear_b_each([sp.random_divfree(3, rng), sp.eigenfunctions(2)[-1]], 6)
+    dense = [sp.random_divfree(3, rng) for _ in range(2)]  # every mode of radius 3
+    pair = [sp.eigenfunctions(2)[-1], -2.0 * sp.eigenfunctions(2)[-1]]
+    fields = [dense[0], dense[1], pair[0], pair[1], dense[1], dense[0]]
+    g = sp.eigenfunctions(5)[-1]
+    problems = [st.SteadyProblem(g=g, alpha=0.5 + i, trunc=t) for i, t in enumerate([6, 6, 6, 6, 6, 2])]
+    batches, convolve = [], kernels.advect_convolve
+
+    def counted(ku, cu, kv, cv, nout):
+        batches.append((len(cu), nout))
+        return convolve(ku, cu, kv, cv, nout)
+
+    monkeypatch.setattr(kernels, "advect_convolve", counted)
+    got = st.residual(fields, problems)
+    assert batches == [(2, 6), (2, 6), (1, 6), (1, 2)]
+    monkeypatch.setattr(kernels, "advect_convolve", convolve)
+    want = [sp.norm_ds(residual(f, p), 0) for f, p in zip(fields, problems)]
+    assert norm_bits(got) == norm_bits(want)
 
 
 def test_convolution_keeps_the_exact_support():
@@ -283,7 +307,7 @@ def subspace_field(case):
     rng = np.random.default_rng(9)
     if case == "readme":
         g = fx.example45(fx.Example45Config.single(2, 1.0), 1).g
-        on = st._lattice_mask(reps, [g.keys])
+        on = st._on_lattice(reps, st._lattice(g.keys))
         reps, sigmas = reps[on], sigmas[on]
         gvec = st._field_to_vec(g, reps, sigmas)
         orbits, _ = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
@@ -363,7 +387,7 @@ def test_jacobian_memory_layout_is_pinned(coeffs, order, column_major):
         sub, got_order = kernels.Subspace(reps, n), 1
     else:
         v = fx.example45(fx.Example45Config(coeffs=coeffs), 1).g
-        on = st._lattice_mask(reps, [v.keys])
+        on = st._on_lattice(reps, st._lattice(v.keys))
         reps, sigmas = reps[on], sigmas[on]
         gvec = st._field_to_vec(v, reps, sigmas)
         sub, got_order = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
@@ -412,7 +436,7 @@ def test_jacobian_matches_finite_differences():
 
     def fvec(x):
         fld = st._vec_to_field(x, reps, sigmas, 3)
-        return st._field_to_vec(st.residual(fld, p), reps, sigmas)
+        return st._field_to_vec(residual(fld, p), reps, sigmas)
 
     jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, p.trunc)
     f0 = fvec(x0)

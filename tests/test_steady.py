@@ -9,7 +9,7 @@ from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
 from conftest import shear_field
-from oracles import manufactured_force
+from oracles import manufactured_force, residual
 
 
 @pytest.fixture(scope="module")
@@ -20,12 +20,12 @@ def shear_problem():
 
 def test_residual_laminar_solution_is_zero(shear_problem):
     v = sp.apply_fractional(shear_problem.g, -1.0)
-    r = st.residual(v, shear_problem)
+    r = residual(v, shear_problem)
     assert sp.norm_ds(r, 0) <= 1e-14 * sp.norm_ds(shear_problem.g, 0)
 
 
 def test_residual_at_zero_is_minus_g(shear_problem):
-    r = st.residual(sp.zero_field(4), shear_problem)
+    r = residual(sp.zero_field(4), shear_problem)
     diff = r + shear_problem.g
     assert sp.norm_ds(diff, 0) == 0.0
 
@@ -34,8 +34,55 @@ def test_residual_example45_analytic(ex45_cfg):
     for n in (1, 7, 20):
         rec = fx.example45(ex45_cfg, n, check=False)
         p = st.SteadyProblem(g=rec.g_n, alpha=rec.alpha, trunc=2 * rec.v_n.trunc)
-        r = st.residual(rec.v_n, p)
+        r = residual(rec.v_n, p)
         assert sp.norm_ds(r, 0) <= 1e-12 * sp.norm_ds(rec.g_n, 0)
+
+
+def norm_bits(norms):
+    return np.array(norms, dtype=np.float64).tobytes()
+
+
+def readme_sweep_case():
+    g, alphas = readme_force(), [2.0**i for i in range(12)]
+    problems = [st.SteadyProblem(g=g, alpha=a, trunc=8) for a in alphas]
+    return [r.solution for r in st.sweep(alphas, [g] * 12, trunc=8)], problems
+
+
+def shear_case():
+    g = shear_field()
+    v = sp.apply_fractional(g, -1.0)
+    fields = [v, v + 1e-3 * sp.random_divfree(4, np.random.default_rng(2))]
+    return fields, [st.SteadyProblem(g=g, alpha=25.0, trunc=4)] * 2
+
+
+def example45_case(coeffs):
+    def case():
+        recs = fx.example45_window(fx.Example45Config(coeffs=coeffs), range(1, 21), check=False)
+        n = 2 * recs[0].v_n.trunc
+        return [r.v_n for r in recs], [st.SteadyProblem(g=r.g_n, alpha=r.alpha, trunc=n) for r in recs]
+    return case
+
+
+RESIDUAL_CASES = {
+    "readme-sweep": readme_sweep_case,
+    "shear": shear_case,
+    "example45-one-coefficient": example45_case(((2, 1.0),)),
+    "example45-two-coefficients": example45_case(((2, 0.93), (3, -0.6))),
+}
+
+
+@pytest.mark.parametrize("case", list(RESIDUAL_CASES))
+def test_residual_is_the_norm_of_the_residual_field(case):
+    """One ``residual`` call gives, per field, ``norm_ds`` of the residual
+    field to the bit."""
+    fields, problems = RESIDUAL_CASES[case]()
+    want = [sp.norm_ds(residual(v, p), 0) for v, p in zip(fields, problems)]
+    assert norm_bits(st.residual(fields, problems)) == norm_bits(want)
+
+
+def test_residual_of_the_zero_field_is_the_norm_of_g(shear_problem):
+    assert norm_bits(st.residual([sp.zero_field(4)], [shear_problem])) == \
+        norm_bits([sp.norm_ds(shear_problem.g, 0)])
 
 
 def test_solve_alpha_zero_is_stokes(shear_problem):
@@ -148,7 +195,7 @@ def test_lattice_mask_is_the_span_of_the_generators(case, n):
     combos = rng.integers(-1, 2, size=(3, len(basis))) @ basis
     gens = rng.permutation(np.concatenate([basis, combos]))
     reps = st._dof_maps(n)[0]
-    on = st._lattice_mask(reps, [gens[:2], gens[2:]])
+    on = st._on_lattice(reps, st._lattice(gens[2:], st._lattice(gens[:2])))
     want = lattice_by_closure(gens, n)
     assert on.tolist() == [tuple(k) in want for k in reps.tolist()]
     assert on.all() == (case == "full")
@@ -244,7 +291,7 @@ def test_weighted_residual_norm_is_the_full_one():
     gvec = st._field_to_vec(g, reps, sigmas)[orbits.first]
     fx_ = 0.5 * (jac @ y + stokes * y) - gvec
     got = sp.TWO_PI * np.sqrt(2.0) * np.linalg.norm(np.sqrt(orbits.sizes) * fx_)
-    want = sp.norm_ds(st.residual(v, p), 0)
+    want = sp.norm_ds(residual(v, p), 0)
     assert abs(got - want) <= 1e-13 * want
 
 
@@ -270,7 +317,7 @@ def test_jacobian_gives_the_residual(n, alpha):
     jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n)
     stokes = np.tile(np.sum(reps * reps, axis=1), 2)
     got = 0.5 * (jac @ x + stokes * x) - st._field_to_vec(g, reps, sigmas)
-    want = st._field_to_vec(st.residual(v, p), reps, sigmas)
+    want = st._field_to_vec(residual(v, p), reps, sigmas)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(jac)) * np.max(np.abs(x))
 
 
@@ -426,6 +473,112 @@ def test_sweep_with_a_force_per_step_is_the_fresh_solves():
         guess = want.solution
 
 
+def fresh_chain(problems, guess):
+    """Per-step ``solve_steady`` calls with a fresh frame each, every one
+    seeded from the last solution: the reports up to the first failure, and
+    its index (None if every step converges)."""
+    reports = []
+    for i, p in enumerate(problems):
+        reports.append(fresh_solve(p, guess))
+        if not reports[-1].converged:
+            return reports, i
+        guess = reports[-1].solution
+    return reports, None
+
+
+def exact_check_fails_at(k, monkeypatch):
+    """Make ``steady.residual`` report 1.0 for the member of step k's alpha."""
+    exact, alpha = st.residual, 2.0**k
+
+    def failing(fields, problems):
+        return [1.0 if p.alpha == alpha else h for h, p in zip(exact(fields, problems), problems)]
+
+    monkeypatch.setattr(st, "residual", failing)
+
+
+def readme_steps(n):
+    return [2.0**i for i in range(12)], [readme_force()] * 12, n
+
+
+def example45_steps():
+    recs = fx.example45_window(fx.Example45Config.single(2, 1.0), range(1, 13))
+    return [r.alpha for r in recs], [r.g_n for r in recs], 8
+
+
+# (alphas, forces, N), the failing index and its message; the setup patches
+# the solver first where the case needs it.
+SWEEP_CASES = {
+    "readme-n8": (lambda mp: readme_steps(8), None, ""),
+    "readme-n16": (lambda mp: readme_steps(16), None, ""),
+    "two-mode-stall": (lambda mp: ([2.0**i for i in range(12)], [two_mode_force()] * 12, 8),
+                       10, "Newton stalled (no residual decrease)"),
+    "force-per-step": (lambda mp: example45_steps(), None, ""),
+    # alpha >= 64 takes 6 Newton iterations: at 5 each of those steps ends
+    # on MAX_ITERS and passes its certificate, at 4 step 6 fails it
+    "max-iters-5": (lambda mp: mp.setattr(st, "MAX_ITERS", 5) or readme_steps(8), None, ""),
+    "max-iters-4": (lambda mp: mp.setattr(st, "MAX_ITERS", 4) or readme_steps(8),
+                    6, "no convergence after 4 iterations"),
+    "exact-check-fails-at-5": (lambda mp: exact_check_fails_at(5, mp) or readme_steps(8),
+                               5, "no convergence after the polish step"),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_certifies_as_per_step_solves(case, monkeypatch):
+    """A sweep whose certificates are batched gives, to the bit, the reports
+    of per-step solves with a fresh frame each, and breaks at the same index
+    with the same reports."""
+    setup, index, message = SWEEP_CASES[case]
+    alphas, forces, n = setup(monkeypatch)
+    problems = [st.SteadyProblem(g=g, alpha=a, trunc=n) for a, g in zip(alphas, forces)]
+    want, failed = fresh_chain(problems, sp.project_trunc(sp.apply_fractional(forces[0], -1.0), n))
+    assert failed == index
+    if index is None:
+        got = st.sweep(alphas, forces, trunc=n)
+    else:
+        with pytest.raises(st.ContinuationError) as err:
+            st.sweep(alphas, forces, trunc=n)
+        assert err.value.index == index
+        got = err.value.reports
+        assert got[-1].message == message
+    assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+
+
+def test_sweep_on_one_key_set_is_one_residual_and_one_convolution(monkeypatch):
+    """The README sweep's twelve solutions share one key set: their
+    certificates are one ``residual`` call and one batched convolution."""
+    calls = {"residual": 0, "convolve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    steps = readme_steps(8)  # the fixture that gives g checks itself with one of each
+    monkeypatch.setattr(st, "residual", counted("residual", st.residual))
+    monkeypatch.setattr(kernels, "advect_convolve", counted("convolve", kernels.advect_convolve))
+    reports = st.sweep(*steps)
+    assert len(reports) == 12 and all(r.converged for r in reports)
+    assert len({r.solution.keys.tobytes() for r in reports}) == 1
+    assert calls == {"residual": 1, "convolve": 1}
+
+
+def test_frame_off_the_forcing_lattice_is_not_reused_on_it():
+    """A frame built for a guess off g's lattice holds every unknown; a later
+    guess on g's lattice must not reuse it, and solves as with a fresh frame."""
+    g = readme_force()
+    p = st.SteadyProblem(g=g, alpha=64.0, trunc=8)
+    on = sp.apply_fractional(g, -1.0)
+    off = on + 1e-3 * sp.random_divfree(3, np.random.default_rng(64))
+    want = report_bits(fresh_solve(p, on))
+    st._FRAME.clear()
+    assert st.solve_steady(p, initial=off).dofs == 288
+    rep = st.solve_steady(p, initial=on)
+    assert rep.dofs == 38 and report_bits(rep) == want
+    assert len(st._FRAME) == 1
+
+
 def test_frame_is_keyed_on_the_forcing_content():
     """An equal forcing held in another object finds the frame; another
     forcing, radius or lattice builds a new one, and only one is kept."""
@@ -452,7 +605,7 @@ def test_residual_h_is_the_exact_residual(shear_problem, max_iters, monkeypatch)
     p = st.SteadyProblem(g=shear_problem.g, alpha=50.0, trunc=3)
     rep = st.solve_steady(p, initial=sp.zero_field(3))
     assert rep.converged == (max_iters > 0)
-    assert rep.residual_h == sp.norm_ds(st.residual(rep.solution, p), 0)
+    assert rep.residual_h == sp.norm_ds(residual(rep.solution, p), 0)
 
 
 def test_solve_nonconvergence_reported(monkeypatch):
@@ -530,7 +683,7 @@ def test_manufactured_force_zero_residual_by_construction():
     v = sp.random_divfree(3, rng)
     g = manufactured_force(v, 2.5)
     p = st.SteadyProblem(g=g, alpha=2.5, trunc=2 * v.trunc)
-    assert sp.norm_ds(st.residual(v, p), 0) <= 1e-13 * sp.norm_ds(g, 0)
+    assert sp.norm_ds(residual(v, p), 0) <= 1e-13 * sp.norm_ds(g, 0)
 
 
 def test_enstrophy_and_energy_bounds_on_corpus(ex45_records):
