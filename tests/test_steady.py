@@ -486,17 +486,18 @@ def fresh_chain(problems, guess):
     return reports, None
 
 
-def exact_check_fails_at(k, monkeypatch):
-    """Make ``steady.residual`` report 1.0 for the member of step k's alpha."""
-    exact, alpha = st.residual, 2.0**k
+def exact_check_fails_at(steps, monkeypatch):
+    """Make ``steady.residual`` report 1.0 for the members of the README
+    sweep's ``steps``."""
+    exact, alphas = st.residual, [2.0**k for k in steps]
 
     def failing(fields, problems):
-        return [1.0 if p.alpha == alpha else h for h, p in zip(exact(fields, problems), problems)]
+        return [1.0 if p.alpha in alphas else h for h, p in zip(exact(fields, problems), problems)]
 
     monkeypatch.setattr(st, "residual", failing)
 
 
-def readme_steps(n):
+def readme_steps(n=8):
     return [2.0**i for i in range(12)], [readme_force()] * 12, n
 
 
@@ -505,21 +506,27 @@ def example45_steps():
     return [r.alpha for r in recs], [r.g_n for r in recs], 8
 
 
-# (alphas, forces, N), the failing index and its message; the setup patches
-# the solver first where the case needs it.
+def two_mode_steps():
+    return [2.0**i for i in range(12)], [two_mode_force()] * 12, 8
+
+
+def max_iters(k):
+    return lambda monkeypatch: monkeypatch.setattr(st, "MAX_ITERS", k)
+
+
+# steps (alphas, forces, N), a patch of the solver or None, and the failing
+# index and its message
 SWEEP_CASES = {
-    "readme-n8": (lambda mp: readme_steps(8), None, ""),
-    "readme-n16": (lambda mp: readme_steps(16), None, ""),
-    "two-mode-stall": (lambda mp: ([2.0**i for i in range(12)], [two_mode_force()] * 12, 8),
-                       10, "Newton stalled (no residual decrease)"),
-    "force-per-step": (lambda mp: example45_steps(), None, ""),
+    "readme-n8": (readme_steps, None, None, ""),
+    "readme-n16": (lambda: readme_steps(16), None, None, ""),
+    "two-mode-stall": (two_mode_steps, None, 10, "Newton stalled (no residual decrease)"),
+    "force-per-step": (example45_steps, None, None, ""),
     # alpha >= 64 takes 6 Newton iterations: at 5 each of those steps ends
     # on MAX_ITERS and passes its certificate, at 4 step 6 fails it
-    "max-iters-5": (lambda mp: mp.setattr(st, "MAX_ITERS", 5) or readme_steps(8), None, ""),
-    "max-iters-4": (lambda mp: mp.setattr(st, "MAX_ITERS", 4) or readme_steps(8),
-                    6, "no convergence after 4 iterations"),
-    "exact-check-fails-at-5": (lambda mp: exact_check_fails_at(5, mp) or readme_steps(8),
-                               5, "no convergence after the polish step"),
+    "max-iters-5": (readme_steps, max_iters(5), None, ""),
+    "max-iters-4": (readme_steps, max_iters(4), 6, "no convergence after 4 iterations"),
+    "exact-check-fails-at-5-and-8": (readme_steps, lambda mp: exact_check_fails_at([5, 8], mp), 5,
+                                     "no convergence after the polish step"),
 }
 
 
@@ -527,12 +534,18 @@ SWEEP_CASES = {
 def test_sweep_certifies_as_per_step_solves(case, monkeypatch):
     """A sweep whose certificates are batched gives, to the bit, the reports
     of per-step solves with a fresh frame each, and breaks at the same index
-    with the same reports."""
-    setup, index, message = SWEEP_CASES[case]
-    alphas, forces, n = setup(monkeypatch)
+    with the same reports. A step that ends without its polish step is
+    certified before the next one is solved; a failure after the polish step
+    is found when the last step is certified."""
+    steps, patch, index, message = SWEEP_CASES[case]
+    alphas, forces, n = steps()
+    if patch is not None:
+        patch(monkeypatch)
     problems = [st.SteadyProblem(g=g, alpha=a, trunc=n) for a, g in zip(alphas, forces)]
     want, failed = fresh_chain(problems, sp.project_trunc(sp.apply_fractional(forces[0], -1.0), n))
     assert failed == index
+    solved, newton = [], st._newton
+    monkeypatch.setattr(st, "_newton", lambda p, guess: solved.append(p) or newton(p, guess))
     if index is None:
         got = st.sweep(alphas, forces, trunc=n)
     else:
@@ -542,6 +555,7 @@ def test_sweep_certifies_as_per_step_solves(case, monkeypatch):
         got = err.value.reports
         assert got[-1].message == message
     assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+    assert len(solved) == (len(alphas) if message.endswith("polish step") else len(got))
 
 
 def test_sweep_on_one_key_set_is_one_residual_and_one_convolution(monkeypatch):
@@ -555,7 +569,7 @@ def test_sweep_on_one_key_set_is_one_residual_and_one_convolution(monkeypatch):
             return fn(*args)
         return wrapper
 
-    steps = readme_steps(8)  # the fixture that gives g checks itself with one of each
+    steps = readme_steps()  # the fixture that gives g checks itself with one of each
     monkeypatch.setattr(st, "residual", counted("residual", st.residual))
     monkeypatch.setattr(kernels, "advect_convolve", counted("convolve", kernels.advect_convolve))
     reports = st.sweep(*steps)
