@@ -174,9 +174,9 @@ def _limit_force(man):
 
 def _load_sequence(manifest_path):
     man = fieldio.read_manifest(manifest_path)
-    fields = fieldio.read_fields([e["field"] for e in man["entries"]])
+    keys, rows, truncs = fieldio.read_fields([e["field"] for e in man["entries"]])
     alphas = [e["alpha"] for e in man["entries"]]
-    return ex.SequenceData(tuple(fields), tuple(alphas)), man
+    return ex.SequenceData(keys, rows, max(truncs, default=1), alphas), man
 
 
 def cmd_extract(args):

@@ -101,8 +101,8 @@ def constant_scale(s, kmax=6):
 def _onto(keys, rows, target):
     """Flat rows (..., 2 len(keys)) on the sorted mode list ``keys``, ``row[2 * i],
     row[2 * i + 1] = c(k_i)``, as rows on the sorted ``target`` (the rows themselves
-    when the lists are equal). The one map between mode lists; a nonzero entry
-    on a mode outside ``target`` is a ValueError."""
+    when the lists are equal): the map of a row matrix between mode lists. A nonzero
+    entry on a mode outside ``target`` is a ValueError."""
     if np.array_equal(keys, target):
         return rows
     lead = rows.shape[:-1]
@@ -114,26 +114,24 @@ def _onto(keys, rows, target):
 
 def _rows(keys, fields):
     """Coefficients of each field on the sorted mode list ``keys``, one flat row per field."""
-    flat = [_onto(f.keys, f.coeffs.reshape(-1), keys) for f in fields]
-    return np.array(flat, dtype=np.complex128).reshape(len(fields), 2 * len(keys))
+    union, rows = sp.rows_of(fields, keys)
+    if len(union) != len(keys):
+        raise ValueError("expansion carries modes outside the data window")
+    return rows.reshape(len(rows), 2 * len(keys))
 
 
-@dataclass(frozen=True)
 class SequenceData:
-    """Finite sample (v_n, alpha_n), n = 1..M, of a solution sequence, flattened once.
+    """Finite sample (v_n, alpha_n), n = 1..M, of a solution sequence as one row matrix.
 
-    ``flat`` holds one row per field on the window's sorted mode list ``keys``
-    (see ``_onto``), ``lam`` the eigenvalue |k|^2 of each row entry and ``trunc``
-    the largest truncation. The alphas must be positive and strictly increasing.
+    ``flat`` views ``rows`` (M, len(keys), 2) read-only, one row per sample on the
+    sorted mode list ``keys`` (see ``_onto``), ``lam`` the eigenvalue |k|^2 of each
+    row entry and ``trunc`` the largest truncation. The alphas must be positive and
+    strictly increasing. ``of`` gives the window of a sequence of fields.
     """
 
-    fields: tuple
-    alphas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if len(self.fields) != len(self.alphas):
+    def __init__(self, keys, rows, trunc, alphas):
+        self.alphas = tuple(float(a) for a in alphas)
+        if len(rows) != len(self.alphas):
             raise ValueError("fields and alphas must have equal length")
         if any(a <= 0 for a in self.alphas):
             raise ValueError("alphas must be positive")
@@ -141,16 +139,17 @@ class SequenceData:
             if not b > a:
                 raise ValueError(f"alphas must be strictly increasing: sample {n} has "
                                  f"alpha {b!r} after {a!r}")
-        keys = sp.key_union([f.keys for f in self.fields])[0]
-        flat = _rows(keys, self.fields)
-        flat.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "trunc", max((f.trunc for f in self.fields), default=1))
-        object.__setattr__(self, "lam", np.repeat(np.sum(keys * keys, axis=1), 2).astype(float))
+        self.keys, self.trunc = keys, int(trunc)
+        self.flat = rows.reshape(len(rows), 2 * len(keys))  # a new array: ``rows`` stays writeable
+        self.flat.flags.writeable = False
+        self.lam = np.repeat(np.sum(keys * keys, axis=1), 2).astype(float)
+
+    @classmethod
+    def of(cls, fields, alphas):
+        return cls(*sp.rows_of(fields), max((f.trunc for f in fields), default=1), alphas)
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.flat)
 
     def norms(self, flat_rows, s):
         """D(A^s) norm of each row (of the one row, for a 1-D ``flat_rows``)."""
@@ -667,6 +666,13 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
     """ExpansionResult of the form ``name``, record ``rec``, of the index ``path``,
     on the validated matrix ``rows`` (rows, len(keys), 2) of M = ``m`` samples."""
     start, stop = rec["rows"]
+    if type(rec["degenerate_N"]) not in (int, type(None)):
+        raise fieldio.FieldFormatError(f"{path}: form {name}: 'degenerate_N' is not null or an int")
+    for k, g in enumerate((t["gammas"] for t in rec["terms"]), start=1):
+        if not (isinstance(g, list) and len(g) == m and {type(x) for x in g} <= {int, float}
+                and np.isfinite(np.array(g, dtype=float)).all()):
+            raise fieldio.FieldFormatError(
+                f"{path}: form {name}: term {k}: 'gammas' is not a list of {m} finite numbers")
     heads = range(start + 1, stop, 1 + m)  # the direction rows
     limit, *dirs = [sp.SpectralField.from_arrays(truncs[r], keys, rows[r]) for r in [start, *heads]]
     terms = [ExpansionTerm(np.array(t["gammas"], dtype=float), d,
@@ -696,9 +702,9 @@ def load_expansion(path):
 
     Raises:
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
-        re-extracted), a missing key, no forms, row offsets that do not tile the
-        matrix, exponents that make no scale or not the recorded regime, or a
-        matrix of wrong dtype or shape.
+        re-extracted), a missing key, no forms object, offsets that do not tile the
+        matrix, gammas not M finite numbers, a ``degenerate_N`` not null or an int,
+        exponents that make no scale or not the recorded regime, or a bad matrix.
       sp.MalformedFieldError: a matrix row breaks a field invariant; the message
         names the matrix, the form, the row (limit, or term k's direction or
         witness n) and the mode.
@@ -708,6 +714,9 @@ def load_expansion(path):
     if found != SCHEMA:
         raise fieldio.FieldFormatError(
             f"{path}: not an expansion file of schema {SCHEMA} (found schema {found!r})")
+    if not isinstance(doc.get("forms"), dict) or not doc["forms"]:
+        raise fieldio.FieldFormatError(
+            f"{path}: expansion file holds no forms: 'forms' is no nonempty object")
     try:
         recs, alphas = doc["forms"], np.array(doc["alphas"], dtype=float)
         matrix = os.path.join(os.path.dirname(os.path.abspath(path)), doc["matrix"])
@@ -719,8 +728,6 @@ def load_expansion(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise fieldio.FieldFormatError(
             f"{path}: malformed expansion file (missing or bad {exc})") from exc
-    if not recs:
-        raise fieldio.FieldFormatError(f"{path}: expansion file holds no forms")
     if offsets != [list(b) for b in zip(bounds, bounds[1:])] or bounds[-1] != len(truncs):
         raise fieldio.FieldFormatError(
             f"{path}: form row offsets {offsets} do not tile the {len(truncs)} matrix rows")

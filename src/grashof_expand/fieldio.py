@@ -4,9 +4,9 @@ Field files, manifests and expansion indexes are JSON text with floats
 serialized at 17 significant digits (lossless double round-trip) and LF line
 endings; each expansion index has one binary ``.npy`` row matrix beside it
 (see ``expansion.save_expansion``). Every write is atomic (temp file in the
-target directory, then rename). A window of field files is read in one pass
-(``read_fields``; ``read_field`` is the window of one), and a field file is
-written from one format string (``write_field``).
+target directory, then rename). A window of field files is read in one pass as
+one row matrix (``read_fields``; ``read_field`` is the window of one, as a field),
+and a field file is written from one format string (``write_field``).
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ def write_field(path, field):
 
 
 def read_fields(paths):
-    """Read the field files ``paths`` (a window, in manifest order): each is parsed
-    (FieldFormatError), then all are validated in one pass (MalformedFieldError).
-    The first bad file in order raises, with its path and the message a file read
-    alone gives."""
+    """The window of the field files ``paths`` (in manifest order): the sorted keys
+    where some file has a nonzero mode, the rows (len(paths), len(keys), 2) closed
+    under conjugation (+0 where a file has no mode) and the truncations. Each file is
+    parsed (FieldFormatError), then all are validated in one pass (MalformedFieldError):
+    the first bad file in order raises, with the message a file read alone gives."""
     paths, docs = list(paths), []
     try:
         for path in paths:
@@ -148,7 +149,7 @@ def read_fields(paths):
 
 
 def _window(paths, docs):
-    """Fields of the parsed files ``docs`` of ``paths``: their representatives go
+    """The window of the parsed files ``docs`` of ``paths``: their representatives go
     onto the union keys as one row per file, validated in one pass, then closed
     under conjugation at once. ``docs`` is emptied once placed. On a violation the
     files are read again one at a time, so the first bad one raises."""
@@ -174,14 +175,19 @@ def _window(paths, docs):
     except sp.MalformedFieldError as exc:
         if len(paths) == 1:
             raise sp.MalformedFieldError(f"{paths[0]}: {exc}") from exc
-        return [read_field(path) for path in paths]
+        fields = [read_field(path) for path in paths]
+        return (*sp.rows_of(fields), [f.trunc for f in fields])
     keys, rows = sp.conj_closure(keys, half)
-    return [sp.SpectralField.from_arrays(t, keys, r) for t, r in zip(truncs, rows)]
+    live = (rows[..., 0] != 0) | (rows[..., 1] != 0)
+    rows[~live] = 0  # +0 where a file has no mode, as on its field
+    keep = live.any(axis=0)
+    return (keys, rows, truncs) if keep.all() else (keys[keep], rows[:, keep], truncs)
 
 
 def read_field(path):
-    """Read a field file and validate it: the window of one."""
-    return read_fields([path])[0]
+    """Read a field file and validate it: the window of one, as a field."""
+    keys, rows, truncs = read_fields([path])
+    return sp.SpectralField.from_arrays(truncs[0], keys, rows[0])
 
 
 # ---------------------------------------------------------------------------

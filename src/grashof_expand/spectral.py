@@ -59,6 +59,16 @@ def gather(keys, rows, query):
     return full[..., theirs, :]
 
 
+def rows_of(fields, keys=np.zeros((0, 2), dtype=np.int64)):
+    """Sorted union of ``keys`` and the fields' keys, and the fields' coefficients
+    on it, zero where absent (len(fields), len(union), 2): one ``key_union``."""
+    union, (_, *slots) = key_union([keys, *(f.keys for f in fields)])
+    rows = np.zeros((len(slots), len(union), 2), dtype=np.complex128)
+    for row, slot, f in zip(rows, slots, fields):
+        row[slot] = f.coeffs
+    return union, rows
+
+
 def rep_half(n):
     """The representatives of a sorted key set of size ``n`` closed under negation."""
     return slice(n // 2, None)
@@ -284,19 +294,14 @@ def leray_grid(grid, nout):
     return grid[..., 0] - dot * kx, grid[..., 1] - dot * ky
 
 
-def _fields_from_grid(grid, nout):
-    """Leray-project dense coefficient grids (..., 2 nout + 1, 2 nout + 1, 2)
-    and collect each one's nonzero modes: one field per grid, in order, each
-    the field that projecting its grid alone gives."""
+def _field_from_grid(grid, nout):
+    """The Leray projection of a dense coefficient grid (2 nout + 1, 2 nout + 1, 2)
+    on its nonzero modes; row-major grid order is the lexicographic key order."""
     p0, p1 = leray_grid(grid, nout)
-    count = math.prod(grid.shape[:-3])
-    live = ((p0 != 0) | (p1 != 0)).reshape(count, 2 * nout + 1, 2 * nout + 1).any(axis=0)
+    live = (p0 != 0) | (p1 != 0)
     live[nout, nout] = False
-    # Row-major grid order is the lexicographic key order; from_arrays drops
-    # each grid's rows that are zero in it.
-    keys = np.argwhere(live) - nout
-    rows = np.stack([p0[..., live], p1[..., live]], axis=-1).reshape(count, len(keys), 2)
-    return [SpectralField.from_arrays(nout, keys, r) for r in rows]
+    return SpectralField.from_arrays(nout, np.argwhere(live) - nout,
+                                     np.stack([p0[live], p1[live]], axis=-1))
 
 
 def bilinear_b(u, v, retruncate=None):
@@ -310,8 +315,7 @@ def bilinear_b(u, v, retruncate=None):
     coefficient comes out exactly zero.
     """
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
-    grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
-    return _fields_from_grid(grid, nout)[0]
+    return _field_from_grid(kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout), nout)
 
 
 def bilinear_bs(u, v, retruncate=None):
@@ -319,7 +323,7 @@ def bilinear_bs(u, v, retruncate=None):
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
     grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
     grid += kernels.advect_convolve(v.keys, v.coeffs, u.keys, u.coeffs, nout)
-    return _fields_from_grid(grid, nout)[0]
+    return _field_from_grid(grid, nout)
 
 
 # ---------------------------------------------------------------------------

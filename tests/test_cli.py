@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -746,20 +747,59 @@ def _index_scale_of_one_exponent(doc):
     return 2, "form unitary: bad scale (scale needs at least two exponents)"
 
 
-@pytest.mark.parametrize("damage", [_index_modes_out_of_order, _index_rows_do_not_tile,
-                                    _index_term_without_estimator, _index_scale_of_one_exponent],
-                         ids=["modes-out-of-order", "rows-do-not-tile", "no-estimator",
-                              "one-exponent"])
+def _index_forms(value):
+    def damage(doc):
+        doc["forms"] = value(doc["forms"])
+        return 2, "expansion file holds no forms: 'forms' is no nonempty object"
+    return damage
+
+
+def _index_gammas(value):
+    def damage(doc):
+        term = doc["forms"]["unitary"]["terms"][0]
+        term["gammas"] = value(term["gammas"])
+        return 2, "form unitary: term 1: 'gammas' is not a list of 20 finite numbers"
+    return damage
+
+
+def _index_degenerate_n(value):
+    def damage(doc):
+        doc["forms"]["unitary"]["degenerate_N"] = value
+        return 2, "form unitary: 'degenerate_N' is not null or an int"
+    return damage
+
+
+INDEX_DAMAGES = {
+    "modes-out-of-order": _index_modes_out_of_order,
+    "rows-do-not-tile": _index_rows_do_not_tile,
+    "no-estimator": _index_term_without_estimator,
+    "one-exponent": _index_scale_of_one_exponent,
+    "forms-a-list": _index_forms(list),
+    "forms-a-string": _index_forms(lambda forms: "unitary"),
+    "gammas-null": _index_gammas(lambda g: None),
+    "gammas-a-number": _index_gammas(lambda g: g[0]),
+    "gammas-string-entry": _index_gammas(lambda g: g[:3] + ["x"] + g[4:]),
+    "gammas-nan-entry": _index_gammas(lambda g: g[:3] + [float("nan")] + g[4:]),
+    "gammas-null-entry": _index_gammas(lambda g: g[:3] + [None] + g[4:]),
+    "degenerate-n-string": _index_degenerate_n("1"),
+    "degenerate-n-list": _index_degenerate_n([1]),
+}
+
+
+@pytest.mark.parametrize("damage", list(INDEX_DAMAGES.values()), ids=list(INDEX_DAMAGES))
 def test_malformed_expansion_index(pipeline, tmp_path, capsys, damage):
+    """A damaged expansion index exits with its code, naming the index and the
+    fault; an exit 2 (a format error) prints nothing on standard output."""
     out = tmp_path / "exp"
     shutil.copytree(pipeline / "exp", out)
     doc = fieldio.read_json(out / "expansion.json")
     code, words = damage(doc)
-    fieldio.write_json(out / "expansion.json", doc)
+    (out / "expansion.json").write_text(json.dumps(doc))  # NaN as JSON's NaN
     assert run(["verify", "--expansion", str(out / "expansion.json"),
                 "--manifest", str(pipeline / "fx" / "manifest.json")]) == code
-    err = capsys.readouterr().err
-    assert str(out / "expansion.json") in err and words in err
+    captured = capsys.readouterr()
+    assert str(out / "expansion.json") in captured.err and words in captured.err
+    assert code != 2 or captured.out == ""
 
 
 def _manifest_without_entries(doc):

@@ -58,7 +58,7 @@ def test_scale_rejects_bad_exponents(exps, words):
 def test_extract_constant_sequence_is_trivial():
     rng = np.random.default_rng(0)
     v = sp.random_divfree(4, rng)
-    data = ex.SequenceData((v,) * 8, tuple(2.0**j for j in range(8)))
+    data = ex.SequenceData.of((v,) * 8, tuple(2.0**j for j in range(8)))
     res = ex.extract_strict(data, ex.default_scale_2dp(4))
     assert res.kind == "trivial"
     assert res.depth == 0
@@ -68,7 +68,7 @@ def test_extract_constant_sequence_is_trivial():
 def test_extract_rejects_short_window():
     rng = np.random.default_rng(1)
     v = sp.random_divfree(3, rng)
-    data = ex.SequenceData((v,) * 5, tuple(2.0**j for j in range(5)))
+    data = ex.SequenceData.of((v,) * 5, tuple(2.0**j for j in range(5)))
     with pytest.raises(ValueError):
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
@@ -76,7 +76,7 @@ def test_extract_rejects_short_window():
 def test_extract_rejects_nonconvergent_window():
     phi = sp.eigenfunctions(1)[-1]
     fields = tuple(phi if n % 2 == 0 else -1.0 * phi for n in range(8))
-    data = ex.SequenceData(fields, tuple(2.0**j for j in range(8)))
+    data = ex.SequenceData.of(fields, tuple(2.0**j for j in range(8)))
     with pytest.raises(ex.NotConvergentError):
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
@@ -151,7 +151,7 @@ def test_extract_rejects_window_without_overall_decay():
     fields = []
     for n in range(1, 9):
         fields.append(sp.lin_comb([1.0, 0.2 * (1 + 1e-12) ** n], [phi1, phi5]))
-    data = ex.SequenceData(tuple(fields), tuple(2.0**j for j in range(8)))
+    data = ex.SequenceData.of(tuple(fields), tuple(2.0**j for j in range(8)))
     with pytest.raises(ex.NotConvergentError, match=re.escape(
             "strict expansion: level 1 fails reconstruction")):
         ex.extract_strict(data, ex.default_scale_2dp(4))
@@ -166,8 +166,8 @@ GEOMETRIC = [2.0**j for j in range(8)]
 
 def _window(alphas, weights):
     """SequenceData of v + sum_j weights[n][j] phi_{j+2} (phi_2, phi_3, phi_4, phi_5)."""
-    return ex.SequenceData([sp.lin_comb([1.0, *w], [V, *PHI[2:2 + len(w)]]) for w in weights],
-                           alphas)
+    return ex.SequenceData.of([sp.lin_comb([1.0, *w], [V, *PHI[2:2 + len(w)]]) for w in weights],
+                              alphas)
 
 
 def test_sequence_data_rejects_alphas_out_of_order():
@@ -187,7 +187,7 @@ def test_sequence_data_rejects_alphas_out_of_order():
 ], ids=["unequal-lengths", "zero-alpha", "negative-alpha"])
 def test_sequence_data_rejects_bad_windows(alphas, words):
     with pytest.raises(ValueError, match=words):
-        ex.SequenceData((V, V, V), alphas)
+        ex.SequenceData.of((V, V, V), alphas)
 
 
 def test_extract_finite_unitary_when_witnesses_stabilize():
@@ -374,7 +374,7 @@ def test_brute_force_oracle_matches_engine(ex314_window, ex314_extraction):
         sp.lin_comb(list(coeffs[i]), sp.eigenfunctions(truncation))
         for i in range(6)
     )
-    data8 = ex.SequenceData(fields, tuple(alphas))
+    data8 = ex.SequenceData.of(fields, tuple(alphas))
     engine = ex.extract_strict(data8, ex.constant_scale(0.0, 3))
     assert np.max(np.abs(vhat)) <= 1e-12
     assert sp.norm_ds(engine.limit, 0) <= 1e-12
@@ -428,7 +428,7 @@ def test_restructure_removes_interior_zero_direction():
     _assert_partial_sums_match(withzero, out)
     # reconstruction identity survives the removal at every level
     recs, _ = fx.example314_window()
-    data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(float(np.exp(n)) for n in range(1, 7)))
+    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(float(np.exp(n)) for n in range(1, 7)))
     rep = ex.verify_expansion(out, data)
     recon = [c for c in rep.checks if c.axiom == "reconstruction"][0]
     assert recon.passed
@@ -629,7 +629,7 @@ def test_remainder_ratios_match_field_arithmetic(ex45_data, ex45_extraction):
     _, unitary = ex45_extraction
     ratios = ex.remainder_ratios(unitary, ex45_data)
     assert ratios.shape == (unitary.depth, len(ex45_data))
-    for n, v_n in enumerate(ex45_data.fields):
+    for n, v_n in enumerate(ex45_data.to_field(row) for row in ex45_data.flat):
         rem, prev = v_n - unitary.limit, 1.0
         for k, term in enumerate(unitary.terms):
             expect = sp.norm_ds(rem, unitary.space_exponent(k + 1)) / prev
@@ -674,7 +674,7 @@ def _pinned_forms(which, ex45_data, ex45_extraction):
                 "unitary": unitary}, ex45_data.alphas
     if which == "ex314-extraction":
         recs, _ = fx.example314_window(range(1, 7), 16)
-        data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(alphas314))
+        data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas314))
         strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
         return {"strict": strict, "restructured": ex.restructure(strict),
                 "unitary": ex.refine_unitary(strict, data)}, alphas314
@@ -726,9 +726,21 @@ def test_load_rejects_other_schemas(tmp_path):
         ex.load_expansion(str(missing))
 
 
+def test_rows_put_fields_on_the_window_or_refuse(ex45_data):
+    """``_rows`` gives a window's own fields back as its flat rows, bit for bit, and
+    refuses a field with a mode outside the window's mode list."""
+    fields = [ex45_data.to_field(row) for row in ex45_data.flat]
+    assert ex._rows(ex45_data.keys, fields).tobytes() == ex45_data.flat.tobytes()
+    t = ex45_data.trunc + 1
+    outside = sp.SpectralField(t, {(0, t): np.array([1.0, 0.0]), (0, -t): np.array([1.0, 0.0])})
+    with pytest.raises(ValueError, match="expansion carries modes outside the data window"):
+        ex._rows(ex45_data.keys, fields[:2] + [outside])
+
+
 def test_verify_rejects_window_of_other_length(ex45_data, ex45_extraction):
     _, unitary = ex45_extraction
-    short = ex.SequenceData(ex45_data.fields[:12], ex45_data.alphas[:12])
+    short = ex.SequenceData.of([ex45_data.to_field(row) for row in ex45_data.flat[:12]],
+                               ex45_data.alphas[:12])
     with pytest.raises(ValueError, match="window length"):
         ex.verify_expansion(unitary, short)
     with pytest.raises(ValueError, match="window length"):
@@ -741,7 +753,7 @@ def test_dense_window_round_trips_through_save_load(tmp_path):
     rng = np.random.default_rng(0)
     base = [sp.random_divfree(12, rng) for _ in range(4)]
     alphas = [n + 1.0 for n in range(20)]
-    data = ex.SequenceData(
+    data = ex.SequenceData.of(
         tuple(sp.lin_comb([1, 1 / a, a**-2, a**-3], base) for a in alphas), tuple(alphas))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     forms = {"strict": strict, "unitary": ex.refine_unitary(strict, data)}

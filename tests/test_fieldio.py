@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from grashof_expand import cli
+from grashof_expand import expansion as ex
 from grashof_expand import fieldio
 from grashof_expand import spectral as sp
 
@@ -227,14 +228,43 @@ def _same_bits(u, v):
             and np.array_equal(u.keys, v.keys) and u.coeffs.tobytes() == v.coeffs.tobytes())
 
 
+def _window_per_field(fields):
+    """The fields on the union of their keys, one ``gather`` each: the oracle for
+    the window ``fieldio.read_fields`` returns."""
+    keys = sp.key_union([f.keys for f in fields])[0]
+    rows = np.zeros((len(fields), len(keys), 2), dtype=np.complex128)
+    for row, f in zip(rows, fields):
+        row[:] = sp.gather(f.keys, f.coeffs, keys)
+    return keys, rows, [f.trunc for f in fields]
+
+
+def _window_bits(keys, rows, truncs):
+    return keys.dtype.str, keys.tobytes(), rows.dtype.str, rows.shape, rows.tobytes(), truncs
+
+
+def _assert_same_data(got, want):
+    """Two ``SequenceData`` agree bit for bit: keys, flat rows, truncation, alphas."""
+    assert (_window_bits(got.keys, got.flat, got.trunc)
+            == _window_bits(want.keys, want.flat, want.trunc))
+    assert got.alphas == want.alphas and not got.flat.flags.writeable
+
+
+def _manifest(paths):
+    return os.path.join(os.path.dirname(paths[0]), "manifest.json")
+
+
 @pytest.mark.parametrize("name", sorted(WINDOWS))
 def test_read_fields_bit_equal_to_per_file_reader(windows, name):
+    """The reader's window is the per-file fields on the union of their keys, and
+    the window the stages load is ``SequenceData.of`` of those fields."""
     paths = windows[name]
-    got = fieldio.read_fields(paths)
+    keys, rows, truncs = fieldio.read_fields(paths)
     want = [_read_field_per_file(p) for p in paths]
-    assert len(got) == len(want) == len(paths)
-    assert all(_same_bits(u, v) for u, v in zip(got, want))
+    assert len(rows) == len(want) == len(paths)
+    assert _window_bits(keys, rows, truncs) == _window_bits(*_window_per_field(want))
     assert all(_same_bits(fieldio.read_field(p), v) for p, v in zip(paths, want))
+    data, _ = cli._load_sequence(_manifest(paths))
+    _assert_same_data(data, ex.SequenceData.of(want, data.alphas))
 
 
 def _corrupt(path, kind):
@@ -275,9 +305,13 @@ def _copy(paths, target):
 
 def _outcome(read):
     try:
-        return [(f.trunc, f.keys.tobytes(), f.coeffs.tobytes()) for f in read()]
+        return _window_bits(*read())
     except Exception as exc:  # noqa: BLE001 - the type and message are compared
         return type(exc), str(exc)
+
+
+def _per_file(paths):
+    return _window_per_field([_read_field_per_file(p) for p in paths])
 
 
 FAULTS = ["json", "missing-key", "flag", "unordered", "truncation", "divergence", "ragged"]
@@ -298,7 +332,7 @@ def test_read_fields_raises_as_the_per_file_reader(windows, tmp_path, faults):
     paths = _copy(windows["example45"], tmp_path)
     for i, kind in faults:
         _corrupt(paths[i], kind)
-    want = _outcome(lambda: [_read_field_per_file(p) for p in paths])
+    want = _outcome(lambda: _per_file(paths))
     first = next((i, kind) for i, kind in faults if kind != "zero-outside")
     assert isinstance(want, tuple)
     assert os.path.basename(paths[first[0]]) in want[1]
@@ -308,23 +342,45 @@ def test_read_fields_raises_as_the_per_file_reader(windows, tmp_path, faults):
 def test_read_fields_drops_a_zero_mode_outside_the_truncation(windows, tmp_path):
     paths = _copy(windows["example45"], tmp_path)
     _corrupt(paths[5], "zero-outside")
-    want = _outcome(lambda: [_read_field_per_file(p) for p in windows["example45"]])
-    assert _outcome(lambda: [_read_field_per_file(p) for p in paths]) == want
+    want = _outcome(lambda: _per_file(windows["example45"]))
+    assert _outcome(lambda: _per_file(paths)) == want
     assert _outcome(lambda: fieldio.read_fields(paths)) == want
+    shutil.copyfile(_manifest(windows["example45"]), _manifest(paths))
+    data, _ = cli._load_sequence(_manifest(paths))
+    fields = [_read_field_per_file(p) for p in paths]
+    _assert_same_data(data, ex.SequenceData.of(fields, data.alphas))
+
+
+def test_read_fields_drops_a_mode_zero_in_every_file(windows, tmp_path):
+    """A signed zero reads as +0, and a mode that is zero in every file leaves the
+    keys, as on the fields of the files read one at a time."""
+    paths = _copy(windows["example45"], tmp_path)
+    for i, path in enumerate(paths):
+        doc = fieldio.read_json(path)
+        for rec in doc["modes"][-1:] + doc["modes"][:1 if i == 5 else 0]:
+            rec["c"] = [[-0.0, -0.0], [-0.0, -0.0]]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    keys, rows, truncs = fieldio.read_fields(paths)
+    assert _window_bits(keys, rows, truncs) == _window_bits(*_per_file(paths))
+    assert len(keys) == len(fieldio.read_fields(windows["example45"])[0]) - 2
 
 
 def test_load_sequence_validates_a_window_once(windows, monkeypatch):
-    calls = []
-    check = sp.first_violation
+    calls, unions, built = [], [], []
+    check, union, assign = sp.first_violation, sp.key_union, sp.SpectralField._assign
 
     def counted(*args, **kwargs):
         calls.append(len(args[1]))
         return check(*args, **kwargs)
 
     monkeypatch.setattr(sp, "first_violation", counted)
-    manifest = os.path.join(os.path.dirname(windows["example45"][0]), "manifest.json")
-    data, _ = cli._load_sequence(manifest)
+    monkeypatch.setattr(sp, "key_union", lambda sets: unions.append(len(sets)) or union(sets))
+    monkeypatch.setattr(sp.SpectralField, "_assign",
+                        lambda self, *args: built.append(self) or assign(self, *args))
+    data, _ = cli._load_sequence(_manifest(windows["example45"]))
     assert calls == [len(data)] == [20]
+    assert unions == [20] and built == []
 
 
 def _write_field_via_dumps(field):

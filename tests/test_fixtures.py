@@ -247,7 +247,7 @@ def test_example314_degenerate_witness_norms():
 
 def test_example314_reconstruction_exact():
     recs, alphas = fx.example314_window()
-    data = ex.SequenceData(tuple(r.v_n for r in recs), tuple(alphas))
+    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas))
     for e in (fx.example314_unitary_expansion(), fx.example314_degenerate_expansion()):
         rep = ex.verify_expansion(e, data)
         recon = [c for c in rep.checks if c.axiom == "reconstruction"][0]

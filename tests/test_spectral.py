@@ -382,7 +382,7 @@ def test_field_ops_return_sorted_closed_keys(tmp_path):
     v = sp.random_divfree(3, rng)
     w = leray_project(dict(u.modes), trunc=u.trunc)
     fieldio.write_field(tmp_path / "u.json", u)
-    win = ex.SequenceData([u, v, sp.eigenfunctions(7)[-1]], [1.0, 2.0, 3.0])
+    win = ex.SequenceData.of([u, v, sp.eigenfunctions(7)[-1]], [1.0, 2.0, 3.0])
     outputs = [
         u, v, w,
         sp.lin_comb([0.5, -2.0, 1.0], [u, v, u]),
