@@ -146,6 +146,7 @@ class SequenceData:
 
     @classmethod
     def of(cls, fields, alphas):
+        fields = tuple(fields)  # rows_of and max each iterate it
         return cls(*sp.rows_of(fields), max((f.trunc for f in fields), default=1), alphas)
 
     def __len__(self):

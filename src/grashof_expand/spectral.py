@@ -315,7 +315,8 @@ def bilinear_b(u, v, retruncate=None):
     coefficient comes out exactly zero.
     """
     nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
-    return _field_from_grid(kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout), nout)
+    grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
+    return _field_from_grid(grid, nout)
 
 
 def bilinear_bs(u, v, retruncate=None):

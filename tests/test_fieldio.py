@@ -264,7 +264,7 @@ def test_read_fields_bit_equal_to_per_file_reader(windows, name):
     assert _window_bits(keys, rows, truncs) == _window_bits(*_window_per_field(want))
     assert all(_same_bits(fieldio.read_field(p), v) for p, v in zip(paths, want))
     data, _ = cli._load_sequence(_manifest(paths))
-    _assert_same_data(data, ex.SequenceData.of(want, data.alphas))
+    _assert_same_data(data, ex.SequenceData.of(iter(want), data.alphas))
 
 
 def _corrupt(path, kind):
