@@ -1175,3 +1175,59 @@ def test_readme_pipeline_files_are_pinned(tmp_path, capsys):
            for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert sorted(got) == sorted(want)
     assert [name for name in sorted(got) if got[name] != want[name]] == []
+
+
+# sha256 of every file that the README sweep writes, ``sweep --force
+# <README g_limit> --alpha-factor 2 --count 12`` at ``--truncation`` 8 and 16
+# (n8/ and n16/), recorded with numpy 2.4.6 on x86_64 (OpenBLAS, one thread:
+# the LU rounds by the thread count). The solutions carry the Newton
+# iterates' bits, so any change to the Jacobian's arithmetic or layout moves
+# them.
+SWEEP_README_SHA256 = {
+    "n16/g_limit.json": "e87c5a685c391b3d5b8bc4b5f78856d4b1661c5e56a36811168495bce23f2739",
+    "n16/manifest.json": "bca82d5c28759729bed7e796b388566feff3cf377880123002e3f9684daae774",
+    "n16/solution_0001.json": "88cb64dd13b58b7e59d81db148f175a229227176a4dcbc73263817a03c8cbc7b",
+    "n16/solution_0002.json": "e02bb2a745c828aa34c1b1033d730961a2f4eb90d3fa9513c60fe607c2668628",
+    "n16/solution_0003.json": "0b66d1ce11402c01cf82b7187f2ecbf1ca4de97c08724ffa4040589139524dbd",
+    "n16/solution_0004.json": "aa777924b241011662e4c0320784e01ce19ee6af47361231c139da773727f93d",
+    "n16/solution_0005.json": "e926de4d9a62ca69c0d458c97ae8a7a4529a159c41d3951f75ce044d0a6eae20",
+    "n16/solution_0006.json": "7a23e22de081cc8f1b4085a4d3436452c80eb298091210753a37bac0b153972c",
+    "n16/solution_0007.json": "92cedda920d5f06e8e4d785b595dd56a4771920e014565c6ececce24dc9b8cc0",
+    "n16/solution_0008.json": "cce39bc69a6d4985fc958e4c47fae76956f3e42c50107679d778d398dfab0e4d",
+    "n16/solution_0009.json": "a8d2994e213ee605fafb91c91661838981c8c8a1033ae3da0817cd3726b2471c",
+    "n16/solution_0010.json": "2e814138f0a3007f305931412124089b7533c89d36596f52152a7e7ceeb08a20",
+    "n16/solution_0011.json": "4dba1b5a5afdfd1e00ca95a584a88958973383c8be3067cab8ce963fccf96e32",
+    "n16/solution_0012.json": "4b175a5bd78523237e58db474978467d0ca6f474319997327cff92b2a8d1851c",
+    "n8/g_limit.json": "e87c5a685c391b3d5b8bc4b5f78856d4b1661c5e56a36811168495bce23f2739",
+    "n8/manifest.json": "a494c26bdc93966c8a66c2925752fb2ed483d54720a7af883b83218c8803658d",
+    "n8/solution_0001.json": "ee6d2470fd3c09805862a1b477b3415192571b3e6374330149f6507694c1c208",
+    "n8/solution_0002.json": "57c3842d9b28e59794cb4ea1f3f8655ee1940230b9b4467bd84e00084efd4a67",
+    "n8/solution_0003.json": "805dfb7e589faed05c1db0481cad90b24f50b587db168f60893a2bcbf4ad212c",
+    "n8/solution_0004.json": "7356e8bbf998f33c15dff05ab63acef2cf37e13d64d52877f92d58289092c519",
+    "n8/solution_0005.json": "f50ea0e760b8a29cebdcf83a8c531f65a9060dc24aa4211abd872557e191c62e",
+    "n8/solution_0006.json": "68d7781a8d2cc111977bae3d11ddbae90fa7b58e480fa38d64948464a96af148",
+    "n8/solution_0007.json": "6b46dfab7cf09ae72941e080aa72122e1fa5652dcaba6d03df4dfdd83fd0d27c",
+    "n8/solution_0008.json": "72416edf385323557837e0cabf2ecb77d44aded4ad289b5755e9827b595b7b98",
+    "n8/solution_0009.json": "fcaee755aedc16e742e28e99ba4dcb819ea8e7470d7eb5988e3d40f75da9bdfe",
+    "n8/solution_0010.json": "043c9bd5b16d956749d78d09f6dd29ba5d698cfe606152357dd58d9404acace6",
+    "n8/solution_0011.json": "c2a587eceb7cc0832179fe1652eb76699419f26079e0229aa325f7c42238dd0e",
+    "n8/solution_0012.json": "d73312d5b527a59cb69d91dac5a0fa2b403fd3a2ebd7a4286a69e28e3d0c8628",
+}
+
+
+def test_readme_sweep_files_are_pinned(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fx = str(tmp_path / "fx")
+    stages = [["fixtures", "example45", "--c2", "1", "--count", "20", "--out", fx]]
+    stages += [["sweep", "--force", f"{fx}/g_limit.json", "--alpha-factor", "2", "--count", "12",
+                "--truncation", str(n), "--out", str(tmp_path / f"n{n}")] for n in (8, 16)]
+    for argv in stages:
+        done = subprocess.run([sys.executable, "-m", "grashof_expand.cli", *argv],
+                              capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr.decode()
+    got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*")) if p.is_file() and p.parts[-2] != "fx"}
+    assert sorted(got) == sorted(SWEEP_README_SHA256)
+    assert [name for name in sorted(got) if got[name] != SWEEP_README_SHA256[name]] == []
