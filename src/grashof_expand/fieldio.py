@@ -27,13 +27,15 @@ def fmt_float(x):
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent=0):
-    """JSON text with .17g floats; dict key order is preserved as written."""
+def dumps(obj, indent=0, at=""):
+    """JSON text with .17g floats; dict key order is preserved as written. NaN or
+    infinity, which JSON cannot hold, is a ValueError naming its key (``alphas[1]``)."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}  "{k}": {dumps(v, indent + 2).lstrip()}' for k, v in obj.items()]
+        items = [f'{pad}  "{k}": {dumps(v, indent + 2, f"{at}.{k}" if at else k).lstrip()}'
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
@@ -42,13 +44,16 @@ def dumps(obj, indent=0):
         # Exact floats and exact ints (no bools, no numpy scalars) in one call each.
         kinds = set(map(type, seq))
         if kinds == {float}:
-            return "[" + ", ".join(["%.17g"] * len(seq)) % tuple(seq) + "]"
+            text = "[" + ", ".join(["%.17g"] * len(seq)) % tuple(seq) + "]"
+            if "n" not in text:  # nan or inf (no other %.17g text has an n): found below
+                return text
         if kinds == {int}:
             return "[" + ", ".join(map(str, seq)) + "]"
         flat = all(isinstance(v, (int, float, np.floating, np.integer)) for v in seq)
         if flat:
-            return "[" + ", ".join(dumps(v) for v in seq) + "]"
-        items = [pad + "  " + dumps(v, indent + 2).lstrip() for v in seq]
+            return "[" + ", ".join(dumps(v, 0, f"{at}[{i}]") for i, v in enumerate(seq)) + "]"
+        items = [pad + "  " + dumps(v, indent + 2, f"{at}[{i}]").lstrip()
+                 for i, v in enumerate(seq)]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -57,6 +62,8 @@ def dumps(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"non-finite value {float(obj)!r} at {at or 'the document'}")
         return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -89,7 +96,11 @@ def atomic_write(path, data):
 
 
 def write_json(path, obj):
-    atomic_write(path, dumps(obj) + "\n")
+    try:
+        text = dumps(obj)
+    except ValueError as exc:  # NaN or infinity: named with the file, before any write
+        raise ValueError(f"{path}: {exc}") from None
+    atomic_write(path, text + "\n")
 
 
 def read_json(path):
@@ -117,6 +128,8 @@ def write_field(path, field):
     half = sp.rep_half(len(field.keys))
     table = np.concatenate([field.keys[half], field.coeffs[half].view(np.float64)], axis=1)
     body = ",\n".join([_MODE] * len(table)) % tuple(table.ravel().tolist())
+    if "n" in body:  # nan or inf, which no other text of a record holds: write_json names it
+        write_json(path, {"modes": [{"c": row[2:].reshape(2, 2).tolist()} for row in table]})
     modes = f"[\n{body}\n  ]" if len(table) else "[]"
     atomic_write(path, f'{{\n  "truncation": {int(field.trunc)},\n  "conjugate_closure": true,\n'
                        f'  "modes": {modes}\n}}\n')

@@ -19,15 +19,15 @@ every member, and each member's grid is the bits of its own call. The tests
 check it against a pairwise sum over blocks of mode pairs, which is
 bit-equal to a per-mode loop: 1e-14 relative, every cell that one pair
 reaches to the bit, and the same nonzero cells on every test case whose
-cells have no terms that cancel exactly. The linearization
-is one numpy path, checked against a field-by-field column assembly, and the
-assembly on a symmetry group's fixed subspace (``Subspace``) against P J Q of
-the full one. It needs a divergence-free v, v_p = a_p sigma_p: each entry is
-then a_p times a closed-form real weight of the wavevectors. The weights
-depend only on the wavevectors, so a ``Subspace`` of a symmetry group keeps
-them (``Subspace.weights``). Each assembly scatters v onto a grid once and
-then, a block of rows at a time, reads it at p = k -+ k_r and multiplies it
-by the weights. Time the README sweep,
+cells have no terms that cancel exactly. The linearization is one numpy path,
+checked against a field-by-field column assembly, and the assembly on a
+symmetry group's fixed subspace (``Subspace``) against P J Q of the full one.
+It needs a divergence-free v, v_p = a_p sigma_p: each entry is then
+t_p = alpha a_p (p x sigma_p) / |p|^2 at p = k -+ k_r times a closed-form real
+weight of the wavevectors. Which t each entry reads, and with which weights,
+depends only on the wavevectors, so a ``Subspace`` of a symmetry group keeps it
+as a gather plan (``Subspace.plan``) that each assembly applies to t, computed
+from the iterate's first unknowns. Time the README sweep,
 whose Newton loop assembles one linearization per residual and which
 certifies its solutions in one batched exact residual, with
 
@@ -42,11 +42,11 @@ from functools import cached_property
 
 import numpy as np
 
-# Rows of a block of the assembly. Where each call makes the weights (the
-# trivial group), blocks of 16 rows keep the call within 1.5x of its output's
-# bytes at N = 8. Kept weights need no temporaries, and blocks of 64 rows
-# make the README frame's assembly at N = 8 one block (three of 16 rows).
-_ROWS, _KEPT_ROWS = 16, 64
+# Rows of a block of the assembly where each call makes the weights (the
+# trivial group: 16 keep the call within 1.5x of its output's bytes at N = 8)
+# or builds a kept plan, and entries of a block of columns that applies one:
+# 32 bytes each (two images and their int64 indices), at most 512 kB.
+_ROWS, _KEPT_ROWS, _KEPT_ENTRIES = 16, 64, 16384
 _MP = np.array([-1, 1])[:, None, None]  # -+: k - k_r for s = +1, k + k_r for s = -1
 
 
@@ -184,11 +184,10 @@ class Subspace:
     The assembly's rows are the representatives ``own`` of the first
     unknowns, each once. Their weights are the half of the assembly that no
     iterate or alpha enters. A group that at least halves the unknowns
-    (n <= m) keeps them (``weights``), at most half the bytes of the full
-    Jacobian on ``reps``, so that a solve or a sweep that keeps the subspace
-    builds them once. Any other group, the trivial one among them, makes them
-    at each assembly: kept, the trivial group's would take half the bytes of
-    its own Jacobian.
+    (n <= m) keeps them as a gather plan (``plan``), built on the first
+    assembly, so that a solve or a sweep that keeps the subspace builds it
+    once. Any other group, the trivial one among them, makes the weights at
+    each assembly: its plan would take 2.5 times the bytes of its Jacobian.
     """
 
     def __init__(self, reps, nrad, dst=None, sgn=None):
@@ -213,8 +212,9 @@ class Subspace:
                         (rest[level == lev] for lev in range(int(level.max(initial=-1)) + 1))]
         self.reps = reps
         self.side, self.mid = 4 * nrad + 1, 2 * nrad * (4 * nrad + 2)  # k - q on a radius-2N grid
-        # A on the first unknowns
-        self.stokes = np.tile(np.sum(reps * reps, axis=1), 2)[_full_or(self.first, 2 * m)]
+        self.ksq = np.sum(reps * reps, axis=1)
+        self.stokes = np.tile(self.ksq, 2)[_full_or(self.first, 2 * m)]  # A on the first unknowns
+        self.inv = 1.0 / self.ksq  # 1 / |k|^2, as complex division by |k|^2 + 0i scales
         # Blocks of rows own[rows]: unknowns first[a:b] are the real parts of
         # own[rows][i], first[c:d] the imaginary parts of own[rows][j]. The
         # last block takes the rest, so no block has a single row unless
@@ -229,20 +229,14 @@ class Subspace:
             c, d = self.n0 + np.searchsorted(slot[self.n0:], [lo, hi])
             self.parts.append((slice(lo, hi), (a, b, _full_or(slot[a:b] - lo, hi - lo)),
                                (c, d, _full_or(slot[c:d] - lo, hi - lo))))
-        shift = reps[:, 0] * self.side + reps[:, 1]
-        self.cells, self.turns = shift[self.own] + self.mid, _MP * shift  # k's cell; -+ k_r
-
-    @cached_property
-    def weights(self):
-        """The weights of every block, built on the first assembly and kept."""
-        return list(self._weights())
+        self.shift = reps[:, 0] * self.side + reps[:, 1]
+        self.cells, self.turns = self.shift[self.own] + self.mid, _MP * self.shift  # k; -+ k_r
 
     def _weights(self):
         """For each block of rows, the real weights scale (dot2 -+ |k|^2) of
         row k and column r, which are -|p| W for s = +1 (weight[0]) and |p| W
         for s = -1 (weight[1]) (``assemble_linearized``)."""
-        reps = self.reps
-        ksq = np.sum(reps * reps, axis=1)
+        reps, ksq = self.reps, self.ksq
         unit = reps / np.sqrt(ksq)[:, None]
         turned = np.stack([-unit[:, 1], unit[:, 0]])  # unit @ turned = (k_r x k) / (|k| |k_r|)
         twice = 2.0 * reps.T
@@ -252,72 +246,108 @@ class Subspace:
             weight *= unit[r] @ turned  # scale
             yield weight
 
-    def blocks(self):
-        """(at, weight, real, imag) for each block of rows: for row k and
-        column r, at[0] and at[1] are the cells of k - k_r and k + k_r on the
-        radius-2N grid, weight holds the block's weights, kept or made anew,
-        and real and imag are (a, b, i) and (c, d, j) of the block."""
-        weights = self.weights if self.keep else self._weights()
-        for (rows, real, imag), weight in zip(self.parts, weights):
-            yield self.cells[rows, None] + self.turns, weight, real, imag
+    @cached_property
+    def plan(self):
+        """(index, weight), each (L, 2, n, n): entry (i, o) of P J Q sums
+        u[index] weight over the L levels of orbit o's members and the images
+        s (0: k - k_r, 1: k + k_r) at [l, s, o, i] (``assemble_linearized``).
+        A weight is -0.0 where the orbit has no l-th member, so that its zero
+        moves no bit. An index is int16 wherever u fits."""
+        m, n = len(self.reps), len(self.first)
+        member, sign = np.full((1 + len(self.further), n), -1), np.ones((1 + len(self.further), n))
+        member[0] = self.first
+        for lev, (j, orbit, sgn) in enumerate(self.further, 1):
+            member[lev, orbit], sign[lev, orbit] = j, sgn
+        col, pad, real = member % m, (member < 0)[:, None, :, None], (member < m)[:, None, :, None]
+        slots = np.full((2, self.side ** 2), 3 * m)  # u's slots of t's real and imaginary parts
+        slots[:, self.shift + self.mid] = np.arange(2 * m).reshape(2, m)
+        slots[:, self.mid - self.shift] = np.arange(m, 3 * m).reshape(2, m)[::-1]
+        turns, sign = self.turns[:, 0, col].transpose(1, 0, 2)[..., None], sign[:, None, :, None]
+        index = np.empty((len(member), 2, n, n), np.int16 if 3 * m < 1 << 15 else np.int32)
+        weight = np.empty(index.shape)
+        for (rows, *parts), w in zip(self.parts, self._weights()):  # a block of rows at a time
+            for imag, (a, b, i) in zip((False, True), parts):
+                # rows (real, imaginary) by columns: (plus.imag - minus.imag, minus.real +
+                # plus.real), (minus.real - plus.real, minus.imag + plus.imag)
+                at = turns + self.cells[rows][i]
+                index[..., a:b] = np.where(pad, 3 * m, slots[(real != imag).astype(int), at])
+                flip = real & (np.arange(2)[:, None, None] == (not imag))
+                signed = w[:, i][:, :, col].transpose(2, 0, 3, 1) * np.where(flip, -sign, sign)
+                weight[..., a:b] = np.where(pad, -0.0, signed)
+        return index, weight
 
     def expand(self, y):
         """The 2m unknowns of the subspace vector whose first unknowns are y."""
         return np.where(self.orbit >= 0, self.sign * y[self.orbit], 0.0)
 
 
-def assemble_linearized(kv, cv, reps, alpha, nrad, subspace=None):
+def assemble_linearized(y, sigmas, reps, alpha, nrad, subspace=None):
     """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
-    ``kv, cv`` are the keys and coefficients of v's nonzero modes in any
-    order, v divergence-free; ``reps`` (m, 2) is any increasing set of
-    conjugate representatives of radius N = nrad, such as all of them
+    v = a_k sigma_k on ``reps`` (m, 2) with polarizations ``sigmas``, its amplitudes
+    a the subspace vector with first unknowns ``y``. ``reps`` is any increasing
+    set of conjugate representatives of radius N = nrad, such as all of them
     (``steady._dof_maps(nrad)[0]``) or those on a sublattice. Each entry
     depends only on v and the wavevectors of its row and column, so a subset
     of ``reps`` gives the rows and columns of the full matrix it selects.
     Column r (m + r) is the image of the field with amplitude 1 (i) on
     representative r; rows r and m + r hold the real and imaginary parts of
-    its amplitude on representative r. With v_p = a_p sigma_p,
-    a_p = (p x v_p) / |p|, the image of sigma_r e^{i s k_r.x} (s = +-1) has
-    amplitude i alpha a_p W on row k, p = k - s k_r, with the real weight
+    its amplitude on representative r. With t_p = alpha a_p (p x sigma_p) / |p|^2,
+    the image of sigma_r e^{i s k_r.x} (s = +-1) has amplitude i t_p |p| W on
+    row k, p = k - s k_r, with the real weight
 
         W = (k x k_r) (2 s k.k_r - |k|^2) / (|k| |k_r| |p|).
 
     ``subspace``, a ``Subspace`` of the same ``reps`` and ``nrad`` (None: of
     the trivial group), gives P J Q, the matrix on the fixed subspace: row o
     is the row of the first unknown of orbit o, and column o sums sign[j]
-    times column j over the members j of orbit o. Only those rows are
-    assembled, for every column. Then each orbit's column is its first
-    member's, and the further members are added to it by index, a level at a
-    time, never through a dense Q. With the trivial group this is the full
-    matrix by the same arithmetic. It comes back row-major there and
-    column-major (the column gather) on any other group; ``steady``'s
+    times column j over the members j of orbit o. The trivial group reads t
+    from the radius-2N grid a block of rows at a time and returns J
+    row-major; any other group applies its plan to u = [t_re, t_im, -t_re, 0]
+    (t_{-p} = -conj t_p) a block of columns at a time, the same arithmetic on
+    the entries of P J Q, and returns it column-major. ``steady``'s
     ``jac @ xv`` rounds by that layout, so the solver's bits rest on it.
     """
     m = reps.shape[0]
     sub = subspace if subspace is not None else Subspace(reps, nrad)
-    n, side, mid = len(sub.first), sub.side, sub.mid
-    if np.abs(kv).max(initial=0) > 2 * nrad:  # entry (k, s k_r) reads v at k - s k_r only
-        near = np.abs(kv).max(axis=1) <= 2 * nrad
-        kv, cv = kv[near], cv[near]
-    kx, ky = kv.T
-    bgrid = np.zeros(side * side, dtype=np.complex128)  # alpha a_p / |p| = alpha (p x v_p) / |p|^2
-    bgrid[kx * side + ky + mid] = alpha * (kx * cv[:, 1] - ky * cv[:, 0]) / (kx * kx + ky * ky)
-    part = np.empty((n, 2 * m))  # the rows of every column
-    for at, weight, (a, b, i), (c, d, j) in sub.blocks():
-        # the s = +1 image is -i plus and the s = -1 image i minus
-        # every cell is on the grid: "clip" only spares the copy "raise" makes
-        img = np.take(bgrid, at, mode="clip")
-        img *= weight
-        plus, minus = img
-        # column r holds the sum of both images, column m + r i times their difference
-        np.subtract(plus.imag[i], minus.imag[i], out=part[a:b, :m])
-        np.add(minus.real[i], plus.real[i], out=part[a:b, m:])
-        np.subtract(minus.real[j], plus.real[j], out=part[c:d, :m])
-        np.add(minus.imag[j], plus.imag[j], out=part[c:d, m:])
-        del at, weight, img, plus, minus  # before the next block is made
-    out = part[:, _full_or(sub.first, 2 * m)]
-    for k, orbit, sign in sub.further:
-        out[:, orbit] += part[:, k] * sign
+    n = len(sub.first)
+    # t for the real and the imaginary part of a: complex arithmetic's values
+    x = sub.expand(y).reshape(2, m)
+    t = (alpha * (reps[:, 0] * (x * sigmas[:, 1]) - reps[:, 1] * (x * sigmas[:, 0]))) * sub.inv
+    if not sub.keep:
+        bgrid = np.zeros(sub.side * sub.side, dtype=np.complex128)  # t_p at p's cell
+        bgrid.real[sub.shift + sub.mid], bgrid.imag[sub.shift + sub.mid] = t
+        bgrid.real[sub.mid - sub.shift], bgrid.imag[sub.mid - sub.shift] = -t[0], t[1]
+        part = np.empty((n, 2 * m))  # the rows of every column
+        for (rows, (a, b, i), (c, d, j)), weight in zip(sub.parts, sub._weights()):
+            at = sub.cells[rows, None] + sub.turns  # the cells of k - k_r and k + k_r
+            # the s = +1 image is -i plus and the s = -1 image i minus
+            # every cell is on the grid: "clip" only spares the copy "raise" makes
+            img = np.take(bgrid, at, mode="clip")
+            img *= weight
+            plus, minus = img
+            # column r holds the sum of both images, column m + r i times their difference
+            np.subtract(plus.imag[i], minus.imag[i], out=part[a:b, :m])
+            np.add(minus.real[i], plus.real[i], out=part[a:b, m:])
+            np.subtract(minus.real[j], plus.real[j], out=part[c:d, :m])
+            np.add(minus.imag[j], plus.imag[j], out=part[c:d, m:])
+            del at, weight, img, plus, minus  # before the next block is made
+        out = part[:, _full_or(sub.first, 2 * m)]
+        for k, orbit, sign in sub.further:
+            out[:, orbit] += part[:, k] * sign
+    else:
+        (index, weight), u = sub.plan, np.concatenate([t.ravel(), -t[0], [0.0]])
+        out = np.empty((n, n), order="F")  # row o of out.T is column o of P J Q
+        step = max(1, min(n, _KEPT_ENTRIES // n))
+        buf = np.empty(2 * step * n)
+        for lo in range(0, n, step):
+            blk, cols = out.T[lo:lo + step], slice(lo, lo + step)
+            img = buf[:2 * blk.size].reshape(2, *blk.shape)
+            for lev in range(len(index)):
+                np.take(u, index[lev, :, cols], out=img, mode="clip")
+                img *= weight[lev, :, cols]
+                np.add(img[0], img[1], out=img[0] if lev else blk)  # a member's two images
+                if lev:
+                    blk += img[0]
     out.flat[::n + 1] += sub.stokes
     return out

@@ -222,16 +222,14 @@ def _moves(reps, lookup, side, elements, src):
     return np.concatenate([to, to], axis=1) + len(reps) * (p % 2), _SIGN[p]
 
 
-def _isotropy(reps, n, x):
+def _isotropy(reps, lookup, side, x):
     """The elements (R, tau) of D4 x (pi/2) Z^2 that map ``reps`` onto itself
     and fix the vector x (2m real unknowns) exactly, as their moves (dst, sgn).
 
     Each element permutes the unknowns with signs (``_moves``). All 128 are
     tested on four modes where x is nonzero, where most fail, and the rest
     on every unknown."""
-    m, side = len(reps), 2 * n + 1
-    lookup = np.full(n * side + n + 1, 2 * m)
-    lookup[reps[:, 0] * side + reps[:, 1]] = np.arange(m)
+    m = len(reps)
     off = np.concatenate([x, np.full(m + 1, np.nan)])  # past 2m: never equal
     elements = np.arange(len(_R))
     support = np.flatnonzero((x[:m] != 0) | (x[m:] != 0))
@@ -244,16 +242,19 @@ def _isotropy(reps, n, x):
 
 class _Frame:
     """The forcing's part of the reduced space at radius n: the lattice's
-    representatives and polarizations, g's unknowns, and the moves of the
-    elements that fix g (``_isotropy``). ``restrict`` cuts that group to a
+    representatives and polarizations, each one's index at its key's code
+    side kx + ky (``lookup``, 2m at any other code), g's unknowns, and the moves
+    of the elements that fix g (``_isotropy``). ``restrict`` cuts that group to a
     guess's stabilizer, which is the joint test exactly, and returns the
     survivors' ``kernels.Subspace``, built once per set of survivors, and their
     number of distinct signed permutations. ``_frame`` adds the lattice's
     Hermite basis ``basis`` and whether it is g's own (``own``)."""
 
     def __init__(self, reps, sigmas, n, gvec):
-        self.reps, self.sigmas, self.n, self.gvec = reps, sigmas, n, gvec
-        self.dst, self.sgn, self.subspaces = *_isotropy(reps, n, gvec), {}
+        self.reps, self.sigmas, self.n, self.gvec, side = reps, sigmas, n, gvec, 2 * n + 1
+        self.lookup = np.full(n * side + n + 1, 2 * len(reps))
+        self.lookup[reps[:, 0] * side + reps[:, 1]] = np.arange(len(reps))
+        self.dst, self.sgn, self.subspaces = *_isotropy(reps, self.lookup, side, gvec), {}
 
     def restrict(self, x):
         fixes = np.all(x[self.dst] == self.sgn * x, axis=1)
@@ -290,20 +291,17 @@ def _frame(g, n, v):
     return frame
 
 
-def _field_to_vec(v, reps, sigmas):
-    c = sp.gather(v.keys, v.coeffs, reps)
+def _field_to_vec(v, reps, sigmas, c=None):
+    """v's 2m unknowns on ``reps``; ``c``, v's coefficients there, spares the gather."""
+    c = sp.gather(v.keys, v.coeffs, reps) if c is None else c
     amps = sigmas[:, 0] * c[:, 0] + sigmas[:, 1] * c[:, 1]
     return np.concatenate([amps.real, amps.imag])
 
 
-def _coefficients(x, sigmas):
-    """The coefficients a sigma of the representatives whose amplitudes a are x."""
-    m = len(sigmas)
-    return (x[:m] + 1j * x[m:])[:, None] * sigmas
-
-
 def _vec_to_field(x, reps, sigmas, n):
-    return sp.SpectralField.from_arrays(n, *sp.conj_closure(reps, _coefficients(x, sigmas)))
+    """The field whose amplitudes a on ``reps`` are x: coefficients a sigma."""
+    a = x[:len(reps)] + 1j * x[len(reps):]
+    return sp.SpectralField.from_arrays(n, *sp.conj_closure(reps, a[:, None] * sigmas))
 
 
 def solve_steady(p, initial=None):
@@ -342,17 +340,16 @@ def _newton(p, initial):
     v = sp.project_trunc(initial if initial is not None else sp.zero_field(p.trunc), p.trunc)
     frame = _frame(p.g, p.trunc, v)
     reps, sigmas = frame.reps, frame.sigmas
-    xvec = _field_to_vec(v, reps, sigmas)
+    code = v.keys[:, 0] * (2 * p.trunc + 1) + v.keys[:, 1]  # v is on the frame's lattice
+    c = np.zeros((len(reps), 2), dtype=np.complex128)
+    c[frame.lookup[code[code > 0]]] = v.coeffs[code > 0]  # the representatives' half
+    xvec = _field_to_vec(v, reps, sigmas, c)
     sub, order = frame.restrict(xvec)
     weight = np.sqrt(sub.sizes)  # |F| is the weighted norm of F on the first unknowns
     gvec, x = frame.gvec[sub.first], xvec[sub.first]
 
     def linearize(xv):
-        c = _coefficients(sub.expand(xv), sigmas)
-        live = (c[:, 0] != 0) | (c[:, 1] != 0)  # the rows from_arrays keeps: no signed zero
-        kv, cv = reps[live], c[live]
-        kv, cv = np.concatenate([kv, -kv]), np.concatenate([cv, cv.conj()])
-        jac = kernels.assemble_linearized(kv, cv, reps, p.alpha, p.trunc, sub)
+        jac = kernels.assemble_linearized(xv, sigmas, reps, p.alpha, p.trunc, sub)
         fx = 0.5 * (jac @ xv + sub.stokes * xv) - gvec
         return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(weight * fx))
 

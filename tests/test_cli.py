@@ -51,6 +51,27 @@ def test_pipeline_classification_branch(pipeline):
     assert doc["totally_comparable"] is True
 
 
+def test_classify_refuses_a_non_finite_constant(pipeline, tmp_path, capsys, monkeypatch):
+    """A stage whose document holds a NaN exits 1 naming the file and the key,
+    and writes nothing, where it once wrote a file that no stage could read."""
+    classify = od.classify
+
+    def with_nan(*args):
+        rep = classify(*args)
+        rep.constants["mu"] = float("nan")
+        return rep
+
+    monkeypatch.setattr(od, "classify", with_nan)
+    out = tmp_path / "class.json"
+    capsys.readouterr()
+    assert run(["classify", "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: non-finite value nan at constants.mu\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_pipeline_records_its_gates(pipeline):
     # The gates are module constants; the file still records them once as provenance.
     # A form's only setting is its scale: it records no space or tolerances of its own.

@@ -81,6 +81,38 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert fieldio.read_json(path)["a"] == 2.5
 
 
+NON_FINITE = {
+    "list-and-scalar": ({"alphas": [1.0, float("nan")], "x": float("inf")}, "nan at alphas[1]"),
+    "scalar": ({"alphas": [1.0, 2.0], "x": float("-inf")}, "-inf at x"),
+    "mixed-list": ({"entries": [{"n": 1, "residual_H": [2, np.float64("nan")]}]},
+                   "nan at entries[0].residual_H[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_write_json_refuses_a_non_finite_value(tmp_path, case):
+    """JSON has no NaN or infinity, and ``read_json`` would reject the file:
+    the writer raises, naming the file and the key path, and writes nothing."""
+    doc, where = NON_FINITE[case]
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError) as err:
+        fieldio.write_json(path, doc)
+    assert str(err.value) == f"{path}: non-finite value {where}"
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_field_refuses_a_non_finite_coefficient(tmp_path):
+    field = sp.random_divfree(2, np.random.default_rng(7))
+    coeffs = field.coeffs.copy()
+    coeffs[-3, 1] = complex(0.5, np.nan)  # a representative's: the writer stores that half
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError) as err:
+        fieldio.write_field(path, sp.SpectralField.from_arrays(2, field.keys, coeffs))
+    row = len(field.keys) // 2 - 3
+    assert str(err.value) == f"{path}: non-finite value nan at modes[{row}].c[1][1]"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
 def test_atomic_write_gives_the_mode_of_open(tmp_path, umask):
     """A written file has the mode a plain open() gives it, 0o666 less the

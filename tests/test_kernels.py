@@ -2,6 +2,7 @@
 per-mode loop to the bit), the Jacobian assembly against the field-by-field
 oracle."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -248,7 +249,7 @@ JACOBIAN_CASES = {
     "n12-alpha64": (12, 64.0, lambda rng: sp.random_divfree(12, rng)),
     # v of a smaller truncation than the radius
     "n6-v3": (6, 8.0, lambda rng: sp.random_divfree(3, rng)),
-    # v wider than 2N: its modes beyond 2N must drop out
+    # v wider than 2N: the unknowns hold P_N v, which the oracle is given too
     "n3-v8": (3, 6.0, lambda rng: sp.random_divfree(8, rng)),
     # no v modes: only the Stokes diagonal remains
     "zero-v": (4, 3.0, lambda rng: sp.zero_field(4)),
@@ -263,9 +264,9 @@ def test_jacobian_kernel_matches_field_assembly(case):
     rng = np.random.default_rng(1)
     g = sp.random_divfree(min(n, 3), rng, decay=1.5)
     p = st.SteadyProblem(g=(1.0 / sp.norm_ds(g, 0)) * g, alpha=alpha, trunc=n)
-    v = make_v(rng)
+    v = sp.project_trunc(make_v(rng), n)  # the field the unknowns on radius N hold
     reps, sigmas = st._dof_maps(n)
-    a = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, p.trunc)
+    a = kernels.assemble_linearized(st._field_to_vec(v, reps, sigmas), sigmas, reps, p.alpha, p.trunc)
     b = linearized_by_fields(v, p, reps, sigmas)
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
@@ -276,11 +277,12 @@ def test_jacobian_kernel_on_a_subset_of_representatives():
     on 2Z x Z) is the block of the full assembly that they select."""
     n = 8
     v = sp.random_divfree(n, np.random.default_rng(6))
-    reps = st._dof_maps(n)[0]
+    reps, sigmas = st._dof_maps(n)
     even = np.flatnonzero(reps[:, 0] % 2 == 0)
     rows = np.concatenate([even, len(reps) + even])
-    full = kernels.assemble_linearized(v.keys, v.coeffs, reps, 16.0, n)
-    part = kernels.assemble_linearized(v.keys, v.coeffs, reps[even], 16.0, n)
+    x = st._field_to_vec(v, reps, sigmas)
+    full = kernels.assemble_linearized(x, sigmas, reps, 16.0, n)
+    part = kernels.assemble_linearized(x[rows], sigmas[even], reps[even], 16.0, n)
     assert part.shape == (2 * len(even), 2 * len(even))
     assert np.max(np.abs(part - full[np.ix_(rows, rows)])) <= 1e-15 * np.max(np.abs(full))
 
@@ -300,13 +302,14 @@ def symmetrized(x, reps, n, element):
     return total
 
 
-def subspace_field(case):
-    """(v, reps, subspace) of a field on a group's fixed subspace at N = 8."""
-    n = 8
+def subspace_field(case, n=8):
+    """(x, reps, subspace): the unknowns x of a field on a group's fixed
+    subspace at radius n, on the group's representatives."""
     reps, sigmas = st._dof_maps(n)
     rng = np.random.default_rng(9)
-    if case == "readme":
-        g = fx.example45(fx.Example45Config.single(2, 1.0), 1).g
+    if case in ("readme", "two-mode"):
+        coeffs = ((2, 1.0),) if case == "readme" else ((2, 1.27), (3, 0.9))
+        g = fx.example45(fx.Example45Config(coeffs=coeffs), 1).g
         on = st._on_lattice(reps, st._lattice(g.keys))
         reps, sigmas = reps[on], sigmas[on]
         gvec = st._field_to_vec(g, reps, sigmas)
@@ -317,15 +320,15 @@ def subspace_field(case):
         # a(ky, kx) times -e^{-i ky pi/2}, a phase -+i for odd ky
         x = symmetrized(rng.integers(-64, 65, 2 * len(reps)) / 512, reps, n, 6 * 16 + 4)
         orbits, _ = st._Frame(reps, sigmas, n, x).restrict(x)
-    return st._vec_to_field(x, reps, sigmas, n), reps, orbits
+    return x, reps, orbits
 
 
 @pytest.mark.parametrize("case", ["readme", "quarter-glide"])
 def test_reduced_jacobian_is_p_j_q(case):
     """On a fixed subspace the assembly is P J Q of the full one: the rows of
     the first unknowns, and each orbit's columns summed with their signs."""
-    v, reps, orbits = subspace_field(case)
-    m = len(reps)
+    x, reps, orbits = subspace_field(case)
+    m, sigmas = len(reps), sp.sigma(reps)
     live = np.flatnonzero(orbits.orbit >= 0)
     if case == "quarter-glide":  # some orbit holds a real and an imaginary part
         parts = np.zeros((len(orbits.first), 2), dtype=bool)
@@ -333,9 +336,9 @@ def test_reduced_jacobian_is_p_j_q(case):
         assert parts.all(axis=1).any()
     q = np.zeros((2 * m, len(orbits.first)))
     q[live, orbits.orbit[live]] = orbits.sign[live]
-    full = kernels.assemble_linearized(v.keys, v.coeffs, reps, 32.0, 8)
+    full = kernels.assemble_linearized(x, sigmas, reps, 32.0, 8)
     want = full[orbits.first] @ q
-    got = kernels.assemble_linearized(v.keys, v.coeffs, reps, 32.0, 8, orbits)
+    got = kernels.assemble_linearized(x[orbits.first], sigmas, reps, 32.0, 8, orbits)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -344,8 +347,8 @@ def test_reduced_jacobian_is_p_j_q(case):
 def test_kept_subspace_assembles_as_a_fresh_one(case):
     """A Subspace serves many assemblies: v1 and then v2, each at two alphas,
     give the bits of a fresh Subspace per call, on the README frame (group
-    order 4), which keeps its weights, and on the trivial group, which makes
-    them at each call, as a call without a Subspace does."""
+    order 4), which keeps its plan, and on the trivial group, which makes
+    its weights at each call, as a call without a Subspace does."""
     n = 8
     if case == "readme":
         _, reps, kept = subspace_field(case)
@@ -358,16 +361,60 @@ def test_kept_subspace_assembles_as_a_fresh_one(case):
         return subspace_field(case)[2] if case == "readme" else kernels.Subspace(reps, n)
 
     rng = np.random.default_rng(11)
+    sigmas = sp.sigma(reps)
     for _ in range(2):
-        x = kept.expand(0.1 * rng.standard_normal(len(kept.first)))
-        v = st._vec_to_field(x, reps, sp.sigma(reps), n)
+        y = 0.1 * rng.standard_normal(len(kept.first))
         for alpha in (3.0, 700.0):
-            got = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n, kept)
-            want = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n, fresh())
+            got = kernels.assemble_linearized(y, sigmas, reps, alpha, n, kept)
+            want = kernels.assemble_linearized(y, sigmas, reps, alpha, n, fresh())
             assert got.tobytes() == want.tobytes()
             if case == "trivial":
-                none = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n)
+                none = kernels.assemble_linearized(y, sigmas, reps, alpha, n)
                 assert none.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, n", [("readme", 8), ("readme", 16), ("two-mode", 8),
+                                     ("quarter-glide", 8)])
+def test_kept_plan_is_the_per_call_path(case, n):
+    """The kept plan gives the values and the memory layout of the per-call
+    block path on the same subspace, which makes the weights anew and reads
+    the images in complex arithmetic: every entry is equal, and where the
+    bits differ both are zeros (their signs follow the arithmetic)."""
+    x, reps, sub = subspace_field(case, n)
+    assert sub.keep
+    per_call = copy.copy(sub)
+    per_call.keep = False
+    sigmas, y = sp.sigma(reps), x[sub.first]
+    for alpha in (3.0, 700.0):
+        got = kernels.assemble_linearized(y, sigmas, reps, alpha, n, sub)
+        want = kernels.assemble_linearized(y, sigmas, reps, alpha, n, per_call)
+        assert np.array_equal(got, want)
+        assert np.all((got.view(np.int64) == want.view(np.int64)) | (got == 0))
+        assert (got.flags.f_contiguous, got.flags.c_contiguous) == \
+            (want.flags.f_contiguous, want.flags.c_contiguous)
+    assert "plan" not in vars(per_call)  # the per-call path built none
+
+
+@pytest.mark.parametrize("case, n", [("readme", 32), ("two-mode", 16)])
+def test_kept_plan_memory_is_bounded(case, n):
+    """The plan takes at most 1.3x the bytes of the weights it replaces, and
+    repeated assemblies on a kept subspace hold at most 1.5x their output
+    beyond it, applying it a block of columns at a time. (A matrix of one
+    block, the README frame's at N = 8, holds about 5.5x its 12 kB.)"""
+    x, reps, sub = subspace_field(case, n)
+    sigmas, y = sp.sigma(reps), x[sub.first]
+    weights = sum(w.nbytes for w in sub._weights())
+    assert sum(a.nbytes for a in sub.plan) <= 1.3 * weights
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            out = None
+            out = kernels.assemble_linearized(y, sigmas, reps, 5.0, n, sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape[0] > kernels._KEPT_ENTRIES // out.shape[0]  # several blocks
+    assert peak <= 1.5 * out.nbytes
 
 
 @pytest.mark.parametrize("coeffs, order, column_major", [
@@ -385,6 +432,7 @@ def test_jacobian_memory_layout_is_pinned(coeffs, order, column_major):
     if coeffs is None:
         v = sp.random_divfree(n, np.random.default_rng(12))
         sub, got_order = kernels.Subspace(reps, n), 1
+        gvec = st._field_to_vec(v, reps, sigmas)
     else:
         v = fx.example45(fx.Example45Config(coeffs=coeffs), 1).g
         on = st._on_lattice(reps, st._lattice(v.keys))
@@ -392,7 +440,7 @@ def test_jacobian_memory_layout_is_pinned(coeffs, order, column_major):
         gvec = st._field_to_vec(v, reps, sigmas)
         sub, got_order = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
     assert got_order == order
-    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, 5.0, n, sub)
+    jac = kernels.assemble_linearized(gvec[sub.first], sigmas, reps, 5.0, n, sub)
     assert jac.shape[0] > 1  # else both layouts at once
     assert jac.flags.f_contiguous == column_major
     assert jac.flags.c_contiguous != column_major
@@ -410,15 +458,15 @@ def test_jacobian_kernel_memory_is_one_matrix(n):
     """
     rng = np.random.default_rng(4)
     v = sp.random_divfree(n, rng)
-    kv, cv = v.keys, v.coeffs
-    reparr = st._dof_maps(n)[0]
+    reparr, sigmas = st._dof_maps(n)
+    x = st._field_to_vec(v, reparr, sigmas)
     for kept in (False, True):
         tracemalloc.start()
         try:
             sub = kernels.Subspace(reparr, n) if kept else None
             for _ in range(2):
                 out = None
-                out = kernels.assemble_linearized(kv, cv, reparr, 5.0, n, sub)
+                out = kernels.assemble_linearized(x, sigmas, reparr, 5.0, n, sub)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -438,7 +486,7 @@ def test_jacobian_matches_finite_differences():
         fld = st._vec_to_field(x, reps, sigmas, 3)
         return st._field_to_vec(residual(fld, p), reps, sigmas)
 
-    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, p.trunc)
+    jac = kernels.assemble_linearized(x0, sigmas, reps, p.alpha, p.trunc)
     f0 = fvec(x0)
     h = 1e-7
     for i in range(0, len(x0), 7):

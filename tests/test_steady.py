@@ -286,7 +286,7 @@ def test_weighted_residual_norm_is_the_full_one():
     y = 0.05 * np.random.default_rng(8).standard_normal(len(orbits.first))
     v = st._vec_to_field(orbits.expand(y), reps, sigmas, 8)
     p = st.SteadyProblem(g=g, alpha=64.0, trunc=8)
-    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, p.alpha, 8, orbits)
+    jac = kernels.assemble_linearized(y, sigmas, reps, p.alpha, 8, orbits)
     stokes = np.tile(np.sum(reps * reps, axis=1), 2)[orbits.first]
     gvec = st._field_to_vec(g, reps, sigmas)[orbits.first]
     fx_ = 0.5 * (jac @ y + stokes * y) - gvec
@@ -314,7 +314,7 @@ def test_jacobian_gives_the_residual(n, alpha):
     v = sp.random_divfree(n, rng)
     reps, sigmas = st._dof_maps(n)
     x = st._field_to_vec(v, reps, sigmas)
-    jac = kernels.assemble_linearized(v.keys, v.coeffs, reps, alpha, n)
+    jac = kernels.assemble_linearized(x, sigmas, reps, alpha, n)
     stokes = np.tile(np.sum(reps * reps, axis=1), 2)
     got = 0.5 * (jac @ x + stokes * x) - st._field_to_vec(g, reps, sigmas)
     want = st._field_to_vec(residual(v, p), reps, sigmas)
@@ -329,6 +329,7 @@ def test_one_jacobian_per_line_search_trial(monkeypatch):
     evaluated per solve, that of the reported solution."""
     counts = {"jacobians": 0, "iterates": 0, "residuals": 0}
     linearized, assemble_linearized = [], kernels.assemble_linearized
+    expand = kernels.Subspace.expand
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -336,10 +337,10 @@ def test_one_jacobian_per_line_search_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def assemble(kv, cv, *args):
-        order = np.lexsort((kv[:, 1], kv[:, 0]))  # the key order of a field
-        linearized.append(kv[order].tobytes() + cv[order].tobytes())
-        return assemble_linearized(kv, cv, *args)
+    def assemble(y, sigmas, reps, alpha, n, sub):
+        v = st._vec_to_field(expand(sub, y), reps, sigmas, n)  # the point, as the solution is
+        linearized.append(v.keys.tobytes() + v.coeffs.tobytes())
+        return assemble_linearized(y, sigmas, reps, alpha, n, sub)
 
     monkeypatch.setattr(kernels, "assemble_linearized", counted("jacobians", assemble))
     monkeypatch.setattr(kernels.Subspace, "expand",
@@ -415,8 +416,8 @@ def test_warm_frame_solve_is_the_cold_one(case, monkeypatch):
 
 
 def test_readme_sweep_builds_each_plan_once(monkeypatch):
-    """The weights of the assembly are built once per subspace of the frame,
-    however many Jacobians the sweep assembles."""
+    """The plan of the assembly, made from ``Subspace._weights``, is built once
+    per subspace of the frame, however many Jacobians the sweep assembles."""
     planned, assembled = [], []
     weights, assemble_linearized = kernels.Subspace._weights, kernels.assemble_linearized
 
