@@ -37,13 +37,13 @@ then translate by (pi/2, pi)", a group of order 4 that leaves 38 unknowns at
 N = 8 (140 of 560 at N = 16). A generic g has the trivial group and keeps
 every unknown on its lattice.
 
-Linearizations are assembled densely on the rows of the first unknowns, from
-weights that the ``kernels.Subspace`` of a symmetry group builds once for
-every solve that keeps it, and factored directly, which is exact and cheap at
-desk truncations (N <= 16). B is bilinear, so the linearization J(v) at an
-iterate x satisfies J(v) x = A x + 2 alpha B(v, v): each residual is read off
-the Jacobian the next step needs anyway, as (J x + A x) / 2 - g. J is
-assembled from the reduced unknowns; only a solution becomes a field, and
+Linearizations are assembled densely on the rows of the first unknowns,
+straight from the iterate's unknowns through the gather plan that the
+``kernels.Subspace`` of a symmetry group builds once for every solve that keeps
+it, and factored directly, which is exact and cheap at desk truncations. B is
+bilinear, so the linearization J(v) at an iterate x satisfies
+J(v) x = A x + 2 alpha B(v, v): each residual is read off the Jacobian the next
+step needs anyway, as (J x + A x) / 2 - g. Only a solution becomes a field, and
 only its reported residual goes through the exact convolution, batched over
 a sweep's steps. A sweep over increasing alpha warm-starts each solve from
 the previous solution and records the 2D enstrophy bound |Av| <= |g| per step.
