@@ -301,12 +301,12 @@ def assemble_linearized(y, sigmas, reps, alpha, nrad, subspace=None):
     ``subspace``, a ``Subspace`` of the same ``reps`` and ``nrad`` (None: of
     the trivial group), gives P J Q, the matrix on the fixed subspace: row o
     is the row of the first unknown of orbit o, and column o sums sign[j]
-    times column j over the members j of orbit o. The trivial group reads t
-    from the radius-2N grid a block of rows at a time and returns J
-    row-major; any other group applies its plan to u = [t_re, t_im, -t_re, 0]
-    (t_{-p} = -conj t_p) a block of columns at a time, the same arithmetic on
-    the entries of P J Q, and returns it column-major. ``steady``'s
-    ``jac @ xv`` rounds by that layout, so the solver's bits rest on it.
+    times column j over the members j of orbit o. A kept plan is applied to
+    u = [t_re, t_im, -t_re, 0] (t_{-p} = -conj t_p) a block of columns at a
+    time; any other group reads t from the radius-2N grid a block of rows at a
+    time, by the same arithmetic. J comes back row-major on the trivial group
+    and column-major on any other; ``steady``'s ``jac @ xv`` rounds by that
+    layout, so the solver's bits rest on it.
     """
     m = reps.shape[0]
     sub = subspace if subspace is not None else Subspace(reps, nrad)
@@ -338,7 +338,7 @@ def assemble_linearized(y, sigmas, reps, alpha, nrad, subspace=None):
     else:
         (index, weight), u = sub.plan, np.concatenate([t.ravel(), -t[0], [0.0]])
         out = np.empty((n, n), order="F")  # row o of out.T is column o of P J Q
-        step = max(1, min(n, _KEPT_ENTRIES // n))
+        step = max(1, min(n, _KEPT_ENTRIES // max(n, 1)))
         buf = np.empty(2 * step * n)
         for lo in range(0, n, step):
             blk, cols = out.T[lo:lo + step], slice(lo, lo + step)
