@@ -5,9 +5,10 @@ classification, or a field that breaks an invariant); 2 usage error, an input
 or output that cannot be opened (missing, a directory read as a file, a file
 in the way of a directory), or an input file that is not valid JSON or not of
 its schema (``report`` checks a classification's keys before it writes), each
-named in the message. A usage error writes nothing. All artifacts are written
-atomically; repeated runs with the same configuration produce byte-identical
-outputs. ``verify`` checks its forms one after another on one thread.
+named in the message. A usage error found before the first write writes nothing
+(one found part-way leaves the files written before it: ROADMAP item 19). Each
+file is written atomically; repeated runs with the same configuration produce
+byte-identical outputs. ``verify`` checks its forms one after another on one thread.
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ def _parse_scale(spec, depth):
 def cmd_fixtures(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    only = {"example45": (("--c2", args.c2), ("--coeffs", args.coeffs)),
-            "example314": (("--truncation", args.truncation),
-                           ("--with-expansions", args.with_expansions or None))}
-    for family, flags in only.items():
-        for flag, value in flags:
-            if args.family != family and value is not None:
-                raise UsageError(f"{flag} is for {family} only")
-    if args.coeffs is not None and args.c2 is not None:
-        raise UsageError("give --c2 or --coeffs, not both")
     if args.family == "example45":
         recs = fx.example45_window(_example45_config(args.coeffs, args.c2),
                                    range(1, args.count + 1))
@@ -102,12 +94,11 @@ def cmd_fixtures(args):
         fieldio.write_window(args.out, "v", [r.v_n for r in recs], entries,
                              forces=[r.g_n for r in recs], g_limit=recs[-1].g)  # one g for every n
     else:
-        truncation = 64 if args.truncation is None else args.truncation
+        ns, truncation = range(1, args.count + 1), args.truncation
         if args.count > 6:
             raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
         if truncation < 16:
             raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {truncation}")
-        ns = range(1, args.count + 1)
         recs, alphas = fx.example314_window(ns, truncation)
         entries = [{"n": rec.n, "alpha": alpha, "residual_H": 0.0, "bound_check": 0.0}
                    for rec, alpha in zip(recs, alphas)]
@@ -123,10 +114,6 @@ def cmd_fixtures(args):
 def cmd_sweep(args):
     if args.count < 1:
         raise UsageError("--count must be at least 1")
-    if args.fixture not in (None, "example45"):
-        raise UsageError(f"unknown fixture {args.fixture!r}")
-    if bool(args.force) == bool(args.fixture):
-        raise UsageError("need exactly one of --force <fieldfile> and --fixture example45")
     if args.cstar_coeffs is not None and not args.fixture:
         raise UsageError("--cstar-coeffs needs --fixture example45")
     for flag, value in (("--alpha-start", args.alpha_start), ("--alpha-factor", args.alpha_factor)):
@@ -163,15 +150,6 @@ def cmd_sweep(args):
     return 0
 
 
-def _limit_force(man):
-    """The manifest's g_limit, else its last per-n force, else None."""
-    if "g_limit" in man:
-        return fieldio.read_field(man["g_limit"])
-    if man["entries"] and "force" in man["entries"][-1]:
-        return fieldio.read_field(man["entries"][-1]["force"])
-    return None
-
-
 def _load_sequence(manifest_path):
     man = fieldio.read_manifest(manifest_path)
     keys, rows, truncs = fieldio.read_fields([e["field"] for e in man["entries"]])
@@ -187,7 +165,6 @@ def cmd_extract(args):
     strict = ex.extract_strict(data, scale)
     restructured = ex.restructure(strict)
     unitary = ex.refine_unitary(strict, data)
-    os.makedirs(args.out, exist_ok=True)
     ex.save_expansion(os.path.join(args.out, "expansion.json"),
                       {"strict": strict, "restructured": restructured, "unitary": unitary},
                       data.alphas)
@@ -215,9 +192,10 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     forms, alphas = ex.load_expansion(args.expansion)
-    g_limit = _limit_force(fieldio.read_manifest(args.manifest))
-    if g_limit is None:
-        raise UsageError("manifest carries no g_limit or per-n forces to classify against")
+    man = fieldio.read_manifest(args.manifest)
+    if "g_limit" not in man:
+        raise UsageError(f"{args.manifest}: manifest carries no g_limit to classify against")
+    g_limit = fieldio.read_field(man["g_limit"])
     name = args.form or ("unitary" if "unitary" in forms else sorted(forms)[0])
     if name not in forms:
         raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
@@ -281,7 +259,6 @@ def cmd_report(args):
                              f"expansion file; available: {sorted(forms)}")
     e = forms[name]
     ratios = ex.remainder_ratios(e, data)
-    os.makedirs(args.out, exist_ok=True)
 
     header = ["n", "alpha", "residual_H", "bound_check"]
     header += [f"Gamma_{k + 1}" for k in range(len(e.terms))]
@@ -334,21 +311,25 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixtures", help="emit analytic fixture fields and manifests")
-    p.add_argument("family", choices=["example45", "example314"])
-    p.add_argument("--c2", type=float, help="single coefficient c_2 (default 1)")
-    p.add_argument("--coeffs", help="coefficient list m=value,m=value")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--truncation", type=int, help="eigenmodes of example314 (default 64)")
-    p.add_argument("--with-expansions", action="store_true",
-                   help="also write the hand-built expansions (example314)")
-    p.add_argument("--out", required=True)
+    family = p.add_subparsers(dest="family", required=True)
+    p45 = family.add_parser("example45", help="the example 4.5 family (per-n forces g_n)")
+    coeffs = p45.add_mutually_exclusive_group()
+    coeffs.add_argument("--c2", type=float, help="single coefficient c_2 (default 1)")
+    coeffs.add_argument("--coeffs", help="coefficient list m=value,m=value")
+    p314 = family.add_parser("example314", help="the example 3.14 family in H")
+    p314.add_argument("--truncation", type=int, default=64, help="eigenmodes (default 64)")
+    p314.add_argument("--with-expansions", action="store_true", help="write hand-built expansions")
+    for p in (p45, p314):
+        p.add_argument("--count", type=int, default=20)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("sweep", help="continuation sweep over increasing alpha")
     p.add_argument("--alpha-start", type=float, help="first alpha (default 1)")
     p.add_argument("--alpha-factor", type=float, help="ratio of successive alphas (default 2)")
     p.add_argument("--count", type=int, default=12)
-    p.add_argument("--force", help="field file with the forcing g")
-    p.add_argument("--fixture", help="example45: per-n forces g_n from the fixture")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--force", help="field file with the forcing g")
+    source.add_argument("--fixture", choices=["example45"], help="per-n forces g_n of the fixture")
     p.add_argument("--cstar-coeffs", help="fixture coefficients m=value,m=value")
     p.add_argument("--truncation", type=int, default=8)
     p.add_argument("--out", required=True)

@@ -103,11 +103,15 @@ def write_json(path, obj):
     atomic_write(path, text + "\n")
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json(path):
-    """The JSON document at ``path``; text that does not decode is a FieldFormatError."""
+    """The JSON document at ``path``; text that is not JSON, NaN too, is a FieldFormatError."""
     with open(path, "r") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_no_constant)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FieldFormatError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -161,6 +165,7 @@ def read_fields(paths):
     return _window(paths, docs)
 
 
+@np.errstate(invalid="ignore")  # 1j * inf: first_violation names the mode
 def _window(paths, docs):
     """The window of the parsed files ``docs`` of ``paths``: their representatives go
     onto the union keys as one row per file, validated in one pass, then closed
@@ -242,7 +247,7 @@ def read_manifest(path):
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise FieldFormatError(f"{path}: manifest has no entries list")
     entries = []
-    for rec in doc["entries"]:
+    for i, rec in enumerate(doc["entries"]):
         try:
             entry = {
                 "n": int(rec["n"]),
@@ -253,6 +258,8 @@ def read_manifest(path):
             }
             if "force" in rec:
                 entry["force"] = os.path.join(base, rec["force"])
+            if not np.isfinite([entry[k] for k in ("alpha", "residual_H", "bound_check")]).all():
+                raise ValueError(f"entries[{i}]: alpha, residual_H and bound_check must be finite")
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError(f"{path}: malformed manifest entry ({exc})") from exc
         entries.append(entry)

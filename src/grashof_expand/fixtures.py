@@ -236,7 +236,6 @@ def example45_window(cfg, n_values, check=True):
 @dataclass(frozen=True)
 class Example314Data:
     n: int
-    truncation: int
     v_n: "sp.SpectralField"
 
 
@@ -266,7 +265,7 @@ def example314_window(n_values=range(1, 7), truncation=64):
     plus the alpha_n = e^n parametrization."""
     ns = [int(n) for n in n_values]
     keys, rows, trunc = sp.eigen_rows(_example314_weights(ns, truncation))
-    recs = [Example314Data(n, truncation, sp.SpectralField.from_arrays(trunc, keys, row))
+    recs = [Example314Data(n, sp.SpectralField.from_arrays(trunc, keys, row))
             for n, row in zip(ns, rows)]
     return recs, [float(np.exp(n)) for n in ns]
 

@@ -98,11 +98,12 @@ def conj_closure(reps, coeffs):
     return keys, full
 
 
+@np.errstate(invalid="ignore")  # inf - inf and 0 * inf: the first check names them
 def first_violation(keys, rows, truncs, representatives=False):
     """(row, message) of the first violation in ``rows`` (R, M, 2) on the sorted
-    ``keys``, zero entries counting as absent, or None. Checks run in turn (zero
-    mode, truncation ``truncs[row]``, reality, divergence); each names its first
-    failing row at the largest failing key: the representative of a failing pair.
+    ``keys``, zero entries counting as absent, or None. Checks run in turn (finite,
+    zero mode, truncation ``truncs[row]``, reality, divergence); each names its
+    first failing row at the largest failing key: the representative of a failing pair.
     With ``representatives`` the rows are the half that ``conj_closure`` completes,
     exact by construction: reality is not checked, the rest name the same."""
     # Component planes (R, M): numpy loops over a length-2 last axis far slower.
@@ -120,6 +121,7 @@ def first_violation(keys, rows, truncs, representatives=False):
     div = keys[:, 0] * planes[0]
     div += keys[:, 1] * planes[1]
     checks = (
+        (~(np.isfinite(planes[0]) & np.isfinite(planes[1])), "non-finite coefficient at mode {k}"),
         (radius == 0, "zero-average constraint: mode (0,0) not allowed"),
         (radius > np.asarray(truncs)[:, None], "mode {k} outside truncation radius {t}"),
         (unreal, "reality condition violated at mode {k}"),
@@ -214,11 +216,7 @@ def lin_comb(coeffs, fields):
     """Real-linear combination sum_i coeffs[i] * fields[i]."""
     pairs = list(zip(coeffs, fields))
     trunc = max([1] + [f.trunc for _, f in pairs])
-    keys = pairs[0][1].keys if pairs else np.zeros((0, 2), dtype=np.int64)
-    if all(np.array_equal(f.keys, keys) for _, f in pairs):
-        slots = [slice(None)] * len(pairs)
-    else:
-        keys, slots = key_union([f.keys for _, f in pairs])
+    keys, slots = key_union([f.keys for _, f in pairs])
     # -0.0 is the additive identity, so each sum starts exactly at its first term.
     acc = np.full((len(keys), 2), complex(-0.0, -0.0))
     for (a, f), slot in zip(pairs, slots):
@@ -243,11 +241,8 @@ def _eigenvalues(keys):
 
 
 def apply_fractional(u, s):
-    """A^s u: scale mode k by |k|^{2s}. s=1 is the Stokes operator, s=0 identity."""
-    s = float(s)
-    if s == 0.0:
-        return u
-    scaled = (_eigenvalues(u.keys) ** s)[:, None] * u.coeffs
+    """A^s u: scale mode k by |k|^{2s}. s=1 is the Stokes operator."""
+    scaled = (_eigenvalues(u.keys) ** float(s))[:, None] * u.coeffs
     return SpectralField.from_arrays(u.trunc, u.keys, scaled)
 
 
@@ -304,24 +299,23 @@ def _field_from_grid(grid, nout):
                                      np.stack([p0[live], p1[live]], axis=-1))
 
 
-def bilinear_b(u, v, retruncate=None):
+def bilinear_b(u, v):
     """B(u, v) = P((u.grad)v) by Fourier convolution on a padded FFT grid.
 
-    The output truncation u.trunc + v.trunc holds every mode p + q; pass
-    ``retruncate`` for the solver's Galerkin closure to a smaller radius. The
-    grid is large enough that no mode aliases (``kernels.advect_convolve``),
-    so each coefficient is the exact sum to roundoff (1e-14 relative), and
-    the modes are those that some p + q reaches, less any whose projected
+    The output truncation u.trunc + v.trunc holds every mode p + q. The grid
+    is large enough that no mode aliases (``kernels.advect_convolve``), so
+    each coefficient is the exact sum to roundoff (1e-14 relative), and the
+    modes are those that some p + q reaches, less any whose projected
     coefficient comes out exactly zero.
     """
-    nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
+    nout = u.trunc + v.trunc
     grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
     return _field_from_grid(grid, nout)
 
 
-def bilinear_bs(u, v, retruncate=None):
+def bilinear_bs(u, v):
     """Symmetrized advection B_s(u, v) = B(u, v) + B(v, u)."""
-    nout = u.trunc + v.trunc if retruncate is None else int(retruncate)
+    nout = u.trunc + v.trunc
     grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, nout)
     grid += kernels.advect_convolve(v.keys, v.coeffs, u.keys, u.coeffs, nout)
     return _field_from_grid(grid, nout)

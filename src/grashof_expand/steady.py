@@ -438,7 +438,7 @@ def sweep(alphas, forces, trunc, initial=None):
     reports, waiting, guess = [], [], initial
     for i, p in enumerate(problems):
         if guess is None:
-            guess = sp.project_trunc(sp.apply_fractional(p.g, -1.0), trunc)
+            guess = sp.apply_fractional(p.g, -1.0)  # _newton projects every guess
         rep, polished = step = _newton(p, guess)
         reports.append(rep)
         waiting.append(step)

@@ -1,10 +1,10 @@
 """Reference implementations that only the tests compare the package against.
 
 Each is a slow or closed-form second route to a quantity the package computes
-another way: the Leray projection of raw Fourier data, the Galerkin residual as
-a field, the force a given field solves for, the unprojected example45 force,
-the closed-form example314 norm, and a comparison of two expansions of one
-window.
+another way: the Leray projection of raw Fourier data, the advection product at
+the solver's radius, the Galerkin residual as a field, the force a given field
+solves for, the unprojected example45 force, the closed-form example314 norm,
+and a comparison of two expansions of one window.
 """
 
 from dataclasses import dataclass
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grashof_expand import fixtures as fx
+from grashof_expand import kernels
 from grashof_expand import spectral as sp
 
 
@@ -38,11 +39,21 @@ def leray_project(raw, trunc=None):
     return sp.SpectralField.from_arrays(trunc, keys, sp.divfree(keys, coeffs))
 
 
+def bilinear_at(u, v, n, symmetric=False):
+    """B(u, v), or B_s(u, v) = B(u, v) + B(v, u) with ``symmetric``, convolved
+    at radius n: the solver's Galerkin closure of ``spectral.bilinear_b`` and
+    ``bilinear_bs``, which keep every mode p + q."""
+    grid = kernels.advect_convolve(u.keys, u.coeffs, v.keys, v.coeffs, n)
+    if symmetric:
+        grid += kernels.advect_convolve(v.keys, v.coeffs, u.keys, u.coeffs, n)
+    return sp._field_from_grid(grid, n)
+
+
 def residual(v, p):
     """Galerkin residual P_N(A v + alpha B(v, v) - g) at radius p.trunc, a field
     summed by ``lin_comb``; ``steady.residual`` gives its H norm to the bit."""
     av = sp.apply_fractional(v, 1.0)
-    bvv = sp.bilinear_b(v, v, retruncate=p.trunc)
+    bvv = bilinear_at(v, v, p.trunc)
     return sp.project_trunc(sp.lin_comb([1.0, p.alpha, -1.0], [av, bvv, p.g]), p.trunc)
 
 

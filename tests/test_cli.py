@@ -186,7 +186,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "r")]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["sweep", "--out", str(tmp_path / "s")]) == 2  # no force, no fixture
-    assert "need exactly one of --force <fieldfile> and --fixture" in capsys.readouterr().err
+    assert "one of the arguments --force --fixture is required" in capsys.readouterr().err
     assert run(["sweep", "--unknown-flag", "1", "--out", "x"]) == 2
     # g_limit.json is written from a sample's record, and so are the example314
     # expansions; an empty sweep would write an empty manifest
@@ -207,25 +207,48 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["classify", "--expansion", "x.json", "--manifest", f"{fxdir}/manifest.json",
                 "--slope-tol", "0.2", "--out", str(tmp_path / "c.json")]) == 2
     assert "unrecognized arguments: --slope-tol" in capsys.readouterr().err
-    # a flag the chosen mode would not read, or a fixture that does not exist
-    ex314 = ["fixtures", "example314", "--count", "6", "--truncation", "16"]
-    for argv, words in ((["fixtures", "example45", "--with-expansions"],
-                         "--with-expansions is for example314 only"),
-                        (["fixtures", "example45", "--c2", "0.7", "--coeffs", "2=1"],
-                         "give --c2 or --coeffs, not both"),
-                        (["fixtures", "example45", "--truncation", "5"],
-                         "--truncation is for example314 only"),
-                        (ex314 + ["--coeffs", "2=5"], "--coeffs is for example45 only"),
-                        (ex314 + ["--c2", "0.7"], "--c2 is for example45 only"),
-                        (["sweep", "--fixture", "example45", "--alpha-start", "7"],
+    # a flag the fixture's alphas leave unread
+    for argv, words in ((["sweep", "--fixture", "example45", "--alpha-start", "7"],
                          "--alpha-start is for --force only"),
                         (["sweep", "--fixture", "example45", "--alpha-factor", "3"],
-                         "--alpha-factor is for --force only"),
-                        (["sweep", "--fixture", "other"], "unknown fixture 'other'")):
+                         "--alpha-factor is for --force only")):
         capsys.readouterr()
         assert run(argv + ["--out", str(tmp_path / "w")]) == 2
         assert words in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+
+
+EX314_ARGS = ["fixtures", "example314", "--count", "6", "--truncation", "16"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["fixtures", "example45", "--c2", "0.7", "--coeffs", "2=1"],
+     "argument --coeffs: not allowed with argument --c2"),
+    (["fixtures", "example45", "--coeffs", "2=1", "--c2", "0.7"],
+     "argument --c2: not allowed with argument --coeffs"),
+    (["fixtures", "example45", "--with-expansions"], "unrecognized arguments: --with-expansions"),
+    (["fixtures", "example45", "--truncation", "5"], "unrecognized arguments: --truncation 5"),
+    (EX314_ARGS + ["--coeffs", "2=5"], "unrecognized arguments: --coeffs 2=5"),
+    (EX314_ARGS + ["--c2", "0.7"], "unrecognized arguments: --c2 0.7"),
+    (["fixtures", "example46"], "argument family: invalid choice: 'example46'"),
+    (["sweep"], "one of the arguments --force --fixture is required"),
+    (["sweep", "--force", "g.json", "--fixture", "example45"],
+     "argument --fixture: not allowed with argument --force"),
+    (["sweep", "--fixture", "example45", "--force", "g.json"],
+     "argument --force: not allowed with argument --fixture"),
+    (["sweep", "--fixture", "other"], "argument --fixture: invalid choice: 'other'"),
+], ids=["c2-then-coeffs", "coeffs-then-c2", "expansions-on-example45", "truncation-on-example45",
+        "coeffs-on-example314", "c2-on-example314", "unknown-family", "no-force-source",
+        "force-and-fixture", "fixture-and-force", "unknown-fixture"])
+def test_parser_holds_the_flag_rules(tmp_path, capsys, argv, words):
+    """A flag the chosen family or force source does not take, two of a kind
+    that exclude each other, no force source, or an unknown family or fixture
+    exits 2, names the flag on stderr and creates no --out."""
+    out = tmp_path / "w"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 2
+    assert words in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flag_defaults_resolve_where_read(tmp_path):
@@ -313,7 +336,7 @@ def test_extract_scale_and_depth_faults_are_usage_errors(pipeline, tmp_path, cap
     (["--alpha-start", "nan"], "sweep index 0: alpha nan must be finite"),
     (["--alpha-factor", "inf"], "sweep index 1: alpha inf must be finite"),
     (["--truncation", "1"], "sweep index 0: truncation radius 1 must cover the forcing modes"),
-    (["--fixture", "example45"], "need exactly one of --force <fieldfile> and --fixture"),
+    (["--fixture", "example45"], "argument --fixture: not allowed with argument --force"),
     (["--cstar-coeffs", "2=5"], "--cstar-coeffs needs --fixture example45"),
 ], ids=["factor-1", "factor-half", "start-0", "start-negative", "start-nan", "factor-inf",
         "truncation-1", "with-fixture", "cstar-coeffs"])
@@ -610,17 +633,14 @@ def _classify_with(pipeline, tmp_path, edit):
     return code, out
 
 
-def test_classify_falls_back_to_the_last_force(pipeline, tmp_path):
-    # Without g_limit the last per-n force is the limit force: the same as a
-    # manifest whose g_limit names that force file.
-    code, out = _classify_with(pipeline, tmp_path / "a", lambda doc: doc.pop("g_limit"))
-    assert code == 0
-
-    def last_force(doc):
-        doc["g_limit"] = doc["entries"][-1]["force"]
-    code, named = _classify_with(pipeline, tmp_path / "b", last_force)
-    assert code == 0
-    assert out.read_bytes() == named.read_bytes()
+def test_classify_without_g_limit_exit_2(pipeline, tmp_path, capsys):
+    """The per-n forces are not the limit force g: a manifest that has them but
+    no g_limit is not classified."""
+    code, out = _classify_with(pipeline, tmp_path, lambda doc: doc.pop("g_limit"))
+    assert code == 2
+    assert f"{tmp_path / 'fx' / 'manifest.json'}: manifest carries no g_limit" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classify_without_any_force_exit_2(pipeline, tmp_path, capsys):
@@ -630,7 +650,7 @@ def test_classify_without_any_force_exit_2(pipeline, tmp_path, capsys):
             entry.pop("force")
     code, out = _classify_with(pipeline, tmp_path, strip)
     assert code == 2
-    assert "manifest carries no g_limit or per-n forces" in capsys.readouterr().err
+    assert "manifest carries no g_limit to classify against" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -721,6 +741,82 @@ def test_corrupt_field_file_is_named(pipeline, tmp_path, capsys):
     assert f"error: {path}: divergence-free condition violated at mode (0, 1)" in err
 
 
+def _edit_text(path, edit, text):
+    """Rewrite the JSON document at ``path`` with ``edit`` setting some value to
+    the placeholder "@", then put ``text`` (not JSON, or out of range) in its place."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc).replace('"@"', text))
+
+
+def _set_alpha(doc):
+    doc["entries"][2]["alpha"] = "@"
+
+
+def _set_residual(doc):
+    doc["entries"][0]["residual_H"] = "@"
+
+
+def _set_coefficient(doc):
+    next(r for r in doc["modes"] if r["k"] == [2, 0])["c"][1][1] = "@"  # an imaginary part
+
+
+@pytest.mark.parametrize("file, edit, text, code, words", [
+    ("manifest.json", _set_alpha, "NaN", 2, "not valid JSON (NaN is not a JSON number)"),
+    ("manifest.json", _set_residual, "Infinity", 2,
+     "not valid JSON (Infinity is not a JSON number)"),
+    ("manifest.json", _set_alpha, "1e400", 2,
+     "malformed manifest entry (entries[2]: alpha, residual_H and bound_check must be finite)"),
+    ("v_0007.json", _set_coefficient, "NaN", 2, "not valid JSON (NaN is not a JSON number)"),
+    ("v_0007.json", _set_coefficient, "1e400", 1, "non-finite coefficient at mode (2, 0)"),
+], ids=["alpha-nan", "residual-infinity", "alpha-overflow", "coefficient-nan",
+        "coefficient-overflow"])
+def test_non_finite_inputs_are_named(pipeline, tmp_path, capsys, file, edit, text, code, words):
+    """NaN and infinities, which every comparison lets through, are refused before
+    use, naming the file: a NaN alpha once read as "alphas must be strictly
+    increasing", a NaN coefficient as a reconstruction failure, and an infinite
+    residual_H passed."""
+    fxdir = tmp_path / "fx"
+    shutil.copytree(pipeline / "fx", fxdir)
+    _edit_text(fxdir / file, edit, text)
+    capsys.readouterr()
+    assert run(["extract", "--manifest", str(fxdir / "manifest.json"),
+                "--out", str(tmp_path / "exp")]) == code
+    assert f"{fxdir / file}: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_overflowing_gamma_is_named(pipeline, tmp_path, capsys):
+    """A literal that overflows to infinity is valid JSON: the index's own check
+    names the form and the term."""
+    out = tmp_path / "exp"
+    shutil.copytree(pipeline / "exp", out)
+
+    def overflow(doc):
+        doc["forms"]["unitary"]["terms"][0]["gammas"][3] = "@"
+    _edit_text(out / "expansion.json", overflow, "1e400")
+    assert run(["verify", "--expansion", str(out / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json")]) == 2
+    assert (f"{out / 'expansion.json'}: form unitary: term 1: 'gammas' is not a list of 20 "
+            "finite numbers") in capsys.readouterr().err
+
+
+def test_non_finite_term_row_is_named(pipeline, tmp_path, capsys):
+    """A NaN in an expansion's term matrix names the matrix, the form and the row."""
+    doc = fieldio.read_json(pipeline / "exp" / "expansion.json")
+    out = tmp_path / "exp"
+    shutil.copytree(pipeline / "exp", out)
+    path = out / "expansion.npy"
+    rows = np.load(path, allow_pickle=False)
+    rows[doc["forms"]["unitary"]["rows"][0] + 1 + 3, 0, 1] = np.nan
+    np.save(path, rows)
+    assert run(["verify", "--expansion", str(out / "expansion.json"),
+                "--manifest", str(pipeline / "fx" / "manifest.json")]) == 1
+    kx, ky = doc["modes"][0]
+    assert (f"error: {path}: form unitary: term 1: witness n=3: non-finite coefficient at "
+            f"mode ({kx}, {ky})") in capsys.readouterr().err
+
+
 def _swap_first_modes(doc):
     doc["modes"][0], doc["modes"][1] = doc["modes"][1], doc["modes"][0]
     return f"mode {tuple(doc['modes'][1]['k'])} is not a conjugate representative in increasing order"
@@ -783,6 +879,11 @@ def _index_gammas(value):
     return damage
 
 
+def _index_nan_gamma(doc):
+    doc["forms"]["unitary"]["terms"][0]["gammas"][3] = float("nan")
+    return 2, "not valid JSON (NaN is not a JSON number)"  # the reader refuses it first
+
+
 def _index_degenerate_n(value):
     def damage(doc):
         doc["forms"]["unitary"]["degenerate_N"] = value
@@ -800,7 +901,7 @@ INDEX_DAMAGES = {
     "gammas-null": _index_gammas(lambda g: None),
     "gammas-a-number": _index_gammas(lambda g: g[0]),
     "gammas-string-entry": _index_gammas(lambda g: g[:3] + ["x"] + g[4:]),
-    "gammas-nan-entry": _index_gammas(lambda g: g[:3] + [float("nan")] + g[4:]),
+    "gammas-nan-entry": _index_nan_gamma,
     "gammas-null-entry": _index_gammas(lambda g: g[:3] + [None] + g[4:]),
     "degenerate-n-string": _index_degenerate_n("1"),
     "degenerate-n-list": _index_degenerate_n([1]),

@@ -13,7 +13,7 @@ from grashof_expand import kernels
 from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
-from oracles import residual
+from oracles import bilinear_at, residual
 
 
 def convolve_pairwise(ku, cu, kv, cv, nout, pair_budget=4096):
@@ -61,7 +61,7 @@ def linearized_by_fields(v, p, reps, sigmas):
             c = sigmas[i].astype(np.complex128) * (1.0 if part == 0 else 1j)
             z = sp.SpectralField(p.trunc, {(kx, ky): c, (-kx, -ky): np.conj(c)})
             img = sp.lin_comb([1.0, p.alpha], [sp.apply_fractional(z, 1.0),
-                                               sp.bilinear_bs(v, z, retruncate=p.trunc)])
+                                               bilinear_at(v, z, p.trunc, symmetric=True)])
             cols[:, part * m + i] = st._field_to_vec(img, reps, sigmas)
     return cols
 

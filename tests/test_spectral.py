@@ -1,6 +1,7 @@
 """Spectral operator tests: projections, fractional powers, norms, advection."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from grashof_expand import kernels
 from grashof_expand import spectral as sp
 
 from conftest import shear_field
-from oracles import example45_big_force, leray_project
+from oracles import bilinear_at, example45_big_force, leray_project
 
 SQRT2PI = math.sqrt(2.0) * math.pi
 
@@ -312,6 +313,24 @@ def test_field_rejects_divergence_violation():
                              (-1, 0): np.array([1.0 + 0j, 0.0j])})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("representatives", [False, True], ids=["closed", "representatives"])
+def test_first_violation_names_a_non_finite_coefficient_first(value, representatives):
+    """Every comparison with NaN is false, so NaN passed the other checks: the
+    finite check runs first, names the representative and warns of nothing."""
+    field = sp.random_divfree(3, np.random.default_rng(4))
+    keys, rows = field.keys, field.coeffs.copy()
+    i = len(keys) - 2  # a representative; its divergence and reality break too
+    rows[i, 0] = complex(1.0, value)
+    rows[len(keys) - 1 - i, 1] = complex(value, 0.0)  # its conjugate
+    if representatives:
+        keys, rows = keys[sp.rep_half(len(keys))], rows[sp.rep_half(len(keys))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = sp.first_violation(keys, rows[None], [3], representatives=representatives)
+    assert bad == (0, f"non-finite coefficient at mode {tuple(field.keys[i].tolist())}")
+
+
 def test_eigenfunctions_bit_equal_to_eigenfunction():
     for j, phi in enumerate(sp.eigenfunctions(256), start=1):
         ref = sp.eigenfunctions(j)[-1]
@@ -390,7 +409,7 @@ def test_field_ops_return_sorted_closed_keys(tmp_path):
         sp.apply_fractional(v, -0.5),
         sp.project_trunc(u, 2),
         sp.bilinear_b(u, v),
-        sp.bilinear_bs(u, v, retruncate=4),
+        bilinear_at(u, v, 4, symmetric=True),
         sp.bilinear_b(shear_field(), shear_field()),
         sp.eigenfunctions(5)[-1],
         *sp.eigenfunctions(12),
