@@ -35,6 +35,13 @@ class UsageError(ValueError):
     pass
 
 
+def _at_least_1(text):
+    """``--count`` and ``--depth``: an int of at least 1, else argparse names the flag."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an int of at least 1; got {text!r}")
+    return int(text)
+
+
 def _parse_coeffs(spec):
     """The (m, c_m) pairs of ``m=value,m=value``, in the order given."""
     out = []
@@ -83,8 +90,6 @@ def _parse_scale(spec, depth):
 
 
 def cmd_fixtures(args):
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
     if args.family == "example45":
         recs = fx.example45_window(_example45_config(args.coeffs, args.c2),
                                    range(1, args.count + 1))
@@ -95,11 +100,10 @@ def cmd_fixtures(args):
                              forces=[r.g_n for r in recs], g_limit=recs[-1].g)  # one g for every n
     else:
         ns, truncation = range(1, args.count + 1), args.truncation
-        if args.count > 6:
-            raise UsageError(f"example314 is defined for n = 1..6; --count {args.count} is above 6")
-        if truncation < 16:
-            raise UsageError(f"example314 needs at least 16 eigenmodes; --truncation {truncation}")
-        recs, alphas = fx.example314_window(ns, truncation)
+        try:
+            recs, alphas = fx.example314_window(ns, truncation)
+        except ValueError as exc:
+            raise UsageError(f"bad example314 arguments: {exc}") from exc
         entries = [{"n": rec.n, "alpha": alpha, "residual_H": 0.0, "bound_check": 0.0}
                    for rec, alpha in zip(recs, alphas)]
         fieldio.write_window(args.out, "v", [r.v_n for r in recs], entries)
@@ -112,8 +116,6 @@ def cmd_fixtures(args):
 
 
 def cmd_sweep(args):
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
     if args.cstar_coeffs is not None and not args.fixture:
         raise UsageError("--cstar-coeffs needs --fixture example45")
     for flag, value in (("--alpha-start", args.alpha_start), ("--alpha-factor", args.alpha_factor)):
@@ -158,8 +160,6 @@ def _load_sequence(manifest_path):
 
 
 def cmd_extract(args):
-    if args.depth < 1:
-        raise UsageError(f"--depth must be at least 1; got {args.depth}")
     scale = _parse_scale(args.scale, args.depth)
     data, _ = _load_sequence(args.manifest)
     strict = ex.extract_strict(data, scale)
@@ -199,23 +199,9 @@ def cmd_classify(args):
     name = args.form or ("unitary" if "unitary" in forms else sorted(forms)[0])
     if name not in forms:
         raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
-    e = forms[name]
-    rep = od.classify(e, g_limit, alphas)
-    doc = {
-        "branch": rep.branch,
-        "constants": {k: float(v) for k, v in rep.constants.items()},
-        "chi": [float(c) for c in rep.chi] if rep.chi is not None else None,
-        "chi_tag": rep.chi_tag,
-        "residuals": {k: float(v) for k, v in rep.residuals.items()},
-        "identities": {k: float(v) for k, v in rep.identities.items()},
-        "totally_comparable": rep.comparability,
-        "evidence": rep.evidence,
-        "warnings": rep.warnings,
-        "form": name,
-        "tolerances": {"slope": od.SLOPE_GATE, "disp": od.DISP_GATE,
-                       "residual": od.RESIDUAL_GATE},
-    }
-    fieldio.write_json(args.out, doc)
+    rep = od.classify(forms[name], g_limit, alphas)
+    fieldio.write_json(args.out, {**vars(rep), "form": name, "tolerances": {
+        "slope": od.SLOPE_GATE, "disp": od.DISP_GATE, "residual": od.RESIDUAL_GATE}})
     print(rep.summary())
     print(f"classification at {args.out}")
     return 0
@@ -320,13 +306,13 @@ def build_parser():
     p314.add_argument("--truncation", type=int, default=64, help="eigenmodes (default 64)")
     p314.add_argument("--with-expansions", action="store_true", help="write hand-built expansions")
     for p in (p45, p314):
-        p.add_argument("--count", type=int, default=20)
+        p.add_argument("--count", type=_at_least_1, default=20)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("sweep", help="continuation sweep over increasing alpha")
     p.add_argument("--alpha-start", type=float, help="first alpha (default 1)")
     p.add_argument("--alpha-factor", type=float, help="ratio of successive alphas (default 2)")
-    p.add_argument("--count", type=int, default=12)
+    p.add_argument("--count", type=_at_least_1, default=12)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--force", help="field file with the forcing g")
     source.add_argument("--fixture", choices=["example45"], help="per-n forces g_n of the fixture")
@@ -338,7 +324,7 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--scale", default="default-2dp",
                    help="default-2dp | constant:<s> | s0,s1,...")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_at_least_1, default=6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="verify expansion axioms against the raw window")

@@ -680,7 +680,8 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
                            rows[h + 1:h + 1 + m].reshape(m, -1), t["estimator"])
              for t, d, h in zip(rec["terms"], dirs, heads)]
     try:
-        scale = NestedScale(tuple(rec["scale"]["exponents"]))
+        scale = NestedScale(tuple(fieldio.numbers(rec["scale"]["exponents"], "'exponents'",
+                                                  ndim=1).tolist()))
     except ValueError as exc:
         raise fieldio.FieldFormatError(f"{path}: form {name}: bad scale ({exc})") from exc
     if scale.regime != rec["scale"]["regime"]:
@@ -719,10 +720,10 @@ def load_expansion(path):
         raise fieldio.FieldFormatError(
             f"{path}: expansion file holds no forms: 'forms' is no nonempty object")
     try:
-        recs, alphas = doc["forms"], np.array(doc["alphas"], dtype=float)
+        recs, alphas = doc["forms"], fieldio.numbers(doc["alphas"], "'alphas'", ndim=1)
         matrix = os.path.join(os.path.dirname(os.path.abspath(path)), doc["matrix"])
-        reps = np.array(doc["modes"], dtype=np.int64).reshape(-1, 2)
-        truncs = [int(t) for t in doc["truncations"]]
+        reps = fieldio.numbers(doc["modes"], "'modes'", True, 2).reshape(-1, 2)
+        truncs = fieldio.numbers(doc["truncations"], "'truncations'", True, 1).tolist()
         m = len(alphas)
         bounds = list(accumulate((1 + len(r["terms"]) * (1 + m) for r in recs.values()), initial=0))
         offsets = [r["rows"] for r in recs.values()]

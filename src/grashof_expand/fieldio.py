@@ -116,6 +116,17 @@ def read_json(path):
             raise FieldFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def numbers(value, what, integer=False, ndim=0):
+    """``value``, JSON numbers nested ``ndim`` deep, as a float64 array, or int64
+    where ``integer``: from the dtype numpy infers, a string, boolean or null, or
+    a fraction where an integer belongs, is a ValueError naming ``what`` (numpy
+    reads a boolean among numbers as a number, so only one on its own is caught)."""
+    arr = np.asarray(value)
+    if arr.size and (arr.ndim != ndim or arr.dtype.kind not in ("i" if integer else "if")):
+        raise ValueError(f"{what}: not {'an integer' if integer else 'a number'}")
+    return arr.astype(np.int64 if integer else np.float64, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # Field files
 # ---------------------------------------------------------------------------
@@ -150,12 +161,12 @@ def read_fields(paths):
         for path in paths:
             doc = read_json(path)
             try:
-                trunc = int(doc["truncation"])
+                trunc = numbers(doc["truncation"], "'truncation'", integer=True).item()
                 if not doc.get("conjugate_closure", False):
                     raise FieldFormatError(f"{path}: conjugate_closure flag missing or false")
                 recs = doc["modes"]
-                reps = np.array([rec["k"] for rec in recs], dtype=np.int64).reshape(len(recs), 2)
-                parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
+                reps = numbers([rec["k"] for rec in recs], "'k'", True, 2).reshape(len(recs), 2)
+                parts = numbers([rec["c"] for rec in recs], "'c'", ndim=3).reshape(len(recs), 2, 2)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FieldFormatError(f"{path}: malformed field file ({exc})") from exc
             docs.append((trunc, reps, parts))
@@ -249,13 +260,9 @@ def read_manifest(path):
     entries = []
     for i, rec in enumerate(doc["entries"]):
         try:
-            entry = {
-                "n": int(rec["n"]),
-                "alpha": float(rec["alpha"]),
-                "field": os.path.join(base, rec["field"]),
-                "residual_H": float(rec["residual_H"]),
-                "bound_check": float(rec["bound_check"]),
-            }
+            entry = {key: numbers(rec[key], f"entries[{i}].{key}", key == "n").item()
+                     for key in ("n", "alpha", "residual_H", "bound_check")}
+            entry["field"] = os.path.join(base, rec["field"])
             if "force" in rec:
                 entry["force"] = os.path.join(base, rec["force"])
             if not np.isfinite([entry[k] for k in ("alpha", "residual_H", "bound_check")]).all():

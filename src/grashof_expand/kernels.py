@@ -46,7 +46,7 @@ import numpy as np
 # trivial group: 16 keep the call within 1.5x of its output's bytes at N = 8)
 # or builds a kept plan, and entries of a block of columns that applies one:
 # 32 bytes each (two images and their int64 indices), at most 512 kB.
-_ROWS, _KEPT_ROWS, _KEPT_ENTRIES = 16, 64, 16384
+_ROWS, _KEPT_ENTRIES = 16, 16384
 _MP = np.array([-1, 1])[:, None, None]  # -+: k - k_r for s = +1, k + k_r for s = -1
 
 
@@ -221,8 +221,7 @@ class Subspace:
         # there is one: BLAS rounds the matmul of the scales otherwise on one.
         self.own, slot = np.unique(self.first % m, return_inverse=True)
         self.keep = len(self.first) <= m
-        size = _KEPT_ROWS if self.keep else _ROWS
-        stops = [*range(size, len(self.own) - 1, size), len(self.own)]
+        stops = [*range(_ROWS, len(self.own) - 1, _ROWS), len(self.own)]
         self.parts = []
         for lo, hi in zip([0, *stops], stops):
             a, b = np.searchsorted(slot[:self.n0], [lo, hi])

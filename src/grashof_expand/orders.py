@@ -218,11 +218,11 @@ def chi_trichotomy(chi):
 class ClassificationReport:
     branch: str
     constants: dict
-    chi: np.ndarray | None
+    chi: list | None
     chi_tag: str | None
     residuals: dict              # equation id -> V'-relative residual
     identities: dict             # scalar identity id -> value
-    comparability: bool
+    totally_comparable: bool
     evidence: dict               # comparison id -> str(OrderRelation)
     warnings: list = field(default_factory=list)
 
@@ -236,7 +236,7 @@ class ClassificationReport:
             lines.append(f"  residual {k}: {v:.3e}")
         for k, v in self.identities.items():
             lines.append(f"  identity {k}: {v:.3e}")
-        lines.append(f"  totally comparable: {self.comparability}")
+        lines.append(f"  totally comparable: {self.totally_comparable}")
         for w in self.warnings:
             lines.append(f"  warning: {w}")
         return "\n".join(lines)
@@ -263,7 +263,7 @@ class _Pass:
         self.matrix = build_S(alphas, self.gammas) if self.gammas else None
         if self.matrix is not None:
             undecided = self.matrix.undecided_pairs()
-            self.report.comparability = len(undecided) == 0
+            self.report.totally_comparable = len(undecided) == 0
             if undecided:
                 self.warn(f"relation matrix undecided on {undecided}")
 
@@ -380,7 +380,7 @@ def _classify_v_zero(c):
     rep.constants["mu_star_dispersion"] = c.tail_dispersion(ag11)
     c.residual("mu_star*B(w1,w1)=g", mu_star * sp.bilinear_b(w1, w1) - c.g)
     rep.identities["<g,w1>"] = sp.inner_ds(c.g, w1) / (c.gvp * sp.norm_ds(w1, 0.5))
-    rep.chi = 1.0 - ag11 / mu_star
+    rep.chi = (1.0 - ag11 / mu_star).tolist()
     rep.chi_tag = chi_trichotomy(rep.chi)
     if rep.chi_tag == "mixed":
         c.warn("chi sign pattern mixed; sub-branch not classified")

@@ -1,6 +1,7 @@
 """CLI pipeline tests: subcommands, exit codes, deterministic artifacts."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -49,6 +50,9 @@ def test_pipeline_classification_branch(pipeline):
     assert doc["branch"] == "4.4(iii)(a)"
     assert doc["constants"]["mu"] == pytest.approx(np.sqrt(2) * np.pi, abs=1e-6)
     assert doc["totally_comparable"] is True
+    # the report's own fields, in order, then the form and the gates
+    assert list(doc) == [f.name for f in dataclasses.fields(od.ClassificationReport)] + [
+        "form", "tolerances"]
 
 
 def test_classify_refuses_a_non_finite_constant(pipeline, tmp_path, capsys, monkeypatch):
@@ -195,7 +199,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["sweep", "--force", str(tmp_path / "g.json")]):
         capsys.readouterr()
         assert run(argv + ["--count", "0", "--out", str(tmp_path / "c0")]) == 2
-        assert "--count must be at least 1" in capsys.readouterr().err
+        assert "argument --count: must be an int of at least 1; got '0'" in capsys.readouterr().err
         assert not (tmp_path / "c0").exists()
     fxdir = str(tmp_path / "fx")
     assert run(["fixtures", "example45", "--count", "6", "--out", fxdir]) == 0
@@ -275,11 +279,12 @@ def test_example314_truncation_defaults_to_64(tmp_path):
 
 def test_example314_fixture_arguments_are_usage_errors(tmp_path, capsys):
     """example314 is defined for n = 1..6 and T >= 16: a larger --count (the
-    default 20 too) or a smaller --truncation exits 2 before anything is written."""
+    default 20 too) or a smaller --truncation exits 2 with the fixture's message
+    before anything is written."""
     out = tmp_path / "fx"
-    for extra, words in ((["--count", "7"], "--count 7 is above 6"),
-                         ([], "--count 20 is above 6"),
-                         (["--count", "6", "--truncation", "8"], "--truncation 8")):
+    bad_n, bad_t = "example314 is defined for 1 <= n <= 6", "need at least 16 eigenmodes"
+    for extra, words in ((["--count", "7"], bad_n), ([], bad_n),
+                         (["--count", "6", "--truncation", "8"], bad_t)):
         capsys.readouterr()
         assert run(["fixtures", "example314", *extra, "--out", str(out)]) == 2
         assert words in capsys.readouterr().err
@@ -324,7 +329,7 @@ def test_extract_scale_and_depth_faults_are_usage_errors(pipeline, tmp_path, cap
         (["--scale", "constant:inf"], "scale exponents must be finite"),
         (["--scale", "constant:nan"], "scale exponents must be finite"),
         (["--scale", "0.9,nan"], "scale exponents must be finite"),
-        (["--depth", "0"], "--depth must be at least 1; got 0"),
+        (["--depth", "0"], "argument --depth: must be an int of at least 1; got '0'"),
     ))
 
 
@@ -784,6 +789,68 @@ def test_non_finite_inputs_are_named(pipeline, tmp_path, capsys, file, edit, tex
                 "--out", str(tmp_path / "exp")]) == code
     assert f"{fxdir / file}: {words}" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+MANIFEST, FIELD = "malformed manifest entry", "malformed field file"
+INDEX = "malformed expansion file (missing or bad"
+WRONG_TYPES = {
+    "alpha-string": ("manifest.json", ("entries", 2, "alpha"), str,
+                     f"{MANIFEST} (entries[2].alpha: not a number)"),
+    "n-fraction": ("manifest.json", ("entries", 2, "n"), "2.7",
+                   f"{MANIFEST} (entries[2].n: not an integer)"),
+    "n-true": ("manifest.json", ("entries", 0, "n"), "true",
+               f"{MANIFEST} (entries[0].n: not an integer)"),
+    "n-string": ("manifest.json", ("entries", 2, "n"), str,
+                 f"{MANIFEST} (entries[2].n: not an integer)"),
+    "residual-string": ("manifest.json", ("entries", 0, "residual_H"), '"0"',
+                        f"{MANIFEST} (entries[0].residual_H: not a number)"),
+    "wavevector-fraction": ("v_0003.json", ("modes", 1, "k", 0), "2.5",
+                            f"{FIELD} ('k': not an integer)"),
+    "coefficient-string": ("v_0003.json", ("modes", 0, "c", 0, 0), '"0"',
+                           f"{FIELD} ('c': not a number)"),
+    "truncation-fraction": ("v_0003.json", ("truncation",), "2.9",
+                            f"{FIELD} ('truncation': not an integer)"),
+    "truncation-string": ("v_0003.json", ("truncation",), '"2"',
+                          f"{FIELD} ('truncation': not an integer)"),
+    "truncation-true": ("v_0003.json", ("truncation",), "true",
+                        f"{FIELD} ('truncation': not an integer)"),
+    "alphas-string": ("expansion.json", ("alphas", 3), str, f"{INDEX} 'alphas': not a number)"),
+    "truncations-string": ("expansion.json", ("truncations", 2), '"2"',
+                           f"{INDEX} 'truncations': not an integer)"),
+    "truncations-fraction": ("expansion.json", ("truncations", 2), "2.5",
+                             f"{INDEX} 'truncations': not an integer)"),
+    "modes-fraction": ("expansion.json", ("modes", 1, 0), "2.5", f"{INDEX} 'modes': not an integer)"),
+    "exponent-string": ("expansion.json", ("forms", "unitary", "scale", "exponents", 1), str,
+                        "form unitary: bad scale ('exponents': not a number)"),
+}
+
+
+@pytest.mark.parametrize("file, keys, text, words", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_numbers_of_the_wrong_json_type_are_named(pipeline, tmp_path, capsys, file, keys, text, words):
+    """A string, a boolean or a fraction where a manifest, a field file or an
+    expansion index holds a number (an integer for n, wavevectors, modes and
+    truncations) exits 2 naming the file, and writes nothing. Each once read as
+    the number it spells or rounds to: ``extract`` and ``verify`` exited 0, and
+    a ``true`` truncation read as 1 and failed as a mode outside it."""
+    for name in ("fx", "exp"):
+        shutil.copytree(pipeline / name, tmp_path / name)
+    path = tmp_path / ("exp" if file == "expansion.json" else "fx") / file
+    doc = holder = json.loads(path.read_text())
+    *parents, last = keys
+    for key in parents:
+        holder = holder[key]
+    holder[last] = str(holder[last]) if text is str else "@"  # str: the number it held, quoted
+    path.write_text(json.dumps(doc) if text is str else json.dumps(doc).replace('"@"', text))
+    capsys.readouterr()
+    if file == "expansion.json":
+        argv = ["verify", "--expansion", str(path), "--manifest", str(tmp_path / "fx" / "manifest.json")]
+    else:
+        argv = ["extract", "--manifest", str(path.parent / "manifest.json"), "--depth", "2",
+                "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"usage error: {path}: {words}" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_overflowing_gamma_is_named(pipeline, tmp_path, capsys):

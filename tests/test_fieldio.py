@@ -112,21 +112,24 @@ def test_read_json_refuses_a_non_finite_token(tmp_path, token):
     assert str(err.value) == f"{path}: not valid JSON ({token} is not a JSON number)"
 
 
-@pytest.mark.parametrize("key, text", [("alpha", "1e400"), ("residual_H", "-1e400"),
-                                       ("bound_check", '"nan"'), ("alpha", '"inf"')],
-                         ids=["alpha-overflow", "residual-overflow", "bound-nan-string",
-                              "alpha-inf-string"])
-def test_read_manifest_refuses_a_non_finite_number(tmp_path, key, text):
-    """A literal that overflows to infinity, or a string that float() reads as
-    NaN or infinity, is refused naming the file and the entry."""
+FINITE = "entries[1]: alpha, residual_H and bound_check must be finite"
+
+
+@pytest.mark.parametrize("key, text, words", [
+    ("alpha", "1e400", FINITE), ("residual_H", "-1e400", FINITE),
+    ("bound_check", '"nan"', "entries[1].bound_check: not a number"),
+    ("alpha", '"inf"', "entries[1].alpha: not a number"),
+], ids=["alpha-overflow", "residual-overflow", "bound-nan-string", "alpha-inf-string"])
+def test_read_manifest_refuses_a_non_finite_number(tmp_path, key, text, words):
+    """A literal that overflows to infinity, or a string (one that float() would
+    read as NaN or infinity too), is refused naming the file and the entry."""
     entry = {"n": 1, "alpha": 1.0, "field": "v.json", "residual_H": 0.0, "bound_check": 0.0}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"entries": [entry, {**entry, "n": 2, key: "@"}]})
                     .replace('"@"', text))
     with pytest.raises(fieldio.FieldFormatError) as err:
         fieldio.read_manifest(path)
-    assert str(err.value) == (f"{path}: malformed manifest entry (entries[1]: alpha, "
-                              "residual_H and bound_check must be finite)")
+    assert str(err.value) == f"{path}: malformed manifest entry ({words})"
 
 
 def test_write_field_refuses_a_non_finite_coefficient(tmp_path):

@@ -180,7 +180,7 @@ def test_classify_example45_branch(ex45_extraction, ex45_data, ex45_records):
     assert rep.branch == "4.4(iii)(a)"
     assert rep.constants["mu"] == pytest.approx(SQRT2PI, abs=1e-6)
     assert rep.residuals["Av+mu*Bs(v,w1)=g"] <= 1e-8
-    assert rep.comparability
+    assert rep.totally_comparable
 
 
 def test_classify_v0_family_branch_tree():
@@ -417,7 +417,7 @@ def test_classify_reaches_every_leaf(case):
         [f"branch: {branch}"] + [f"  {k} = #" for k in rep.constants]
         + ([f"  chi pattern: {chi_tag}"] if chi_tag else [])
         + [f"  residual {k}: #" for k in residuals] + [f"  identity {k}: #" for k in identities]
-        + [f"  totally comparable: {rep.comparability}"] + [f"  warning: {w}" for w in rep.warnings])
+        + [f"  totally comparable: {rep.totally_comparable}"] + [f"  warning: {w}" for w in rep.warnings])
 
 
 # ---------------------------------------------------------------------------
