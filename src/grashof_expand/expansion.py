@@ -667,6 +667,11 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
     """ExpansionResult of the form ``name``, record ``rec``, of the index ``path``,
     on the validated matrix ``rows`` (rows, len(keys), 2) of M = ``m`` samples."""
     start, stop = rec["rows"]
+    for key, allowed in (("form", ("strict", "unitary")), ("kind", (
+            "trivial", "finite-unitary", "infinite-unitary", "degenerate", "strict"))):
+        if rec[key] not in allowed:  # each steers verify_expansion
+            raise fieldio.FieldFormatError(
+                f"{path}: form {name}: {key!r} is not one of {', '.join(allowed)}")
     if type(rec["degenerate_N"]) not in (int, type(None)):
         raise fieldio.FieldFormatError(f"{path}: form {name}: 'degenerate_N' is not null or an int")
     for k, g in enumerate((t["gammas"] for t in rec["terms"]), start=1):
@@ -705,8 +710,9 @@ def load_expansion(path):
     Raises:
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
         re-extracted), a missing key, no forms object, offsets that do not tile the
-        matrix, gammas not M finite numbers, a ``degenerate_N`` not null or an int,
-        exponents that make no scale or not the recorded regime, or a bad matrix.
+        matrix, a ``form`` or ``kind`` of no known name, gammas not M finite numbers,
+        a ``degenerate_N`` not null or an int, exponents that make no scale or not
+        the recorded regime, or a bad matrix.
       sp.MalformedFieldError: a matrix row breaks a field invariant; the message
         names the matrix, the form, the row (limit, or term k's direction or
         witness n) and the mode.

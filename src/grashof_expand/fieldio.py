@@ -11,6 +11,7 @@ and a field file is written from one format string (``write_field``).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -119,10 +120,14 @@ def read_json(path):
 def numbers(value, what, integer=False, ndim=0):
     """``value``, JSON numbers nested ``ndim`` deep, as a float64 array, or int64
     where ``integer``: from the dtype numpy infers, a string, boolean or null, or
-    a fraction where an integer belongs, is a ValueError naming ``what`` (numpy
-    reads a boolean among numbers as a number, so only one on its own is caught)."""
-    arr = np.asarray(value)
-    if arr.size and (arr.ndim != ndim or arr.dtype.kind not in ("i" if integer else "if")):
+    a fraction where an integer belongs, is a ValueError naming ``what``. numpy
+    reads a boolean among numbers as a number, so the lists' element types are
+    scanned once for one."""
+    arr, flat = np.asarray(value), value
+    for _ in range(ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    if arr.size and (arr.ndim != ndim or arr.dtype.kind not in ("i" if integer else "if")
+                     or ndim and bool in map(type, flat)):
         raise ValueError(f"{what}: not {'an integer' if integer else 'a number'}")
     return arr.astype(np.int64 if integer else np.float64, copy=False)
 
@@ -162,8 +167,8 @@ def read_fields(paths):
             doc = read_json(path)
             try:
                 trunc = numbers(doc["truncation"], "'truncation'", integer=True).item()
-                if not doc.get("conjugate_closure", False):
-                    raise FieldFormatError(f"{path}: conjugate_closure flag missing or false")
+                if doc.get("conjugate_closure") is not True:
+                    raise FieldFormatError(f"{path}: conjugate_closure flag missing or not true")
                 recs = doc["modes"]
                 reps = numbers([rec["k"] for rec in recs], "'k'", True, 2).reshape(len(recs), 2)
                 parts = numbers([rec["c"] for rec in recs], "'c'", ndim=3).reshape(len(recs), 2, 2)

@@ -246,8 +246,8 @@ def _read_field_per_file(path):
     doc = fieldio.read_json(path)
     try:
         trunc = int(doc["truncation"])
-        if not doc.get("conjugate_closure", False):
-            raise fieldio.FieldFormatError(f"{path}: conjugate_closure flag missing or false")
+        if doc.get("conjugate_closure") is not True:
+            raise fieldio.FieldFormatError(f"{path}: conjugate_closure flag missing or not true")
         recs = doc["modes"]
         reps = np.array([rec["k"] for rec in recs], dtype=np.int64).reshape(len(recs), 2)
         parts = np.array([rec["c"] for rec in recs], dtype=np.float64).reshape(len(recs), 2, 2)
