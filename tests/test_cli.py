@@ -167,15 +167,8 @@ def test_sweep_cli_fixture_family(tmp_path):
     assert all("force" in e for e in man["entries"])
 
 
-def test_extract_constant_scale_cli(tmp_path):
-    fxdir = str(tmp_path / "fx314")
-    out = str(tmp_path / "exp314")
-    assert run(["fixtures", "example314", "--count", "6", "--truncation", "64",
-                "--out", fxdir]) == 0
-    assert run(["extract", "--manifest", f"{fxdir}/manifest.json",
-                "--scale", "constant:0", "--depth", "3", "--out", out]) == 0
-    forms, alphas = __import__("grashof_expand.expansion", fromlist=["load_expansion"]) \
-        .load_expansion(os.path.join(out, "expansion.json"))
+def test_extract_constant_scale_cli(pipeline):
+    forms, alphas = ex.load_expansion(pipeline / "exp314" / "expansion.json")
     assert set(forms) == {"strict", "restructured", "unitary"}
     assert len(alphas) == 6
 
@@ -265,14 +258,12 @@ def test_extract_keeps_the_levels_verify_accepts(tmp_path, spec, depths, cut):
 
 
 @pytest.fixture(scope="module")
-def doubling_sweep(tmp_path_factory):
+def doubling_sweep(pipeline):
     """The README doubling sweep at N = 8: alpha = 1, 2, ..., 2048 on the example45 g_limit."""
-    root = tmp_path_factory.mktemp("doubling")
-    assert run(["fixtures", "example45", "--c2", "1", "--count", "20",
-                "--out", str(root / "fx")]) == 0
-    assert run(["sweep", "--force", str(root / "fx" / "g_limit.json"), "--count", "12",
-                "--truncation", "8", "--out", str(root / "sweep")]) == 0
-    return root / "sweep"
+    assert run(["sweep", "--force", str(pipeline / "fx" / "g_limit.json"), "--alpha-start", "1",
+                "--alpha-factor", "2", "--count", "12", "--truncation", "8",
+                "--out", str(pipeline / "sweep")]) == 0
+    return pipeline / "sweep"
 
 
 @pytest.mark.parametrize("start", range(7))
@@ -302,7 +293,6 @@ def test_doubling_sweep_suffixes_extract_where_verify_passes(doubling_sweep, tmp
 def test_extract_constant_manifest_gives_trivial(tmp_path, capsys):
     # laminar sweep: identical solutions at every alpha -> trivial expansion
     import conftest
-    from grashof_expand import spectral as sp
 
     g = conftest.shear_field()
     fdir = str(tmp_path / "lam")
@@ -320,7 +310,6 @@ def test_extract_constant_manifest_gives_trivial(tmp_path, capsys):
                 "--out", str(tmp_path / "c.json")]) == 0
     doc = fieldio.read_json(tmp_path / "c.json")
     assert doc["branch"] == "4.4(ii)"
-
 
 
 def test_extract_writes_index_and_matrix(pipeline):
@@ -356,18 +345,12 @@ def test_extract_byte_identical_reruns(pipeline, tmp_path):
         assert (pipeline / "exp" / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def test_classify_reads_no_window_files(tmp_path):
-    fxdir = str(tmp_path / "fx")
-    out = str(tmp_path / "exp")
-    assert run(["fixtures", "example45", "--c2", "1", "--count", "20", "--out", fxdir]) == 0
-    assert run(["extract", "--manifest", f"{fxdir}/manifest.json",
-                "--scale", "default-2dp", "--depth", "6", "--out", out]) == 0
-    for name in os.listdir(fxdir):
-        if name.startswith("v_"):
-            os.remove(os.path.join(fxdir, name))
+def test_classify_reads_no_window_files(pipeline, tmp_path):
+    fxdir = tmp_path / "fx"  # the README window's manifest and forces, no v_*.json
+    shutil.copytree(pipeline / "fx", fxdir, ignore=shutil.ignore_patterns("v_*"))
     cls = str(tmp_path / "class.json")
-    assert run(["classify", "--expansion", f"{out}/expansion.json",
-                "--manifest", f"{fxdir}/manifest.json", "--out", cls]) == 0
+    assert run(["classify", "--expansion", str(pipeline / "exp" / "expansion.json"),
+                "--manifest", str(fxdir / "manifest.json"), "--out", cls]) == 0
     assert fieldio.read_json(cls)["branch"] == "4.4(iii)(a)"
 
 
@@ -766,8 +749,8 @@ def _listing(root):
 def _run_case(case, pipeline, tmp, capsys):
     """Run ``case`` and check it. The pipeline's files are read in place, except
     that the directory holding the edited file is laid out under ``tmp`` as hard
-    links (once: the probe reuses it); the edited file is a copy while the row
-    runs, and the link is put back after."""
+    links (once: the probe reuses it, editing one file) and the edited file is a
+    copy."""
     places = {"fx": pipeline / "fx", "exp": pipeline / "exp", "cls": pipeline / "class.json",
               "exp314": pipeline / "exp314", "tmp": tmp}
     edited = None
@@ -795,9 +778,6 @@ def _run_case(case, pipeline, tmp, capsys):
     assert code == case.code and case.words.format(file=edited, **places) in err, (case, code, err)
     assert out == "" or not case.quiet, (case, out)
     assert case.code == 0 or _listing(tmp) == before, case
-    if edited is not None and source != edited:
-        edited.unlink()
-        os.link(source, edited)
 
 
 def _check(pipeline, capsys, names):
@@ -977,7 +957,7 @@ def test_corruption_probe(pipeline, tmp_path, capsys, probed):
     assert used - {None} == set(outcomes)  # no reviewed entry is stale
 
 
-def test_readme_sweeps(pipeline, tmp_path):
+def test_readme_sweeps(pipeline, doubling_sweep, tmp_path):
     """The README doubling sweep (alpha = 1, 2, ..., 2048) at N = 8, 16 and 24:
     12 entries, each with residual_H at most 1e-12 max(1, |g|) and the unknowns
     that parity and the glide leave (a quarter on 2Z x Z), and at N = 8 within
@@ -985,16 +965,18 @@ def test_readme_sweeps(pipeline, tmp_path):
     (``--fixture example45``) sweeps all 12 steps too."""
     force = pipeline / "fx" / "g_limit.json"
     gnorm = sp.norm_ds(fieldio.read_field(force), 0)
-    for n, dofs in ((8, (38, 4)), (16, (140, 4)), (24, (306, 4))):
+    for n in (16, 24):
         assert run(["sweep", "--force", str(force), "--alpha-start", "1", "--alpha-factor", "2",
                     "--count", "12", "--truncation", str(n), "--out", str(tmp_path / f"n{n}")]) == 0
-        entries = fieldio.read_json(tmp_path / f"n{n}" / "manifest.json")["entries"]
+    for sweep, dofs in ((doubling_sweep, (38, 4)), (tmp_path / "n16", (140, 4)),
+                        (tmp_path / "n24", (306, 4))):
+        entries = fieldio.read_json(sweep / "manifest.json")["entries"]
         assert len(entries) == 12
         assert all(e["residual_H"] <= 1e-12 * max(1.0, gnorm) for e in entries)
         assert {(e["dofs"], e["group_order"]) for e in entries} == {dofs}
     ref = fieldio.read_json(Path(__file__).resolve().parents[1] / "perfbench" / "reference"
                             / "readme_sweep_n8.json")
-    entries = fieldio.read_json(tmp_path / "n8" / "manifest.json")["entries"]
+    entries = fieldio.read_json(doubling_sweep / "manifest.json")["entries"]
     assert [e["alpha"] for e in entries] == ref["alphas"]
     for e, rows in zip(entries, ref["solutions"], strict=True):
         modes = {}
@@ -1002,7 +984,7 @@ def test_readme_sweeps(pipeline, tmp_path):
             coeff = np.array([complex(a, b), complex(c, d)])
             modes[(int(kx), int(ky))], modes[(-int(kx), -int(ky))] = coeff, np.conj(coeff)
         want = sp.SpectralField(ref["truncation"], modes)
-        got = fieldio.read_field(tmp_path / "n8" / e["field"])
+        got = fieldio.read_field(doubling_sweep / e["field"])
         assert sp.norm_ds(got - want, 0.5) <= 1e-9 * sp.norm_ds(want, 0.5)
     assert run(["sweep", "--fixture", "example45", "--count", "12", "--truncation", "8",
                 "--out", str(tmp_path / "fixture")]) == 0
