@@ -101,12 +101,12 @@ def cmd_fixtures(args):
     else:
         ns, truncation = range(1, args.count + 1), args.truncation
         try:
-            recs, alphas = fx.example314_window(ns, truncation)
+            fields, alphas = fx.example314_window(ns, truncation)
         except ValueError as exc:
             raise UsageError(f"bad example314 arguments: {exc}") from exc
-        entries = [{"n": rec.n, "alpha": alpha, "residual_H": 0.0, "bound_check": 0.0}
-                   for rec, alpha in zip(recs, alphas)]
-        fieldio.write_window(args.out, "v", [r.v_n for r in recs], entries)
+        entries = [{"n": n, "alpha": alpha, "residual_H": 0.0, "bound_check": 0.0}
+                   for n, alpha in zip(ns, alphas)]
+        fieldio.write_window(args.out, "v", fields, entries)
         if args.with_expansions:
             forms = {"unitary": fx.example314_unitary_expansion(ns, truncation),
                      "degenerate": fx.example314_degenerate_expansion(ns, truncation)}
@@ -196,6 +196,10 @@ def cmd_classify(args):
     if "g_limit" not in man:
         raise UsageError(f"{args.manifest}: manifest carries no g_limit to classify against")
     g_limit = fieldio.read_field(man["g_limit"])
+    try:
+        st.nonzero_forcing(g_limit)
+    except ValueError as exc:
+        raise fieldio.FieldFormatError(f"{man['g_limit']}: {exc}") from None
     name = args.form or ("unitary" if "unitary" in forms else sorted(forms)[0])
     if name not in forms:
         raise UsageError(f"form not in expansion file; available: {sorted(forms)}")
@@ -217,7 +221,10 @@ def _read_classification(path):
         raise fieldio.FieldFormatError(f"{path}: classification is not a JSON object")
 
     def numbers(v):
-        return isinstance(v, dict) and all(type(x) in (int, float) for x in v.values())
+        try:  # each value one number by fieldio's rule
+            return fieldio.numbers(list(v.values()), "", ndim=1).shape == (len(v),)
+        except (AttributeError, ValueError):  # not an object, or a value not a number
+            return False
 
     def strings(v):
         return isinstance(v, list) and all(isinstance(x, str) for x in v)
@@ -267,10 +274,9 @@ def cmd_report(args):
         summary.append(f"classification branch: {classification['branch']}")
         for k, v in classification.get("constants", {}).items():
             summary.append(f"  {k} = {fmt(v)}")
-        for k, v in classification.get("residuals", {}).items():
-            summary.append(f"  residual {k}: {fmt(v)}")
         reslines = ["id,value"]
         for k, v in classification.get("residuals", {}).items():
+            summary.append(f"  residual {k}: {fmt(v)}")
             reslines.append(f"{k},{fmt(v)}")
         fieldio.atomic_write(os.path.join(args.out, "residuals.csv"),
                              "\n".join(reslines) + "\n")

@@ -120,34 +120,34 @@ def _rows(keys, fields):
     return rows.reshape(len(rows), 2 * len(keys))
 
 
+def check_alphas(alphas):
+    """The window's rule: alphas positive and strictly increasing, else a ValueError."""
+    if any(a <= 0 for a in alphas):
+        raise ValueError("alphas must be positive")
+    for n, (a, b) in enumerate(zip(alphas, alphas[1:]), start=2):
+        if not b > a:
+            raise ValueError(f"alphas must be strictly increasing: sample {n} has "
+                             f"alpha {b!r} after {a!r}")
+
+
 class SequenceData:
     """Finite sample (v_n, alpha_n), n = 1..M, of a solution sequence as one row matrix.
 
     ``flat`` views ``rows`` (M, len(keys), 2) read-only, one row per sample on the
     sorted mode list ``keys`` (see ``_onto``), ``lam`` the eigenvalue |k|^2 of each
-    row entry and ``trunc`` the largest truncation. The alphas must be positive and
-    strictly increasing. ``of`` gives the window of a sequence of fields.
+    row entry and ``trunc`` the largest truncation. The alphas follow
+    ``check_alphas``.
     """
 
     def __init__(self, keys, rows, trunc, alphas):
         self.alphas = tuple(float(a) for a in alphas)
         if len(rows) != len(self.alphas):
             raise ValueError("fields and alphas must have equal length")
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
-        for n, (a, b) in enumerate(zip(self.alphas, self.alphas[1:]), start=2):
-            if not b > a:
-                raise ValueError(f"alphas must be strictly increasing: sample {n} has "
-                                 f"alpha {b!r} after {a!r}")
+        check_alphas(self.alphas)
         self.keys, self.trunc = keys, int(trunc)
         self.flat = rows.reshape(len(rows), 2 * len(keys))  # a new array: ``rows`` stays writeable
         self.flat.flags.writeable = False
         self.lam = np.repeat(np.sum(keys * keys, axis=1), 2).astype(float)
-
-    @classmethod
-    def of(cls, fields, alphas):
-        fields = tuple(fields)  # rows_of and max each iterate it
-        return cls(*sp.rows_of(fields), max((f.trunc for f in fields), default=1), alphas)
 
     def __len__(self):
         return len(self.flat)
@@ -220,10 +220,6 @@ class ExpansionResult:
     @property
     def depth(self):
         return len(self.terms)
-
-    def space_exponent(self, k):
-        """Exponent of the norm used for level-k directions."""
-        return self.scale.exponent(min(k, self.scale.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +380,7 @@ def restructure(e):
     if not e.terms:
         return replace(e, kind="trivial", form="unitary", decision_log=list(e.decision_log))
 
-    dirnorms = [sp.norm_ds(t.direction, e.space_exponent(k + 1)) for k, t in enumerate(e.terms)]
+    dirnorms = [sp.norm_ds(t.direction, e.scale.exponent(k + 1)) for k, t in enumerate(e.terms)]
     zero = [nu <= ZERO * max(dirnorms) for nu in dirnorms]
 
     if all(zero):
@@ -419,7 +415,7 @@ def restructure(e):
     else:
         degenerate_n = None
         kind = "finite-unitary" if e.kind in ("finite-unitary", "trivial") else "infinite-unitary"
-    exponents = [e.scale.exponent(0)] + [e.scale.exponent(min(k + 1, e.scale.depth)) for k in kept]
+    exponents = [e.scale.exponent(0)] + [e.scale.exponent(k + 1) for k in kept]
     log = e.decision_log + [f"restructure: removed {len(removed)} zero term(s)"]
     return replace(e, terms=new_terms, kind=kind, form="unitary", degenerate_n=degenerate_n,
                    scale=NestedScale(tuple(exponents)), decision_log=log)
@@ -478,7 +474,7 @@ def _partial_sums(e, data, rows):
 
 def _ratios(e, data, rows):
     prev = [np.ones(len(data))] + [term.gammas for term in e.terms]
-    ratios = [data.norms(data.flat - p, e.space_exponent(k + 1)) / prev[k]
+    ratios = [data.norms(data.flat - p, e.scale.exponent(k + 1)) / prev[k]
               for k, p in zip(range(e.depth), _partial_sums(e, data, rows))]
     return np.array(ratios).reshape(e.depth, len(data))
 
@@ -510,7 +506,7 @@ def verify_expansion(e, data):
 
     def unit_errors(levels):
         """| |w_k| - 1 | per 1-based level k, over the given 0-based direction levels."""
-        return {k + 1: abs(float(data.norms(dirs[k], e.space_exponent(k + 1))) - 1.0)
+        return {k + 1: abs(float(data.norms(dirs[k], e.scale.exponent(k + 1))) - 1.0)
                 for k in levels}
 
     # Reconstruction identity at every recorded level (of v_n = v alone for a termless
@@ -534,7 +530,7 @@ def verify_expansion(e, data):
             checks.append(CheckResult(f"ratio-decay-k{k + 1}", ok, float(r[-1]), level=k + 2))
 
         for k in range(len(e.terms)):
-            conv = data.norms(wits[k] - dirs[k], e.space_exponent(k + 1))
+            conv = data.norms(wits[k] - dirs[k], e.scale.exponent(k + 1))
             ok, _ = _tail_decreasing(conv, t, slack=1e-9)
             stabilized = bool(np.all(conv[-(t + 1):] <= FINITE))
             checks.append(CheckResult(f"witness-convergence-k{k + 1}", ok or stabilized,
@@ -580,7 +576,7 @@ def verify_expansion(e, data):
         ok = True
         worst = 0.0
         for mlev in range(n0, len(e.terms)):
-            smp1 = e.space_exponent(mlev + 1)
+            smp1 = e.scale.exponent(mlev + 1)
             ratio = data.norms(data.flat - partial, smp1) / gammas[mlev]
             dec, _ = _tail_decreasing(ratio, t, slack=1e-9)
             ok = ok and dec
@@ -672,18 +668,20 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
         if rec[key] not in allowed:  # each steers verify_expansion
             raise fieldio.FieldFormatError(
                 f"{path}: form {name}: {key!r} is not one of {', '.join(allowed)}")
-    if type(rec["degenerate_N"]) not in (int, type(None)):
-        raise fieldio.FieldFormatError(f"{path}: form {name}: 'degenerate_N' is not null or an int")
-    for k, g in enumerate((t["gammas"] for t in rec["terms"]), start=1):
-        if not (isinstance(g, list) and len(g) == m and {type(x) for x in g} <= {int, float}
-                and np.isfinite(np.array(g, dtype=float)).all()):
-            raise fieldio.FieldFormatError(
-                f"{path}: form {name}: term {k}: 'gammas' is not a list of {m} finite numbers")
     heads = range(start + 1, stop, 1 + m)  # the direction rows
     limit, *dirs = [sp.SpectralField.from_arrays(truncs[r], keys, rows[r]) for r in [start, *heads]]
-    terms = [ExpansionTerm(np.array(t["gammas"], dtype=float), d,
-                           rows[h + 1:h + 1 + m].reshape(m, -1), t["estimator"])
-             for t, d, h in zip(rec["terms"], dirs, heads)]
+    what, terms = "'degenerate_N' is not null or an int", []
+    try:  # fieldio.numbers' rule, under this reader's messages
+        if rec["degenerate_N"] is not None:
+            fieldio.numbers(rec["degenerate_N"], what, integer=True).item()  # refuses [] too
+        for k, (t, d, h) in enumerate(zip(rec["terms"], dirs, heads), start=1):
+            what = f"term {k}: 'gammas' is not a list of {m} finite numbers"
+            g = fieldio.numbers(t["gammas"], what, ndim=1)
+            if g.shape != (m,) or not np.isfinite(g).all():
+                raise ValueError(what)
+            terms.append(ExpansionTerm(g, d, rows[h + 1:h + 1 + m].reshape(m, -1), t["estimator"]))
+    except ValueError:
+        raise fieldio.FieldFormatError(f"{path}: form {name}: {what}") from None
     try:
         scale = NestedScale(tuple(fieldio.numbers(rec["scale"]["exponents"], "'exponents'",
                                                   ndim=1).tolist()))
@@ -692,6 +690,9 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
     if scale.regime != rec["scale"]["regime"]:
         raise fieldio.FieldFormatError(f"{path}: scale records regime {rec['scale']['regime']!r}, "
                                        f"but its exponents give {scale.regime!r}")
+    if scale.depth < len(terms):  # each level k reads its exponent s_k
+        raise fieldio.FieldFormatError(f"{path}: form {name}: scale of depth {scale.depth} is "
+                                       f"shorter than its {len(terms)} terms")
     return ExpansionResult(
         limit=limit, terms=terms, kind=rec["kind"], form=rec["form"], scale=scale,
         degenerate_n=rec["degenerate_N"], depth_reason=rec["depth_reason"],
@@ -710,9 +711,10 @@ def load_expansion(path):
     Raises:
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
         re-extracted), a missing key, no forms object, offsets that do not tile the
-        matrix, a ``form`` or ``kind`` of no known name, gammas not M finite numbers,
-        a ``degenerate_N`` not null or an int, exponents that make no scale or not
-        the recorded regime, or a bad matrix.
+        matrix, alphas that break ``check_alphas``, a ``form`` or ``kind`` of no
+        known name, gammas not M finite numbers, a ``degenerate_N`` not null or an
+        int, exponents that make no scale, not the recorded regime or fewer levels
+        than terms, or a bad matrix.
       sp.MalformedFieldError: a matrix row breaks a field invariant; the message
         names the matrix, the form, the row (limit, or term k's direction or
         witness n) and the mode.
@@ -736,6 +738,10 @@ def load_expansion(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise fieldio.FieldFormatError(
             f"{path}: malformed expansion file (missing or bad {exc})") from exc
+    try:
+        check_alphas(alphas.tolist())
+    except ValueError as exc:
+        raise fieldio.FieldFormatError(f"{path}: {exc}") from None
     if offsets != [list(b) for b in zip(bounds, bounds[1:])] or bounds[-1] != len(truncs):
         raise fieldio.FieldFormatError(
             f"{path}: form row offsets {offsets} do not tile the {len(truncs)} matrix rows")

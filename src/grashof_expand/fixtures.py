@@ -39,11 +39,12 @@ class FixtureIntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Example45Config:
-    """Coefficients c_m: at least one, each of a distinct m >= 2, finite and nonzero.
+    """Coefficients c_m: at least one, each of a distinct m >= 2, with m^2 |c_m| in
+    [2^-256, 2^256], where no double of the closed form (to c_*^3 n^2) under- or overflows.
 
     Raises:
-      ValueError: no coefficient, an m below 2 or given twice, or a c_m that
-        is zero or not finite; the message names the m.
+      ValueError: no coefficient, an m below 2 or given twice, or a c_m out of
+        that range; the message names the m.
     """
 
     coeffs: tuple  # ((m, c_m), ...)
@@ -59,8 +60,9 @@ class Example45Config:
             if m == m_next:
                 raise ValueError(f"c_{m} is given more than once")
         for m, c in pairs:
-            if not np.isfinite(c) or c == 0.0:
-                raise ValueError(f"c_{m} = {c!r} must be finite and nonzero")
+            if not 2.0**-256 <= m * m * abs(c) <= 2.0**256:  # NaN fails too
+                raise ValueError(f"c_{m} = {c!r} must be finite and nonzero, with m^2 |c_m| "
+                                 "in [2^-256, 2^256]")
 
     @classmethod
     def single(cls, m=2, c=1.0):
@@ -233,12 +235,6 @@ def example45_window(cfg, n_values, check=True):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Example314Data:
-    n: int
-    v_n: "sp.SpectralField"
-
-
 def _example314_weights(n_values, truncation):
     """The weights e^{-n^2-kn}, k = 1..T, of v_n for each n of ``n_values``:
     one ``np.exp`` over the integer exponents."""
@@ -250,24 +246,14 @@ def _example314_weights(n_values, truncation):
     return np.exp(-ns * ns - np.arange(1, truncation + 1) * ns)
 
 
-def example314(n, truncation=64):
-    """v_n = e^{-n^2} sum_{k=1}^{T} e^{-kn} phi_k, T = truncation eigenmodes:
-    the window of one.
-
-    Raises:
-      ValueError: n outside the double-precision guard range 1..6, or T < 16.
-    """
-    return example314_window([n], truncation)[0][0]
-
-
 def example314_window(n_values=range(1, 7), truncation=64):
-    """Records of the indices ``n_values``, every v_n from one weight matrix,
-    plus the alpha_n = e^n parametrization."""
+    """v_n = e^{-n^2} sum_{k=1}^{T} e^{-kn} phi_k, T = truncation eigenmodes, of each n
+    of ``n_values`` from one weight matrix, and alpha_n = e^n. An n outside the
+    double-precision guard range 1..6, or T < 16, is a ValueError."""
     ns = [int(n) for n in n_values]
     keys, rows, trunc = sp.eigen_rows(_example314_weights(ns, truncation))
-    recs = [Example314Data(n, sp.SpectralField.from_arrays(trunc, keys, row))
-            for n, row in zip(ns, rows)]
-    return recs, [float(np.exp(n)) for n in ns]
+    return ([sp.SpectralField.from_arrays(trunc, keys, row) for row in rows],
+            [float(np.exp(n)) for n in ns])
 
 
 def _analytic(name, kind, terms, keys, trunc, limit_trunc, degenerate_n):

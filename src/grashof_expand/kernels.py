@@ -280,13 +280,13 @@ class Subspace:
         return np.where(self.orbit >= 0, self.sign * y[self.orbit], 0.0)
 
 
-def assemble_linearized(y, sigmas, reps, alpha, nrad, subspace=None):
+def assemble_linearized(y, sigmas, reps, alpha, sub):
     """Dense real matrix of z -> P_N(A z + alpha (B(v, z) + B(z, v))).
 
     v = a_k sigma_k on ``reps`` (m, 2) with polarizations ``sigmas``, its amplitudes
     a the subspace vector with first unknowns ``y``. ``reps`` is any increasing
-    set of conjugate representatives of radius N = nrad, such as all of them
-    (``steady._dof_maps(nrad)[0]``) or those on a sublattice. Each entry
+    set of conjugate representatives of radius N, such as all of them
+    (``steady._dof_maps(N)[0]``) or those on a sublattice. Each entry
     depends only on v and the wavevectors of its row and column, so a subset
     of ``reps`` gives the rows and columns of the full matrix it selects.
     Column r (m + r) is the image of the field with amplitude 1 (i) on
@@ -297,8 +297,8 @@ def assemble_linearized(y, sigmas, reps, alpha, nrad, subspace=None):
 
         W = (k x k_r) (2 s k.k_r - |k|^2) / (|k| |k_r| |p|).
 
-    ``subspace``, a ``Subspace`` of the same ``reps`` and ``nrad`` (None: of
-    the trivial group), gives P J Q, the matrix on the fixed subspace: row o
+    ``sub``, a ``Subspace`` of the same ``reps`` and N (``Subspace(reps, N)``
+    for the trivial group), gives P J Q, the matrix on the fixed subspace: row o
     is the row of the first unknown of orbit o, and column o sums sign[j]
     times column j over the members j of orbit o. A kept plan is applied to
     u = [t_re, t_im, -t_re, 0] (t_{-p} = -conj t_p) a block of columns at a
@@ -307,9 +307,7 @@ def assemble_linearized(y, sigmas, reps, alpha, nrad, subspace=None):
     and column-major on any other; ``steady``'s ``jac @ xv`` rounds by that
     layout, so the solver's bits rest on it.
     """
-    m = reps.shape[0]
-    sub = subspace if subspace is not None else Subspace(reps, nrad)
-    n = len(sub.first)
+    m, n = reps.shape[0], len(sub.first)
     # t for the real and the imaginary part of a: complex arithmetic's values
     x = sub.expand(y).reshape(2, m)
     t = (alpha * (reps[:, 0] * (x * sigmas[:, 1]) - reps[:, 1] * (x * sigmas[:, 0]))) * sub.inv

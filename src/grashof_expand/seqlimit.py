@@ -44,8 +44,6 @@ def shanks_limit(values):
     p, d = v.shape
     kmax = min((p - 1) // 2, MAX_SHANKS_ORDER)
     best = v[-1].copy()
-    if kmax < 1:
-        return best
     tainted = np.zeros(d, dtype=bool)
     col_prev = np.zeros((p + 1, d), dtype=v.dtype)  # epsilon_{-1}
     col_curr = v.astype(v.dtype)                    # epsilon_0

@@ -86,12 +86,17 @@ class SteadyProblem:
     trunc: int
 
     def __post_init__(self):
-        if sp.norm_ds(self.g, 0) == 0.0:
-            raise ValueError("forcing g must be nonzero")
+        nonzero_forcing(self.g)
         if not 0.0 <= self.alpha < np.inf:  # NaN fails too
             raise ValueError(f"alpha {self.alpha!r} must be finite and nonnegative")
         if self.trunc < self.g.trunc or np.max(np.abs(self.g.keys), initial=0) > self.trunc:
             raise ValueError(f"truncation radius {self.trunc} must cover the forcing modes")
+
+
+def nonzero_forcing(g):
+    """A ValueError where the forcing ``g`` is zero: it sets the Grashof scale."""
+    if sp.norm_ds(g, 0) == 0.0:
+        raise ValueError("forcing g must be nonzero")
 
 
 @dataclass
@@ -349,7 +354,7 @@ def _newton(p, initial):
     gvec, x = frame.gvec[sub.first], xvec[sub.first]
 
     def linearize(xv):
-        jac = kernels.assemble_linearized(xv, sigmas, reps, p.alpha, p.trunc, sub)
+        jac = kernels.assemble_linearized(xv, sigmas, reps, p.alpha, sub)
         fx = 0.5 * (jac @ xv + sub.stokes * xv) - gvec
         return jac, fx, sp.TWO_PI * np.sqrt(2.0) * float(np.linalg.norm(weight * fx))
 

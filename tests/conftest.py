@@ -7,7 +7,7 @@ from grashof_expand import expansion as ex
 from grashof_expand import fixtures as fx
 from grashof_expand import spectral as sp
 
-from oracles import leray_project, manufactured_force
+from oracles import leray_project, manufactured_force, sequence_data
 
 
 def shear_field(amplitude=1.0):
@@ -39,7 +39,7 @@ def ex45_records(ex45_cfg):
 
 @pytest.fixture(scope="session")
 def ex45_data(ex45_records):
-    return ex.SequenceData.of(
+    return sequence_data(
         tuple(r.v_n for r in ex45_records), tuple(r.alpha for r in ex45_records)
     )
 
@@ -53,9 +53,9 @@ def ex45_extraction(ex45_data):
 
 @pytest.fixture(scope="session")
 def ex314_window():
-    recs, alphas = fx.example314_window()
-    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas))
-    return recs, data
+    fields, alphas = fx.example314_window()
+    data = sequence_data(fields, alphas)
+    return fields, data
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def make_v0_family(mu_hat=1.3, mu2_hat=1.0, count=10, base=3.0):
     fields = [sp.lin_comb([g1[i], g2[i]], [w1, w2]) for i in range(count)]
     forces = [manufactured_force(fields[i], alphas[i]) for i in range(count)]
     g_limit = (mu_hat**2) * sp.bilinear_b(w1, w1)
-    data = ex.SequenceData.of(tuple(fields), tuple(alphas))
+    data = sequence_data(tuple(fields), tuple(alphas))
     return data, forces, g_limit, (g1, w1, g2, w2)
 
 
@@ -106,5 +106,5 @@ def make_stokes_family(branch="ii", count=10, base=3.0):
     fields = [sp.lin_comb([1.0, g1[i], g2[i]], [v, w1, w2]) for i in range(count)]
     forces = [manufactured_force(fields[i], alphas[i]) for i in range(count)]
     g_limit = sp.apply_fractional(v, 1.0)
-    data = ex.SequenceData.of(tuple(fields), tuple(alphas))
+    data = sequence_data(tuple(fields), tuple(alphas))
     return data, forces, g_limit, (g1, w1, g2, w2)

@@ -4,13 +4,15 @@ Each is a slow or closed-form second route to a quantity the package computes
 another way: the Leray projection of raw Fourier data, the advection product at
 the solver's radius, the Galerkin residual as a field, the force a given field
 solves for, the unprojected example45 force, the closed-form example314 norm,
-and a comparison of two expansions of one window.
+and a comparison of two expansions of one window; and the window of a sequence
+of fields, which the stages read from field files instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from grashof_expand import expansion as ex
 from grashof_expand import fixtures as fx
 from grashof_expand import kernels
 from grashof_expand import spectral as sp
@@ -105,7 +107,7 @@ def uniqueness_check(e1, e2, tol=1e-10):
     for k in range(min(e1.depth, e2.depth)):
         g1, g2 = e1.terms[k].gammas, e2.terms[k].gammas
         gamma_diffs.append(float(np.max(np.abs(g1 - g2) / np.maximum(np.abs(g1), 1e-300))))
-        sk = e1.space_exponent(k + 1)
+        sk = e1.scale.exponent(k + 1)
         direction_diffs.append(sp.norm_ds(e1.terms[k].direction - e2.terms[k].direction, sk))
     match = (
         depth_equal
@@ -120,3 +122,9 @@ def uniqueness_check(e1, e2, tol=1e-10):
         gamma_diffs=gamma_diffs,
         direction_diffs=direction_diffs,
     )
+
+
+def sequence_data(fields, alphas):
+    """The ``SequenceData`` of ``fields``: their rows on the union of their keys."""
+    fields = tuple(fields)  # rows_of and max each iterate it
+    return ex.SequenceData(*sp.rows_of(fields), max((f.trunc for f in fields), default=1), alphas)

@@ -13,7 +13,7 @@ from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
 from conftest import shear_field
-from oracles import uniqueness_check
+from oracles import sequence_data, uniqueness_check
 from test_expansion import (
     _assert_partial_sums_match,
     _assert_structurally_equal,
@@ -66,7 +66,7 @@ def ex45_end_to_end():
     reports = st.sweep([r.alpha for r in recs], [r.g_n for r in recs], trunc=4)
     for rep, rec in zip(reports, recs):
         _solve_corpus.append((rep, sp.norm_ds(rec.g_n, 0)))
-    data = ex.SequenceData.of(tuple(r.solution for r in reports),
+    data = sequence_data(tuple(r.solution for r in reports),
                               tuple(r.alpha for r in recs))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     unitary = ex.refine_unitary(strict, data)
@@ -114,8 +114,8 @@ def test_criterion_2_example45_end_to_end(ex45_end_to_end):
 
 
 def test_criterion_3_example314_extraction():
-    recs, alphas = fx.example314_window(range(1, 7), truncation=64)
-    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas))
+    fields, alphas = fx.example314_window(range(1, 7), truncation=64)
+    data = sequence_data(fields, alphas)
     strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
     unitary = ex.refine_unitary(strict, data)
     limit_norm = sp.norm_ds(unitary.limit, 0)
@@ -225,8 +225,8 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
     table_ok = True
     _, recs, _, data, _, uni45 = ex45_end_to_end
     extractions = [(np.array(data.alphas), [t.gammas for t in uni45.terms])]
-    recs314, alphas314 = fx.example314_window()
-    data314 = ex.SequenceData.of(tuple(r.v_n for r in recs314), tuple(alphas314))
+    fields314, alphas314 = fx.example314_window()
+    data314 = sequence_data(fields314, alphas314)
     strict314 = ex.extract_strict(data314, ex.constant_scale(0.0, 3))
     extractions.append((np.array(alphas314), [t.gammas for t in strict314.terms]))
     for alphas, gammas in extractions:
@@ -247,8 +247,8 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
 
 
 def test_criterion_7_uniqueness_across_windows(monkeypatch):
-    recs, alphas = fx.example314_window()
-    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas))
+    fields, alphas = fx.example314_window()
+    data = sequence_data(fields, alphas)
     scale = ex.constant_scale(0.0, 3)
     e1 = ex.extract_strict(data, scale)  # tail ceil(6/3) = 2
     monkeypatch.setattr(ex, "_tail", lambda m: 3)

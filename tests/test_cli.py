@@ -540,6 +540,10 @@ CASES = {
            ("twice", "--coeffs 2=1,2=3", "2=1,2=3", "c_2 is given more than once"),
            ("m-1", "--coeffs 1=1", "1=1", "coefficients start at m = 2; got m = 1"),
            ("colon", "--coeffs 2:1", "2:1", "bad coefficient entry '2:1'"),
+           # a closed form that would underflow (1 / |w_2|) or overflow (alpha_n)
+           ("underflow", "--c2 1e-300", "2=1e-300",
+            "c_2 = 1e-300 must be finite and nonzero, with m^2 |c_m| in [2^-256, 2^256]"),
+           ("overflow", "--coeffs 2=1e308", "2=1e308", "c_2 = 1e+308 must be finite"),
            ("empty", "--coeffs ,", ",", "empty coefficient list"))
        for stage, argv in (
            ("fixtures", f"fixtures example45 {flags}"),
@@ -622,6 +626,8 @@ CASES = {
                                      (MAN, ("g_limit",), None)),
     "classify-without-any-force": Case(CLASSIFY, 2, f"{{file}}: {NO_G_LIMIT}",
                                        (MAN, _json(_strip_forces))),
+    "classify-zero-g-limit": Case(CLASSIFY, 2, "usage error: {file}: forcing g must be nonzero",
+                                  ("{fx}/g_limit.json", ("modes",), "[]")),
     # Field files: the first bad one in manifest order is named.
     **{name: Case(EXTRACT, 2, f"usage error: {{file}}: malformed field file ({words})",
                   (FIELD, keys, text)) for name, keys, text, words in (
@@ -670,6 +676,16 @@ CASES = {
     "exponent-string": Case(
         VERIFY, 2, "{file}: form unitary: bad scale ('exponents': not a number)",
         (INDEX, ("forms", "unitary", "scale", "exponents", 1), '"0.5"')),
+    "scale-shorter-than-terms": Case(
+        VERIFY, 2, "{file}: form strict: scale of depth 5 is shorter than its 6 terms",
+        (INDEX, ("forms", "strict", "scale", "exponents", 0), None)),
+    # The index's alphas follow the window's rule, in every stage that reads them.
+    **{f"{stage}-index-alphas-{name}": Case(argv, 2, f"usage error: {{file}}: {words}",
+                                            (INDEX, ("alphas", 0), text))
+       for stage, argv in (("verify", VERIFY), ("classify", CLASSIFY))
+       for name, text, words in (
+           ("negative", "-1", "alphas must be positive"),
+           ("not-increasing", "1e9", "alphas must be strictly increasing: sample 2 has alpha "))},
     "regime-not-its-exponents": Case(
         VERIFY, 2, "{file}: scale records regime 'general', but its exponents",
         (INDEX, ("forms", "strict", "scale", "regime"), '"general"')),
@@ -727,6 +743,8 @@ CASES = {
                                 ("constants-list", ("constants",), "[1, 2]"),
                                 ("residual-string", ("residuals", "R1"), '"0.1"'),
                                 ("warnings-string", ("warnings",), '"none"'))},
+    "classification-not-an-object": Case(REPORT, 2, "{file}: classification is not a JSON object",
+                                         ("{cls}", (), "[]")),
     "classified-form-not-in-expansion": Case(
         REPORT, 2, f"{{file}}: classified form 'nosuch' is not in the expansion file; {AVAILABLE}",
         ("{cls}", ("form",), '"nosuch"')),
@@ -911,10 +929,8 @@ PROBE_OUTCOMES = {
         "forms.*.depth_reason": {**RECORD, "delete": 2},  # report prints it
         "forms.*.limit_estimator": {**RECORD, "delete": 2},
         "forms.*.degenerate_N": {"null": 0},  # the value it holds
-        # a shorter scale: verify judges the terms past its depth by its last exponent
-        "forms.strict.scale.exponents.?": {"delete": 1},
-        "forms.restructured.scale.exponents.?": {"delete": 1},
-        "forms.unitary.scale.exponents.?": {"delete": 0},  # constant: every exponent the same
+        # a scale one level shorter still covers the unitary form's 2 terms
+        "forms.unitary.scale.exponents.?": {"delete": 0},
     },
     "{cls}": {
         "branch": {"string": 0},  # any string: report prints it

@@ -19,7 +19,7 @@ from grashof_expand import spectral as sp
 from grashof_expand.seqlimit import estimate_limit
 
 from conftest import witness_fields
-from oracles import example314_abs_v, uniqueness_check
+from oracles import example314_abs_v, sequence_data, uniqueness_check
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_scale_rejects_bad_exponents(exps, words):
 def test_extract_constant_sequence_is_trivial():
     rng = np.random.default_rng(0)
     v = sp.random_divfree(4, rng)
-    data = ex.SequenceData.of((v,) * 8, tuple(2.0**j for j in range(8)))
+    data = sequence_data((v,) * 8, tuple(2.0**j for j in range(8)))
     res = ex.extract_strict(data, ex.default_scale_2dp(4))
     assert res.kind == "trivial"
     assert res.depth == 0
@@ -68,7 +68,7 @@ def test_extract_constant_sequence_is_trivial():
 def test_extract_rejects_short_window():
     rng = np.random.default_rng(1)
     v = sp.random_divfree(3, rng)
-    data = ex.SequenceData.of((v,) * 5, tuple(2.0**j for j in range(5)))
+    data = sequence_data((v,) * 5, tuple(2.0**j for j in range(5)))
     with pytest.raises(ValueError):
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
@@ -76,13 +76,13 @@ def test_extract_rejects_short_window():
 def test_extract_rejects_nonconvergent_window():
     phi = sp.eigenfunctions(1)[-1]
     fields = tuple(phi if n % 2 == 0 else -1.0 * phi for n in range(8))
-    data = ex.SequenceData.of(fields, tuple(2.0**j for j in range(8)))
+    data = sequence_data(fields, tuple(2.0**j for j in range(8)))
     with pytest.raises(ex.NotConvergentError):
         ex.extract_strict(data, ex.default_scale_2dp(4))
 
 
 def test_extract_example314_strict_values(ex314_window):
-    recs, data = ex314_window
+    _, data = ex314_window
     strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
     assert sp.norm_ds(strict.limit, 0) <= 1e-12
     ns = np.arange(1, 7)
@@ -151,7 +151,7 @@ def test_extract_rejects_window_without_overall_decay():
     fields = []
     for n in range(1, 9):
         fields.append(sp.lin_comb([1.0, 0.2 * (1 + 1e-12) ** n], [phi1, phi5]))
-    data = ex.SequenceData.of(tuple(fields), tuple(2.0**j for j in range(8)))
+    data = sequence_data(tuple(fields), tuple(2.0**j for j in range(8)))
     with pytest.raises(ex.NotConvergentError, match=re.escape(
             "strict expansion: level 1 fails reconstruction")):
         ex.extract_strict(data, ex.default_scale_2dp(4))
@@ -166,7 +166,7 @@ GEOMETRIC = [2.0**j for j in range(8)]
 
 def _window(alphas, weights):
     """SequenceData of v + sum_j weights[n][j] phi_{j+2} (phi_2, phi_3, phi_4, phi_5)."""
-    return ex.SequenceData.of([sp.lin_comb([1.0, *w], [V, *PHI[2:2 + len(w)]]) for w in weights],
+    return sequence_data([sp.lin_comb([1.0, *w], [V, *PHI[2:2 + len(w)]]) for w in weights],
                               alphas)
 
 
@@ -187,7 +187,7 @@ def test_sequence_data_rejects_alphas_out_of_order():
 ], ids=["unequal-lengths", "zero-alpha", "negative-alpha"])
 def test_sequence_data_rejects_bad_windows(alphas, words):
     with pytest.raises(ValueError, match=words):
-        ex.SequenceData.of((V, V, V), alphas)
+        sequence_data((V, V, V), alphas)
 
 
 def test_extract_finite_unitary_when_witnesses_stabilize():
@@ -362,7 +362,7 @@ def oracle_strict_eigen(coeffs, alphas, kmax, tail):
 
 
 def test_brute_force_oracle_matches_engine(ex314_window, ex314_extraction):
-    recs, data = ex314_window
+    _, data = ex314_window
     strict, _ = ex314_extraction
     truncation = 8  # few-mode variant for the oracle comparison
     ns = range(1, 7)
@@ -374,7 +374,7 @@ def test_brute_force_oracle_matches_engine(ex314_window, ex314_extraction):
         sp.lin_comb(list(coeffs[i]), sp.eigenfunctions(truncation))
         for i in range(6)
     )
-    data8 = ex.SequenceData.of(fields, tuple(alphas))
+    data8 = sequence_data(fields, tuple(alphas))
     engine = ex.extract_strict(data8, ex.constant_scale(0.0, 3))
     assert np.max(np.abs(vhat)) <= 1e-12
     assert sp.norm_ds(engine.limit, 0) <= 1e-12
@@ -427,8 +427,8 @@ def test_restructure_removes_interior_zero_direction():
     assert out.kind == "infinite-unitary"
     _assert_partial_sums_match(withzero, out)
     # reconstruction identity survives the removal at every level
-    recs, _ = fx.example314_window()
-    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(float(np.exp(n)) for n in range(1, 7)))
+    fields, _ = fx.example314_window()
+    data = sequence_data(fields, tuple(float(np.exp(n)) for n in range(1, 7)))
     rep = ex.verify_expansion(out, data)
     recon = [c for c in rep.checks if c.axiom == "reconstruction"][0]
     assert recon.passed
@@ -632,7 +632,7 @@ def test_remainder_ratios_match_field_arithmetic(ex45_data, ex45_extraction):
     for n, v_n in enumerate(ex45_data.to_field(row) for row in ex45_data.flat):
         rem, prev = v_n - unitary.limit, 1.0
         for k, term in enumerate(unitary.terms):
-            expect = sp.norm_ds(rem, unitary.space_exponent(k + 1)) / prev
+            expect = sp.norm_ds(rem, unitary.scale.exponent(k + 1)) / prev
             assert ratios[k, n] == pytest.approx(expect, rel=1e-10, abs=1e-300)
             rem, prev = rem - term.gammas[n] * term.direction, term.gammas[n]
 
@@ -673,8 +673,8 @@ def _pinned_forms(which, ex45_data, ex45_extraction):
         return {"strict": strict, "restructured": ex.restructure(strict),
                 "unitary": unitary}, ex45_data.alphas
     if which == "ex314-extraction":
-        recs, _ = fx.example314_window(range(1, 7), 16)
-        data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas314))
+        fields, _ = fx.example314_window(range(1, 7), 16)
+        data = sequence_data(fields, tuple(alphas314))
         strict = ex.extract_strict(data, ex.constant_scale(0.0, 3))
         return {"strict": strict, "restructured": ex.restructure(strict),
                 "unitary": ex.refine_unitary(strict, data)}, alphas314
@@ -739,7 +739,7 @@ def test_rows_put_fields_on_the_window_or_refuse(ex45_data):
 
 def test_verify_rejects_window_of_other_length(ex45_data, ex45_extraction):
     _, unitary = ex45_extraction
-    short = ex.SequenceData.of([ex45_data.to_field(row) for row in ex45_data.flat[:12]],
+    short = sequence_data([ex45_data.to_field(row) for row in ex45_data.flat[:12]],
                                ex45_data.alphas[:12])
     with pytest.raises(ValueError, match="window length"):
         ex.verify_expansion(unitary, short)
@@ -753,7 +753,7 @@ def test_dense_window_round_trips_through_save_load(tmp_path):
     rng = np.random.default_rng(0)
     base = [sp.random_divfree(12, rng) for _ in range(4)]
     alphas = [n + 1.0 for n in range(20)]
-    data = ex.SequenceData.of(
+    data = sequence_data(
         tuple(sp.lin_comb([1, 1 / a, a**-2, a**-3], base) for a in alphas), tuple(alphas))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     forms = {"strict": strict, "unitary": ex.refine_unitary(strict, data)}

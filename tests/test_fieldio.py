@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from grashof_expand import cli
-from grashof_expand import expansion as ex
 from grashof_expand import fieldio
 from grashof_expand import spectral as sp
+from oracles import sequence_data
 
 
 def test_field_roundtrip_exact(tmp_path):
@@ -319,7 +319,7 @@ def _manifest(paths):
 @pytest.mark.parametrize("name", sorted(WINDOWS))
 def test_read_fields_bit_equal_to_per_file_reader(windows, name):
     """The reader's window is the per-file fields on the union of their keys, and
-    the window the stages load is ``SequenceData.of`` of those fields."""
+    the window the stages load is ``sequence_data`` of those fields."""
     paths = windows[name]
     keys, rows, truncs = fieldio.read_fields(paths)
     want = [_read_field_per_file(p) for p in paths]
@@ -327,7 +327,7 @@ def test_read_fields_bit_equal_to_per_file_reader(windows, name):
     assert _window_bits(keys, rows, truncs) == _window_bits(*_window_per_field(want))
     assert all(_same_bits(fieldio.read_field(p), v) for p, v in zip(paths, want))
     data, _ = cli._load_sequence(_manifest(paths))
-    _assert_same_data(data, ex.SequenceData.of(iter(want), data.alphas))
+    _assert_same_data(data, sequence_data(iter(want), data.alphas))
 
 
 def _corrupt(path, kind):
@@ -411,7 +411,7 @@ def test_read_fields_drops_a_zero_mode_outside_the_truncation(windows, tmp_path)
     shutil.copyfile(_manifest(windows["example45"]), _manifest(paths))
     data, _ = cli._load_sequence(_manifest(paths))
     fields = [_read_field_per_file(p) for p in paths]
-    _assert_same_data(data, ex.SequenceData.of(fields, data.alphas))
+    _assert_same_data(data, sequence_data(fields, data.alphas))
 
 
 def test_read_fields_drops_a_mode_zero_in_every_file(windows, tmp_path):

@@ -11,7 +11,8 @@ from grashof_expand import spectral as sp
 from grashof_expand import steady as st
 
 from conftest import witness_fields
-from oracles import example314_abs_v, example45_big_force, leray_project, residual
+from oracles import (example314_abs_v, example45_big_force, leray_project, residual,
+                     sequence_data)
 
 
 def test_cstar_and_alpha_high_precision():
@@ -209,9 +210,9 @@ def test_example45_window_names_the_first_failing_n(monkeypatch, recon_n, steady
 
 
 def test_example314_norm_closed_form():
-    for n in range(1, 7):
-        rec = fx.example314(n)
-        num = sp.norm_ds(rec.v_n, 0)
+    fields, _ = fx.example314_window()
+    for n, v_n in zip(range(1, 7), fields):
+        num = sp.norm_ds(v_n, 0)
         with mpmath.workdps(40):
             q = mpmath.e ** (-2 * n)
             expect = float(
@@ -246,8 +247,8 @@ def test_example314_degenerate_witness_norms():
 
 
 def test_example314_reconstruction_exact():
-    recs, alphas = fx.example314_window()
-    data = ex.SequenceData.of(tuple(r.v_n for r in recs), tuple(alphas))
+    fields, alphas = fx.example314_window()
+    data = sequence_data(fields, alphas)
     for e in (fx.example314_unitary_expansion(), fx.example314_degenerate_expansion()):
         rep = ex.verify_expansion(e, data)
         recon = [c for c in rep.checks if c.axiom == "reconstruction"][0]
@@ -285,9 +286,9 @@ def test_example314_bit_equal_to_lin_comb_oracle(T):
     if T == 256:
         assert np.exp(-36 - 6 * 119) == 0.0 and np.exp(-36 - 6 * 118) > 0.0
     for n in ns:
-        assert _same_bits(fx.example314(n, T).v_n, v[n])
-    recs, _ = fx.example314_window(ns, T)
-    assert all(_same_bits(r.v_n, v[r.n]) for r in recs)
+        assert _same_bits(fx.example314_window([n], T)[0][0], v[n])
+    fields, _ = fx.example314_window(ns, T)
+    assert all(_same_bits(v_n, v[n]) for n, v_n in zip(ns, fields))
     unitary = fx.example314_unitary_expansion(ns, T)
     degenerate = fx.example314_degenerate_expansion(ns, T)
     for k in range(1, 7):
@@ -303,11 +304,11 @@ def test_example314_bit_equal_to_lin_comb_oracle(T):
 
 def test_example314_range_guard():
     with pytest.raises(ValueError):
-        fx.example314(0)
+        fx.example314_window([0])
     with pytest.raises(ValueError):
-        fx.example314(7)
+        fx.example314_window([7])
     with pytest.raises(ValueError):
-        fx.example314(3, truncation=8)
+        fx.example314_window([3], truncation=8)
     with pytest.raises(ValueError):
         fx.example314_degenerate_expansion(range(1, 8))
 
@@ -319,8 +320,7 @@ def test_fixture_determinism():
     ka, ca = a.v_n.keys, a.v_n.coeffs
     kb, cb = b.v_n.keys, b.v_n.coeffs
     assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
-    ra = fx.example314(3)
-    rb = fx.example314(3)
-    ka, ca = ra.v_n.keys, ra.v_n.coeffs
-    kb, cb = rb.v_n.keys, rb.v_n.coeffs
+    ((ra,), _), ((rb,), _) = fx.example314_window([3]), fx.example314_window([3])
+    ka, ca = ra.keys, ra.coeffs
+    kb, cb = rb.keys, rb.coeffs
     assert np.array_equal(ka, kb) and np.array_equal(ca, cb)

@@ -266,7 +266,8 @@ def test_jacobian_kernel_matches_field_assembly(case):
     p = st.SteadyProblem(g=(1.0 / sp.norm_ds(g, 0)) * g, alpha=alpha, trunc=n)
     v = sp.project_trunc(make_v(rng), n)  # the field the unknowns on radius N hold
     reps, sigmas = st._dof_maps(n)
-    a = kernels.assemble_linearized(st._field_to_vec(v, reps, sigmas), sigmas, reps, p.alpha, p.trunc)
+    a = kernels.assemble_linearized(st._field_to_vec(v, reps, sigmas), sigmas, reps, p.alpha,
+                                    kernels.Subspace(reps, n))
     b = linearized_by_fields(v, p, reps, sigmas)
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
@@ -281,8 +282,9 @@ def test_jacobian_kernel_on_a_subset_of_representatives():
     even = np.flatnonzero(reps[:, 0] % 2 == 0)
     rows = np.concatenate([even, len(reps) + even])
     x = st._field_to_vec(v, reps, sigmas)
-    full = kernels.assemble_linearized(x, sigmas, reps, 16.0, n)
-    part = kernels.assemble_linearized(x[rows], sigmas[even], reps[even], 16.0, n)
+    full = kernels.assemble_linearized(x, sigmas, reps, 16.0, kernels.Subspace(reps, n))
+    part = kernels.assemble_linearized(x[rows], sigmas[even], reps[even], 16.0,
+                                       kernels.Subspace(reps[even], n))
     assert part.shape == (2 * len(even), 2 * len(even))
     assert np.max(np.abs(part - full[np.ix_(rows, rows)])) <= 1e-15 * np.max(np.abs(full))
 
@@ -336,9 +338,9 @@ def test_reduced_jacobian_is_p_j_q(case):
         assert parts.all(axis=1).any()
     q = np.zeros((2 * m, len(orbits.first)))
     q[live, orbits.orbit[live]] = orbits.sign[live]
-    full = kernels.assemble_linearized(x, sigmas, reps, 32.0, 8)
+    full = kernels.assemble_linearized(x, sigmas, reps, 32.0, kernels.Subspace(reps, 8))
     want = full[orbits.first] @ q
-    got = kernels.assemble_linearized(x[orbits.first], sigmas, reps, 32.0, 8, orbits)
+    got = kernels.assemble_linearized(x[orbits.first], sigmas, reps, 32.0, orbits)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -348,7 +350,7 @@ def test_kept_subspace_assembles_as_a_fresh_one(case):
     """A Subspace serves many assemblies: v1 and then v2, each at two alphas,
     give the bits of a fresh Subspace per call, on the README frame (group
     order 4), which keeps its plan, and on the trivial group, which makes
-    its weights at each call, as a call without a Subspace does."""
+    its weights at each call."""
     n = 8
     if case == "readme":
         _, reps, kept = subspace_field(case)
@@ -365,12 +367,9 @@ def test_kept_subspace_assembles_as_a_fresh_one(case):
     for _ in range(2):
         y = 0.1 * rng.standard_normal(len(kept.first))
         for alpha in (3.0, 700.0):
-            got = kernels.assemble_linearized(y, sigmas, reps, alpha, n, kept)
-            want = kernels.assemble_linearized(y, sigmas, reps, alpha, n, fresh())
+            got = kernels.assemble_linearized(y, sigmas, reps, alpha, kept)
+            want = kernels.assemble_linearized(y, sigmas, reps, alpha, fresh())
             assert got.tobytes() == want.tobytes()
-            if case == "trivial":
-                none = kernels.assemble_linearized(y, sigmas, reps, alpha, n)
-                assert none.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case, n", [("readme", 8), ("readme", 16), ("two-mode", 8),
@@ -386,8 +385,8 @@ def test_kept_plan_is_the_per_call_path(case, n):
     per_call.keep = False
     sigmas, y = sp.sigma(reps), x[sub.first]
     for alpha in (3.0, 700.0):
-        got = kernels.assemble_linearized(y, sigmas, reps, alpha, n, sub)
-        want = kernels.assemble_linearized(y, sigmas, reps, alpha, n, per_call)
+        got = kernels.assemble_linearized(y, sigmas, reps, alpha, sub)
+        want = kernels.assemble_linearized(y, sigmas, reps, alpha, per_call)
         assert np.array_equal(got, want)
         assert np.all((got.view(np.int64) == want.view(np.int64)) | (got == 0))
         assert (got.flags.f_contiguous, got.flags.c_contiguous) == \
@@ -409,7 +408,7 @@ def test_kept_plan_memory_is_bounded(case, n):
     try:
         for _ in range(2):
             out = None
-            out = kernels.assemble_linearized(y, sigmas, reps, 5.0, n, sub)
+            out = kernels.assemble_linearized(y, sigmas, reps, 5.0, sub)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -440,7 +439,7 @@ def test_jacobian_memory_layout_is_pinned(coeffs, order, column_major):
         gvec = st._field_to_vec(v, reps, sigmas)
         sub, got_order = st._Frame(reps, sigmas, n, gvec).restrict(gvec)
     assert got_order == order
-    jac = kernels.assemble_linearized(gvec[sub.first], sigmas, reps, 5.0, n, sub)
+    jac = kernels.assemble_linearized(gvec[sub.first], sigmas, reps, 5.0, sub)
     assert jac.shape[0] > 1  # else both layouts at once
     assert jac.flags.f_contiguous == column_major
     assert jac.flags.c_contiguous != column_major
@@ -466,7 +465,8 @@ def test_jacobian_kernel_memory_is_one_matrix(n):
             sub = kernels.Subspace(reparr, n) if kept else None
             for _ in range(2):
                 out = None
-                out = kernels.assemble_linearized(x, sigmas, reparr, 5.0, n, sub)
+                out = kernels.assemble_linearized(x, sigmas, reparr, 5.0,
+                                                  sub or kernels.Subspace(reparr, n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -486,7 +486,7 @@ def test_jacobian_matches_finite_differences():
         fld = st._vec_to_field(x, reps, sigmas, 3)
         return st._field_to_vec(residual(fld, p), reps, sigmas)
 
-    jac = kernels.assemble_linearized(x0, sigmas, reps, p.alpha, p.trunc)
+    jac = kernels.assemble_linearized(x0, sigmas, reps, p.alpha, kernels.Subspace(reps, 3))
     f0 = fvec(x0)
     h = 1e-7
     for i in range(0, len(x0), 7):

@@ -10,7 +10,7 @@ from grashof_expand import orders as od
 from grashof_expand import spectral as sp
 
 from conftest import make_stokes_family, make_v0_family
-from oracles import leray_project
+from oracles import leray_project, sequence_data
 
 SQRT2PI = np.sqrt(2.0) * np.pi
 
@@ -164,7 +164,7 @@ def test_classify_laminar_trivial_branch():
     g = shear_field()
     alphas = [float(10 * 2**j) for j in range(8)]
     reports = st.sweep(alphas, [g] * len(alphas), trunc=4)
-    data = ex.SequenceData.of(tuple(r.solution for r in reports), tuple(alphas))
+    data = sequence_data(tuple(r.solution for r in reports), tuple(alphas))
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     uni = ex.refine_unitary(strict, data)
     rep = od.classify(uni, g, alphas)
@@ -210,7 +210,7 @@ def test_classify_v0_subbranch_2b():
     g1 = 1.1 / np.sqrt(alphas)
     g2 = 0.8 / alphas
     fields = [sp.lin_comb([g1[i], g2[i]], [w1, w2]) for i in range(len(alphas))]
-    data = ex.SequenceData.of(tuple(fields), tuple(alphas))
+    data = sequence_data(tuple(fields), tuple(alphas))
     g_limit = (1.1**2) * sp.bilinear_b(w1, w1)
     strict = ex.extract_strict(data, ex.default_scale_2dp(6))
     uni = ex.refine_unitary(strict, data)

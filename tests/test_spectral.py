@@ -12,7 +12,7 @@ from grashof_expand import kernels
 from grashof_expand import spectral as sp
 
 from conftest import shear_field
-from oracles import bilinear_at, example45_big_force, leray_project
+from oracles import bilinear_at, example45_big_force, leray_project, sequence_data
 
 SQRT2PI = math.sqrt(2.0) * math.pi
 
@@ -307,6 +307,12 @@ def test_operations_preserve_reality_and_divergence():
         sp.SpectralField(out.trunc, dict(out.modes))  # revalidates
 
 
+@pytest.mark.parametrize("coeff", [[1j], [0.0, 1j, 0.0], 1j], ids=["one", "three", "scalar"])
+def test_field_rejects_a_coefficient_not_a_2_vector(coeff):
+    with pytest.raises(sp.MalformedFieldError, match="coefficients must be complex 2-vectors"):
+        sp.SpectralField(2, {(0, 1): coeff, (0, -1): np.conj(coeff)})
+
+
 def test_field_rejects_divergence_violation():
     with pytest.raises(sp.MalformedFieldError):
         sp.SpectralField(2, {(1, 0): np.array([1.0 + 0j, 0.0j]),
@@ -401,7 +407,7 @@ def test_field_ops_return_sorted_closed_keys(tmp_path):
     v = sp.random_divfree(3, rng)
     w = leray_project(dict(u.modes), trunc=u.trunc)
     fieldio.write_field(tmp_path / "u.json", u)
-    win = ex.SequenceData.of([u, v, sp.eigenfunctions(7)[-1]], [1.0, 2.0, 3.0])
+    win = sequence_data([u, v, sp.eigenfunctions(7)[-1]], [1.0, 2.0, 3.0])
     outputs = [
         u, v, w,
         sp.lin_comb([0.5, -2.0, 1.0], [u, v, u]),

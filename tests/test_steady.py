@@ -286,7 +286,7 @@ def test_weighted_residual_norm_is_the_full_one():
     y = 0.05 * np.random.default_rng(8).standard_normal(len(orbits.first))
     v = st._vec_to_field(orbits.expand(y), reps, sigmas, 8)
     p = st.SteadyProblem(g=g, alpha=64.0, trunc=8)
-    jac = kernels.assemble_linearized(y, sigmas, reps, p.alpha, 8, orbits)
+    jac = kernels.assemble_linearized(y, sigmas, reps, p.alpha, orbits)
     stokes = np.tile(np.sum(reps * reps, axis=1), 2)[orbits.first]
     gvec = st._field_to_vec(g, reps, sigmas)[orbits.first]
     fx_ = 0.5 * (jac @ y + stokes * y) - gvec
@@ -314,7 +314,7 @@ def test_jacobian_gives_the_residual(n, alpha):
     v = sp.random_divfree(n, rng)
     reps, sigmas = st._dof_maps(n)
     x = st._field_to_vec(v, reps, sigmas)
-    jac = kernels.assemble_linearized(x, sigmas, reps, alpha, n)
+    jac = kernels.assemble_linearized(x, sigmas, reps, alpha, kernels.Subspace(reps, n))
     stokes = np.tile(np.sum(reps * reps, axis=1), 2)
     got = 0.5 * (jac @ x + stokes * x) - st._field_to_vec(g, reps, sigmas)
     want = st._field_to_vec(residual(v, p), reps, sigmas)
@@ -337,10 +337,10 @@ def test_one_jacobian_per_line_search_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def assemble(y, sigmas, reps, alpha, n, sub):
-        v = st._vec_to_field(expand(sub, y), reps, sigmas, n)  # the point, as the solution is
+    def assemble(y, sigmas, reps, alpha, sub):
+        v = st._vec_to_field(expand(sub, y), reps, sigmas, 8)  # the point, as the solution is
         linearized.append(v.keys.tobytes() + v.coeffs.tobytes())
-        return assemble_linearized(y, sigmas, reps, alpha, n, sub)
+        return assemble_linearized(y, sigmas, reps, alpha, sub)
 
     monkeypatch.setattr(kernels, "assemble_linearized", counted("jacobians", assemble))
     monkeypatch.setattr(kernels.Subspace, "expand",
