@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -463,99 +463,90 @@ def _tail_decreasing(values, t, slack=1e-12):
     return bool(np.all(diffs <= slack * max(np.max(np.abs(v)), 1e-300))), worst
 
 
-def _partial_sums(e, data, rows):
-    """Rows of v + sum_{j<k} Gamma_{j,n} w_j, k = 0..depth, made lazily from ``rows`` (the
-    limit's, then each direction's, on the window's modes) once the window lengths agree."""
-    if any(len(term.gammas) != len(data) for term in e.terms):
-        raise ValueError(f"expansion window length differs from the {len(data)}-sample data window")
-    steps = (term.gammas[:, None] * d[None, :] for term, d in zip(e.terms, rows[1:]))
-    return accumulate(steps, initial=np.repeat(rows[:1], len(data), axis=0))
-
-
-def _ratios(e, data, rows):
-    prev = [np.ones(len(data))] + [term.gammas for term in e.terms]
-    ratios = [data.norms(data.flat - p, e.scale.exponent(k + 1)) / prev[k]
-              for k, p in zip(range(e.depth), _partial_sums(e, data, rows))]
-    return np.array(ratios).reshape(e.depth, len(data))
-
-
-def remainder_ratios(e, data):
-    """(depth x M) remainder ratios of ``e`` on the window of ``data``.
-
-    Row k-1 holds ||v_n - v - sum_{j<k} Gamma_{j,n} w_j|| / Gamma_{k-1,n}
-    (Gamma_0 = 1) in the level-k space.
-
-    Raises:
-      ValueError: the expansion carries modes outside the data window.
-    """
-    return _ratios(e, data, _rows(data.keys, [e.limit] + [t.direction for t in e.terms]))
-
-
-def verify_expansion(e, data):
-    """Per-axiom verification report of an expansion against its raw window."""
-    t = _tail(len(data))
-    checks = []
-    s0 = e.scale.exponent(0)
+def _walk(e, data):
+    """One pass over the levels k of ``e`` on ``data``'s window, each partial sum P_{k-1} =
+    v + sum_{j<k} Gamma_{j,n} w_j formed once: lists per level of the reconstruction error
+    (of v alone for a termless form), remainder ratio, witness convergence, unit error of
+    the direction and (strict form) witnesses, and past a degenerate kind's n0 the ratio
+    ||v_n - P_{n0}|| / Gamma_{k,n} with whether w_k = 0. A ValueError for another window."""
     wits = [term.witnesses for term in e.terms]
     if wits and not np.array_equal(e.keys, data.keys):
         wits = list(_onto(e.keys, np.stack(wits), data.keys))
-    rows = _rows(data.keys, [e.limit] + [term.direction for term in e.terms])
-    dirs = rows[1:]
-    gammas = [term.gammas for term in e.terms]
+    limit, *dirs = _rows(data.keys, [e.limit] + [term.direction for term in e.terms])
+    if any(len(term.gammas) != len(data) for term in e.terms):
+        raise ValueError(f"expansion window length differs from the {len(data)}-sample data window")
+    s0, n0 = e.scale.exponent(0), e.degenerate_n or 0
     scale0 = float(np.max(data.norms(data.flat, s0)))
+    walk = {key: [] for key in ("recon", "ratio", "conv", "unit", "wunit", "degen")}
+    partial, prev = np.repeat(limit[None], len(data), axis=0), np.ones(len(data))
+    for k, (g, d, w) in enumerate(zip((term.gammas for term in e.terms), dirs, wits), start=1):
+        sk, rem = e.scale.exponent(k), data.flat - partial
+        walk["recon"].append(float(np.max(data.norms(partial + g[:, None] * w - data.flat, s0)))
+                             / scale0)
+        walk["ratio"].append(data.norms(rem, sk) / prev)
+        walk["conv"].append(data.norms(w - d, sk))
+        walk["unit"].append(abs(float(data.norms(d, sk)) - 1.0))
+        if e.form == "strict":  # its witnesses are unit in Z_{k-1}
+            wnorms = data.norms(w, e.scale.exponent(k - 1))
+            walk["wunit"].append(float(np.max(np.abs(wnorms - 1.0))))
+        if e.kind == "degenerate" and k > n0:
+            base = rem if k - 1 == n0 else base  # v_n - P_{n0}
+            walk["degen"].append((data.norms(base, sk) / g, bool(np.all(d == 0))))
+        partial, prev = partial + g[:, None] * d[None, :], g
+    if not e.terms:
+        walk["recon"].append(float(np.max(data.norms(partial - data.flat, s0))) / scale0)
+    return walk
 
-    def unit_errors(levels):
-        """| |w_k| - 1 | per 1-based level k, over the given 0-based direction levels."""
-        return {k + 1: abs(float(data.norms(dirs[k], e.scale.exponent(k + 1))) - 1.0)
-                for k in levels}
 
+def remainder_ratios(e, data):
+    """(depth x M) remainder ratios of ``e`` on ``data``'s window, read off ``_walk``: row
+    k-1 holds ||v_n - v - sum_{j<k} Gamma_{j,n} w_j|| / Gamma_{k-1,n} (Gamma_0 = 1) in the
+    level-k space. A ValueError for an expansion of another window."""
+    return np.array(_walk(e, data)["ratio"]).reshape(e.depth, len(data))
+
+
+def verify_expansion(e, data):
+    """Per-axiom verification report of an expansion against its raw window, every
+    check read off the one pass over its levels (``_walk``)."""
+    t = _tail(len(data))
+    walk = _walk(e, data)
     # Reconstruction identity at every recorded level (of v_n = v alone for a termless
     # form); it fails at the first level whose error exceeds RECON_TOL.
-    sums = _partial_sums(e, data, rows)
-    recons = (p + g[:, None] * w for p, g, w in zip(sums, gammas, wits)) if e.terms else sums
-    errs = [float(np.max(data.norms(r - data.flat, s0))) / scale0 for r in recons]
+    errs = walk["recon"]
     bad = next((k for k, err in enumerate(errs, start=1) if not err <= RECON_TOL), None)
-    checks.append(CheckResult("reconstruction", bad is None, max(errs), level=bad))
+    checks = [CheckResult("reconstruction", bad is None, max(errs), level=bad)]
 
     if e.terms:
-        g1 = gammas[0]
-        ok, worst = _tail_decreasing(g1, t)
-        ok = ok and g1[-1] < g1[0]
-        checks.append(CheckResult("gamma1-decay", ok, float(g1[-1] / g1[0]), level=1))
-
-        for k in range(len(e.terms) - 1):
-            r = gammas[k + 1] / gammas[k]
+        gammas = [np.ones(len(data))] + [term.gammas for term in e.terms]
+        for k in range(1, len(gammas)):  # Gamma_1 decays, then each Gamma_k / Gamma_{k-1}
+            r = gammas[k] / gammas[k - 1]
             ok, _ = _tail_decreasing(r, t)
-            ok = ok and r[-1] < r[0]
-            checks.append(CheckResult(f"ratio-decay-k{k + 1}", ok, float(r[-1]), level=k + 2))
+            name, worst = ("gamma1-decay", r[-1] / r[0]) if k == 1 else (f"ratio-decay-k{k - 1}",
+                                                                          r[-1])
+            checks.append(CheckResult(name, ok and r[-1] < r[0], float(worst), level=k))
 
-        for k in range(len(e.terms)):
-            conv = data.norms(wits[k] - dirs[k], e.scale.exponent(k + 1))
+        for k, conv in enumerate(walk["conv"], start=1):
             ok, _ = _tail_decreasing(conv, t, slack=1e-9)
             stabilized = bool(np.all(conv[-(t + 1):] <= FINITE))
-            checks.append(CheckResult(f"witness-convergence-k{k + 1}", ok or stabilized,
+            checks.append(CheckResult(f"witness-convergence-k{k}", ok or stabilized,
                                       float(conv[-1]), "stabilized" if stabilized and not ok else "",
-                                      k + 1))
+                                      k))
 
         if e.form == "strict":
-            errs = {k + 1: float(np.max(np.abs(data.norms(wits[k], e.scale.exponent(k)) - 1.0)))
-                    for k in range(len(e.terms))}
-            name, tol, worst = "unit-witnesses", 1e-13, max(errs.values())
+            errs = walk["wunit"]
+            name, tol, worst = "unit-witnesses", 1e-13, max(errs)
         else:
-            errs = unit_errors(k for k in range(len(e.terms))
-                               if e.degenerate_n is None or k < e.degenerate_n)
-            name, tol, worst = "unit-directions", 1e-12, max([0.0, *errs.values()])
+            errs = walk["unit"][:e.degenerate_n]  # every level when degenerate_n is None
+            name, tol, worst = "unit-directions", 1e-12, max([0.0, *errs])
         checks.append(CheckResult(name, worst <= tol, worst, level=next(
-            (k for k, err in errs.items() if not err <= tol), None)))
+            (k for k, err in enumerate(errs, start=1) if not err <= tol), None)))
 
         # Remainder-ratio profile over the last half of the window.
         # Levels whose remainders reach the float reconstruction floor count
         # as converged to roundoff; the trend is meaningless below it.
         half = max(2, len(data) // 2)
-        worst = 0.0
-        worstnote = ""
-        first = None
-        for k, ratio in enumerate(_ratios(e, data, rows), start=1):
+        worst, worstnote, first = 0.0, "", None
+        for k, ratio in enumerate(walk["ratio"], start=1):
             if np.any(ratio[-(half - 1):] <= 1e-13 * np.max(ratio)):
                 continue
             dec, bad = _tail_decreasing(ratio, half - 1)
@@ -567,20 +558,14 @@ def verify_expansion(e, data):
 
     if e.kind == "degenerate" and e.terms:
         n0 = e.degenerate_n or 0
-        worst = max([0.0, *unit_errors(range(n0)).values()])
-        tail_ok = all(np.all(dirs[k] == 0) for k in range(n0, len(e.terms)))
+        worst = max([0.0, *walk["unit"][:n0]])
+        tail_ok = all(zero for _, zero in walk["degen"])
         checks.append(CheckResult("degenerate-pattern", worst <= 1e-12 and tail_ok, worst,
                                   level=n0 + 1))
         # Degenerate remainders: ||R_{N,n}|| / Gamma_{m+1,n} = ||w_n^{(m+1)}|| -> 0.
-        partial = next(islice(_partial_sums(e, data, rows), n0, None))
-        ok = True
-        worst = 0.0
-        for mlev in range(n0, len(e.terms)):
-            smp1 = e.scale.exponent(mlev + 1)
-            ratio = data.norms(data.flat - partial, smp1) / gammas[mlev]
-            dec, _ = _tail_decreasing(ratio, t, slack=1e-9)
-            ok = ok and dec
-            worst = max(worst, float(ratio[-1]))
+        ratios = [ratio for ratio, _ in walk["degen"]]
+        ok = all(_tail_decreasing(ratio, t, slack=1e-9)[0] for ratio in ratios)
+        worst = max([0.0, *(float(ratio[-1]) for ratio in ratios)])
         checks.append(CheckResult("degenerate-remainders", ok, worst, level=n0 + 1))
 
     return VerificationReport(checks)

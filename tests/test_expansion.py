@@ -6,6 +6,7 @@ dual-expansion family, with no SpectralField machinery, and must match the
 engine to 1e-12 relative.
 """
 
+import hashlib
 import re
 from dataclasses import replace
 
@@ -765,3 +766,193 @@ def test_dense_window_round_trips_through_save_load(tmp_path):
         assert _values_equal(got, e), name
         recon = ex.verify_expansion(got, data).checks[0]
         assert recon.axiom == "reconstruction" and recon.passed, (name, recon.worst)
+
+
+# ---------------------------------------------------------------------------
+# verify_expansion and remainder_ratios, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _verify_pin(e, data):
+    """Every check of ``verify_expansion(e, data)`` as (axiom, passed, float.hex(worst),
+    note, level), and the sha256 of ``remainder_ratios(e, data)``."""
+    checks = [(c.axiom, bool(c.passed), float.hex(float(c.worst)), c.note, c.level)
+              for c in ex.verify_expansion(e, data).checks]
+    return checks, hashlib.sha256(ex.remainder_ratios(e, data).tobytes()).hexdigest()
+
+
+def _verify_pins(ex45_data, ex45_extraction, ex314_window, monkeypatch):
+    """name -> the ``_verify_pin`` of each form: the README forms, every form that the
+    extraction of the cut ``--c2 0.7`` window verifies (its strict form is cut from 6
+    levels to 5), the hand-built example314 forms, a degenerate form with
+    ``degenerate_N`` 1 (trailing zero directions) and a termless form."""
+    strict, unitary = ex45_extraction
+    _, data314 = ex314_window
+    recs = fx.example45_window(fx.Example45Config.single(2, 0.7), range(1, 21))
+    cut_data = sequence_data([r.v_n for r in recs], [r.alpha for r in recs])
+    seen, verify = [], ex.verify_expansion
+    monkeypatch.setattr(ex, "verify_expansion", lambda e, data: seen.append(e) or verify(e, data))
+    ex.refine_unitary(ex.extract_strict(cut_data, ex.default_scale_2dp(6)), cut_data)
+    monkeypatch.undo()
+    uni = fx.example314_unitary_expansion(depth=3)
+    trailing = ex.restructure(replace(uni, terms=uni.terms[:1] + [
+        replace(t, direction=sp.zero_field(t.direction.trunc)) for t in uni.terms[1:]]))
+    forms = {"readme-strict": (strict, ex45_data),
+             "readme-restructured": (ex.restructure(strict), ex45_data),
+             "readme-unitary": (unitary, ex45_data),
+             **{f"c2-0.7-{i}-{e.form}-{e.depth}": (e, cut_data) for i, e in enumerate(seen)},
+             "ex314-unitary": (fx.example314_unitary_expansion(), data314),
+             "ex314-degenerate": (fx.example314_degenerate_expansion(), data314),
+             "ex314-degenerate-n1": (trailing, data314),
+             "termless": (replace(strict, terms=[], kind="trivial"), ex45_data)}
+    return {name: _verify_pin(e, data) for name, (e, data) in forms.items()}
+
+
+# ``_verify_pins`` as the level-by-level checks first gave it: any rewrite of the
+# walk over the levels keeps every check and ratio to the bit.
+VERIFY_PINS = {
+    "readme-strict": ([
+        ("reconstruction", True, "0x1.1ff3336ed6b82p-53", "", None),
+        ("gamma1-decay", True, "0x1.a4171a65a2c67p-5", "", 1),
+        ("ratio-decay-k1", True, "0x1.e88f5b34a6d4fp-9", "", 2),
+        ("ratio-decay-k2", True, "0x1.33c5f9d9d6843p-9", "", 3),
+        ("ratio-decay-k3", True, "0x1.189a9d8ea0e48p-10", "", 4),
+        ("ratio-decay-k4", True, "0x1.2cbe6fdb865c4p-11", "", 5),
+        ("ratio-decay-k5", True, "0x1.2110913f374ebp-12", "", 6),
+        ("witness-convergence-k1", True, "0x1.e88f5b34a6d50p-9", "", 1),
+        ("witness-convergence-k2", True, "0x1.33c5f9d9d6842p-9", "", 2),
+        ("witness-convergence-k3", True, "0x1.189a9d8ea0e48p-10", "", 3),
+        ("witness-convergence-k4", True, "0x1.2cbe6fdb865c5p-11", "", 4),
+        ("witness-convergence-k5", True, "0x1.2110913f374e9p-12", "", 5),
+        ("witness-convergence-k6", True, "0x1.2ac3e07d335c0p-13", "", 6),
+        ("unit-witnesses", True, "0x1.0000000000000p-52", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+    ], "5048231c33bd82cf5dc90fe234e92fc39cbb67c73779954b869a3f72c9c29d06"),
+    "readme-restructured": ([
+        ("reconstruction", True, "0x1.1ff3336ed6b82p-53", "", None),
+        ("gamma1-decay", True, "0x1.a4171a65a2c67p-5", "", 1),
+        ("ratio-decay-k1", True, "0x1.cd23a3f3b7024p-9", "", 2),
+        ("ratio-decay-k2", True, "0x1.4613125ea1cc6p-9", "", 3),
+        ("ratio-decay-k3", True, "0x1.1231e91b504b1p-10", "", 4),
+        ("ratio-decay-k4", True, "0x1.33c600cb3fbd3p-11", "", 5),
+        ("ratio-decay-k5", True, "0x1.1d8242ddd2251p-12", "", 6),
+        ("witness-convergence-k1", True, "0x1.e88f5b34a6d50p-9", "", 1),
+        ("witness-convergence-k2", True, "0x1.4613125ea1cc6p-9", "", 2),
+        ("witness-convergence-k3", True, "0x1.189a9d8ea0e48p-10", "", 3),
+        ("witness-convergence-k4", True, "0x1.33c600cb3fbd4p-11", "", 4),
+        ("witness-convergence-k5", True, "0x1.2110913f374e9p-12", "", 5),
+        ("witness-convergence-k6", True, "0x1.2e7c72f3e746bp-13", "", 6),
+        ("unit-directions", True, "0x1.3800000000000p-48", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+    ], "c29b2082c06b4f8409f2e131605d4d3b64490baf164a9c1233394edbaa45f015"),
+    "readme-unitary": ([
+        ("reconstruction", True, "0x1.0d00a5b4f672ep-55", "", None),
+        ("gamma1-decay", True, "0x1.a58355197a15cp-5", "", 1),
+        ("ratio-decay-k1", True, "0x1.83c5cbe390da5p-9", "", 2),
+        ("witness-convergence-k1", True, "0x1.83c5cbe390da5p-9", "", 1),
+        ("witness-convergence-k2", True, "0x1.33f5d542a0a2cp-40", "stabilized", 2),
+        ("unit-directions", True, "0x0.0p+0", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+    ], "3049fdaba4b988b0957ce607197908521212fa95d5322c608028bd011f1c0340"),
+    "c2-0.7-0-strict-6": ([
+        ("reconstruction", True, "0x1.14265726b0239p-52", "", None),
+        ("gamma1-decay", True, "0x1.aeac960256192p-5", "", 1),
+        ("ratio-decay-k1", True, "0x1.5cf4b0510c74bp-8", "", 2),
+        ("ratio-decay-k2", True, "0x1.b7a803ca733f6p-9", "", 3),
+        ("ratio-decay-k3", True, "0x1.90d844e11b6a6p-10", "", 4),
+        ("ratio-decay-k4", True, "0x1.ad9d665afbef7p-11", "", 5),
+        ("ratio-decay-k5", True, "0x1.9cee5a8080540p-12", "", 6),
+        ("witness-convergence-k1", True, "0x1.5cf4b0510c74ap-8", "", 1),
+        ("witness-convergence-k2", True, "0x1.b7a803ca733f6p-9", "", 2),
+        ("witness-convergence-k3", True, "0x1.90d844e11b6a5p-10", "", 3),
+        ("witness-convergence-k4", True, "0x1.ad9d665afbef7p-11", "", 4),
+        ("witness-convergence-k5", True, "0x1.9cee5a808053ep-12", "", 5),
+        ("witness-convergence-k6", True, "0x1.aac9c2a205e1cp-13", "", 6),
+        ("unit-witnesses", True, "0x1.0000000000000p-52", "", None),
+        ("remainder-ratio", False, "0x1.58552d0831d40p-17", "level 6", 6),
+    ], "4553af0ab74c63cc41e5d64ed80082dc2bf7526c0fb0513ef3c6a03bb1160a83"),
+    "c2-0.7-1-strict-5": ([
+        ("reconstruction", True, "0x1.14265726b0239p-52", "", None),
+        ("gamma1-decay", True, "0x1.aeac960256192p-5", "", 1),
+        ("ratio-decay-k1", True, "0x1.5cf4b0510c74bp-8", "", 2),
+        ("ratio-decay-k2", True, "0x1.b7a803ca733f6p-9", "", 3),
+        ("ratio-decay-k3", True, "0x1.90d844e11b6a6p-10", "", 4),
+        ("ratio-decay-k4", True, "0x1.ad9d665afbef7p-11", "", 5),
+        ("witness-convergence-k1", True, "0x1.5cf4b0510c74ap-8", "", 1),
+        ("witness-convergence-k2", True, "0x1.b7a803ca733f6p-9", "", 2),
+        ("witness-convergence-k3", True, "0x1.90d844e11b6a5p-10", "", 3),
+        ("witness-convergence-k4", True, "0x1.ad9d665afbef7p-11", "", 4),
+        ("witness-convergence-k5", True, "0x1.9cee5a808053ep-12", "", 5),
+        ("unit-witnesses", True, "0x1.0000000000000p-52", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+    ], "4e1b365cf0c6690550b82e3a93212910303815c777a109c6fe46e0d98381c1e4"),
+    "c2-0.7-2-unitary-2": ([
+        ("reconstruction", True, "0x1.f77f147f5f42bp-55", "", None),
+        ("gamma1-decay", True, "0x1.b18fa9e9505fep-5", "", 1),
+        ("ratio-decay-k1", True, "0x1.14f845008e2ffp-8", "", 2),
+        ("witness-convergence-k1", True, "0x1.14f845008e300p-8", "", 1),
+        ("witness-convergence-k2", True, "0x1.91a0a33e76ec4p-44", "stabilized", 2),
+        ("unit-directions", True, "0x0.0p+0", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+    ], "083d1b80a5accf917f26ffe5a4c2d38799d2f502f05dabda840eb75942a0b0ab"),
+    "ex314-unitary": ([
+        ("reconstruction", True, "0x1.12bd3246ec9d9p-54", "", None),
+        ("gamma1-decay", True, "0x1.39792499b1a24p-58", "", 1),
+        ("ratio-decay-k1", True, "0x1.44e51f113d4d6p-9", "", 2),
+        ("ratio-decay-k2", True, "0x1.44e51f113d4d6p-9", "", 3),
+        ("ratio-decay-k3", True, "0x1.44e51f113d4d6p-9", "", 4),
+        ("ratio-decay-k4", True, "0x1.44e51f113d4d6p-9", "", 5),
+        ("ratio-decay-k5", True, "0x1.44e51f113d4d6p-9", "", 6),
+        ("witness-convergence-k1", True, "0x1.44e5607adb403p-9", "", 1),
+        ("witness-convergence-k2", True, "0x1.44e5607adb402p-9", "", 2),
+        ("witness-convergence-k3", True, "0x1.44e5607adb403p-9", "", 3),
+        ("witness-convergence-k4", True, "0x1.44e5607adb401p-9", "", 4),
+        ("witness-convergence-k5", True, "0x1.44e5607adb402p-9", "", 5),
+        ("witness-convergence-k6", True, "0x1.44e5607adb401p-9", "", 6),
+        ("unit-directions", True, "0x1.0000000000000p-53", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+    ], "5e0741c517a557227cb44471d949180154a66a5a9b5b0b8c3d740ed0a98255c1"),
+    "ex314-degenerate": ([
+        ("reconstruction", True, "0x1.11b19adc1a018p-53", "", None),
+        ("gamma1-decay", True, "0x1.b993fe00d5376p-8", "", 1),
+        ("ratio-decay-k1", True, "0x1.44e51f113d4d6p-9", "", 2),
+        ("ratio-decay-k2", True, "0x1.44e51f113d4d6p-9", "", 3),
+        ("ratio-decay-k3", True, "0x1.44e51f113d4d6p-9", "", 4),
+        ("ratio-decay-k4", True, "0x1.44e51f113d4d6p-9", "", 5),
+        ("ratio-decay-k5", True, "0x1.44e51f113d4d5p-9", "", 6),
+        ("witness-convergence-k1", True, "0x1.0b6c70d545a54p-52", "", 1),
+        ("witness-convergence-k2", True, "0x1.a56e6103f652ap-44", "", 2),
+        ("witness-convergence-k3", True, "0x1.4c10bbd9b518dp-35", "", 3),
+        ("witness-convergence-k4", True, "0x1.05a65d746b681p-26", "", 4),
+        ("witness-convergence-k5", True, "0x1.9c5516b8731a9p-18", "", 5),
+        ("witness-convergence-k6", True, "0x1.44e5607adb402p-9", "", 6),
+        ("unit-directions", True, "0x0.0p+0", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+        ("degenerate-pattern", True, "0x0.0p+0", "", 1),
+        ("degenerate-remainders", True, "0x1.44e5607adb403p-9", "", 1),
+    ], "604cadcd4f8f00b45f09b79e6a52613c0f62eed3d66856335464779fbdf905bb"),
+    "ex314-degenerate-n1": ([
+        ("reconstruction", False, "0x1.5e4a923ce8c90p-2", "", 3),
+        ("gamma1-decay", True, "0x1.39792499b1a24p-58", "", 1),
+        ("ratio-decay-k1", True, "0x1.44e51f113d4d6p-9", "", 2),
+        ("ratio-decay-k2", True, "0x1.44e51f113d4d6p-9", "", 3),
+        ("witness-convergence-k1", True, "0x1.44e5607adb403p-9", "", 1),
+        ("witness-convergence-k2", True, "0x1.0000338aa8075p+0", "", 2),
+        ("witness-convergence-k3", True, "0x1.0000338aa8074p+0", "", 3),
+        ("unit-directions", True, "0x1.0000000000000p-53", "", None),
+        ("remainder-ratio", True, "0x0.0p+0", "", None),
+        ("degenerate-pattern", True, "0x1.0000000000000p-53", "", 2),
+        ("degenerate-remainders", False, "0x1.936e16a26c54ep+8", "", 2),
+    ], "0f578fb235066fe0977fe6da16c1bb2d0a62b33a1d89b2f295a547861169be84"),
+    "termless": ([
+        ("reconstruction", False, "0x1.567e0bb433399p-2", "", 1),
+    ], "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+def test_verify_and_remainder_ratios_are_pinned(ex45_data, ex45_extraction, ex314_window,
+                                                 monkeypatch):
+    got = _verify_pins(ex45_data, ex45_extraction, ex314_window, monkeypatch)
+    assert list(got) == list(VERIFY_PINS)
+    for name, pin in VERIFY_PINS.items():
+        assert got[name] == pin, name
