@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -221,18 +222,19 @@ def _read_classification(path):
         raise fieldio.FieldFormatError(f"{path}: classification is not a JSON object")
 
     def numbers(v):
-        try:  # each value one number by fieldio's rule
-            return fieldio.numbers(list(v.values()), "", ndim=1).shape == (len(v),)
+        try:  # each value one finite number by fieldio's rule (JSON reads 1e400 as infinity)
+            values = fieldio.numbers(list(v.values()), "", ndim=1)
         except (AttributeError, ValueError):  # not an object, or a value not a number
             return False
+        return values.shape == (len(v),) and all(map(math.isfinite, values))
 
     def strings(v):
         return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
     for key, what, ok in (("form", "a string", lambda v: isinstance(v, str)),
                           ("branch", "a string", lambda v: isinstance(v, str)),
-                          ("constants", "an object of numbers", numbers),
-                          ("residuals", "an object of numbers", numbers),
+                          ("constants", "an object of finite numbers", numbers),
+                          ("residuals", "an object of finite numbers", numbers),
                           ("warnings", "a list of strings", strings)):
         if (key in doc or key in ("form", "branch")) and not ok(doc.get(key)):
             raise fieldio.FieldFormatError(f"{path}: classification {key!r} is not {what}")

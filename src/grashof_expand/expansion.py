@@ -19,7 +19,9 @@ in two forms:
 Restructuring removes zero directions and normalizes the rest, preserving all
 partial sums; verification re-checks every expansion axiom on the raw window and
 is the one definition of a level: both extractions keep the levels it accepts and
-apply no convergence gate of their own.
+apply no convergence gate of their own. It walks the levels once, forming each
+partial sum v + sum_{j<k} Gamma_{j,n} w_j a single time, and the report's
+remainder ratios come from the same walk.
 """
 
 from __future__ import annotations
@@ -121,9 +123,11 @@ def _rows(keys, fields):
 
 
 def check_alphas(alphas):
-    """The window's rule: alphas positive and strictly increasing, else a ValueError."""
+    """The window's rule: alphas positive, finite and strictly increasing, else a ValueError."""
     if any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive")
+    if not np.isfinite(alphas).all():  # JSON reads 1e400 as infinity
+        raise ValueError("alphas must be finite")
     for n, (a, b) in enumerate(zip(alphas, alphas[1:]), start=2):
         if not b > a:
             raise ValueError(f"alphas must be strictly increasing: sample {n} has "
@@ -521,8 +525,8 @@ def verify_expansion(e, data):
         for k in range(1, len(gammas)):  # Gamma_1 decays, then each Gamma_k / Gamma_{k-1}
             r = gammas[k] / gammas[k - 1]
             ok, _ = _tail_decreasing(r, t)
-            name, worst = ("gamma1-decay", r[-1] / r[0]) if k == 1 else (f"ratio-decay-k{k - 1}",
-                                                                          r[-1])
+            name = "gamma1-decay" if k == 1 else f"ratio-decay-k{k - 1}"
+            worst = r[-1] / r[0] if k == 1 else r[-1]
             checks.append(CheckResult(name, ok and r[-1] < r[0], float(worst), level=k))
 
         for k, conv in enumerate(walk["conv"], start=1):
@@ -655,10 +659,11 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
                 f"{path}: form {name}: {key!r} is not one of {', '.join(allowed)}")
     heads = range(start + 1, stop, 1 + m)  # the direction rows
     limit, *dirs = [sp.SpectralField.from_arrays(truncs[r], keys, rows[r]) for r in [start, *heads]]
-    what, terms = "'degenerate_N' is not null or an int", []
+    what, terms = f"'degenerate_N' is not null or an int in [0, {len(rec['terms'])})", []
     try:  # fieldio.numbers' rule, under this reader's messages
-        if rec["degenerate_N"] is not None:
-            fieldio.numbers(rec["degenerate_N"], what, integer=True).item()  # refuses [] too
+        if rec["degenerate_N"] is not None:  # .item() refuses [] too
+            if not 0 <= fieldio.numbers(rec["degenerate_N"], what, True).item() < len(rec["terms"]):
+                raise ValueError(what)  # the index of the first zero direction
         for k, (t, d, h) in enumerate(zip(rec["terms"], dirs, heads), start=1):
             what = f"term {k}: 'gammas' is not a list of {m} finite numbers"
             g = fieldio.numbers(t["gammas"], what, ndim=1)
@@ -697,9 +702,9 @@ def load_expansion(path):
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
         re-extracted), a missing key, no forms object, offsets that do not tile the
         matrix, alphas that break ``check_alphas``, a ``form`` or ``kind`` of no
-        known name, gammas not M finite numbers, a ``degenerate_N`` not null or an
-        int, exponents that make no scale, not the recorded regime or fewer levels
-        than terms, or a bad matrix.
+        known name, gammas not M finite numbers, a ``degenerate_N`` not null or a
+        term's index from 0, exponents that make no scale, not the recorded regime or
+        fewer levels than terms, or a bad matrix.
       sp.MalformedFieldError: a matrix row breaks a field invariant; the message
         names the matrix, the form, the row (limit, or term k's direction or
         witness n) and the mode.

@@ -1,6 +1,11 @@
 """Shared test fixtures: analytic windows and manufactured solution families."""
 
-import numpy as np
+import os
+
+# The suite's bit and sha256 pins hold at one BLAS thread count: set it before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from grashof_expand import expansion as ex

@@ -686,6 +686,10 @@ CASES = {
        for name, text, words in (
            ("negative", "-1", "alphas must be positive"),
            ("not-increasing", "1e9", "alphas must be strictly increasing: sample 2 has alpha "))},
+    # JSON reads an overflowing alpha as infinity: refused by the same rule.
+    **{f"{stage}-index-alpha-overflow": Case(argv, 2, "usage error: {file}: alphas must be finite",
+                                             (INDEX, ("alphas", -1), "1e400"))
+       for stage, argv in (("classify", CLASSIFY), ("report", REPORT))},
     "regime-not-its-exponents": Case(
         VERIFY, 2, "{file}: scale records regime 'general', but its exponents",
         (INDEX, ("forms", "strict", "scale", "regime"), '"general"')),
@@ -703,7 +707,8 @@ CASES = {
     **{f"degenerate-n-{name}": Case(
         VERIFY, 2, "{file}: form unitary: 'degenerate_N' is not null or an int",
         (INDEX, ("forms", "unitary", "degenerate_N"), text))
-       for name, text in (("string", '"1"'), ("list", "[1]"))},
+       for name, text in (("string", '"1"'), ("list", "[1]"), ("negative", "-1"),
+                          ("past-the-terms", "2"))},
     **{f"{key}-{name}": Case(VERIFY, 2, f"{{file}}: form strict: {words}",
                              (INDEX, ("forms", "strict", key), text))
        for key, words in (("form", "'form' is not one of strict, unitary"), ("kind", KINDS))
@@ -743,6 +748,9 @@ CASES = {
                                 ("constants-list", ("constants",), "[1, 2]"),
                                 ("residual-string", ("residuals", "R1"), '"0.1"'),
                                 ("warnings-string", ("warnings",), '"none"'))},
+    "report-classification-overflow": Case(
+        REPORT, 2, "{file}: classification 'residuals' is not an object of finite numbers",
+        ("{cls}", ("residuals", "B(v,v)=0"), "1e400")),
     "classification-not-an-object": Case(REPORT, 2, "{file}: classification is not a JSON object",
                                          ("{cls}", (), "[]")),
     "classified-form-not-in-expansion": Case(
