@@ -808,8 +808,8 @@ def _verify_pins(ex45_data, ex45_extraction, ex314_window, monkeypatch):
     return {name: _verify_pin(e, data) for name, (e, data) in forms.items()}
 
 
-# ``_verify_pins`` as the level-by-level checks first gave it: any rewrite of the
-# walk over the levels keeps every check and ratio to the bit.
+# ``_verify_pins``' value, recorded when each check still formed its own partial
+# sums: the one walk over the levels must give every check and ratio to the bit.
 VERIFY_PINS = {
     "readme-strict": ([
         ("reconstruction", True, "0x1.1ff3336ed6b82p-53", "", None),
