@@ -665,9 +665,9 @@ def _load_form(path, name, rec, keys, rows, truncs, m):
             if not 0 <= fieldio.numbers(rec["degenerate_N"], what, True).item() < len(rec["terms"]):
                 raise ValueError(what)  # the index of the first zero direction
         for k, (t, d, h) in enumerate(zip(rec["terms"], dirs, heads), start=1):
-            what = f"term {k}: 'gammas' is not a list of {m} finite numbers"
-            g = fieldio.numbers(t["gammas"], what, ndim=1)
-            if g.shape != (m,) or not np.isfinite(g).all():
+            what = f"term {k}: 'gammas' is not a list of {m} positive finite numbers"
+            g = fieldio.numbers(t["gammas"], what, ndim=1)  # a subnormal Gamma overflows 1/Gamma
+            if g.shape != (m,) or not (np.isfinite(g) & (g >= np.finfo(float).tiny)).all():
                 raise ValueError(what)
             terms.append(ExpansionTerm(g, d, rows[h + 1:h + 1 + m].reshape(m, -1), t["estimator"]))
     except ValueError:
@@ -702,9 +702,9 @@ def load_expansion(path):
       fieldio.FieldFormatError: not of schema ``SCHEMA`` (earlier schemas must be
         re-extracted), a missing key, no forms object, offsets that do not tile the
         matrix, alphas that break ``check_alphas``, a ``form`` or ``kind`` of no
-        known name, gammas not M finite numbers, a ``degenerate_N`` not null or a
-        term's index from 0, exponents that make no scale, not the recorded regime or
-        fewer levels than terms, or a bad matrix.
+        known name, gammas not M positive finite numbers, a ``degenerate_N`` not null
+        or a term's index from 0, exponents that make no scale, not the recorded
+        regime or fewer levels than terms, or a bad matrix.
       sp.MalformedFieldError: a matrix row breaks a field invariant; the message
         names the matrix, the form, the row (limit, or term k's direction or
         witness n) and the mode.

@@ -1,19 +1,19 @@
 """Order-of-magnitude calculus on positive sequences and the branch classifier.
 
-``compare`` decides, from a finite window over the parameters alpha_n,
-whether xi grows strictly faster than eta (succ), slower (prec),
-proportionally (sim, with the limit ratio), or cannot be decided. ``build_S``
-assembles the coefficient sequences (alpha), (1), (Gamma_k), (alpha Gamma_k),
-(alpha Gamma_j Gamma_k) together with their full relation matrix and asserts
-the structural decay relations among them. ``classify`` builds that matrix
-from a verified expansion itself (so it raises ``InconsistentRelationsError``
-where ``build_S`` does), routes the expansion through the steady-state
-classification tree (limit equation per branch, constants as tail means,
-residuals in the V' norm) and reports which branch fired. Every gate is a
-module constant (``SLOPE_GATE``, ``DISP_GATE``, ``RESIDUAL_GATE``,
-``ZERO_GATE``, ``CHI_FLOOR``); the ``classify`` command records the first
-three in its output file. The 4.6(ii) sub-branches (2a) and (3a) are not
-classified: no window reaches them while mu_* is a tail mean
+``compare`` is the batched calculus: from a finite window over the parameters
+alpha_n it decides, row by row, whether xi grows strictly faster than eta
+(succ), slower (prec), proportionally (sim, with the limit ratio), or cannot be
+decided. ``build_S`` compares every pair of the coefficient sequences (alpha),
+(1), (Gamma_k), (alpha Gamma_k), (alpha Gamma_j Gamma_k) in one such call, into
+a table keyed by label pairs, and asserts its structural decay relations.
+``classify`` builds that table from a verified expansion itself (so it raises
+``InconsistentRelationsError`` where ``build_S`` does), routes the expansion
+through the steady-state classification tree (limit equation per branch,
+constants as tail means, residuals in the V' norm) and reports which branch
+fired. Every gate is a module constant (``SLOPE_GATE``, ``DISP_GATE``,
+``RESIDUAL_GATE``, ``ZERO_GATE``, ``CHI_FLOOR``); the ``classify`` command
+records the first three in its output file. The 4.6(ii) sub-branches (2a) and
+(3a) are not classified: no window reaches them while mu_* is a tail mean
 (``_classify_v_zero`` says what would).
 """
 
@@ -43,24 +43,6 @@ CHI_FLOOR = 1e-10     # |chi_n| at or below this everywhere: chi vanishes (S1)
 
 
 @dataclass(frozen=True)
-class PositiveSequence:
-    """A labeled finite sample of a positive sequence over the window."""
-
-    label: str
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if any(v <= 0 for v in vals):
-            raise ValueError(f"sequence {self.label!r} must be positive")
-
-    @property
-    def array(self):
-        return np.array(self.values)
-
-
-@dataclass(frozen=True)
 class OrderRelation:
     verdict: str                 # succ | sim | prec | undecided
     lam: float | None            # finite limit ratio when verdict == sim
@@ -72,20 +54,17 @@ class OrderRelation:
         return f"{self.verdict}{lam} [slope={self.slope:.3g}, disp={self.dispersion:.3g}]"
 
 
-def compare(xi, eta, alphas):
-    """Decide xi vs eta from the window: succ / sim(lam) / prec / undecided.
+def compare(xs, ys, alphas):
+    """Decide each row of ``xs`` (P, M) against the same row of ``ys`` over the
+    window ``alphas``: one ``OrderRelation`` per row, succ / sim(lam) / prec /
+    undecided.
 
-    Fits the slope of log(xi/eta) against log(alpha_n) over the tail half;
-    succ needs slope above ``SLOPE_GATE`` and strictly increasing tail ratios,
-    sim needs flat slope and tail dispersion at most ``DISP_GATE``. Windows
-    shorter than 6 are refused. The batch of one of ``_compare_rows``.
+    Fits the slope of log(x/y) against log(alpha_n) over the tail half; succ
+    needs slope above ``SLOPE_GATE`` and strictly increasing tail ratios (prec
+    the mirror image), sim needs flat slope and tail dispersion at most
+    ``DISP_GATE``, lam the tail mean. Windows shorter than 6 are refused.
+    Ratios, tails, trends and dispersions are formed in one array pass.
     """
-    return _compare_rows(xi.array[None], eta.array[None], alphas)[0]
-
-
-def _compare_rows(xs, ys, alphas):
-    """``compare`` of each row of ``xs`` (P, M) against the same row of ``ys``:
-    ratios, tails, trends and dispersions in one array pass."""
     if xs.shape[1] != ys.shape[1]:
         raise ValueError("sequences must share the window")
     if xs.shape[1] < 6:
@@ -121,31 +100,20 @@ def _label(apow, gs):
 
 @dataclass
 class RelationMatrix:
-    sequences: list
-    relations: dict              # (i, j) -> OrderRelation, i < j
+    relations: dict              # (label a, label b) -> OrderRelation, a before b in the table
 
-    def get(self, i, j):
-        if i == j:
+    def relation(self, a, b):  # a pair stored as (b, a) is read backwards
+        if a == b:
             return OrderRelation("sim", 1.0, 0.0, 0.0)
-        if i < j:
-            return self.relations[(i, j)]
-        r = self.relations[(j, i)]
+        if (a, b) in self.relations:
+            return self.relations[(a, b)]
+        r = self.relations[(b, a)]
         flip = {"succ": "prec", "prec": "succ"}.get(r.verdict, r.verdict)
         lam = 1.0 / r.lam if r.lam else None
         return OrderRelation(flip, lam, -r.slope, r.dispersion)
 
-    def index(self, label):
-        for i, s in enumerate(self.sequences):
-            if s.label == label:
-                return i
-        raise KeyError(label)
-
-    def relation(self, label_a, label_b):
-        return self.get(self.index(label_a), self.index(label_b))
-
     def undecided_pairs(self):
-        return [(self.sequences[i].label, self.sequences[j].label)
-                for (i, j), r in self.relations.items() if r.verdict == "undecided"]
+        return [pair for pair, r in self.relations.items() if r.verdict == "undecided"]
 
 
 def _structurally_decaying(sa, sb):
@@ -159,10 +127,10 @@ def _structurally_decaying(sa, sb):
 def build_S(alphas, gammas):
     """Coefficient sequences of the expansion with all pairwise relations.
 
-    ``gammas`` is a list of positive arrays, one per expansion level. Returns
-    a RelationMatrix over (1), (alpha), (Gamma_k), (alpha Gamma_k) and
-    (alpha Gamma_j Gamma_k), j <= k; every pair is compared in one array pass,
-    each relation the one ``compare`` gives on its pair.
+    ``gammas`` is a list of positive arrays, one per expansion level (a sequence
+    not positive is a ValueError naming it). Returns a RelationMatrix over (1),
+    (alpha), (Gamma_k), (alpha Gamma_k) and (alpha Gamma_j Gamma_k), j <= k: every
+    pair (a, b), a before b in that order, is a row of one ``compare`` call.
 
     Raises:
       InconsistentRelationsError: a structural decay relation (a pure product
@@ -177,22 +145,23 @@ def build_S(alphas, gammas):
     levels = range(1, len(gammas) + 1)
     structure = ([(0, ()), (1, ())] + [(0, (k,)) for k in levels] + [(1, (k,)) for k in levels]
                  + [(1, (j, k)) for j in levels for k in levels if j <= k])
-    seqs = []
+    table = []
     for p, gs in structure:
         values = alphas if p else np.ones_like(alphas)
         for k in gs:
             values = values * gammas[k - 1]
-        seqs.append(PositiveSequence(_label(p, gs), tuple(values)))
-    pairs = list(itertools.combinations(range(len(seqs)), 2))
-    table = np.array([sq.values for sq in seqs])
-    first, second = np.array(pairs).T
-    relations = dict(zip(pairs, _compare_rows(table[first], table[second], alphas)))
-    mat = RelationMatrix(sequences=seqs, relations=relations)
+        table.append(values)
+    table, labels = np.array(table), [_label(p, gs) for p, gs in structure]
+    bad = np.any(table <= 0, axis=1)
+    if bad.any():
+        raise ValueError(f"sequence {labels[int(np.argmax(bad))]!r} must be positive")
+    first, second = np.triu_indices(len(table), 1)  # itertools.combinations' order
+    mat = RelationMatrix(dict(zip(itertools.combinations(labels, 2),
+                                  compare(table[first], table[second], alphas))))
 
-    for i, j in itertools.permutations(range(len(seqs)), 2):
-        if _structurally_decaying(structure[i], structure[j]) and mat.get(i, j).verdict != "succ":
-            raise InconsistentRelationsError(
-                f"expected {seqs[i].label} succ {seqs[j].label}, got {mat.get(i, j)}")
+    for (sa, a), (sb, b) in itertools.permutations(zip(structure, labels), 2):
+        if _structurally_decaying(sa, sb) and mat.relation(a, b).verdict != "succ":
+            raise InconsistentRelationsError(f"expected {a} succ {b}, got {mat.relation(a, b)}")
     return mat
 
 

@@ -199,15 +199,15 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
     rates = (0.0, 0.5, 1.0, 2.0)
     corpus = {}
     for a in rates:
-        corpus[(a, 1.0)] = od.PositiveSequence(f"n^-{a}", tuple(n**-a))
-        corpus[(a, 2.0)] = od.PositiveSequence(f"2n^-{a}", tuple(2.0 * n**-a))
+        corpus[(a, 1.0)] = n**-a
+        corpus[(a, 2.0)] = 2.0 * n**-a
     total = 0
     correct = 0
     for (a1, c1), xi in corpus.items():
         for (a2, c2), eta in corpus.items():
             if xi is eta:
                 continue
-            r = od.compare(xi, eta, n)
+            (r,) = od.compare(xi[None], eta[None], n)
             if a1 < a2:
                 expected_ok = r.verdict == "succ"
             elif a1 > a2:
@@ -217,8 +217,7 @@ def test_criterion_6_order_calculus(ex45_end_to_end):
                                and r.lam == pytest.approx(c1 / c2, rel=1e-10))
             total += 1
             correct += bool(expected_ok)
-    osc = od.compare(od.PositiveSequence("one", tuple(np.ones(12))),
-                     od.PositiveSequence("osc", tuple(2.0 + (-1.0) ** n)), n)
+    (osc,) = od.compare(np.ones((1, 12)), (2.0 + (-1.0) ** n)[None], n)
     osc_ok = osc.verdict == "undecided"
 
     # table structural relations on every fixture extraction

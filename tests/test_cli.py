@@ -468,6 +468,7 @@ EX314 = "fixtures example314 --count 6 --truncation 16"
 NOT_ONE = "must be an int of at least 1; got '0'"
 MAN, FIELD, INDEX = "{fx}/manifest.json", "{fx}/v_0003.json", "{exp}/expansion.json"
 MATRIX, UNITARY_GAMMAS = "{exp}/expansion.npy", ("forms", "unitary", "terms", 0, "gammas")
+NOT_GAMMAS = "{file}: form unitary: term 1: 'gammas' is not a list of 20 positive finite numbers"
 AVAILABLE = "available: ['restructured', 'strict', 'unitary']"
 SWAPPED = "alphas must be strictly increasing: sample 17 has alpha 292.26606400769174 after " \
           "310.5285959771229"
@@ -697,11 +698,17 @@ CASES = {
                              "nonempty object", (INDEX, ("forms",), text))
        for name, text in (("a-list", '["restructured", "strict", "unitary"]'),
                           ("empty-list", "[]"), ("a-string", '"unitary"'))},
-    **{f"gammas-{name}": Case(VERIFY, 2, "{file}: form unitary: term 1: 'gammas' is not a list "
-                              "of 20 finite numbers", (INDEX, UNITARY_GAMMAS + keys, text))
+    **{f"gammas-{name}": Case(VERIFY, 2, NOT_GAMMAS, (INDEX, UNITARY_GAMMAS + keys, text))
        for name, keys, text in (("null", (), "null"), ("a-number", (), "0.5"),
                                 ("string-entry", (3,), '"x"'), ("null-entry", (3,), "null"),
-                                ("overflowing-entry", (3,), "1e400"))},
+                                ("overflowing-entry", (3,), "1e400"), ("zero-entry", (3,), "0"),
+                                ("negative-entry", (3,), "-1e-3"),
+                                ("subnormal-entry", (3,), "1e-320"))},
+    # Every writer stores positive gammas: the index is refused before a stage
+    # divides by one or compares it.
+    **{f"{stage}-gammas-{name}": Case(argv, 2, NOT_GAMMAS, (INDEX, UNITARY_GAMMAS + (3,), text))
+       for stage, argv, name, text in (("classify", CLASSIFY, "negative-entry", "-1e-3"),
+                                       ("report", REPORT, "zero-entry", "0"))},
     "gammas-nan-entry": Case(VERIFY, 2, "{file}: not valid JSON (NaN is not a JSON number)",
                              (INDEX, UNITARY_GAMMAS + (3,), "NaN")),
     **{f"degenerate-n-{name}": Case(
@@ -879,6 +886,9 @@ test_numbers_of_the_wrong_json_type_are_named = _table_test(each=(
     "alphas-string", "truncations-string", "truncations-fraction", "modes-fraction",
     "exponent-string"))
 test_overflowing_gamma_is_named = _table_test("gammas-overflowing-entry")
+test_non_positive_gamma_is_named = _table_test(each=(
+    "gammas-zero-entry", "gammas-negative-entry", "gammas-subnormal-entry",
+    "classify-gammas-negative-entry", "report-gammas-zero-entry"))
 test_non_finite_term_row_is_named = _table_test("term-row-nan")
 test_misordered_field_modes_are_named = _table_test(each=("out-of-order", "zero-mode"))
 test_malformed_expansion_index = _table_test(each=(
